@@ -47,21 +47,18 @@ def _add_shared_flags(sub: argparse.ArgumentParser):
                      help="stop after this many stagnant generations (sga) or rounds (pga); 0 disables")
     sub.add_argument("--target-length", type=float, help="stop once best length <= target")
     sub.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
-    sub.add_argument("--workers", type=int, help="engine worker threads (pga)")
+    sub.add_argument("--workers", type=int, default=1,
+                     help="engine workers (pga; default 1 runs in-process)")
     sub.add_argument("--out-dir", default=".", help="directory for report files (default .)")
 
 
-def _ga_params(args) -> GaParams:
-    overrides = {}
-    if args.pop_size is not None:
-        overrides["population_size"] = args.pop_size
-    if args.crossover_prob is not None:
-        overrides["crossover_prob"] = args.crossover_prob
-    if args.mutation_prob is not None:
-        overrides["mutation_prob"] = args.mutation_prob
-    if args.similarity_threshold is not None:
-        overrides["similarity_threshold"] = args.similarity_threshold
-    return replace(GaParams(), **overrides)
+def _ga_params(settings: dict) -> GaParams:
+    """GaParams defaults overridden by every GA setting that is not None;
+    takes `vars(args)` from the command line or a suite config."""
+    overrides = {"population_size": settings["pop_size"]}
+    for name in ("crossover_prob", "mutation_prob", "similarity_threshold"):
+        overrides[name] = settings[name]
+    return replace(GaParams(), **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _append_report(out_dir: Path, report: RunReport):
@@ -72,7 +69,7 @@ def _append_report(out_dir: Path, report: RunReport):
 
 def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    ga = _ga_params(args)
+    ga = _ga_params(vars(args))
     out_dir = Path(args.out_dir)
     if args.algo == "sga":
         termination = TerminationPolicy(target_length=args.target_length,
@@ -168,18 +165,8 @@ def parse_suite_config(text: str, base_dir: Path) -> dict:
     return cfg
 
 
-def _suite_ga(cfg: dict) -> GaParams:
-    overrides = {"population_size": cfg["pop_size"]}
-    for key, field_name in (("crossover_prob", "crossover_prob"),
-                            ("mutation_prob", "mutation_prob"),
-                            ("similarity_threshold", "similarity_threshold")):
-        if cfg[key] is not None:
-            overrides[field_name] = cfg[key]
-    return replace(GaParams(), **overrides)
-
-
 def _run_cell(instance: Instance, algo: str, seed: int, cfg: dict) -> RunReport:
-    ga = _suite_ga(cfg)
+    ga = _ga_params(cfg)
     target = instance.known_optimum if cfg["stop_at_known_optimum"] else None
     if algo == "sga":
         termination = TerminationPolicy(target_length=target, patience=cfg["sga_patience"])

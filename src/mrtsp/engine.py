@@ -13,11 +13,10 @@ are named, written once by a completed job, and immutable afterwards.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 import struct
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -234,6 +233,29 @@ def _reduce_task(reducer: Reducer, grouped: list[tuple[int, list[bytes]]],
     return out
 
 
+def _attempt(fn, args: tuple, retries: int):
+    """Run fn(*args), retrying a failed attempt up to `retries` times.
+
+    Returns (result, events, error). events lists (attempt, "start"|"end"|
+    "fail", time.monotonic()) in order; error is the last exception when
+    every attempt failed, else None. Module-level so process pools can
+    pickle it.
+    """
+    events = []
+    error = None
+    for attempt in range(retries + 1):
+        events.append((attempt, "start", time.monotonic()))
+        try:
+            result = fn(*args)
+        except Exception as exc:
+            error = exc
+            events.append((attempt, "fail", time.monotonic()))
+            continue
+        events.append((attempt, "end", time.monotonic()))
+        return result, events, None
+    return None, events, error
+
+
 def _chunk(records: list[Record], pieces: int) -> list[list[Record]]:
     n = len(records)
     bounds = [i * n // pieces for i in range(pieces + 1)]
@@ -243,83 +265,50 @@ def _chunk(records: list[Record], pieces: int) -> list[list[Record]]:
 class Engine:
     """Runs JobSpecs against a record store on a bounded worker pool.
 
-    executor: "serial", "thread" (default) or "process". Process mode needs
-    picklable mapper/reducer/partitioner callables and skips task events.
-    The task_observer callback (thread/serial only) receives a dict per task
-    start/end/fail, timestamped inside the worker; tests use it to verify the
-    map->reduce barrier and retry behaviour.
+    workers defaults to 1, which runs every task in-process. With more
+    workers, executor picks the pool: "thread" (default) or "process"; only
+    "process" gives CPU parallelism, and it needs picklable mapper, reducer
+    and partitioner callables. Every executor shares one retry policy. The
+    task_observer callback receives a dict per task start/end/fail,
+    timestamped inside the worker and delivered in task order once each
+    phase has finished; tests use it to verify the map->reduce barrier and
+    retry behaviour.
     """
 
-    def __init__(self, store, workers: int | None = None, executor: str = "thread",
+    def __init__(self, store, workers: int = 1, executor: str = "thread",
                  max_task_retries: int = 2, task_observer: Callable[[dict], None] | None = None):
         if executor not in ("serial", "thread", "process"):
             raise ValueError(f"unknown executor {executor!r}")
         self.store = store
-        if workers is None:
-            workers = os.cpu_count() or 1
         self.workers = 1 if executor == "serial" else max(1, workers)
         self.executor_kind = "serial" if self.workers == 1 else executor
-        self.max_task_retries = max_task_retries
+        self.max_task_retries = max(0, max_task_retries)
         self.task_observer = task_observer
 
     # -- phases ------------------------------------------------------------
 
-    def _emit(self, job_id: int, kind: str, index: int, attempt: int, event: str):
-        if self.task_observer is not None:
-            self.task_observer({"job_id": job_id, "kind": kind, "index": index,
-                                "attempt": attempt, "event": event,
-                                "time": time.monotonic()})
-
-    def _run_with_retries(self, job_id: int, kind: str, index: int, fn, args):
-        last_exc: BaseException | None = None
-        for attempt in range(self.max_task_retries + 1):
-            self._emit(job_id, kind, index, attempt, "start")
-            try:
-                result = fn(*args)
-            except Exception as exc:
-                last_exc = exc
-                self._emit(job_id, kind, index, attempt, "fail")
-                continue
-            self._emit(job_id, kind, index, attempt, "end")
-            return result
-        assert last_exc is not None
-        raise JobFailedError(job_id, kind, index, last_exc)
-
     def _run_phase(self, job_id: int, kind: str, payloads: list[tuple]) -> list[list[Record]]:
         # payloads: (fn, args) per task index
-        n = len(payloads)
-        if self.executor_kind == "process":
-            return self._run_phase_process(job_id, kind, payloads)
-        if self.executor_kind == "serial" or n <= 1:
-            return [self._run_with_retries(job_id, kind, i, fn, args)
-                    for i, (fn, args) in enumerate(payloads)]
-        results: list[list[Record] | None] = [None] * n
-        with ThreadPoolExecutor(max_workers=min(self.workers, n)) as pool:
-            futures = {pool.submit(self._run_with_retries, job_id, kind, i, fn, args): i
-                       for i, (fn, args) in enumerate(payloads)}
-            for future, i in futures.items():
-                results[i] = future.result()
-        return results  # type: ignore[return-value]
-
-    def _run_phase_process(self, job_id: int, kind: str, payloads: list[tuple]) -> list[list[Record]]:
-        n = len(payloads)
-        results: list[list[Record] | None] = [None] * n
-        attempts = [0] * n
-        with ProcessPoolExecutor(max_workers=min(self.workers, n)) as pool:
-            pending = {pool.submit(fn, *args): i for i, (fn, args) in enumerate(payloads)}
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    i = pending.pop(future)
-                    try:
-                        results[i] = future.result()
-                    except Exception as exc:
-                        attempts[i] += 1
-                        if attempts[i] > self.max_task_retries:
-                            raise JobFailedError(job_id, kind, i, exc) from exc
-                        fn, args = payloads[i]
-                        pending[pool.submit(fn, *args)] = i
-        return results  # type: ignore[return-value]
+        fns, args = zip(*payloads)
+        retries = [self.max_task_retries] * len(payloads)
+        if self.executor_kind == "serial":
+            outcomes = map(_attempt, fns, args, retries)
+        else:
+            pool_class = {"thread": ThreadPoolExecutor,
+                          "process": ProcessPoolExecutor}[self.executor_kind]
+            with pool_class(max_workers=min(self.workers, len(payloads))) as pool:
+                outcomes = list(pool.map(_attempt, fns, args, retries))
+        results = []
+        for index, (result, events, error) in enumerate(outcomes):
+            if self.task_observer is not None:
+                for attempt, event, stamp in events:
+                    self.task_observer({"job_id": job_id, "kind": kind, "index": index,
+                                        "attempt": attempt, "event": event, "time": stamp})
+            if error is not None:
+                # raised here, not in a worker: JobFailedError does not unpickle
+                raise JobFailedError(job_id, kind, index, error) from error
+            results.append(result)
+        return results
 
     # -- shuffle -----------------------------------------------------------
 

@@ -21,7 +21,6 @@ class Chromosome:
     genes: tuple[int, ...]
     length: float
     pop_id: int
-    fitness: float = 0.0
     _canon: tuple[int, ...] | None = field(default=None, repr=False)
 
     def canonical(self) -> tuple[int, ...]:
@@ -98,25 +97,6 @@ def tour_length(genes, instance: Instance) -> float:
 
 def make_chromosome(genes, instance: Instance, pop_id: int) -> Chromosome:
     return Chromosome(genes=tuple(genes), length=tour_length(genes, instance), pop_id=pop_id)
-
-
-def assign_fitness(population: Population) -> Population:
-    """fitness_i = length_i / sum of lengths; lower is better, sums to 1."""
-    members = population.members
-    if not members:
-        raise ValueError("cannot assign fitness to an empty population")
-    total = sum(m.length for m in members)
-    for m in members:
-        m.fitness = m.length / total
-    return population
-
-
-def rank_probabilities(population_size: int) -> list[float]:
-    """Selection probability per rank, worst (rank 1) first; sums to 1."""
-    if population_size < 2:
-        raise ValueError(f"population_size must be >= 2, got {population_size}")
-    total = population_size * (population_size + 1) // 2
-    return [r / total for r in range(1, population_size + 1)]
 
 
 def similarity(a: Chromosome, b: Chromosome) -> float:
@@ -261,14 +241,14 @@ def next_generation(population: Population, instance: Instance,
         genes = mutate(genes, rng, params.mutation_prob)
         new_members.append(make_chromosome(genes, instance, population.id))
 
-    return assign_fitness(Population.from_members(population.id, new_members))
+    return Population.from_members(population.id, new_members)
 
 
 def random_population(instance: Instance, params: GaParams, pop_id: int,
                       rng: random.Random) -> Population:
     members = [make_chromosome(random_tour(instance.dimension, rng), instance, pop_id)
                for _ in range(params.population_size)]
-    return assign_fitness(Population.from_members(pop_id, members))
+    return Population.from_members(pop_id, members)
 
 
 @dataclass(frozen=True)

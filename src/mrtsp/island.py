@@ -19,10 +19,14 @@ from typing import Sequence
 from .codec import decode_chromosome, encode_chromosome, peek_length
 from .engine import (Engine, EngineError, FileStore, JobSpec, MemoryStore,
                      Record, default_partition, identity_mapper)
-from .ga import (Chromosome, GaParams, Population, assign_fitness,
-                 next_generation, random_tour, stop_reason, tour_length)
+from .ga import (Chromosome, GaParams, Population, next_generation,
+                 random_tour, stop_reason, tour_length)
 from .reports import RunReport, accuracy_percent
 from .tsplib import Instance
+
+
+class NonIntegerWeightsError(ValueError):
+    """The instance has non-integer edge weights, which pga cannot ship."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ class EvolveReducer:
         size = self.params.ga.population_size
         if len(members) > size:
             members = sorted(members, key=lambda m: m.length)[:size]
-        population = assign_fitness(Population.from_members(key, members))
+        population = Population.from_members(key, members)
         for _ in range(self.params.migration_interval):
             population = next_generation(population, self.instance, rng, self.params.ga)
 
@@ -211,15 +215,20 @@ def format_population_dump(parts: list[list[Record]]) -> str:
 
 
 def run_pga(instance: Instance, params: IslandParams | None = None,
-            master_seed: int = 0, workers: int | None = None, store=None,
+            master_seed: int = 0, workers: int = 1, store=None,
             executor: str = "thread", dump_path=None) -> RunReport:
     """Drive init_job plus evolve_job rounds until convergence.
 
     Reported generations are per-island cumulative (rounds times
     migration_interval). The final populations are additionally written as
     a readable text dump: to dump_path when given, or next to the binary
-    parts when the store lives on disk.
+    parts when the store lives on disk. Instances with non-integer weights
+    are rejected up front, since records carry integer tour lengths.
     """
+    if instance.distances.dtype.kind == "f":
+        raise NonIntegerWeightsError(
+            f"{instance.name}: pga needs integer edge weights (the record layout "
+            "stores integer tour lengths); run sga for non-integer weights")
     params = params if params is not None else IslandParams()
     start = time.perf_counter()
     store = store if store is not None else MemoryStore()

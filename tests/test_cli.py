@@ -81,6 +81,18 @@ def test_solve_rejects_single_island(inst_dir, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_solve_pga_rejects_non_integer_weights(tmp_path, capsys):
+    weights = np.random.default_rng(0).uniform(1, 10, (8, 8))
+    np.fill_diagonal(weights, 0.0)
+    path = tmp_path / "float8.atsp"
+    path.write_text(format_instance(Instance("float8", 8, weights)))
+    rc = main(["solve", "--algo", "pga", "--instance", str(path), "--islands", "2",
+               "--pop-size", "10", "--max-generations", "50", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "integer edge weights" in capsys.readouterr().err
+    assert not (tmp_path / "reports.jsonl").exists()
+
+
 def test_solve_missing_instance(tmp_path, capsys):
     rc = main(["solve", "--algo", "sga", "--instance", str(tmp_path / "nope.atsp"),
                "--out-dir", str(tmp_path)])

@@ -14,6 +14,15 @@ def passthrough_reducer(key, values, rng):
     return [Record(key, v) for v in values]
 
 
+def draw_reducer(key, values, rng):
+    return [Record(key, struct.pack("<d", rng.random())) for _ in values]
+
+
+def slow_mapper(record):
+    time.sleep(0.02)
+    return [record]
+
+
 def spec_for(input_name, *, job_id=0, maps=2, reduces=2, mapper=identity_mapper,
              reducer=passthrough_reducer, seed=0):
     return JobSpec(job_id=job_id, input=input_name, num_map_tasks=maps,
@@ -111,20 +120,20 @@ def test_key_co_location():
 
 
 def test_phase_barrier_under_concurrency():
-    store = MemoryStore()
-    store.put("in", [Record(i, b"") for i in range(8)])
-    events = []
-
-    def slow_mapper(record):
-        time.sleep(0.02)
-        return [record]
-
-    engine = Engine(store, workers=4, task_observer=events.append)
-    engine.run_job(spec_for("in", maps=8, reduces=4, mapper=slow_mapper))
-    map_ends = [e["time"] for e in events if e["kind"] == "map" and e["event"] == "end"]
-    reduce_starts = [e["time"] for e in events if e["kind"] == "reduce" and e["event"] == "start"]
-    assert len(map_ends) == 8 and len(reduce_starts) == 4
-    assert max(map_ends) <= min(reduce_starts)
+    for executor in ("thread", "process"):
+        store = MemoryStore()
+        store.put("in", [Record(i, b"") for i in range(8)])
+        events = []
+        engine = Engine(store, workers=4, executor=executor, task_observer=events.append)
+        engine.run_job(spec_for("in", maps=8, reduces=4, mapper=slow_mapper))
+        map_ends = [e["time"] for e in events if e["kind"] == "map" and e["event"] == "end"]
+        reduce_starts = [e["time"] for e in events
+                         if e["kind"] == "reduce" and e["event"] == "start"]
+        assert len(map_ends) == 8 and len(reduce_starts) == 4
+        assert max(map_ends) <= min(reduce_starts)
+        tasks = [("map", i) for i in range(8)] + [("reduce", i) for i in range(4)]
+        assert [(e["kind"], e["index"], e["event"]) for e in events] == [
+            (kind, index, event) for kind, index in tasks for event in ("start", "end")]
 
 
 class FlakyReducer:
@@ -142,17 +151,24 @@ class FlakyReducer:
 
 
 def test_retry_transparency():
-    def run(reducer):
+    def run(reducer, **engine_args):
         store = MemoryStore()
         store.put("in", [Record(k, bytes([k])) for k in range(4)])
-        out = Engine(store, workers=1).run_job(spec_for("in", reduces=4, reducer=reducer))
+        out = Engine(store, **engine_args).run_job(spec_for("in", reduces=4, reducer=reducer))
         return store.snapshot()[out]
 
     flaky = FlakyReducer()
     clean = FlakyReducer()
     clean.failed = True  # never raises
-    assert run(flaky) == run(clean)
+    baseline = run(clean, workers=1)
+    assert run(flaky, workers=1) == baseline
     assert flaky.failed
+    # under process the flag flips in the worker's copy; the events show the retry
+    events = []
+    assert run(FlakyReducer(), workers=2, executor="process",
+               task_observer=events.append) == baseline
+    fails = [(e["kind"], e["index"], e["attempt"]) for e in events if e["event"] == "fail"]
+    assert fails == [("reduce", 2, 0)]
 
 
 def test_retries_exhausted_fail_with_task_identity():
@@ -171,6 +187,11 @@ def test_retries_exhausted_fail_with_task_identity():
     assert err.value.task_kind == "map"
     assert err.value.task_index == 0
     assert attempts[0] == 3  # first try + 2 retries
+    attempts[0] = 0
+    with pytest.raises(JobFailedError):
+        Engine(store, workers=1, max_task_retries=-1).run_job(
+            spec_for("in", job_id=10, maps=1, mapper=bad_mapper))
+    assert attempts[0] == 1  # a negative retry count still makes one attempt
 
 
 def test_failed_attempts_emit_events():
@@ -210,20 +231,18 @@ def test_read_missing_set():
 
 
 def test_determinism_same_seed_same_bytes():
-    def reducer(key, values, rng):
-        return [Record(key, struct.pack("<d", rng.random())) for _ in values]
-
     def run(workers, executor="thread"):
         store = MemoryStore()
         store.put("in", [Record(i % 5, bytes([i])) for i in range(23)])
         out = Engine(store, workers=workers, executor=executor).run_job(
-            spec_for("in", maps=4, reduces=5, reducer=reducer, seed=77))
+            spec_for("in", maps=4, reduces=5, reducer=draw_reducer, seed=77))
         return store.snapshot()[out]
 
     baseline = run(1, executor="serial")
     assert run(1) == baseline
     assert run(4) == baseline
     assert run(8) == baseline
+    assert run(2, executor="process") == baseline
 
 
 def test_different_master_seed_changes_bytes():

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from mrtsp.ga import (Chromosome, GaParams, Population, Ranking,
-                      TerminationPolicy, assign_fitness, greedy_crossover,
-                      make_chromosome, mutate, next_generation,
-                      random_population, random_tour, rank_probabilities,
+                      TerminationPolicy, greedy_crossover, make_chromosome,
+                      mutate, next_generation, random_population, random_tour,
                       run_sga, select_parents, similarity, stop_reason,
                       tour_length)
 from mrtsp.oracle import held_karp
@@ -90,34 +89,18 @@ def test_tour_length_directed():
     assert tour_length((0, 1, 2, 3), FOUR_CITY) == 15
 
 
-def test_assign_fitness_normalized_shares():
-    members = [Chromosome((0, 1), 10.0, 0), Chromosome((1, 0), 30.0, 0)]
-    pop = assign_fitness(Population.from_members(0, members))
-    assert [m.fitness for m in pop.members] == [0.25, 0.75]
-
-    members = [Chromosome((0, 1), 8.0, 0), Chromosome((0, 1), 9.0, 0),
-               Chromosome((0, 1), 15.0, 0)]
-    pop = assign_fitness(Population.from_members(0, members))
-    assert [m.fitness for m in pop.members] == [0.25, 0.28125, 0.46875]
-
-    members = [Chromosome((0, 1), 7.0, 0) for _ in range(4)]
-    pop = assign_fitness(Population.from_members(0, members))
-    assert all(m.fitness == 0.25 for m in pop.members)
-    assert abs(sum(m.fitness for m in pop.members) - 1.0) < 1e-9
-
-    with pytest.raises(ValueError):
-        Population.from_members(0, [])
-
-
 def test_rank_probabilities():
-    assert rank_probabilities(2) == [1 / 3, 2 / 3]
-    assert rank_probabilities(3) == [1 / 6, 2 / 6, 3 / 6]
+    def cum(n):
+        return Ranking([Chromosome((0, 1), float(n - i), 0) for i in range(n)]).cum
+
+    assert cum(2) == [1 / 3, 1.0]
+    assert cum(3) == [1 / 6, 3 / 6, 1.0]
     for n in (2, 5, 100):
-        probs = rank_probabilities(n)
+        probs = [b - a for a, b in zip([0.0] + cum(n), cum(n))]
         assert abs(sum(probs) - 1.0) < 1e-9
         assert probs == sorted(probs)  # best rank gets the largest share
     with pytest.raises(ValueError):
-        rank_probabilities(1)
+        Population.from_members(0, [])
 
 
 def test_similarity_rotation_invariant():
@@ -131,7 +114,7 @@ def test_similarity_rotation_invariant():
 
 def test_select_parents_waives_threshold_when_converged():
     members = [chrom([0, 1, 2, 3]) for _ in range(4)]
-    pop = assign_fitness(Population.from_members(0, members))
+    pop = Population.from_members(0, members)
     params = GaParams(population_size=4, max_parent_retries=5)
     pa, pb = select_parents(pop, random.Random(0), params)
     assert pa is not pb           # distinct members even though all tours match
@@ -142,7 +125,7 @@ def test_select_parents_rejects_similar_pairs():
     x = [0, 1, 2, 3]
     y = [0, 2, 1, 3]
     members = [chrom(x), chrom(x), chrom(x), chrom(y)]
-    pop = assign_fitness(Population.from_members(0, members))
+    pop = Population.from_members(0, members)
     params = GaParams(population_size=4, max_parent_retries=1000)
     for seed in range(20):
         pa, pb = select_parents(pop, random.Random(seed), params)

@@ -1,16 +1,18 @@
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from mrtsp.codec import decode_chromosome
 from mrtsp.engine import Engine, EngineError, FileStore, MemoryStore, Record
-from mrtsp.ga import GaParams, tour_length
-from mrtsp.island import (EvolveReducer, IslandParams, RoundSummary,
-                          check_convergence, evolve_job,
+from mrtsp.ga import GaParams, run_sga, tour_length
+from mrtsp.island import (EvolveReducer, IslandParams, NonIntegerWeightsError,
+                          RoundSummary, check_convergence, evolve_job,
                           format_population_dump, init_job, run_pga)
 from mrtsp.oracle import held_karp
-from mrtsp.tsplib import random_instance
+from mrtsp.tsplib import (Instance, format_instance, parse_instance,
+                          random_instance)
 
 INST10 = random_instance(10, (1, 100), seed=2)
 INST8 = random_instance(8, (1, 100), seed=5)
@@ -228,18 +230,20 @@ def test_run_pga_finds_small_optimum():
 
 
 def test_run_pga_deterministic_across_worker_counts():
-    def run(workers):
+    def run(workers, executor="thread"):
         store = MemoryStore()
-        report = run_pga(INST10, SMALL, master_seed=5, workers=workers, store=store)
+        report = run_pga(INST10, SMALL, master_seed=5, workers=workers, store=store,
+                         executor=executor)
         return report, store.snapshot()
 
     serial_report, serial_snapshot = run(1)
-    threaded_report, threaded_snapshot = run(4)
-    assert serial_report.best_tour == threaded_report.best_tour
-    assert serial_report.trajectory == threaded_report.trajectory
-    for a, b in zip(serial_report.rounds, threaded_report.rounds):
-        assert (a.island_bests, a.best_tour) == (b.island_bests, b.best_tour)
-    assert serial_snapshot == threaded_snapshot
+    for pooled_report, pooled_snapshot in (run(4), run(2, executor="process")):
+        assert serial_report.best_length == pooled_report.best_length
+        assert serial_report.best_tour == pooled_report.best_tour
+        assert serial_report.trajectory == pooled_report.trajectory
+        for a, b in zip(serial_report.rounds, pooled_report.rounds, strict=True):
+            assert (a.island_bests, a.best_tour) == (b.island_bests, b.best_tour)
+        assert serial_snapshot == pooled_snapshot
 
 
 def test_population_dump_round_trips(tmp_path):
@@ -288,3 +292,15 @@ def test_run_pga_on_file_store(tmp_path):
     assert twin.best_tour == report.best_tour
     assert twin.trajectory == report.trajectory
     assert memory.snapshot() == store.snapshot()
+
+
+def test_run_pga_rejects_non_integer_weights_up_front():
+    weights = np.random.default_rng(0).uniform(1, 10, (8, 8))
+    np.fill_diagonal(weights, 0.0)
+    instance = parse_instance(format_instance(Instance("float8", 8, weights)))
+    assert instance.distances.dtype.kind == "f"  # the parser keeps fractional weights
+    assert run_sga(instance, GaParams(population_size=20), 5).best_length > 0
+    store = MemoryStore()
+    with pytest.raises(NonIntegerWeightsError, match="integer edge weights"):
+        run_pga(instance, SMALL, store=store)
+    assert store.names() == []  # no job ran
