@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
+from .codec import CodecError
+
 
 class Record(NamedTuple):
     key: int
@@ -36,10 +38,10 @@ class EngineError(Exception):
 
 
 class JobFailedError(EngineError):
-    """A task exhausted its retries; carries the failing task's identity."""
+    """A task failed for good; carries the failing task's identity."""
 
     def __init__(self, job_id: int, task_kind: str, task_index: int, cause: BaseException):
-        super().__init__(f"job {job_id}: {task_kind} task {task_index} failed after retries: {cause!r}")
+        super().__init__(f"job {job_id}: {task_kind} task {task_index} failed: {cause!r}")
         self.job_id = job_id
         self.task_kind = task_kind
         self.task_index = task_index
@@ -236,10 +238,11 @@ def _reduce_task(reducer: Reducer, grouped: list[tuple[int, list[bytes]]],
 def _attempt(fn, args: tuple, retries: int):
     """Run fn(*args), retrying a failed attempt up to `retries` times.
 
+    Malformed task output (EngineError) and bad records (CodecError) fail
+    on the first attempt: a rerun on the same inputs would only repeat them.
     Returns (result, events, error). events lists (attempt, "start"|"end"|
     "fail", time.monotonic()) in order; error is the last exception when
-    every attempt failed, else None. Module-level so process pools can
-    pickle it.
+    the task failed, else None. Module-level so process pools can pickle it.
     """
     events = []
     error = None
@@ -250,6 +253,8 @@ def _attempt(fn, args: tuple, retries: int):
         except Exception as exc:
             error = exc
             events.append((attempt, "fail", time.monotonic()))
+            if isinstance(exc, (EngineError, CodecError)):
+                break
             continue
         events.append((attempt, "end", time.monotonic()))
         return result, events, None
@@ -268,11 +273,12 @@ class Engine:
     workers defaults to 1, which runs every task in-process. With more
     workers, executor picks the pool: "thread" (default) or "process"; only
     "process" gives CPU parallelism, and it needs picklable mapper, reducer
-    and partitioner callables. Every executor shares one retry policy. The
-    task_observer callback receives a dict per task start/end/fail,
-    timestamped inside the worker and delivered in task order once each
-    phase has finished; tests use it to verify the map->reduce barrier and
-    retry behaviour.
+    and partitioner callables. Every executor shares one retry policy:
+    malformed output and bad records fail at once, other errors are
+    retried. The task_observer callback receives a dict per task
+    start/end/fail, timestamped inside the worker and delivered in task
+    order once each phase has finished; tests use it to verify the
+    map->reduce barrier and retry behaviour.
     """
 
     def __init__(self, store, workers: int = 1, executor: str = "thread",

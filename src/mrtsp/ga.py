@@ -7,9 +7,10 @@ fixed seeds reproduce runs exactly.
 
 from __future__ import annotations
 
+import operator
 import random
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, asdict
 
 from .reports import RunReport, accuracy_percent
@@ -21,7 +22,8 @@ class Chromosome:
     genes: tuple[int, ...]
     length: float
     pop_id: int
-    _canon: tuple[int, ...] | None = field(default=None, repr=False)
+    _canon: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    _succ: list[int] | None = field(default=None, repr=False, compare=False)
 
     def canonical(self) -> tuple[int, ...]:
         """Tour rotated so city 0 sits at index 0 (cached)."""
@@ -29,6 +31,18 @@ class Chromosome:
             i = self.genes.index(0)
             self._canon = self.genes[i:] + self.genes[:i]
         return self._canon
+
+    def successors(self) -> list[int]:
+        """succ[c] is the city after c on the closed tour (cached)."""
+        if self._succ is None:
+            genes = self.genes
+            succ = [0] * len(genes)
+            prev = genes[-1]
+            for city in genes:
+                succ[prev] = city
+                prev = city
+            self._succ = succ
+        return self._succ
 
 
 @dataclass(frozen=True)
@@ -110,7 +124,7 @@ def similarity(a: Chromosome, b: Chromosome) -> float:
     ca, cb = a.canonical(), b.canonical()
     if ca == cb:
         return 1.0
-    return sum(x == y for x, y in zip(ca, cb)) / len(ca)
+    return sum(map(operator.eq, ca, cb)) / len(ca)
 
 
 class Ranking:
@@ -141,13 +155,14 @@ def select_parents(population: Population, rng: random.Random, params: GaParams,
     members = population.members
     if ranking is None:
         ranking = Ranking(members)
+    draw = ranking.draw
     threshold = params.similarity_threshold
     pair = None
     for _ in range(params.max_parent_retries):
-        ia = ranking.draw(rng)
-        ib = ranking.draw(rng)
+        ia = draw(rng)
+        ib = draw(rng)
         while ib == ia:
-            ib = ranking.draw(rng)
+            ib = draw(rng)
         pair = (members[ia], members[ib])
         if similarity(pair[0], pair[1]) <= threshold:
             return pair
@@ -156,45 +171,47 @@ def select_parents(population: Population, rng: random.Random, params: GaParams,
 
 
 def greedy_crossover(parent_a: Chromosome, parent_b: Chromosome,
-                     instance: Instance, rng: random.Random) -> list[int]:
+                     instance: Instance, rng: random.Random) -> tuple[list[int], float]:
     """Build a child from parent successor edges, shortest first.
 
     Starting at parent_a's first city: take the cheaper of the two parental
     successors of the current city (tie goes to parent_a's); if only one is
     unvisited take that one; if both are visited pick uniformly among the
     unvisited cities in ascending city order via one rng.randrange draw.
+    Successors come from the parents' cached successors(). Returns (child,
+    length), the length summed in the same order as tour_length sums it.
     """
-    a, b = parent_a.genes, parent_b.genes
-    n = len(a)
+    sa, sb = parent_a.successors(), parent_b.successors()
+    n = len(sa)
     rows = instance.rows
-    pos_a = [0] * n
-    pos_b = [0] * n
-    for idx in range(n):
-        pos_a[a[idx]] = idx
-        pos_b[b[idx]] = idx
-
     visited = bytearray(n)
-    current = a[0]
+    current = first = parent_a.genes[0]
     child = [current]
     visited[current] = 1
+    length = 0
+    open_cities = None  # built at the first dead end, then kept sorted
     for _ in range(n - 1):
-        ea = a[(pos_a[current] + 1) % n]
-        eb = b[(pos_b[current] + 1) % n]
+        ea = sa[current]
+        eb = sb[current]
+        row = rows[current]
         if not visited[ea]:
             if not visited[eb] and eb != ea:
-                row = rows[current]
                 nxt = ea if row[ea] <= row[eb] else eb
             else:
                 nxt = ea
         elif not visited[eb]:
             nxt = eb
         else:
-            open_cities = [c for c in range(n) if not visited[c]]
+            if open_cities is None:
+                open_cities = [c for c in range(n) if not visited[c]]
             nxt = open_cities[rng.randrange(len(open_cities))]
+        if open_cities is not None:
+            del open_cities[bisect_left(open_cities, nxt)]
         child.append(nxt)
         visited[nxt] = 1
+        length += row[nxt]
         current = nxt
-    return child
+    return child, length + rows[current][first]
 
 
 def mutate(genes, rng: random.Random, mutation_prob: float):
@@ -235,11 +252,14 @@ def next_generation(population: Population, instance: Instance,
     while len(new_members) < size:
         pa, pb = select_parents(population, rng, params, ranking=ranking)
         if rng.random() < params.crossover_prob:
-            genes = greedy_crossover(pa, pb, instance, rng)
+            genes, length = greedy_crossover(pa, pb, instance, rng)
         else:
-            genes = (pa if pa.length <= pb.length else pb).genes
-        genes = mutate(genes, rng, params.mutation_prob)
-        new_members.append(make_chromosome(genes, instance, population.id))
+            better = pa if pa.length <= pb.length else pb
+            genes, length = better.genes, better.length
+        mutated = mutate(genes, rng, params.mutation_prob)
+        if mutated is not genes:
+            genes, length = mutated, tour_length(mutated, instance)
+        new_members.append(Chromosome(tuple(genes), length, population.id))
 
     return Population.from_members(population.id, new_members)
 

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from mrtsp.codec import decode_chromosome
 from mrtsp.engine import (Engine, EngineError, FileStore, JobFailedError,
                           JobSpec, MemoryStore, Record, StoreError,
                           default_partition, identity_mapper, pack_records,
@@ -207,6 +208,30 @@ def test_failed_attempts_emit_events():
         engine.run_job(spec_for("in", maps=1, mapper=bad_mapper))
     fails = [e for e in events if e["event"] == "fail"]
     assert [e["attempt"] for e in fails] == [0, 1]
+
+
+def bad_output_mapper(record):
+    return ["bad"]
+
+
+def bad_record_reducer(key, values, rng):
+    decode_chromosome(b"corrupt")
+
+
+@pytest.mark.parametrize("mapper, reducer, kind", [
+    (bad_output_mapper, passthrough_reducer, "map"),      # EngineError
+    (identity_mapper, bad_record_reducer, "reduce"),      # CodecError
+])
+def test_deterministic_errors_fail_on_first_attempt(mapper, reducer, kind):
+    store = MemoryStore()
+    store.put("in", [Record(0, b"")])
+    events = []
+    engine = Engine(store, workers=1, max_task_retries=2, task_observer=events.append)
+    with pytest.raises(JobFailedError) as err:
+        engine.run_job(spec_for("in", maps=1, reduces=1, mapper=mapper, reducer=reducer))
+    assert err.value.task_kind == kind
+    assert [(e["kind"], e["attempt"], e["event"]) for e in events if e["kind"] == kind] == [
+        (kind, 0, "start"), (kind, 0, "fail")]
 
 
 def test_store_immutability():

@@ -103,6 +103,21 @@ def test_rank_probabilities():
         Population.from_members(0, [])
 
 
+def test_chromosome_equality_ignores_caches():
+    a = Chromosome((1, 0, 2), 5, 0)
+    b = Chromosome((1, 0, 2), 5, 0)
+    b.canonical()
+    b.successors()
+    assert a == b
+    assert a != Chromosome((1, 0, 2), 6, 0)
+
+
+def test_successors_follow_the_closed_tour():
+    a = chrom([2, 0, 3, 1])
+    assert a.successors() == [3, 2, 0, 1]   # 0->3, 1->2 (closing), 2->0, 3->1
+    assert a.successors() is a.successors()
+
+
 def test_similarity_rotation_invariant():
     a = chrom([0, 1, 2, 3])
     assert similarity(a, chrom([0, 1, 2, 3])) == 1.0
@@ -146,8 +161,9 @@ def test_select_parents_rank_frequencies():
 
 def test_greedy_crossover_identical_parents_is_pure_copy():
     a = chrom([2, 0, 3, 1])
-    child = greedy_crossover(a, chrom([2, 0, 3, 1]), FOUR_CITY, PoisonRng())
+    child, length = greedy_crossover(a, chrom([2, 0, 3, 1]), FOUR_CITY, PoisonRng())
     assert child == [2, 0, 3, 1]
+    assert length == a.length
 
 
 def test_greedy_crossover_hand_trace():
@@ -155,7 +171,7 @@ def test_greedy_crossover_hand_trace():
     # at 1: succ_a=2 open, succ_b=0 taken -> 2; at 2 both successors are 3
     a = chrom([0, 1, 2, 3])
     b = chrom([0, 2, 3, 1])
-    assert greedy_crossover(a, b, FOUR_CITY, PoisonRng()) == [0, 1, 2, 3]
+    assert greedy_crossover(a, b, FOUR_CITY, PoisonRng()) == ([0, 1, 2, 3], 15)
 
 
 def reference_crossover(a, b, instance, rng):
@@ -192,9 +208,10 @@ def test_greedy_crossover_matches_reference_on_random_cases():
         inst = random_instance(n, (1, 50), seed=case)
         pa = chrom(random_tour(n, rng), instance=inst)
         pb = chrom(random_tour(n, rng), instance=inst)
-        got = greedy_crossover(pa, pb, inst, random.Random(1000 + case))
+        got, length = greedy_crossover(pa, pb, inst, random.Random(1000 + case))
         want = reference_crossover(pa.genes, pb.genes, inst, random.Random(1000 + case))
         assert got == want
+        assert length == tour_length(got, inst)
         assert sorted(got) == list(range(n))
         assert got[0] == pa.genes[0]
 

@@ -1,0 +1,63 @@
+"""Property tests for the GA operators on random instances and tours."""
+
+import random
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from mrtsp.ga import greedy_crossover, make_chromosome, mutate, tour_length
+from mrtsp.tsplib import Instance
+
+FEW_EXAMPLES = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def instances(draw, max_n=14):
+    n = draw(st.integers(2, max_n))
+    if draw(st.booleans()):
+        weights = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+        dtype = np.float64
+    else:
+        weights = st.integers(0, 10**6)
+        dtype = np.int64
+    values = draw(st.lists(weights, min_size=n * n, max_size=n * n))
+    matrix = np.array(values, dtype=dtype).reshape(n, n)
+    np.fill_diagonal(matrix, 0)
+    return Instance("prop", n, matrix)
+
+
+@st.composite
+def instance_and_tours(draw, count):
+    inst = draw(instances())
+    tours = [draw(st.permutations(range(inst.dimension))) for _ in range(count)]
+    return inst, tours
+
+
+@FEW_EXAMPLES
+@given(instance_and_tours(2), st.integers(0, 2**32))
+def test_crossover_child_is_a_permutation_with_its_length(case, seed):
+    inst, (a, b) = case
+    pa, pb = make_chromosome(a, inst, 0), make_chromosome(b, inst, 0)
+    child, length = greedy_crossover(pa, pb, inst, random.Random(seed))
+    assert sorted(child) == list(range(inst.dimension))
+    assert child[0] == pa.genes[0]
+    assert length == tour_length(child, inst)
+
+
+@FEW_EXAMPLES
+@given(instance_and_tours(1))
+def test_successors_match_genes(case):
+    inst, (genes,) = case
+    c = make_chromosome(genes, inst, 0)
+    succ = c.successors()
+    n = len(genes)
+    assert [succ[genes[i]] for i in range(n)] == [genes[(i + 1) % n] for i in range(n)]
+
+
+@FEW_EXAMPLES
+@given(st.permutations(range(12)), st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_mutate_returns_a_permutation(genes, prob, seed):
+    genes = tuple(genes)
+    out = mutate(genes, random.Random(seed), prob)
+    assert sorted(out) == list(range(12))
+    assert out is genes or sum(x != y for x, y in zip(out, genes)) == 2

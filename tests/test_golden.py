@@ -1,0 +1,72 @@
+"""Golden determinism pins.
+
+The determinism contract says a fixed seed fixes the best length, the best
+tour, the trajectory and the sealed store bytes. These tests pin a sha256 of
+each for a few runs, so a change that moves any rng draw, any tie-break or
+any float summation order fails here instead of passing unnoticed. The
+hashes were recorded before the GA fast path (cached successor arrays,
+crossover that sums its own length) went in; changing one is a declared
+change of behaviour.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mrtsp.engine import MemoryStore
+from mrtsp.ga import GaParams, run_sga
+from mrtsp.island import IslandParams, run_pga
+from mrtsp.tsplib import Instance, load_instance
+
+INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
+
+SGA_GOLDEN = {
+    0: "f3550725d5a621cb6dfad563886ff508d2d4bfd38069d3a00e4546ea48428560",
+    1: "1e1d586eba2f20ae0616945e0a97d26cba6e535d4ec9f061dfd1784b42b38ef8",
+}
+SGA_FLOAT_GOLDEN = "c72cbcbb10df2ef81ce3ddfe33a3507f9824d6eb629c35a65f8699c35260ba65"
+PGA_GOLDEN = "a1655794721031842b27b1ebfedb22d6e51d721dfcc2582d5df98947788e7258"
+
+
+@pytest.fixture(scope="module")
+def rnd064():
+    return load_instance(INSTANCE_DIR / "rnd064.atsp")
+
+
+def digest(report, snapshot=None) -> str:
+    h = hashlib.sha256()
+    h.update(repr((report.best_length, tuple(report.best_tour),
+                   list(report.trajectory))).encode())
+    for name in sorted(snapshot or {}):
+        h.update(name.encode())
+        for part in snapshot[name]:
+            h.update(len(part).to_bytes(8, "little"))
+            h.update(part)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(SGA_GOLDEN))
+def test_sga_rnd064_pinned(rnd064, seed):
+    report = run_sga(rnd064, GaParams(population_size=50), 100, seed=seed)
+    assert digest(report) == SGA_GOLDEN[seed]
+
+
+def test_sga_float_weights_pinned():
+    # fractional weights: the summation order of a tour's length shows here
+    rng = np.random.default_rng(7)
+    matrix = rng.uniform(1.0, 100.0, size=(24, 24))
+    np.fill_diagonal(matrix, 0.0)
+    inst = Instance("float24", 24, matrix)
+    report = run_sga(inst, GaParams(population_size=30), 60, seed=3)
+    assert digest(report) == SGA_FLOAT_GOLDEN
+
+
+def test_pga_rnd064_pinned(rnd064):
+    params = IslandParams(num_islands=4, migration_interval=5,
+                          ga=GaParams(population_size=20),
+                          max_total_generations=20, convergence_patience=None)
+    store = MemoryStore()
+    report = run_pga(rnd064, params, master_seed=2, workers=1, store=store)
+    assert digest(report, store.snapshot()) == PGA_GOLDEN
