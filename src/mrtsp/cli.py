@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,7 +48,7 @@ def _add_shared_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--target-length", type=float, help="stop once best length <= target")
     sub.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     sub.add_argument("--workers", type=int, default=1,
-                     help="engine workers (pga; default 1 runs in-process)")
+                     help="pga worker processes (default 1 runs in-process)")
     sub.add_argument("--out-dir", default=".", help="directory for report files (default .)")
 
 
@@ -287,32 +287,18 @@ def cmd_bench(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     instances = [load_instance(path) for path in cfg["instances"]]
-    cells = [(inst, algo, cfg["seed"] + repeat)
-             for inst in instances
-             for algo in cfg["algos"]
-             for repeat in range(cfg["repeats"])]
-
-    def run(cell):
-        inst, algo, seed = cell
-        try:
-            return _run_cell(inst, algo, seed, cfg)
-        except Exception as exc:  # per-row failure, suite continues
-            return exc
-
-    if args.parallel_cells:
-        with ThreadPoolExecutor() as pool:
-            outcomes = list(pool.map(run, cells))
-    else:
-        outcomes = [run(cell) for cell in cells]
-
     rows = []
     failures = 0
-    for (inst, algo, seed), outcome in zip(cells, outcomes):
+    for inst, algo, repeat in itertools.product(instances, cfg["algos"],
+                                                range(cfg["repeats"])):
+        seed = cfg["seed"] + repeat
         row = {"instance": inst.name, "N": inst.dimension, "algo": algo, "seed": seed,
                "best": "", "accuracy": "", "seconds": "", "generations": "", "error": ""}
-        if isinstance(outcome, Exception):
+        try:
+            outcome = _run_cell(inst, algo, seed, cfg)
+        except Exception as exc:  # per-row failure, suite continues
             failures += 1
-            row["error"] = f"{type(outcome).__name__}: {outcome}"
+            row["error"] = f"{type(exc).__name__}: {exc}"
         else:
             _append_report(out_dir, outcome)
             row.update(best=_fmt(outcome.best_length, "g"),
@@ -368,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--config", required=True, help="suite config file")
     bench.add_argument("--out-dir", help="output directory (default from config, else bench-out)")
     bench.add_argument("--seed", type=int, help="override the suite's base seed")
-    bench.add_argument("--parallel-cells", action="store_true",
-                       help="run cells concurrently (timings become unreliable)")
     bench.set_defaults(func=cmd_bench)
 
     exact = commands.add_parser("exact", help="solve an instance exactly")

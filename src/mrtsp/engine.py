@@ -16,7 +16,8 @@ import hashlib
 import random
 import struct
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -140,24 +141,26 @@ class FileStore:
         return [rec for part in self.read_parts(name) for rec in part]
 
     def read_parts(self, name: str) -> list[list[Record]]:
+        return [unpack_records(data) for data in self._part_bytes(name)]
+
+    def _part_bytes(self, name: str) -> list[bytes]:
+        """Raw part files of a sealed set; a half-written set is a StoreError."""
         target = self._dir(name)
         marker = target / "_SUCCESS"
         if not marker.exists():
             raise StoreError(f"no sealed record set named {name!r}")
-        count = int(marker.read_text().strip())
-        return [unpack_records((target / f"part-{idx}").read_bytes()) for idx in range(count)]
+        try:
+            count = int(marker.read_text())
+            return [(target / f"part-{idx}").read_bytes() for idx in range(count)]
+        except (ValueError, FileNotFoundError) as exc:
+            raise StoreError(f"record set {name!r} is half-written: {exc}") from exc
 
     def names(self) -> list[str]:
         return sorted(p.name for p in self.root.iterdir()
                       if p.is_dir() and (p / "_SUCCESS").exists())
 
     def snapshot(self) -> dict[str, list[bytes]]:
-        out = {}
-        for name in self.names():
-            target = self._dir(name)
-            count = int((target / "_SUCCESS").read_text().strip())
-            out[name] = [(target / f"part-{idx}").read_bytes() for idx in range(count)]
-        return out
+        return {name: self._part_bytes(name) for name in self.names()}
 
 
 def default_partition(key: int, num_reduce_tasks: int) -> int:
@@ -267,29 +270,35 @@ def _chunk(records: list[Record], pieces: int) -> list[list[Record]]:
     return [records[bounds[i]:bounds[i + 1]] for i in range(pieces)]
 
 
-class Engine:
-    """Runs JobSpecs against a record store on a bounded worker pool.
+class Engine(AbstractContextManager):
+    """Runs JobSpecs against a record store.
 
-    workers defaults to 1, which runs every task in-process. With more
-    workers, executor picks the pool: "thread" (default) or "process"; only
-    "process" gives CPU parallelism, and it needs picklable mapper, reducer
-    and partitioner callables. Every executor shares one retry policy:
-    malformed output and bad records fail at once, other errors are
+    workers 1 (the default) runs every task in-process; more runs them on
+    one process pool, created at the first phase and reused until close(),
+    which leaving a `with Engine(...)` block calls. Pooled tasks are
+    pickled, so mapper, reducer and partitioner must be module-level.
+    Malformed output and bad records fail at once, other errors are
     retried. The task_observer callback receives a dict per task
     start/end/fail, timestamped inside the worker and delivered in task
     order once each phase has finished; tests use it to verify the
     map->reduce barrier and retry behaviour.
     """
 
-    def __init__(self, store, workers: int = 1, executor: str = "thread",
-                 max_task_retries: int = 2, task_observer: Callable[[dict], None] | None = None):
-        if executor not in ("serial", "thread", "process"):
-            raise ValueError(f"unknown executor {executor!r}")
+    def __init__(self, store, workers: int = 1, max_task_retries: int = 2,
+                 task_observer: Callable[[dict], None] | None = None):
         self.store = store
-        self.workers = 1 if executor == "serial" else max(1, workers)
-        self.executor_kind = "serial" if self.workers == 1 else executor
+        self.workers = max(1, workers)
         self.max_task_retries = max(0, max_task_retries)
         self.task_observer = task_observer
+        self._pool: ProcessPoolExecutor | None = None
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self):
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     # -- phases ------------------------------------------------------------
 
@@ -297,13 +306,14 @@ class Engine:
         # payloads: (fn, args) per task index
         fns, args = zip(*payloads)
         retries = [self.max_task_retries] * len(payloads)
-        if self.executor_kind == "serial":
+        if self.workers == 1:
             outcomes = map(_attempt, fns, args, retries)
         else:
-            pool_class = {"thread": ThreadPoolExecutor,
-                          "process": ProcessPoolExecutor}[self.executor_kind]
-            with pool_class(max_workers=min(self.workers, len(payloads))) as pool:
-                outcomes = list(pool.map(_attempt, fns, args, retries))
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            # one chunk per worker: a chunk pickles the phase's callable once
+            chunksize = -(-len(payloads) // self.workers)
+            outcomes = list(self._pool.map(_attempt, fns, args, retries, chunksize=chunksize))
         results = []
         for index, (result, events, error) in enumerate(outcomes):
             if self.task_observer is not None:

@@ -216,14 +216,16 @@ def format_population_dump(parts: list[list[Record]]) -> str:
 
 def run_pga(instance: Instance, params: IslandParams | None = None,
             master_seed: int = 0, workers: int = 1, store=None,
-            executor: str = "thread", dump_path=None) -> RunReport:
+            dump_path=None) -> RunReport:
     """Drive init_job plus evolve_job rounds until convergence.
 
-    Reported generations are per-island cumulative (rounds times
-    migration_interval). The final populations are additionally written as
-    a readable text dump: to dump_path when given, or next to the binary
-    parts when the store lives on disk. Instances with non-integer weights
-    are rejected up front, since records carry integer tour lengths.
+    workers > 1 runs every job on one pool of worker processes, shut down
+    when the run ends. Reported generations are per-island cumulative
+    (rounds times migration_interval). The final populations are
+    additionally written as a readable text dump: to dump_path when given,
+    or next to the binary parts when the store lives on disk. Instances with
+    non-integer weights are rejected up front, since records carry integer
+    tour lengths.
     """
     if instance.distances.dtype.kind == "f":
         raise NonIntegerWeightsError(
@@ -232,28 +234,27 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     params = params if params is not None else IslandParams()
     start = time.perf_counter()
     store = store if store is not None else MemoryStore()
-    engine = Engine(store, workers=workers, executor=executor)
+    with Engine(store, workers=workers) as engine:
+        handle = init_job(engine, instance, params, master_seed)
+        island_bests, _ = _scan_parts(store.read_parts(handle))
+        trajectory = [min(island_bests)]
 
-    handle = init_job(engine, instance, params, master_seed)
-    island_bests, _ = _scan_parts(store.read_parts(handle))
-    trajectory = [min(island_bests)]
-
-    rounds: list[RoundSummary] = []
-    reason = None
-    while reason is None:
-        round_number = len(rounds) + 1
-        handle = evolve_job(engine, handle, instance, params, round_number, master_seed)
-        island_bests, best_record = _scan_parts(store.read_parts(handle))
-        rounds.append(RoundSummary(
-            round=round_number,
-            island_bests=tuple(island_bests),
-            best_length=min(island_bests),
-            best_tour=decode_chromosome(best_record.value).genes,
-            generations=round_number * params.migration_interval,
-            wall_seconds=time.perf_counter() - start,
-        ))
-        trajectory.append(rounds[-1].best_length)
-        reason = check_convergence(rounds, params)
+        rounds: list[RoundSummary] = []
+        reason = None
+        while reason is None:
+            round_number = len(rounds) + 1
+            handle = evolve_job(engine, handle, instance, params, round_number, master_seed)
+            island_bests, best_record = _scan_parts(store.read_parts(handle))
+            rounds.append(RoundSummary(
+                round=round_number,
+                island_bests=tuple(island_bests),
+                best_length=min(island_bests),
+                best_tour=decode_chromosome(best_record.value).genes,
+                generations=round_number * params.migration_interval,
+                wall_seconds=time.perf_counter() - start,
+            ))
+            trajectory.append(rounds[-1].best_length)
+            reason = check_convergence(rounds, params)
 
     if dump_path is None and isinstance(store, FileStore):
         dump_path = store.root / "final-population.txt"

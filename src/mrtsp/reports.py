@@ -42,6 +42,9 @@ class RunReport:
             "wall_seconds": self.wall_seconds,
             "stop_reason": self.stop_reason,
             "accuracy": self.accuracy,
+            "rounds": [{"round": r.round, "best_length": r.best_length,
+                        "island_bests": r.island_bests, "generations": r.generations,
+                        "wall_seconds": r.wall_seconds} for r in self.rounds],
         }
         return json.dumps(obj, sort_keys=True)
 

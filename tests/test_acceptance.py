@@ -9,7 +9,6 @@ file order matters.
 import random
 import statistics
 import struct
-import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -129,26 +128,51 @@ def test_criterion_05_trajectories_never_regress():
             f"{len(violations)} violations {violations[:3]}")
 
 
-def test_criterion_06_engine_contract():
-    failures = []
+class _AppendingMapper:
+    """Identity mapper appending one byte per call to a file, so calls made
+    in any worker process can be counted."""
 
-    # exactly-once mapping
-    store = MemoryStore()
-    store.put("in", [Record(i, bytes([i])) for i in range(37)])
-    calls = [0]
-    lock = threading.Lock()
+    def __init__(self, path):
+        self.path = path
 
-    def counting_mapper(record):
-        with lock:
-            calls[0] += 1
+    def __call__(self, record):
+        with open(self.path, "ab") as fh:
+            fh.write(b"x")
         return [record]
 
-    Engine(store, workers=4).run_job(JobSpec(
-        job_id=0, input="in", num_map_tasks=5, num_reduce_tasks=3,
-        mapper=counting_mapper, partitioner=default_partition,
-        reducer=lambda k, vs, rng: [Record(k, v) for v in vs], master_seed=0))
-    if calls[0] != 37:
-        failures.append(f"exactly-once: {calls[0]} calls for 37 records")
+
+def _passthrough(k, vs, rng):
+    return [Record(k, v) for v in vs]
+
+
+def _slow_mapper(record):
+    time.sleep(0.02)
+    return [record]
+
+
+def _drop_all(k, vs, rng):
+    return []
+
+
+def _draw_per_value(k, vs, rng):
+    return [Record(k, struct.pack("<d", rng.random())) for _ in vs]
+
+
+def test_criterion_06_engine_contract(tmp_path):
+    failures = []
+
+    # exactly-once mapping, counted across worker processes
+    store = MemoryStore()
+    store.put("in", [Record(i, bytes([i])) for i in range(37)])
+    calls_file = tmp_path / "mapper-calls"
+    with Engine(store, workers=4) as engine:
+        engine.run_job(JobSpec(
+            job_id=0, input="in", num_map_tasks=5, num_reduce_tasks=3,
+            mapper=_AppendingMapper(calls_file), partitioner=default_partition,
+            reducer=_passthrough, master_seed=0))
+    calls = len(calls_file.read_bytes())
+    if calls != 37:
+        failures.append(f"exactly-once: {calls} calls for 37 records")
 
     # key co-location
     parts = store.read_parts("job0")
@@ -161,14 +185,11 @@ def test_criterion_06_engine_contract():
     store2 = MemoryStore()
     store2.put("in", [Record(i, b"") for i in range(8)])
 
-    def slow_mapper(record):
-        time.sleep(0.02)
-        return [record]
-
-    Engine(store2, workers=4, task_observer=events.append).run_job(JobSpec(
-        job_id=0, input="in", num_map_tasks=8, num_reduce_tasks=4,
-        mapper=slow_mapper, partitioner=default_partition,
-        reducer=lambda k, vs, rng: [], master_seed=0))
+    with Engine(store2, workers=4, task_observer=events.append) as engine:
+        engine.run_job(JobSpec(
+            job_id=0, input="in", num_map_tasks=8, num_reduce_tasks=4,
+            mapper=_slow_mapper, partitioner=default_partition,
+            reducer=_drop_all, master_seed=0))
     map_ends = [e["time"] for e in events if e["kind"] == "map" and e["event"] == "end"]
     reduce_starts = [e["time"] for e in events if e["kind"] == "reduce" and e["event"] == "start"]
     if max(map_ends) > min(reduce_starts):
@@ -202,14 +223,11 @@ def test_criterion_06_engine_contract():
     def run_sized(workers):
         s = MemoryStore()
         s.put("in", [Record(i % 5, bytes([i])) for i in range(23)])
-        engine = Engine(s, workers=workers,
-                        executor="serial" if workers == 1 else "thread")
-        engine.run_job(JobSpec(
-            job_id=0, input="in", num_map_tasks=4, num_reduce_tasks=5,
-            mapper=identity_mapper, partitioner=default_partition,
-            reducer=lambda k, vs, rng: [Record(k, struct.pack("<d", rng.random()))
-                                        for _ in vs],
-            master_seed=13))
+        with Engine(s, workers=workers) as engine:
+            engine.run_job(JobSpec(
+                job_id=0, input="in", num_map_tasks=4, num_reduce_tasks=5,
+                mapper=identity_mapper, partitioner=default_partition,
+                reducer=_draw_per_value, master_seed=13))
         return s.snapshot()
 
     snapshots = {w: run_sized(w) for w in (1, 4, 8)}

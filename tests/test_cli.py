@@ -46,6 +46,7 @@ def test_solve_sga_happy_path(inst_dir, tmp_path, capsys):
     assert report["algo"] == "sga"
     assert report["generations"] == 30
     assert sorted(report["best_tour"]) == list(range(8))
+    assert report["rounds"] == []
 
 
 def test_solve_is_deterministic_and_appends(inst_dir, tmp_path, capsys):
@@ -72,6 +73,13 @@ def test_solve_pga_with_dump(inst_dir, tmp_path, capsys):
     report = json.loads((tmp_path / "reports.jsonl").read_text())
     assert report["generations"] == 4
     assert report["params"]["num_islands"] == 2
+    rounds = report["rounds"]
+    assert [r["round"] for r in rounds] == [1, 2]
+    assert [r["generations"] for r in rounds] == [2, 4]
+    assert all(len(r["island_bests"]) == 2 for r in rounds)
+    assert [r["best_length"] for r in rounds] == [min(r["island_bests"]) for r in rounds]
+    assert report["trajectory"][1:] == [r["best_length"] for r in rounds]
+    assert 0 < rounds[0]["wall_seconds"] <= rounds[1]["wall_seconds"]
 
 
 def test_solve_rejects_single_island(inst_dir, tmp_path, capsys):

@@ -1,5 +1,4 @@
 import struct
-import threading
 import time
 
 import pytest
@@ -19,9 +18,26 @@ def draw_reducer(key, values, rng):
     return [Record(key, struct.pack("<d", rng.random())) for _ in values]
 
 
+def text_draw_reducer(key, values, rng):
+    return [Record(key, f"{rng.random():.15f}".encode()) for _ in values]
+
+
 def slow_mapper(record):
     time.sleep(0.02)
     return [record]
+
+
+class AppendingMapper:
+    """Identity mapper that appends one byte per call to a file, so calls
+    made in any process can be counted."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __call__(self, record):
+        with open(self.path, "ab") as fh:
+            fh.write(b"x")
+        return [record]
 
 
 def spec_for(input_name, *, job_id=0, maps=2, reduces=2, mapper=identity_mapper,
@@ -36,8 +52,8 @@ def test_identity_pipeline_preserves_multiset():
     store = MemoryStore()
     records = [Record(i % 3, bytes([i])) for i in range(10)]
     store.put("in", records)
-    engine = Engine(store, workers=2)
-    out = engine.run_job(spec_for("in", maps=3, reduces=3))
+    with Engine(store, workers=2) as engine:
+        out = engine.run_job(spec_for("in", maps=3, reduces=3))
     assert sorted(store.read(out)) == sorted(records)
 
 
@@ -72,45 +88,31 @@ def test_keys_ascending_within_reduce_task():
 
 
 def test_values_keep_input_sequence_order():
-    store = MemoryStore()
     payload = [Record(1, bytes([i])) for i in range(20)]
-    store.put("in", payload)
-    got = {}
-
-    def reducer(key, values, rng):
-        got[key] = list(values)
-        return []
-
-    # order must survive any map-task split
-    for maps in (1, 3, 7, 20):
-        got.clear()
-        engine = Engine(MemoryStore(), workers=4)
-        engine.store.put("in", payload)
-        engine.run_job(spec_for("in", maps=maps, reducer=reducer))
-        assert got[1] == [bytes([i]) for i in range(20)]
+    # order must survive any map-task split; the passthrough reducer
+    # emits the values in the order it received them
+    with Engine(MemoryStore(), workers=4) as engine:
+        for maps in (1, 3, 7, 20):
+            engine.store.put(f"in{maps}", payload)
+            out = engine.run_job(spec_for(f"in{maps}", job_id=maps, maps=maps))
+            assert engine.store.read_parts(out)[1] == payload
 
 
-def test_exactly_once_mapping():
+def test_exactly_once_mapping(tmp_path):
     store = MemoryStore()
     records = [Record(i, bytes([i])) for i in range(37)]
     store.put("in", records)
-    count = [0]
-    lock = threading.Lock()
-
-    def counting_mapper(record):
-        with lock:
-            count[0] += 1
-        return [record]
-
-    Engine(store, workers=4).run_job(spec_for("in", maps=5, mapper=counting_mapper))
-    assert count[0] == len(records)
+    calls = tmp_path / "calls"
+    with Engine(store, workers=4) as engine:
+        engine.run_job(spec_for("in", maps=5, mapper=AppendingMapper(calls)))
+    assert calls.read_bytes() == b"x" * len(records)
 
 
 def test_key_co_location():
     store = MemoryStore()
     store.put("in", [Record(k, bytes([k, i])) for i in range(4) for k in range(6)])
-    engine = Engine(store, workers=4)
-    out = engine.run_job(spec_for("in", maps=3, reduces=3))
+    with Engine(store, workers=4) as engine:
+        out = engine.run_job(spec_for("in", maps=3, reduces=3))
     parts = store.read_parts(out)
     homes = {}
     for task, part in enumerate(parts):
@@ -121,20 +123,19 @@ def test_key_co_location():
 
 
 def test_phase_barrier_under_concurrency():
-    for executor in ("thread", "process"):
-        store = MemoryStore()
-        store.put("in", [Record(i, b"") for i in range(8)])
-        events = []
-        engine = Engine(store, workers=4, executor=executor, task_observer=events.append)
+    store = MemoryStore()
+    store.put("in", [Record(i, b"") for i in range(8)])
+    events = []
+    with Engine(store, workers=4, task_observer=events.append) as engine:
         engine.run_job(spec_for("in", maps=8, reduces=4, mapper=slow_mapper))
-        map_ends = [e["time"] for e in events if e["kind"] == "map" and e["event"] == "end"]
-        reduce_starts = [e["time"] for e in events
-                         if e["kind"] == "reduce" and e["event"] == "start"]
-        assert len(map_ends) == 8 and len(reduce_starts) == 4
-        assert max(map_ends) <= min(reduce_starts)
-        tasks = [("map", i) for i in range(8)] + [("reduce", i) for i in range(4)]
-        assert [(e["kind"], e["index"], e["event"]) for e in events] == [
-            (kind, index, event) for kind, index in tasks for event in ("start", "end")]
+    map_ends = [e["time"] for e in events if e["kind"] == "map" and e["event"] == "end"]
+    reduce_starts = [e["time"] for e in events
+                     if e["kind"] == "reduce" and e["event"] == "start"]
+    assert len(map_ends) == 8 and len(reduce_starts) == 4
+    assert max(map_ends) <= min(reduce_starts)
+    tasks = [("map", i) for i in range(8)] + [("reduce", i) for i in range(4)]
+    assert [(e["kind"], e["index"], e["event"]) for e in events] == [
+        (kind, index, event) for kind, index in tasks for event in ("start", "end")]
 
 
 class FlakyReducer:
@@ -155,7 +156,8 @@ def test_retry_transparency():
     def run(reducer, **engine_args):
         store = MemoryStore()
         store.put("in", [Record(k, bytes([k])) for k in range(4)])
-        out = Engine(store, **engine_args).run_job(spec_for("in", reduces=4, reducer=reducer))
+        with Engine(store, **engine_args) as engine:
+            out = engine.run_job(spec_for("in", reduces=4, reducer=reducer))
         return store.snapshot()[out]
 
     flaky = FlakyReducer()
@@ -164,12 +166,21 @@ def test_retry_transparency():
     baseline = run(clean, workers=1)
     assert run(flaky, workers=1) == baseline
     assert flaky.failed
-    # under process the flag flips in the worker's copy; the events show the retry
+    # in a pool the flag flips in the worker's copy; the events show the retry
     events = []
-    assert run(FlakyReducer(), workers=2, executor="process",
-               task_observer=events.append) == baseline
+    assert run(FlakyReducer(), workers=2, task_observer=events.append) == baseline
     fails = [(e["kind"], e["index"], e["attempt"]) for e in events if e["event"] == "fail"]
     assert fails == [("reduce", 2, 0)]
+
+
+def test_unpicklable_reducer_fails_at_once_in_a_pool():
+    store = MemoryStore()
+    store.put("in", [Record(k, b"") for k in range(4)])
+    events = []
+    with Engine(store, workers=2, task_observer=events.append) as engine:
+        with pytest.raises(AttributeError, match="pickle"):
+            engine.run_job(spec_for("in", reducer=lambda key, values, rng: []))
+    assert {e["kind"] for e in events} == {"map"}  # no reduce attempt, so no retry
 
 
 def test_retries_exhausted_fail_with_task_identity():
@@ -256,18 +267,18 @@ def test_read_missing_set():
 
 
 def test_determinism_same_seed_same_bytes():
-    def run(workers, executor="thread"):
+    def run(workers):
         store = MemoryStore()
         store.put("in", [Record(i % 5, bytes([i])) for i in range(23)])
-        out = Engine(store, workers=workers, executor=executor).run_job(
-            spec_for("in", maps=4, reduces=5, reducer=draw_reducer, seed=77))
+        with Engine(store, workers=workers) as engine:
+            out = engine.run_job(spec_for("in", maps=4, reduces=5, reducer=draw_reducer,
+                                          seed=77))
         return store.snapshot()[out]
 
-    baseline = run(1, executor="serial")
-    assert run(1) == baseline
+    baseline = run(1)
+    assert run(2) == baseline
     assert run(4) == baseline
     assert run(8) == baseline
-    assert run(2, executor="process") == baseline
 
 
 def test_different_master_seed_changes_bytes():
@@ -287,6 +298,14 @@ def test_different_master_seed_changes_bytes():
 WORDS = {"the": 0, "cat": 1, "sat": 2, "mat": 3}
 
 
+def tokenize(record):
+    return [Record(WORDS[w], b"1") for w in record.value.decode().split()]
+
+
+def total(key, values, rng):
+    return [Record(key, str(sum(int(v) for v in values)).encode())]
+
+
 def test_word_count_fixture():
     store = MemoryStore()
     store.put("docs", [
@@ -294,15 +313,9 @@ def test_word_count_fixture():
         Record(1, b"the cat"),
         Record(2, b"the mat"),
     ])
-
-    def tokenize(record):
-        return [Record(WORDS[w], b"1") for w in record.value.decode().split()]
-
-    def total(key, values, rng):
-        return [Record(key, str(sum(int(v) for v in values)).encode())]
-
-    engine = Engine(store, workers=2)
-    out = engine.run_job(spec_for("docs", maps=2, reduces=2, mapper=tokenize, reducer=total))
+    with Engine(store, workers=2) as engine:
+        out = engine.run_job(spec_for("docs", maps=2, reduces=2, mapper=tokenize,
+                                      reducer=total))
     counts = {rec.key: int(rec.value) for rec in store.read(out)}
     assert counts == {WORDS["the"]: 3, WORDS["cat"]: 2, WORDS["sat"]: 1, WORDS["mat"]: 1}
 
@@ -310,7 +323,8 @@ def test_word_count_fixture():
 def test_more_map_tasks_than_records():
     store = MemoryStore()
     store.put("in", [Record(0, b"x")])
-    out = Engine(store, workers=2).run_job(spec_for("in", maps=6, reduces=1))
+    with Engine(store, workers=2) as engine:
+        out = engine.run_job(spec_for("in", maps=6, reduces=1))
     assert store.read(out) == [Record(0, b"x")]
 
 
@@ -342,8 +356,6 @@ def test_jobspec_validation():
         spec_for("in", maps=0)
     with pytest.raises(ValueError):
         spec_for("in", reduces=0)
-    with pytest.raises(ValueError):
-        Engine(MemoryStore(), executor="warp")
 
 
 def test_default_partition():
@@ -400,14 +412,34 @@ def test_file_store_seal_semantics(tmp_path):
     assert store.names() == ["x"]
 
 
-def test_file_and_memory_stores_agree(tmp_path):
-    def reducer(key, values, rng):
-        return [Record(key, f"{rng.random():.15f}".encode()) for _ in values]
+def test_file_store_empty_marker_is_store_error(tmp_path):
+    store = FileStore(tmp_path)
+    store.put("x", [Record(0, b"v")])
+    (tmp_path / "x" / "_SUCCESS").write_text("")
+    for read in (store.read_parts, store.read):
+        with pytest.raises(StoreError, match="'x' is half-written"):
+            read("x")
+    with pytest.raises(StoreError, match="'x' is half-written"):
+        store.snapshot()
 
+
+def test_file_store_missing_part_is_store_error(tmp_path):
+    store = FileStore(tmp_path)
+    store.write_parts("x", [[Record(0, b"a")], [Record(1, b"b")]])
+    (tmp_path / "x" / "part-1").unlink()
+    for read in (store.read_parts, store.read):
+        with pytest.raises(StoreError, match="'x' is half-written.*part-1"):
+            read("x")
+    with pytest.raises(StoreError, match="'x' is half-written.*part-1"):
+        store.snapshot()
+
+
+def test_file_and_memory_stores_agree(tmp_path):
     def run(store):
         store.put("in", [Record(i % 3, bytes([i])) for i in range(9)])
-        Engine(store, workers=2).run_job(spec_for("in", maps=2, reduces=3,
-                                                  reducer=reducer, seed=5))
+        with Engine(store, workers=2) as engine:
+            engine.run_job(spec_for("in", maps=2, reduces=3, reducer=text_draw_reducer,
+                                    seed=5))
         return store.snapshot()
 
     assert run(MemoryStore()) == run(FileStore(tmp_path))

@@ -1,9 +1,12 @@
+import multiprocessing
 import re
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from mrtsp import engine as engine_module
 from mrtsp.codec import decode_chromosome
 from mrtsp.engine import Engine, EngineError, FileStore, MemoryStore, Record
 from mrtsp.ga import GaParams, run_sga, tour_length
@@ -230,20 +233,61 @@ def test_run_pga_finds_small_optimum():
 
 
 def test_run_pga_deterministic_across_worker_counts():
-    def run(workers, executor="thread"):
+    def run(workers):
         store = MemoryStore()
-        report = run_pga(INST10, SMALL, master_seed=5, workers=workers, store=store,
-                         executor=executor)
+        report = run_pga(INST10, SMALL, master_seed=5, workers=workers, store=store)
         return report, store.snapshot()
 
     serial_report, serial_snapshot = run(1)
-    for pooled_report, pooled_snapshot in (run(4), run(2, executor="process")):
+    for pooled_report, pooled_snapshot in (run(4), run(2)):
         assert serial_report.best_length == pooled_report.best_length
         assert serial_report.best_tour == pooled_report.best_tour
         assert serial_report.trajectory == pooled_report.trajectory
         for a, b in zip(serial_report.rounds, pooled_report.rounds, strict=True):
             assert (a.island_bests, a.best_tour) == (b.island_bests, b.best_tour)
         assert serial_snapshot == pooled_snapshot
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every process pool the engine creates, each counting its shutdowns."""
+    created = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.shutdowns = 0
+            created.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.shutdowns += 1
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "ProcessPoolExecutor", CountingPool)
+    return created
+
+
+class GuttingStore(MemoryStore):
+    """Loses island 2's records when round 1's output is read back."""
+
+    def read(self, name):
+        return [rec for rec in super().read(name) if name != "job1" or rec.key != 2]
+
+
+def test_run_pga_uses_one_pool_for_the_whole_run(pools):
+    report = run_pga(INST10, SMALL, master_seed=5, workers=2)
+    assert len(report.rounds) == 4  # five jobs, ten phases
+    assert len(pools) == 1
+    assert pools[0].shutdowns == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_run_pga_shuts_the_pool_down_when_a_job_fails(pools):
+    with pytest.raises(EngineError, match="island 2 has no input records"):
+        run_pga(INST10, SMALL, master_seed=5, workers=2, store=GuttingStore())
+    assert len(pools) == 1
+    assert pools[0].shutdowns == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_population_dump_round_trips(tmp_path):
