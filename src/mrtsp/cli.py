@@ -23,12 +23,11 @@ from .codec import CodecError
 from .engine import EngineError, StoreError
 from .ga import GaParams, TerminationPolicy, run_sga
 from .island import IslandParams, run_pga
-from .oracle import BRUTE_FORCE_MAX, HELD_KARP_MAX, brute_force, held_karp
+from .oracle import held_karp
 from .reports import RunReport
 from .tsplib import Instance, ParseError, load_instance, load_registry, save_registry
 
 SGA_DEFAULT_GENERATIONS = 10_000
-PGA_DEFAULT_GENERATIONS = 50_000
 
 
 def _add_shared_flags(sub: argparse.ArgumentParser):
@@ -42,7 +41,7 @@ def _add_shared_flags(sub: argparse.ArgumentParser):
                      help="generations each island evolves between migrations (pga)")
     sub.add_argument("--max-generations", type=int,
                      help=f"generation budget (default {SGA_DEFAULT_GENERATIONS} sga, "
-                          f"{PGA_DEFAULT_GENERATIONS} per-island pga)")
+                          f"{IslandParams.max_total_generations} per-island pga)")
     sub.add_argument("--patience", type=int,
                      help="stop after this many stagnant generations (sga) or rounds (pga); 0 disables")
     sub.add_argument("--target-length", type=float, help="stop once best length <= target")
@@ -61,6 +60,12 @@ def _ga_params(settings: dict) -> GaParams:
     return replace(GaParams(), **{k: v for k, v in overrides.items() if v is not None})
 
 
+# command-line flag -> IslandParams field, for the flags `solve --algo pga` passes on
+_PGA_FIELDS = {"islands": "num_islands", "migration_interval": "migration_interval",
+               "max_generations": "max_total_generations",
+               "patience": "convergence_patience", "target_length": "target_length"}
+
+
 def _append_report(out_dir: Path, report: RunReport):
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "reports.jsonl", "a", encoding="utf-8") as fh:
@@ -74,18 +79,14 @@ def cmd_solve(args) -> int:
     if args.algo == "sga":
         termination = TerminationPolicy(target_length=args.target_length,
                                         patience=args.patience)
-        report = run_sga(instance, ga,
-                         args.max_generations or SGA_DEFAULT_GENERATIONS,
+        budget = args.max_generations
+        report = run_sga(instance, ga, SGA_DEFAULT_GENERATIONS if budget is None else budget,
                          termination, seed=args.seed)
     else:
-        params = IslandParams(
-            num_islands=args.islands if args.islands is not None else 10,
-            migration_interval=args.migration_interval or 50,
-            ga=ga,
-            max_total_generations=args.max_generations or PGA_DEFAULT_GENERATIONS,
-            convergence_patience=args.patience if args.patience is not None else 20,
-            target_length=args.target_length,
-        )
+        settings = vars(args)
+        params = replace(IslandParams(ga=ga), **{
+            field: settings[flag] for flag, field in _PGA_FIELDS.items()
+            if settings[flag] is not None})
         dump = None
         if args.dump_tours:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -316,15 +317,7 @@ def cmd_bench(args) -> int:
 
 def cmd_exact(args) -> int:
     instance = load_instance(args.instance)
-    n = instance.dimension
-    if args.solver == "brute-force":
-        result = brute_force(instance)
-    elif args.solver == "held-karp":
-        result = held_karp(instance)
-    elif n <= BRUTE_FORCE_MAX:
-        result = brute_force(instance)
-    else:
-        result = held_karp(instance)
+    result = held_karp(instance)
     print(f"{instance.name}: optimum {result.optimum_length}")
     print("tour: " + " ".join(str(c) for c in result.optimum_tour))
     if args.write_registry:
@@ -356,9 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, help="override the suite's base seed")
     bench.set_defaults(func=cmd_bench)
 
-    exact = commands.add_parser("exact", help="solve an instance exactly")
+    exact = commands.add_parser("exact", help="solve an instance exactly (Held-Karp)")
     exact.add_argument("--instance", required=True)
-    exact.add_argument("--solver", choices=("auto", "brute-force", "held-karp"), default="auto")
     exact.add_argument("--write-registry", action="store_true",
                        help="record the optimum in the instance's optima registry")
     exact.add_argument("--registry", help="registry path (default optima.txt beside the instance)")

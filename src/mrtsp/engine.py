@@ -7,12 +7,15 @@ so job outputs are byte-identical for a fixed master seed no matter how many
 workers run or how the scheduler interleaves them.
 
 The record store stands in for a distributed file system: sets of records
-are named, written once by a completed job, and immutable afterwards.
+are named, written once by a completed job, and immutable afterwards. Both
+stores keep a set as the framed bytes of its parts; FileStore seals one by
+renaming into place a marker of the part sizes, which reads check.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import struct
 import time
@@ -63,104 +66,108 @@ def pack_records(records: Iterable[Record]) -> bytes:
 
 
 def unpack_records(data: bytes) -> list[Record]:
+    # every store read lands here: bound locals, tuple.__new__ in place of the
+    # generated Record.__new__, and bounds checked by struct and after the loop
     records = []
+    append, header, new = records.append, _RECORD_HEADER.unpack_from, tuple.__new__
+    end = len(data)
     offset = 0
-    while offset < len(data):
-        if offset + _RECORD_HEADER.size > len(data):
-            raise StoreError("truncated record header")
-        key, size = _RECORD_HEADER.unpack_from(data, offset)
-        offset += _RECORD_HEADER.size
-        if offset + size > len(data):
-            raise StoreError("truncated record value")
-        records.append(Record(key, data[offset:offset + size]))
-        offset += size
+    try:
+        while offset < end:
+            key, size = header(data, offset)
+            start = offset + _RECORD_HEADER.size
+            offset = start + size
+            append(new(Record, (key, data[start:offset])))
+    except struct.error:
+        raise StoreError("truncated record header") from None
+    if offset > end:
+        raise StoreError("truncated record value")
     return records
 
 
-class MemoryStore:
-    """Default backend for tests and in-process runs."""
-
-    def __init__(self):
-        self._sets: dict[str, tuple[tuple[Record, ...], ...]] = {}
+class _RecordStore:
+    """Named record sets, sealed once and immutable after, kept as the framed
+    bytes of their parts. A backend defines _seal, _load (None if unsealed), names."""
 
     def put(self, name: str, records: Iterable[Record]) -> str:
-        self.write_parts(name, [list(records)])
-        return name
+        return self.write_parts(name, [list(records)])
 
     def write_parts(self, name: str, parts: list[list[Record]]) -> str:
-        if name in self._sets:
+        data = [pack_records(part) for part in parts]
+        if self._sealed(name) is not None:
             raise StoreError(f"record set {name!r} is sealed and cannot be rewritten")
-        self._sets[name] = tuple(tuple(part) for part in parts)
+        self._seal(name, data)
         return name
 
     def read(self, name: str) -> list[Record]:
         return [rec for part in self.read_parts(name) for rec in part]
 
     def read_parts(self, name: str) -> list[list[Record]]:
-        if name not in self._sets:
-            raise StoreError(f"no record set named {name!r}")
-        return [list(part) for part in self._sets[name]]
+        data = self._sealed(name)
+        if data is None:
+            raise StoreError(f"no sealed record set named {name!r}")
+        return [unpack_records(part) for part in data]
+
+    def _sealed(self, name: str) -> list[bytes] | None:
+        if "/" in name or "\\" in name or name in ("", ".", ".."):
+            raise StoreError(f"invalid record set name {name!r}")
+        return self._load(name)
+
+    def snapshot(self) -> dict[str, list[bytes]]:
+        """The stored bytes of every sealed set, for determinism diffs."""
+        return {name: list(self._load(name)) for name in self.names()}
+
+
+class MemoryStore(_RecordStore):
+    """Default backend for tests and in-process runs: part bytes in a dict."""
+
+    # bound in each backend's own body: perfbench wraps them per class
+    write_parts = _RecordStore.write_parts
+    read_parts = _RecordStore.read_parts
+
+    def __init__(self):
+        self._sets: dict[str, list[bytes]] = {}
+        self._seal = self._sets.__setitem__
+        self._load = self._sets.get
 
     def names(self) -> list[str]:
         return sorted(self._sets)
 
-    def snapshot(self) -> dict[str, list[bytes]]:
-        """Canonical bytes of every sealed set, for determinism diffs."""
-        return {name: [pack_records(part) for part in parts]
-                for name, parts in self._sets.items()}
 
+class FileStore(_RecordStore):
+    """Directory backend: a subdirectory per set holding part-<task> files and
+    a _SUCCESS marker of the part count and sizes, renamed into place last."""
 
-class FileStore:
-    """Directory backend: one subdirectory per record set, one part file per
-    reduce task (part-<task>), sealed by a _SUCCESS marker."""
+    write_parts = _RecordStore.write_parts  # see MemoryStore
+    read_parts = _RecordStore.read_parts
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _dir(self, name: str) -> Path:
-        if "/" in name or "\\" in name or name in ("", ".", ".."):
-            raise StoreError(f"invalid record set name {name!r}")
-        return self.root / name
-
-    def put(self, name: str, records: Iterable[Record]) -> str:
-        self.write_parts(name, [list(records)])
-        return name
-
-    def write_parts(self, name: str, parts: list[list[Record]]) -> str:
-        target = self._dir(name)
-        if (target / "_SUCCESS").exists():
-            raise StoreError(f"record set {name!r} is sealed and cannot be rewritten")
+    def _seal(self, name: str, data: list[bytes]):
+        target = self.root / name
         target.mkdir(parents=True, exist_ok=True)
-        for idx, part in enumerate(parts):
-            (target / f"part-{idx}").write_bytes(pack_records(part))
-        (target / "_SUCCESS").write_text(f"{len(parts)}\n")
-        return name
+        for idx, part in enumerate(data):
+            (target / f"part-{idx}").write_bytes(part)
+        (target / "_SUCCESS.tmp").write_text(" ".join(map(str, [len(data), *map(len, data)])))
+        os.replace(target / "_SUCCESS.tmp", target / "_SUCCESS")
 
-    def read(self, name: str) -> list[Record]:
-        return [rec for part in self.read_parts(name) for rec in part]
-
-    def read_parts(self, name: str) -> list[list[Record]]:
-        return [unpack_records(data) for data in self._part_bytes(name)]
-
-    def _part_bytes(self, name: str) -> list[bytes]:
-        """Raw part files of a sealed set; a half-written set is a StoreError."""
-        target = self._dir(name)
-        marker = target / "_SUCCESS"
-        if not marker.exists():
-            raise StoreError(f"no sealed record set named {name!r}")
+    def _load(self, name: str) -> list[bytes] | None:
+        target = self.root / name
+        if not (target / "_SUCCESS").exists():
+            return None
         try:
-            count = int(marker.read_text())
-            return [(target / f"part-{idx}").read_bytes() for idx in range(count)]
+            count, *sizes = map(int, (target / "_SUCCESS").read_text().split())
+            data = [(target / f"part-{idx}").read_bytes() for idx in range(count)]
+            if sizes != [len(part) for part in data]:
+                raise ValueError(f"part sizes {list(map(len, data))} != marker {sizes}")
         except (ValueError, FileNotFoundError) as exc:
-            raise StoreError(f"record set {name!r} is half-written: {exc}") from exc
+            raise StoreError(f"record set {name!r} is half-written or corrupt: {exc}") from exc
+        return data
 
     def names(self) -> list[str]:
-        return sorted(p.name for p in self.root.iterdir()
-                      if p.is_dir() and (p / "_SUCCESS").exists())
-
-    def snapshot(self) -> dict[str, list[bytes]]:
-        return {name: self._part_bytes(name) for name in self.names()}
+        return sorted(p.name for p in self.root.iterdir() if (p / "_SUCCESS").exists())
 
 
 def default_partition(key: int, num_reduce_tasks: int) -> int:

@@ -89,6 +89,20 @@ def test_solve_rejects_single_island(inst_dir, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("algo,flag,message", [
+    ("sga", "--max-generations", "max_generations must be >= 1, got 0"),
+    ("pga", "--max-generations", "max_total_generations must cover at least one round"),
+    ("pga", "--migration-interval", "migration_interval must be >= 1, got 0"),
+])
+def test_solve_zero_settings_reach_the_validators(inst_dir, tmp_path, capsys, algo, flag,
+                                                   message):
+    rc = main(["solve", "--algo", algo, "--instance", str(inst_dir / "eight.atsp"),
+               flag, "0", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "reports.jsonl").exists()
+
+
 def test_solve_pga_rejects_non_integer_weights(tmp_path, capsys):
     weights = np.random.default_rng(0).uniform(1, 10, (8, 8))
     np.fill_diagonal(weights, 0.0)
@@ -301,15 +315,6 @@ def test_exact_auto_cap(tmp_path, capsys):
     rc = main(["exact", "--instance", str(tmp_path / "big.atsp")])
     assert rc == 1
     assert "18" in capsys.readouterr().err
-
-
-def test_exact_brute_force_cap(tmp_path, capsys):
-    (tmp_path / "mid.atsp").write_text(
-        format_instance(random_instance(12, (1, 50), seed=0)))
-    rc = main(["exact", "--instance", str(tmp_path / "mid.atsp"),
-               "--solver", "brute-force"])
-    assert rc == 1
-    assert "11" in capsys.readouterr().err
 
 
 def test_shipped_suite_configs_parse():

@@ -1,5 +1,6 @@
 import struct
 import time
+from pathlib import Path
 
 import pytest
 
@@ -431,6 +432,39 @@ def test_file_store_missing_part_is_store_error(tmp_path):
         with pytest.raises(StoreError, match="'x' is half-written.*part-1"):
             read("x")
     with pytest.raises(StoreError, match="'x' is half-written.*part-1"):
+        store.snapshot()
+
+
+def test_file_store_crash_mid_seal_leaves_set_rewritable(tmp_path, monkeypatch):
+    store = FileStore(tmp_path)
+    real_write_text = Path.write_text
+
+    def crash(path, text, *args, **kwargs):
+        real_write_text(path, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", crash)
+    with pytest.raises(OSError, match="disk full"):
+        store.write_parts("y", [[Record(0, b"a")], [Record(1, b"bc")]])
+    monkeypatch.undo()
+    assert store.names() == []
+    with pytest.raises(StoreError, match="no sealed record set"):
+        store.read("y")
+    store.write_parts("y", [[Record(0, b"a")], [Record(1, b"bc")]])
+    assert store.read_parts("y") == [[Record(0, b"a")], [Record(1, b"bc")]]
+
+
+@pytest.mark.parametrize("damage", [lambda data: data[:len(data) // 2],
+                                    lambda data: data + data], ids=["truncated", "grown"])
+def test_file_store_resized_part_is_store_error(tmp_path, damage):
+    store = FileStore(tmp_path)
+    store.write_parts("x", [[Record(0, b"aaaa"), Record(1, b"bbbb")], [Record(2, b"c")]])
+    part = tmp_path / "x" / "part-0"
+    part.write_bytes(damage(part.read_bytes()))  # cut or grown at a record boundary
+    for read in (store.read_parts, store.read):
+        with pytest.raises(StoreError, match="'x' is half-written or corrupt"):
+            read("x")
+    with pytest.raises(StoreError, match="'x' is half-written or corrupt"):
         store.snapshot()
 
 
