@@ -13,7 +13,8 @@ from .ga import (Chromosome, GaParams, Population, TerminationPolicy,
                  greedy_crossover, mutate, next_generation, run_sga,
                  select_parents, similarity, tour_length)
 from .island import (IslandParams, NonIntegerWeightsError, RoundSummary,
-                     check_convergence, evolve_job, init_job, run_pga)
+                     TourLengthOverflowError, check_convergence, evolve_job,
+                     init_job, run_pga)
 from .oracle import (BRUTE_FORCE_MAX, HELD_KARP_MAX, ExactResult, brute_force,
                      held_karp)
 from .reports import RunReport, accuracy_percent

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .codec import decode_chromosome, encode_chromosome, peek_length
+from .codec import MAX_LENGTH, decode_chromosome, encode_chromosome, peek_length
 from .engine import (Engine, EngineError, FileStore, JobSpec, MemoryStore,
                      Record, default_partition, identity_mapper)
 from .ga import (Chromosome, GaParams, Population, next_generation,
@@ -27,6 +27,10 @@ from .tsplib import Instance
 
 class NonIntegerWeightsError(ValueError):
     """The instance has non-integer edge weights, which pga cannot ship."""
+
+
+class TourLengthOverflowError(ValueError):
+    """A tour of the instance can outgrow the record's 64-bit length field."""
 
 
 @dataclass(frozen=True)
@@ -116,48 +120,27 @@ class EvolveReducer:
         return out
 
 
+def _island_job(params: IslandParams, job_id: int, input_handle: str, reducer,
+                master_seed: int) -> JobSpec:
+    """Identity map, then one reduce task per island, keyed by island."""
+    return JobSpec(job_id, input_handle, params.num_islands, params.num_islands,
+                   identity_mapper, default_partition, reducer, master_seed)
+
+
 def init_job(engine: Engine, instance: Instance, params: IslandParams,
              master_seed: int) -> str:
     """Job 0: build every island's starting population in its own task."""
     engine.store.put("seed", [Record(i, b"") for i in range(params.num_islands)])
-    spec = JobSpec(
-        job_id=0,
-        input="seed",
-        num_map_tasks=params.num_islands,
-        num_reduce_tasks=params.num_islands,
-        mapper=identity_mapper,
-        partitioner=default_partition,
-        reducer=InitReducer(instance, params.ga.population_size),
-        master_seed=master_seed,
-    )
-    return engine.run_job(spec)
+    reducer = InitReducer(instance, params.ga.population_size)
+    return engine.run_job(_island_job(params, 0, "seed", reducer, master_seed))
 
 
 def evolve_job(engine: Engine, input_handle: str, instance: Instance,
                params: IslandParams, round_number: int, master_seed: int) -> str:
-    """One migration round; job id doubles as the round number."""
-    counts = [0] * params.num_islands
-    for rec in engine.store.read(input_handle):
-        if not 0 <= rec.key < params.num_islands:
-            raise EngineError(
-                f"record keyed {rec.key} outside islands 0..{params.num_islands - 1}")
-        counts[rec.key] += 1
-    for island, count in enumerate(counts):
-        if count == 0:
-            raise EngineError(
-                f"round {round_number}: island {island} has no input records "
-                f"in {input_handle!r}")
-    spec = JobSpec(
-        job_id=round_number,
-        input=input_handle,
-        num_map_tasks=params.num_islands,
-        num_reduce_tasks=params.num_islands,
-        mapper=identity_mapper,
-        partitioner=default_partition,
-        reducer=EvolveReducer(instance, params),
-        master_seed=master_seed,
-    )
-    return engine.run_job(spec)
+    """One migration round; job id doubles as the round number. The input set
+    is taken as checked: run_pga scans every set before the next job reads it."""
+    reducer = EvolveReducer(instance, params)
+    return engine.run_job(_island_job(params, round_number, input_handle, reducer, master_seed))
 
 
 def check_convergence(history: Sequence[RoundSummary], params: IslandParams) -> str | None:
@@ -171,46 +154,39 @@ def check_convergence(history: Sequence[RoundSummary], params: IslandParams) -> 
                        params.convergence_patience, params.target_length)
 
 
-def _residents(parts: list[list[Record]]) -> list[tuple[int, Record]]:
-    """(island, record) for records living where they are keyed, part order."""
-    found = []
+def _scan_set(store, name: str, islands: int) -> tuple[list[list[Record]], list[int], Record]:
+    """Read and check an island record set: one part per island, every key
+    an island, and a resident (a record keyed to its own part) on every
+    island. Returns the parts, per-island best lengths and the best resident."""
+    parts = store.read_parts(name)
+    if len(parts) != islands:
+        raise EngineError(f"record set {name!r} has {len(parts)} parts for {islands} islands")
+    bests: list[tuple[int, Record]] = []
     for island, part in enumerate(parts):
+        best = None
         for rec in part:
             if rec.key == island:
-                found.append((island, rec))
-    return found
-
-
-def _scan_parts(parts: list[list[Record]]) -> tuple[list[float], Record]:
-    """Per-island best lengths plus the globally best resident record."""
-    island_bests: list[float] = []
-    best_record = None
-    best_length = None
-    for island, part in enumerate(parts):
-        local = None
-        for rec in part:
-            if rec.key != island:
-                continue
-            length = peek_length(rec.value)
-            if local is None or length < local:
-                local = length
-                if best_length is None or length < best_length:
-                    best_length = length
-                    best_record = rec
-        if local is None:
-            raise EngineError(f"island {island} has no resident records")
-        island_bests.append(local)
-    assert best_record is not None
-    return island_bests, best_record
+                length = peek_length(rec.value)
+                if best is None or length < best[0]:
+                    best = (length, rec)
+            elif not 0 <= rec.key < islands:
+                raise EngineError(f"record set {name!r}: record keyed {rec.key} "
+                                  f"outside islands 0..{islands - 1}")
+        if best is None:
+            raise EngineError(f"record set {name!r}: island {island} has no resident records")
+        bests.append(best)
+    return parts, [length for length, _ in bests], min(bests, key=lambda b: b[0])[1]
 
 
 def format_population_dump(parts: list[list[Record]]) -> str:
     """One resident per line: pop_id, tour length, then the city sequence."""
     lines = []
-    for _, rec in _residents(parts):
-        decoded = decode_chromosome(rec.value)
-        cities = " ".join(str(c) for c in decoded.genes)
-        lines.append(f"{decoded.pop_id} {decoded.length} {cities}")
+    for island, part in enumerate(parts):
+        for rec in part:
+            if rec.key == island:
+                decoded = decode_chromosome(rec.value)
+                cities = " ".join(str(c) for c in decoded.genes)
+                lines.append(f"{decoded.pop_id} {decoded.length} {cities}")
     return "\n".join(lines) + "\n"
 
 
@@ -223,28 +199,32 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     when the run ends. Reported generations are per-island cumulative
     (rounds times migration_interval). The final populations are
     additionally written as a readable text dump: to dump_path when given,
-    or next to the binary parts when the store lives on disk. Instances with
-    non-integer weights are rejected up front, since records carry integer
-    tour lengths.
+    or next to the binary parts when the store lives on disk. Non-integer
+    weights, and weights whose tours can overflow the record's 64-bit length,
+    are rejected before anything is written. _scan_set reads and checks each
+    sealed set once, before the next job reads it; the dump reuses its parts.
     """
     if instance.distances.dtype.kind == "f":
         raise NonIntegerWeightsError(
             f"{instance.name}: pga needs integer edge weights (the record layout "
             "stores integer tour lengths); run sga for non-integer weights")
+    if instance.dimension * int(instance.distances.max()) > MAX_LENGTH:
+        raise TourLengthOverflowError(
+            f"{instance.name}: {instance.dimension} edges of weight up to "
+            f"{instance.distances.max()} can exceed the record's 64-bit tour length field")
     params = params if params is not None else IslandParams()
     start = time.perf_counter()
     store = store if store is not None else MemoryStore()
     with Engine(store, workers=workers) as engine:
         handle = init_job(engine, instance, params, master_seed)
-        island_bests, _ = _scan_parts(store.read_parts(handle))
+        parts, island_bests, _ = _scan_set(store, handle, params.num_islands)
         trajectory = [min(island_bests)]
-
         rounds: list[RoundSummary] = []
         reason = None
         while reason is None:
             round_number = len(rounds) + 1
             handle = evolve_job(engine, handle, instance, params, round_number, master_seed)
-            island_bests, best_record = _scan_parts(store.read_parts(handle))
+            parts, island_bests, best_record = _scan_set(store, handle, params.num_islands)
             rounds.append(RoundSummary(
                 round=round_number,
                 island_bests=tuple(island_bests),
@@ -259,7 +239,7 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     if dump_path is None and isinstance(store, FileStore):
         dump_path = store.root / "final-population.txt"
     if dump_path is not None:
-        Path(dump_path).write_text(format_population_dump(store.read_parts(handle)))
+        Path(dump_path).write_text(format_population_dump(parts))
 
     final = rounds[-1]
     return RunReport(

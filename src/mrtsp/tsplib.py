@@ -4,6 +4,9 @@ Supports EXPLICIT/FULL_MATRIX (the asymmetric instances this project targets)
 and EUC_2D coordinate files. Headers are parsed leniently (unknown keys such
 as COMMENT are skipped), sections strictly: the weight section must contain
 exactly N*N numeric tokens and nothing numeric may trail it before EOF.
+Numbers are read as float64, so weights, coordinates, node indexes and
+DIMENSION must be finite, and weights and EUC_2D distances below 2**53,
+where every integer is exact. Every rejection is a ParseError.
 """
 
 from __future__ import annotations
@@ -85,9 +88,19 @@ class Instance:
         return Instance(self.name, self.dimension, np.array(self.distances), value)
 
 
+# float64 holds every integer below this exactly; a weight at or above it may
+# already have been rounded on reading
+EXACT_LIMIT = 2**53
+
+
 def _as_matrix(values: list, n: int) -> np.ndarray:
     arr = np.array(values, dtype=np.float64).reshape(n, n)
-    if np.all(arr == np.floor(arr)) and np.all(np.abs(arr) < 2**62):
+    bad = ~(np.abs(arr) < EXACT_LIMIT)  # NaN fails the comparison too
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise TokenValueError(f"weight {arr[i, j]} at row {i + 1}, column {j + 1} is not a "
+                              f"finite number below 2**53", keyword="EDGE_WEIGHT_SECTION")
+    if np.all(arr == np.floor(arr)):
         return arr.astype(np.int64)
     return arr
 
@@ -140,8 +153,8 @@ def parse_instance(source: str | IO[str]) -> Instance:
             name = value
         elif key == "DIMENSION":
             num = _numeric(value)
-            if num is None or num != int(num):
-                raise TokenValueError(f"DIMENSION value {value!r} is not an integer",
+            if num is None or not num.is_integer() or not 2 <= num < EXACT_LIMIT:
+                raise TokenValueError(f"DIMENSION value {value!r} is not an integer in [2, 2**53)",
                                       line=lineno, keyword="DIMENSION")
             dimension = int(num)
         elif key == "EDGE_WEIGHT_TYPE":
@@ -192,7 +205,10 @@ def parse_instance(source: str | IO[str]) -> Instance:
     if coords is not None:
         matrix = _euclidean_matrix(coords)
     assert matrix is not None
-    return Instance(name=name, dimension=dimension, distances=matrix)
+    try:
+        return Instance(name=name, dimension=dimension, distances=matrix)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _read_full_matrix(lines: Iterator[tuple[int, str]], n: int) -> np.ndarray:
@@ -231,8 +247,8 @@ def _read_full_matrix(lines: Iterator[tuple[int, str]], n: int) -> np.ndarray:
 
 
 def _read_coords(lines: Iterator[tuple[int, str]], n: int) -> list[tuple[float, float]]:
-    coords: list[tuple[float, float] | None] = [None] * n
-    seen = 0
+    # filled as lines arrive: DIMENSION alone must not size an allocation
+    coords: dict[int, tuple[float, float]] = {}
     for lineno, raw in lines:
         stripped = raw.strip()
         if not stripped:
@@ -247,29 +263,30 @@ def _read_coords(lines: Iterator[tuple[int, str]], n: int) -> list[tuple[float, 
         if idx_f is None or x is None or y is None:
             raise TokenValueError(f"non-numeric token in NODE_COORD_SECTION: {stripped!r}",
                                   line=lineno, keyword="NODE_COORD_SECTION")
-        idx = int(idx_f) - 1
-        if idx < 0 or idx >= n or coords[idx] is not None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise TokenValueError(f"non-finite coordinate in NODE_COORD_SECTION: {stripped!r}",
+                                  line=lineno, keyword="NODE_COORD_SECTION")
+        idx = int(idx_f) - 1 if idx_f.is_integer() else -1
+        if idx < 0 or idx >= n or idx in coords:
             raise TokenValueError(f"bad node index {parts[0]} in NODE_COORD_SECTION",
                                   line=lineno, keyword="NODE_COORD_SECTION")
         coords[idx] = (x, y)
-        seen += 1
-        if seen == n:
+        if len(coords) == n:
             break
-    if seen < n:
-        raise TokenCountError(f"NODE_COORD_SECTION has {seen} nodes, expected {n}",
+    if len(coords) < n:
+        raise TokenCountError(f"NODE_COORD_SECTION has {len(coords)} nodes, expected {n}",
                               keyword="NODE_COORD_SECTION")
-    return [c for c in coords if c is not None]
+    return [coords[i] for i in range(n)]
 
 
 def _euclidean_matrix(coords: list[tuple[float, float]]) -> np.ndarray:
-    # TSPLIB nint() rounding: floor(d + 0.5)
-    n = len(coords)
-    mat = np.zeros((n, n), dtype=np.int64)
-    for i, (xi, yi) in enumerate(coords):
-        for j, (xj, yj) in enumerate(coords):
-            if i != j:
-                mat[i, j] = math.floor(math.hypot(xi - xj, yi - yj) + 0.5)
-    return mat
+    # TSPLIB nint() rounding: floor(d + 0.5), with math.hypot's rounding
+    mat = np.floor(np.array([[math.hypot(xi - xj, yi - yj) for xj, yj in coords]
+                             for xi, yi in coords]) + 0.5)
+    if not np.all(mat < EXACT_LIMIT):  # an overflowed hypot is inf
+        raise TokenValueError(f"EUC_2D distance {mat.max()} is not below 2**53",
+                              keyword="NODE_COORD_SECTION")
+    return mat.astype(np.int64)
 
 
 def format_instance(instance: Instance) -> str:
@@ -315,9 +332,9 @@ def load_registry(path: Path | str) -> dict[str, float]:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2 or _numeric(parts[1]) is None:
+        value = _numeric(parts[1]) if len(parts) == 2 else None
+        if value is None or not math.isfinite(value):
             raise ParseError(f"registry line must be 'name value', got {raw!r}", line=lineno)
-        value = float(parts[1])
         registry[parts[0]] = int(value) if value == int(value) else value
     return registry
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mrtsp import cli
 from mrtsp.cli import (RESULT_COLUMNS, SUMMARY_COLUMNS, main,
                        parse_suite_config)
 from mrtsp.ga import GaParams, run_sga
@@ -112,6 +113,19 @@ def test_solve_pga_rejects_non_integer_weights(tmp_path, capsys):
                "--pop-size", "10", "--max-generations", "50", "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "integer edge weights" in capsys.readouterr().err
+    assert not (tmp_path / "reports.jsonl").exists()
+
+
+def test_solve_pga_rejects_overflowing_tour_lengths(tmp_path, capsys, monkeypatch):
+    # the parser keeps weights below 2**53, so overflow needs more than 2048
+    # cities on disk; a hand-built instance stands in for such a file
+    weights = np.full((10, 10), 2**61, dtype=np.int64)
+    np.fill_diagonal(weights, 0)
+    monkeypatch.setattr(cli, "load_instance", lambda path: Instance("heavy10", 10, weights))
+    rc = main(["solve", "--algo", "pga", "--instance", "heavy10.atsp", "--islands", "2",
+               "--pop-size", "10", "--max-generations", "50", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "64-bit tour length" in capsys.readouterr().err
     assert not (tmp_path / "reports.jsonl").exists()
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mrtsp.engine import MemoryStore
+from mrtsp.engine import FileStore, MemoryStore
 from mrtsp.ga import GaParams, run_sga
 from mrtsp.island import IslandParams, run_pga
 from mrtsp.tsplib import Instance, load_instance
@@ -28,6 +28,7 @@ SGA_GOLDEN = {
 }
 SGA_FLOAT_GOLDEN = "c72cbcbb10df2ef81ce3ddfe33a3507f9824d6eb629c35a65f8699c35260ba65"
 PGA_GOLDEN = "a1655794721031842b27b1ebfedb22d6e51d721dfcc2582d5df98947788e7258"
+PGA_DISK_GOLDEN = "1e0a2769b61c67751e9d30e7e30a10b136df1528ae02442f4ab7e97f6aac63d8"
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +71,20 @@ def test_pga_rnd064_pinned(rnd064):
     store = MemoryStore()
     report = run_pga(rnd064, params, master_seed=2, workers=1, store=store)
     assert digest(report, store.snapshot()) == PGA_GOLDEN
+
+
+def test_pga_file_store_migrating_every_generation_pinned(rnd064, tmp_path):
+    # the persist-every-job path: every round seals a set on disk, and the
+    # run ends with the readable dump of the final populations; recorded
+    # before the island-set checks moved from evolve_job into run_pga's scan
+    params = IslandParams(num_islands=5, migration_interval=1,
+                          ga=GaParams(population_size=12),
+                          max_total_generations=6, convergence_patience=None)
+    store = FileStore(tmp_path)
+    report = run_pga(rnd064, params, master_seed=4, workers=1, store=store)
+    rounds = [(r.round, r.island_bests, r.best_length, r.best_tour, r.generations)
+              for r in report.rounds]
+    h = hashlib.sha256(digest(report, store.snapshot()).encode())
+    h.update(repr((report.generations, report.stop_reason, rounds)).encode())
+    h.update((tmp_path / "final-population.txt").read_bytes())
+    assert h.hexdigest() == PGA_DISK_GOLDEN

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from mrtsp import engine as engine_module
-from mrtsp.codec import decode_chromosome
+from mrtsp.codec import MAX_LENGTH, decode_chromosome
 from mrtsp.engine import Engine, EngineError, FileStore, MemoryStore, Record
 from mrtsp.ga import GaParams, run_sga, tour_length
 from mrtsp.island import (EvolveReducer, IslandParams, NonIntegerWeightsError,
-                          RoundSummary, check_convergence, evolve_job,
+                          RoundSummary, TourLengthOverflowError,
+                          check_convergence, evolve_job,
                           format_population_dump, init_job, run_pga)
 from mrtsp.oracle import held_karp
 from mrtsp.tsplib import (Instance, format_instance, parse_instance,
@@ -137,29 +138,63 @@ def test_migrants_carry_each_islands_best():
             assert decoded.length == bests[island]    # sender's best tour
 
 
+class TamperingStore(MemoryStore):
+    """Hands back round 1's output changed by `tamper(parts)`, to every reader."""
+
+    def __init__(self, tamper):
+        super().__init__()
+        self.tamper = tamper
+
+    def read_parts(self, name):
+        parts = super().read_parts(name)
+        return self.tamper(parts) if name == "job1" else parts
+
+
+SCAN_PARAMS = IslandParams(num_islands=4, migration_interval=1,
+                           ga=GaParams(population_size=4),
+                           max_total_generations=4, convergence_patience=None)
+
+
 def test_evolve_rejects_empty_island():
-    params = IslandParams(num_islands=4, migration_interval=1,
-                          ga=GaParams(population_size=4),
-                          convergence_patience=None)
-    store = MemoryStore()
-    engine = Engine(store, workers=1)
-    handle = init_job(engine, INST10, params, master_seed=0)
-    gutted = [r for r in store.read(handle) if r.key != 2]
-    store.put("gutted", gutted)
+    store = TamperingStore(lambda parts: [[r for r in part if r.key != 2] for part in parts])
     with pytest.raises(EngineError, match="island 2"):
-        evolve_job(engine, "gutted", INST10, params, 1, master_seed=0)
+        run_pga(INST10, SCAN_PARAMS, master_seed=0, store=store)
+    assert "job1" in store.names() and "job2" not in store.names()
 
 
 def test_evolve_rejects_out_of_range_key():
-    params = IslandParams(num_islands=4, migration_interval=1,
-                          ga=GaParams(population_size=4),
-                          convergence_patience=None)
-    store = MemoryStore()
-    engine = Engine(store, workers=1)
-    handle = init_job(engine, INST10, params, master_seed=0)
-    store.put("stray", store.read(handle) + [Record(4, b"")])
+    store = TamperingStore(lambda parts: parts[:1] + [parts[1] + [Record(4, b"")]] + parts[2:])
     with pytest.raises(EngineError, match="outside islands"):
-        evolve_job(engine, "stray", INST10, params, 1, master_seed=0)
+        run_pga(INST10, SCAN_PARAMS, master_seed=0, store=store)
+    assert "job1" in store.names() and "job2" not in store.names()
+
+
+def test_run_pga_rejects_a_set_with_fewer_parts_than_islands():
+    store = TamperingStore(lambda parts: parts[:-1])
+    with pytest.raises(EngineError, match="'job1' has 3 parts for 4 islands"):
+        run_pga(INST10, SCAN_PARAMS, master_seed=0, store=store)
+    assert "job1" in store.names() and "job2" not in store.names()
+
+
+class CountingStore(MemoryStore):
+    """Counts read_parts calls per set; read() goes through read_parts."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = Counter()
+
+    def read_parts(self, name):
+        self.reads[name] += 1
+        return super().read_parts(name)
+
+
+def test_run_pga_reads_each_set_once_per_reader(tmp_path):
+    # the driver's scan reads every job's output once, the next job reads it
+    # once more, and the final dump reuses the last scan
+    store = CountingStore()
+    report = run_pga(INST10, SMALL, master_seed=0, store=store, dump_path=tmp_path / "pop.txt")
+    last = len(report.rounds)
+    assert store.reads == {"seed": 1, **{f"job{k}": 2 for k in range(last)}, f"job{last}": 1}
 
 
 def test_reducer_rejects_mismatched_pop_id():
@@ -270,8 +305,9 @@ def pools(monkeypatch):
 class GuttingStore(MemoryStore):
     """Loses island 2's records when round 1's output is read back."""
 
-    def read(self, name):
-        return [rec for rec in super().read(name) if name != "job1" or rec.key != 2]
+    def read_parts(self, name):
+        return [[rec for rec in part if name != "job1" or rec.key != 2]
+                for part in super().read_parts(name)]
 
 
 def test_run_pga_uses_one_pool_for_the_whole_run(pools):
@@ -283,7 +319,7 @@ def test_run_pga_uses_one_pool_for_the_whole_run(pools):
 
 
 def test_run_pga_shuts_the_pool_down_when_a_job_fails(pools):
-    with pytest.raises(EngineError, match="island 2 has no input records"):
+    with pytest.raises(EngineError, match="island 2 has no resident records"):
         run_pga(INST10, SMALL, master_seed=5, workers=2, store=GuttingStore())
     assert len(pools) == 1
     assert pools[0].shutdowns == 1
@@ -348,3 +384,25 @@ def test_run_pga_rejects_non_integer_weights_up_front():
     with pytest.raises(NonIntegerWeightsError, match="integer edge weights"):
         run_pga(instance, SMALL, store=store)
     assert store.names() == []  # no job ran
+
+
+def uniform_instance(n, weight):
+    weights = np.full((n, n), weight, dtype=np.int64)
+    np.fill_diagonal(weights, 0)
+    return Instance(f"heavy{n}", n, weights)
+
+
+def test_run_pga_rejects_overflowing_tour_lengths_up_front():
+    heavy = uniform_instance(10, 2**61)  # a tour weighs 10 * 2**61 > 2**64 - 1
+    assert run_sga(heavy, GaParams(population_size=10), 5).best_length == 10 * 2**61
+    store = MemoryStore()
+    with pytest.raises(TourLengthOverflowError, match="64-bit tour length"):
+        run_pga(heavy, SMALL, store=store)
+    assert store.names() == []  # no job ran, not even the seed was written
+
+
+def test_run_pga_accepts_tour_lengths_that_just_fit():
+    params = IslandParams(num_islands=2, migration_interval=1, ga=GaParams(population_size=4),
+                          max_total_generations=2, convergence_patience=None)
+    report = run_pga(uniform_instance(3, MAX_LENGTH // 3), params)
+    assert report.best_length == MAX_LENGTH

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from pathlib import Path
 
@@ -151,6 +152,57 @@ def test_parse_errors_name_line_and_keyword():
     assert err.value.line == 1
 
 
+def explicit(dimension, weights):
+    return (f"DIMENSION: {dimension}\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
+            f"EDGE_WEIGHT_SECTION\n{weights}\nEOF\n")
+
+
+def euc_2d(dimension, *nodes):
+    return (f"DIMENSION: {dimension}\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+            + "".join(f"{node}\n" for node in nodes) + "EOF\n")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (explicit("1e400", "0 1 1 0"), TokenValueError, "DIMENSION"),
+    (explicit("nan", "0 1 1 0"), TokenValueError, "DIMENSION"),
+    (explicit("1", "0"), TokenValueError, "DIMENSION"),
+    (explicit("-2", "0 1 1 0"), TokenValueError, "DIMENSION"),
+    (explicit(2, "0 nan 1 0"), TokenValueError, "weight nan at row 1, column 2"),
+    (explicit(2, "0 1 -inf 0"), TokenValueError, "weight -inf at row 2, column 1"),
+    (explicit(2, "0 9007199254740993 1 0"), TokenValueError, "below 2\\*\\*53"),
+    (explicit(2, "0 -1 1 0"), ParseError, "negative"),
+    (euc_2d(2, "1 0 0", "2 1e30 0"), TokenValueError, "EUC_2D distance"),
+    (euc_2d(2, "1 -1e308 0", "2 1e308 0"), TokenValueError, "EUC_2D distance inf"),
+    (euc_2d(2, "1 0 0", "2 inf 0"), TokenValueError, "non-finite coordinate"),
+    (euc_2d(2, "nan 0 0", "2 1 0"), TokenValueError, "bad node index"),
+    (euc_2d(2, "1 0 0", "inf 1 0"), TokenValueError, "bad node index"),
+])
+def test_bad_numbers_raise_parse_errors(text, error, message):
+    with pytest.raises(error, match=message):
+        parse_instance(text)
+
+
+def test_euc_2d_matches_the_rounding_loop():
+    rng = random.Random(3)
+    nodes = [f"{i + 1} {rng.uniform(-1e4, 1e4)} {rng.choice([0.5, 2.5, rng.uniform(0, 1e4)])}"
+             for i in range(12)]
+    coords = [tuple(map(float, node.split()[1:])) for node in nodes]
+    expected = [[math.floor(math.hypot(xi - xj, yi - yj) + 0.5) for xj, yj in coords]
+                for xi, yi in coords]
+    assert parse_instance(euc_2d(12, *nodes)).rows == expected
+
+
+def test_weights_below_two_to_the_53_are_exact():
+    inst = parse_instance(explicit(2, "0 9007199254740991 1 0"))
+    assert inst.rows == [[0, 2**53 - 1], [1, 0]]
+
+
+def test_short_coord_section_with_huge_dimension_is_a_count_error():
+    # DIMENSION alone must not size an allocation (10**11 slots is ~800 GB)
+    with pytest.raises(TokenCountError, match="has 2 nodes, expected 100000000000"):
+        parse_instance(euc_2d(10**11, "1 0 0", "2 3 4"))
+
+
 def test_full_matrix_round_trip():
     rng = random.Random(7)
     for n in (2, 5, 17):
@@ -221,9 +273,10 @@ def test_registry_comments_and_errors(tmp_path):
     path = tmp_path / "optima.txt"
     path.write_text("# comment\nbr17 39   # trailing\n\n")
     assert load_registry(path) == {"br17": 39}
-    path.write_text("br17\n")
-    with pytest.raises(ParseError):
-        load_registry(path)
+    for bad in ("br17\n", "br17 inf\n", "br17 nan\n"):
+        path.write_text(bad)
+        with pytest.raises(ParseError):
+            load_registry(path)
 
 
 def test_load_instance_picks_up_sibling_registry(br17):
