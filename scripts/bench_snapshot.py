@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Record one point of the perf trajectory as BENCH_<n>.json at the repo root.
+
+    python3 scripts/bench_snapshot.py --seed 7 --seconds 10
+
+Runs perfbench/run.py untraced (--trace 0) and traced (--trace 1) for every
+workload, each in its own process, and writes the end-to-end metrics, the
+per-layer metrics, the fingerprints, the machine and the `src/mrtsp` line
+count to the next free BENCH_<n>.json. Then prints every metric's ratio
+against the previous file, flagging end-to-end metrics that got worse by
+more than their BENCHMARK.json bound. A regression stays in the file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def run_perfbench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+    """(metric values, provenance) of one perfbench process."""
+    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=900).stdout
+    lines = out.strip().splitlines()
+    provenance = next(json.loads(line.split(" ", 1)[1]) for line in lines
+                      if line.startswith("provenance "))
+    result = json.loads(lines[-1])
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    metrics["failed_ratio"] = result["failed"] / max(result["attempted"], 1)
+    return metrics, provenance
+
+
+def line_counts() -> dict[str, int]:
+    src = ROOT / "src" / "mrtsp"
+    counts = {f.name: len(f.read_text().splitlines())
+              for f in sorted([*src.glob("*.py"), *src.glob("*.c")])}
+    return {**counts, "total": sum(counts.values())}
+
+
+def compare(new: dict, old: dict) -> None:
+    bounds = {m["name"]: (m["bound"], m["better"]) for m in SPEC["end_to_end"]}
+    for workload, cell in new["workloads"].items():
+        before = old["workloads"].get(workload, {})
+        for kind in ("end_to_end", "per_layer"):
+            for name, value in cell[kind].items():
+                base = before.get(kind, {}).get(name)
+                if not base or not isinstance(value, (int, float)):
+                    continue
+                ratio = value / base
+                bound, better = bounds.get(name, (None, None))
+                worse = bound is not None and (ratio > 1 + bound if better == "lower"
+                                               else ratio < 1 - bound)
+                flag = "  WORSE THAN BOUND" if worse else ""
+                print(f"{workload:<14} {name:<40} {base:>12.6g} -> {value:<12.6g} x{ratio:.3f}{flag}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seconds", type=float, default=10)
+    parser.add_argument("--note", action="append", default=[],
+                        help="free text kept in the file's notes (repeatable)")
+    args = parser.parse_args(argv)
+    taken = [int(m.group(1)) for p in ROOT.glob("BENCH_*.json")
+             if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
+    snapshot = {"seed": args.seed, "seconds": args.seconds, "notes": args.note,
+                "workloads": {}, "src_mrtsp_lines": line_counts()}
+    for workload in (w["name"] for w in SPEC["workloads"]):
+        end_to_end, provenance = run_perfbench(workload, args.seed, args.seconds, 0)
+        per_layer, traced = run_perfbench(workload, args.seed, args.seconds, 1)
+        snapshot["workloads"][workload] = {
+            "end_to_end": end_to_end, "per_layer": per_layer,
+            "fingerprint": provenance["fingerprint"],
+            "traced_fingerprint": traced["fingerprint"]}
+        snapshot["machine"] = {key: provenance[key] for key in
+                               ("nproc", "affinity", "cpu_model", "python", "numpy")}
+        snapshot["commit"] = provenance["commit"]
+        print(f"{workload}: run_s {end_to_end['run_s']:.6g} s, "
+              f"fingerprint {provenance['fingerprint'][:12]}", file=sys.stderr)
+    path = ROOT / f"BENCH_{max(taken, default=0) + 1}.json"
+    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path.name}")
+    if taken:
+        previous = ROOT / f"BENCH_{max(taken)}.json"
+        print(f"ratios against {previous.name}:")
+        compare(snapshot, json.loads(previous.read_text()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,8 +13,13 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, asdict
 
+from . import _xover
 from .reports import RunReport, accuracy_percent
 from .tsplib import Instance
+
+# Compiled at first import and loaded once, so forked pool workers inherit it;
+# None when it cannot be built, and greedy_crossover runs its Python loop.
+_KERNEL = _xover.load()
 
 
 @dataclass(slots=True)
@@ -23,6 +28,7 @@ class Chromosome:
     length: float
     pop_id: int
     _canon: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    _key: int | None = field(default=None, repr=False, compare=False)
     _succ: list[int] | None = field(default=None, repr=False, compare=False)
 
     def canonical(self) -> tuple[int, ...]:
@@ -31,6 +37,12 @@ class Chromosome:
             i = self.genes.index(0)
             self._canon = self.genes[i:] + self.genes[:i]
         return self._canon
+
+    def canonical_key(self) -> int:
+        """The canonical tour as one int, a byte per city (cached; N <= 256)."""
+        if self._key is None:
+            self._key = int.from_bytes(bytes(self.canonical()), "little")
+        return self._key
 
     def successors(self) -> list[int]:
         """succ[c] is the city after c on the closed tour (cached)."""
@@ -119,12 +131,20 @@ def similarity(a: Chromosome, b: Chromosome) -> float:
     Rotation-invariant; reversal is NOT canonicalized because tours are
     directed on asymmetric instances.
     """
-    if len(a.genes) != len(b.genes):
+    n = len(a.genes)
+    if n != len(b.genes):
         raise ValueError("chromosomes must have the same number of cities")
+    if n <= 256:
+        # XOR of the byte-per-city keys is zero exactly where the tours agree;
+        # a key is never 0 (its second byte is a city other than 0)
+        ka, kb = a._key or a.canonical_key(), b._key or b.canonical_key()
+        if ka == kb:
+            return 1.0
+        return (ka ^ kb).to_bytes(n, "little").count(0) / n
     ca, cb = a.canonical(), b.canonical()
     if ca == cb:
         return 1.0
-    return sum(map(operator.eq, ca, cb)) / len(ca)
+    return sum(map(operator.eq, ca, cb)) / n
 
 
 class Ranking:
@@ -178,9 +198,19 @@ def greedy_crossover(parent_a: Chromosome, parent_b: Chromosome,
     successors of the current city (tie goes to parent_a's); if only one is
     unvisited take that one; if both are visited pick uniformly among the
     unvisited cities in ascending city order via one rng.randrange draw.
-    Successors come from the parents' cached successors(). Returns (child,
-    length), the length summed in the same order as tour_length sums it.
+    Returns (child, length), the length summed in the same order as
+    tour_length sums it.
+
+    The compiled kernel runs these steps, with the same rng draws, when it is
+    loaded and the instance has int64 weights whose tours cannot overflow
+    (Instance._kernel_address). Otherwise the Python loop below runs, on the
+    parents' cached successors().
     """
+    address = instance._kernel_address
+    if address and _KERNEL is not None:
+        n = instance.dimension
+        child = [None] * n
+        return child, _KERNEL(n, parent_a.genes, parent_b.genes, address, rng, child)
     sa, sb = parent_a.successors(), parent_b.successors()
     n = len(sa)
     rows = instance.rows

@@ -202,7 +202,8 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     or next to the binary parts when the store lives on disk. Non-integer
     weights, and weights whose tours can overflow the record's 64-bit length,
     are rejected before anything is written. _scan_set reads and checks each
-    sealed set once, before the next job reads it; the dump reuses its parts.
+    sealed set once, before the next job reads it; the dump reuses the final
+    scan's parts.
     """
     if instance.distances.dtype.kind == "f":
         raise NonIntegerWeightsError(
@@ -223,6 +224,7 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
         reason = None
         while reason is None:
             round_number = len(rounds) + 1
+            del parts  # the job unpacks this set again; do not hold its records twice
             handle = evolve_job(engine, handle, instance, params, round_number, master_seed)
             parts, island_bests, best_record = _scan_set(store, handle, params.num_islands)
             rounds.append(RoundSummary(

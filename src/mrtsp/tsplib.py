@@ -19,6 +19,8 @@ from typing import IO, Iterator
 
 import numpy as np
 
+from ._xover import matrix_address
+
 
 class ParseError(ValueError):
     """Malformed TSPLIB input. Carries the offending line number and keyword."""
@@ -64,6 +66,9 @@ class Instance:
     distances: np.ndarray
     known_optimum: float | None = None
     _rows: list = field(default_factory=list, repr=False, compare=False)
+    # where ga's compiled crossover reads the weights, 0 where it must not;
+    # an address is per process, so it is never pickled
+    _kernel_address: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dimension
@@ -78,6 +83,16 @@ class Instance:
         self.distances.setflags(write=False)
         # plain-list rows for the GA hot loops; numpy scalar indexing is slow
         self._rows.extend(self.distances.tolist())
+        object.__setattr__(self, "_kernel_address", matrix_address(self.distances))
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_kernel_address"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__dict__["_kernel_address"] = matrix_address(self.distances)
 
     @property
     def rows(self) -> list:

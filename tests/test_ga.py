@@ -1,9 +1,11 @@
+import pickle
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from mrtsp import _xover, ga as ga_module
 from mrtsp.ga import (Chromosome, GaParams, Population, Ranking,
                       TerminationPolicy, greedy_crossover, make_chromosome,
                       mutate, next_generation, random_population, random_tour,
@@ -330,3 +332,96 @@ def test_stop_reason_patience_disabled():
     assert stop_reason(history, 10, 1000, patience=100, target_length=None) == "stagnation"
     # a fresh improvement resets the stagnation window
     assert stop_reason(history + [4.0], 10, 1000, patience=100, target_length=None) is None
+
+
+# -- the compiled crossover kernel ---------------------------------------------------
+
+needs_kernel = pytest.mark.skipif(ga_module._KERNEL is None,
+                                  reason="the crossover kernel cannot be built here")
+
+
+class CountingRng(random.Random):
+    """random.Random that counts randrange calls (crossover dead ends)."""
+
+    dead_ends = 0
+
+    def randrange(self, *args):
+        self.dead_ends += 1
+        return super().randrange(*args)
+
+
+class FailingRng(random.Random):
+    def randrange(self, *args):
+        raise LookupError("randrange failed")
+
+
+def dead_end_pair(n=40):
+    """An int instance and parents whose crossover meets at least one dead end."""
+    inst = random_instance(n, (1, 50), seed=3)
+    rng = random.Random(3)
+    pa = chrom(random_tour(n, rng), instance=inst)
+    pb = chrom(random_tour(n, rng), instance=inst)
+    return inst, pa, pb
+
+
+@needs_kernel
+def test_kernel_passes_on_what_randrange_raises(monkeypatch):
+    inst, pa, pb = dead_end_pair()
+    counting = CountingRng(0)
+    monkeypatch.setattr(ga_module, "_KERNEL", None)
+    greedy_crossover(pa, pb, inst, counting)
+    assert counting.dead_ends > 0
+    monkeypatch.undo()
+    with pytest.raises(LookupError, match="randrange failed"):
+        greedy_crossover(pa, pb, inst, FailingRng(0))
+    # the kernel is still usable after an aborted call
+    assert greedy_crossover(pa, pb, inst, random.Random(5))[0][0] == pa.genes[0]
+
+
+@needs_kernel
+@pytest.mark.parametrize("genes", [(0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 4), [0, 1, 2, 3]])
+def test_kernel_rejects_parents_that_are_not_permutations(genes):
+    bad = Chromosome(genes, 0, 0)
+    with pytest.raises(ValueError, match="not a tuple permuting"):
+        greedy_crossover(chrom([0, 1, 2, 3]), bad, FOUR_CITY, PoisonRng())
+
+
+def test_kernel_runs_only_where_int64_sums_cannot_overflow():
+    assert FOUR_CITY._kernel_address == FOUR_CITY.distances.ctypes.data
+    floats = Instance("f", 2, np.array([[0.0, 1.5], [2.5, 0.0]]))
+    assert floats._kernel_address == 0
+    int32 = Instance("i32", 2, np.array([[0, 1], [2, 0]], dtype=np.int32))
+    assert int32._kernel_address == 0
+    fits = np.full((4, 4), (2**63 - 1) // 4, dtype=np.int64)
+    assert Instance("fits", 4, fits)._kernel_address != 0
+    assert Instance("overflows", 4, fits + 1)._kernel_address == 0
+    clone = pickle.loads(pickle.dumps(FOUR_CITY))  # an address is per process
+    assert clone._kernel_address == clone.distances.ctypes.data != FOUR_CITY._kernel_address
+
+
+def test_failed_build_or_load_falls_back_silently(tmp_path, monkeypatch):
+    broken = tmp_path / "broken.c"
+    broken.write_text("this is not C\n")
+    assert _xover.load(broken, tmp_path / "cache") is None
+    monkeypatch.setenv("PATH", str(tmp_path / "no-compiler-here"))
+    assert _xover.load(_xover.SOURCE, tmp_path / "empty-cache") is None
+    shared = tmp_path / "shared"
+    shared.mkdir(mode=0o777)
+    shared.chmod(0o777)
+    assert _xover.load(_xover.SOURCE, shared) is None  # never load from a shared directory
+    monkeypatch.undo()
+
+    def unloadable(path):
+        raise OSError(f"{path}: invalid ELF header")
+
+    monkeypatch.setattr(_xover.ctypes, "PyDLL", unloadable)
+    assert _xover.load() is None
+    monkeypatch.undo()
+
+    inst = random_instance(30, (1, 100), seed=4)
+    params = GaParams(population_size=20)
+    compiled = run_sga(inst, params, 15, seed=6)
+    monkeypatch.setattr(ga_module, "_KERNEL", _xover.load(broken, tmp_path / "cache"))
+    fallback = run_sga(inst, params, 15, seed=6)
+    assert (fallback.best_length, fallback.best_tour, fallback.trajectory) == \
+        (compiled.best_length, compiled.best_tour, compiled.trajectory)

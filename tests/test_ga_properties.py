@@ -1,11 +1,15 @@
 """Property tests for the GA operators on random instances and tours."""
 
+import operator
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrtsp.ga import greedy_crossover, make_chromosome, mutate, tour_length
+from mrtsp import ga
+from mrtsp.ga import (greedy_crossover, make_chromosome, mutate, similarity,
+                      tour_length)
 from mrtsp.tsplib import Instance
 
 FEW_EXAMPLES = settings(max_examples=60, deadline=None)
@@ -61,3 +65,51 @@ def test_mutate_returns_a_permutation(genes, prob, seed):
     out = mutate(genes, random.Random(seed), prob)
     assert sorted(out) == list(range(12))
     assert out is genes or sum(x != y for x, y in zip(out, genes)) == 2
+
+
+@st.composite
+def crossover_cases(draw):
+    """An int instance of 2 to 300 cities, many ties when the weights are few,
+    and two parents; interleaving a with a stride forces many dead ends."""
+    n = draw(st.integers(2, 300))
+    top = draw(st.sampled_from([0, 1, 3, 10**6]))
+    matrix = np.random.default_rng(draw(st.integers(0, 2**32))).integers(0, top + 1, (n, n))
+    np.fill_diagonal(matrix, 0)
+    a = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(["random", "stride", "same"]))
+    if kind == "random":
+        b = draw(st.permutations(range(n)))
+    elif kind == "stride":
+        k = draw(st.integers(2, 5))
+        b = [c for start in range(k) for c in a[start::k]]
+    else:
+        b = a
+    return Instance("kernel", n, matrix), a, b
+
+
+@pytest.mark.skipif(ga._KERNEL is None, reason="the crossover kernel cannot be built here")
+@FEW_EXAMPLES
+@given(crossover_cases(), st.integers(0, 2**32))
+def test_kernel_matches_the_python_loop(case, seed):
+    inst, a, b = case
+    assert inst._kernel_address
+    pa, pb = make_chromosome(a, inst, 0), make_chromosome(b, inst, 0)
+    kernel_rng, loop_rng = random.Random(seed), random.Random(seed)
+    compiled = greedy_crossover(pa, pb, inst, kernel_rng)
+    kernel, ga._KERNEL = ga._KERNEL, None
+    try:
+        loop = greedy_crossover(pa, pb, inst, loop_rng)
+    finally:
+        ga._KERNEL = kernel
+    assert compiled == loop
+    assert kernel_rng.getstate() == loop_rng.getstate()
+
+
+@FEW_EXAMPLES
+@given(st.integers(2, 300).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_similarity_keys_match_position_counting(tours):
+    a, b = (ga.Chromosome(tuple(t), 0, 0) for t in tours)
+    ca, cb = a.canonical(), b.canonical()
+    assert similarity(a, b) == sum(map(operator.eq, ca, cb)) / len(ca)
+    assert similarity(a, a) == 1.0

@@ -6,7 +6,8 @@ each for a few runs, so a change that moves any rng draw, any tie-break or
 any float summation order fails here instead of passing unnoticed. The
 hashes were recorded before the GA fast path (cached successor arrays,
 crossover that sums its own length) went in; changing one is a declared
-change of behaviour.
+change of behaviour. These run on the compiled crossover kernel wherever it
+loads; test_golden_python_loop.py runs them again on the Python loop.
 """
 
 import hashlib

@@ -1,0 +1,18 @@
+"""The golden pins of test_golden.py again, on greedy_crossover's Python loop.
+
+test_golden.py runs them on the compiled kernel wherever it loads; importing
+the tests here collects them a second time, under this module's fixture,
+which switches the kernel off.
+"""
+
+import pytest
+
+from mrtsp import ga
+from test_golden import (rnd064, test_pga_file_store_migrating_every_generation_pinned,  # noqa: F401
+                         test_pga_rnd064_pinned, test_sga_float_weights_pinned,
+                         test_sga_rnd064_pinned)
+
+
+@pytest.fixture(autouse=True)
+def python_loop(monkeypatch):
+    monkeypatch.setattr(ga, "_KERNEL", None)
