@@ -3,12 +3,13 @@
 
     python3 scripts/bench_snapshot.py --seed 7 --seconds 10
 
-Runs perfbench/run.py untraced (--trace 0) and traced (--trace 1) for every
-workload, each in its own process, and writes the end-to-end metrics, the
-per-layer metrics, the fingerprints, the machine and the `src/mrtsp` line
-count to the next free BENCH_<n>.json. Then prints every metric's ratio
-against the previous file, flagging end-to-end metrics that got worse by
-more than their BENCHMARK.json bound. A regression stays in the file.
+Runs perfbench/run.py untraced (--trace 0) three times and traced (--trace 1)
+once for every workload, each in its own process, and writes the end-to-end
+metrics (every run's value and their median), the per-layer metrics, the
+fingerprints, the machine and the `src/mrtsp` line count to the next free
+BENCH_<n>.json. Then prints every metric's ratio against the previous file,
+medians for end-to-end metrics, flagging those that got worse by more than
+their BENCHMARK.json bound. A regression stays in the file.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+UNTRACED_RUNS = 3  # one run's spread can exceed a real change (pga-n171-disk)
 
 
 def run_perfbench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -71,19 +74,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     taken = [int(m.group(1)) for p in ROOT.glob("BENCH_*.json")
              if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
-    snapshot = {"seed": args.seed, "seconds": args.seconds, "notes": args.note,
-                "workloads": {}, "src_mrtsp_lines": line_counts()}
+    snapshot = {"seed": args.seed, "seconds": args.seconds, "untraced_runs": UNTRACED_RUNS,
+                "notes": args.note, "workloads": {}, "src_mrtsp_lines": line_counts()}
     for workload in (w["name"] for w in SPEC["workloads"]):
-        end_to_end, provenance = run_perfbench(workload, args.seed, args.seconds, 0)
+        runs = [run_perfbench(workload, args.seed, args.seconds, 0)
+                for _ in range(UNTRACED_RUNS)]
+        provenance = runs[0][1]
+        if any(p["fingerprint"] != provenance["fingerprint"] for _, p in runs):
+            raise SystemExit(f"{workload}: untraced runs disagree on the fingerprint")
+        end_to_end = {name: statistics.median(m[name] for m, _ in runs) for name in runs[0][0]}
         per_layer, traced = run_perfbench(workload, args.seed, args.seconds, 1)
         snapshot["workloads"][workload] = {
-            "end_to_end": end_to_end, "per_layer": per_layer,
+            "end_to_end": end_to_end,
+            "end_to_end_runs": {name: [m[name] for m, _ in runs] for name in runs[0][0]},
+            "per_layer": per_layer,
             "fingerprint": provenance["fingerprint"],
             "traced_fingerprint": traced["fingerprint"]}
         snapshot["machine"] = {key: provenance[key] for key in
                                ("nproc", "affinity", "cpu_model", "python", "numpy")}
         snapshot["commit"] = provenance["commit"]
-        print(f"{workload}: run_s {end_to_end['run_s']:.6g} s, "
+        print(f"{workload}: median run_s {end_to_end['run_s']:.6g} s, "
               f"fingerprint {provenance['fingerprint'][:12]}", file=sys.stderr)
     path = ROOT / f"BENCH_{max(taken, default=0) + 1}.json"
     path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")

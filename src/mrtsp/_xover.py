@@ -3,7 +3,8 @@
 The library is compiled once with `cc -O2 -shared -fPIC` into the package's
 `__pycache__`, under a name that carries the source's sha256 and the
 interpreter's extension suffix, and renamed into place so that a concurrent
-build never loads a half-written file. `load` returns None, and
+build never loads a half-written file; a build removes the libraries of
+earlier sources from the directory. `load` returns None, and
 `ga.greedy_crossover` keeps its Python loop, when there is no compiler, the
 build or the load fails, or another user could write the cache directory.
 `matrix_address` decides which distance matrices the kernel may read.
@@ -11,10 +12,12 @@ build or the load fails, or another user could write the cache directory.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import importlib.machinery
 import os
+import re
 import subprocess
 import tempfile
 from pathlib import Path
@@ -52,14 +55,29 @@ def _compile(source: Path, target: Path) -> None:
             os.unlink(tmp)
 
 
+def _remove_stale(target: Path, stem: str, suffix: str) -> None:
+    """Best effort: delete the libraries built from other versions of the source."""
+    stale = re.compile(re.escape(stem) + "-[0-9a-f]{16}" + re.escape(suffix))
+    try:
+        names = os.listdir(target.parent)
+    except OSError:
+        return
+    for name in names:
+        if name != target.name and stale.fullmatch(name):
+            with contextlib.suppress(OSError):
+                os.unlink(target.parent / name)
+
+
 def load(source: Path = SOURCE, cache: Path | None = None):
     """The kernel as a ctypes function, or None when it cannot be built or loaded.
 
-    greedy_crossover(n, genes_a, genes_b, distances, rng, child) -> length
-    takes the parents' gene tuples, the address of the int64 n x n matrix
-    and a list of n items that it fills with the child. It runs holding the
-    interpreter lock (PyDLL), so an exception it sets, or one raised by
-    rng.randrange, reaches the caller.
+    greedy_crossover(n, genes_a, genes_b, distances, rng, getrandbits, child)
+    -> length takes the parents' gene tuples, the address of the int64 n x n
+    matrix, the rng, its bound getrandbits or None, and a list of n items
+    that it fills with the child. At a dead end it draws from getrandbits
+    when given one, else it calls rng.randrange. It runs holding the
+    interpreter lock (PyDLL), so an exception it sets, or one raised by the
+    rng, reaches the caller.
     """
     cache = cache if cache is not None else source.parent / "__pycache__"
     try:
@@ -71,10 +89,11 @@ def load(source: Path = SOURCE, cache: Path | None = None):
         target = cache / f"{source.stem}-{digest}{suffix}"
         if not target.exists():
             _compile(source, target)
+            _remove_stale(target, source.stem, suffix)
         kernel = ctypes.PyDLL(str(target)).greedy_crossover
     except (OSError, subprocess.SubprocessError):
         return None
     kernel.argtypes = [ctypes.c_int, ctypes.py_object, ctypes.py_object, ctypes.c_void_p,
-                       ctypes.py_object, ctypes.py_object]
+                       ctypes.py_object, ctypes.py_object, ctypes.py_object]
     kernel.restype = ctypes.c_longlong
     return kernel

@@ -20,6 +20,9 @@ from .tsplib import Instance
 # Compiled at first import and loaded once, so forked pool workers inherit it;
 # None when it cannot be built, and greedy_crossover runs its Python loop.
 _KERNEL = _xover.load()
+# the randrange whose draws the kernel can make itself from getrandbits
+_RANDRANGE = random.Random.randrange
+_RANDBELOW = random.Random._randbelow_with_getrandbits
 
 
 @dataclass(slots=True)
@@ -203,14 +206,20 @@ def greedy_crossover(parent_a: Chromosome, parent_b: Chromosome,
 
     The compiled kernel runs these steps, with the same rng draws, when it is
     loaded and the instance has int64 weights whose tours cannot overflow
-    (Instance._kernel_address). Otherwise the Python loop below runs, on the
-    parents' cached successors().
+    (Instance._kernel_address). Where rng's class keeps random.Random's
+    randrange and _randbelow, the kernel draws from rng.getrandbits as
+    randrange would; for any other rng it calls rng.randrange. Otherwise the
+    Python loop below runs, on the parents' cached successors().
     """
     address = instance._kernel_address
     if address and _KERNEL is not None:
         n = instance.dimension
         child = [None] * n
-        return child, _KERNEL(n, parent_a.genes, parent_b.genes, address, rng, child)
+        cls = type(rng)
+        getrandbits = (rng.getrandbits if getattr(cls, "randrange", None) is _RANDRANGE
+                       and getattr(cls, "_randbelow", None) is _RANDBELOW else None)
+        return child, _KERNEL(n, parent_a.genes, parent_b.genes, address, rng, getrandbits,
+                              child)
     sa, sb = parent_a.successors(), parent_b.successors()
     n = len(sa)
     rows = instance.rows

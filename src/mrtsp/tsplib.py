@@ -67,7 +67,8 @@ class Instance:
     known_optimum: float | None = None
     _rows: list = field(default_factory=list, repr=False, compare=False)
     # where ga's compiled crossover reads the weights, 0 where it must not;
-    # an address is per process, so it is never pickled
+    # an address is per process, so it is never pickled, and neither are the
+    # rows, which pickle larger and slower than the matrix they copy
     _kernel_address: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
@@ -87,11 +88,13 @@ class Instance:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        del state["_kernel_address"]
+        del state["_kernel_address"], state["_rows"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        self.distances.setflags(write=False)  # a pickled array loads writable
+        self.__dict__["_rows"] = self.distances.tolist()
         self.__dict__["_kernel_address"] = matrix_address(self.distances)
 
     @property

@@ -1,3 +1,4 @@
+import importlib.machinery
 import pickle
 import random
 from collections import Counter
@@ -355,6 +356,13 @@ class FailingRng(random.Random):
         raise LookupError("randrange failed")
 
 
+class FailingBitsRng(random.Random):
+    """Keeps randrange, so the kernel calls this getrandbits itself."""
+
+    def getrandbits(self, k):
+        raise LookupError("getrandbits failed")
+
+
 def dead_end_pair(n=40):
     """An int instance and parents whose crossover meets at least one dead end."""
     inst = random_instance(n, (1, 50), seed=3)
@@ -374,6 +382,8 @@ def test_kernel_passes_on_what_randrange_raises(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(LookupError, match="randrange failed"):
         greedy_crossover(pa, pb, inst, FailingRng(0))
+    with pytest.raises(LookupError, match="getrandbits failed"):
+        greedy_crossover(pa, pb, inst, FailingBitsRng(0))
     # the kernel is still usable after an aborted call
     assert greedy_crossover(pa, pb, inst, random.Random(5))[0][0] == pa.genes[0]
 
@@ -425,3 +435,19 @@ def test_failed_build_or_load_falls_back_silently(tmp_path, monkeypatch):
     fallback = run_sga(inst, params, 15, seed=6)
     assert (fallback.best_length, fallback.best_tour, fallback.trajectory) == \
         (compiled.best_length, compiled.best_tour, compiled.trajectory)
+
+
+@needs_kernel
+def test_a_build_removes_the_libraries_of_earlier_sources(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    stale = cache / f"_xover-0123456789abcdef{suffix}"
+    kept = [cache / name for name in (f"other-0123456789abcdef{suffix}",
+                                      f"_xover-0123456789abcdef{suffix}.tmp", "_xover-notes.txt")]
+    for path in (stale, *kept):
+        path.write_bytes(b"")
+    assert _xover.load(_xover.SOURCE, cache) is not None
+    assert not stale.exists()
+    assert all(path.exists() for path in kept)
+    assert len(list(cache.glob(f"_xover-*{suffix}"))) == 1

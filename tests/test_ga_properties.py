@@ -2,6 +2,7 @@
 
 import operator
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -87,14 +88,44 @@ def crossover_cases(draw):
     return Instance("kernel", n, matrix), a, b
 
 
+class BitsCountingRng(random.Random):
+    """Keeps randrange, so the kernel draws from this getrandbits itself;
+    records the function each call came from."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.callers = []
+
+    def getrandbits(self, k):
+        self.callers.append(sys._getframe(1).f_code.co_name)
+        return super().getrandbits(k)
+
+
+class RandomOnlyRng(random.Random):
+    """Overrides only random(), so randrange draws through random(), not
+    getrandbits: the kernel must call randrange."""
+
+    def random(self):
+        return super().random()
+
+
+class ReversedRandrangeRng(random.Random):
+    """Overrides randrange itself: the kernel must call it."""
+
+    def randrange(self, n):
+        return n - 1 - super().randrange(n)
+
+
 @pytest.mark.skipif(ga._KERNEL is None, reason="the crossover kernel cannot be built here")
+@pytest.mark.parametrize("rng_class", [random.Random, BitsCountingRng, RandomOnlyRng,
+                                       ReversedRandrangeRng])
 @FEW_EXAMPLES
 @given(crossover_cases(), st.integers(0, 2**32))
-def test_kernel_matches_the_python_loop(case, seed):
+def test_kernel_matches_the_python_loop(rng_class, case, seed):
     inst, a, b = case
     assert inst._kernel_address
     pa, pb = make_chromosome(a, inst, 0), make_chromosome(b, inst, 0)
-    kernel_rng, loop_rng = random.Random(seed), random.Random(seed)
+    kernel_rng, loop_rng = rng_class(seed), rng_class(seed)
     compiled = greedy_crossover(pa, pb, inst, kernel_rng)
     kernel, ga._KERNEL = ga._KERNEL, None
     try:
@@ -103,6 +134,12 @@ def test_kernel_matches_the_python_loop(case, seed):
         ga._KERNEL = kernel
     assert compiled == loop
     assert kernel_rng.getstate() == loop_rng.getstate()
+    if rng_class is BitsCountingRng:
+        # the kernel calls getrandbits directly, the loop through randrange,
+        # and both make the same number of calls
+        assert set(kernel_rng.callers) <= {"greedy_crossover"}
+        assert set(loop_rng.callers) <= {"_randbelow_with_getrandbits"}
+        assert len(kernel_rng.callers) == len(loop_rng.callers)
 
 
 @FEW_EXAMPLES

@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -258,6 +259,20 @@ def test_instance_matrix_is_read_only():
     inst = random_instance(4, (1, 9), seed=1)
     with pytest.raises(ValueError):
         inst.distances[0, 1] = 99
+
+
+def test_pickle_drops_rows_and_rebuilds_them_on_load():
+    inst = load_instance(INSTANCE_DIR / "rnd171.atsp")
+    assert "_rows" not in inst.__getstate__()
+    clone = pickle.loads(pickle.dumps(inst))
+    assert (clone.name, clone.dimension, clone.known_optimum) == \
+        (inst.name, inst.dimension, inst.known_optimum)
+    assert np.array_equal(clone.distances, inst.distances)
+    assert clone.rows == inst.rows
+    # the address is where this copy's matrix lives, and the copy stays read-only
+    assert clone._kernel_address == clone.distances.ctypes.data != inst._kernel_address
+    with pytest.raises(ValueError):
+        clone.distances[0, 1] = 99
 
 
 def test_registry_round_trip(tmp_path):
