@@ -5,11 +5,14 @@
 
 Runs perfbench/run.py untraced (--trace 0) three times and traced (--trace 1)
 once for every workload, each in its own process, and writes the end-to-end
-metrics (every run's value and their median), the per-layer metrics, the
-fingerprints, the machine and the `src/mrtsp` line count to the next free
-BENCH_<n>.json. Then prints every metric's ratio against the previous file,
-medians for end-to-end metrics, flagging those that got worse by more than
-their BENCHMARK.json bound. A regression stays in the file.
+metrics (every run's value and their median), each untraced run's median
+calibration-loop time, the per-layer metrics, the fingerprints, the machine
+and the `src/mrtsp` line count to the next free BENCH_<n>.json. Then prints
+every metric's ratio against the previous file, medians for end-to-end
+metrics, flagging those that got worse by more than their BENCHMARK.json
+bound, with each workload's old and new calibration time beside its ratios.
+A pga workload whose traced `engine.cpu_util` is below LOW_CPU_UTIL is
+flagged too. A regression stays in the file.
 """
 
 from __future__ import annotations
@@ -25,10 +28,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 UNTRACED_RUNS = 3  # one run's spread can exceed a real change (pga-n171-disk)
+# A pooled pga run on two idle cores reads about 1.5; below this another
+# process held a core, and that workload's times and ratios are suspect.
+LOW_CPU_UTIL = 1.2
+CALIBRATION = re.compile(r"calibration loop, which took ([0-9.eE+-]+) ms \(median\)")
 
 
 def run_perfbench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
-    """(metric values, provenance) of one perfbench process."""
+    """(metric values, provenance) of one perfbench process; an untraced run's
+    values include `calibration_ms`, the median time of its calibration loop."""
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=900).stdout
@@ -38,6 +46,8 @@ def run_perfbench(workload: str, seed: int, seconds: float, trace: int) -> tuple
     result = json.loads(lines[-1])
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     metrics["failed_ratio"] = result["failed"] / max(result["attempted"], 1)
+    if not trace:
+        metrics["calibration_ms"] = float(CALIBRATION.search(out).group(1))
     return metrics, provenance
 
 
@@ -52,6 +62,12 @@ def compare(new: dict, old: dict) -> None:
     bounds = {m["name"]: (m["bound"], m["better"]) for m in SPEC["end_to_end"]}
     for workload, cell in new["workloads"].items():
         before = old["workloads"].get(workload, {})
+        was, now = (c.get("end_to_end", {}).get("calibration_ms") for c in (before, cell))
+        util = cell["per_layer"]["engine.cpu_util"]
+        flag = (f"  LOW CPU UTIL: traced engine.cpu_util {util:.3g} < {LOW_CPU_UTIL}"
+                if workload.startswith("pga") and util < LOW_CPU_UTIL else "")
+        print(f"{workload}: calibration loop {f'{was:.4g} ms' if was else 'not recorded'}"
+              f" -> {now:.4g} ms{flag}")
         for kind in ("end_to_end", "per_layer"):
             for name, value in cell[kind].items():
                 base = before.get(kind, {}).get(name)
@@ -98,10 +114,12 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{max(taken, default=0) + 1}.json"
     path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path.name}")
+    old = {"workloads": {}}  # with no earlier file, only calibration and flags print
     if taken:
         previous = ROOT / f"BENCH_{max(taken)}.json"
         print(f"ratios against {previous.name}:")
-        compare(snapshot, json.loads(previous.read_text()))
+        old = json.loads(previous.read_text())
+    compare(snapshot, old)
     return 0
 
 

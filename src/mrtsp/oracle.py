@@ -24,7 +24,8 @@ class ExactResult:
 
 
 def brute_force(instance: Instance) -> ExactResult:
-    """Enumerate all (N-1)! directed tours starting at city 0.
+    """Enumerate all (N-1)! directed tours starting at city 0, in one block of
+    (N-2)! tours per second city, so memory holds one block at a time.
 
     Returns the lexicographically first minimizer. Feasible up to N=11.
     """
@@ -32,63 +33,62 @@ def brute_force(instance: Instance) -> ExactResult:
     if n > BRUTE_FORCE_MAX:
         raise ValueError(f"brute_force handles N <= {BRUTE_FORCE_MAX}, got {n}")
     d = np.asarray(instance.distances, dtype=np.float64)
-    perms = np.array(list(itertools.permutations(range(1, n))), dtype=np.int64)
-    cost = d[0, perms[:, 0]].copy()
-    for k in range(perms.shape[1] - 1):
-        cost += d[perms[:, k], perms[:, k + 1]]
-    cost += d[perms[:, -1], 0] if n > 2 else d[perms[:, 0], 0]
-    best = int(np.argmin(cost))  # argmin takes the first minimum; perms are lexicographic
-    tour = (0, *map(int, perms[best]))
-    return ExactResult(optimum_length=_scalar(cost[best], d), optimum_tour=tour)
+    if n == 2:
+        return ExactResult(_scalar(d[0, 1] + d[1, 0], d), (0, 1))
+    best, tour = None, ()
+    for first in range(1, n):  # blocks in lexicographic order; a tie keeps the earlier
+        rest = [c for c in range(1, n) if c != first]
+        perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(rest)),
+                            dtype=np.int8).reshape(-1, n - 2)
+        cost = d[0, first] + d[first, perms[:, 0]]
+        for k in range(n - 3):
+            cost += d[perms[:, k], perms[:, k + 1]]
+        cost += d[perms[:, -1], 0]
+        i = int(np.argmin(cost))  # argmin takes the first minimum; perms are lexicographic
+        if not tour or cost[i] < best:
+            best, tour = cost[i], (0, first, *map(int, perms[i]))
+    return ExactResult(optimum_length=_scalar(best, d), optimum_tour=tour)
 
 
 def held_karp(instance: Instance) -> ExactResult:
-    """Dynamic program over (visited set, last city); O(2^N * N^2), N <= 18."""
+    """Dynamic program over (visited set, last city); O(2^N * N^2), N <= 18.
+
+    One vectorized step per (popcount layer, last city): br17 takes about
+    0.2 s, and the tables take 9 * 2^N * N bytes (42 MB at N=18).
+    """
     n = instance.dimension
     if n > HELD_KARP_MAX:
         raise ValueError(f"held_karp handles N <= {HELD_KARP_MAX}, got {n}")
     d = np.asarray(instance.distances, dtype=np.float64)
-    if n == 2:
-        return ExactResult(_scalar(d[0, 1] + d[1, 0], d), (0, 1))
-
     size = 1 << n
-    inf = np.inf
     # dp[mask, j] = cheapest path 0 -> ... -> j visiting exactly the cities in mask
-    dp = np.full((size, n), inf)
-    parent = np.full((size, n), -1, dtype=np.int64)
-    for j in range(1, n):
-        dp[(1 << j) | 1, j] = d[0, j]
-        parent[(1 << j) | 1, j] = 0
+    dp = np.full((size, n), np.inf)
+    parent = np.full((size, n), -1, dtype=np.int8)
+    dp[1, 0] = 0.0  # the empty path at city 0, which layer 2 extends
 
     col = d.T.copy()  # col[j] = distances into j
-    for mask in range(3, size, 2):  # city 0 always in the mask
-        if mask.bit_count() < 3:
-            continue
-        members = [j for j in range(1, n) if mask & (1 << j)]
-        for j in members:
-            pm = mask ^ (1 << j)
-            cand = dp[pm] + col[j]
-            i = int(np.argmin(cand))
-            if cand[i] < dp[mask, j]:
-                dp[mask, j] = cand[i]
-                parent[mask, j] = i
+    bits = np.zeros(1, dtype=np.int8)  # bits[mask] = number of cities in mask
+    for _ in range(n):
+        bits = np.concatenate([bits, bits + 1])
+    odd = np.arange(1, size, 2)  # city 0 always in the mask
+    for k in range(2, n + 1):  # layer k reads only layer k - 1
+        layer = odd[bits[odd] == k]
+        for j in range(1, n):
+            sel = layer[layer & (1 << j) != 0]
+            cand = dp[sel ^ (1 << j)] + col[j]
+            i = cand.argmin(axis=1)  # first minimum: a tie keeps the lowest predecessor
+            dp[sel, j] = cand[np.arange(sel.size), i]
+            parent[sel, j] = i
 
     full = size - 1
-    totals = dp[full] + d[:, 0]
-    totals[0] = inf
+    totals = dp[full] + d[:, 0]  # totals[0] stays inf: dp[full, 0] is never set
     last = int(np.argmin(totals))
-    best = totals[last]
-
-    tour = []
-    mask, j = full, last
-    while j != -1:
+    tour, mask, j = [], full, last
+    while j:
         tour.append(j)
         mask, j = mask ^ (1 << j), int(parent[mask, j])
-        if j == 0 and mask == 1:
-            tour.append(0)
-            break
-    tour.reverse()
-    return ExactResult(optimum_length=_scalar(best, d), optimum_tour=tuple(tour))
+    return ExactResult(optimum_length=_scalar(totals[last], d),
+                       optimum_tour=(0, *reversed(tour)))
 
 
 def _scalar(value: float, matrix: np.ndarray) -> float:
