@@ -3,9 +3,9 @@
    Mirrors the Python loop step for step: from parent a's first city take the
    cheaper unvisited parental successor (a tie goes to parent a's), else the
    only unvisited one, else the k-th unvisited city in ascending order for
-   k = rng.randrange(unvisited). Given rng.getrandbits, it draws k from that
-   as random.Random._randbelow_with_getrandbits does, which consumes the
-   same bits as the randrange call. The int64 length cannot overflow: the caller
+   k = rng.randrange(unvisited), drawn from rng.getrandbits as
+   random.Random._randbelow_with_getrandbits does, which consumes the same
+   bits as the randrange call. The int64 length cannot overflow: the caller
    guarantees n * max weight < 2**63. Fills the list child, of n items, with
    the child tour and returns its length, or -1 with a Python exception set.
 
@@ -16,9 +16,7 @@
 #include <sys/types.h>
 
 typedef struct _object PyObject;
-extern PyObject *PyExc_ValueError, *PyExc_IndexError;
-extern PyObject _Py_NoneStruct;
-PyObject *PyObject_CallMethod(PyObject *obj, const char *name, const char *format, ...);
+extern PyObject *PyExc_ValueError;
 PyObject *PyObject_CallFunctionObjArgs(PyObject *callable, ...);
 PyObject *PyErr_Occurred(void);
 void PyErr_Clear(void);
@@ -69,33 +67,24 @@ static long take_long(PyObject *r)
     return value;
 }
 
-/* k uniform in [0, m) from rng.randrange(m), or, when getrandbits is not None,
-   from getrandbits(m.bit_length()) redrawn until below m; -1 with an
-   exception set on failure. */
-static long draw_below(PyObject *rng, PyObject *getrandbits, int m)
+/* k uniform in [0, m) from getrandbits(m.bit_length()) redrawn until below m;
+   -1 with an exception set on failure. */
+static long draw_below(PyObject *getrandbits, int m)
 {
     long k;
-    if (getrandbits == &_Py_NoneStruct)
-        k = take_long(PyObject_CallMethod(rng, "randrange", "i", m));
-    else {
-        int bits = 0;
-        while (m >> bits)
-            bits++;
-        PyObject *arg = PyLong_FromLong(bits);
-        if (arg == NULL)
-            return -1;
-        do
-            k = take_long(PyObject_CallFunctionObjArgs(getrandbits, arg, NULL));
-        while (k >= m);
-        Py_DecRef(arg);
-    }
-    if (k == -1 && PyErr_Occurred())
+    int bits = 0;
+    while (m >> bits)
+        bits++;
+    PyObject *arg = PyLong_FromLong(bits);
+    if (arg == NULL)
         return -1;
-    if (k < 0 || k >= m) {
-        PyErr_Format(PyExc_IndexError, "randrange(%d) gave %ld", m, k);
-        return -1;
-    }
-    return k;
+    do
+        k = take_long(PyObject_CallFunctionObjArgs(getrandbits, arg, NULL));
+    while (k >= m);
+    Py_DecRef(arg);
+    if (k < 0 && !PyErr_Occurred())
+        PyErr_Format(PyExc_ValueError, "getrandbits(%d) gave %ld", bits, k);
+    return k < 0 ? -1 : k;
 }
 
 static int set_city(PyObject *child, int i, int city)
@@ -105,7 +94,7 @@ static int set_city(PyObject *child, int i, int city)
 }
 
 long long greedy_crossover(int n, PyObject *genes_a, PyObject *genes_b, const long long *dist,
-                           PyObject *rng, PyObject *getrandbits, PyObject *child)
+                           PyObject *getrandbits, PyObject *child)
 {
     int sa[n], sb[n];
     unsigned char visited[n];
@@ -130,7 +119,7 @@ long long greedy_crossover(int n, PyObject *genes_a, PyObject *genes_b, const lo
         else if (!visited[eb])
             nxt = eb;
         else {
-            long k = draw_below(rng, getrandbits, n - i);
+            long k = draw_below(getrandbits, n - i);
             if (k < 0)
                 return -1;
             for (nxt = 0; visited[nxt] || k-- > 0; nxt++)

@@ -71,13 +71,12 @@ def _remove_stale(target: Path, stem: str, suffix: str) -> None:
 def load(source: Path = SOURCE, cache: Path | None = None):
     """The kernel as a ctypes function, or None when it cannot be built or loaded.
 
-    greedy_crossover(n, genes_a, genes_b, distances, rng, getrandbits, child)
+    greedy_crossover(n, genes_a, genes_b, distances, getrandbits, child)
     -> length takes the parents' gene tuples, the address of the int64 n x n
-    matrix, the rng, its bound getrandbits or None, and a list of n items
-    that it fills with the child. At a dead end it draws from getrandbits
-    when given one, else it calls rng.randrange. It runs holding the
-    interpreter lock (PyDLL), so an exception it sets, or one raised by the
-    rng, reaches the caller.
+    matrix, a random.Random's bound getrandbits, and a list of n items that
+    it fills with the child. At a dead end it draws from getrandbits as
+    randrange would. It runs holding the interpreter lock (PyDLL), so an
+    exception it sets, or one raised by getrandbits, reaches the caller.
     """
     cache = cache if cache is not None else source.parent / "__pycache__"
     try:
@@ -94,6 +93,6 @@ def load(source: Path = SOURCE, cache: Path | None = None):
     except (OSError, subprocess.SubprocessError):
         return None
     kernel.argtypes = [ctypes.c_int, ctypes.py_object, ctypes.py_object, ctypes.c_void_p,
-                       ctypes.py_object, ctypes.py_object, ctypes.py_object]
+                       ctypes.py_object, ctypes.py_object]
     kernel.restype = ctypes.c_longlong
     return kernel

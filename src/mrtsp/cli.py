@@ -42,8 +42,11 @@ def _add_shared_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--max-generations", type=int,
                      help=f"generation budget (default {SGA_DEFAULT_GENERATIONS} sga, "
                           f"{IslandParams.max_total_generations} per-island pga)")
-    sub.add_argument("--patience", type=int,
-                     help="stop after this many stagnant generations (sga) or rounds (pga); 0 disables")
+    sub.add_argument("--patience", type=int, metavar="N",
+                     help="stop once the last N recorded bests are equal: the initial "
+                          "population's and each generation's (sga), each round's (pga); "
+                          "so N-1 steps without improvement, and 1 stops after the "
+                          "first; 0 disables")
     sub.add_argument("--target-length", type=float, help="stop once best length <= target")
     sub.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     sub.add_argument("--workers", type=int, default=1,

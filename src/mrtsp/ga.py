@@ -20,16 +20,12 @@ from .tsplib import Instance
 # Compiled at first import and loaded once, so forked pool workers inherit it;
 # None when it cannot be built, and greedy_crossover runs its Python loop.
 _KERNEL = _xover.load()
-# the randrange whose draws the kernel can make itself from getrandbits
-_RANDRANGE = random.Random.randrange
-_RANDBELOW = random.Random._randbelow_with_getrandbits
 
 
 @dataclass(slots=True)
 class Chromosome:
     genes: tuple[int, ...]
     length: float
-    pop_id: int
     _canon: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
     _key: int | None = field(default=None, repr=False, compare=False)
     _succ: list[int] | None = field(default=None, repr=False, compare=False)
@@ -82,27 +78,6 @@ class GaParams:
             raise ValueError(f"max_parent_retries must be >= 1, got {self.max_parent_retries}")
 
 
-@dataclass
-class Population:
-    id: int
-    members: list[Chromosome]
-    best: int
-
-    @classmethod
-    def from_members(cls, pop_id: int, members: list[Chromosome]) -> "Population":
-        if not members:
-            raise ValueError("population must not be empty")
-        for m in members:
-            if m.pop_id != pop_id:
-                raise ValueError(f"member pop_id {m.pop_id} != population id {pop_id}")
-        best = min(range(len(members)), key=lambda i: members[i].length)
-        return cls(id=pop_id, members=members, best=best)
-
-    @property
-    def best_member(self) -> Chromosome:
-        return self.members[self.best]
-
-
 def random_tour(n: int, rng: random.Random) -> list[int]:
     """Uniform random permutation of 0..n-1."""
     if n < 2:
@@ -124,8 +99,8 @@ def tour_length(genes, instance: Instance) -> float:
     return total
 
 
-def make_chromosome(genes, instance: Instance, pop_id: int) -> Chromosome:
-    return Chromosome(genes=tuple(genes), length=tour_length(genes, instance), pop_id=pop_id)
+def make_chromosome(genes, instance: Instance) -> Chromosome:
+    return Chromosome(tuple(genes), tour_length(genes, instance))
 
 
 def similarity(a: Chromosome, b: Chromosome) -> float:
@@ -170,14 +145,12 @@ class Ranking:
         return self.order[bisect_right(self.cum, rng.random())]
 
 
-def select_parents(population: Population, rng: random.Random, params: GaParams,
-                   ranking: Ranking | None = None) -> tuple[Chromosome, Chromosome]:
+def select_parents(ranking: Ranking, rng: random.Random,
+                   params: GaParams) -> tuple[Chromosome, Chromosome]:
     """Two distinct members drawn by rank; pairs more similar than the
     threshold are redrawn, and after max_parent_retries failures the
     constraint is waived so converged populations cannot livelock."""
-    members = population.members
-    if ranking is None:
-        ranking = Ranking(members)
+    members = ranking.members
     draw = ranking.draw
     threshold = params.similarity_threshold
     pair = None
@@ -204,22 +177,17 @@ def greedy_crossover(parent_a: Chromosome, parent_b: Chromosome,
     Returns (child, length), the length summed in the same order as
     tour_length sums it.
 
-    The compiled kernel runs these steps, with the same rng draws, when it is
-    loaded and the instance has int64 weights whose tours cannot overflow
-    (Instance._kernel_address). Where rng's class keeps random.Random's
-    randrange and _randbelow, the kernel draws from rng.getrandbits as
-    randrange would; for any other rng it calls rng.randrange. Otherwise the
-    Python loop below runs, on the parents' cached successors().
+    The compiled kernel runs these steps when it is loaded, rng is an exact
+    random.Random, and the instance has int64 weights whose tours cannot
+    overflow (Instance._kernel_address); it draws dead ends from
+    rng.getrandbits as randrange would. Otherwise the Python loop below
+    runs, on the parents' cached successors().
     """
     address = instance._kernel_address
-    if address and _KERNEL is not None:
-        n = instance.dimension
-        child = [None] * n
-        cls = type(rng)
-        getrandbits = (rng.getrandbits if getattr(cls, "randrange", None) is _RANDRANGE
-                       and getattr(cls, "_randbelow", None) is _RANDBELOW else None)
-        return child, _KERNEL(n, parent_a.genes, parent_b.genes, address, rng, getrandbits,
-                              child)
+    if address and _KERNEL is not None and type(rng) is random.Random:
+        child = [None] * instance.dimension
+        return child, _KERNEL(instance.dimension, parent_a.genes, parent_b.genes, address,
+                              rng.getrandbits, child)
     sa, sb = parent_a.successors(), parent_b.successors()
     n = len(sa)
     rows = instance.rows
@@ -271,25 +239,20 @@ def mutate(genes, rng: random.Random, mutation_prob: float):
     return genes
 
 
-def next_generation(population: Population, instance: Instance,
-                    rng: random.Random, params: GaParams) -> Population:
-    """One generation: elites copied unchanged, the rest bred by rank
-    selection, greedy crossover (else a copy of the better parent) and
-    mutation. Output size equals input size."""
-    members = population.members
+def next_generation(members: list[Chromosome], instance: Instance,
+                    rng: random.Random, params: GaParams) -> list[Chromosome]:
+    """One generation: the elite_count shortest members carried over (ties
+    in member order), the rest bred by rank selection, greedy crossover
+    (else a copy of the better parent) and mutation. Output size equals
+    input size."""
     size = len(members)
     if size <= params.elite_count:
         raise ValueError("population smaller than elite_count + 1")
 
-    by_length = sorted(range(size), key=lambda i: members[i].length)
-    new_members = [
-        Chromosome(genes=members[i].genes, length=members[i].length, pop_id=population.id)
-        for i in by_length[:params.elite_count]
-    ]
-
+    new_members = sorted(members, key=lambda m: m.length)[:params.elite_count]
     ranking = Ranking(members)
     while len(new_members) < size:
-        pa, pb = select_parents(population, rng, params, ranking=ranking)
+        pa, pb = select_parents(ranking, rng, params)
         if rng.random() < params.crossover_prob:
             genes, length = greedy_crossover(pa, pb, instance, rng)
         else:
@@ -298,16 +261,14 @@ def next_generation(population: Population, instance: Instance,
         mutated = mutate(genes, rng, params.mutation_prob)
         if mutated is not genes:
             genes, length = mutated, tour_length(mutated, instance)
-        new_members.append(Chromosome(tuple(genes), length, population.id))
+        new_members.append(Chromosome(tuple(genes), length))
+    return new_members
 
-    return Population.from_members(population.id, new_members)
 
-
-def random_population(instance: Instance, params: GaParams, pop_id: int,
-                      rng: random.Random) -> Population:
-    members = [make_chromosome(random_tour(instance.dimension, rng), instance, pop_id)
-               for _ in range(params.population_size)]
-    return Population.from_members(pop_id, members)
+def random_population(instance: Instance, params: GaParams,
+                      rng: random.Random) -> list[Chromosome]:
+    return [make_chromosome(random_tour(instance.dimension, rng), instance)
+            for _ in range(params.population_size)]
 
 
 @dataclass(frozen=True)
@@ -346,18 +307,18 @@ def run_sga(instance: Instance, params: GaParams, max_generations: int,
     rng = random.Random(seed)
     t0 = time.perf_counter()
 
-    population = random_population(instance, params, pop_id=0, rng=rng)
-    trajectory = [population.best_member.length]
+    members = random_population(instance, params, rng)
+    trajectory = [min(m.length for m in members)]
     generations = 0
     reason = None
     while reason is None:
-        population = next_generation(population, instance, rng, params)
+        members = next_generation(members, instance, rng, params)
         generations += 1
-        trajectory.append(population.best_member.length)
+        trajectory.append(min(m.length for m in members))
         reason = stop_reason(trajectory, generations, max_generations,
                              term.patience, term.target_length)
 
-    best = population.best_member
+    best = min(members, key=lambda m: m.length)
     snapshot = asdict(params)
     snapshot.update(max_generations=max_generations,
                     target_length=term.target_length, patience=term.patience)

@@ -19,8 +19,8 @@ from typing import Sequence
 from .codec import MAX_LENGTH, decode_chromosome, encode_chromosome, peek_length
 from .engine import (Engine, EngineError, FileStore, JobSpec, MemoryStore,
                      Record, default_partition, identity_mapper)
-from .ga import (Chromosome, GaParams, Population, next_generation,
-                 random_tour, stop_reason, tour_length)
+from .ga import (Chromosome, GaParams, next_generation, random_tour, stop_reason,
+                 tour_length)
 from .reports import RunReport, accuracy_percent
 from .tsplib import Instance
 
@@ -103,17 +103,15 @@ class EvolveReducer:
             if decoded.pop_id != key:
                 raise EngineError(
                     f"record keyed {key} decodes to pop_id {decoded.pop_id}")
-            members.append(Chromosome(decoded.genes, decoded.length, key))
+            members.append(Chromosome(decoded.genes, decoded.length))
         size = self.params.ga.population_size
         if len(members) > size:
             members = sorted(members, key=lambda m: m.length)[:size]
-        population = Population.from_members(key, members)
         for _ in range(self.params.migration_interval):
-            population = next_generation(population, self.instance, rng, self.params.ga)
+            members = next_generation(members, self.instance, rng, self.params.ga)
 
-        out = [Record(key, encode_chromosome(m.genes, m.length, key))
-               for m in population.members]
-        best = population.best_member
+        out = [Record(key, encode_chromosome(m.genes, m.length, key)) for m in members]
+        best = min(members, key=lambda m: m.length)
         for other in range(self.params.num_islands):
             if other != key:
                 out.append(Record(other, encode_chromosome(best.genes, best.length, other)))

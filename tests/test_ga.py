@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from mrtsp import _xover, ga as ga_module
-from mrtsp.ga import (Chromosome, GaParams, Population, Ranking,
-                      TerminationPolicy, greedy_crossover, make_chromosome,
-                      mutate, next_generation, random_population, random_tour,
-                      run_sga, select_parents, similarity, stop_reason,
-                      tour_length)
+from mrtsp.ga import (Chromosome, GaParams, Ranking, TerminationPolicy,
+                      greedy_crossover, make_chromosome, mutate, next_generation,
+                      random_population, random_tour, run_sga, select_parents,
+                      similarity, stop_reason, tour_length)
 from mrtsp.oracle import held_karp
 from mrtsp.tsplib import Instance, random_instance
 
@@ -45,8 +44,8 @@ class StubRng:
         return self.randranges.pop(0)
 
 
-def chrom(genes, instance=FOUR_CITY, pop_id=0):
-    return make_chromosome(genes, instance, pop_id)
+def chrom(genes, instance=FOUR_CITY):
+    return make_chromosome(genes, instance)
 
 
 def test_params_defaults():
@@ -94,7 +93,7 @@ def test_tour_length_directed():
 
 def test_rank_probabilities():
     def cum(n):
-        return Ranking([Chromosome((0, 1), float(n - i), 0) for i in range(n)]).cum
+        return Ranking([Chromosome((0, 1), float(n - i)) for i in range(n)]).cum
 
     assert cum(2) == [1 / 3, 1.0]
     assert cum(3) == [1 / 6, 3 / 6, 1.0]
@@ -103,16 +102,16 @@ def test_rank_probabilities():
         assert abs(sum(probs) - 1.0) < 1e-9
         assert probs == sorted(probs)  # best rank gets the largest share
     with pytest.raises(ValueError):
-        Population.from_members(0, [])
+        next_generation([], THREE_CITY, random.Random(0), GaParams())
 
 
 def test_chromosome_equality_ignores_caches():
-    a = Chromosome((1, 0, 2), 5, 0)
-    b = Chromosome((1, 0, 2), 5, 0)
+    a = Chromosome((1, 0, 2), 5)
+    b = Chromosome((1, 0, 2), 5)
     b.canonical()
     b.successors()
     assert a == b
-    assert a != Chromosome((1, 0, 2), 6, 0)
+    assert a != Chromosome((1, 0, 2), 6)
 
 
 def test_successors_follow_the_closed_tour():
@@ -132,9 +131,8 @@ def test_similarity_rotation_invariant():
 
 def test_select_parents_waives_threshold_when_converged():
     members = [chrom([0, 1, 2, 3]) for _ in range(4)]
-    pop = Population.from_members(0, members)
     params = GaParams(population_size=4, max_parent_retries=5)
-    pa, pb = select_parents(pop, random.Random(0), params)
+    pa, pb = select_parents(Ranking(members), random.Random(0), params)
     assert pa is not pb           # distinct members even though all tours match
     assert pa.genes == pb.genes
 
@@ -142,17 +140,16 @@ def test_select_parents_waives_threshold_when_converged():
 def test_select_parents_rejects_similar_pairs():
     x = [0, 1, 2, 3]
     y = [0, 2, 1, 3]
-    members = [chrom(x), chrom(x), chrom(x), chrom(y)]
-    pop = Population.from_members(0, members)
+    ranking = Ranking([chrom(x), chrom(x), chrom(x), chrom(y)])
     params = GaParams(population_size=4, max_parent_retries=1000)
     for seed in range(20):
-        pa, pb = select_parents(pop, random.Random(seed), params)
+        pa, pb = select_parents(ranking, random.Random(seed), params)
         assert tuple(y) in (pa.genes, pb.genes)
 
 
 def test_select_parents_rank_frequencies():
     lengths = [40.0, 30.0, 20.0, 10.0]
-    members = [Chromosome((0, 1, 2, 3), ln, 0) for ln in lengths]
+    members = [Chromosome((0, 1, 2, 3), ln) for ln in lengths]
     ranking = Ranking(members)
     rng = random.Random(1)
     draws = 100_000
@@ -257,24 +254,24 @@ def test_next_generation_keeps_size_and_elite():
     inst = random_instance(10, (1, 100), seed=0)
     params = GaParams(population_size=30)
     rng = random.Random(0)
-    pop = random_population(inst, params, pop_id=0, rng=rng)
-    best = pop.best_member.length
+    pop = random_population(inst, params, rng)
+    best = min(m.length for m in pop)
     for _ in range(50):
         pop = next_generation(pop, inst, rng, params)
-        assert len(pop.members) == 30
-        assert pop.best_member.length <= best  # elitism: never regresses
-        best = pop.best_member.length
-        assert all(sorted(m.genes) == list(range(10)) for m in pop.members)
+        assert len(pop) == 30
+        assert min(m.length for m in pop) <= best  # elitism: never regresses
+        best = min(m.length for m in pop)
+        assert all(sorted(m.genes) == list(range(10)) for m in pop)
 
 
 def test_next_generation_without_variation_only_copies():
     inst = random_instance(8, (1, 100), seed=1)
     params = GaParams(population_size=12, crossover_prob=0.0, mutation_prob=0.0)
     rng = random.Random(2)
-    pop = random_population(inst, params, pop_id=0, rng=rng)
-    source = {m.genes for m in pop.members}
+    pop = random_population(inst, params, rng)
+    source = {m.genes for m in pop}
     out = next_generation(pop, inst, rng, params)
-    assert {m.genes for m in out.members} <= source
+    assert {m.genes for m in out} <= source
 
 
 def test_next_generation_finds_small_optimum():
@@ -356,11 +353,15 @@ class FailingRng(random.Random):
         raise LookupError("randrange failed")
 
 
-class FailingBitsRng(random.Random):
-    """Keeps randrange, so the kernel calls this getrandbits itself."""
+def failing_bits_rng():
+    """An exact random.Random, so the kernel calls its getrandbits, which fails."""
+    rng = random.Random(0)
 
-    def getrandbits(self, k):
+    def getrandbits(k):
         raise LookupError("getrandbits failed")
+
+    rng.getrandbits = getrandbits
+    return rng
 
 
 def dead_end_pair(n=40):
@@ -383,7 +384,7 @@ def test_kernel_passes_on_what_randrange_raises(monkeypatch):
     with pytest.raises(LookupError, match="randrange failed"):
         greedy_crossover(pa, pb, inst, FailingRng(0))
     with pytest.raises(LookupError, match="getrandbits failed"):
-        greedy_crossover(pa, pb, inst, FailingBitsRng(0))
+        greedy_crossover(pa, pb, inst, failing_bits_rng())
     # the kernel is still usable after an aborted call
     assert greedy_crossover(pa, pb, inst, random.Random(5))[0][0] == pa.genes[0]
 
@@ -391,9 +392,9 @@ def test_kernel_passes_on_what_randrange_raises(monkeypatch):
 @needs_kernel
 @pytest.mark.parametrize("genes", [(0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 4), [0, 1, 2, 3]])
 def test_kernel_rejects_parents_that_are_not_permutations(genes):
-    bad = Chromosome(genes, 0, 0)
+    bad = Chromosome(genes, 0)
     with pytest.raises(ValueError, match="not a tuple permuting"):
-        greedy_crossover(chrom([0, 1, 2, 3]), bad, FOUR_CITY, PoisonRng())
+        greedy_crossover(chrom([0, 1, 2, 3]), bad, FOUR_CITY, random.Random(0))
 
 
 def test_kernel_runs_only_where_int64_sums_cannot_overflow():

@@ -19,7 +19,7 @@ import pytest
 from mrtsp.engine import FileStore, MemoryStore
 from mrtsp.ga import GaParams, run_sga
 from mrtsp.island import IslandParams, run_pga
-from mrtsp.tsplib import Instance, load_instance
+from mrtsp.tsplib import Instance, load_instance, random_instance
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -30,6 +30,8 @@ SGA_GOLDEN = {
 SGA_FLOAT_GOLDEN = "c72cbcbb10df2ef81ce3ddfe33a3507f9824d6eb629c35a65f8699c35260ba65"
 PGA_GOLDEN = "a1655794721031842b27b1ebfedb22d6e51d721dfcc2582d5df98947788e7258"
 PGA_DISK_GOLDEN = "1e0a2769b61c67751e9d30e7e30a10b136df1528ae02442f4ab7e97f6aac63d8"
+SGA_TIES_GOLDEN = "a2e487efaa5ee7e5c69756850a30e284733d0dc649d1e17c1d0373fbc23e03f2"
+PGA_TIES_GOLDEN = "a4cf7682c2c33403e37414419e6abcdf38d0cf6e6231908367762b11efe99274"
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +65,28 @@ def test_sga_float_weights_pinned():
     inst = Instance("float24", 24, matrix)
     report = run_sga(inst, GaParams(population_size=30), 60, seed=3)
     assert digest(report) == SGA_FLOAT_GOLDEN
+
+
+@pytest.fixture(scope="module")
+def ties20():
+    # weights 1..3 on 20 cities: many members of a population share a length
+    return random_instance(20, (1, 3), seed=12)
+
+
+def test_sga_elites_among_ties_pinned(ties20):
+    # several elites drawn from tied lengths: which tied members carry over,
+    # and in what order, shows here
+    report = run_sga(ties20, GaParams(population_size=30, elite_count=3), 60, seed=5)
+    assert digest(report) == SGA_TIES_GOLDEN
+
+
+def test_pga_elites_among_ties_pinned(ties20):
+    params = IslandParams(num_islands=3, migration_interval=4,
+                          ga=GaParams(population_size=16, elite_count=2),
+                          max_total_generations=12, convergence_patience=None)
+    store = MemoryStore()
+    report = run_pga(ties20, params, master_seed=6, workers=1, store=store)
+    assert digest(report, store.snapshot()) == PGA_TIES_GOLDEN
 
 
 def test_pga_rnd064_pinned(rnd064):

@@ -8,9 +8,10 @@ which switches the kernel off.
 import pytest
 
 from mrtsp import ga
-from test_golden import (rnd064, test_pga_file_store_migrating_every_generation_pinned,  # noqa: F401
-                         test_pga_rnd064_pinned, test_sga_float_weights_pinned,
-                         test_sga_rnd064_pinned)
+from test_golden import (rnd064, test_pga_elites_among_ties_pinned,  # noqa: F401
+                         test_pga_file_store_migrating_every_generation_pinned,
+                         test_pga_rnd064_pinned, test_sga_elites_among_ties_pinned,
+                         test_sga_float_weights_pinned, test_sga_rnd064_pinned, ties20)
 
 
 @pytest.fixture(autouse=True)
