@@ -1,118 +1,89 @@
-/* Greedy crossover kernel for mrtsp.ga.greedy_crossover, loaded through ctypes.PyDLL.
+/* Greedy crossover kernel for mrtsp.ga.greedy_crossover, a CPython extension module.
 
-   Mirrors the Python loop step for step: from parent a's first city take the
+   greedy_crossover(genes_a, genes_b, distances, getrandbits) -> (child, length)
+   mirrors the Python loop step for step: from parent a's first city take the
    cheaper unvisited parental successor (a tie goes to parent a's), else the
    only unvisited one, else the k-th unvisited city in ascending order for
    k = rng.randrange(unvisited), drawn from rng.getrandbits as
    random.Random._randbelow_with_getrandbits does, which consumes the same
-   bits as the randrange call. The int64 length cannot overflow: the caller
-   guarantees n * max weight < 2**63. Fills the list child, of n items, with
-   the child tour and returns its length, or -1 with a Python exception set.
-
-   It declares the stable-ABI functions it calls instead of including
-   Python.h: the build needs no Python headers, and the compiler, a child of
-   the importing process, peaks at 28 MB instead of 41 MB. */
-#include <string.h>
-#include <sys/types.h>
-
-typedef struct _object PyObject;
-extern PyObject *PyExc_ValueError;
-PyObject *PyObject_CallFunctionObjArgs(PyObject *callable, ...);
-PyObject *PyErr_Occurred(void);
-void PyErr_Clear(void);
-PyObject *PyErr_Format(PyObject *exception, const char *format, ...);
-long PyLong_AsLong(PyObject *obj);
-PyObject *PyLong_FromLong(long value);
-ssize_t PyTuple_Size(PyObject *tuple);
-PyObject *PyTuple_GetItem(PyObject *tuple, ssize_t index);
-ssize_t PyList_Size(PyObject *list);
-int PyList_SetItem(PyObject *list, ssize_t index, PyObject *item);
-void Py_DecRef(PyObject *obj);
+   bits as the randrange call. It reads distances through the buffer protocol
+   and returns None, before any draw, unless it is a C-ordered n x n int64
+   array. The length is summed in 128 bits, exact for non-negative weights. */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
 /* succ[c] = city after c on the closed tour; 0 with ValueError unless genes is
-   a tuple holding a permutation of 0..n-1. */
-static int successors(PyObject *genes, int n, int *succ, unsigned char *seen)
+   a tuple holding a permutation of 0..n-1 (n >= 1). */
+static int successors(PyObject *genes, Py_ssize_t n, int *succ, unsigned char *seen)
 {
-    if (PyTuple_Size(genes) != n)
+    if (!PyTuple_Check(genes) || PyTuple_GET_SIZE(genes) != n)
         goto bad;
     memset(seen, 0, n);
-    long prev = -1, first = -1;
-    for (int i = 0; i < n; i++) {
-        long city = PyLong_AsLong(PyTuple_GetItem(genes, i));
+    long prev = PyLong_AsLong(PyTuple_GET_ITEM(genes, n - 1));
+    if (prev < 0 || prev >= n)
+        goto bad;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        long city = PyLong_AsLong(PyTuple_GET_ITEM(genes, i));
         if (city < 0 || city >= n || seen[city])
             goto bad;
         seen[city] = 1;
-        if (prev >= 0)
-            succ[prev] = (int)city;
-        else
-            first = city;
+        succ[prev] = (int)city;
         prev = city;
     }
-    succ[prev] = (int)first;
     return 1;
 bad:
     PyErr_Clear();
-    PyErr_Format(PyExc_ValueError, "parent genes are not a tuple permuting 0..%d", n - 1);
+    PyErr_Format(PyExc_ValueError, "parent genes are not a tuple permuting 0..%zd", n - 1);
     return 0;
-}
-
-/* PyLong_AsLong of a new reference, released; -1 with the exception kept
-   when r is NULL. */
-static long take_long(PyObject *r)
-{
-    if (r == NULL)
-        return -1;
-    long value = PyLong_AsLong(r);
-    Py_DecRef(r);
-    return value;
 }
 
 /* k uniform in [0, m) from getrandbits(m.bit_length()) redrawn until below m;
    -1 with an exception set on failure. */
-static long draw_below(PyObject *getrandbits, int m)
+static long draw_below(PyObject *getrandbits, Py_ssize_t m)
 {
-    long k;
     int bits = 0;
     while (m >> bits)
         bits++;
-    PyObject *arg = PyLong_FromLong(bits);
-    if (arg == NULL)
-        return -1;
-    do
-        k = take_long(PyObject_CallFunctionObjArgs(getrandbits, arg, NULL));
-    while (k >= m);
-    Py_DecRef(arg);
+    PyObject *arg = PyLong_FromLong(bits), *r;
+    long k = -1;
+    while (arg != NULL && (r = PyObject_CallOneArg(getrandbits, arg)) != NULL) {
+        k = PyLong_AsLong(r);
+        Py_DECREF(r);
+        if (k < m)
+            break;
+    }
+    Py_XDECREF(arg);
     if (k < 0 && !PyErr_Occurred())
         PyErr_Format(PyExc_ValueError, "getrandbits(%d) gave %ld", bits, k);
-    return k < 0 ? -1 : k;
+    return PyErr_Occurred() ? -1 : k;
 }
 
-static int set_city(PyObject *child, int i, int city)
+/* The length as a Python int, through hex digits when it needs more than 64 bits. */
+static PyObject *length_to_int(unsigned __int128 length)
 {
-    PyObject *item = PyLong_FromLong(city);
-    return item != NULL && PyList_SetItem(child, i, item) == 0;
+    char hex[33];
+    if (length >> 64 == 0)
+        return PyLong_FromUnsignedLongLong((unsigned long long)length);
+    snprintf(hex, sizeof hex, "%llx%016llx", (unsigned long long)(length >> 64),
+             (unsigned long long)length);
+    return PyLong_FromString(hex, NULL, 16);
 }
 
-long long greedy_crossover(int n, PyObject *genes_a, PyObject *genes_b, const long long *dist,
-                           PyObject *getrandbits, PyObject *child)
+static PyObject *crossover(PyObject *genes_a, PyObject *genes_b, const Py_buffer *view,
+                           PyObject *getrandbits)
 {
-    int sa[n], sb[n];
+    Py_ssize_t n = view->shape[0];
+    const long long *dist = view->buf;
+    int sa[n], sb[n], tour[n];
     unsigned char visited[n];
     if (!successors(genes_a, n, sa, visited) || !successors(genes_b, n, sb, visited))
-        return -1;
-    if (PyList_Size(child) != n) {
-        PyErr_Clear();
-        PyErr_Format(PyExc_ValueError, "child must be a list of %d items", n);
-        return -1;
-    }
+        return NULL;
     memset(visited, 0, n);
-    int first = (int)PyLong_AsLong(PyTuple_GetItem(genes_a, 0)), current = first;
-    long long length = 0;
-    if (!set_city(child, 0, first))
-        return -1;
-    visited[first] = 1;
-    for (int i = 1; i < n; i++) {
-        const long long *row = dist + (long long)current * n;
+    int current = tour[0] = (int)PyLong_AsLong(PyTuple_GET_ITEM(genes_a, 0));
+    visited[current] = 1;
+    unsigned __int128 length = 0;
+    for (Py_ssize_t i = 1; i < n; i++) {
+        const long long *row = dist + (Py_ssize_t)current * n;
         int ea = sa[current], eb = sb[current], nxt;
         if (!visited[ea])
             nxt = (!visited[eb] && row[eb] < row[ea]) ? eb : ea;
@@ -121,15 +92,58 @@ long long greedy_crossover(int n, PyObject *genes_a, PyObject *genes_b, const lo
         else {
             long k = draw_below(getrandbits, n - i);
             if (k < 0)
-                return -1;
+                return NULL;
             for (nxt = 0; visited[nxt] || k-- > 0; nxt++)
                 ;
         }
-        if (!set_city(child, i, nxt))
-            return -1;
         visited[nxt] = 1;
-        length += row[nxt];
-        current = nxt;
+        length += (unsigned long long)row[nxt];
+        current = tour[i] = nxt;
     }
-    return length + dist[(long long)current * n + first];
+    length += (unsigned long long)dist[(Py_ssize_t)current * n + tour[0]];
+    PyObject *child = PyList_New(n);
+    for (Py_ssize_t i = 0; child != NULL && i < n; i++) {
+        PyObject *city = PyLong_FromLong(tour[i]);
+        if (city == NULL)
+            Py_CLEAR(child);
+        else
+            PyList_SET_ITEM(child, i, city);
+    }
+    return child == NULL ? NULL : Py_BuildValue("(NN)", child, length_to_int(length));
+}
+
+/* A C-ordered n x n matrix, n >= 1, of native 8-byte integers. */
+static int is_int64_matrix(const Py_buffer *view)
+{
+    const char *format = view->format ? view->format + (view->format[0] == '@') : "B";
+    return view->ndim == 2 && view->shape[0] == view->shape[1] && view->shape[0] > 0
+           && view->itemsize == 8 && (strcmp(format, "l") == 0 || strcmp(format, "q") == 0)
+           && PyBuffer_IsContiguous(view, 'C');
+}
+
+static PyObject *greedy_crossover(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer view;
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError, "expected 4 arguments, got %zd", nargs);
+    if (PyObject_GetBuffer(args[2], &view, PyBUF_RECORDS_RO) < 0) {
+        PyErr_Clear();
+        Py_RETURN_NONE;
+    }
+    PyObject *result = is_int64_matrix(&view) ? crossover(args[0], args[1], &view, args[3])
+                                              : Py_NewRef(Py_None);
+    PyBuffer_Release(&view);
+    return result;
+}
+
+static PyMethodDef methods[] = {
+    {"greedy_crossover", (PyCFunction)(void (*)(void))greedy_crossover, METH_FASTCALL, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_xover", NULL, 0, methods};
+
+PyMODINIT_FUNC PyInit__xover(void)
+{
+    return PyModuleDef_Init(&module);
 }

@@ -7,9 +7,9 @@ All fields little-endian:
     genes    N x u32
     length   u64   (tour length; integer edge weights only)
 
-Decoding is strict: short buffers, trailing bytes, out-of-range genes and
-duplicate genes are each rejected with a distinct error so a corrupted
-record never turns into a silently wrong tour.
+Decoding is strict: short buffers, trailing bytes, a city count of zero,
+out-of-range genes and duplicate genes are each rejected with a distinct
+error so a corrupted record never turns into a silently wrong tour.
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ def decode_chromosome(data: bytes) -> DecodedChromosome:
     if len(data) > expected:
         raise CodecError(f"buffer of {len(data)} bytes has trailing data beyond "
                          f"the {expected} bytes implied by N={n}")
+    if n == 0:
+        raise CodecError("header says N=0; a tour has at least one city")
     genes = struct.unpack_from(f"<{n}I", data, _HEADER.size)
     seen = bytearray(n)
     for gene in genes:

@@ -177,17 +177,16 @@ def greedy_crossover(parent_a: Chromosome, parent_b: Chromosome,
     Returns (child, length), the length summed in the same order as
     tour_length sums it.
 
-    The compiled kernel runs these steps when it is loaded, rng is an exact
-    random.Random, and the instance has int64 weights whose tours cannot
-    overflow (Instance._kernel_address); it draws dead ends from
-    rng.getrandbits as randrange would. Otherwise the Python loop below
-    runs, on the parents' cached successors().
+    The compiled kernel runs these steps when it is loaded and rng is an
+    exact random.Random, drawing dead ends from rng.getrandbits as randrange
+    would; it declines, returning None, unless the weights are a C-ordered
+    int64 matrix. Otherwise the Python loop below runs, on the parents'
+    cached successors().
     """
-    address = instance._kernel_address
-    if address and _KERNEL is not None and type(rng) is random.Random:
-        child = [None] * instance.dimension
-        return child, _KERNEL(instance.dimension, parent_a.genes, parent_b.genes, address,
-                              rng.getrandbits, child)
+    if _KERNEL is not None and type(rng) is random.Random:
+        result = _KERNEL(parent_a.genes, parent_b.genes, instance.distances, rng.getrandbits)
+        if result is not None:
+            return result
     sa, sb = parent_a.successors(), parent_b.successors()
     n = len(sa)
     rows = instance.rows

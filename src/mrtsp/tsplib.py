@@ -19,8 +19,6 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from ._xover import matrix_address
-
 
 class ParseError(ValueError):
     """Malformed TSPLIB input. Carries the offending line number and keyword."""
@@ -65,11 +63,8 @@ class Instance:
     dimension: int
     distances: np.ndarray
     known_optimum: float | None = None
+    # never pickled: the rows pickle larger and slower than the matrix they copy
     _rows: list = field(default_factory=list, repr=False, compare=False)
-    # where ga's compiled crossover reads the weights, 0 where it must not;
-    # an address is per process, so it is never pickled, and neither are the
-    # rows, which pickle larger and slower than the matrix they copy
-    _kernel_address: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dimension
@@ -84,18 +79,16 @@ class Instance:
         self.distances.setflags(write=False)
         # plain-list rows for the GA hot loops; numpy scalar indexing is slow
         self._rows.extend(self.distances.tolist())
-        object.__setattr__(self, "_kernel_address", matrix_address(self.distances))
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        del state["_kernel_address"], state["_rows"]
+        del state["_rows"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.distances.setflags(write=False)  # a pickled array loads writable
         self.__dict__["_rows"] = self.distances.tolist()
-        self.__dict__["_kernel_address"] = matrix_address(self.distances)
 
     @property
     def rows(self) -> list:

@@ -1,7 +1,9 @@
 """Property test for the chromosome codec: a corrupted encoding either fails
 to decode with CodecError or decodes to a value that encodes back to it."""
 
-from hypothesis import given, settings, strategies as st
+import struct
+
+from hypothesis import example, given, settings, strategies as st
 
 from mrtsp.codec import (MAX_LENGTH, CodecError, decode_chromosome,
                          encode_chromosome, peek_length)
@@ -28,6 +30,7 @@ def corrupted_encodings(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(corrupted_encodings())
+@example(struct.pack("<IIQ", 0, 0, 5))  # a header that says N=0
 def test_corruption_raises_or_decodes_to_the_same_bytes(data):
     try:
         decoded = decode_chromosome(data)

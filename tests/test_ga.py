@@ -1,5 +1,4 @@
 import importlib.machinery
-import pickle
 import random
 from collections import Counter
 
@@ -397,17 +396,27 @@ def test_kernel_rejects_parents_that_are_not_permutations(genes):
         greedy_crossover(chrom([0, 1, 2, 3]), bad, FOUR_CITY, random.Random(0))
 
 
-def test_kernel_runs_only_where_int64_sums_cannot_overflow():
-    assert FOUR_CITY._kernel_address == FOUR_CITY.distances.ctypes.data
-    floats = Instance("f", 2, np.array([[0.0, 1.5], [2.5, 0.0]]))
-    assert floats._kernel_address == 0
-    int32 = Instance("i32", 2, np.array([[0, 1], [2, 0]], dtype=np.int32))
-    assert int32._kernel_address == 0
-    fits = np.full((4, 4), (2**63 - 1) // 4, dtype=np.int64)
-    assert Instance("fits", 4, fits)._kernel_address != 0
-    assert Instance("overflows", 4, fits + 1)._kernel_address == 0
-    clone = pickle.loads(pickle.dumps(FOUR_CITY))  # an address is per process
-    assert clone._kernel_address == clone.distances.ctypes.data != FOUR_CITY._kernel_address
+@needs_kernel
+def test_kernel_declines_all_but_c_ordered_int64_and_sums_exactly(monkeypatch):
+    kernel = ga_module._KERNEL
+    tours = (0, 1, 2, 3), (3, 2, 1, 0)
+    for weights in (FOUR_CITY.distances.astype(np.float64), FOUR_CITY.distances.astype(np.int32),
+                    np.asfortranarray(FOUR_CITY.distances)):
+        # a PoisonRng is not callable, so a draw would raise
+        assert kernel(*tours, weights, PoisonRng()) is None
+    # a tour of 9 such weights needs more than 64 bits; the kernel's length stays exact
+    n, top = 9, (2**63 - 1) // 4
+    inst = Instance("huge", n, np.random.default_rng(1).integers(top - 2**40, top, (n, n),
+                                                                 endpoint=True))
+    rng = random.Random(2)
+    pa, pb = (chrom(random_tour(n, rng), instance=inst) for _ in range(2))
+    kernel_rng, loop_rng = random.Random(3), random.Random(3)
+    compiled = kernel(pa.genes, pb.genes, inst.distances, kernel_rng.getrandbits)
+    monkeypatch.setattr(ga_module, "_KERNEL", None)
+    loop = greedy_crossover(pa, pb, inst, loop_rng)
+    assert compiled == loop and kernel_rng.getstate() == loop_rng.getstate()
+    assert type(compiled[1]) is int and compiled[1] > 2**64
+    assert compiled[1] == tour_length(compiled[0], inst)
 
 
 def test_failed_build_or_load_falls_back_silently(tmp_path, monkeypatch):
@@ -422,11 +431,16 @@ def test_failed_build_or_load_falls_back_silently(tmp_path, monkeypatch):
     assert _xover.load(_xover.SOURCE, shared) is None  # never load from a shared directory
     monkeypatch.undo()
 
-    def unloadable(path):
-        raise OSError(f"{path}: invalid ELF header")
+    def unloadable(self, spec):
+        raise ImportError(f"{spec.origin}: invalid ELF header")
 
-    monkeypatch.setattr(_xover.ctypes, "PyDLL", unloadable)
+    monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "create_module", unloadable)
     assert _xover.load() is None
+    monkeypatch.undo()
+    headerless = tmp_path / "no-headers"
+    headerless.mkdir()
+    monkeypatch.setattr(_xover.sysconfig, "get_paths", lambda: {"include": str(headerless)})
+    assert _xover.load(_xover.SOURCE, tmp_path / "headerless-cache") is None
     monkeypatch.undo()
 
     inst = random_instance(30, (1, 100), seed=4)

@@ -269,8 +269,7 @@ def test_pickle_drops_rows_and_rebuilds_them_on_load():
         (inst.name, inst.dimension, inst.known_optimum)
     assert np.array_equal(clone.distances, inst.distances)
     assert clone.rows == inst.rows
-    # the address is where this copy's matrix lives, and the copy stays read-only
-    assert clone._kernel_address == clone.distances.ctypes.data != inst._kernel_address
+    # the copy stays read-only
     with pytest.raises(ValueError):
         clone.distances[0, 1] = 99
 
