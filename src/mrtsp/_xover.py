@@ -1,13 +1,13 @@
-"""Build and load the compiled greedy-crossover kernel, the extension module `_xover.c`.
+"""Build and load the compiled GA kernel, the extension module `_xover.c`.
 
 The module is compiled once with `cc -O2 -shared -fPIC` against the
 interpreter's headers into the package's `__pycache__`, under a name that
 carries the source's sha256 and the interpreter's extension suffix, and
 renamed into place so that a concurrent build never loads a half-written
 file; a build removes the libraries of earlier sources from the directory.
-`load` returns None, and `ga.greedy_crossover` keeps its Python loop, when
-there is no compiler or no `Python.h`, the build or the load fails, or
-another user could write the cache directory.
+`load` returns None, and `ga.greedy_crossover` and `ga.select_parents` keep
+their Python loops, when there is no compiler or no `Python.h`, the build or
+the load fails, or another user could write the cache directory.
 """
 
 from __future__ import annotations
@@ -59,15 +59,25 @@ def _remove_stale(target: Path, stem: str, suffix: str) -> None:
 
 
 def load(source: Path = SOURCE, cache: Path | None = None):
-    """The kernel's greedy_crossover, or None when it cannot be built or loaded.
+    """The kernel module, or None when it cannot be built or loaded.
 
     greedy_crossover(genes_a, genes_b, distances, getrandbits) -> (child, length)
     takes the parents' gene tuples, the n x n weights and a random.Random's
     bound getrandbits, from which it draws dead ends as randrange would. It
     returns None, having drawn nothing, unless distances is a C-ordered int64
     array; the length it returns is exact for any non-negative weights.
-    Parents that do not permute 0..n-1 raise ValueError, and an exception
-    raised by getrandbits reaches the caller.
+    Parents that do not permute 0..n-1 raise ValueError.
+
+    canonical_rows(genes) -> bytes takes a list of P gene tuples and returns
+    them as P rows of n bytes, each rotated to start at city 0, or None unless
+    each permutes 0..n-1 for one n <= 256.
+    select_pair(canon, n, order, cum, threshold, retries, random) -> (ia, ib)
+    runs select_parents' retry loop over those rows and a Ranking's order and
+    cum, drawing through the rng's bound random method, and returns the two
+    member indexes. It returns None, having drawn nothing, unless there are at
+    least two rows of n bytes and retries >= 1.
+
+    An exception raised by getrandbits or random reaches the caller.
     """
     cache = cache if cache is not None else source.parent / "__pycache__"
     try:
@@ -85,4 +95,4 @@ def load(source: Path = SOURCE, cache: Path | None = None):
         loader.exec_module(module)
     except (OSError, ImportError, subprocess.SubprocessError):
         return None
-    return module.greedy_crossover
+    return module

@@ -98,12 +98,14 @@ def decode_chromosome(data: bytes) -> DecodedChromosome:
     if n == 0:
         raise CodecError("header says N=0; a tour has at least one city")
     genes = struct.unpack_from(f"<{n}I", data, _HEADER.size)
-    seen = bytearray(n)
-    for gene in genes:
-        if gene >= n:
-            raise GeneRangeError(f"gene {gene} out of range for N={n}")
-        if seen[gene]:
-            raise DuplicateGeneError(f"gene {gene} appears more than once")
-        seen[gene] = 1
+    if max(genes) >= n or len(set(genes)) != n:
+        # find the first bad gene, to name it and its fault
+        seen = bytearray(n)
+        for gene in genes:
+            if gene >= n:
+                raise GeneRangeError(f"gene {gene} out of range for N={n}")
+            if seen[gene]:
+                raise DuplicateGeneError(f"gene {gene} appears more than once")
+            seen[gene] = 1
     (length,) = _LENGTH.unpack_from(data, expected - _LENGTH.size)
     return DecodedChromosome(pop_id, genes, length)

@@ -12,13 +12,15 @@ import random
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 from . import _xover
 from .reports import RunReport, accuracy_percent
 from .tsplib import Instance
 
-# Compiled at first import and loaded once, so forked pool workers inherit it;
-# None when it cannot be built, and greedy_crossover runs its Python loop.
+# The compiled `_xover` module, built at first import and loaded once, so forked
+# pool workers inherit it; None when it cannot be built, and greedy_crossover
+# and select_parents run their Python loops.
 _KERNEL = _xover.load()
 
 
@@ -144,13 +146,33 @@ class Ranking:
         """Index (into the member list) of one rank-proportional draw."""
         return self.order[bisect_right(self.cum, rng.random())]
 
+    @cached_property
+    def rows(self) -> bytes | None:
+        """The members' tours as the kernel's canonical byte rows, built at the
+        first select_parents call, so that ranking members which have no genes
+        stays possible; None when the kernel declines them."""
+        return _KERNEL.canonical_rows([m.genes for m in self.members])
+
 
 def select_parents(ranking: Ranking, rng: random.Random,
                    params: GaParams) -> tuple[Chromosome, Chromosome]:
     """Two distinct members drawn by rank; pairs more similar than the
     threshold are redrawn, and after max_parent_retries failures the
-    constraint is waived so converged populations cannot livelock."""
+    constraint is waived so converged populations cannot livelock.
+
+    The compiled kernel runs this loop when it is loaded, drawing through the
+    same rng.random, so any rng gives the Python loop's pair and state; it
+    declines, and the loop below runs, unless every member's genes are a
+    tuple permuting 0..n-1 for one n <= 256.
+    """
     members = ranking.members
+    rows = ranking.rows if _KERNEL is not None else None
+    if rows is not None:
+        pair = _KERNEL.select_pair(rows, len(rows) // len(members), ranking.order, ranking.cum,
+                                   params.similarity_threshold, params.max_parent_retries,
+                                   rng.random)
+        if pair is not None:
+            return members[pair[0]], members[pair[1]]
     draw = ranking.draw
     threshold = params.similarity_threshold
     pair = None
@@ -184,7 +206,8 @@ def greedy_crossover(parent_a: Chromosome, parent_b: Chromosome,
     cached successors().
     """
     if _KERNEL is not None and type(rng) is random.Random:
-        result = _KERNEL(parent_a.genes, parent_b.genes, instance.distances, rng.getrandbits)
+        result = _KERNEL.greedy_crossover(parent_a.genes, parent_b.genes, instance.distances,
+                                          rng.getrandbits)
         if result is not None:
             return result
     sa, sb = parent_a.successors(), parent_b.successors()

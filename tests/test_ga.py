@@ -398,7 +398,7 @@ def test_kernel_rejects_parents_that_are_not_permutations(genes):
 
 @needs_kernel
 def test_kernel_declines_all_but_c_ordered_int64_and_sums_exactly(monkeypatch):
-    kernel = ga_module._KERNEL
+    kernel = ga_module._KERNEL.greedy_crossover
     tours = (0, 1, 2, 3), (3, 2, 1, 0)
     for weights in (FOUR_CITY.distances.astype(np.float64), FOUR_CITY.distances.astype(np.int32),
                     np.asfortranarray(FOUR_CITY.distances)):
@@ -417,6 +417,67 @@ def test_kernel_declines_all_but_c_ordered_int64_and_sums_exactly(monkeypatch):
     assert compiled == loop and kernel_rng.getstate() == loop_rng.getstate()
     assert type(compiled[1]) is int and compiled[1] > 2**64
     assert compiled[1] == tour_length(compiled[0], inst)
+
+
+def selection_case(n=12, size=8):
+    rng = random.Random(n)
+    ranking = Ranking([Chromosome(tuple(random_tour(n, rng)), rng.randrange(3))
+                       for _ in range(size)])
+    return ranking, GaParams(population_size=size, similarity_threshold=0.5)
+
+
+class FailingRandomRng(random.Random):
+    def random(self):
+        raise LookupError("random failed")
+
+
+class OneFirstRng(random.Random):
+    """random() returns 1.0 at its first call, a value no rank draw can take."""
+
+    used = False
+
+    def random(self):
+        if self.used:
+            return super().random()
+        self.used = True
+        return 1.0
+
+
+@needs_kernel
+def test_select_pair_passes_on_what_random_raises(monkeypatch):
+    ranking, params = selection_case()
+    with pytest.raises(LookupError, match="random failed"):
+        select_parents(ranking, FailingRandomRng(0), params)
+    assert ranking.rows is not None
+    for kernel in (ga_module._KERNEL, None):
+        monkeypatch.setattr(ga_module, "_KERNEL", kernel)
+        # a draw of 1.0 passes the last cumulative probability, as Ranking.draw's does
+        with pytest.raises(IndexError, match="list index out of range"):
+            select_parents(ranking, OneFirstRng(0), params)
+    monkeypatch.undo()
+    # the kernel is still usable after an aborted call
+    assert select_parents(ranking, random.Random(1), params)[0] in ranking.members
+
+
+@needs_kernel
+@pytest.mark.parametrize("bad", ["wide", "duplicate", "list", "short"])
+def test_select_pair_declines_what_the_python_loop_handles(bad, monkeypatch):
+    n = 257 if bad == "wide" else 6
+    ranking, params = selection_case(n)
+    genes = ranking.members[3].genes
+    ranking.members[3] = Chromosome({"wide": genes, "duplicate": (0, 0, *genes[2:]),
+                                     "list": list(genes), "short": genes[:-1]}[bad], 1.0)
+    loop = []
+    for kernel in (ga_module._KERNEL, None):
+        monkeypatch.setattr(ga_module, "_KERNEL", kernel)
+        rng = random.Random(4)
+        try:
+            pairs = [tuple(map(id, select_parents(ranking, rng, params))) for _ in range(20)]
+        except ValueError as exc:  # a short tour has no similarity to the others
+            pairs = str(exc)
+        loop.append((pairs, rng.getstate()))
+    assert ranking.rows is None
+    assert loop[0] == loop[1]
 
 
 def test_failed_build_or_load_falls_back_silently(tmp_path, monkeypatch):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrtsp import ga
-from mrtsp.ga import (greedy_crossover, make_chromosome, mutate, similarity,
-                      tour_length)
+from mrtsp.ga import (Chromosome, GaParams, Ranking, greedy_crossover, make_chromosome,
+                      mutate, random_tour, select_parents, similarity, tour_length)
 from mrtsp.tsplib import Instance
 
 FEW_EXAMPLES = settings(max_examples=60, deadline=None)
@@ -128,7 +128,8 @@ class ReversedRandrangeRng(random.Random):
 def test_kernel_matches_the_python_loop(rng_class, case, seed):
     inst, a, b = case
     pa, pb = make_chromosome(a, inst), make_chromosome(b, inst)
-    assert ga._KERNEL(pa.genes, pb.genes, inst.distances, random.Random(0).getrandbits) is not None
+    assert ga._KERNEL.greedy_crossover(pa.genes, pb.genes, inst.distances,
+                                       random.Random(0).getrandbits) is not None
     kernel_rng, loop_rng = rng_class(seed), rng_class(seed)
     compiled = greedy_crossover(pa, pb, inst, kernel_rng)
     kernel, ga._KERNEL = ga._KERNEL, None
@@ -154,3 +155,71 @@ def test_similarity_keys_match_position_counting(tours):
     ca, cb = a.canonical(), b.canonical()
     assert similarity(a, b) == sum(map(operator.eq, ca, cb)) / len(ca)
     assert similarity(a, a) == 1.0
+
+
+class RankGridRng(random.Random):
+    """random() returns k / total, total being the rank weights' sum for a
+    population of `size`: a Ranking's cumulative probabilities are such
+    values, so draws land exactly on them, where bisect_right's tie rule
+    decides the rank."""
+
+    def __init__(self, seed, size):
+        self.total = size * (size + 1) // 2
+        super().__init__(seed)
+
+    def random(self):
+        return int(super().random() * self.total) / self.total
+
+
+SELECTION_RNGS = {
+    "Random": lambda seed, size: random.Random(seed),
+    "RandomOnlyRng": lambda seed, size: RandomOnlyRng(seed),
+    "ReversedRandrangeRng": lambda seed, size: ReversedRandrangeRng(seed),
+    "RankGridRng": RankGridRng,
+}
+
+
+@st.composite
+def selection_cases(draw):
+    """A Ranking of 2 to 60 members with tours of 2 to 256 cities, and the
+    GaParams to select from it. The tours are copies of a few variants of one
+    tour, so duplicates and every degree of similarity occur; lengths come
+    from a few values, so ties do too. The threshold is often exactly some
+    k / n, a similarity that pairs can have."""
+    n = draw(st.integers(2, 256))
+    size = draw(st.integers(2, 60))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    base = random_tour(n, rnd)
+    variants = []
+    for _ in range(draw(st.integers(1, size))):
+        tour = base[:]
+        for _ in range(rnd.randrange(n)):
+            i, j = rnd.randrange(n), rnd.randrange(n)
+            tour[i], tour[j] = tour[j], tour[i]
+        variants.append(tuple(tour))
+    lengths = draw(st.sampled_from([[5], [1, 2, 3], list(range(100))]))
+    members = [Chromosome(rnd.choice(variants), rnd.choice(lengths)) for _ in range(size)]
+    threshold = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0),
+                               st.integers(0, n).map(lambda k: k / n)))
+    params = GaParams(population_size=size, similarity_threshold=threshold,
+                      max_parent_retries=draw(st.integers(1, 40)))
+    return Ranking(members), params
+
+
+@pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
+@pytest.mark.parametrize("make_rng", SELECTION_RNGS.values(), ids=SELECTION_RNGS.keys())
+@FEW_EXAMPLES
+@given(selection_cases(), st.integers(0, 2**32))
+def test_select_pair_matches_the_python_loop(make_rng, case, seed):
+    ranking, params = case
+    size = len(ranking.members)
+    kernel_rng, loop_rng = make_rng(seed, size), make_rng(seed, size)
+    compiled = select_parents(ranking, kernel_rng, params)
+    assert ranking.rows is not None  # the kernel did not decline
+    kernel, ga._KERNEL = ga._KERNEL, None
+    try:
+        loop = select_parents(ranking, loop_rng, params)
+    finally:
+        ga._KERNEL = kernel
+    assert compiled[0] is loop[0] and compiled[1] is loop[1]
+    assert kernel_rng.getstate() == loop_rng.getstate()
