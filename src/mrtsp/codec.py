@@ -66,6 +66,13 @@ def encode_chromosome(genes: Sequence[int], length: int, pop_id: int) -> bytes:
     return _HEADER.pack(pop_id, n) + body + _LENGTH.pack(length)
 
 
+def with_pop_id(data: bytes, pop_id: int) -> bytes:
+    """An encoded chromosome re-addressed to pop_id: only the leading u32 changes."""
+    if not 0 <= pop_id < 2**32:
+        raise CodecError(f"pop_id {pop_id} does not fit an unsigned 32-bit field")
+    return pop_id.to_bytes(4, "little") + data[4:]
+
+
 def peek_length(data: bytes) -> int:
     """Tour length from the fixed tail field, skipping gene validation.
 

@@ -2,8 +2,11 @@
 
 One job = map every input record, route intermediates through a partitioner,
 group them per reduce task with keys ascending and values in production
-order, then reduce. Reduce tasks get their own deterministically seeded rng,
-so job outputs are byte-identical for a fixed master seed no matter how many
+order, then reduce. Map tasks run in the driver, which already holds their
+input records; reduce tasks run in-process or, with workers > 1, on that many
+forked processes, each fed one contiguous chunk of tasks per phase over its
+own pipe. Reduce tasks get their own deterministically seeded rng, so job
+outputs are byte-identical for a fixed master seed no matter how many
 workers run or how the scheduler interleaves them.
 
 The record store stands in for a distributed file system: sets of records
@@ -14,12 +17,13 @@ renaming into place a marker of the part sizes, which reads check.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import multiprocessing
 import os
 import random
 import struct
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from pathlib import Path
@@ -252,7 +256,7 @@ def _attempt(fn, args: tuple, retries: int):
     on the first attempt: a rerun on the same inputs would only repeat them.
     Returns (result, events, error). events lists (attempt, "start"|"end"|
     "fail", time.monotonic()) in order; error is the last exception when
-    the task failed, else None. Module-level so process pools can pickle it.
+    the task failed, else None.
     """
     events = []
     error = None
@@ -271,24 +275,104 @@ def _attempt(fn, args: tuple, retries: int):
     return None, events, error
 
 
-def _chunk(records: list[Record], pieces: int) -> list[list[Record]]:
-    n = len(records)
+def _chunk(items: list, pieces: int) -> list[list]:
+    n = len(items)
     bounds = [i * n // pieces for i in range(pieces + 1)]
-    return [records[bounds[i]:bounds[i + 1]] for i in range(pieces)]
+    return [items[bounds[i]:bounds[i + 1]] for i in range(pieces)]
+
+
+def _serve(conn, inherited: list):
+    """Worker loop: reply to each chunk of (fn, args, retries) with its
+    _attempt outcomes, until the driver closes the pipe."""
+    gc.freeze()  # collections would walk, and so copy, every object fork shared
+    for end in inherited:
+        # the driver's ends of this and every earlier worker's pipe, copied by
+        # fork: while one is open here, closing it in the driver sends no EOF
+        end.close()
+    while True:
+        try:
+            chunk = conn.recv()
+        except EOFError:
+            return
+        outcomes = [_attempt(*task) for task in chunk]
+        try:
+            conn.send(outcomes)
+        except Exception as exc:  # pickling fails before a byte is written
+            conn.send(EngineError(f"task outcomes do not pickle: {exc!r}"))
+
+
+class ForkPool:
+    """`workers` forked processes, each serving chunks of tasks over its own
+    duplex pipe until shutdown(). Starts no thread in the driver, which keeps
+    fork safe. Fork, not spawn: a forked worker is ready in milliseconds with
+    the program already loaded, where a spawned one re-imports it (about
+    0.3 s, longer than a whole pga-n64 run)."""
+
+    def __init__(self, workers: int):
+        context = multiprocessing.get_context("fork")
+        self._workers = []
+        try:
+            for _ in range(workers):
+                conn, child = context.Pipe()
+                ends = [c for c, _ in self._workers] + [conn]
+                proc = context.Process(target=_serve, args=(child, ends), daemon=True)
+                proc.start()
+                child.close()
+                self._workers.append((conn, proc))
+        except BaseException:
+            self.shutdown(kill=True)
+            raise
+
+    def run(self, tasks: list[tuple], label: str) -> list[tuple]:
+        """_attempt(*task) for every task, in task order: each worker gets one
+        contiguous chunk and replies once. After a failure, shut down: workers
+        may still be mid-chunk or hold unread replies."""
+        chunks = _chunk(tasks, len(self._workers))
+        for index, ((conn, _), chunk) in enumerate(zip(self._workers, chunks)):
+            try:
+                conn.send(chunk)
+            except OSError as exc:
+                raise EngineError(f"{label}: worker {index} is gone: {exc!r}") from exc
+        outcomes = []
+        for index, (conn, proc) in enumerate(self._workers):
+            try:
+                reply = conn.recv()
+            except EOFError:
+                proc.join()
+                raise EngineError(f"{label}: worker {index} exited with code "
+                                  f"{proc.exitcode} before replying") from None
+            except Exception as exc:
+                raise EngineError(f"{label}: worker {index}'s reply does not "
+                                  f"unpickle: {exc!r}") from exc
+            if isinstance(reply, EngineError):
+                raise EngineError(f"{label}: worker {index}: {reply}")
+            outcomes.extend(reply)
+        return outcomes
+
+    def shutdown(self, kill: bool = False):
+        for conn, proc in self._workers:
+            conn.close()
+            if kill:
+                proc.terminate()
+        for _, proc in self._workers:
+            proc.join()
+        self._workers = []
 
 
 class Engine(AbstractContextManager):
     """Runs JobSpecs against a record store.
 
-    workers 1 (the default) runs every task in-process; more runs them on
-    one process pool, created at the first phase and reused until close(),
-    which leaving a `with Engine(...)` block calls. Pooled tasks are
-    pickled, so mapper, reducer and partitioner must be module-level.
-    Malformed output and bad records fail at once, other errors are
-    retried. The task_observer callback receives a dict per task
-    start/end/fail, timestamped inside the worker and delivered in task
-    order once each phase has finished; tests use it to verify the
-    map->reduce barrier and retry behaviour.
+    Map tasks always run in the driver, so a mapper need not pickle. Reduce
+    tasks run in-process with workers 1 (the default); with more, on a
+    ForkPool of that many processes, started at the first reduce phase and
+    reused until close(), which leaving a `with Engine(...)` block calls.
+    Pooled reduce tasks are pickled, so reducers must be module-level. A
+    worker that dies, or a reply that does not pickle, fails the job with
+    an EngineError and shuts the pool down. Malformed output and bad records
+    fail at once, other errors are retried. The task_observer callback
+    receives a dict per task start/end/fail, timestamped where the task ran
+    and delivered in task order once each phase has finished; tests use it
+    to verify the map->reduce barrier and retry behaviour.
     """
 
     def __init__(self, store, workers: int = 1, max_task_retries: int = 2,
@@ -297,7 +381,7 @@ class Engine(AbstractContextManager):
         self.workers = max(1, workers)
         self.max_task_retries = max(0, max_task_retries)
         self.task_observer = task_observer
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool: ForkPool | None = None
 
     def __exit__(self, *exc_info):
         self.close()
@@ -309,18 +393,21 @@ class Engine(AbstractContextManager):
 
     # -- phases ------------------------------------------------------------
 
-    def _run_phase(self, job_id: int, kind: str, payloads: list[tuple]) -> list[list[Record]]:
+    def _run_phase(self, job_id: int, kind: str, payloads: list[tuple],
+                   pooled: bool) -> list[list[Record]]:
         # payloads: (fn, args) per task index
-        fns, args = zip(*payloads)
-        retries = [self.max_task_retries] * len(payloads)
-        if self.workers == 1:
-            outcomes = map(_attempt, fns, args, retries)
+        tasks = [(fn, args, self.max_task_retries) for fn, args in payloads]
+        if not pooled:
+            outcomes = [_attempt(*task) for task in tasks]
         else:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            # one chunk per worker: a chunk pickles the phase's callable once
-            chunksize = -(-len(payloads) // self.workers)
-            outcomes = list(self._pool.map(_attempt, fns, args, retries, chunksize=chunksize))
+                self._pool = ForkPool(self.workers)
+            try:
+                outcomes = self._pool.run(tasks, f"job {job_id} {kind} phase")
+            except BaseException:
+                self._pool.shutdown(kill=True)
+                self._pool = None
+                raise
         results = []
         for index, (result, events, error) in enumerate(outcomes):
             if self.task_observer is not None:
@@ -353,7 +440,7 @@ class Engine(AbstractContextManager):
         input_records = self.store.read(spec.input)
         chunks = _chunk(input_records, spec.num_map_tasks)
         map_payloads = [(_map_task, (spec.mapper, chunk)) for chunk in chunks]
-        map_outputs = self._run_phase(spec.job_id, "map", map_payloads)
+        map_outputs = self._run_phase(spec.job_id, "map", map_payloads, pooled=False)
 
         intermediate = [rec for out in map_outputs for rec in out]
         grouped = self._route(spec, intermediate)
@@ -362,5 +449,6 @@ class Engine(AbstractContextManager):
             (_reduce_task, (spec.reducer, grouped[t], spec.master_seed, spec.job_id, t))
             for t in range(spec.num_reduce_tasks)
         ]
-        reduce_outputs = self._run_phase(spec.job_id, "reduce", reduce_payloads)
+        reduce_outputs = self._run_phase(spec.job_id, "reduce", reduce_payloads,
+                                         pooled=self.workers > 1)
         return self.store.write_parts(f"job{spec.job_id}", reduce_outputs)

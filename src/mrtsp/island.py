@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .codec import MAX_LENGTH, decode_chromosome, encode_chromosome, peek_length
+from .codec import (MAX_LENGTH, decode_chromosome, encode_chromosome, peek_length,
+                    with_pop_id)
 from .engine import (Engine, EngineError, FileStore, JobSpec, MemoryStore,
                      Record, default_partition, identity_mapper)
 from .ga import (Chromosome, GaParams, next_generation, random_tour, stop_reason,
@@ -111,10 +112,10 @@ class EvolveReducer:
             members = next_generation(members, self.instance, rng, self.params.ga)
 
         out = [Record(key, encode_chromosome(m.genes, m.length, key)) for m in members]
-        best = min(members, key=lambda m: m.length)
+        best = out[min(range(len(members)), key=lambda i: members[i].length)].value
         for other in range(self.params.num_islands):
             if other != key:
-                out.append(Record(other, encode_chromosome(best.genes, best.length, other)))
+                out.append(Record(other, with_pop_id(best, other)))
         return out
 
 
@@ -193,8 +194,8 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
             dump_path=None) -> RunReport:
     """Drive init_job plus evolve_job rounds until convergence.
 
-    workers > 1 runs every job on one pool of worker processes, shut down
-    when the run ends. Reported generations are per-island cumulative
+    workers > 1 runs every job's reduce tasks on one pool of forked worker
+    processes, joined when the run ends. Reported generations are per-island cumulative
     (rounds times migration_interval). The final populations are
     additionally written as a readable text dump: to dump_path when given,
     or next to the binary parts when the store lives on disk. Non-integer

@@ -5,7 +5,7 @@ import pytest
 
 from mrtsp.codec import (CodecError, DuplicateGeneError, GeneRangeError,
                          TruncatedBufferError, decode_chromosome,
-                         encode_chromosome, peek_length)
+                         encode_chromosome, peek_length, with_pop_id)
 
 GOLDEN = bytes.fromhex(
     "00000000"          # pop_id 0
@@ -96,3 +96,18 @@ def test_peek_length_matches_decode():
         assert peek_length(buf) == decode_chromosome(buf).length
     with pytest.raises(TruncatedBufferError):
         peek_length(b"\x01\x02")
+
+
+def test_with_pop_id_matches_a_fresh_encode():
+    rng = random.Random(13)
+    for _ in range(50):
+        n = rng.randint(1, 20)
+        genes = list(range(n))
+        rng.shuffle(genes)
+        length = rng.randrange(2**64)
+        buf = encode_chromosome(genes, length, rng.randrange(2**32))
+        for pop_id in (0, rng.randrange(2**32), 2**32 - 1):
+            assert with_pop_id(buf, pop_id) == encode_chromosome(genes, length, pop_id)
+    for pop_id in (-1, 2**32):
+        with pytest.raises(CodecError, match="pop_id"):
+            with_pop_id(GOLDEN, pop_id)

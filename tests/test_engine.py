@@ -1,14 +1,19 @@
+import contextlib
+import multiprocessing
+import os
+import signal
 import struct
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from mrtsp.codec import decode_chromosome
-from mrtsp.engine import (Engine, EngineError, FileStore, JobFailedError,
-                          JobSpec, MemoryStore, Record, StoreError,
-                          default_partition, identity_mapper, pack_records,
-                          task_rng, unpack_records)
+from mrtsp.engine import (Engine, EngineError, FileStore, ForkPool,
+                          JobFailedError, JobSpec, MemoryStore, Record,
+                          StoreError, default_partition, identity_mapper,
+                          pack_records, task_rng, unpack_records)
 
 
 def passthrough_reducer(key, values, rng):
@@ -39,6 +44,62 @@ class AppendingMapper:
         with open(self.path, "ab") as fh:
             fh.write(b"x")
         return [record]
+
+
+def pid_reducer(key, values, rng):
+    return [Record(key, str(os.getpid()).encode())]
+
+
+class ExitInWorker:
+    """Reducer that kills the process it runs in, unless that is the driver."""
+
+    def __init__(self, driver_pid):
+        self.driver_pid = driver_pid
+
+    def __call__(self, key, values, rng):
+        if os.getpid() != self.driver_pid:
+            os._exit(1)
+        return []
+
+
+class UnpicklableError(Exception):
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but does not unpickle: reconstruction passes one argument."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
+def unpicklable_error_reducer(key, values, rng):
+    raise UnpicklableError()
+
+
+def two_argument_error_reducer(key, values, rng):
+    raise TwoArgumentError("a", "b")
+
+
+class DeadlineExceeded(Exception):
+    """Not an OSError: multiprocessing's join swallows those from waitpid."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the block with DeadlineExceeded instead of letting it hang."""
+    def expire(signum, frame):
+        raise DeadlineExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def spec_for(input_name, *, job_id=0, maps=2, reduces=2, mapper=identity_mapper,
@@ -182,6 +243,70 @@ def test_unpicklable_reducer_fails_at_once_in_a_pool():
         with pytest.raises(AttributeError, match="pickle"):
             engine.run_job(spec_for("in", reducer=lambda key, values, rng: []))
     assert {e["kind"] for e in events} == {"map"}  # no reduce attempt, so no retry
+
+
+def test_map_runs_in_the_driver_and_reduce_on_workers():
+    store = MemoryStore()
+    store.put("in", [Record(k, b"") for k in range(4)])
+    seen = []
+
+    def recording_mapper(record):  # a closure: map tasks are never pickled
+        seen.append((os.getpid(), threading.active_count()))
+        return [record]
+
+    with deadline(30), Engine(store, workers=2) as engine:
+        outputs = [engine.run_job(spec_for("in", job_id=job, maps=2, reduces=4,
+                                           mapper=recording_mapper, reducer=pid_reducer))
+                   for job in (0, 1)]
+    assert len(seen) == 8
+    # the second job's map phase runs while the pool is up: still no thread
+    assert set(seen) == {(os.getpid(), 1)}
+    reducer_pids = {int(rec.value) for out in outputs for rec in store.read(out)}
+    assert len(reducer_pids) == 2 and os.getpid() not in reducer_pids
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_fails_the_job_and_leaves_no_process():
+    store = MemoryStore()
+    store.put("in", [Record(k, b"") for k in range(4)])
+    with deadline(30), Engine(store, workers=2) as engine:
+        with pytest.raises(EngineError, match="job 3 reduce phase: worker 0 exited with code 1"):
+            engine.run_job(spec_for("in", job_id=3, reducer=ExitInWorker(os.getpid())))
+        assert multiprocessing.active_children() == []
+        # the next job starts a fresh pool and reads no stale reply
+        out = engine.run_job(spec_for("in", job_id=4, reduces=4, reducer=pid_reducer))
+        assert len(store.read(out)) == 4
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_that_fails_to_start_leaves_no_process(monkeypatch):
+    real_start = multiprocessing.context.ForkProcess.start
+    started = []
+
+    def start_once(self):
+        if started:
+            raise OSError("cannot start another process")
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_once)
+    with deadline(30), pytest.raises(OSError, match="another process"):
+        ForkPool(2)
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("reducer, message", [
+    (unpicklable_error_reducer, "task outcomes do not pickle"),
+    (two_argument_error_reducer, "reply does not unpickle"),
+])
+def test_unsendable_task_reply_fails_the_phase(reducer, message):
+    store = MemoryStore()
+    store.put("in", [Record(k, b"") for k in range(4)])
+    with deadline(30), Engine(store, workers=2, max_task_retries=0) as engine:
+        with pytest.raises(EngineError, match=message):
+            engine.run_job(spec_for("in", reducer=reducer))
+        assert multiprocessing.active_children() == []
 
 
 def test_retries_exhausted_fail_with_task_identity():

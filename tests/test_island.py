@@ -1,7 +1,6 @@
 import multiprocessing
 import re
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -288,7 +287,7 @@ def pools(monkeypatch):
     """Every process pool the engine creates, each counting its shutdowns."""
     created = []
 
-    class CountingPool(ProcessPoolExecutor):
+    class CountingPool(engine_module.ForkPool):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.shutdowns = 0
@@ -298,7 +297,7 @@ def pools(monkeypatch):
             self.shutdowns += 1
             super().shutdown(*args, **kwargs)
 
-    monkeypatch.setattr(engine_module, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(engine_module, "ForkPool", CountingPool)
     return created
 
 
