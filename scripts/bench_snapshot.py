@@ -12,7 +12,9 @@ every metric's ratio against the previous file, medians for end-to-end
 metrics, flagging those that got worse by more than their BENCHMARK.json
 bound, with each workload's old and new calibration time beside its ratios.
 A pga workload whose traced `engine.cpu_util` is below LOW_CPU_UTIL is
-flagged too. A regression stays in the file.
+flagged too, and then no file is written: the ratios still print, and the
+script names each flagged workload and exits with status 1. A regression
+stays in the file.
 """
 
 from __future__ import annotations
@@ -58,14 +60,22 @@ def line_counts() -> dict[str, int]:
     return {**counts, "total": sum(counts.values())}
 
 
+def low_cpu_util(snapshot: dict) -> dict[str, float]:
+    """Traced `engine.cpu_util` of each pga workload below LOW_CPU_UTIL."""
+    utils = {workload: cell["per_layer"]["engine.cpu_util"]
+             for workload, cell in snapshot["workloads"].items()}
+    return {workload: util for workload, util in utils.items()
+            if workload.startswith("pga") and util < LOW_CPU_UTIL}
+
+
 def compare(new: dict, old: dict) -> None:
     bounds = {m["name"]: (m["bound"], m["better"]) for m in SPEC["end_to_end"]}
+    low = low_cpu_util(new)
     for workload, cell in new["workloads"].items():
         before = old["workloads"].get(workload, {})
         was, now = (c.get("end_to_end", {}).get("calibration_ms") for c in (before, cell))
-        util = cell["per_layer"]["engine.cpu_util"]
-        flag = (f"  LOW CPU UTIL: traced engine.cpu_util {util:.3g} < {LOW_CPU_UTIL}"
-                if workload.startswith("pga") and util < LOW_CPU_UTIL else "")
+        flag = (f"  LOW CPU UTIL: traced engine.cpu_util {low[workload]:.3g} < {LOW_CPU_UTIL}"
+                if workload in low else "")
         print(f"{workload}: calibration loop {f'{was:.4g} ms' if was else 'not recorded'}"
               f" -> {now:.4g} ms{flag}")
         for kind in ("end_to_end", "per_layer"):
@@ -112,14 +122,23 @@ def main(argv=None) -> int:
         print(f"{workload}: median run_s {end_to_end['run_s']:.6g} s, "
               f"fingerprint {provenance['fingerprint'][:12]}", file=sys.stderr)
     path = ROOT / f"BENCH_{max(taken, default=0) + 1}.json"
-    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path.name}")
+    low = low_cpu_util(snapshot)
+    if not low:
+        path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path.name}")
     old = {"workloads": {}}  # with no earlier file, only calibration and flags print
     if taken:
         previous = ROOT / f"BENCH_{max(taken)}.json"
         print(f"ratios against {previous.name}:")
         old = json.loads(previous.read_text())
     compare(snapshot, old)
+    if low:
+        flagged = ", ".join(f"{workload} (traced engine.cpu_util {util:.3g})"
+                            for workload, util in low.items())
+        print(f"{path.name} not written: LOW CPU UTIL on {flagged}, below {LOW_CPU_UTIL}; "
+              "another process likely held a core, so take the snapshot again",
+              file=sys.stderr)
+        return 1
     return 0
 
 

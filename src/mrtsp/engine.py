@@ -5,27 +5,33 @@ group them per reduce task with keys ascending and values in production
 order, then reduce. Map tasks run in the driver, which already holds their
 input records; reduce tasks run in-process or, with workers > 1, on that many
 forked processes, each fed one contiguous chunk of tasks per phase over its
-own pipe. Reduce tasks get their own deterministically seeded rng, so job
-outputs are byte-identical for a fixed master seed no matter how many
-workers run or how the scheduler interleaves them.
+own pipe, with the job's reducer sent to each worker only when it changes.
+Reduce tasks get their own deterministically seeded rng, so job outputs are
+byte-identical for a fixed master seed no matter how many workers run or how
+the scheduler interleaves them.
 
 The record store stands in for a distributed file system: sets of records
 are named, written once by a completed job, and immutable afterwards. Both
-stores keep a set as the framed bytes of its parts; FileStore seals one by
-renaming into place a marker of the part sizes, which reads check.
+stores keep a set as the framed bytes of its parts. FileStore writes them to
+one data file, then seals the set by renaming into place a marker of each
+part's size and CRC32, which reads check.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
+import io
 import multiprocessing
 import os
+import pickle
 import random
 import struct
 import time
+import zlib
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -139,8 +145,11 @@ class MemoryStore(_RecordStore):
 
 
 class FileStore(_RecordStore):
-    """Directory backend: a subdirectory per set holding part-<task> files and
-    a _SUCCESS marker of the part count and sizes, renamed into place last."""
+    """Directory backend: a subdirectory per set holding `data`, its parts
+    concatenated, and a _SUCCESS marker of the part count and each part's size
+    and CRC32, written under a temporary name and renamed into place last.
+    Reads check every size and CRC. Nothing is fsynced: a set survives a
+    crash of the program, not a power loss."""
 
     write_parts = _RecordStore.write_parts  # see MemoryStore
     read_parts = _RecordStore.read_parts
@@ -152,20 +161,38 @@ class FileStore(_RecordStore):
     def _seal(self, name: str, data: list[bytes]):
         target = self.root / name
         target.mkdir(parents=True, exist_ok=True)
-        for idx, part in enumerate(data):
-            (target / f"part-{idx}").write_bytes(part)
-        (target / "_SUCCESS.tmp").write_text(" ".join(map(str, [len(data), *map(len, data)])))
+        (target / "data").write_bytes(b"".join(data))
+        fields = [len(data)]
+        for part in data:
+            fields += len(part), zlib.crc32(part)
+        (target / "_SUCCESS.tmp").write_text(" ".join(map(str, fields)))
         os.replace(target / "_SUCCESS.tmp", target / "_SUCCESS")
 
     def _load(self, name: str) -> list[bytes] | None:
         target = self.root / name
-        if not (target / "_SUCCESS").exists():
+        try:
+            marker = (target / "_SUCCESS").read_bytes()
+        except FileNotFoundError:
             return None
         try:
-            count, *sizes = map(int, (target / "_SUCCESS").read_text().split())
-            data = [(target / f"part-{idx}").read_bytes() for idx in range(count)]
-            if sizes != [len(part) for part in data]:
-                raise ValueError(f"part sizes {list(map(len, data))} != marker {sizes}")
+            count, *fields = map(int, marker.split())
+            # only the exact text _seal writes: int() would also take other
+            # whitespace, signs, leading zeros and underscores
+            canonical = " ".join(map(str, [count, *fields])).encode()
+            if len(fields) != 2 * count or marker != canonical:
+                raise ValueError(f"garbled marker {marker[:60]!r}")
+            blob = (target / "data").read_bytes()
+            data, offset = [], 0
+            for idx, (size, crc) in enumerate(zip(fields[::2], fields[1::2])):
+                part = blob[offset:offset + size]
+                offset += size
+                if len(part) != size:
+                    raise ValueError(f"part-{idx} holds {len(part)} of its {size} bytes")
+                if zlib.crc32(part) != crc:
+                    raise ValueError(f"part-{idx} fails its CRC32 check")
+                data.append(part)
+            if offset != len(blob):
+                raise ValueError(f"data holds {len(blob) - offset} bytes past the last part")
         except (ValueError, FileNotFoundError) as exc:
             raise StoreError(f"record set {name!r} is half-written or corrupt: {exc}") from exc
         return data
@@ -281,19 +308,43 @@ def _chunk(items: list, pieces: int) -> list[list]:
     return [items[bounds[i]:bounds[i + 1]] for i in range(pieces)]
 
 
+class _ChunkPickler(ForkingPickler):
+    """Pickles `held`, the object the receiving worker already holds, as a
+    reference to it."""
+
+    def __init__(self, file, held):
+        super().__init__(file)
+        self.held = held
+
+    def persistent_id(self, obj):
+        return 0 if obj is self.held else None
+
+
+class _ChunkUnpickler(pickle.Unpickler):
+    def __init__(self, file, held):
+        super().__init__(file)
+        self.held = held
+
+    def persistent_load(self, pid):
+        return self.held
+
+
 def _serve(conn, inherited: list):
-    """Worker loop: reply to each chunk of (fn, args, retries) with its
-    _attempt outcomes, until the driver closes the pipe."""
+    """Worker loop: reply to each (shared, chunk of (fn, args, retries))
+    message with the chunk's _attempt outcomes, and hold `shared` for the
+    next message to refer to, until the driver closes the pipe."""
     gc.freeze()  # collections would walk, and so copy, every object fork shared
     for end in inherited:
         # the driver's ends of this and every earlier worker's pipe, copied by
         # fork: while one is open here, closing it in the driver sends no EOF
         end.close()
+    held = None
     while True:
         try:
-            chunk = conn.recv()
+            message = conn.recv_bytes()
         except EOFError:
             return
+        held, chunk = _ChunkUnpickler(io.BytesIO(message), held).load()
         outcomes = [_attempt(*task) for task in chunk]
         try:
             conn.send(outcomes)
@@ -306,11 +357,17 @@ class ForkPool:
     duplex pipe until shutdown(). Starts no thread in the driver, which keeps
     fork safe. Fork, not spawn: a forked worker is ready in milliseconds with
     the program already loaded, where a spawned one re-imports it (about
-    0.3 s, longer than a whole pga-n64 run)."""
+    0.3 s, longer than a whole pga-n64 run).
+
+    Each worker holds the `shared` object of the last chunk it received, and
+    the driver a strong reference to the same object, so a later chunk that
+    shares it by identity sends a reference in its place: a reducer reused
+    by every job is pickled once per worker and pool, not once per phase."""
 
     def __init__(self, workers: int):
         context = multiprocessing.get_context("fork")
         self._workers = []
+        self._held = []  # per worker: the shared object it holds a copy of
         try:
             for _ in range(workers):
                 conn, child = context.Pipe()
@@ -319,20 +376,25 @@ class ForkPool:
                 proc.start()
                 child.close()
                 self._workers.append((conn, proc))
+                self._held.append(None)  # as the worker's own `held` starts
         except BaseException:
             self.shutdown(kill=True)
             raise
 
-    def run(self, tasks: list[tuple], label: str) -> list[tuple]:
+    def run(self, tasks: list[tuple], label: str, shared) -> list[tuple]:
         """_attempt(*task) for every task, in task order: each worker gets one
-        contiguous chunk and replies once. After a failure, shut down: workers
-        may still be mid-chunk or hold unread replies."""
+        contiguous chunk and replies once. `shared` is the object the tasks
+        have in common, if any. After a failure, shut down: workers may still
+        be mid-chunk or hold unread replies."""
         chunks = _chunk(tasks, len(self._workers))
         for index, ((conn, _), chunk) in enumerate(zip(self._workers, chunks)):
+            message = io.BytesIO()
+            _ChunkPickler(message, self._held[index]).dump((shared, chunk))
             try:
-                conn.send(chunk)
+                conn.send_bytes(message.getbuffer())
             except OSError as exc:
                 raise EngineError(f"{label}: worker {index} is gone: {exc!r}") from exc
+            self._held[index] = shared
         outcomes = []
         for index, (conn, proc) in enumerate(self._workers):
             try:
@@ -367,12 +429,15 @@ class Engine(AbstractContextManager):
     ForkPool of that many processes, started at the first reduce phase and
     reused until close(), which leaving a `with Engine(...)` block calls.
     Pooled reduce tasks are pickled, so reducers must be module-level. A
-    worker that dies, or a reply that does not pickle, fails the job with
-    an EngineError and shuts the pool down. Malformed output and bad records
-    fail at once, other errors are retried. The task_observer callback
-    receives a dict per task start/end/fail, timestamped where the task ran
-    and delivered in task order once each phase has finished; tests use it
-    to verify the map->reduce barrier and retry behaviour.
+    worker keeps the last reducer it received and reuses it for a later job
+    whose spec holds the same object, so a reducer must not change once a
+    pooled job has run it. A worker that dies, or a reply that does not
+    pickle, fails the job with an EngineError and shuts the pool down.
+    Malformed output and bad records fail at once, other errors are retried.
+    The task_observer callback receives a dict per task start/end/fail,
+    timestamped where the task ran and delivered in task order once each
+    phase has finished; tests use it to verify the map->reduce barrier and
+    retry behaviour.
     """
 
     def __init__(self, store, workers: int = 1, max_task_retries: int = 2,
@@ -394,8 +459,8 @@ class Engine(AbstractContextManager):
     # -- phases ------------------------------------------------------------
 
     def _run_phase(self, job_id: int, kind: str, payloads: list[tuple],
-                   pooled: bool) -> list[list[Record]]:
-        # payloads: (fn, args) per task index
+                   pooled: bool, shared=None) -> list[list[Record]]:
+        # payloads: (fn, args) per task index; shared: what a pool sends once
         tasks = [(fn, args, self.max_task_retries) for fn, args in payloads]
         if not pooled:
             outcomes = [_attempt(*task) for task in tasks]
@@ -403,7 +468,7 @@ class Engine(AbstractContextManager):
             if self._pool is None:
                 self._pool = ForkPool(self.workers)
             try:
-                outcomes = self._pool.run(tasks, f"job {job_id} {kind} phase")
+                outcomes = self._pool.run(tasks, f"job {job_id} {kind} phase", shared)
             except BaseException:
                 self._pool.shutdown(kill=True)
                 self._pool = None
@@ -450,5 +515,5 @@ class Engine(AbstractContextManager):
             for t in range(spec.num_reduce_tasks)
         ]
         reduce_outputs = self._run_phase(spec.job_id, "reduce", reduce_payloads,
-                                         pooled=self.workers > 1)
+                                         pooled=self.workers > 1, shared=spec.reducer)
         return self.store.write_parts(f"job{spec.job_id}", reduce_outputs)

@@ -180,11 +180,14 @@ def _scan_set(store, name: str, islands: int) -> tuple[list[list[Record]], list[
 def format_population_dump(parts: list[list[Record]]) -> str:
     """One resident per line: pop_id, tour length, then the city sequence."""
     lines = []
+    names: list[str] = []  # str(c) for every city c; decoding checks genes < N
     for island, part in enumerate(parts):
         for rec in part:
             if rec.key == island:
                 decoded = decode_chromosome(rec.value)
-                cities = " ".join(str(c) for c in decoded.genes)
+                if len(names) < len(decoded.genes):
+                    names = list(map(str, range(len(decoded.genes))))
+                cities = " ".join(map(names.__getitem__, decoded.genes))
                 lines.append(f"{decoded.pop_id} {decoded.length} {cities}")
     return "\n".join(lines) + "\n"
 
@@ -195,8 +198,10 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     """Drive init_job plus evolve_job rounds until convergence.
 
     workers > 1 runs every job's reduce tasks on one pool of forked worker
-    processes, joined when the run ends. Reported generations are per-island cumulative
-    (rounds times migration_interval). The final populations are
+    processes, joined when the run ends. Every round runs the same
+    EvolveReducer, so each worker receives the instance twice per run: with
+    the InitReducer and with the EvolveReducer. Reported generations are
+    per-island cumulative (rounds times migration_interval). The final populations are
     additionally written as a readable text dump: to dump_path when given,
     or next to the binary parts when the store lives on disk. Non-integer
     weights, and weights whose tours can overflow the record's 64-bit length,
@@ -215,6 +220,7 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     params = params if params is not None else IslandParams()
     start = time.perf_counter()
     store = store if store is not None else MemoryStore()
+    evolve = EvolveReducer(instance, params)  # one object, so a pool ships it once
     with Engine(store, workers=workers) as engine:
         handle = init_job(engine, instance, params, master_seed)
         parts, island_bests, _ = _scan_set(store, handle, params.num_islands)
@@ -224,7 +230,8 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
         while reason is None:
             round_number = len(rounds) + 1
             del parts  # the job unpacks this set again; do not hold its records twice
-            handle = evolve_job(engine, handle, instance, params, round_number, master_seed)
+            handle = engine.run_job(_island_job(params, round_number, handle, evolve,
+                                                master_seed))
             parts, island_bests, best_record = _scan_set(store, handle, params.num_islands)
             rounds.append(RoundSummary(
                 round=round_number,

@@ -5,6 +5,7 @@ import signal
 import struct
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,16 @@ class ExitInWorker:
         if os.getpid() != self.driver_pid:
             os._exit(1)
         return []
+
+
+class TagReducer:
+    """Emits its tag once per key."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __call__(self, key, values, rng):
+        return [Record(key, self.tag)]
 
 
 class UnpicklableError(Exception):
@@ -277,6 +288,31 @@ def test_dead_worker_fails_the_job_and_leaves_no_process():
         out = engine.run_job(spec_for("in", job_id=4, reduces=4, reducer=pid_reducer))
         assert len(store.read(out)) == 4
     assert multiprocessing.active_children() == []
+
+
+def test_pool_sends_a_reducer_to_each_worker_once_per_object(monkeypatch):
+    pickled = []
+
+    def counting_getstate(self):
+        pickled.append(self.tag)
+        return self.__dict__
+
+    monkeypatch.setattr(TagReducer, "__getstate__", counting_getstate, raising=False)
+    store = MemoryStore()
+    store.put("in", [Record(k, b"") for k in range(4)])
+    first, second = TagReducer(b"1"), TagReducer(b"2")
+    with deadline(30), Engine(store, workers=2) as engine:
+        def run(job_id, reducer):
+            out = engine.run_job(spec_for("in", job_id=job_id, reduces=4, reducer=reducer))
+            assert {rec.value for rec in store.read(out)} == {reducer.tag}
+
+        for job_id, reducer in enumerate([first, first, second, first]):
+            run(job_id, reducer)
+        # a fresh object each, so it may reuse the address of one no longer referenced
+        run(4, TagReducer(b"3"))
+        run(5, TagReducer(b"4"))
+    # each worker holds one reducer: `first` is sent again after `second`
+    assert pickled == [b"1", b"1", b"2", b"2", b"1", b"1", b"3", b"3", b"4", b"4"]
 
 
 def test_pool_that_fails_to_start_leaves_no_process(monkeypatch):
@@ -519,10 +555,11 @@ def test_file_store_layout_and_framing(tmp_path):
     engine = Engine(store, workers=1)
     out = engine.run_job(spec_for("in", job_id=3, maps=1, reduces=2))
     assert out == "job3"
-    assert (tmp_path / "job3" / "_SUCCESS").exists()
-    assert (tmp_path / "job3" / "part-0").read_bytes() == b""
-    golden = struct.pack("<II", 1, 2) + b"ab"
-    assert (tmp_path / "job3" / "part-1").read_bytes() == golden
+    assert sorted(p.name for p in (tmp_path / "job3").iterdir()) == ["_SUCCESS", "data"]
+    golden = struct.pack("<II", 1, 2) + b"ab"  # part-0 is empty, part-1 holds the record
+    assert (tmp_path / "job3" / "data").read_bytes() == golden
+    assert (tmp_path / "job3" / "_SUCCESS").read_text() == (
+        f"2 0 {zlib.crc32(b'')} {len(golden)} {zlib.crc32(golden)}")
     assert store.read_parts("job3") == [[], [Record(1, b"ab")]]
 
 
@@ -552,12 +589,29 @@ def test_file_store_empty_marker_is_store_error(tmp_path):
 def test_file_store_missing_part_is_store_error(tmp_path):
     store = FileStore(tmp_path)
     store.write_parts("x", [[Record(0, b"a")], [Record(1, b"b")]])
-    (tmp_path / "x" / "part-1").unlink()
+    (tmp_path / "x" / "data").unlink()
     for read in (store.read_parts, store.read):
-        with pytest.raises(StoreError, match="'x' is half-written.*part-1"):
+        with pytest.raises(StoreError, match="'x' is half-written.*data"):
             read("x")
-    with pytest.raises(StoreError, match="'x' is half-written.*part-1"):
+    with pytest.raises(StoreError, match="'x' is half-written.*data"):
         store.snapshot()
+
+
+@pytest.mark.parametrize("garble", [
+    lambda marker: marker.rsplit(" ", 1)[0],  # the last part's CRC cut off
+    lambda marker: marker + " 0 0",  # one part too many
+    # each of these parses to the same numbers, but is not the text _seal writes
+    lambda marker: marker.replace(" ", "\t", 1),
+    lambda marker: marker.replace(" ", " +", 1),
+    lambda marker: marker.replace(" ", " 0", 1),
+], ids=["short", "long", "tab", "signed", "zero-padded"])
+def test_file_store_garbled_marker_is_store_error(tmp_path, garble):
+    store = FileStore(tmp_path)
+    store.write_parts("x", [[Record(0, b"a")], [Record(1, b"b")]])
+    marker = tmp_path / "x" / "_SUCCESS"
+    marker.write_text(garble(marker.read_text()))
+    with pytest.raises(StoreError, match="'x' is half-written or corrupt: garbled marker"):
+        store.read("x")
 
 
 def test_file_store_crash_mid_seal_leaves_set_rewritable(tmp_path, monkeypatch):
@@ -579,18 +633,34 @@ def test_file_store_crash_mid_seal_leaves_set_rewritable(tmp_path, monkeypatch):
     assert store.read_parts("y") == [[Record(0, b"a")], [Record(1, b"bc")]]
 
 
-@pytest.mark.parametrize("damage", [lambda data: data[:len(data) // 2],
-                                    lambda data: data + data], ids=["truncated", "grown"])
-def test_file_store_resized_part_is_store_error(tmp_path, damage):
+@pytest.mark.parametrize("damage, fault", [
+    (lambda data: data[:12], "part-0 holds 12 of its 24 bytes"),
+    (lambda data: data + data, "data holds 33 bytes past the last part"),
+], ids=["truncated", "grown"])
+def test_file_store_resized_part_is_store_error(tmp_path, damage, fault):
     store = FileStore(tmp_path)
     store.write_parts("x", [[Record(0, b"aaaa"), Record(1, b"bbbb")], [Record(2, b"c")]])
-    part = tmp_path / "x" / "part-0"
-    part.write_bytes(damage(part.read_bytes()))  # cut or grown at a record boundary
+    data = tmp_path / "x" / "data"
+    data.write_bytes(damage(data.read_bytes()))  # cut or grown at a record boundary
     for read in (store.read_parts, store.read):
-        with pytest.raises(StoreError, match="'x' is half-written or corrupt"):
+        with pytest.raises(StoreError, match=f"'x' is half-written or corrupt: {fault}"):
             read("x")
-    with pytest.raises(StoreError, match="'x' is half-written or corrupt"):
+    with pytest.raises(StoreError, match=f"'x' is half-written or corrupt: {fault}"):
         store.snapshot()
+
+
+def test_file_store_flipped_byte_is_store_error(tmp_path):
+    store = FileStore(tmp_path)
+    store.write_parts("x", [[Record(0, b"aaaa")], [Record(1, b"bbbb"), Record(2, b"c")]])
+    data = tmp_path / "x" / "data"
+    flipped = bytearray(data.read_bytes())
+    flipped[-1] ^= 0x01  # the last value: size and framing still hold
+    data.write_bytes(flipped)
+    assert unpack_records(bytes(flipped[12:])) == [Record(1, b"bbbb"), Record(2, b"b")]
+    for read in (store.read_parts, store.read):
+        with pytest.raises(StoreError, match="'x' is half-written or corrupt: "
+                                             "part-1 fails its CRC32 check"):
+            read("x")
 
 
 def test_file_and_memory_stores_agree(tmp_path):

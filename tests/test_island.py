@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import re
 from collections import Counter
 
@@ -315,6 +316,36 @@ def test_run_pga_uses_one_pool_for_the_whole_run(pools):
     assert len(pools) == 1
     assert pools[0].shutdowns == 1
     assert multiprocessing.active_children() == []
+
+
+def test_pooled_run_pga_pickles_the_instance_once_per_reducer_and_worker(monkeypatch):
+    driver = os.getpid()
+    pickled = []
+    real_getstate = Instance.__getstate__
+
+    def counting_getstate(self):
+        if os.getpid() == driver:
+            pickled.append(self)
+        return real_getstate(self)
+
+    monkeypatch.setattr(Instance, "__getstate__", counting_getstate)
+    workers = 2
+    report = run_pga(INST10, SMALL, master_seed=5, workers=workers)
+    assert len(report.rounds) == 4  # five pooled reduce phases
+    assert len(pickled) == 2 * workers  # with the InitReducer, then the EvolveReducer
+    assert multiprocessing.active_children() == []
+
+
+def test_fresh_evolve_reducer_every_round_in_a_pool_matches_in_process():
+    def run(workers):
+        store = MemoryStore()
+        with Engine(store, workers=workers) as engine:
+            handle = init_job(engine, INST10, SMALL, master_seed=9)
+            for round_number in (1, 2, 3):
+                handle = evolve_job(engine, handle, INST10, SMALL, round_number, master_seed=9)
+        return store.snapshot()
+
+    assert run(2) == run(1)
 
 
 def test_run_pga_shuts_the_pool_down_when_a_job_fails(pools):

@@ -1,7 +1,8 @@
 """Property tests for the record store: both backends keep the same framed
-bytes and reject the same bad writes."""
+bytes and reject the same bad writes, and a damaged FileStore set fails its read."""
 
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,3 +59,22 @@ def test_invalid_name_fails_at_write_and_read_on_both_stores(name, parts):
             with pytest.raises(StoreError, match="invalid record set name"):
                 store.read_parts(name)
             assert store.names() == []
+
+
+@FEW_EXAMPLES
+@given(parts=record_parts, in_marker=st.booleans(), where=st.integers(0, 2**16),
+       mask=st.integers(1, 255))
+def test_flipped_byte_in_a_sealed_file_set_fails_the_read(parts, in_marker, where, mask):
+    with tempfile.TemporaryDirectory() as root:
+        store = FileStore(root)
+        store.write_parts("set", parts)
+        data, marker = (Path(root) / "set" / name for name in ("data", "_SUCCESS"))
+        target = marker if in_marker or not data.stat().st_size else data
+        damaged = bytearray(target.read_bytes())
+        damaged[where % len(damaged)] ^= mask
+        target.write_bytes(damaged)
+        # never different records: every read of the set fails
+        for read in (lambda: store.read_parts("set"), lambda: store.read("set"),
+                     store.snapshot):
+            with pytest.raises(StoreError, match="'set' is half-written or corrupt"):
+                read()
