@@ -13,7 +13,11 @@
    canonical_rows and select_pair run ga.select_parents' retry loop: the first
    turns a Ranking's tours into byte rows once per generation, the second
    draws through the rng's own random method and compares the rows' share of
-   equal bytes with the threshold, the same double that ga.similarity returns. */
+   equal bytes with the threshold, the same double that ga.similarity returns.
+
+   breed runs ga.next_generation's per-child loop for a whole generation on
+   the same crossover and selection loops, from successor arrays and rows it
+   builds once. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
@@ -74,19 +78,39 @@ static PyObject *length_to_int(unsigned __int128 length)
     return PyLong_FromString(hex, NULL, 16);
 }
 
-static PyObject *crossover(PyObject *genes_a, PyObject *genes_b, const Py_buffer *view,
-                           PyObject *getrandbits)
+/* The cities as a tuple, or NULL with an exception set. */
+static PyObject *cities(const int *tour, Py_ssize_t n)
 {
-    Py_ssize_t n = view->shape[0];
-    const long long *dist = view->buf;
-    int sa[n], sb[n], tour[n];
-    unsigned char visited[n];
-    if (!successors(genes_a, n, sa, visited) || !successors(genes_b, n, sb, visited))
-        return NULL;
-    memset(visited, 0, n);
-    int current = tour[0] = (int)PyLong_AsLong(PyTuple_GET_ITEM(genes_a, 0));
-    visited[current] = 1;
+    PyObject *genes = PyTuple_New(n);
+    for (Py_ssize_t i = 0; genes != NULL && i < n; i++) {
+        PyObject *city = PyLong_FromLong(tour[i]);
+        if (city == NULL)
+            Py_CLEAR(genes);
+        else
+            PyTuple_SET_ITEM(genes, i, city);
+    }
+    return genes;
+}
+
+/* The directed length of the closed tour, summed in 128 bits. */
+static unsigned __int128 tour_length(const int *tour, const long long *dist, Py_ssize_t n)
+{
     unsigned __int128 length = 0;
+    for (Py_ssize_t i = 0; i < n; i++)
+        length += (unsigned long long)dist[(Py_ssize_t)tour[i] * n + tour[(i + 1) % n]];
+    return length;
+}
+
+/* Fills tour[] with the greedy crossover of the parents whose successor arrays
+   are sa and sb, from city first; 0 with an exception set when a dead-end draw
+   fails. */
+static int crossover(const int *sa, const int *sb, int first, const long long *dist,
+                     Py_ssize_t n, PyObject *getrandbits, int *tour)
+{
+    unsigned char visited[n];
+    memset(visited, 0, n);
+    int current = tour[0] = first;
+    visited[current] = 1;
     for (Py_ssize_t i = 1; i < n; i++) {
         const long long *row = dist + (Py_ssize_t)current * n;
         int ea = sa[current], eb = sb[current], nxt;
@@ -97,33 +121,31 @@ static PyObject *crossover(PyObject *genes_a, PyObject *genes_b, const Py_buffer
         else {
             long k = draw_below(getrandbits, n - i);
             if (k < 0)
-                return NULL;
+                return 0;
             for (nxt = 0; visited[nxt] || k-- > 0; nxt++)
                 ;
         }
         visited[nxt] = 1;
-        length += (unsigned long long)row[nxt];
         current = tour[i] = nxt;
     }
-    length += (unsigned long long)dist[(Py_ssize_t)current * n + tour[0]];
-    PyObject *child = PyList_New(n);
-    for (Py_ssize_t i = 0; child != NULL && i < n; i++) {
-        PyObject *city = PyLong_FromLong(tour[i]);
-        if (city == NULL)
-            Py_CLEAR(child);
-        else
-            PyList_SET_ITEM(child, i, city);
-    }
-    return child == NULL ? NULL : Py_BuildValue("(NN)", child, length_to_int(length));
+    return 1;
 }
 
-/* A C-ordered n x n matrix, n >= 1, of native 8-byte integers. */
-static int is_int64_matrix(const Py_buffer *view)
+/* n, holding view, when obj is a C-ordered n x n matrix (n >= 1) of native
+   8-byte integers; else 0, holding nothing, with no exception set. */
+static Py_ssize_t int64_matrix(PyObject *obj, Py_buffer *view)
 {
+    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0) {
+        PyErr_Clear();
+        return 0;
+    }
     const char *format = view->format ? view->format + (view->format[0] == '@') : "B";
-    return view->ndim == 2 && view->shape[0] == view->shape[1] && view->shape[0] > 0
-           && view->itemsize == 8 && (strcmp(format, "l") == 0 || strcmp(format, "q") == 0)
-           && PyBuffer_IsContiguous(view, 'C');
+    if (view->ndim == 2 && view->shape[0] == view->shape[1] && view->shape[0] > 0
+        && view->itemsize == 8 && (strcmp(format, "l") == 0 || strcmp(format, "q") == 0)
+        && PyBuffer_IsContiguous(view, 'C'))
+        return view->shape[0];
+    PyBuffer_Release(view);
+    return 0;
 }
 
 static PyObject *greedy_crossover(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -131,12 +153,20 @@ static PyObject *greedy_crossover(PyObject *module, PyObject *const *args, Py_ss
     Py_buffer view;
     if (nargs != 4)
         return PyErr_Format(PyExc_TypeError, "expected 4 arguments, got %zd", nargs);
-    if (PyObject_GetBuffer(args[2], &view, PyBUF_RECORDS_RO) < 0) {
-        PyErr_Clear();
+    Py_ssize_t n = int64_matrix(args[2], &view);
+    if (n == 0)
         Py_RETURN_NONE;
+    int sa[n], sb[n], tour[n];
+    unsigned char seen[n];
+    PyObject *result = NULL;
+    if (successors(args[0], n, sa, seen) && successors(args[1], n, sb, seen)
+        && crossover(sa, sb, (int)PyLong_AsLong(PyTuple_GET_ITEM(args[0], 0)), view.buf, n,
+                     args[3], tour)) {
+        PyObject *genes = cities(tour, n), *child = genes ? PySequence_List(genes) : NULL;
+        Py_XDECREF(genes);
+        result = child ? Py_BuildValue("(NN)", child, length_to_int(tour_length(tour, view.buf, n)))
+                       : NULL;
     }
-    PyObject *result = is_int64_matrix(&view) ? crossover(args[0], args[1], &view, args[3])
-                                              : Py_NewRef(Py_None);
     PyBuffer_Release(&view);
     return result;
 }
@@ -169,16 +199,21 @@ static PyObject *canonical_rows(PyObject *module, PyObject *const *args, Py_ssiz
     return rows;
 }
 
+/* *x = random(); 0 with an exception set when the call or its conversion fails. */
+static int uniform(PyObject *random, double *x)
+{
+    PyObject *r = PyObject_CallNoArgs(random);
+    *x = r ? PyFloat_AsDouble(r) : -1.0;
+    Py_XDECREF(r);
+    return !(*x == -1.0 && PyErr_Occurred());
+}
+
 /* One Ranking.draw, order[bisect_right(cum, random())], as a member index below
    p; -1 with an exception set when random() fails or the draw is out of range. */
 static long draw(PyObject *random, const double *cum, PyObject *order, Py_ssize_t p)
 {
-    PyObject *r = PyObject_CallNoArgs(random);
-    if (r == NULL)
-        return -1;
-    double x = PyFloat_AsDouble(r);
-    Py_DECREF(r);
-    if (x == -1.0 && PyErr_Occurred())
+    double x;
+    if (!uniform(random, &x))
         return -1;
     Py_ssize_t lo = 0, hi = p;
     while (lo < hi) {
@@ -198,10 +233,35 @@ static long draw(PyObject *random, const double *cum, PyObject *order, Py_ssize_
     return PyErr_Occurred() ? -1 : index;
 }
 
+/* ga.select_parents' retry loop over p rows of n bytes: up to retries tries of
+   two draws, *ib redrawn while it equals *ia, ending at the first pair whose rows
+   agree in at most threshold of their n bytes, else at the last pair; 0 with an
+   exception set when a draw fails. */
+static int select_retry(PyObject *random, const double *cum, PyObject *order, Py_ssize_t p,
+                        const unsigned char *rows, Py_ssize_t n, double threshold,
+                        Py_ssize_t retries, long *ia, long *ib)
+{
+    for (Py_ssize_t t = 0; t < retries; t++) {
+        if ((*ia = draw(random, cum, order, p)) < 0)
+            return 0;
+        do
+            *ib = draw(random, cum, order, p);
+        while (*ib == *ia);
+        if (*ib < 0)
+            return 0;
+        const unsigned char *ra = rows + *ia * n, *rb = rows + *ib * n;
+        Py_ssize_t same = 0;
+        for (Py_ssize_t j = 0; j < n; j++)
+            same += ra[j] == rb[j];
+        if ((double)same / (double)n <= threshold)
+            break;
+    }
+    return 1;
+}
+
 /* select_pair(canon, n, order, cum, threshold, retries, random) -> (ia, ib):
-   up to retries tries of two draws, ib redrawn while it equals ia, ending at
-   the first pair whose rows agree in at most threshold of their n bytes, else
-   at the last pair; None when the arguments do not describe P >= 2 rows. */
+   select_retry over the canonical rows; None when the arguments do not
+   describe P >= 2 rows. */
 static PyObject *select_pair(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 7)
@@ -223,31 +283,117 @@ static PyObject *select_pair(PyObject *module, PyObject *const *args, Py_ssize_t
         return PyErr_NoMemory();
     for (Py_ssize_t i = 0; i < p && !PyErr_Occurred(); i++)
         cum[i] = PyFloat_AsDouble(PyList_GET_ITEM(cum_list, i));
-    const unsigned char *rows = (const unsigned char *)PyBytes_AS_STRING(canon);
     long ia = -1, ib = -1;
-    for (Py_ssize_t t = 0; t < retries && !PyErr_Occurred(); t++) {
-        if ((ia = draw(random, cum, order, p)) < 0)
-            break;
-        do
-            ib = draw(random, cum, order, p);
-        while (ib == ia);
-        if (ib < 0)
-            break;
-        const unsigned char *ra = rows + ia * n, *rb = rows + ib * n;
-        Py_ssize_t same = 0;
-        for (Py_ssize_t j = 0; j < n; j++)
-            same += ra[j] == rb[j];
-        if ((double)same / (double)n <= threshold)
-            break;
-    }
+    int ok = !PyErr_Occurred() && select_retry(random, cum, order, p, (const unsigned char *)
+                                               PyBytes_AS_STRING(canon), n, threshold, retries,
+                                               &ia, &ib);
     PyMem_Free(cum);
-    return PyErr_Occurred() ? NULL : Py_BuildValue("(ll)", ia, ib);
+    return ok ? Py_BuildValue("(ll)", ia, ib) : NULL;
+}
+
+/* breed(genes, lengths, order, cum, distances, threshold, retries, crossover_prob,
+   mutation_prob, count, random, getrandbits) -> (children, lengths): count
+   children of ga.next_generation's loop, drawing as it does; None, before any
+   draw, unless distances is a C-ordered n x n int64 matrix, 2 <= n <= 256, and
+   the P >= 2 members' genes are tuples permuting 0..n-1. */
+static PyObject *breed(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 12)
+        return PyErr_Format(PyExc_TypeError, "expected 12 arguments, got %zd", nargs);
+    PyObject *genes = args[0], *lengths = args[1], *order = args[2], *cum_list = args[3];
+    PyObject *random = args[10], *getrandbits = args[11];
+    double threshold = PyFloat_AsDouble(args[5]), cross_prob = PyFloat_AsDouble(args[7]);
+    double mutation_prob = PyFloat_AsDouble(args[8]), x;
+    Py_ssize_t retries = PyLong_AsSsize_t(args[6]), count = PyLong_AsSsize_t(args[9]);
+    if (PyErr_Occurred())
+        return NULL;
+    Py_buffer view;
+    Py_ssize_t n = int64_matrix(args[4], &view);
+    Py_ssize_t p = PyList_Check(genes) ? PyList_GET_SIZE(genes) : 0;
+    int *succ = NULL, tour[256];
+    unsigned char *rows = NULL, seen[256];
+    double *cum = NULL;
+    PyObject *children = NULL, *child_lengths = NULL, *result = Py_None;  /* borrowed until done */
+    if (n < 2 || n > 256 || p < 2 || retries < 1 || !PyList_Check(lengths) || !PyList_Check(order)
+        || !PyList_Check(cum_list) || PyList_GET_SIZE(lengths) != p || PyList_GET_SIZE(order) != p
+        || PyList_GET_SIZE(cum_list) != p)
+        goto done;
+    succ = PyMem_New(int, p * n);
+    rows = PyMem_Malloc(p * n);
+    if ((cum = PyMem_New(double, p)) == NULL || succ == NULL || rows == NULL) {
+        result = PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < p; i++) {
+        if (!successors(PyList_GET_ITEM(genes, i), n, succ + i * n, seen)) {
+            PyErr_Clear();
+            goto done;
+        }
+        for (int j = 0, city = 0; j < n; j++, city = succ[i * n + city])
+            rows[i * n + j] = (unsigned char)city;
+    }
+    result = NULL;
+    for (Py_ssize_t i = 0; i < p && !PyErr_Occurred(); i++)
+        cum[i] = PyFloat_AsDouble(PyList_GET_ITEM(cum_list, i));
+    if (PyErr_Occurred() || (children = PyList_New(count)) == NULL
+        || (child_lengths = PyList_New(count)) == NULL)
+        goto done;
+    for (Py_ssize_t k = 0; k < count; k++) {
+        long ia, ib, copy = -1;
+        if (!select_retry(random, cum, order, p, rows, n, threshold, retries, &ia, &ib)
+            || !uniform(random, &x))
+            goto done;
+        if (x < cross_prob) {
+            int first = (int)PyLong_AsLong(PyTuple_GET_ITEM(PyList_GET_ITEM(genes, ia), 0));
+            if (!crossover(succ + ia * n, succ + ib * n, first, view.buf, n, getrandbits, tour))
+                goto done;
+        }
+        else {
+            int le = PyObject_RichCompareBool(PyList_GET_ITEM(lengths, ia),
+                                              PyList_GET_ITEM(lengths, ib), Py_LE);
+            if (le < 0)
+                goto done;
+            copy = le ? ia : ib;
+        }
+        if (mutation_prob > 0.0 && !uniform(random, &x))
+            goto done;
+        if (mutation_prob > 0.0 && x < mutation_prob) {
+            for (Py_ssize_t i = 0; copy >= 0 && i < n; i++)
+                tour[i] = (int)PyLong_AsLong(PyTuple_GET_ITEM(PyList_GET_ITEM(genes, copy), i));
+            long i = draw_below(getrandbits, n), j = i < 0 ? -1 : draw_below(getrandbits, n - 1);
+            if (j < 0)
+                goto done;
+            j += j >= i;
+            int city = tour[i];
+            tour[i] = tour[j];
+            tour[j] = city;
+            copy = -1;
+        }
+        PyObject *child = copy >= 0 ? Py_NewRef(PyList_GET_ITEM(genes, copy)) : cities(tour, n);
+        PyObject *size = copy >= 0 ? Py_NewRef(PyList_GET_ITEM(lengths, copy))
+                                   : length_to_int(tour_length(tour, view.buf, n));
+        PyList_SET_ITEM(children, k, child);
+        PyList_SET_ITEM(child_lengths, k, size);
+        if (child == NULL || size == NULL)
+            goto done;
+    }
+    result = PyTuple_Pack(2, children, child_lengths);
+done:
+    Py_XDECREF(children);
+    Py_XDECREF(child_lengths);
+    PyMem_Free(cum);
+    PyMem_Free(rows);
+    PyMem_Free(succ);
+    if (n > 0)
+        PyBuffer_Release(&view);
+    return result == Py_None ? Py_NewRef(Py_None) : result;
 }
 
 static PyMethodDef methods[] = {
     {"greedy_crossover", (PyCFunction)(void (*)(void))greedy_crossover, METH_FASTCALL, NULL},
     {"canonical_rows", (PyCFunction)(void (*)(void))canonical_rows, METH_FASTCALL, NULL},
     {"select_pair", (PyCFunction)(void (*)(void))select_pair, METH_FASTCALL, NULL},
+    {"breed", (PyCFunction)(void (*)(void))breed, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},
 };
 

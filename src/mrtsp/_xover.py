@@ -5,9 +5,10 @@ interpreter's headers into the package's `__pycache__`, under a name that
 carries the source's sha256 and the interpreter's extension suffix, and
 renamed into place so that a concurrent build never loads a half-written
 file; a build removes the libraries of earlier sources from the directory.
-`load` returns None, and `ga.greedy_crossover` and `ga.select_parents` keep
-their Python loops, when there is no compiler or no `Python.h`, the build or
-the load fails, or another user could write the cache directory.
+`load` returns None, and `ga.next_generation`, `ga.greedy_crossover` and
+`ga.select_parents` keep their Python loops, when there is no compiler or no
+`Python.h`, the build or the load fails, or another user could write the
+cache directory.
 """
 
 from __future__ import annotations
@@ -76,6 +77,15 @@ def load(source: Path = SOURCE, cache: Path | None = None):
     cum, drawing through the rng's bound random method, and returns the two
     member indexes. It returns None, having drawn nothing, unless there are at
     least two rows of n bytes and retries >= 1.
+
+    breed(genes, lengths, order, cum, distances, threshold, retries,
+    crossover_prob, mutation_prob, count, random, getrandbits) -> (children,
+    lengths) makes count children as next_generation's loop does, from the
+    members' gene tuples and lengths, a Ranking's order and cum and the rng's
+    bound random and getrandbits. A copy that does not mutate is the parent's
+    own tuple and length. It returns None, having drawn nothing, unless
+    distances is a C-ordered int64 matrix of 2 <= n <= 256 cities and each of
+    the P >= 2 members' genes is a tuple permuting 0..n-1.
 
     An exception raised by getrandbits or random reaches the caller.
     """

@@ -19,8 +19,8 @@ from .reports import RunReport, accuracy_percent
 from .tsplib import Instance
 
 # The compiled `_xover` module, built at first import and loaded once, so forked
-# pool workers inherit it; None when it cannot be built, and greedy_crossover
-# and select_parents run their Python loops.
+# pool workers inherit it; None when it cannot be built, and next_generation,
+# greedy_crossover and select_parents run their Python loops.
 _KERNEL = _xover.load()
 
 
@@ -266,13 +266,27 @@ def next_generation(members: list[Chromosome], instance: Instance,
     """One generation: the elite_count shortest members carried over (ties
     in member order), the rest bred by rank selection, greedy crossover
     (else a copy of the better parent) and mutation. Output size equals
-    input size."""
+    input size.
+
+    With the kernel loaded and an exact random.Random, breed makes all the
+    children in one call with the loop's draws in the loop's order. It
+    declines, and the loop below runs, unless the weights are a C-ordered
+    int64 matrix of 2 to 256 cities and each member's genes a tuple
+    permuting them."""
     size = len(members)
     if size <= params.elite_count:
         raise ValueError("population smaller than elite_count + 1")
 
     new_members = sorted(members, key=lambda m: m.length)[:params.elite_count]
     ranking = Ranking(members)
+    if _KERNEL is not None and type(rng) is random.Random:
+        bred = _KERNEL.breed([m.genes for m in members], [m.length for m in members],
+                             ranking.order, ranking.cum, instance.distances,
+                             params.similarity_threshold, params.max_parent_retries,
+                             params.crossover_prob, params.mutation_prob,
+                             size - len(new_members), rng.random, rng.getrandbits)
+        if bred is not None:
+            return new_members + list(map(Chromosome, *bred))
     while len(new_members) < size:
         pa, pb = select_parents(ranking, rng, params)
         if rng.random() < params.crossover_prob:

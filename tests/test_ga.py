@@ -527,3 +527,100 @@ def test_a_build_removes_the_libraries_of_earlier_sources(tmp_path):
     assert not stale.exists()
     assert all(path.exists() for path in kept)
     assert len(list(cache.glob(f"_xover-*{suffix}"))) == 1
+
+
+# -- breed: one kernel call per generation -------------------------------------------
+
+def breed_args(members, instance, params, rng):
+    ranking = Ranking(members)
+    return ([m.genes for m in members], [m.length for m in members], ranking.order, ranking.cum,
+            instance.distances, params.similarity_threshold, params.max_parent_retries,
+            params.crossover_prob, params.mutation_prob, len(members) - params.elite_count,
+            rng.random, rng.getrandbits)
+
+
+def declined_case(bad):
+    n = 257 if bad == "wide" else 8
+    matrix = np.random.default_rng(n).integers(1, 10, (n, n))
+    weights = {"float64": matrix.astype(np.float64), "int32": matrix.astype(np.int32),
+               "fortran": np.asfortranarray(matrix)}.get(bad, matrix)
+    inst = Instance("declined", n, weights)
+    params = GaParams(population_size=10, mutation_prob=0.5, crossover_prob=0.8)
+    members = random_population(inst, params, random.Random(n))
+    genes = members[3].genes
+    if bad in ("list", "duplicate"):
+        members[3] = Chromosome(list(genes) if bad == "list" else (0, 0, *genes[2:]), 1)
+    return inst, members, params
+
+
+@needs_kernel
+@pytest.mark.parametrize("bad", ["float64", "int32", "fortran", "wide", "list", "duplicate"])
+def test_breed_declines_before_any_draw_and_the_loop_runs_as_before(bad, monkeypatch):
+    inst, members, params = declined_case(bad)
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert ga_module._KERNEL.breed(*breed_args(members, inst, params, rng)) is None
+    assert rng.getstate() == state
+    outcomes = []
+    # the kernel as it is, then with breed declining everything: the per-child loop
+    for breed in (ga_module._KERNEL.breed, lambda *args: None):
+        monkeypatch.setattr(ga_module._KERNEL, "breed", breed)
+        rng = random.Random(2)
+        try:
+            out = [(m.genes, m.length) for m in next_generation(members, inst, rng, params)]
+        except ValueError as exc:  # a parent that is not a permutation
+            out = repr(exc)
+        outcomes.append((out, rng.getstate()))
+    assert outcomes[0] == outcomes[1]
+
+
+def failing_at_call(name, k):
+    """An exact random.Random whose instance attribute `name` (random or
+    getrandbits) raises at its k-th call; rng.calls counts the calls."""
+    rng = random.Random(3)
+    real = getattr(rng, name)
+    rng.calls = 0
+
+    def failing(*args):
+        rng.calls += 1
+        if rng.calls == k:
+            raise LookupError(f"{name} failed at call {k}")
+        return real(*args)
+
+    setattr(rng, name, failing)
+    return rng
+
+
+@needs_kernel
+@pytest.mark.parametrize("name", ["random", "getrandbits"])
+@pytest.mark.parametrize("k", [1, 2, 3, 17, 90, 400])
+def test_breed_raises_what_the_loop_raises_after_as_many_calls(name, k, monkeypatch):
+    inst = random_instance(20, (1, 5), seed=8)
+    params = GaParams(population_size=12, mutation_prob=0.5, crossover_prob=0.8)
+    start = random_population(inst, params, random.Random(9))
+    outcomes = []
+    for kernel in (ga_module._KERNEL, None):
+        monkeypatch.setattr(ga_module, "_KERNEL", kernel)
+        rng, members = failing_at_call(name, k), start
+        with pytest.raises(LookupError, match=f"{name} failed at call {k}$"):
+            for _ in range(200):
+                members = next_generation(members, inst, rng, params)
+        outcomes.append((rng.calls, rng.getstate(), [(m.genes, m.length) for m in members]))
+    assert outcomes[0] == outcomes[1]
+
+
+@needs_kernel
+def test_breed_runs_only_for_an_exact_random(monkeypatch):
+    class Subclass(random.Random):
+        pass
+
+    def refuse(*args):
+        raise AssertionError("breed drew from a random.Random subclass")
+
+    inst = random_instance(12, (1, 9), seed=2)
+    params = GaParams(population_size=10, mutation_prob=0.5)
+    members = random_population(inst, params, random.Random(4))
+    monkeypatch.setattr(ga_module._KERNEL, "breed", refuse)
+    compiled = next_generation(members, inst, Subclass(5), params)
+    monkeypatch.setattr(ga_module, "_KERNEL", None)
+    assert compiled == next_generation(members, inst, Subclass(5), params)

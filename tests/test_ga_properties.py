@@ -223,3 +223,46 @@ def test_select_pair_matches_the_python_loop(make_rng, case, seed):
         ga._KERNEL = kernel
     assert compiled[0] is loop[0] and compiled[1] is loop[1]
     assert kernel_rng.getstate() == loop_rng.getstate()
+
+
+@st.composite
+def generation_cases(draw):
+    """An int instance of 2 to 256 cities with weights 0 to 3, a population of
+    2 to 60 members copied from 1 to 4 distinct tours, so that equal tours,
+    tied lengths and waived thresholds all occur, and GaParams for it."""
+    n = draw(st.integers(2, 256))
+    size = draw(st.integers(2, 60))
+    seed = draw(st.integers(0, 2**32))
+    matrix = np.random.default_rng(seed).integers(0, draw(st.integers(0, 3)) + 1, (n, n))
+    inst = Instance("generation", n, matrix)
+    rnd = random.Random(seed)
+    tours = [tuple(random_tour(n, rnd)) for _ in range(draw(st.integers(1, 4)))]
+    members = [make_chromosome(rnd.choice(tours), inst) for _ in range(size)]
+    params = GaParams(population_size=size, elite_count=draw(st.integers(1, size - 1)),
+                      crossover_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                      mutation_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                      similarity_threshold=draw(st.sampled_from([0.0, 0.8, 1.0])),
+                      max_parent_retries=draw(st.integers(1, 4)))
+    return inst, members, params
+
+
+@pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
+@settings(max_examples=200, deadline=None)
+@given(generation_cases(), st.integers(0, 2**32))
+def test_breed_matches_the_python_loop(case, seed):
+    inst, members, params = case
+    kernel_rng, loop_rng = random.Random(seed), random.Random(seed)
+    compiled = ga.next_generation(members, inst, kernel_rng, params)
+    kernel, ga._KERNEL = ga._KERNEL, None
+    try:
+        loop = ga.next_generation(members, inst, loop_rng, params)
+    finally:
+        ga._KERNEL = kernel
+    assert [m.genes for m in compiled] == [m.genes for m in loop]
+    assert [(m.length, type(m.length)) for m in compiled] == \
+        [(m.length, type(m.length)) for m in loop]
+    assert kernel_rng.getstate() == loop_rng.getstate()
+    # breed took the generation: it does not decline such a population
+    ranking = Ranking(members)
+    assert kernel.breed([m.genes for m in members], [m.length for m in members], ranking.order,
+                        ranking.cum, inst.distances, 0.0, 1, 0.0, 0.0, 0, None, None) == ([], [])

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mrtsp import ga
 from mrtsp.engine import FileStore, MemoryStore
 from mrtsp.ga import GaParams, run_sga
 from mrtsp.island import IslandParams, run_pga
@@ -90,6 +91,24 @@ def test_pga_elites_among_ties_pinned(ties20):
 
 
 def test_pga_rnd064_pinned(rnd064):
+    params = IslandParams(num_islands=4, migration_interval=5,
+                          ga=GaParams(population_size=20),
+                          max_total_generations=20, convergence_patience=None)
+    store = MemoryStore()
+    report = run_pga(rnd064, params, master_seed=2, workers=1, store=store)
+    assert digest(report, store.snapshot()) == PGA_GOLDEN
+
+
+@pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
+def test_breed_makes_every_child_of_the_int_weight_pins(rnd064, monkeypatch):
+    # the goldens hold even when breed declines, so make the per-child
+    # operators raise: these runs then pass only if breed made every child
+    def per_child(*args):
+        raise AssertionError("a child was bred outside the kernel's breed")
+
+    for name in ("select_parents", "greedy_crossover", "mutate"):
+        monkeypatch.setattr(ga, name, per_child)
+    assert digest(run_sga(rnd064, GaParams(population_size=50), 100, seed=0)) == SGA_GOLDEN[0]
     params = IslandParams(num_islands=4, migration_interval=5,
                           ga=GaParams(population_size=20),
                           max_total_generations=20, convergence_patience=None)

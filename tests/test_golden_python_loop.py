@@ -1,8 +1,10 @@
-"""The golden pins of test_golden.py again, on greedy_crossover's Python loop.
+"""The golden pins of test_golden.py again, on the GA's Python loops.
 
-test_golden.py runs them on the compiled kernel wherever it loads; importing
-the tests here collects them a second time, under this module's fixture,
-which switches the kernel off.
+test_golden.py runs them on the compiled kernel wherever it loads, where
+breed makes every child of the int-weight runs; importing the tests here
+collects them a second time, under this module's fixture, which switches the
+kernel off, so that next_generation, select_parents and greedy_crossover run
+their Python loops.
 """
 
 import pytest
