@@ -17,7 +17,10 @@
 
    breed runs ga.next_generation's per-child loop for a whole generation on
    the same crossover and selection loops, from successor arrays and rows it
-   builds once. */
+   builds once.
+
+   random_tours makes ga.random_population's tours, each shuffled with the
+   getrandbits calls random.shuffle makes, and sums their lengths. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
@@ -389,11 +392,59 @@ done:
     return result == Py_None ? Py_NewRef(Py_None) : result;
 }
 
+/* random_tours(count, distances, getrandbits) -> (tours, lengths): count
+   tours, each list(range(n)) with i swapped for randbelow(i + 1) at
+   i = n-1 ... 1 as random.shuffle does, and their lengths; None, before any
+   draw, unless distances is a C-ordered n x n int64 matrix with n >= 2. */
+static PyObject *random_tours(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError, "expected 3 arguments, got %zd", nargs);
+    Py_ssize_t count = PyLong_AsSsize_t(args[0]);
+    if (count == -1 && PyErr_Occurred())
+        return NULL;
+    Py_buffer view;
+    Py_ssize_t n = int64_matrix(args[1], &view);
+    if (n < 2 || count < 0) {
+        if (n > 0)
+            PyBuffer_Release(&view);
+        Py_RETURN_NONE;
+    }
+    int tour[n];
+    PyObject *tours = PyList_New(count), *lengths = tours ? PyList_New(count) : NULL;
+    PyObject *result = NULL;
+    for (Py_ssize_t k = 0; lengths != NULL && k < count; k++) {
+        for (int i = 0; i < n; i++)
+            tour[i] = i;
+        for (Py_ssize_t i = n - 1; i > 0; i--) {
+            long j = draw_below(args[2], i + 1);
+            if (j < 0)
+                goto done;
+            int city = tour[i];
+            tour[i] = tour[j];
+            tour[j] = city;
+        }
+        PyObject *genes = cities(tour, n), *length = length_to_int(tour_length(tour, view.buf, n));
+        PyList_SET_ITEM(tours, k, genes);
+        PyList_SET_ITEM(lengths, k, length);
+        if (genes == NULL || length == NULL)
+            goto done;
+    }
+    if (lengths != NULL)
+        result = PyTuple_Pack(2, tours, lengths);
+done:
+    Py_XDECREF(tours);
+    Py_XDECREF(lengths);
+    PyBuffer_Release(&view);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"greedy_crossover", (PyCFunction)(void (*)(void))greedy_crossover, METH_FASTCALL, NULL},
     {"canonical_rows", (PyCFunction)(void (*)(void))canonical_rows, METH_FASTCALL, NULL},
     {"select_pair", (PyCFunction)(void (*)(void))select_pair, METH_FASTCALL, NULL},
     {"breed", (PyCFunction)(void (*)(void))breed, METH_FASTCALL, NULL},
+    {"random_tours", (PyCFunction)(void (*)(void))random_tours, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},
 };
 

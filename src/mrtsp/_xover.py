@@ -5,10 +5,10 @@ interpreter's headers into the package's `__pycache__`, under a name that
 carries the source's sha256 and the interpreter's extension suffix, and
 renamed into place so that a concurrent build never loads a half-written
 file; a build removes the libraries of earlier sources from the directory.
-`load` returns None, and `ga.next_generation`, `ga.greedy_crossover` and
-`ga.select_parents` keep their Python loops, when there is no compiler or no
-`Python.h`, the build or the load fails, or another user could write the
-cache directory.
+`load` returns None, and `ga.next_generation`, `ga.greedy_crossover`,
+`ga.select_parents` and `ga.random_population` keep their Python loops, when
+there is no compiler or no `Python.h`, the build or the load fails, or another
+user could write the cache directory.
 """
 
 from __future__ import annotations
@@ -86,6 +86,11 @@ def load(source: Path = SOURCE, cache: Path | None = None):
     own tuple and length. It returns None, having drawn nothing, unless
     distances is a C-ordered int64 matrix of 2 <= n <= 256 cities and each of
     the P >= 2 members' genes is a tuple permuting 0..n-1.
+
+    random_tours(count, distances, getrandbits) -> (tours, lengths) makes
+    count gene tuples as random.shuffle shuffles list(range(n)), with the
+    same getrandbits calls, and their lengths. It returns None, having drawn
+    nothing, unless distances is a C-ordered int64 matrix of n >= 2 cities.
 
     An exception raised by getrandbits or random reaches the caller.
     """

@@ -247,13 +247,9 @@ def identity_mapper(record: Record) -> list[Record]:
 
 def _normalize(produced, origin: str) -> list[Record]:
     out = []
-    for item in produced:
-        if isinstance(item, Record):
-            rec = item
-        elif isinstance(item, tuple) and len(item) == 2:
-            rec = Record(*item)
-        else:
-            raise EngineError(f"{origin} produced {item!r}, expected a Record")
+    for rec in produced:
+        if not isinstance(rec, Record):
+            raise EngineError(f"{origin} produced {rec!r}, expected a Record")
         if not isinstance(rec.key, int) or not isinstance(rec.value, bytes):
             raise EngineError(f"{origin} produced a malformed record {rec!r}")
         out.append(rec)

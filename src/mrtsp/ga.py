@@ -20,7 +20,7 @@ from .tsplib import Instance
 
 # The compiled `_xover` module, built at first import and loaded once, so forked
 # pool workers inherit it; None when it cannot be built, and next_generation,
-# greedy_crossover and select_parents run their Python loops.
+# greedy_crossover, select_parents and random_population run their Python loops.
 _KERNEL = _xover.load()
 
 
@@ -29,7 +29,6 @@ class Chromosome:
     genes: tuple[int, ...]
     length: float
     _canon: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
-    _key: int | None = field(default=None, repr=False, compare=False)
     _succ: list[int] | None = field(default=None, repr=False, compare=False)
 
     def canonical(self) -> tuple[int, ...]:
@@ -38,12 +37,6 @@ class Chromosome:
             i = self.genes.index(0)
             self._canon = self.genes[i:] + self.genes[:i]
         return self._canon
-
-    def canonical_key(self) -> int:
-        """The canonical tour as one int, a byte per city (cached; N <= 256)."""
-        if self._key is None:
-            self._key = int.from_bytes(bytes(self.canonical()), "little")
-        return self._key
 
     def successors(self) -> list[int]:
         """succ[c] is the city after c on the closed tour (cached)."""
@@ -114,13 +107,6 @@ def similarity(a: Chromosome, b: Chromosome) -> float:
     n = len(a.genes)
     if n != len(b.genes):
         raise ValueError("chromosomes must have the same number of cities")
-    if n <= 256:
-        # XOR of the byte-per-city keys is zero exactly where the tours agree;
-        # a key is never 0 (its second byte is a city other than 0)
-        ka, kb = a._key or a.canonical_key(), b._key or b.canonical_key()
-        if ka == kb:
-            return 1.0
-        return (ka ^ kb).to_bytes(n, "little").count(0) / n
     ca, cb = a.canonical(), b.canonical()
     if ca == cb:
         return 1.0
@@ -303,6 +289,16 @@ def next_generation(members: list[Chromosome], instance: Instance,
 
 def random_population(instance: Instance, params: GaParams,
                       rng: random.Random) -> list[Chromosome]:
+    """population_size members made by random_tour, with their lengths.
+
+    With the kernel loaded and an exact random.Random, random_tours shuffles
+    and sums them all in one call, with random.shuffle's getrandbits calls in
+    its order. It declines, and the loop below runs, unless the weights are a
+    C-ordered int64 matrix of at least 2 cities."""
+    if _KERNEL is not None and type(rng) is random.Random:
+        made = _KERNEL.random_tours(params.population_size, instance.distances, rng.getrandbits)
+        if made is not None:
+            return list(map(Chromosome, *made))
     return [make_chromosome(random_tour(instance.dimension, rng), instance)
             for _ in range(params.population_size)]
 

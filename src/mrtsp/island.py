@@ -20,8 +20,7 @@ from .codec import (MAX_LENGTH, decode_chromosome, encode_chromosome, peek_lengt
                     with_pop_id)
 from .engine import (Engine, EngineError, FileStore, JobSpec, MemoryStore,
                      Record, default_partition, identity_mapper)
-from .ga import (Chromosome, GaParams, next_generation, random_tour, stop_reason,
-                 tour_length)
+from .ga import Chromosome, GaParams, next_generation, random_population, stop_reason
 from .reports import RunReport, accuracy_percent
 from .tsplib import Instance
 
@@ -68,19 +67,15 @@ class RoundSummary:
 
 
 class InitReducer:
-    """Reduce task i emits population_size random tours keyed to island i."""
+    """Reduce task i emits a random_population keyed to island i."""
 
-    def __init__(self, instance: Instance, population_size: int):
+    def __init__(self, instance: Instance, params: GaParams):
         self.instance = instance
-        self.population_size = population_size
+        self.params = params
 
     def __call__(self, key, values, rng):
-        n = self.instance.dimension
-        out = []
-        for _ in range(self.population_size):
-            genes = random_tour(n, rng)
-            out.append(Record(key, encode_chromosome(genes, tour_length(genes, self.instance), key)))
-        return out
+        return [Record(key, encode_chromosome(m.genes, m.length, key))
+                for m in random_population(self.instance, self.params, rng)]
 
 
 class EvolveReducer:
@@ -130,7 +125,7 @@ def init_job(engine: Engine, instance: Instance, params: IslandParams,
              master_seed: int) -> str:
     """Job 0: build every island's starting population in its own task."""
     engine.store.put("seed", [Record(i, b"") for i in range(params.num_islands)])
-    reducer = InitReducer(instance, params.ga.population_size)
+    reducer = InitReducer(instance, params.ga)
     return engine.run_job(_island_job(params, 0, "seed", reducer, master_seed))
 
 

@@ -407,6 +407,21 @@ def test_deterministic_errors_fail_on_first_attempt(mapper, reducer, kind):
         (kind, 0, "start"), (kind, 0, "fail")]
 
 
+def test_a_bare_tuple_is_not_a_record():
+    store = MemoryStore()
+    store.put("in", [Record(0, b"")])
+
+    def tuple_reducer(key, values, rng):
+        return [(0, b"x")]
+
+    with pytest.raises(JobFailedError, match="expected a Record") as err:
+        Engine(store, workers=1).run_job(spec_for("in", maps=1, reduces=1,
+                                                  reducer=tuple_reducer))
+    assert err.value.task_kind == "reduce"
+    assert isinstance(err.value.__cause__, EngineError)
+    assert "(0, b'x')" in str(err.value.__cause__)
+
+
 def test_store_immutability():
     store = MemoryStore()
     store.put("in", [Record(0, b"a")])

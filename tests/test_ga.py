@@ -1,6 +1,7 @@
 import importlib.machinery
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -624,3 +625,76 @@ def test_breed_runs_only_for_an_exact_random(monkeypatch):
     compiled = next_generation(members, inst, Subclass(5), params)
     monkeypatch.setattr(ga_module, "_KERNEL", None)
     assert compiled == next_generation(members, inst, Subclass(5), params)
+
+
+# -- random_tours: the initial population in one kernel call -------------------------
+
+def weighted(n, dtype=np.int64):
+    return Instance("tours", n, np.random.default_rng(n).integers(0, 10**6, (n, n)).astype(dtype))
+
+
+@needs_kernel
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 171, 300])
+def test_random_tours_equal_random_tour_and_tour_length(n):
+    inst = weighted(n)
+    for seed in range(200):
+        kernel_rng, loop_rng = random.Random(seed), random.Random(seed)
+        tours, lengths = ga_module._KERNEL.random_tours(7, inst.distances, kernel_rng.getrandbits)
+        loop = [random_tour(n, loop_rng) for _ in range(7)]
+        assert tours == [tuple(genes) for genes in loop]
+        assert lengths == [tour_length(genes, inst) for genes in loop]
+        assert kernel_rng.getstate() == loop_rng.getstate()
+
+
+@needs_kernel
+@pytest.mark.parametrize("case", ["subclass", "float64"])
+def test_random_population_runs_the_loop_where_the_kernel_cannot(case, monkeypatch):
+    class Subclass(random.Random):
+        pass
+
+    inst = weighted(12, np.float64 if case == "float64" else np.int64)
+    make_rng = Subclass if case == "subclass" else random.Random
+    params = GaParams(population_size=9)
+
+    def refuse(*args):
+        raise AssertionError("random_tours drew from a random.Random subclass")
+
+    if case == "subclass":
+        monkeypatch.setattr(ga_module._KERNEL, "random_tours", refuse)
+    else:  # a PoisonRng is not callable, so a draw would raise
+        assert ga_module._KERNEL.random_tours(9, inst.distances, PoisonRng()) is None
+    outcomes = []
+    for kernel in (ga_module._KERNEL, None):
+        monkeypatch.setattr(ga_module, "_KERNEL", kernel)
+        rng = make_rng(5)
+        members = random_population(inst, params, rng)
+        outcomes.append(([(m.genes, m.length, type(m.length)) for m in members], rng.getstate()))
+    assert outcomes[0] == outcomes[1]
+    assert type(outcomes[0][0][0][1]) is (float if case == "float64" else int)
+
+
+@needs_kernel
+@pytest.mark.parametrize("k", [1, 2, 40, 300])
+def test_random_population_raises_what_getrandbits_raises(k, monkeypatch):
+    inst, params = weighted(20), GaParams(population_size=30)
+    outcomes = []
+    for kernel in (ga_module._KERNEL, None):
+        monkeypatch.setattr(ga_module, "_KERNEL", kernel)
+        rng = failing_at_call("getrandbits", k)
+        with pytest.raises(LookupError, match=f"getrandbits failed at call {k}$"):
+            random_population(inst, params, rng)
+        outcomes.append((rng.calls, rng.getstate()))
+    assert outcomes[0] == outcomes[1]
+    monkeypatch.undo()
+    # the kernel is still usable after an aborted call
+    assert len(random_population(inst, params, random.Random(1))) == 30
+
+
+def test_random_population_of_one_city_raises_as_random_tour_does():
+    # Instance itself rejects one city, so this stands in for one
+    one = SimpleNamespace(dimension=1, distances=np.zeros((1, 1), np.int64), rows=[[0]])
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="need at least 2 cities, got 1"):
+        random_population(one, GaParams(), rng)
+    assert rng.getstate() == state

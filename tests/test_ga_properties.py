@@ -266,3 +266,23 @@ def test_breed_matches_the_python_loop(case, seed):
     ranking = Ranking(members)
     assert kernel.breed([m.genes for m in members], [m.length for m in members], ranking.order,
                         ranking.cum, inst.distances, 0.0, 1, 0.0, 0.0, 0, None, None) == ([], [])
+
+
+@pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
+@FEW_EXAMPLES
+@given(instances(max_n=40), st.integers(2, 30), st.integers(0, 2**32))
+def test_random_population_matches_the_python_loop(inst, size, seed):
+    params = GaParams(population_size=size)
+    kernel_rng, loop_rng = random.Random(seed), random.Random(seed)
+    compiled = ga.random_population(inst, params, kernel_rng)
+    kernel, ga._KERNEL = ga._KERNEL, None
+    try:
+        loop = ga.random_population(inst, params, loop_rng)
+    finally:
+        ga._KERNEL = kernel
+    assert [(m.genes, m.length, type(m.length)) for m in compiled] == \
+        [(m.genes, m.length, type(m.length)) for m in loop]
+    assert kernel_rng.getstate() == loop_rng.getstate()
+    # random_tours took the int instances: it declines only float weights
+    taken = kernel.random_tours(0, inst.distances, None)
+    assert taken == (None if inst.distances.dtype.kind == "f" else ([], []))
