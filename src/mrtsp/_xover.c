@@ -1,31 +1,26 @@
-/* The compiled GA operators of mrtsp.ga, a CPython extension module.
+/* The compiled GA steps of mrtsp.ga, a CPython extension module.
 
-   greedy_crossover(genes_a, genes_b, distances, getrandbits) -> (child, length)
-   mirrors ga.greedy_crossover's Python loop step for step: from parent a's
-   first city take the cheaper unvisited parental successor (a tie goes to
-   parent a's), else the only unvisited one, else the k-th unvisited city in
-   ascending order for k = rng.randrange(unvisited), drawn from rng.getrandbits
-   as random.Random._randbelow_with_getrandbits does, which consumes the same
-   bits as the randrange call. It reads distances through the buffer protocol
-   and returns None, before any draw, unless it is a C-ordered n x n int64
-   array. The length is summed in 128 bits, exact for non-negative weights.
-
-   canonical_rows and select_pair run ga.select_parents' retry loop: the first
-   turns a Ranking's tours into byte rows once per generation, the second
-   draws through the rng's own random method and compares the rows' share of
-   equal bytes with the threshold, the same double that ga.similarity returns.
-
-   breed runs ga.next_generation's per-child loop for a whole generation on
-   the same crossover and selection loops, from successor arrays and rows it
-   builds once.
+   breed runs ga.next_generation's per-child loop for a whole generation, in
+   the loop's order: select_parents' retry loop, drawing through the rng's own
+   random method and comparing canonical rows as ga.similarity does; the
+   crossover draw; ga.greedy_crossover step for step, its dead ends drawn from
+   getrandbits as random.Random._randbelow_with_getrandbits draws randrange's,
+   or a copy of the better parent; and mutate's draw and swap.
 
    random_tours makes ga.random_population's tours, each shuffled with the
-   getrandbits calls random.shuffle makes, and sums their lengths. */
+   getrandbits calls random.shuffle makes, and sums their lengths.
+
+   Both read the weights through the buffer protocol and return None, before
+   any draw, unless they are a C-ordered n x n int64 matrix; breed also
+   declines members whose genes are not tuples permuting 0..n-1. Lengths are
+   summed in 128 bits, exact for non-negative weights. Float weights, rngs
+   that are not an exact random.Random and declined genes run ga's Python
+   loops. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-/* succ[c] = city after c on the closed tour; 0 with ValueError unless genes is
-   a tuple holding a permutation of 0..n-1 (n >= 1). */
+/* succ[c] = city after c on the closed tour; 0, with no exception set, unless
+   genes is a tuple holding a permutation of 0..n-1 (n >= 1). */
 static int successors(PyObject *genes, Py_ssize_t n, int *succ, unsigned char *seen)
 {
     if (!PyTuple_Check(genes) || PyTuple_GET_SIZE(genes) != n)
@@ -45,7 +40,6 @@ static int successors(PyObject *genes, Py_ssize_t n, int *succ, unsigned char *s
     return 1;
 bad:
     PyErr_Clear();
-    PyErr_Format(PyExc_ValueError, "parent genes are not a tuple permuting 0..%zd", n - 1);
     return 0;
 }
 
@@ -151,57 +145,6 @@ static Py_ssize_t int64_matrix(PyObject *obj, Py_buffer *view)
     return 0;
 }
 
-static PyObject *greedy_crossover(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    Py_buffer view;
-    if (nargs != 4)
-        return PyErr_Format(PyExc_TypeError, "expected 4 arguments, got %zd", nargs);
-    Py_ssize_t n = int64_matrix(args[2], &view);
-    if (n == 0)
-        Py_RETURN_NONE;
-    int sa[n], sb[n], tour[n];
-    unsigned char seen[n];
-    PyObject *result = NULL;
-    if (successors(args[0], n, sa, seen) && successors(args[1], n, sb, seen)
-        && crossover(sa, sb, (int)PyLong_AsLong(PyTuple_GET_ITEM(args[0], 0)), view.buf, n,
-                     args[3], tour)) {
-        PyObject *genes = cities(tour, n), *child = genes ? PySequence_List(genes) : NULL;
-        Py_XDECREF(genes);
-        result = child ? Py_BuildValue("(NN)", child, length_to_int(tour_length(tour, view.buf, n)))
-                       : NULL;
-    }
-    PyBuffer_Release(&view);
-    return result;
-}
-
-/* canonical_rows(genes): the list's P gene tuples as P rows of n bytes, row i
-   holding tour i rotated to start at city 0; None unless each is a tuple
-   permuting 0..n-1 for the first tuple's n, 1 <= n <= 256. */
-static PyObject *canonical_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 1 || !PyList_Check(args[0]))
-        return PyErr_Format(PyExc_TypeError, "expected one list of gene tuples");
-    PyObject *tours = args[0];
-    Py_ssize_t p = PyList_GET_SIZE(tours);
-    PyObject *first = p ? PyList_GET_ITEM(tours, 0) : NULL;
-    Py_ssize_t n = first && PyTuple_Check(first) ? PyTuple_GET_SIZE(first) : 0;
-    if (n < 1 || n > 256)
-        Py_RETURN_NONE;
-    PyObject *rows = PyBytes_FromStringAndSize(NULL, p * n);
-    unsigned char *row = rows ? (unsigned char *)PyBytes_AS_STRING(rows) : NULL, seen[256];
-    int succ[256];
-    for (Py_ssize_t i = 0; row != NULL && i < p; i++, row += n) {
-        if (!successors(PyList_GET_ITEM(tours, i), n, succ, seen)) {
-            PyErr_Clear();
-            Py_DECREF(rows);
-            Py_RETURN_NONE;
-        }
-        for (int j = 0, city = 0; j < n; j++, city = succ[city])
-            row[j] = (unsigned char)city;
-    }
-    return rows;
-}
-
 /* *x = random(); 0 with an exception set when the call or its conversion fails. */
 static int uniform(PyObject *random, double *x)
 {
@@ -236,12 +179,12 @@ static long draw(PyObject *random, const double *cum, PyObject *order, Py_ssize_
     return PyErr_Occurred() ? -1 : index;
 }
 
-/* ga.select_parents' retry loop over p rows of n bytes: up to retries tries of
-   two draws, *ib redrawn while it equals *ia, ending at the first pair whose rows
-   agree in at most threshold of their n bytes, else at the last pair; 0 with an
-   exception set when a draw fails. */
+/* ga.select_parents' retry loop over p canonical rows of n cities: up to retries
+   tries of two draws, *ib redrawn while it equals *ia, ending at the first pair
+   whose rows agree in at most threshold of their n places, else at the last
+   pair; 0 with an exception set when a draw fails. */
 static int select_retry(PyObject *random, const double *cum, PyObject *order, Py_ssize_t p,
-                        const unsigned char *rows, Py_ssize_t n, double threshold,
+                        const int *rows, Py_ssize_t n, double threshold,
                         Py_ssize_t retries, long *ia, long *ib)
 {
     for (Py_ssize_t t = 0; t < retries; t++) {
@@ -252,7 +195,7 @@ static int select_retry(PyObject *random, const double *cum, PyObject *order, Py
         while (*ib == *ia);
         if (*ib < 0)
             return 0;
-        const unsigned char *ra = rows + *ia * n, *rb = rows + *ib * n;
+        const int *ra = rows + *ia * n, *rb = rows + *ib * n;
         Py_ssize_t same = 0;
         for (Py_ssize_t j = 0; j < n; j++)
             same += ra[j] == rb[j];
@@ -262,43 +205,11 @@ static int select_retry(PyObject *random, const double *cum, PyObject *order, Py
     return 1;
 }
 
-/* select_pair(canon, n, order, cum, threshold, retries, random) -> (ia, ib):
-   select_retry over the canonical rows; None when the arguments do not
-   describe P >= 2 rows. */
-static PyObject *select_pair(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 7)
-        return PyErr_Format(PyExc_TypeError, "expected 7 arguments, got %zd", nargs);
-    PyObject *canon = args[0], *order = args[2], *cum_list = args[3], *random = args[6];
-    Py_ssize_t n = PyLong_AsSsize_t(args[1]);
-    Py_ssize_t retries = n == -1 && PyErr_Occurred() ? -1 : PyLong_AsSsize_t(args[5]);
-    double threshold = retries == -1 && PyErr_Occurred() ? -1.0 : PyFloat_AsDouble(args[4]);
-    if (PyErr_Occurred())
-        return NULL;
-    if (!PyBytes_Check(canon) || !PyList_Check(order) || !PyList_Check(cum_list))
-        Py_RETURN_NONE;
-    Py_ssize_t p = PyList_GET_SIZE(order);
-    if (p < 2 || n < 1 || retries < 1 || PyList_GET_SIZE(cum_list) != p
-        || PyBytes_GET_SIZE(canon) != p * n)
-        Py_RETURN_NONE;
-    double *cum = PyMem_New(double, p);
-    if (cum == NULL)
-        return PyErr_NoMemory();
-    for (Py_ssize_t i = 0; i < p && !PyErr_Occurred(); i++)
-        cum[i] = PyFloat_AsDouble(PyList_GET_ITEM(cum_list, i));
-    long ia = -1, ib = -1;
-    int ok = !PyErr_Occurred() && select_retry(random, cum, order, p, (const unsigned char *)
-                                               PyBytes_AS_STRING(canon), n, threshold, retries,
-                                               &ia, &ib);
-    PyMem_Free(cum);
-    return ok ? Py_BuildValue("(ll)", ia, ib) : NULL;
-}
-
 /* breed(genes, lengths, order, cum, distances, threshold, retries, crossover_prob,
    mutation_prob, count, random, getrandbits) -> (children, lengths): count
    children of ga.next_generation's loop, drawing as it does; None, before any
-   draw, unless distances is a C-ordered n x n int64 matrix, 2 <= n <= 256, and
-   the P >= 2 members' genes are tuples permuting 0..n-1. */
+   draw, unless distances is a C-ordered n x n int64 matrix with n >= 2 and the
+   P >= 2 members' genes are tuples permuting 0..n-1. */
 static PyObject *breed(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 12)
@@ -313,27 +224,28 @@ static PyObject *breed(PyObject *module, PyObject *const *args, Py_ssize_t nargs
     Py_buffer view;
     Py_ssize_t n = int64_matrix(args[4], &view);
     Py_ssize_t p = PyList_Check(genes) ? PyList_GET_SIZE(genes) : 0;
-    int *succ = NULL, tour[256];
-    unsigned char *rows = NULL, seen[256];
+    int *succ = NULL, *rows = NULL, *tour = NULL;
+    unsigned char *seen = NULL;
     double *cum = NULL;
     PyObject *children = NULL, *child_lengths = NULL, *result = Py_None;  /* borrowed until done */
-    if (n < 2 || n > 256 || p < 2 || retries < 1 || !PyList_Check(lengths) || !PyList_Check(order)
+    if (n < 2 || p < 2 || retries < 1 || !PyList_Check(lengths) || !PyList_Check(order)
         || !PyList_Check(cum_list) || PyList_GET_SIZE(lengths) != p || PyList_GET_SIZE(order) != p
         || PyList_GET_SIZE(cum_list) != p)
         goto done;
     succ = PyMem_New(int, p * n);
-    rows = PyMem_Malloc(p * n);
-    if ((cum = PyMem_New(double, p)) == NULL || succ == NULL || rows == NULL) {
+    rows = PyMem_New(int, p * n);
+    tour = PyMem_New(int, n);
+    seen = PyMem_Malloc(n);
+    cum = PyMem_New(double, p);
+    if (succ == NULL || rows == NULL || tour == NULL || seen == NULL || cum == NULL) {
         result = PyErr_NoMemory();
         goto done;
     }
     for (Py_ssize_t i = 0; i < p; i++) {
-        if (!successors(PyList_GET_ITEM(genes, i), n, succ + i * n, seen)) {
-            PyErr_Clear();
+        if (!successors(PyList_GET_ITEM(genes, i), n, succ + i * n, seen))
             goto done;
-        }
         for (int j = 0, city = 0; j < n; j++, city = succ[i * n + city])
-            rows[i * n + j] = (unsigned char)city;
+            rows[i * n + j] = city;
     }
     result = NULL;
     for (Py_ssize_t i = 0; i < p && !PyErr_Occurred(); i++)
@@ -385,6 +297,8 @@ done:
     Py_XDECREF(children);
     Py_XDECREF(child_lengths);
     PyMem_Free(cum);
+    PyMem_Free(seen);
+    PyMem_Free(tour);
     PyMem_Free(rows);
     PyMem_Free(succ);
     if (n > 0)
@@ -440,9 +354,6 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"greedy_crossover", (PyCFunction)(void (*)(void))greedy_crossover, METH_FASTCALL, NULL},
-    {"canonical_rows", (PyCFunction)(void (*)(void))canonical_rows, METH_FASTCALL, NULL},
-    {"select_pair", (PyCFunction)(void (*)(void))select_pair, METH_FASTCALL, NULL},
     {"breed", (PyCFunction)(void (*)(void))breed, METH_FASTCALL, NULL},
     {"random_tours", (PyCFunction)(void (*)(void))random_tours, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},

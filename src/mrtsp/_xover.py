@@ -1,14 +1,19 @@
 """Build and load the compiled GA kernel, the extension module `_xover.c`.
 
+The kernel runs a whole GA step per call: `breed` makes a generation's
+children and `random_tours` an initial population. `ga.next_generation` and
+`ga.random_population` call it, and run their Python loops instead for float
+weights, for an rng that is not an exact random.Random and, in
+next_generation, for genes that are not tuples permuting 0..n-1.
+
 The module is compiled once with `cc -O2 -shared -fPIC` against the
 interpreter's headers into the package's `__pycache__`, under a name that
 carries the source's sha256 and the interpreter's extension suffix, and
 renamed into place so that a concurrent build never loads a half-written
 file; a build removes the libraries of earlier sources from the directory.
-`load` returns None, and `ga.next_generation`, `ga.greedy_crossover`,
-`ga.select_parents` and `ga.random_population` keep their Python loops, when
-there is no compiler or no `Python.h`, the build or the load fails, or another
-user could write the cache directory.
+`load` returns None, and the two run only their Python loops, when there is
+no compiler or no `Python.h`, the build or the load fails, or another user
+could write the cache directory.
 """
 
 from __future__ import annotations
@@ -62,29 +67,14 @@ def _remove_stale(target: Path, stem: str, suffix: str) -> None:
 def load(source: Path = SOURCE, cache: Path | None = None):
     """The kernel module, or None when it cannot be built or loaded.
 
-    greedy_crossover(genes_a, genes_b, distances, getrandbits) -> (child, length)
-    takes the parents' gene tuples, the n x n weights and a random.Random's
-    bound getrandbits, from which it draws dead ends as randrange would. It
-    returns None, having drawn nothing, unless distances is a C-ordered int64
-    array; the length it returns is exact for any non-negative weights.
-    Parents that do not permute 0..n-1 raise ValueError.
-
-    canonical_rows(genes) -> bytes takes a list of P gene tuples and returns
-    them as P rows of n bytes, each rotated to start at city 0, or None unless
-    each permutes 0..n-1 for one n <= 256.
-    select_pair(canon, n, order, cum, threshold, retries, random) -> (ia, ib)
-    runs select_parents' retry loop over those rows and a Ranking's order and
-    cum, drawing through the rng's bound random method, and returns the two
-    member indexes. It returns None, having drawn nothing, unless there are at
-    least two rows of n bytes and retries >= 1.
-
     breed(genes, lengths, order, cum, distances, threshold, retries,
     crossover_prob, mutation_prob, count, random, getrandbits) -> (children,
     lengths) makes count children as next_generation's loop does, from the
     members' gene tuples and lengths, a Ranking's order and cum and the rng's
-    bound random and getrandbits. A copy that does not mutate is the parent's
-    own tuple and length. It returns None, having drawn nothing, unless
-    distances is a C-ordered int64 matrix of 2 <= n <= 256 cities and each of
+    bound random and getrandbits, drawing crossover dead ends from
+    getrandbits as randrange would. A copy that does not mutate is the
+    parent's own tuple and length. It returns None, having drawn nothing,
+    unless distances is a C-ordered int64 matrix of n >= 2 cities and each of
     the P >= 2 members' genes is a tuple permuting 0..n-1.
 
     random_tours(count, distances, getrandbits) -> (tours, lengths) makes
@@ -92,7 +82,8 @@ def load(source: Path = SOURCE, cache: Path | None = None):
     same getrandbits calls, and their lengths. It returns None, having drawn
     nothing, unless distances is a C-ordered int64 matrix of n >= 2 cities.
 
-    An exception raised by getrandbits or random reaches the caller.
+    Lengths are summed in 128 bits, exact for any non-negative weights. An
+    exception raised by getrandbits or random reaches the caller.
     """
     cache = cache if cache is not None else source.parent / "__pycache__"
     try:

@@ -12,15 +12,16 @@ import random
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, asdict
-from functools import cached_property
 
 from . import _xover
 from .reports import RunReport, accuracy_percent
 from .tsplib import Instance
 
 # The compiled `_xover` module, built at first import and loaded once, so forked
-# pool workers inherit it; None when it cannot be built, and next_generation,
-# greedy_crossover, select_parents and random_population run their Python loops.
+# pool workers inherit it. next_generation and random_population run a whole
+# step through it, or their Python loops when it is None (it cannot be built) or
+# declines: float weights, an rng that is not an exact random.Random, or genes
+# that are not tuples.
 _KERNEL = _xover.load()
 
 
@@ -132,13 +133,6 @@ class Ranking:
         """Index (into the member list) of one rank-proportional draw."""
         return self.order[bisect_right(self.cum, rng.random())]
 
-    @cached_property
-    def rows(self) -> bytes | None:
-        """The members' tours as the kernel's canonical byte rows, built at the
-        first select_parents call, so that ranking members which have no genes
-        stays possible; None when the kernel declines them."""
-        return _KERNEL.canonical_rows([m.genes for m in self.members])
-
 
 def select_parents(ranking: Ranking, rng: random.Random,
                    params: GaParams) -> tuple[Chromosome, Chromosome]:
@@ -146,19 +140,11 @@ def select_parents(ranking: Ranking, rng: random.Random,
     threshold are redrawn, and after max_parent_retries failures the
     constraint is waived so converged populations cannot livelock.
 
-    The compiled kernel runs this loop when it is loaded, drawing through the
-    same rng.random, so any rng gives the Python loop's pair and state; it
-    declines, and the loop below runs, unless every member's genes are a
-    tuple permuting 0..n-1 for one n <= 256.
+    Inside next_generation the kernel's breed runs this loop in C; this is
+    the reference, and the path for float weights, an rng that is not an
+    exact random.Random, and genes that are not tuples.
     """
     members = ranking.members
-    rows = ranking.rows if _KERNEL is not None else None
-    if rows is not None:
-        pair = _KERNEL.select_pair(rows, len(rows) // len(members), ranking.order, ranking.cum,
-                                   params.similarity_threshold, params.max_parent_retries,
-                                   rng.random)
-        if pair is not None:
-            return members[pair[0]], members[pair[1]]
     draw = ranking.draw
     threshold = params.similarity_threshold
     pair = None
@@ -183,19 +169,9 @@ def greedy_crossover(parent_a: Chromosome, parent_b: Chromosome,
     unvisited take that one; if both are visited pick uniformly among the
     unvisited cities in ascending city order via one rng.randrange draw.
     Returns (child, length), the length summed in the same order as
-    tour_length sums it.
-
-    The compiled kernel runs these steps when it is loaded and rng is an
-    exact random.Random, drawing dead ends from rng.getrandbits as randrange
-    would; it declines, returning None, unless the weights are a C-ordered
-    int64 matrix. Otherwise the Python loop below runs, on the parents'
-    cached successors().
+    tour_length sums it. As with select_parents, breed runs these steps in C
+    inside next_generation, and this loop serves the inputs it declines.
     """
-    if _KERNEL is not None and type(rng) is random.Random:
-        result = _KERNEL.greedy_crossover(parent_a.genes, parent_b.genes, instance.distances,
-                                          rng.getrandbits)
-        if result is not None:
-            return result
     sa, sb = parent_a.successors(), parent_b.successors()
     n = len(sa)
     rows = instance.rows
@@ -257,7 +233,7 @@ def next_generation(members: list[Chromosome], instance: Instance,
     With the kernel loaded and an exact random.Random, breed makes all the
     children in one call with the loop's draws in the loop's order. It
     declines, and the loop below runs, unless the weights are a C-ordered
-    int64 matrix of 2 to 256 cities and each member's genes a tuple
+    int64 matrix of at least 2 cities and each member's genes a tuple
     permuting them."""
     size = len(members)
     if size <= params.elite_count:
