@@ -98,12 +98,24 @@ def generation_cases(draw):
     return inst, members, params
 
 
+def on_rank_grid(rng, size):
+    """rng, its random() now returning k / total, total being the rank weights'
+    sum for a population of `size`: a Ranking's cumulative probabilities are
+    such values, so draws land exactly on them, where bisect_right's tie rule
+    decides the rank. rng stays an exact random.Random."""
+    total, real = size * (size + 1) // 2, rng.random
+    rng.random = lambda: int(real() * total) / total
+    return rng
+
+
 @pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
 @settings(max_examples=200, deadline=None)
-@given(generation_cases(), st.integers(0, 2**32))
-def test_breed_matches_the_python_loop(case, seed):
+@given(generation_cases(), st.integers(0, 2**32), st.booleans())
+def test_breed_matches_the_python_loop(case, seed, grid):
     inst, members, params = case
     kernel_rng, loop_rng = random.Random(seed), random.Random(seed)
+    if grid:
+        kernel_rng, loop_rng = (on_rank_grid(rng, len(members)) for rng in (kernel_rng, loop_rng))
     compiled = ga.next_generation(members, inst, kernel_rng, params)
     kernel, ga._KERNEL = ga._KERNEL, None
     try:
