@@ -495,6 +495,77 @@ def test_breed_declines_before_any_draw_and_the_loop_runs_as_before(bad, monkeyp
     assert outcomes[0] == outcomes[1]
 
 
+@needs_kernel
+@pytest.mark.parametrize("bad", ["short", "long", "above_n", "last_above_n", "negative",
+                                 "beyond_a_c_long", "float_city", "none_city"])
+def test_breed_declines_genes_that_do_not_permute_the_cities(bad):
+    inst, members, params = declined_case("none")
+    n, genes = inst.dimension, members[3].genes
+    members[3] = Chromosome({"short": genes[:-1], "long": (*genes, n),
+                             "above_n": (n, *genes[1:]), "last_above_n": (*genes[:-1], n),
+                             "negative": (-1, *genes[1:]), "beyond_a_c_long": (2**70, *genes[1:]),
+                             "float_city": (float(genes[0]), *genes[1:]),
+                             "none_city": (None, *genes[1:])}[bad], 1)
+    rng = random.Random(1)
+    state = rng.getstate()
+    # returning None with an exception still set would raise SystemError here
+    assert ga_module._KERNEL.breed(*breed_args(members, inst, params, rng)) is None
+    assert rng.getstate() == state
+    members[3] = Chromosome(genes, tour_length(genes, inst))
+    assert ga_module._KERNEL.breed(*breed_args(members, inst, params, rng)) is not None
+
+
+def odd_weights(case, n=8):
+    matrix = np.random.default_rng(n).integers(1, 10, (n, n))
+    return {"uint64": lambda: matrix.astype(np.uint64),
+            "big_endian": lambda: matrix.astype(">i8"),
+            "strided": lambda: np.repeat(np.repeat(matrix, 2, 0), 2, 1)[::2, ::2],
+            "non_square": lambda: np.ascontiguousarray(matrix[:, :-1]),
+            "three_d": lambda: matrix.reshape(1, n, n),
+            "one_city": lambda: matrix[:1, :1].copy(),
+            "empty": lambda: np.zeros((0, 0), np.int64),
+            "nested_list": matrix.tolist,
+            "longlong": lambda: matrix.astype(np.longlong),
+            "row_offset": lambda: np.vstack([matrix[:2], matrix])[2:]}[case]()
+
+
+@needs_kernel
+@pytest.mark.parametrize("case", ["uint64", "big_endian", "strided", "non_square", "three_d",
+                                  "one_city", "empty", "nested_list"])
+def test_kernel_declines_weights_that_are_not_a_c_ordered_int64_matrix(case):
+    weights = odd_weights(case)
+    _, members, params = declined_case("none")
+    # a PoisonRng is not callable, so a draw would raise
+    args = breed_args(members, SimpleNamespace(distances=weights), params, random.Random(1))
+    assert ga_module._KERNEL.breed(*args[:-2], PoisonRng(), PoisonRng()) is None
+    assert ga_module._KERNEL.random_tours(9, weights, PoisonRng()) is None
+
+
+@needs_kernel
+@pytest.mark.parametrize("case", ["longlong", "row_offset", "memmap"])
+def test_kernel_takes_any_c_ordered_int64_buffer(case, tmp_path, monkeypatch):
+    if case == "memmap":
+        np.save(tmp_path / "weights.npy", odd_weights("longlong"))
+        weights = np.load(tmp_path / "weights.npy", mmap_mode="r")
+    else:
+        weights = odd_weights(case)
+    assert weights.flags.c_contiguous and (case != "row_offset" or weights.base is not None)
+    inst = Instance("buffer", 8, weights)
+    params = GaParams(population_size=10, mutation_prob=0.5, crossover_prob=0.8)
+    assert ga_module._KERNEL.random_tours(9, inst.distances, random.Random(1).getrandbits)
+    members = random_population(inst, params, random.Random(2))
+    assert ga_module._KERNEL.breed(*breed_args(members, inst, params, random.Random(3))) is not None
+    compiled, loop = kernel_and_loop_generation(members, inst, params, 3, monkeypatch)
+    assert compiled == loop
+    populations = []
+    for kernel in (ga_module._KERNEL, None):
+        monkeypatch.setattr(ga_module, "_KERNEL", kernel)
+        rng = random.Random(4)
+        populations.append(([(m.genes, m.length) for m in random_population(inst, params, rng)],
+                            rng.getstate()))
+    assert populations[0] == populations[1]
+
+
 def failing_at_call(name, k):
     """An exact random.Random whose instance attribute `name` (random or
     getrandbits) raises at its k-th call; rng.calls counts the calls."""
