@@ -50,7 +50,9 @@ def _add_shared_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--target-length", type=float, help="stop once best length <= target")
     sub.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     sub.add_argument("--workers", type=int, default=1,
-                     help="pga worker processes (default 1 runs in-process)")
+                     help="pga worker processes, up to N; a run pools from round 2 "
+                          "only when its remaining rounds pay for it (default 1 runs "
+                          "in-process)")
     sub.add_argument("--out-dir", default=".", help="directory for report files (default .)")
 
 

@@ -424,6 +424,8 @@ class Engine(AbstractContextManager):
     tasks run in-process with workers 1 (the default); with more, on a
     ForkPool of that many processes, started at the first reduce phase and
     reused until close(), which leaving a `with Engine(...)` block calls.
+    `workers` may be raised between jobs; the pool then starts at the next
+    reduce phase.
     Pooled reduce tasks are pickled, so reducers must be module-level. A
     worker keeps the last reducer it received and reuses it for a later job
     whose spec holds the same object, so a reducer must not change once a

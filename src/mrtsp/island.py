@@ -33,6 +33,21 @@ class TourLengthOverflowError(ValueError):
     """A tour of the instance can outgrow the record's 64-bit length field."""
 
 
+# run_pga pools the rest of a run once (rounds left) x (last round's seconds)
+# reaches this. Pooling from a round on costs a fixed F per run and makes each
+# later round s times faster, so it pays once the in-process work W it takes
+# over satisfies W (1 - 1/s) >= F, that is W >= F / (1 - 1/s). Measured on a
+# 2-core Xeon, pooling from round 2 (medians of 8 alternating runs each):
+# - F, the pool's start (5 ms) and join (3.9-4.5 ms) plus its first round's
+#   extra over a warm pooled round (instance shipped, copy-on-write faults),
+#   was 17 ms on quick.conf-shaped runs and 19 ms at 171 cities over a
+#   FileStore migrating every generation;
+# - s, an in-process round over a warm pooled one, was 1.31 and 1.15.
+# That gives 0.07 and 0.15 s. The larger is kept, so a run pools only where
+# pooling pays on both shapes.
+POOL_BREAK_EVEN_S = 0.15
+
+
 @dataclass(frozen=True)
 class IslandParams:
     num_islands: int = 10
@@ -56,7 +71,9 @@ class IslandParams:
 
 @dataclass(frozen=True)
 class RoundSummary:
-    """Driver-side view of one evolve job."""
+    """Driver-side view of one evolve job. `pooled` says whether its reduce
+    tasks ran on the pool; like wall_seconds it rests on timing, so it stays
+    outside the determinism contract."""
 
     round: int
     island_bests: tuple[float, ...]
@@ -64,6 +81,7 @@ class RoundSummary:
     best_tour: tuple[int, ...]
     generations: int
     wall_seconds: float
+    pooled: bool = False
 
 
 class InitReducer:
@@ -172,6 +190,13 @@ def _scan_set(store, name: str, islands: int) -> tuple[list[list[Record]], list[
     return parts, [length for length, _ in bests], min(bests, key=lambda b: b[0])[1]
 
 
+def _pool_if_it_pays(engine: Engine, workers: int, rounds_left: int, round_s: float):
+    """Raise an unpooled engine to `workers` when rounds_left rounds of round_s
+    seconds each reach POOL_BREAK_EVEN_S. A pooled engine stays pooled."""
+    if engine.workers < workers and rounds_left * round_s >= POOL_BREAK_EVEN_S:
+        engine.workers = workers
+
+
 def format_population_dump(parts: list[list[Record]]) -> str:
     """One resident per line: pop_id, tour length, then the city sequence."""
     lines = []
@@ -192,10 +217,15 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
             dump_path=None) -> RunReport:
     """Drive init_job plus evolve_job rounds until convergence.
 
-    workers > 1 runs every job's reduce tasks on one pool of forked worker
-    processes, joined when the run ends. Every round runs the same
-    EvolveReducer, so each worker receives the instance twice per run: with
-    the InitReducer and with the EvolveReducer. Reported generations are
+    workers=N means up to N workers; a run pools from round 2 only when its
+    remaining rounds pay for it. The init job and round 1 run in-process, and
+    before each later round, until the run pools, (rounds left in the
+    budget) x (last round's seconds) >= POOL_BREAK_EVEN_S raises the engine
+    to `workers`: the rest of the run's reduce tasks then run on one pool of
+    forked worker processes, joined when the run ends. Only the
+    EvolveReducer, shared by every round, reaches the pool, so each worker
+    receives the instance once. Each RoundSummary says whether its round
+    pooled; outputs are the same either way. Reported generations are
     per-island cumulative (rounds times migration_interval). The final populations are
     additionally written as a readable text dump: to dump_path when given,
     or next to the binary parts when the store lives on disk. Non-integer
@@ -216,7 +246,11 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     start = time.perf_counter()
     store = store if store is not None else MemoryStore()
     evolve = EvolveReducer(instance, params)  # one object, so a pool ships it once
-    with Engine(store, workers=workers) as engine:
+    budget_rounds = -(-params.max_total_generations // params.migration_interval)
+    round_s = 0.0  # the last round's seconds: none is timed before round 1 ends
+    with Engine(store, workers=1) as engine:
+        # with nothing timed, only a POOL_BREAK_EVEN_S of 0 pools the init job
+        _pool_if_it_pays(engine, workers, budget_rounds, round_s)
         handle = init_job(engine, instance, params, master_seed)
         parts, island_bests, _ = _scan_set(store, handle, params.num_islands)
         trajectory = [min(island_bests)]
@@ -224,10 +258,13 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
         reason = None
         while reason is None:
             round_number = len(rounds) + 1
+            _pool_if_it_pays(engine, workers, budget_rounds - len(rounds), round_s)
+            round_start = time.perf_counter()
             del parts  # the job unpacks this set again; do not hold its records twice
             handle = engine.run_job(_island_job(params, round_number, handle, evolve,
                                                 master_seed))
             parts, island_bests, best_record = _scan_set(store, handle, params.num_islands)
+            round_s = time.perf_counter() - round_start
             rounds.append(RoundSummary(
                 round=round_number,
                 island_bests=tuple(island_bests),
@@ -235,6 +272,7 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
                 best_tour=decode_chromosome(best_record.value).genes,
                 generations=round_number * params.migration_interval,
                 wall_seconds=time.perf_counter() - start,
+                pooled=engine.workers > 1,
             ))
             trajectory.append(rounds[-1].best_length)
             reason = check_convergence(rounds, params)
@@ -249,7 +287,7 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
         algo="pga",
         instance_name=instance.name,
         seed=master_seed,
-        params={**asdict(params), "workers": engine.workers},
+        params={**asdict(params), "workers": max(1, workers)},
         best_length=final.best_length,
         best_tour=final.best_tour,
         trajectory=trajectory,

@@ -44,7 +44,8 @@ class RunReport:
             "accuracy": self.accuracy,
             "rounds": [{"round": r.round, "best_length": r.best_length,
                         "island_bests": r.island_bests, "generations": r.generations,
-                        "wall_seconds": r.wall_seconds} for r in self.rounds],
+                        "wall_seconds": r.wall_seconds, "pooled": r.pooled}
+                       for r in self.rounds],
         }
         return json.dumps(obj, sort_keys=True)
 

@@ -25,7 +25,7 @@ def fake_perfbench(utils):
     """run_perfbench stand-in: traced engine.cpu_util per workload from utils."""
     def run(workload, seed, seconds, trace):
         if trace:
-            return {"engine.cpu_util": utils.get(workload, 1.5)}, PROVENANCE
+            return {"engine.cpu_util": utils.get(workload, 1.0)}, PROVENANCE
         return {"run_s": 0.1, "calibration_ms": 9.0}, PROVENANCE
     return run
 
@@ -36,11 +36,11 @@ def test_snapshot_with_low_cpu_util_is_not_written(script, tmp_path, monkeypatch
     assert [p.name for p in tmp_path.glob("BENCH_*.json")] == ["BENCH_1.json"]
     capsys.readouterr()
 
-    monkeypatch.setattr(script, "run_perfbench", fake_perfbench({"pga-n171-disk": 0.9}))
+    monkeypatch.setattr(script, "run_perfbench", fake_perfbench({"pga-n171-disk": 0.7}))
     assert script.main([]) == 1
     assert [p.name for p in tmp_path.glob("BENCH_*.json")] == ["BENCH_1.json"]
     out, err = capsys.readouterr()
     assert "ratios against BENCH_1.json" in out
     assert "pga-n171-disk: calibration loop 9 ms -> 9 ms  LOW CPU UTIL" in out
     assert "BENCH_2.json not written: LOW CPU UTIL on pga-n171-disk " \
-           "(traced engine.cpu_util 0.9)" in err
+           "(traced engine.cpu_util 0.7)" in err

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import re
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from mrtsp import engine as engine_module
+from mrtsp import island as island_module
 from mrtsp.codec import MAX_LENGTH, decode_chromosome
 from mrtsp.engine import Engine, EngineError, FileStore, MemoryStore, Record
 from mrtsp.ga import GaParams, run_sga, tour_length
@@ -267,19 +269,30 @@ def test_run_pga_finds_small_optimum():
     assert hits >= 9
 
 
-def test_run_pga_deterministic_across_worker_counts():
-    def run(workers):
-        store = MemoryStore()
-        report = run_pga(INST10, SMALL, master_seed=5, workers=workers, store=store)
-        return report, store.snapshot()
+@pytest.fixture
+def pool_from_init_job(monkeypatch):
+    """No run is too short to pool: workers > 1 pools from the init job on."""
+    monkeypatch.setattr(island_module, "POOL_BREAK_EVEN_S", 0)
 
-    serial_report, serial_snapshot = run(1)
-    for pooled_report, pooled_snapshot in (run(4), run(2)):
-        assert serial_report.best_length == pooled_report.best_length
-        assert serial_report.best_tour == pooled_report.best_tour
-        assert serial_report.trajectory == pooled_report.trajectory
-        for a, b in zip(serial_report.rounds, pooled_report.rounds, strict=True):
-            assert (a.island_bests, a.best_tour) == (b.island_bests, b.best_tour)
+
+def same_output(report, twin):
+    """Reports equal but for timing and the requested workers."""
+    assert (report.best_length, report.best_tour, report.trajectory, report.stop_reason) == \
+           (twin.best_length, twin.best_tour, twin.trajectory, twin.stop_reason)
+    for a, b in zip(report.rounds, twin.rounds, strict=True):
+        assert (a.round, a.island_bests, a.best_length, a.best_tour, a.generations) == \
+               (b.round, b.island_bests, b.best_length, b.best_tour, b.generations)
+
+
+def run_with_snapshot(workers):
+    store = MemoryStore()
+    return run_pga(INST10, SMALL, master_seed=5, workers=workers, store=store), store.snapshot()
+
+
+def test_run_pga_deterministic_across_worker_counts(pool_from_init_job):
+    serial_report, serial_snapshot = run_with_snapshot(1)
+    for pooled_report, pooled_snapshot in (run_with_snapshot(4), run_with_snapshot(2)):
+        same_output(serial_report, pooled_report)
         assert serial_snapshot == pooled_snapshot
 
 
@@ -310,7 +323,7 @@ class GuttingStore(MemoryStore):
                 for part in super().read_parts(name)]
 
 
-def test_run_pga_uses_one_pool_for_the_whole_run(pools):
+def test_run_pga_uses_one_pool_for_the_whole_run(pools, pool_from_init_job):
     report = run_pga(INST10, SMALL, master_seed=5, workers=2)
     assert len(report.rounds) == 4  # five jobs, ten phases
     assert len(pools) == 1
@@ -318,7 +331,9 @@ def test_run_pga_uses_one_pool_for_the_whole_run(pools):
     assert multiprocessing.active_children() == []
 
 
-def test_pooled_run_pga_pickles_the_instance_once_per_reducer_and_worker(monkeypatch):
+@pytest.fixture
+def pickled(monkeypatch):
+    """Every Instance pickled outside the pool's workers."""
     driver = os.getpid()
     pickled = []
     real_getstate = Instance.__getstate__
@@ -329,6 +344,11 @@ def test_pooled_run_pga_pickles_the_instance_once_per_reducer_and_worker(monkeyp
         return real_getstate(self)
 
     monkeypatch.setattr(Instance, "__getstate__", counting_getstate)
+    return pickled
+
+
+def test_pooled_run_pga_pickles_the_instance_once_per_reducer_and_worker(pickled,
+                                                                        pool_from_init_job):
     workers = 2
     report = run_pga(INST10, SMALL, master_seed=5, workers=workers)
     assert len(report.rounds) == 4  # five pooled reduce phases
@@ -348,12 +368,49 @@ def test_fresh_evolve_reducer_every_round_in_a_pool_matches_in_process():
     assert run(2) == run(1)
 
 
-def test_run_pga_shuts_the_pool_down_when_a_job_fails(pools):
+def test_run_pga_shuts_the_pool_down_when_a_job_fails(pools, pool_from_init_job):
     with pytest.raises(EngineError, match="island 2 has no resident records"):
         run_pga(INST10, SMALL, master_seed=5, workers=2, store=GuttingStore())
     assert len(pools) == 1
     assert pools[0].shutdowns == 1
     assert multiprocessing.active_children() == []
+
+
+def test_short_run_pga_stays_in_process(pools):
+    report, snapshot = run_with_snapshot(2)
+    assert pools == []
+    assert multiprocessing.active_children() == []
+    assert [r.pooled for r in report.rounds] == [False] * 4
+    assert report.params["workers"] == 2
+    serial_report, serial_snapshot = run_with_snapshot(1)
+    same_output(report, serial_report)
+    assert snapshot == serial_snapshot
+
+
+def test_run_pga_pools_from_round_2_when_the_rest_pays(pools, pickled, monkeypatch):
+    monkeypatch.setattr(island_module, "POOL_BREAK_EVEN_S", 1e-9)
+    workers = 2
+    report, snapshot = run_with_snapshot(workers)
+    assert [r.pooled for r in report.rounds] == [False, True, True, True]
+    assert [r["pooled"] for r in json.loads(report.to_json_line())["rounds"]] == \
+           [False, True, True, True]
+    assert len(pools) == 1
+    assert pools[0].shutdowns == 1
+    assert multiprocessing.active_children() == []
+    assert len(pickled) == workers  # only the EvolveReducer reaches the pool
+    serial_report, serial_snapshot = run_with_snapshot(1)
+    same_output(report, serial_report)
+    assert snapshot == serial_snapshot
+
+
+def test_run_pga_of_one_round_never_pools(pools, monkeypatch):
+    monkeypatch.setattr(island_module, "POOL_BREAK_EVEN_S", 1e-9)
+    one_round = IslandParams(num_islands=4, migration_interval=2,
+                             ga=GaParams(population_size=20),
+                             max_total_generations=2, convergence_patience=None)
+    report = run_pga(INST10, one_round, master_seed=5, workers=2)
+    assert [r.pooled for r in report.rounds] == [False]
+    assert pools == []
 
 
 def test_population_dump_round_trips(tmp_path):
