@@ -15,7 +15,12 @@
    declines members whose genes are not tuples permuting 0..n-1. Lengths are
    summed in 128 bits, exact for non-negative weights. Float weights, rngs
    that are not an exact random.Random and declined genes run ga's Python
-   loops. */
+   loops.
+
+   decode_records decodes all of one reduce key's codec records in one call.
+   It returns None unless every record passes codec.decode_chromosome's checks
+   and carries the key as its pop_id and the N of the first, and island.py
+   then decodes record by record, so that the codec names the first fault. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
@@ -353,9 +358,109 @@ done:
     return result;
 }
 
+/* The little-endian u32 at p. */
+static unsigned long u32_at(const unsigned char *p)
+{
+    return p[0] | (unsigned long)p[1] << 8 | (unsigned long)p[2] << 16 | (unsigned long)p[3] << 24;
+}
+
+/* N of the record at value when it is a bytes of exactly 16 + 4N bytes, with
+   pop_id == key and 1 <= N and, when n > 0, N == n; else 0. */
+static Py_ssize_t record_size(PyObject *value, unsigned long key, Py_ssize_t n)
+{
+    if (!PyBytes_Check(value) || PyBytes_GET_SIZE(value) < 8)
+        return 0;
+    const unsigned char *data = (const unsigned char *)PyBytes_AS_STRING(value);
+    unsigned long size = u32_at(data + 4);
+    if (size == 0 || size > (unsigned long)((PY_SSIZE_T_MAX - 16) / 4)
+        || PyBytes_GET_SIZE(value) != 16 + 4 * (Py_ssize_t)size || u32_at(data) != key
+        || (n > 0 && (Py_ssize_t)size != n))
+        return 0;
+    return (Py_ssize_t)size;
+}
+
+/* decode_records(values, key) -> (genes, lengths): the gene tuples and tour
+   lengths of a list or tuple of codec records, in order; None, with no
+   exception set, unless there is at least one record and every record passes
+   codec.decode_chromosome's checks, carries pop_id == key and has the N of
+   the first. */
+static PyObject *decode_records(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError, "expected 2 arguments, got %zd", nargs);
+    PyObject *values = args[0];
+    unsigned long key = PyLong_AsUnsignedLong(args[1]);
+    if (key == (unsigned long)-1 && PyErr_Occurred()) {
+        PyErr_Clear();
+        Py_RETURN_NONE;
+    }
+    if (!PyList_Check(values) && !PyTuple_Check(values))
+        Py_RETURN_NONE;
+    /* a tuple of the records, so that no code run by an allocation can free one */
+    PyObject *records = PySequence_Tuple(values);
+    if (records == NULL)
+        return NULL;
+    Py_ssize_t count = PyTuple_GET_SIZE(records), n = 0;
+    PyObject **items = &PyTuple_GET_ITEM(records, 0);
+    unsigned char *seen = NULL;
+    PyObject **ints = NULL, *genes = NULL, *lengths = NULL, *result = Py_None;  /* borrowed until done */
+    if (count == 0 || (n = record_size(items[0], key, 0)) == 0)
+        goto done;
+    seen = PyMem_Malloc(n);
+    ints = PyMem_Calloc(n, sizeof(PyObject *));
+    if (seen == NULL || ints == NULL) {
+        result = PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t k = 0; k < count; k++) {
+        if (record_size(items[k], key, n) == 0)
+            goto done;
+        const unsigned char *gene = (const unsigned char *)PyBytes_AS_STRING(items[k]) + 8;
+        memset(seen, 0, n);
+        for (Py_ssize_t i = 0; i < n; i++, gene += 4) {
+            unsigned long city = u32_at(gene);
+            if (city >= (unsigned long)n || seen[city])
+                goto done;
+            seen[city] = 1;
+        }
+    }
+    result = NULL;
+    for (Py_ssize_t i = 0; i < n; i++)
+        if ((ints[i] = PyLong_FromSsize_t(i)) == NULL)
+            goto done;
+    if ((genes = PyList_New(count)) == NULL || (lengths = PyList_New(count)) == NULL)
+        goto done;
+    for (Py_ssize_t k = 0; k < count; k++) {
+        const unsigned char *data = (const unsigned char *)PyBytes_AS_STRING(items[k]);
+        PyObject *tour = PyTuple_New(n);
+        PyList_SET_ITEM(genes, k, tour);
+        if (tour == NULL)
+            goto done;
+        for (Py_ssize_t i = 0; i < n; i++)
+            PyTuple_SET_ITEM(tour, i, Py_NewRef(ints[u32_at(data + 8 + 4 * i)]));
+        const unsigned char *tail = data + 8 + 4 * n;
+        PyObject *length = PyLong_FromUnsignedLongLong(
+            u32_at(tail) | (unsigned long long)u32_at(tail + 4) << 32);
+        PyList_SET_ITEM(lengths, k, length);
+        if (length == NULL)
+            goto done;
+    }
+    result = PyTuple_Pack(2, genes, lengths);
+done:
+    Py_XDECREF(genes);
+    Py_XDECREF(lengths);
+    for (Py_ssize_t i = 0; ints != NULL && i < n; i++)
+        Py_XDECREF(ints[i]);
+    PyMem_Free(ints);
+    PyMem_Free(seen);
+    Py_DECREF(records);
+    return result == Py_None ? Py_NewRef(Py_None) : result;
+}
+
 static PyMethodDef methods[] = {
     {"breed", (PyCFunction)(void (*)(void))breed, METH_FASTCALL, NULL},
     {"random_tours", (PyCFunction)(void (*)(void))random_tours, METH_FASTCALL, NULL},
+    {"decode_records", (PyCFunction)(void (*)(void))decode_records, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},
 };
 

@@ -5,13 +5,16 @@ children and `random_tours` an initial population. `ga.next_generation` and
 `ga.random_population` call it, and run their Python loops instead for float
 weights, for an rng that is not an exact random.Random and, in
 next_generation, for genes that are not tuples permuting 0..n-1.
+`decode_records` decodes a reduce key's records for `island.decode_island`,
+which decodes record by record through `codec.decode_chromosome` instead
+when a record is faulty.
 
 The module is compiled once with `cc -O2 -shared -fPIC` against the
 interpreter's headers into the package's `__pycache__`, under a name that
 carries the source's sha256 and the interpreter's extension suffix, and
 renamed into place so that a concurrent build never loads a half-written
 file; a build removes the libraries of earlier sources from the directory.
-`load` returns None, and the two run only their Python loops, when there is
+`load` returns None, and the callers run only their Python loops, when there is
 no compiler or no `Python.h`, the build or the load fails, or another user
 could write the cache directory.
 """
@@ -84,6 +87,12 @@ def load(source: Path = SOURCE, cache: Path | None = None):
 
     Lengths are summed in 128 bits, exact for any non-negative weights. An
     exception raised by getrandbits or random reaches the caller.
+
+    decode_records(values, key) -> (genes, lengths) decodes a list or tuple
+    of codec records into their gene tuples and tour lengths, in order. It
+    returns None, with no exception set, unless there is at least one record
+    and each is a bytes that codec.decode_chromosome accepts, with pop_id
+    equal to key and the same N as the first.
     """
     cache = cache if cache is not None else source.parent / "__pycache__"
     try:

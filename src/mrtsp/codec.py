@@ -10,6 +10,11 @@ All fields little-endian:
 Decoding is strict: short buffers, trailing bytes, a city count of zero,
 out-of-range genes and duplicate genes are each rejected with a distinct
 error so a corrupted record never turns into a silently wrong tour.
+
+decode_chromosome is the reference for the kernel's batch decoder,
+`_xover.decode_records`, and its fallback: island.decode_island decodes
+record by record here whenever the batch decoder is absent or declines, so
+these errors name the first faulty record either way.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ class DuplicateGeneError(CodecError):
 
 _HEADER = struct.Struct("<II")
 _LENGTH = struct.Struct("<Q")
+_RECORDS: dict[int, struct.Struct] = {}  # the whole layout per N, built at first use
 
 MAX_LENGTH = 2**64 - 1
 
@@ -59,11 +65,17 @@ def encode_chromosome(genes: Sequence[int], length: int, pop_id: int) -> bytes:
         length = int(length)
     if not 0 <= length <= MAX_LENGTH:
         raise CodecError(f"tour length {length} does not fit an unsigned 64-bit field")
+    record = _RECORDS.get(n)
+    if record is None:
+        record = _RECORDS[n] = struct.Struct(f"<II{n}IQ")
     try:
-        body = struct.pack(f"<{n}I", *genes)
-    except struct.error as exc:
-        raise CodecError(f"genes are not unsigned 32-bit integers: {exc}") from None
-    return _HEADER.pack(pop_id, n) + body + _LENGTH.pack(length)
+        return record.pack(pop_id, n, *genes, length)
+    except struct.error:
+        try:  # a gene fault is a CodecError; a pop_id or length that is no int stays a struct.error
+            struct.pack(f"<{n}I", *genes)
+        except struct.error as exc:
+            raise CodecError(f"genes are not unsigned 32-bit integers: {exc}") from None
+        raise
 
 
 def with_pop_id(data: bytes, pop_id: int) -> bytes:

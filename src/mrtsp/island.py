@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from . import ga
 from .codec import (MAX_LENGTH, decode_chromosome, encode_chromosome, peek_length,
                     with_pop_id)
 from .engine import (Engine, EngineError, FileStore, JobSpec, MemoryStore,
@@ -84,6 +85,31 @@ class RoundSummary:
     pooled: bool = False
 
 
+def decode_island(key: int, values: list[bytes], check_pop_id: bool = True
+                  ) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
+    """(pop_ids, genes, lengths) of an island's records, in order.
+
+    The kernel's decode_records decodes them all in one call. When it is
+    absent or declines (a faulty record, a pop_id other than key, mixed N or
+    no records), decode_chromosome decodes them one by one, so that the first
+    faulty record raises its CodecError; there, with check_pop_id, a pop_id
+    other than key raises EngineError, and without it each record keeps its
+    own pop_id."""
+    if ga._KERNEL is not None:
+        decoded = ga._KERNEL.decode_records(values, key)
+        if decoded is not None:
+            return [key] * len(values), *decoded
+    pop_ids, genes, lengths = [], [], []
+    for value in values:
+        decoded = decode_chromosome(value)
+        if check_pop_id and decoded.pop_id != key:
+            raise EngineError(f"record keyed {key} decodes to pop_id {decoded.pop_id}")
+        pop_ids.append(decoded.pop_id)
+        genes.append(decoded.genes)
+        lengths.append(decoded.length)
+    return pop_ids, genes, lengths
+
+
 class InitReducer:
     """Reduce task i emits a random_population keyed to island i."""
 
@@ -111,13 +137,8 @@ class EvolveReducer:
         self.params = params
 
     def __call__(self, key, values, rng):
-        members = []
-        for value in values:
-            decoded = decode_chromosome(value)
-            if decoded.pop_id != key:
-                raise EngineError(
-                    f"record keyed {key} decodes to pop_id {decoded.pop_id}")
-            members.append(Chromosome(decoded.genes, decoded.length))
+        _, genes, lengths = decode_island(key, values)
+        members = list(map(Chromosome, genes, lengths))
         size = self.params.ga.population_size
         if len(members) > size:
             members = sorted(members, key=lambda m: m.length)[:size]
@@ -202,13 +223,12 @@ def format_population_dump(parts: list[list[Record]]) -> str:
     lines = []
     names: list[str] = []  # str(c) for every city c; decoding checks genes < N
     for island, part in enumerate(parts):
-        for rec in part:
-            if rec.key == island:
-                decoded = decode_chromosome(rec.value)
-                if len(names) < len(decoded.genes):
-                    names = list(map(str, range(len(decoded.genes))))
-                cities = " ".join(map(names.__getitem__, decoded.genes))
-                lines.append(f"{decoded.pop_id} {decoded.length} {cities}")
+        residents = [rec.value for rec in part if rec.key == island]
+        for pop_id, genes, length in zip(*decode_island(island, residents, check_pop_id=False)):
+            if len(names) < len(genes):
+                names = list(map(str, range(len(genes))))
+            cities = " ".join(map(names.__getitem__, genes))
+            lines.append(f"{pop_id} {length} {cities}")
     return "\n".join(lines) + "\n"
 
 

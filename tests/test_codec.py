@@ -1,11 +1,15 @@
 import random
 import struct
+import sys
 
 import pytest
 
+from mrtsp import ga
 from mrtsp.codec import (CodecError, DuplicateGeneError, GeneRangeError,
                          TruncatedBufferError, decode_chromosome,
                          encode_chromosome, peek_length, with_pop_id)
+
+needs_kernel = pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
 
 GOLDEN = bytes.fromhex(
     "00000000"          # pop_id 0
@@ -111,3 +115,71 @@ def test_with_pop_id_matches_a_fresh_encode():
     for pop_id in (-1, 2**32):
         with pytest.raises(CodecError, match="pop_id"):
             with_pop_id(GOLDEN, pop_id)
+
+
+# -- decode_records: a reduce key's records in one kernel call -------------------------
+
+def good_records(key, n=10, count=3, seed=0):
+    rng = random.Random(seed)
+    return [encode_chromosome(rng.sample(range(n), n), rng.randrange(1000, 2000), key)
+            for _ in range(count)]
+
+
+def record_faults(key=1):
+    """(name, values): one island's records holding one input decode_records
+    must decline, after a valid record unless the fault is in the first."""
+    good = good_records(key)
+    first, record = good[0], good[1]
+    cases = [(f"cut at {cut}", [record[:cut], first]) for cut in range(len(record))]
+    genes = list(struct.unpack_from("<10I", record, 8))
+    out_of_range, duplicate = genes.copy(), genes.copy()
+    out_of_range[3], duplicate[3] = 10, genes[4]
+
+    def with_genes(genes):
+        return record[:8] + struct.pack("<10I", *genes) + record[-8:]
+
+    return cases + [
+        ("one trailing byte", [first, record + b"\0"]),
+        ("N=0", [first, struct.pack("<IIQ", key, 0, 5)]),
+        ("gene >= N", [first, with_genes(out_of_range)]),
+        ("duplicate gene", [first, with_genes(duplicate)]),
+        ("first of two faults", [first, with_genes(duplicate), with_genes(out_of_range)]),
+        ("pop_id != key", [first, with_pop_id(record, key + 1)]),
+        ("mixed N", [first, encode_chromosome(range(9), 7, key)]),
+        ("N=2**32-1 on a short buffer", [first, struct.pack("<IIQ", key, 2**32 - 1, 5)]),
+        ("bytearray value", [first, bytearray(record)]),
+        ("None value", [first, None]),
+        ("empty list", []),
+    ]
+
+
+@needs_kernel
+@pytest.mark.parametrize("name,values", record_faults())
+def test_decode_records_declines_every_fault(name, values):
+    assert ga._KERNEL.decode_records(values, 1) is None
+
+
+@needs_kernel
+def test_decode_records_matches_decode_chromosome():
+    values = good_records(7, n=300, count=5)
+    decoded = [decode_chromosome(value) for value in values]
+    for batch in (values, tuple(values)):
+        genes, lengths = ga._KERNEL.decode_records(batch, 7)
+        assert genes == [d.genes for d in decoded] and lengths == [d.length for d in decoded]
+        assert all(type(tour) is tuple for tour in genes)
+    for key in (-1, 2**64, 6, "7", 7.0):
+        assert ga._KERNEL.decode_records(values, key) is None
+    assert ga._KERNEL.decode_records(iter(values), 7) is None  # only a list or a tuple
+
+
+@needs_kernel
+def test_decode_records_leaves_refcounts_unchanged():
+    key, other = 1000, 2**40  # ints outside the small-int cache
+    for values in [good_records(key), tuple(good_records(key))] + \
+            [values for _, values in record_faults(key)]:
+        for k in (key, other):  # decoded, then declined
+            before = (sys.getrefcount(values), sys.getrefcount(k),
+                      [sys.getrefcount(value) for value in values])
+            ga._KERNEL.decode_records(values, k)
+            assert before == (sys.getrefcount(values), sys.getrefcount(k),
+                              [sys.getrefcount(value) for value in values])

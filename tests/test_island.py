@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import random
 import re
 from collections import Counter
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from mrtsp import engine as engine_module
+from mrtsp import ga
 from mrtsp import island as island_module
-from mrtsp.codec import MAX_LENGTH, decode_chromosome
+from mrtsp.codec import MAX_LENGTH, TruncatedBufferError, decode_chromosome
 from mrtsp.engine import Engine, EngineError, FileStore, MemoryStore, Record
 from mrtsp.ga import GaParams, run_sga, tour_length
 from mrtsp.island import (EvolveReducer, IslandParams, NonIntegerWeightsError,
@@ -19,6 +21,7 @@ from mrtsp.island import (EvolveReducer, IslandParams, NonIntegerWeightsError,
 from mrtsp.oracle import held_karp
 from mrtsp.tsplib import (Instance, format_instance, parse_instance,
                           random_instance)
+from test_codec import good_records, record_faults
 
 INST10 = random_instance(10, (1, 100), seed=2)
 INST8 = random_instance(8, (1, 100), seed=5)
@@ -206,6 +209,30 @@ def test_reducer_rejects_mismatched_pop_id():
     value = store.read(handle)[0].value  # pop_id 0
     with pytest.raises(EngineError, match="pop_id"):
         reducer(1, [value], None)
+
+
+def outcome(fn, *args):
+    """What fn(*args) returns, or the type and message of what it raises."""
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name,values", record_faults(key=1) + [("valid", good_records(1))])
+def test_reducer_and_dump_fault_alike_with_and_without_the_kernel(name, values, monkeypatch):
+    # the kernel declines every fault, and the record-by-record decode then
+    # raises what it raises without the kernel, naming the same first bad record
+    reducer = EvolveReducer(INST10, SMALL)
+    parts = [[], [Record(1, value) for value in values]]
+    compiled = (outcome(reducer, 1, values, random.Random(0)),
+                outcome(format_population_dump, parts))
+    monkeypatch.setattr(ga, "_KERNEL", None)
+    looped = (outcome(reducer, 1, values, random.Random(0)),
+              outcome(format_population_dump, parts))
+    assert compiled == looped
+    if name.startswith("cut at"):
+        assert looped[0][:2] == ("raised", TruncatedBufferError)
 
 
 def test_check_convergence_continue():
