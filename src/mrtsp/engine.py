@@ -4,8 +4,9 @@ One job = map every input record, route intermediates through a partitioner,
 group them per reduce task with keys ascending and values in production
 order, then reduce. Map tasks run in the driver, which already holds their
 input records; reduce tasks run in-process or, with workers > 1, on that many
-forked processes, each fed one contiguous chunk of tasks per phase over its
-own pipe, with the job's reducer sent to each worker only when it changes.
+processes forked with the job's reducer, each fed one contiguous chunk of
+tasks per phase over its own pipe. A worker inherits the reducer at fork, so
+the reducer is never pickled; a job with another reducer forks a new pool.
 Reduce tasks get their own deterministically seeded rng, so job outputs are
 byte-identical for a fixed master seed no matter how many workers run or how
 the scheduler interleaves them.
@@ -21,17 +22,14 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import io
 import multiprocessing
 import os
-import pickle
 import random
 import struct
 import time
 import zlib
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
-from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -304,44 +302,21 @@ def _chunk(items: list, pieces: int) -> list[list]:
     return [items[bounds[i]:bounds[i + 1]] for i in range(pieces)]
 
 
-class _ChunkPickler(ForkingPickler):
-    """Pickles `held`, the object the receiving worker already holds, as a
-    reference to it."""
-
-    def __init__(self, file, held):
-        super().__init__(file)
-        self.held = held
-
-    def persistent_id(self, obj):
-        return 0 if obj is self.held else None
-
-
-class _ChunkUnpickler(pickle.Unpickler):
-    def __init__(self, file, held):
-        super().__init__(file)
-        self.held = held
-
-    def persistent_load(self, pid):
-        return self.held
-
-
-def _serve(conn, inherited: list):
-    """Worker loop: reply to each (shared, chunk of (fn, args, retries))
-    message with the chunk's _attempt outcomes, and hold `shared` for the
-    next message to refer to, until the driver closes the pipe."""
+def _serve(conn, reducer: Reducer, inherited: list):
+    """Worker loop: reply to each (chunk of task args, retries) message with
+    _attempt(_reduce_task, (reducer, *args), retries) for each task, until
+    the driver closes the pipe."""
     gc.freeze()  # collections would walk, and so copy, every object fork shared
     for end in inherited:
         # the driver's ends of this and every earlier worker's pipe, copied by
         # fork: while one is open here, closing it in the driver sends no EOF
         end.close()
-    held = None
     while True:
         try:
-            message = conn.recv_bytes()
+            chunk, retries = conn.recv()
         except EOFError:
             return
-        held, chunk = _ChunkUnpickler(io.BytesIO(message), held).load()
-        outcomes = [_attempt(*task) for task in chunk]
+        outcomes = [_attempt(_reduce_task, (reducer, *args), retries) for args in chunk]
         try:
             conn.send(outcomes)
         except Exception as exc:  # pickling fails before a byte is written
@@ -349,48 +324,40 @@ def _serve(conn, inherited: list):
 
 
 class ForkPool:
-    """`workers` forked processes, each serving chunks of tasks over its own
-    duplex pipe until shutdown(). Starts no thread in the driver, which keeps
-    fork safe. Fork, not spawn: a forked worker is ready in milliseconds with
-    the program already loaded, where a spawned one re-imports it (about
-    0.3 s, longer than a whole pga-n64 run).
+    """`workers` processes forked with `reducer`, each running chunks of its
+    reduce tasks over its own duplex pipe until shutdown(). Starts no thread
+    in the driver, which keeps fork safe. Fork, not spawn: a forked worker is
+    ready in milliseconds with the program and the reducer already in memory,
+    where a spawned one re-imports the program (about 0.3 s, longer than a
+    whole pga-n64 run) and must be sent the reducer."""
 
-    Each worker holds the `shared` object of the last chunk it received, and
-    the driver a strong reference to the same object, so a later chunk that
-    shares it by identity sends a reference in its place: a reducer reused
-    by every job is pickled once per worker and pool, not once per phase."""
-
-    def __init__(self, workers: int):
+    def __init__(self, workers: int, reducer: Reducer):
         context = multiprocessing.get_context("fork")
+        self.reducer = reducer  # held: no later object can take its address
         self._workers = []
-        self._held = []  # per worker: the shared object it holds a copy of
         try:
             for _ in range(workers):
                 conn, child = context.Pipe()
                 ends = [c for c, _ in self._workers] + [conn]
-                proc = context.Process(target=_serve, args=(child, ends), daemon=True)
+                proc = context.Process(target=_serve, args=(child, reducer, ends), daemon=True)
                 proc.start()
                 child.close()
                 self._workers.append((conn, proc))
-                self._held.append(None)  # as the worker's own `held` starts
         except BaseException:
             self.shutdown(kill=True)
             raise
 
-    def run(self, tasks: list[tuple], label: str, shared) -> list[tuple]:
-        """_attempt(*task) for every task, in task order: each worker gets one
-        contiguous chunk and replies once. `shared` is the object the tasks
-        have in common, if any. After a failure, shut down: workers may still
-        be mid-chunk or hold unread replies."""
+    def run(self, tasks: list[tuple], retries: int, label: str) -> list[tuple]:
+        """_attempt(_reduce_task, (reducer, *args), retries) for every task's
+        args, in task order: each worker gets one contiguous chunk and replies
+        once. After a failure, shut down: workers may still be mid-chunk or
+        hold unread replies."""
         chunks = _chunk(tasks, len(self._workers))
         for index, ((conn, _), chunk) in enumerate(zip(self._workers, chunks)):
-            message = io.BytesIO()
-            _ChunkPickler(message, self._held[index]).dump((shared, chunk))
             try:
-                conn.send_bytes(message.getbuffer())
+                conn.send((chunk, retries))
             except OSError as exc:
                 raise EngineError(f"{label}: worker {index} is gone: {exc!r}") from exc
-            self._held[index] = shared
         outcomes = []
         for index, (conn, proc) in enumerate(self._workers):
             try:
@@ -422,15 +389,15 @@ class Engine(AbstractContextManager):
 
     Map tasks always run in the driver, so a mapper need not pickle. Reduce
     tasks run in-process with workers 1 (the default); with more, on a
-    ForkPool of that many processes, started at the first reduce phase and
-    reused until close(), which leaving a `with Engine(...)` block calls.
-    `workers` may be raised between jobs; the pool then starts at the next
-    reduce phase.
-    Pooled reduce tasks are pickled, so reducers must be module-level. A
-    worker keeps the last reducer it received and reuses it for a later job
-    whose spec holds the same object, so a reducer must not change once a
-    pooled job has run it. A worker that dies, or a reply that does not
-    pickle, fails the job with an EngineError and shuts the pool down.
+    ForkPool of that many processes, forked with the job's reducer at its
+    first reduce phase and reused until close(), which leaving a `with
+    Engine(...)` block calls, or until a job's spec holds another reducer
+    object, which forks a new pool. `workers` may be raised between jobs; the
+    pool then starts at the next reduce phase.
+    Pooled workers run the reducer as it was at fork, so it need not pickle,
+    but a change made to it in the driver after that does not reach them. A
+    worker that dies, or a reply that does not pickle, fails the job with an
+    EngineError and shuts the pool down.
     Malformed output and bad records fail at once, other errors are retried.
     The task_observer callback receives a dict per task start/end/fail,
     timestamped where the task ran and delivered in task order once each
@@ -456,17 +423,21 @@ class Engine(AbstractContextManager):
 
     # -- phases ------------------------------------------------------------
 
-    def _run_phase(self, job_id: int, kind: str, payloads: list[tuple],
-                   pooled: bool, shared=None) -> list[list[Record]]:
-        # payloads: (fn, args) per task index; shared: what a pool sends once
-        tasks = [(fn, args, self.max_task_retries) for fn, args in payloads]
+    def _run_phase(self, job_id: int, kind: str, fn, head, payloads: list[tuple],
+                   pooled: bool = False) -> list[list[Record]]:
+        # fn(head, *args) for each task's args in payloads. Pooled, fn is
+        # _reduce_task and head the job's reducer, which the pool's workers
+        # inherit: another reducer object needs a pool forked with it
+        retries = self.max_task_retries
         if not pooled:
-            outcomes = [_attempt(*task) for task in tasks]
+            outcomes = [_attempt(fn, (head, *args), retries) for args in payloads]
         else:
+            if self._pool is not None and self._pool.reducer is not head:
+                self.close()
             if self._pool is None:
-                self._pool = ForkPool(self.workers)
+                self._pool = ForkPool(self.workers, head)
             try:
-                outcomes = self._pool.run(tasks, f"job {job_id} {kind} phase", shared)
+                outcomes = self._pool.run(payloads, retries, f"job {job_id} {kind} phase")
             except BaseException:
                 self._pool.shutdown(kill=True)
                 self._pool = None
@@ -502,16 +473,14 @@ class Engine(AbstractContextManager):
         """Execute one job; returns the sealed output record-set handle."""
         input_records = self.store.read(spec.input)
         chunks = _chunk(input_records, spec.num_map_tasks)
-        map_payloads = [(_map_task, (spec.mapper, chunk)) for chunk in chunks]
-        map_outputs = self._run_phase(spec.job_id, "map", map_payloads, pooled=False)
+        map_outputs = self._run_phase(spec.job_id, "map", _map_task, spec.mapper,
+                                      [(chunk,) for chunk in chunks])
 
         intermediate = [rec for out in map_outputs for rec in out]
         grouped = self._route(spec, intermediate)
 
-        reduce_payloads = [
-            (_reduce_task, (spec.reducer, grouped[t], spec.master_seed, spec.job_id, t))
-            for t in range(spec.num_reduce_tasks)
-        ]
-        reduce_outputs = self._run_phase(spec.job_id, "reduce", reduce_payloads,
-                                         pooled=self.workers > 1, shared=spec.reducer)
+        reduce_payloads = [(grouped[t], spec.master_seed, spec.job_id, t)
+                           for t in range(spec.num_reduce_tasks)]
+        reduce_outputs = self._run_phase(spec.job_id, "reduce", _reduce_task, spec.reducer,
+                                         reduce_payloads, pooled=self.workers > 1)
         return self.store.write_parts(f"job{spec.job_id}", reduce_outputs)

@@ -40,7 +40,8 @@ class TourLengthOverflowError(ValueError):
 # over satisfies W (1 - 1/s) >= F, that is W >= F / (1 - 1/s). Measured on a
 # 2-core Xeon, pooling from round 2 (medians of 8 alternating runs each):
 # - F, the pool's start (5 ms) and join (3.9-4.5 ms) plus its first round's
-#   extra over a warm pooled round (instance shipped, copy-on-write faults),
+#   extra over a warm pooled round (copy-on-write faults; when measured, also
+#   the instance pickled to each worker, which workers now inherit at fork),
 #   was 17 ms on quick.conf-shaped runs and 19 ms at 171 cities over a
 #   FileStore migrating every generation;
 # - s, an in-process round over a warm pooled one, was 1.31 and 1.15.
@@ -85,29 +86,26 @@ class RoundSummary:
     pooled: bool = False
 
 
-def decode_island(key: int, values: list[bytes], check_pop_id: bool = True
-                  ) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
-    """(pop_ids, genes, lengths) of an island's records, in order.
+def decode_island(key: int, values: list[bytes]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(genes, lengths) of an island's records, in order.
 
     The kernel's decode_records decodes them all in one call. When it is
     absent or declines (a faulty record, a pop_id other than key, mixed N or
     no records), decode_chromosome decodes them one by one, so that the first
-    faulty record raises its CodecError; there, with check_pop_id, a pop_id
-    other than key raises EngineError, and without it each record keeps its
-    own pop_id."""
+    faulty record raises its CodecError, or a pop_id other than key an
+    EngineError."""
     if ga._KERNEL is not None:
         decoded = ga._KERNEL.decode_records(values, key)
         if decoded is not None:
-            return [key] * len(values), *decoded
-    pop_ids, genes, lengths = [], [], []
+            return decoded
+    genes, lengths = [], []
     for value in values:
         decoded = decode_chromosome(value)
-        if check_pop_id and decoded.pop_id != key:
+        if decoded.pop_id != key:
             raise EngineError(f"record keyed {key} decodes to pop_id {decoded.pop_id}")
-        pop_ids.append(decoded.pop_id)
         genes.append(decoded.genes)
         lengths.append(decoded.length)
-    return pop_ids, genes, lengths
+    return genes, lengths
 
 
 class InitReducer:
@@ -137,8 +135,7 @@ class EvolveReducer:
         self.params = params
 
     def __call__(self, key, values, rng):
-        _, genes, lengths = decode_island(key, values)
-        members = list(map(Chromosome, genes, lengths))
+        members = list(map(Chromosome, *decode_island(key, values)))
         size = self.params.ga.population_size
         if len(members) > size:
             members = sorted(members, key=lambda m: m.length)[:size]
@@ -171,7 +168,9 @@ def init_job(engine: Engine, instance: Instance, params: IslandParams,
 def evolve_job(engine: Engine, input_handle: str, instance: Instance,
                params: IslandParams, round_number: int, master_seed: int) -> str:
     """One migration round; job id doubles as the round number. The input set
-    is taken as checked: run_pga scans every set before the next job reads it."""
+    is taken as checked: run_pga scans every set before the next job reads it.
+    Each call builds a fresh EvolveReducer, so on a pooled engine it forks a
+    new pool."""
     reducer = EvolveReducer(instance, params)
     return engine.run_job(_island_job(params, round_number, input_handle, reducer, master_seed))
 
@@ -224,11 +223,11 @@ def format_population_dump(parts: list[list[Record]]) -> str:
     names: list[str] = []  # str(c) for every city c; decoding checks genes < N
     for island, part in enumerate(parts):
         residents = [rec.value for rec in part if rec.key == island]
-        for pop_id, genes, length in zip(*decode_island(island, residents, check_pop_id=False)):
+        for genes, length in zip(*decode_island(island, residents)):
             if len(names) < len(genes):
                 names = list(map(str, range(len(genes))))
             cities = " ".join(map(names.__getitem__, genes))
-            lines.append(f"{pop_id} {length} {cities}")
+            lines.append(f"{island} {length} {cities}")
     return "\n".join(lines) + "\n"
 
 
@@ -242,17 +241,16 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     before each later round, until the run pools, (rounds left in the
     budget) x (last round's seconds) >= POOL_BREAK_EVEN_S raises the engine
     to `workers`: the rest of the run's reduce tasks then run on one pool of
-    forked worker processes, joined when the run ends. Only the
-    EvolveReducer, shared by every round, reaches the pool, so each worker
-    receives the instance once. Each RoundSummary says whether its round
-    pooled; outputs are the same either way. Reported generations are
-    per-island cumulative (rounds times migration_interval). The final populations are
-    additionally written as a readable text dump: to dump_path when given,
-    or next to the binary parts when the store lives on disk. Non-integer
-    weights, and weights whose tours can overflow the record's 64-bit length,
-    are rejected before anything is written. _scan_set reads and checks each
-    sealed set once, before the next job reads it; the dump reuses the final
-    scan's parts.
+    worker processes, forked with the EvolveReducer that every round shares
+    and joined when the run ends, so no instance is pickled to them. Each
+    RoundSummary says whether its round pooled; outputs are the same either
+    way. Reported generations are per-island cumulative (rounds times
+    migration_interval). The final populations are additionally written as
+    a readable text dump: to dump_path when given, or next to the binary
+    parts when the store lives on disk. Non-integer weights, and weights
+    whose tours can overflow the record's 64-bit length, are rejected before
+    anything is written. _scan_set reads and checks each sealed set once,
+    before the next job reads it; the dump reuses the final scan's parts.
     """
     if instance.distances.dtype.kind == "f":
         raise NonIntegerWeightsError(
@@ -265,12 +263,10 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     params = params if params is not None else IslandParams()
     start = time.perf_counter()
     store = store if store is not None else MemoryStore()
-    evolve = EvolveReducer(instance, params)  # one object, so a pool ships it once
+    evolve = EvolveReducer(instance, params)  # one object, so the run forks one pool
     budget_rounds = -(-params.max_total_generations // params.migration_interval)
     round_s = 0.0  # the last round's seconds: none is timed before round 1 ends
     with Engine(store, workers=1) as engine:
-        # with nothing timed, only a POOL_BREAK_EVEN_S of 0 pools the init job
-        _pool_if_it_pays(engine, workers, budget_rounds, round_s)
         handle = init_job(engine, instance, params, master_seed)
         parts, island_bests, _ = _scan_set(store, handle, params.num_islands)
         trajectory = [min(island_bests)]

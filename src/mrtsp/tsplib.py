@@ -11,9 +11,10 @@ where every integer is exact. Every rejection is a ParseError.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -63,8 +64,6 @@ class Instance:
     dimension: int
     distances: np.ndarray
     known_optimum: float | None = None
-    # never pickled: the rows pickle larger and slower than the matrix they copy
-    _rows: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dimension
@@ -77,23 +76,16 @@ class Instance:
         if np.any(self.distances < 0):
             raise ValueError("distance matrix has negative entries")
         self.distances.setflags(write=False)
-        # plain-list rows for the GA hot loops; numpy scalar indexing is slow
-        self._rows.extend(self.distances.tolist())
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_rows"]
-        return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.distances.setflags(write=False)  # a pickled array loads writable
-        self.__dict__["_rows"] = self.distances.tolist()
 
-    @property
+    @functools.cached_property
     def rows(self) -> list:
-        """Distance matrix as nested Python lists (fast element access)."""
-        return self._rows
+        """Distance matrix as nested Python lists, built on first use: the
+        Python GA loops read it, where numpy scalar indexing is slow."""
+        return self.distances.tolist()
 
     def with_known_optimum(self, value: float | None) -> "Instance":
         return Instance(self.name, self.dimension, np.array(self.distances), value)

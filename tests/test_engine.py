@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from mrtsp import engine as engine_module
 from mrtsp.codec import decode_chromosome
 from mrtsp.engine import (Engine, EngineError, FileStore, ForkPool,
                           JobFailedError, JobSpec, MemoryStore, Record,
@@ -246,14 +247,21 @@ def test_retry_transparency():
     assert fails == [("reduce", 2, 0)]
 
 
-def test_unpicklable_reducer_fails_at_once_in_a_pool():
-    store = MemoryStore()
-    store.put("in", [Record(k, b"") for k in range(4)])
-    events = []
-    with Engine(store, workers=2, task_observer=events.append) as engine:
-        with pytest.raises(AttributeError, match="pickle"):
-            engine.run_job(spec_for("in", reducer=lambda key, values, rng: []))
-    assert {e["kind"] for e in events} == {"map"}  # no reduce attempt, so no retry
+def test_closure_reducer_runs_in_a_pool():
+    seed = 11
+
+    def salted_reducer(key, values, rng):  # a closure: pooled reducers are never pickled
+        return [Record(key, bytes([seed]) + struct.pack("<d", rng.random())) for _ in values]
+
+    def run(workers):
+        store = MemoryStore()
+        store.put("in", [Record(k, b"") for k in range(8)])
+        with deadline(30), Engine(store, workers=workers) as engine:
+            engine.run_job(spec_for("in", reduces=4, reducer=salted_reducer))
+        return store.snapshot()
+
+    assert run(2) == run(1)
+    assert multiprocessing.active_children() == []
 
 
 def test_map_runs_in_the_driver_and_reduce_on_workers():
@@ -290,14 +298,20 @@ def test_dead_worker_fails_the_job_and_leaves_no_process():
     assert multiprocessing.active_children() == []
 
 
-def test_pool_sends_a_reducer_to_each_worker_once_per_object(monkeypatch):
-    pickled = []
+def test_pool_forks_again_for_another_reducer_object(monkeypatch):
+    pickled, pools = [], []
 
     def counting_getstate(self):
         pickled.append(self.tag)
         return self.__dict__
 
+    class CountingPool(ForkPool):
+        def __init__(self, workers, reducer):
+            super().__init__(workers, reducer)
+            pools.append(reducer.tag)
+
     monkeypatch.setattr(TagReducer, "__getstate__", counting_getstate, raising=False)
+    monkeypatch.setattr(engine_module, "ForkPool", CountingPool)
     store = MemoryStore()
     store.put("in", [Record(k, b"") for k in range(4)])
     first, second = TagReducer(b"1"), TagReducer(b"2")
@@ -311,8 +325,9 @@ def test_pool_sends_a_reducer_to_each_worker_once_per_object(monkeypatch):
         # a fresh object each, so it may reuse the address of one no longer referenced
         run(4, TagReducer(b"3"))
         run(5, TagReducer(b"4"))
-    # each worker holds one reducer: `first` is sent again after `second`
-    assert pickled == [b"1", b"1", b"2", b"2", b"1", b"1", b"3", b"3", b"4", b"4"]
+    assert pools == [b"1", b"2", b"1", b"3", b"4"]
+    assert pickled == []
+    assert multiprocessing.active_children() == []
 
 
 def test_pool_that_fails_to_start_leaves_no_process(monkeypatch):
@@ -327,7 +342,7 @@ def test_pool_that_fails_to_start_leaves_no_process(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_once)
     with deadline(30), pytest.raises(OSError, match="another process"):
-        ForkPool(2)
+        ForkPool(2, passthrough_reducer)
     assert len(started) == 1
     assert multiprocessing.active_children() == []
 

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import pickle
 import random
 import re
 from collections import Counter
@@ -233,6 +234,8 @@ def test_reducer_and_dump_fault_alike_with_and_without_the_kernel(name, values, 
     assert compiled == looped
     if name.startswith("cut at"):
         assert looped[0][:2] == ("raised", TruncatedBufferError)
+    if name == "pop_id != key":
+        assert compiled[1][:2] == looped[1][:2] == ("raised", EngineError)
 
 
 def test_check_convergence_continue():
@@ -297,8 +300,8 @@ def test_run_pga_finds_small_optimum():
 
 
 @pytest.fixture
-def pool_from_init_job(monkeypatch):
-    """No run is too short to pool: workers > 1 pools from the init job on."""
+def pool_from_round_1(monkeypatch):
+    """No run is too short to pool: workers > 1 pools from round 1 on."""
     monkeypatch.setattr(island_module, "POOL_BREAK_EVEN_S", 0)
 
 
@@ -316,7 +319,7 @@ def run_with_snapshot(workers):
     return run_pga(INST10, SMALL, master_seed=5, workers=workers, store=store), store.snapshot()
 
 
-def test_run_pga_deterministic_across_worker_counts(pool_from_init_job):
+def test_run_pga_deterministic_across_worker_counts(pool_from_round_1):
     serial_report, serial_snapshot = run_with_snapshot(1)
     for pooled_report, pooled_snapshot in (run_with_snapshot(4), run_with_snapshot(2)):
         same_output(serial_report, pooled_report)
@@ -350,7 +353,7 @@ class GuttingStore(MemoryStore):
                 for part in super().read_parts(name)]
 
 
-def test_run_pga_uses_one_pool_for_the_whole_run(pools, pool_from_init_job):
+def test_run_pga_uses_one_pool_for_the_whole_run(pools, pool_from_round_1):
     report = run_pga(INST10, SMALL, master_seed=5, workers=2)
     assert len(report.rounds) == 4  # five jobs, ten phases
     assert len(pools) == 1
@@ -360,7 +363,7 @@ def test_run_pga_uses_one_pool_for_the_whole_run(pools, pool_from_init_job):
 
 @pytest.fixture
 def pickled(monkeypatch):
-    """Every Instance pickled outside the pool's workers."""
+    """Every Instance pickled in the driver."""
     driver = os.getpid()
     pickled = []
     real_getstate = Instance.__getstate__
@@ -371,15 +374,17 @@ def pickled(monkeypatch):
         return real_getstate(self)
 
     monkeypatch.setattr(Instance, "__getstate__", counting_getstate)
+    pickle.dumps(INST10)
+    assert pickled == [INST10]  # the count sees a pickle
+    pickled.clear()
     return pickled
 
 
-def test_pooled_run_pga_pickles_the_instance_once_per_reducer_and_worker(pickled,
-                                                                        pool_from_init_job):
-    workers = 2
-    report = run_pga(INST10, SMALL, master_seed=5, workers=workers)
-    assert len(report.rounds) == 4  # five pooled reduce phases
-    assert len(pickled) == 2 * workers  # with the InitReducer, then the EvolveReducer
+def test_pooled_run_pga_pickles_no_instance(pickled, pool_from_round_1):
+    report = run_pga(INST10, SMALL, master_seed=5, workers=2)
+    assert len(report.rounds) == 4  # four pooled reduce phases
+    assert all(r.pooled for r in report.rounds)
+    assert pickled == []  # the workers inherit the EvolveReducer at fork
     assert multiprocessing.active_children() == []
 
 
@@ -395,7 +400,7 @@ def test_fresh_evolve_reducer_every_round_in_a_pool_matches_in_process():
     assert run(2) == run(1)
 
 
-def test_run_pga_shuts_the_pool_down_when_a_job_fails(pools, pool_from_init_job):
+def test_run_pga_shuts_the_pool_down_when_a_job_fails(pools, pool_from_round_1):
     with pytest.raises(EngineError, match="island 2 has no resident records"):
         run_pga(INST10, SMALL, master_seed=5, workers=2, store=GuttingStore())
     assert len(pools) == 1
@@ -424,7 +429,7 @@ def test_run_pga_pools_from_round_2_when_the_rest_pays(pools, pickled, monkeypat
     assert len(pools) == 1
     assert pools[0].shutdowns == 1
     assert multiprocessing.active_children() == []
-    assert len(pickled) == workers  # only the EvolveReducer reaches the pool
+    assert pickled == []
     serial_report, serial_snapshot = run_with_snapshot(1)
     same_output(report, serial_report)
     assert snapshot == serial_snapshot

@@ -261,17 +261,18 @@ def test_instance_matrix_is_read_only():
         inst.distances[0, 1] = 99
 
 
-def test_pickle_drops_rows_and_rebuilds_them_on_load():
+def test_pickle_keeps_rows_and_a_read_only_matrix():
     inst = load_instance(INSTANCE_DIR / "rnd171.atsp")
-    assert "_rows" not in inst.__getstate__()
-    clone = pickle.loads(pickle.dumps(inst))
-    assert (clone.name, clone.dimension, clone.known_optimum) == \
-        (inst.name, inst.dimension, inst.known_optimum)
-    assert np.array_equal(clone.distances, inst.distances)
-    assert clone.rows == inst.rows
-    # the copy stays read-only
-    with pytest.raises(ValueError):
-        clone.distances[0, 1] = 99
+    unbuilt = pickle.dumps(inst)
+    assert inst.rows == inst.distances.tolist()
+    for clone in (pickle.loads(unbuilt), pickle.loads(pickle.dumps(inst))):
+        assert (clone.name, clone.dimension, clone.known_optimum) == \
+            (inst.name, inst.dimension, inst.known_optimum)
+        assert np.array_equal(clone.distances, inst.distances)
+        assert clone.rows == inst.rows
+        # the copy stays read-only
+        with pytest.raises(ValueError):
+            clone.distances[0, 1] = 99
 
 
 def test_registry_round_trip(tmp_path):
