@@ -20,7 +20,10 @@
    decode_records decodes all of one reduce key's codec records in one call.
    It returns None unless every record passes codec.decode_chromosome's checks
    and carries the key as its pop_id and the N of the first, and island.py
-   then decodes record by record, so that the codec names the first fault. */
+   then decodes record by record, so that the codec names the first fault.
+   encode_records packs a reduce key's members as codec.encode_chromosome
+   does; it returns None unless every member fits the layout, and island.py
+   then encodes record by record, so that the codec names the first fault. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
@@ -457,10 +460,95 @@ done:
     return result == Py_None ? Py_NewRef(Py_None) : result;
 }
 
+/* Stores the low 32 bits of x at p, little-endian. */
+static void put_u32(unsigned char *p, unsigned long x)
+{
+    p[0] = (unsigned char)x;
+    p[1] = (unsigned char)(x >> 8);
+    p[2] = (unsigned char)(x >> 16);
+    p[3] = (unsigned char)(x >> 24);
+}
+
+/* 1, storing obj at *x, when obj is an int in [0, max]; else 0, with no
+   exception set. */
+static int bounded(PyObject *obj, unsigned long long max, unsigned long long *x)
+{
+    if (!PyLong_CheckExact(obj))
+        return 0;
+    *x = PyLong_AsUnsignedLongLong(obj);
+    if (*x == (unsigned long long)-1 && PyErr_Occurred()) {
+        PyErr_Clear();
+        return 0;
+    }
+    return *x <= max;
+}
+
+/* encode_records(genes, lengths, key) -> list of bytes: the record that
+   codec.encode_chromosome(genes[k], lengths[k], key) packs, for every k; None,
+   with no exception set, unless genes and lengths are lists or tuples of one
+   size, key is an int below 2**32, every genes is a non-empty tuple of ints
+   below 2**32 and every length an int below 2**64. */
+static PyObject *encode_records(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError, "expected 3 arguments, got %zd", nargs);
+    unsigned long long key, length, city;
+    if (!bounded(args[2], 0xFFFFFFFFULL, &key)
+        || (!PyList_Check(args[0]) && !PyTuple_Check(args[0]))
+        || (!PyList_Check(args[1]) && !PyTuple_Check(args[1])))
+        Py_RETURN_NONE;
+    /* tuples of the inputs, so that no code run by an allocation can free one */
+    PyObject *genes = PySequence_Tuple(args[0]);
+    PyObject *lengths = genes ? PySequence_Tuple(args[1]) : NULL;
+    PyObject *records = NULL, *result = Py_None;  /* borrowed until done */
+    if (lengths == NULL) {
+        result = NULL;
+        goto done;
+    }
+    Py_ssize_t count = PyTuple_GET_SIZE(genes);
+    if (PyTuple_GET_SIZE(lengths) != count)
+        goto done;
+    if ((records = PyList_New(count)) == NULL) {
+        result = NULL;
+        goto done;
+    }
+    for (Py_ssize_t k = 0; k < count; k++) {
+        PyObject *tour = PyTuple_GET_ITEM(genes, k);
+        if (!PyTuple_Check(tour) || PyTuple_GET_SIZE(tour) == 0
+            || PyTuple_GET_SIZE(tour) > 0xFFFFFFFFLL
+            || !bounded(PyTuple_GET_ITEM(lengths, k), 0xFFFFFFFFFFFFFFFFULL, &length))
+            goto done;
+        Py_ssize_t n = PyTuple_GET_SIZE(tour);
+        PyObject *value = PyBytes_FromStringAndSize(NULL, 16 + 4 * n);
+        if (value == NULL) {
+            result = NULL;
+            goto done;
+        }
+        PyList_SET_ITEM(records, k, value);
+        unsigned char *data = (unsigned char *)PyBytes_AS_STRING(value);
+        put_u32(data, (unsigned long)key);
+        put_u32(data + 4, (unsigned long)n);
+        for (Py_ssize_t i = 0; i < n; i++) {
+            if (!bounded(PyTuple_GET_ITEM(tour, i), 0xFFFFFFFFULL, &city))
+                goto done;
+            put_u32(data + 8 + 4 * i, (unsigned long)city);
+        }
+        put_u32(data + 8 + 4 * n, (unsigned long)(length & 0xFFFFFFFFULL));
+        put_u32(data + 12 + 4 * n, (unsigned long)(length >> 32));
+    }
+    result = Py_NewRef(records);
+done:
+    Py_XDECREF(records);
+    Py_XDECREF(lengths);
+    Py_XDECREF(genes);
+    return result == Py_None ? Py_NewRef(Py_None) : result;
+}
+
 static PyMethodDef methods[] = {
     {"breed", (PyCFunction)(void (*)(void))breed, METH_FASTCALL, NULL},
     {"random_tours", (PyCFunction)(void (*)(void))random_tours, METH_FASTCALL, NULL},
     {"decode_records", (PyCFunction)(void (*)(void))decode_records, METH_FASTCALL, NULL},
+    {"encode_records", (PyCFunction)(void (*)(void))encode_records, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},
 };
 

@@ -7,7 +7,9 @@ weights, for an rng that is not an exact random.Random and, in
 next_generation, for genes that are not tuples permuting 0..n-1.
 `decode_records` decodes a reduce key's records for `island.decode_island`,
 which decodes record by record through `codec.decode_chromosome` instead
-when a record is faulty.
+when a record is faulty; `encode_records` encodes a reduce key's members for
+`island.encode_island`, which encodes them one by one through
+`codec.encode_chromosome` instead when one does not fit the record layout.
 
 The module is compiled once with `cc -O2 -shared -fPIC` against the
 interpreter's headers into the package's `__pycache__`, under a name that
@@ -93,6 +95,13 @@ def load(source: Path = SOURCE, cache: Path | None = None):
     returns None, with no exception set, unless there is at least one record
     and each is a bytes that codec.decode_chromosome accepts, with pop_id
     equal to key and the same N as the first.
+
+    encode_records(genes, lengths, key) -> list of bytes packs each gene
+    tuple and tour length as codec.encode_chromosome(genes, length, key)
+    does, in order. It returns None, with no exception set, unless genes and
+    lengths are lists or tuples of one size, key is an int below 2**32, each
+    genes is a non-empty tuple of ints below 2**32 and each length an int
+    below 2**64.
     """
     cache = cache if cache is not None else source.parent / "__pycache__"
     try:

@@ -2,14 +2,16 @@
 
 One job = map every input record, route intermediates through a partitioner,
 group them per reduce task with keys ascending and values in production
-order, then reduce. Map tasks run in the driver, which already holds their
-input records; reduce tasks run in-process or, with workers > 1, on that many
-processes forked with the job's reducer, each fed one contiguous chunk of
-tasks per phase over its own pipe. A worker inherits the reducer at fork, so
-the reducer is never pickled; a job with another reducer forks a new pool.
-Reduce tasks get their own deterministically seeded rng, so job outputs are
-byte-identical for a fixed master seed no matter how many workers run or how
-the scheduler interleaves them.
+order, then reduce. Map tasks run in the driver, on the input set's records
+or on the parts a caller has already read and checked. Reduce tasks run
+in-process or, with workers > 1, on that many processes forked with the
+job's reducer, each fed one contiguous chunk of tasks per phase over its own
+pipe; a job whose reducer is not equal to the pool's forks a new pool. Each
+reduce task frames its checked output itself and replies with its part's
+bytes, which the store seals as given. Reduce tasks get their own
+deterministically seeded rng, so job outputs are byte-identical for a fixed
+master seed no matter how many workers run or how the scheduler interleaves
+them.
 
 The record store stands in for a distributed file system: sets of records
 are named, written once by a completed job, and immutable afterwards. Both
@@ -68,8 +70,7 @@ def pack_records(records: Iterable[Record]) -> bytes:
     for rec in records:
         if not 0 <= rec.key < 2**32:
             raise StoreError(f"record key {rec.key} does not fit an unsigned 32-bit field")
-        chunks.append(_RECORD_HEADER.pack(rec.key, len(rec.value)))
-        chunks.append(rec.value)
+        chunks += _RECORD_HEADER.pack(rec.key, len(rec.value)), rec.value
     return b"".join(chunks)
 
 
@@ -101,7 +102,10 @@ class _RecordStore:
         return self.write_parts(name, [list(records)])
 
     def write_parts(self, name: str, parts: list[list[Record]]) -> str:
-        data = [pack_records(part) for part in parts]
+        return self.write_packed(name, [pack_records(part) for part in parts])
+
+    def write_packed(self, name: str, data: list[bytes]) -> str:
+        """Seal parts already framed as pack_records frames them, as given."""
         if self._sealed(name) is not None:
             raise StoreError(f"record set {name!r} is sealed and cannot be rewritten")
         self._seal(name, data)
@@ -210,9 +214,7 @@ def default_partition(key: int, num_reduce_tasks: int) -> int:
 
 def task_rng(master_seed: int, job_id: int, task_kind: str, task_index: int) -> random.Random:
     """Independent, reproducible rng stream per (seed, job, kind, index)."""
-    digest = hashlib.sha256(
-        f"{master_seed}|{job_id}|{task_kind}|{task_index}".encode()
-    ).digest()
+    digest = hashlib.sha256(f"{master_seed}|{job_id}|{task_kind}|{task_index}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "little"))
 
 
@@ -243,31 +245,35 @@ def identity_mapper(record: Record) -> list[Record]:
     return [record]
 
 
-def _normalize(produced, origin: str) -> list[Record]:
-    out = []
-    for rec in produced:
-        if not isinstance(rec, Record):
-            raise EngineError(f"{origin} produced {rec!r}, expected a Record")
-        if not isinstance(rec.key, int) or not isinstance(rec.value, bytes):
-            raise EngineError(f"{origin} produced a malformed record {rec!r}")
-        out.append(rec)
-    return out
+def _checked(rec, origin: str) -> Record:
+    if not isinstance(rec, Record):
+        raise EngineError(f"{origin} produced {rec!r}, expected a Record")
+    if not isinstance(rec.key, int) or not isinstance(rec.value, bytes):
+        raise EngineError(f"{origin} produced a malformed record {rec!r}")
+    return rec
 
 
 def _map_task(mapper: Mapper, records: list[Record]) -> list[Record]:
-    out = []
-    for rec in records:
-        out.extend(_normalize(mapper(rec), "mapper"))
-    return out
+    if mapper is identity_mapper:
+        return records  # store reads build only well-formed records
+    return [_checked(out, "mapper") for rec in records for out in mapper(rec)]
 
 
 def _reduce_task(reducer: Reducer, grouped: list[tuple[int, list[bytes]]],
-                 master_seed: int, job_id: int, index: int) -> list[Record]:
+                 master_seed: int, job_id: int, index: int) -> bytes:
+    """Task `index`'s part as pack_records frames it, each record checked as
+    it is framed: a malformed one, or a key outside u32, fails the job at once."""
     rng = task_rng(master_seed, job_id, "reduce", index)
-    out = []
+    chunks = []
+    header = _RECORD_HEADER.pack
     for key, values in grouped:
-        out.extend(_normalize(reducer(key, values, rng), "reducer"))
-    return out
+        for rec in reducer(key, values, rng):
+            if not (isinstance(rec, Record) and isinstance(rec.key, int)
+                    and isinstance(rec.value, bytes) and 0 <= rec.key < 2**32):
+                _checked(rec, "reducer")  # names a malformed record; else the key is out of range
+                raise EngineError(f"reducer produced key {rec.key}, outside u32")
+            chunks += header(rec.key, len(rec.value)), rec.value
+    return b"".join(chunks)
 
 
 def _attempt(fn, args: tuple, retries: int):
@@ -277,8 +283,7 @@ def _attempt(fn, args: tuple, retries: int):
     on the first attempt: a rerun on the same inputs would only repeat them.
     Returns (result, events, error). events lists (attempt, "start"|"end"|
     "fail", time.monotonic()) in order; error is the last exception when
-    the task failed, else None.
-    """
+    the task failed, else None."""
     events = []
     error = None
     for attempt in range(retries + 1):
@@ -391,18 +396,18 @@ class Engine(AbstractContextManager):
     tasks run in-process with workers 1 (the default); with more, on a
     ForkPool of that many processes, forked with the job's reducer at its
     first reduce phase and reused until close(), which leaving a `with
-    Engine(...)` block calls, or until a job's spec holds another reducer
-    object, which forks a new pool. `workers` may be raised between jobs; the
-    pool then starts at the next reduce phase.
+    Engine(...)` block calls, or until a job's reducer does not compare
+    equal to the pool's (by default: is another object), which forks a new
+    pool. `workers` may be raised between jobs; the pool then starts at the
+    next reduce phase.
     Pooled workers run the reducer as it was at fork, so it need not pickle,
     but a change made to it in the driver after that does not reach them. A
     worker that dies, or a reply that does not pickle, fails the job with an
-    EngineError and shuts the pool down.
-    Malformed output and bad records fail at once, other errors are retried.
-    The task_observer callback receives a dict per task start/end/fail,
-    timestamped where the task ran and delivered in task order once each
-    phase has finished; tests use it to verify the map->reduce barrier and
-    retry behaviour.
+    EngineError and shuts the pool down. Malformed output and bad records
+    fail at once, other errors are retried. The task_observer callback
+    receives a dict per task start/end/fail, timestamped where the task ran
+    and delivered in task order once each phase has finished; tests use it
+    to verify the map->reduce barrier and retry behaviour.
     """
 
     def __init__(self, store, workers: int = 1, max_task_retries: int = 2,
@@ -421,18 +426,16 @@ class Engine(AbstractContextManager):
             self._pool.shutdown()
             self._pool = None
 
-    # -- phases ------------------------------------------------------------
-
     def _run_phase(self, job_id: int, kind: str, fn, head, payloads: list[tuple],
-                   pooled: bool = False) -> list[list[Record]]:
+                   pooled: bool = False) -> list:
         # fn(head, *args) for each task's args in payloads. Pooled, fn is
         # _reduce_task and head the job's reducer, which the pool's workers
-        # inherit: another reducer object needs a pool forked with it
+        # inherit: a reducer not equal to the pool's needs a pool forked with it
         retries = self.max_task_retries
         if not pooled:
             outcomes = [_attempt(fn, (head, *args), retries) for args in payloads]
         else:
-            if self._pool is not None and self._pool.reducer is not head:
+            if self._pool is not None and self._pool.reducer != head:
                 self.close()
             if self._pool is None:
                 self._pool = ForkPool(self.workers, head)
@@ -454,33 +457,30 @@ class Engine(AbstractContextManager):
             results.append(result)
         return results
 
-    # -- shuffle -----------------------------------------------------------
-
-    def _route(self, spec: JobSpec, intermediate: list[Record]) -> list[list[tuple[int, list[bytes]]]]:
-        buckets: list[dict[int, list[bytes]]] = [{} for _ in range(spec.num_reduce_tasks)]
-        for rec in intermediate:
-            task = spec.partitioner(rec.key, spec.num_reduce_tasks)
-            if not isinstance(task, int) or not 0 <= task < spec.num_reduce_tasks:
-                raise EngineError(
-                    f"partitioner returned {task!r} for key {rec.key}, "
-                    f"outside [0, {spec.num_reduce_tasks})")
-            buckets[task].setdefault(rec.key, []).append(rec.value)
-        return [sorted(bucket.items()) for bucket in buckets]
-
-    # -- driver ------------------------------------------------------------
-
-    def run_job(self, spec: JobSpec) -> str:
-        """Execute one job; returns the sealed output record-set handle."""
-        input_records = self.store.read(spec.input)
-        chunks = _chunk(input_records, spec.num_map_tasks)
+    def run_job(self, spec: JobSpec, parts: list[list[Record]] | None = None) -> str:
+        """Execute one job; returns the sealed output record-set handle. The
+        job maps `parts` when given, spec.input's records as the caller has
+        read and checked them, else reads spec.input."""
+        if parts is None:
+            parts = self.store.read_parts(spec.input)
+        chunks = _chunk([rec for part in parts for rec in part], spec.num_map_tasks)
         map_outputs = self._run_phase(spec.job_id, "map", _map_task, spec.mapper,
                                       [(chunk,) for chunk in chunks])
-
-        intermediate = [rec for out in map_outputs for rec in out]
-        grouped = self._route(spec, intermediate)
-
-        reduce_payloads = [(grouped[t], spec.master_seed, spec.job_id, t)
-                           for t in range(spec.num_reduce_tasks)]
-        reduce_outputs = self._run_phase(spec.job_id, "reduce", _reduce_task, spec.reducer,
-                                         reduce_payloads, pooled=self.workers > 1)
-        return self.store.write_parts(f"job{spec.job_id}", reduce_outputs)
+        # shuffle: values grouped by key in production order, then the
+        # partitioner, a function of the key, routes each key in key order
+        groups: dict[int, list[bytes]] = {}
+        for out in map_outputs:
+            for key, value in out:
+                groups.setdefault(key, []).append(value)
+        tasks = spec.num_reduce_tasks
+        grouped: list[list] = [[] for _ in range(tasks)]
+        for key in sorted(groups):
+            task = spec.partitioner(key, tasks)
+            if not isinstance(task, int) or not 0 <= task < tasks:
+                raise EngineError(f"partitioner returned {task!r} for key {key}, "
+                                  f"outside [0, {tasks})")
+            grouped[task].append((key, groups[key]))
+        payloads = [(grouped[t], spec.master_seed, spec.job_id, t) for t in range(tasks)]
+        framed = self._run_phase(spec.job_id, "reduce", _reduce_task, spec.reducer,
+                                 payloads, pooled=self.workers > 1)
+        return self.store.write_packed(f"job{spec.job_id}", framed)

@@ -108,6 +108,20 @@ def decode_island(key: int, values: list[bytes]) -> tuple[list[tuple[int, ...]],
     return genes, lengths
 
 
+def encode_island(key: int, genes: list[tuple[int, ...]], lengths: list[int]) -> list[bytes]:
+    """The records of an island's members, keyed to it, in order.
+
+    The kernel's encode_records encodes them all in one call. When it is
+    absent or declines (a member that does not fit the record layout, or a
+    length that is not an int), encode_chromosome encodes them one by one,
+    so that the first such member raises its CodecError."""
+    if ga._KERNEL is not None:
+        encoded = ga._KERNEL.encode_records(genes, lengths, key)
+        if encoded is not None:
+            return encoded
+    return [encode_chromosome(tour, length, key) for tour, length in zip(genes, lengths)]
+
+
 class InitReducer:
     """Reduce task i emits a random_population keyed to island i."""
 
@@ -128,11 +142,22 @@ class EvolveReducer:
     migrants); the worst extras are dropped before evolution, which is the
     batch form of each migrant replacing the current worst member. Migrant
     records carry the destination's pop_id, matching their new key.
+
+    Reducers of one instance object and equal params compare equal, so that
+    an engine's pool serves every round that evolves the same run.
     """
 
     def __init__(self, instance: Instance, params: IslandParams):
         self.instance = instance
         self.params = params
+
+    def __eq__(self, other):
+        if not isinstance(other, EvolveReducer):
+            return NotImplemented
+        return self.instance is other.instance and self.params == other.params
+
+    def __hash__(self):
+        return hash((id(self.instance), self.params))
 
     def __call__(self, key, values, rng):
         members = list(map(Chromosome, *decode_island(key, values)))
@@ -142,8 +167,10 @@ class EvolveReducer:
         for _ in range(self.params.migration_interval):
             members = next_generation(members, self.instance, rng, self.params.ga)
 
-        out = [Record(key, encode_chromosome(m.genes, m.length, key)) for m in members]
-        best = out[min(range(len(members)), key=lambda i: members[i].length)].value
+        lengths = [m.length for m in members]
+        values = encode_island(key, [m.genes for m in members], lengths)
+        out = [Record(key, value) for value in values]
+        best = values[min(range(len(lengths)), key=lengths.__getitem__)]
         for other in range(self.params.num_islands):
             if other != key:
                 out.append(Record(other, with_pop_id(best, other)))
@@ -169,8 +196,8 @@ def evolve_job(engine: Engine, input_handle: str, instance: Instance,
                params: IslandParams, round_number: int, master_seed: int) -> str:
     """One migration round; job id doubles as the round number. The input set
     is taken as checked: run_pga scans every set before the next job reads it.
-    Each call builds a fresh EvolveReducer, so on a pooled engine it forks a
-    new pool."""
+    Each call builds a fresh EvolveReducer, equal to the last call's for the
+    same instance and params, so on a pooled engine such calls share a pool."""
     reducer = EvolveReducer(instance, params)
     return engine.run_job(_island_job(params, round_number, input_handle, reducer, master_seed))
 
@@ -249,8 +276,8 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     a readable text dump: to dump_path when given, or next to the binary
     parts when the store lives on disk. Non-integer weights, and weights
     whose tours can overflow the record's 64-bit length, are rejected before
-    anything is written. _scan_set reads and checks each sealed set once,
-    before the next job reads it; the dump reuses the final scan's parts.
+    anything is written. _scan_set reads and checks each sealed set once, and
+    the next job maps the parts it read; the dump reuses the final scan's.
     """
     if instance.distances.dtype.kind == "f":
         raise NonIntegerWeightsError(
@@ -276,9 +303,9 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
             round_number = len(rounds) + 1
             _pool_if_it_pays(engine, workers, budget_rounds - len(rounds), round_s)
             round_start = time.perf_counter()
-            del parts  # the job unpacks this set again; do not hold its records twice
             handle = engine.run_job(_island_job(params, round_number, handle, evolve,
-                                                master_seed))
+                                                master_seed), parts)
+            del parts  # hold one set's records at a time: the scan reads the next
             parts, island_bests, best_record = _scan_set(store, handle, params.num_islands)
             round_s = time.perf_counter() - round_start
             rounds.append(RoundSummary(

@@ -406,9 +406,29 @@ def bad_record_reducer(key, values, rng):
     decode_chromosome(b"corrupt")
 
 
+def str_value_mapper(record):
+    return [Record(record.key, "not bytes")]
+
+
+def wide_key_reducer(key, values, rng):
+    return [Record(key, b"fits"), Record(2**32, b"does not")]
+
+
+def negative_key_reducer(key, values, rng):
+    return [Record(-1, b"")]
+
+
+def bytearray_value_reducer(key, values, rng):
+    return [Record(key, bytearray(b"x"))]
+
+
 @pytest.mark.parametrize("mapper, reducer, kind", [
     (bad_output_mapper, passthrough_reducer, "map"),      # EngineError
+    (str_value_mapper, passthrough_reducer, "map"),       # EngineError
     (identity_mapper, bad_record_reducer, "reduce"),      # CodecError
+    (identity_mapper, wide_key_reducer, "reduce"),        # EngineError, key past u32
+    (identity_mapper, negative_key_reducer, "reduce"),    # EngineError, key below 0
+    (identity_mapper, bytearray_value_reducer, "reduce"),  # EngineError
 ])
 def test_deterministic_errors_fail_on_first_attempt(mapper, reducer, kind):
     store = MemoryStore()
@@ -518,6 +538,77 @@ def test_more_map_tasks_than_records():
     with Engine(store, workers=2) as engine:
         out = engine.run_job(spec_for("in", maps=6, reduces=1))
     assert store.read(out) == [Record(0, b"x")]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reducer_key_past_u32_fails_the_job_at_once(workers):
+    store = MemoryStore()
+    store.put("in", [Record(k, b"") for k in range(4)])
+    events = []
+    with deadline(30), Engine(store, workers=workers, task_observer=events.append) as engine:
+        with pytest.raises(JobFailedError, match="reduce task 0") as err:
+            engine.run_job(spec_for("in", reducer=wide_key_reducer))
+    assert isinstance(err.value.__cause__, EngineError)
+    assert "4294967296" in str(err.value.__cause__)
+    assert [e["event"] for e in events if e["kind"] == "reduce" and e["index"] == 0] == \
+        ["start", "fail"]
+    assert "job0" not in store.names()
+
+
+def test_negative_mapper_key_fails_the_default_partition():
+    store = MemoryStore()
+    store.put("in", [Record(1, b"")])
+
+    def negative(record):
+        return [Record(-record.key, record.value)]
+
+    with pytest.raises(ValueError, match="record keys must be non-negative, got -1"):
+        Engine(store, workers=1).run_job(spec_for("in", maps=1, mapper=negative))
+    assert "job0" not in store.names()
+
+
+def test_partitioner_is_asked_once_per_key_in_key_order():
+    store = MemoryStore()
+    store.put("in", [Record(k % 3, bytes([k])) for k in (5, 1, 3, 4, 0, 2)])
+    asked = []
+
+    def reversed_partition(key, tasks):
+        asked.append(key)
+        return tasks - 1 - key % tasks
+
+    spec = JobSpec(job_id=0, input="in", num_map_tasks=2, num_reduce_tasks=2,
+                   mapper=identity_mapper, partitioner=reversed_partition,
+                   reducer=passthrough_reducer)
+    Engine(store, workers=1).run_job(spec)
+    assert asked == [0, 1, 2]
+    # keys ascending within each task, values in production order
+    assert store.read_parts("job0") == [
+        [Record(1, b"\x01"), Record(1, b"\x04")],
+        [Record(0, b"\x03"), Record(0, b"\x00"), Record(2, b"\x05"), Record(2, b"\x02")]]
+
+
+def test_run_job_maps_the_parts_it_is_given_without_reading_the_store():
+    store = MemoryStore()
+    store.put("in", [Record(k % 3, bytes([k])) for k in range(9)])
+    parts = store.read_parts("in")
+    twin = MemoryStore()
+    twin.write_parts("in", parts)
+    twin.read_parts = None  # a read would fail
+    for target, given in ((store, None), (twin, parts)):
+        Engine(target, workers=1).run_job(spec_for("in", reduces=3, reducer=draw_reducer,
+                                                   seed=4), given)
+    assert store.snapshot() == twin.snapshot()
+
+
+def test_write_packed_seals_framed_parts_as_given():
+    parts = [[Record(0, b"a"), Record(2**32 - 1, b"")], [], [Record(5, b"bc")]]
+    store, twin = MemoryStore(), MemoryStore()
+    store.write_parts("x", parts)
+    twin.write_packed("x", [pack_records(part) for part in parts])
+    assert store.snapshot() == twin.snapshot()
+    assert twin.read_parts("x") == parts
+    with pytest.raises(StoreError, match="sealed"):
+        twin.write_packed("x", [b""])
 
 
 def test_partitioner_out_of_range_rejected():

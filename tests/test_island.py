@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -12,7 +13,7 @@ import pytest
 from mrtsp import engine as engine_module
 from mrtsp import ga
 from mrtsp import island as island_module
-from mrtsp.codec import MAX_LENGTH, TruncatedBufferError, decode_chromosome
+from mrtsp.codec import MAX_LENGTH, CodecError, TruncatedBufferError, decode_chromosome
 from mrtsp.engine import Engine, EngineError, FileStore, MemoryStore, Record
 from mrtsp.ga import GaParams, run_sga, tour_length
 from mrtsp.island import (EvolveReducer, IslandParams, NonIntegerWeightsError,
@@ -195,12 +196,11 @@ class CountingStore(MemoryStore):
 
 
 def test_run_pga_reads_each_set_once_per_reader(tmp_path):
-    # the driver's scan reads every job's output once, the next job reads it
-    # once more, and the final dump reuses the last scan
+    # the driver's scan is the only reader of a job's output: the next job
+    # maps the scanned parts and the final dump reuses the last scan
     store = CountingStore()
     report = run_pga(INST10, SMALL, master_seed=0, store=store, dump_path=tmp_path / "pop.txt")
-    last = len(report.rounds)
-    assert store.reads == {"seed": 1, **{f"job{k}": 2 for k in range(last)}, f"job{last}": 1}
+    assert store.reads == {"seed": 1, **{f"job{k}": 1 for k in range(len(report.rounds) + 1)}}
 
 
 def test_reducer_rejects_mismatched_pop_id():
@@ -220,10 +220,22 @@ def outcome(fn, *args):
         return "raised", type(exc), str(exc)
 
 
-@pytest.mark.parametrize("name,values", record_faults(key=1) + [("valid", good_records(1))])
+# members the evolve step may hand the encoder that do not fit the record layout
+UNENCODABLE = {"gene 2**32": (tuple(range(9)) + (2**32,), 5), "empty tour": ((), 5),
+               "length -1": (tuple(range(10)), -1), "length 2**64": (tuple(range(10)), 2**64),
+               "length 1.5": (tuple(range(10)), 1.5)}
+
+
+@pytest.mark.parametrize("name,values", record_faults(key=1) + [("valid", good_records(1))] +
+                         [(f"evolves {fault}", good_records(1)) for fault in UNENCODABLE])
 def test_reducer_and_dump_fault_alike_with_and_without_the_kernel(name, values, monkeypatch):
-    # the kernel declines every fault, and the record-by-record decode then
-    # raises what it raises without the kernel, naming the same first bad record
+    # the kernel declines every fault, and the record-by-record decode or
+    # encode then raises what it raises without the kernel, naming the same
+    # first bad record or member
+    if name.startswith("evolves "):
+        bad = ga.Chromosome(*UNENCODABLE[name.removeprefix("evolves ")])
+        monkeypatch.setattr(island_module, "next_generation",
+                            lambda members, *args: members[:1] + [bad] + members[2:])
     reducer = EvolveReducer(INST10, SMALL)
     parts = [[], [Record(1, value) for value in values]]
     compiled = (outcome(reducer, 1, values, random.Random(0)),
@@ -236,6 +248,8 @@ def test_reducer_and_dump_fault_alike_with_and_without_the_kernel(name, values, 
         assert looped[0][:2] == ("raised", TruncatedBufferError)
     if name == "pop_id != key":
         assert compiled[1][:2] == looped[1][:2] == ("raised", EngineError)
+    if name.startswith("evolves "):
+        assert looped[0][:2] == ("raised", CodecError)
 
 
 def test_check_convergence_continue():
@@ -385,6 +399,30 @@ def test_pooled_run_pga_pickles_no_instance(pickled, pool_from_round_1):
     assert len(report.rounds) == 4  # four pooled reduce phases
     assert all(r.pooled for r in report.rounds)
     assert pickled == []  # the workers inherit the EvolveReducer at fork
+    assert multiprocessing.active_children() == []
+
+
+def test_evolve_reducers_compare_equal_by_instance_object_and_params():
+    reducer = EvolveReducer(INST10, SMALL)
+    twin = EvolveReducer(INST10, dataclasses.replace(SMALL))
+    assert reducer == twin and hash(reducer) == hash(twin)
+    assert reducer != EvolveReducer(pickle.loads(pickle.dumps(INST10)), SMALL)
+    assert reducer != EvolveReducer(INST10, dataclasses.replace(SMALL, num_islands=5))
+    assert reducer != island_module.InitReducer(INST10, SMALL.ga)
+
+
+def test_evolve_job_rounds_share_one_pool(pools):
+    def run(workers):
+        store = MemoryStore()
+        with Engine(store) as engine:
+            handle = init_job(engine, INST10, SMALL, master_seed=9)
+            engine.workers = workers
+            for round_number in range(1, 6):
+                handle = evolve_job(engine, handle, INST10, SMALL, round_number, master_seed=9)
+        return store.snapshot()
+
+    assert run(2) == run(1)
+    assert len(pools) == 1 and pools[0].shutdowns == 1
     assert multiprocessing.active_children() == []
 
 

@@ -1,7 +1,9 @@
 """The kernel built with AddressSanitizer and UBSan, run in a subprocess on
-the record faults decode_records must decline, on valid records, and on short
-sga and pga runs compared with the Python loops, which exercise breed and
-random_tours as well. Any report of either sanitizer aborts the subprocess."""
+the record faults decode_records must decline, the member faults
+encode_records must decline, valid records and members at their widest, and
+short sga and pga runs compared with the Python loops, which exercise breed
+and random_tours as well. Any report of either sanitizer aborts the
+subprocess."""
 
 import os
 import shutil
@@ -24,11 +26,11 @@ import sys
 import numpy as np
 
 from mrtsp import ga
-from mrtsp.codec import decode_chromosome
+from mrtsp.codec import decode_chromosome, encode_chromosome
 from mrtsp.ga import GaParams, run_sga
 from mrtsp.island import IslandParams, run_pga
 from mrtsp.tsplib import Instance, random_instance
-from test_codec import good_records, record_faults
+from test_codec import encode_faults, good_members, good_records, record_faults
 
 loader = importlib.machinery.ExtensionFileLoader("_xover", sys.argv[1])
 kernel = importlib.util.module_from_spec(importlib.util.spec_from_loader("_xover", loader))
@@ -41,6 +43,14 @@ for n in (1, 10, 300):
     decoded = [decode_chromosome(value) for value in values]
     assert kernel.decode_records(values, 5) == \\
         ([d.genes for d in decoded], [d.length for d in decoded]), n
+for name, genes, lengths, key in encode_faults():
+    assert kernel.encode_records(genes, lengths, key) is None, name
+for n in (1, 171, 300):
+    genes, lengths = good_members(n, seed=n)
+    assert kernel.encode_records(genes, lengths, 5) == \\
+        [encode_chromosome(tour, length, 5) for tour, length in zip(genes, lengths)], n
+assert kernel.encode_records([(2**32 - 1, 0)], [2**64 - 1], 2**32 - 1) == \\
+    [encode_chromosome((2**32 - 1, 0), 2**64 - 1, 2**32 - 1)]
 
 
 def runs(solve):
