@@ -9,8 +9,8 @@ from .codec import (CodecError, DecodedChromosome, DuplicateGeneError,
 from .engine import (Engine, EngineError, FileStore, JobFailedError, JobSpec,
                      MemoryStore, Record, StoreError, default_partition,
                      identity_mapper, task_rng)
-from .ga import (Chromosome, GaParams, TerminationPolicy, greedy_crossover,
-                 mutate, next_generation, run_sga, select_parents, similarity,
+from .ga import (GaParams, TerminationPolicy, greedy_crossover, mutate,
+                 next_generation, run_sga, select_parents, similarity,
                  tour_length)
 from .island import (IslandParams, NonIntegerWeightsError, RoundSummary,
                      TourLengthOverflowError, check_convergence, evolve_job,

@@ -1,8 +1,9 @@
 """Genetic operators for permutation-encoded TSP tours, plus the sequential GA.
 
-Tours are directed: on asymmetric instances the cost of a tour and of its
-reversal differ. All randomness flows through an explicit random.Random so
-fixed seeds reproduce runs exactly.
+A population is two parallel lists: genes, a tuple of cities per member, and
+lengths, each member's tour length. Tours are directed: on asymmetric
+instances the cost of a tour and of its reversal differ. All randomness flows
+through an explicit random.Random so fixed seeds reproduce runs exactly.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import operator
 import random
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 from . import _xover
 from .reports import RunReport, accuracy_percent
@@ -23,33 +24,6 @@ from .tsplib import Instance
 # declines: float weights, an rng that is not an exact random.Random, or genes
 # that are not tuples.
 _KERNEL = _xover.load()
-
-
-@dataclass(slots=True)
-class Chromosome:
-    genes: tuple[int, ...]
-    length: float
-    _canon: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
-    _succ: list[int] | None = field(default=None, repr=False, compare=False)
-
-    def canonical(self) -> tuple[int, ...]:
-        """Tour rotated so city 0 sits at index 0 (cached)."""
-        if self._canon is None:
-            i = self.genes.index(0)
-            self._canon = self.genes[i:] + self.genes[:i]
-        return self._canon
-
-    def successors(self) -> list[int]:
-        """succ[c] is the city after c on the closed tour (cached)."""
-        if self._succ is None:
-            genes = self.genes
-            succ = [0] * len(genes)
-            prev = genes[-1]
-            for city in genes:
-                succ[prev] = city
-                prev = city
-            self._succ = succ
-        return self._succ
 
 
 @dataclass(frozen=True)
@@ -95,33 +69,49 @@ def tour_length(genes, instance: Instance) -> float:
     return total
 
 
-def make_chromosome(genes, instance: Instance) -> Chromosome:
-    return Chromosome(tuple(genes), tour_length(genes, instance))
+def canonical(genes):
+    """The tour rotated so city 0 sits at index 0."""
+    i = genes.index(0)
+    return genes[i:] + genes[:i]
 
 
-def similarity(a: Chromosome, b: Chromosome) -> float:
-    """Fraction of matching positions after rotating both tours to start at 0.
+def successors(genes) -> list[int]:
+    """succ[c] is the city after c on the closed tour."""
+    succ = [0] * len(genes)
+    prev = genes[-1]
+    for city in genes:
+        succ[prev] = city
+        prev = city
+    return succ
 
-    Rotation-invariant; reversal is NOT canonicalized because tours are
-    directed on asymmetric instances.
+
+def similarity(a, b) -> float:
+    """Fraction of matching positions of two tours' canonical rows.
+
+    Rotation-invariant, since a and b are canonical(genes); reversal is NOT
+    canonicalized because tours are directed on asymmetric instances.
     """
-    n = len(a.genes)
-    if n != len(b.genes):
-        raise ValueError("chromosomes must have the same number of cities")
-    ca, cb = a.canonical(), b.canonical()
-    if ca == cb:
+    n = len(a)
+    if n != len(b):
+        raise ValueError("tours must have the same number of cities")
+    if a == b:
         return 1.0
-    return sum(map(operator.eq, ca, cb)) / n
+    return sum(map(operator.eq, a, b)) / n
+
+
+def shortest(genes, lengths, count):
+    """(genes, lengths) of the count shortest members, ties in member order."""
+    keep = sorted(range(len(lengths)), key=lengths.__getitem__)[:count]
+    return [genes[i] for i in keep], [lengths[i] for i in keep]
 
 
 class Ranking:
-    """Rank-selection context: members ordered worst to best with cumulative
-    draw probabilities. Ties in length keep the original member order."""
+    """Rank-selection context: member indices ordered worst to best with
+    cumulative draw probabilities. Ties in length keep the member order."""
 
-    def __init__(self, members: list[Chromosome]):
-        n = len(members)
-        self.members = members
-        self.order = sorted(range(n), key=lambda i: members[i].length, reverse=True)
+    def __init__(self, lengths):
+        n = len(lengths)
+        self.order = sorted(range(n), key=lengths.__getitem__, reverse=True)
         total = n * (n + 1) // 2
         cum, acc = [], 0
         for r in range(1, n + 1):
@@ -130,60 +120,57 @@ class Ranking:
         self.cum = cum
 
     def draw(self, rng: random.Random) -> int:
-        """Index (into the member list) of one rank-proportional draw."""
+        """Member index of one rank-proportional draw."""
         return self.order[bisect_right(self.cum, rng.random())]
 
 
-def select_parents(ranking: Ranking, rng: random.Random,
-                   params: GaParams) -> tuple[Chromosome, Chromosome]:
-    """Two distinct members drawn by rank; pairs more similar than the
-    threshold are redrawn, and after max_parent_retries failures the
-    constraint is waived so converged populations cannot livelock.
+def select_parents(ranking: Ranking, rows, rng: random.Random,
+                   params: GaParams) -> tuple[int, int]:
+    """Indices of two distinct members drawn by rank, rows[i] being member
+    i's canonical row; pairs more similar than the threshold are redrawn,
+    and after max_parent_retries failures the constraint is waived so
+    converged populations cannot livelock.
 
     Inside next_generation the kernel's breed runs this loop in C; this is
     the reference, and the path for float weights, an rng that is not an
     exact random.Random, and genes that are not tuples.
     """
-    members = ranking.members
     draw = ranking.draw
     threshold = params.similarity_threshold
-    pair = None
     for _ in range(params.max_parent_retries):
         ia = draw(rng)
         ib = draw(rng)
         while ib == ia:
             ib = draw(rng)
-        pair = (members[ia], members[ib])
-        if similarity(pair[0], pair[1]) <= threshold:
-            return pair
-    assert pair is not None
-    return pair
+        if similarity(rows[ia], rows[ib]) <= threshold:
+            break
+    return ia, ib
 
 
-def greedy_crossover(parent_a: Chromosome, parent_b: Chromosome,
+def greedy_crossover(first: int, succ_a: list[int], succ_b: list[int],
                      instance: Instance, rng: random.Random) -> tuple[list[int], float]:
     """Build a child from parent successor edges, shortest first.
 
-    Starting at parent_a's first city: take the cheaper of the two parental
-    successors of the current city (tie goes to parent_a's); if only one is
-    unvisited take that one; if both are visited pick uniformly among the
-    unvisited cities in ascending city order via one rng.randrange draw.
+    Starting at first, parent a's first city, with succ_a and succ_b the
+    parents' successors: take the cheaper of the two parental successors of
+    the current city (tie goes to parent a's); if only one is unvisited take
+    that one; if both are visited pick uniformly among the unvisited cities
+    in ascending city order via one rng.randrange draw.
     Returns (child, length), the length summed in the same order as
     tour_length sums it. As with select_parents, breed runs these steps in C
     inside next_generation, and this loop serves the inputs it declines.
     """
-    sa, sb = parent_a.successors(), parent_b.successors()
-    n = len(sa)
+    n = len(succ_a)
     rows = instance.rows
     visited = bytearray(n)
-    current = first = parent_a.genes[0]
+    current = first
     child = [current]
     visited[current] = 1
     length = 0
     open_cities = None  # built at the first dead end, then kept sorted
     for _ in range(n - 1):
-        ea = sa[current]
-        eb = sb[current]
+        ea = succ_a[current]
+        eb = succ_b[current]
         row = rows[current]
         if not visited[ea]:
             if not visited[eb] and eb != ea:
@@ -223,49 +210,51 @@ def mutate(genes, rng: random.Random, mutation_prob: float):
     return genes
 
 
-def next_generation(members: list[Chromosome], instance: Instance,
-                    rng: random.Random, params: GaParams) -> list[Chromosome]:
-    """One generation: the elite_count shortest members carried over (ties
-    in member order), the rest bred by rank selection, greedy crossover
-    (else a copy of the better parent) and mutation. Output size equals
-    input size.
+def next_generation(genes: list, lengths: list, instance: Instance, rng: random.Random,
+                    params: GaParams) -> tuple[list, list]:
+    """One generation, (genes, lengths) in and out: the elite_count shortest
+    members carried over (ties in member order), the rest bred by rank
+    selection, greedy crossover (else a copy of the better parent) and
+    mutation. Output size equals input size.
 
     With the kernel loaded and an exact random.Random, breed makes all the
     children in one call with the loop's draws in the loop's order. It
     declines, and the loop below runs, unless the weights are a C-ordered
-    int64 matrix of at least 2 cities and each member's genes a tuple
-    permuting them."""
-    size = len(members)
+    int64 matrix of at least 2 cities, genes and lengths are lists and each
+    member's genes a tuple permuting the cities."""
+    size = len(genes)
     if size <= params.elite_count:
         raise ValueError("population smaller than elite_count + 1")
 
-    new_members = sorted(members, key=lambda m: m.length)[:params.elite_count]
-    ranking = Ranking(members)
+    new_genes, new_lengths = shortest(genes, lengths, params.elite_count)
+    ranking = Ranking(lengths)
     if _KERNEL is not None and type(rng) is random.Random:
-        bred = _KERNEL.breed([m.genes for m in members], [m.length for m in members],
-                             ranking.order, ranking.cum, instance.distances,
+        bred = _KERNEL.breed(genes, lengths, ranking.order, ranking.cum, instance.distances,
                              params.similarity_threshold, params.max_parent_retries,
                              params.crossover_prob, params.mutation_prob,
-                             size - len(new_members), rng.random, rng.getrandbits)
+                             size - len(new_genes), rng.random, rng.getrandbits)
         if bred is not None:
-            return new_members + list(map(Chromosome, *bred))
-    while len(new_members) < size:
-        pa, pb = select_parents(ranking, rng, params)
+            return new_genes + bred[0], new_lengths + bred[1]
+    rows = list(map(canonical, genes))
+    succs = list(map(successors, genes))
+    while len(new_genes) < size:
+        ia, ib = select_parents(ranking, rows, rng, params)
         if rng.random() < params.crossover_prob:
-            genes, length = greedy_crossover(pa, pb, instance, rng)
+            child, length = greedy_crossover(genes[ia][0], succs[ia], succs[ib], instance, rng)
         else:
-            better = pa if pa.length <= pb.length else pb
-            genes, length = better.genes, better.length
-        mutated = mutate(genes, rng, params.mutation_prob)
-        if mutated is not genes:
-            genes, length = mutated, tour_length(mutated, instance)
-        new_members.append(Chromosome(tuple(genes), length))
-    return new_members
+            better = ia if lengths[ia] <= lengths[ib] else ib
+            child, length = genes[better], lengths[better]
+        mutated = mutate(child, rng, params.mutation_prob)
+        if mutated is not child:
+            child, length = mutated, tour_length(mutated, instance)
+        new_genes.append(tuple(child))
+        new_lengths.append(length)
+    return new_genes, new_lengths
 
 
 def random_population(instance: Instance, params: GaParams,
-                      rng: random.Random) -> list[Chromosome]:
-    """population_size members made by random_tour, with their lengths.
+                      rng: random.Random) -> tuple[list, list]:
+    """(genes, lengths) of population_size tours made by random_tour.
 
     With the kernel loaded and an exact random.Random, random_tours shuffles
     and sums them all in one call, with random.shuffle's getrandbits calls in
@@ -274,9 +263,9 @@ def random_population(instance: Instance, params: GaParams,
     if _KERNEL is not None and type(rng) is random.Random:
         made = _KERNEL.random_tours(params.population_size, instance.distances, rng.getrandbits)
         if made is not None:
-            return list(map(Chromosome, *made))
-    return [make_chromosome(random_tour(instance.dimension, rng), instance)
-            for _ in range(params.population_size)]
+            return made
+    genes = [tuple(random_tour(instance.dimension, rng)) for _ in range(params.population_size)]
+    return genes, [tour_length(tour, instance) for tour in genes]
 
 
 @dataclass(frozen=True)
@@ -315,18 +304,18 @@ def run_sga(instance: Instance, params: GaParams, max_generations: int,
     rng = random.Random(seed)
     t0 = time.perf_counter()
 
-    members = random_population(instance, params, rng)
-    trajectory = [min(m.length for m in members)]
+    genes, lengths = random_population(instance, params, rng)
+    trajectory = [min(lengths)]
     generations = 0
     reason = None
     while reason is None:
-        members = next_generation(members, instance, rng, params)
+        genes, lengths = next_generation(genes, lengths, instance, rng, params)
         generations += 1
-        trajectory.append(min(m.length for m in members))
+        trajectory.append(min(lengths))
         reason = stop_reason(trajectory, generations, max_generations,
                              term.patience, term.target_length)
 
-    best = min(members, key=lambda m: m.length)
+    best = min(range(len(lengths)), key=lengths.__getitem__)
     snapshot = asdict(params)
     snapshot.update(max_generations=max_generations,
                     target_length=term.target_length, patience=term.patience)
@@ -335,11 +324,11 @@ def run_sga(instance: Instance, params: GaParams, max_generations: int,
         instance_name=instance.name,
         seed=seed,
         params=snapshot,
-        best_length=best.length,
-        best_tour=best.genes,
+        best_length=lengths[best],
+        best_tour=genes[best],
         trajectory=trajectory,
         generations=generations,
         wall_seconds=time.perf_counter() - t0,
         stop_reason=reason,
-        accuracy=accuracy_percent(instance.known_optimum, best.length),
+        accuracy=accuracy_percent(instance.known_optimum, lengths[best]),
     )

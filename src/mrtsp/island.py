@@ -19,9 +19,9 @@ from typing import Sequence
 from . import ga
 from .codec import (MAX_LENGTH, decode_chromosome, encode_chromosome, peek_length,
                     with_pop_id)
-from .engine import (Engine, EngineError, FileStore, JobSpec, MemoryStore,
-                     Record, default_partition, identity_mapper)
-from .ga import Chromosome, GaParams, next_generation, random_population, stop_reason
+from .engine import (Engine, EngineError, JobSpec, MemoryStore, Record,
+                     default_partition, identity_mapper)
+from .ga import GaParams, next_generation, random_population, shortest, stop_reason
 from .reports import RunReport, accuracy_percent
 from .tsplib import Instance
 
@@ -130,8 +130,8 @@ class InitReducer:
         self.params = params
 
     def __call__(self, key, values, rng):
-        return [Record(key, encode_chromosome(m.genes, m.length, key))
-                for m in random_population(self.instance, self.params, rng)]
+        return [Record(key, encode_chromosome(genes, length, key))
+                for genes, length in zip(*random_population(self.instance, self.params, rng))]
 
 
 class EvolveReducer:
@@ -160,15 +160,14 @@ class EvolveReducer:
         return hash((id(self.instance), self.params))
 
     def __call__(self, key, values, rng):
-        members = list(map(Chromosome, *decode_island(key, values)))
+        genes, lengths = decode_island(key, values)
         size = self.params.ga.population_size
-        if len(members) > size:
-            members = sorted(members, key=lambda m: m.length)[:size]
+        if len(genes) > size:
+            genes, lengths = shortest(genes, lengths, size)
         for _ in range(self.params.migration_interval):
-            members = next_generation(members, self.instance, rng, self.params.ga)
+            genes, lengths = next_generation(genes, lengths, self.instance, rng, self.params.ga)
 
-        lengths = [m.length for m in members]
-        values = encode_island(key, [m.genes for m in members], lengths)
+        values = encode_island(key, genes, lengths)
         out = [Record(key, value) for value in values]
         best = values[min(range(len(lengths)), key=lengths.__getitem__)]
         for other in range(self.params.num_islands):
@@ -272,12 +271,12 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     and joined when the run ends, so no instance is pickled to them. Each
     RoundSummary says whether its round pooled; outputs are the same either
     way. Reported generations are per-island cumulative (rounds times
-    migration_interval). The final populations are additionally written as
-    a readable text dump: to dump_path when given, or next to the binary
-    parts when the store lives on disk. Non-integer weights, and weights
-    whose tours can overflow the record's 64-bit length, are rejected before
-    anything is written. _scan_set reads and checks each sealed set once, and
-    the next job maps the parts it read; the dump reuses the final scan's.
+    migration_interval). When dump_path is given, the final populations are
+    also written there as a readable text dump. Non-integer weights, and
+    weights whose tours can overflow the record's 64-bit length, are rejected
+    before anything is written. _scan_set reads and checks each sealed set
+    once, and the next job maps the parts it read; the dump reuses the final
+    scan's.
     """
     if instance.distances.dtype.kind == "f":
         raise NonIntegerWeightsError(
@@ -320,8 +319,6 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
             trajectory.append(rounds[-1].best_length)
             reason = check_convergence(rounds, params)
 
-    if dump_path is None and isinstance(store, FileStore):
-        dump_path = store.root / "final-population.txt"
     if dump_path is not None:
         Path(dump_path).write_text(format_population_dump(parts))
 

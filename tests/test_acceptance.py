@@ -338,12 +338,7 @@ def test_criterion_09_parser_goldens():
 def test_criterion_10_operator_statistics():
     draws = 100_000
     lengths = [40.0, 30.0, 20.0, 10.0]
-
-    class Member:
-        def __init__(self, length):
-            self.length = length
-
-    ranking = Ranking([Member(l) for l in lengths])
+    ranking = Ranking(lengths)
     rng = random.Random(1)
     counts = Counter(ranking.draw(rng) for _ in range(draws))
     theory = [0.1, 0.2, 0.3, 0.4]  # worst rank 1/10 ... best rank 4/10

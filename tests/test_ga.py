@@ -2,6 +2,7 @@ import importlib.machinery
 import random
 import shutil
 import subprocess
+import sys
 import sysconfig
 from collections import Counter
 from pathlib import Path
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 
 from mrtsp import _xover, ga as ga_module
-from mrtsp.ga import (Chromosome, GaParams, Ranking, TerminationPolicy,
-                      greedy_crossover, make_chromosome, mutate, next_generation,
-                      random_population, random_tour, run_sga, select_parents,
-                      similarity, stop_reason, tour_length)
+from mrtsp.ga import (GaParams, Ranking, TerminationPolicy, canonical, greedy_crossover,
+                      mutate, next_generation, random_population, random_tour, run_sga,
+                      select_parents, shortest, similarity, stop_reason, successors,
+                      tour_length)
 from mrtsp.oracle import held_karp
 from mrtsp.tsplib import Instance, random_instance
 
@@ -48,8 +49,9 @@ class StubRng:
         return self.randranges.pop(0)
 
 
-def chrom(genes, instance=FOUR_CITY):
-    return make_chromosome(genes, instance)
+def cross(a, b, instance, rng):
+    """greedy_crossover of the gene sequences a and b."""
+    return greedy_crossover(a[0], successors(a), successors(b), instance, rng)
 
 
 def test_params_defaults():
@@ -97,7 +99,7 @@ def test_tour_length_directed():
 
 def test_rank_probabilities():
     def cum(n):
-        return Ranking([Chromosome((0, 1), float(n - i)) for i in range(n)]).cum
+        return Ranking([float(n - i) for i in range(n)]).cum
 
     assert cum(2) == [1 / 3, 1.0]
     assert cum(3) == [1 / 6, 3 / 6, 1.0]
@@ -106,55 +108,46 @@ def test_rank_probabilities():
         assert abs(sum(probs) - 1.0) < 1e-9
         assert probs == sorted(probs)  # best rank gets the largest share
     with pytest.raises(ValueError):
-        next_generation([], THREE_CITY, random.Random(0), GaParams())
+        next_generation([], [], THREE_CITY, random.Random(0), GaParams())
 
 
-def test_chromosome_equality_ignores_caches():
-    a = Chromosome((1, 0, 2), 5)
-    b = Chromosome((1, 0, 2), 5)
-    b.canonical()
-    b.successors()
-    assert a == b
-    assert a != Chromosome((1, 0, 2), 6)
+def test_ranking_and_shortest_keep_member_order_among_ties():
+    lengths = [5, 3, 5, 3, 7]
+    assert Ranking(lengths).order == [4, 0, 2, 1, 3]
+    assert shortest(list("abcde"), lengths, 3) == (["b", "d", "a"], [3, 3, 5])
 
 
 def test_successors_follow_the_closed_tour():
-    a = chrom([2, 0, 3, 1])
-    assert a.successors() == [3, 2, 0, 1]   # 0->3, 1->2 (closing), 2->0, 3->1
-    assert a.successors() is a.successors()
+    assert successors([2, 0, 3, 1]) == [3, 2, 0, 1]   # 0->3, 1->2 (closing), 2->0, 3->1
 
 
 def test_similarity_rotation_invariant():
-    a = chrom([0, 1, 2, 3])
-    assert similarity(a, chrom([0, 1, 2, 3])) == 1.0
-    assert similarity(a, chrom([2, 3, 0, 1])) == 1.0   # same cycle, rotated
-    assert similarity(a, chrom([0, 2, 1, 3])) == 0.5
+    a = canonical((0, 1, 2, 3))
+    assert similarity(a, canonical((0, 1, 2, 3))) == 1.0
+    assert similarity(a, canonical((2, 3, 0, 1))) == 1.0   # same cycle, rotated
+    assert similarity(a, canonical((0, 2, 1, 3))) == 0.5
     with pytest.raises(ValueError):
-        similarity(a, chrom([0, 1, 2], instance=THREE_CITY))
+        similarity(a, canonical((0, 1, 2)))
 
 
 def test_select_parents_waives_threshold_when_converged():
-    members = [chrom([0, 1, 2, 3]) for _ in range(4)]
+    rows = [canonical((0, 1, 2, 3))] * 4
     params = GaParams(population_size=4, max_parent_retries=5)
-    pa, pb = select_parents(Ranking(members), random.Random(0), params)
-    assert pa is not pb           # distinct members even though all tours match
-    assert pa.genes == pb.genes
+    ia, ib = select_parents(Ranking([15] * 4), rows, random.Random(0), params)
+    assert ia != ib           # distinct members even though all tours match
 
 
 def test_select_parents_rejects_similar_pairs():
-    x = [0, 1, 2, 3]
-    y = [0, 2, 1, 3]
-    ranking = Ranking([chrom(x), chrom(x), chrom(x), chrom(y)])
+    x = (0, 1, 2, 3)
+    y = (0, 2, 1, 3)
+    ranking = Ranking([tour_length(genes, FOUR_CITY) for genes in (x, x, x, y)])
     params = GaParams(population_size=4, max_parent_retries=1000)
     for seed in range(20):
-        pa, pb = select_parents(ranking, random.Random(seed), params)
-        assert tuple(y) in (pa.genes, pb.genes)
+        assert 3 in select_parents(ranking, [x, x, x, y], random.Random(seed), params)
 
 
 def test_select_parents_rank_frequencies():
-    lengths = [40.0, 30.0, 20.0, 10.0]
-    members = [Chromosome((0, 1, 2, 3), ln) for ln in lengths]
-    ranking = Ranking(members)
+    ranking = Ranking([40.0, 30.0, 20.0, 10.0])
     rng = random.Random(1)
     draws = 100_000
     counts = Counter(ranking.draw(rng) for _ in range(draws))
@@ -164,18 +157,16 @@ def test_select_parents_rank_frequencies():
 
 
 def test_greedy_crossover_identical_parents_is_pure_copy():
-    a = chrom([2, 0, 3, 1])
-    child, length = greedy_crossover(a, chrom([2, 0, 3, 1]), FOUR_CITY, PoisonRng())
+    a = (2, 0, 3, 1)
+    child, length = cross(a, (2, 0, 3, 1), FOUR_CITY, PoisonRng())
     assert child == [2, 0, 3, 1]
-    assert length == a.length
+    assert length == tour_length(a, FOUR_CITY)
 
 
 def test_greedy_crossover_hand_trace():
     # start 0; succ_a=1 vs succ_b=2 -> d(0,1)=1 beats d(0,2)=4 -> 1
     # at 1: succ_a=2 open, succ_b=0 taken -> 2; at 2 both successors are 3
-    a = chrom([0, 1, 2, 3])
-    b = chrom([0, 2, 3, 1])
-    assert greedy_crossover(a, b, FOUR_CITY, PoisonRng()) == ([0, 1, 2, 3], 15)
+    assert cross((0, 1, 2, 3), (0, 2, 3, 1), FOUR_CITY, PoisonRng()) == ([0, 1, 2, 3], 15)
 
 
 def reference_crossover(a, b, instance, rng):
@@ -210,14 +201,13 @@ def test_greedy_crossover_matches_reference_on_random_cases():
         rng = random.Random(case)
         n = rng.randrange(4, 12)
         inst = random_instance(n, (1, 50), seed=case)
-        pa = chrom(random_tour(n, rng), instance=inst)
-        pb = chrom(random_tour(n, rng), instance=inst)
-        got, length = greedy_crossover(pa, pb, inst, random.Random(1000 + case))
-        want = reference_crossover(pa.genes, pb.genes, inst, random.Random(1000 + case))
+        pa, pb = random_tour(n, rng), random_tour(n, rng)
+        got, length = cross(pa, pb, inst, random.Random(1000 + case))
+        want = reference_crossover(pa, pb, inst, random.Random(1000 + case))
         assert got == want
         assert length == tour_length(got, inst)
         assert sorted(got) == list(range(n))
-        assert got[0] == pa.genes[0]
+        assert got[0] == pa[0]
 
 
 def test_mutate_scripted_swap():
@@ -258,24 +248,40 @@ def test_next_generation_keeps_size_and_elite():
     inst = random_instance(10, (1, 100), seed=0)
     params = GaParams(population_size=30)
     rng = random.Random(0)
-    pop = random_population(inst, params, rng)
-    best = min(m.length for m in pop)
+    genes, lengths = random_population(inst, params, rng)
+    best = min(lengths)
     for _ in range(50):
-        pop = next_generation(pop, inst, rng, params)
-        assert len(pop) == 30
-        assert min(m.length for m in pop) <= best  # elitism: never regresses
-        best = min(m.length for m in pop)
-        assert all(sorted(m.genes) == list(range(10)) for m in pop)
+        genes, lengths = next_generation(genes, lengths, inst, rng, params)
+        assert len(genes) == len(lengths) == 30
+        assert min(lengths) <= best  # elitism: never regresses
+        best = min(lengths)
+        assert all(sorted(tour) == list(range(10)) for tour in genes)
+        assert lengths == [tour_length(tour, inst) for tour in genes]
 
 
 def test_next_generation_without_variation_only_copies():
     inst = random_instance(8, (1, 100), seed=1)
     params = GaParams(population_size=12, crossover_prob=0.0, mutation_prob=0.0)
     rng = random.Random(2)
-    pop = random_population(inst, params, rng)
-    source = {m.genes for m in pop}
-    out = next_generation(pop, inst, rng, params)
-    assert {m.genes for m in out} <= source
+    genes, lengths = random_population(inst, params, rng)
+    out, _ = next_generation(genes, lengths, inst, rng, params)
+    assert set(out) <= set(genes)
+
+
+def test_the_loop_builds_each_row_and_successor_list_once_per_generation(monkeypatch):
+    inst = random_instance(10, (1, 100), seed=2)
+    params = GaParams(population_size=12)
+    genes, lengths = random_population(inst, params, random.Random(3))
+    monkeypatch.setattr(ga_module, "_KERNEL", None)
+    built = Counter()
+    for name in ("canonical", "successors"):
+        real = getattr(ga_module, name)
+        monkeypatch.setattr(ga_module, name,
+                            lambda tour, name=name, real=real: built.update([name]) or real(tour))
+    rng = random.Random(4)
+    for generation in range(1, 4):
+        genes, lengths = next_generation(genes, lengths, inst, rng, params)
+        assert built == {"canonical": 12 * generation, "successors": 12 * generation}
 
 
 def test_next_generation_finds_small_optimum():
@@ -372,20 +378,18 @@ def dead_end_pair(n=40):
     """An int instance and parents whose crossover meets at least one dead end."""
     inst = random_instance(n, (1, 50), seed=3)
     rng = random.Random(3)
-    pa = chrom(random_tour(n, rng), instance=inst)
-    pb = chrom(random_tour(n, rng), instance=inst)
-    return inst, pa, pb
+    return inst, random_tour(n, rng), random_tour(n, rng)
 
 
 def test_greedy_crossover_passes_on_what_the_rng_raises():
     inst, pa, pb = dead_end_pair()
     counting = CountingRng(0)
-    greedy_crossover(pa, pb, inst, counting)
+    cross(pa, pb, inst, counting)
     assert counting.dead_ends > 0
     with pytest.raises(LookupError, match="randrange failed"):
-        greedy_crossover(pa, pb, inst, FailingRng(0))
+        cross(pa, pb, inst, FailingRng(0))
     with pytest.raises(LookupError, match="getrandbits failed"):
-        greedy_crossover(pa, pb, inst, failing_bits_rng())
+        cross(pa, pb, inst, failing_bits_rng())
 
 
 def test_failed_build_or_load_falls_back_silently(tmp_path, monkeypatch):
@@ -452,12 +456,11 @@ def test_a_build_removes_the_libraries_of_earlier_sources(tmp_path):
 
 # -- breed: one kernel call per generation -------------------------------------------
 
-def breed_args(members, instance, params, rng):
-    ranking = Ranking(members)
-    return ([m.genes for m in members], [m.length for m in members], ranking.order, ranking.cum,
-            instance.distances, params.similarity_threshold, params.max_parent_retries,
-            params.crossover_prob, params.mutation_prob, len(members) - params.elite_count,
-            rng.random, rng.getrandbits)
+def breed_args(genes, lengths, instance, params, rng):
+    ranking = Ranking(lengths)
+    return (genes, lengths, ranking.order, ranking.cum, instance.distances,
+            params.similarity_threshold, params.max_parent_retries, params.crossover_prob,
+            params.mutation_prob, len(genes) - params.elite_count, rng.random, rng.getrandbits)
 
 
 def declined_case(bad):
@@ -467,20 +470,19 @@ def declined_case(bad):
                "fortran": np.asfortranarray(matrix)}.get(bad, matrix)
     inst = Instance("declined", n, weights)
     params = GaParams(population_size=10, mutation_prob=0.5, crossover_prob=0.8)
-    members = random_population(inst, params, random.Random(n))
-    genes = members[3].genes
+    genes, lengths = random_population(inst, params, random.Random(n))
     if bad in ("list", "duplicate"):
-        members[3] = Chromosome(list(genes) if bad == "list" else (0, 0, *genes[2:]), 1)
-    return inst, members, params
+        genes[3], lengths[3] = list(genes[3]) if bad == "list" else (0, 0, *genes[3][2:]), 1
+    return inst, genes, lengths, params
 
 
 @needs_kernel
 @pytest.mark.parametrize("bad", ["float64", "int32", "fortran", "list", "duplicate"])
 def test_breed_declines_before_any_draw_and_the_loop_runs_as_before(bad, monkeypatch):
-    inst, members, params = declined_case(bad)
+    inst, genes, lengths, params = declined_case(bad)
     rng = random.Random(1)
     state = rng.getstate()
-    assert ga_module._KERNEL.breed(*breed_args(members, inst, params, rng)) is None
+    assert ga_module._KERNEL.breed(*breed_args(genes, lengths, inst, params, rng)) is None
     assert rng.getstate() == state
     outcomes = []
     # the kernel as it is, then with breed declining everything: the per-child loop
@@ -488,7 +490,7 @@ def test_breed_declines_before_any_draw_and_the_loop_runs_as_before(bad, monkeyp
         monkeypatch.setattr(ga_module._KERNEL, "breed", breed)
         rng = random.Random(2)
         try:
-            out = [(m.genes, m.length) for m in next_generation(members, inst, rng, params)]
+            out = next_generation(genes, lengths, inst, rng, params)
         except ValueError as exc:  # a parent that is not a permutation
             out = repr(exc)
         outcomes.append((out, rng.getstate()))
@@ -499,20 +501,19 @@ def test_breed_declines_before_any_draw_and_the_loop_runs_as_before(bad, monkeyp
 @pytest.mark.parametrize("bad", ["short", "long", "above_n", "last_above_n", "negative",
                                  "beyond_a_c_long", "float_city", "none_city"])
 def test_breed_declines_genes_that_do_not_permute_the_cities(bad):
-    inst, members, params = declined_case("none")
-    n, genes = inst.dimension, members[3].genes
-    members[3] = Chromosome({"short": genes[:-1], "long": (*genes, n),
-                             "above_n": (n, *genes[1:]), "last_above_n": (*genes[:-1], n),
-                             "negative": (-1, *genes[1:]), "beyond_a_c_long": (2**70, *genes[1:]),
-                             "float_city": (float(genes[0]), *genes[1:]),
-                             "none_city": (None, *genes[1:])}[bad], 1)
+    inst, genes, lengths, params = declined_case("none")
+    n, tour = inst.dimension, genes[3]
+    genes[3] = {"short": tour[:-1], "long": (*tour, n),
+                "above_n": (n, *tour[1:]), "last_above_n": (*tour[:-1], n),
+                "negative": (-1, *tour[1:]), "beyond_a_c_long": (2**70, *tour[1:]),
+                "float_city": (float(tour[0]), *tour[1:]), "none_city": (None, *tour[1:])}[bad]
     rng = random.Random(1)
     state = rng.getstate()
     # returning None with an exception still set would raise SystemError here
-    assert ga_module._KERNEL.breed(*breed_args(members, inst, params, rng)) is None
+    assert ga_module._KERNEL.breed(*breed_args(genes, lengths, inst, params, rng)) is None
     assert rng.getstate() == state
-    members[3] = Chromosome(genes, tour_length(genes, inst))
-    assert ga_module._KERNEL.breed(*breed_args(members, inst, params, rng)) is not None
+    genes[3] = tour
+    assert ga_module._KERNEL.breed(*breed_args(genes, lengths, inst, params, rng)) is not None
 
 
 def odd_weights(case, n=8):
@@ -534,9 +535,10 @@ def odd_weights(case, n=8):
                                   "one_city", "empty", "nested_list"])
 def test_kernel_declines_weights_that_are_not_a_c_ordered_int64_matrix(case):
     weights = odd_weights(case)
-    _, members, params = declined_case("none")
+    _, genes, lengths, params = declined_case("none")
     # a PoisonRng is not callable, so a draw would raise
-    args = breed_args(members, SimpleNamespace(distances=weights), params, random.Random(1))
+    args = breed_args(genes, lengths, SimpleNamespace(distances=weights), params,
+                      random.Random(1))
     assert ga_module._KERNEL.breed(*args[:-2], PoisonRng(), PoisonRng()) is None
     assert ga_module._KERNEL.random_tours(9, weights, PoisonRng()) is None
 
@@ -553,16 +555,16 @@ def test_kernel_takes_any_c_ordered_int64_buffer(case, tmp_path, monkeypatch):
     inst = Instance("buffer", 8, weights)
     params = GaParams(population_size=10, mutation_prob=0.5, crossover_prob=0.8)
     assert ga_module._KERNEL.random_tours(9, inst.distances, random.Random(1).getrandbits)
-    members = random_population(inst, params, random.Random(2))
-    assert ga_module._KERNEL.breed(*breed_args(members, inst, params, random.Random(3))) is not None
-    compiled, loop = kernel_and_loop_generation(members, inst, params, 3, monkeypatch)
+    genes, lengths = random_population(inst, params, random.Random(2))
+    assert ga_module._KERNEL.breed(*breed_args(genes, lengths, inst, params,
+                                               random.Random(3))) is not None
+    compiled, loop = kernel_and_loop_generation(genes, lengths, inst, params, 3, monkeypatch)
     assert compiled == loop
     populations = []
     for kernel in (ga_module._KERNEL, None):
         monkeypatch.setattr(ga_module, "_KERNEL", kernel)
         rng = random.Random(4)
-        populations.append(([(m.genes, m.length) for m in random_population(inst, params, rng)],
-                            rng.getstate()))
+        populations.append((random_population(inst, params, rng), rng.getstate()))
     assert populations[0] == populations[1]
 
 
@@ -593,11 +595,11 @@ def test_breed_raises_what_the_loop_raises_after_as_many_calls(name, k, monkeypa
     outcomes = []
     for kernel in (ga_module._KERNEL, None):
         monkeypatch.setattr(ga_module, "_KERNEL", kernel)
-        rng, members = failing_at_call(name, k), start
+        rng, population = failing_at_call(name, k), start
         with pytest.raises(LookupError, match=f"{name} failed at call {k}$"):
             for _ in range(200):
-                members = next_generation(members, inst, rng, params)
-        outcomes.append((rng.calls, rng.getstate(), [(m.genes, m.length) for m in members]))
+                population = next_generation(*population, inst, rng, params)
+        outcomes.append((rng.calls, rng.getstate(), population))
     assert outcomes[0] == outcomes[1]
 
 
@@ -611,23 +613,21 @@ def test_breed_runs_only_for_an_exact_random(monkeypatch):
 
     inst = random_instance(12, (1, 9), seed=2)
     params = GaParams(population_size=10, mutation_prob=0.5)
-    members = random_population(inst, params, random.Random(4))
+    genes, lengths = random_population(inst, params, random.Random(4))
     monkeypatch.setattr(ga_module._KERNEL, "breed", refuse)
-    compiled = next_generation(members, inst, Subclass(5), params)
+    compiled = next_generation(genes, lengths, inst, Subclass(5), params)
     monkeypatch.setattr(ga_module, "_KERNEL", None)
-    assert compiled == next_generation(members, inst, Subclass(5), params)
+    assert compiled == next_generation(genes, lengths, inst, Subclass(5), params)
 
 
-def kernel_and_loop_generation(members, inst, params, seed, monkeypatch):
+def kernel_and_loop_generation(genes, lengths, inst, params, seed, monkeypatch):
     """next_generation from random.Random(seed), with the kernel and then
     without it: each run's genes, lengths and rng state afterwards."""
     outcomes = []
     for kernel in (ga_module._KERNEL, None):
         monkeypatch.setattr(ga_module, "_KERNEL", kernel)
         rng = random.Random(seed)
-        children = next_generation(members, inst, rng, params)
-        outcomes.append(([m.genes for m in children], [m.length for m in children],
-                         rng.getstate()))
+        outcomes.append((*next_generation(genes, lengths, inst, rng, params), rng.getstate()))
     monkeypatch.undo()
     return outcomes
 
@@ -639,9 +639,10 @@ def test_breed_sums_lengths_beyond_64_bits_exactly(monkeypatch):
     inst = Instance("huge", n, np.random.default_rng(1).integers(top - 2**40, top, (n, n),
                                                                  endpoint=True))
     params = GaParams(population_size=10, mutation_prob=0.5, crossover_prob=0.8)
-    members = random_population(inst, params, random.Random(2))
-    assert ga_module._KERNEL.breed(*breed_args(members, inst, params, random.Random(3))) is not None
-    compiled, loop = kernel_and_loop_generation(members, inst, params, 3, monkeypatch)
+    genes, lengths = random_population(inst, params, random.Random(2))
+    assert ga_module._KERNEL.breed(*breed_args(genes, lengths, inst, params,
+                                               random.Random(3))) is not None
+    compiled, loop = kernel_and_loop_generation(genes, lengths, inst, params, 3, monkeypatch)
     assert compiled == loop
     genes, lengths, _ = compiled
     assert all(type(length) is int for length in lengths)
@@ -654,9 +655,10 @@ def test_breed_takes_more_than_256_cities(monkeypatch):
     n = 257
     inst = Instance("wide", n, np.random.default_rng(n).integers(1, 10, (n, n)))
     params = GaParams(population_size=10, mutation_prob=0.5, crossover_prob=0.8)
-    members = random_population(inst, params, random.Random(n))
-    assert ga_module._KERNEL.breed(*breed_args(members, inst, params, random.Random(4))) is not None
-    compiled, loop = kernel_and_loop_generation(members, inst, params, 4, monkeypatch)
+    genes, lengths = random_population(inst, params, random.Random(n))
+    assert ga_module._KERNEL.breed(*breed_args(genes, lengths, inst, params,
+                                               random.Random(4))) is not None
+    compiled, loop = kernel_and_loop_generation(genes, lengths, inst, params, 4, monkeypatch)
     assert compiled == loop
 
 
@@ -664,7 +666,7 @@ def test_breed_takes_more_than_256_cities(monkeypatch):
 def test_breed_raises_what_a_draw_past_the_last_rank_raises(monkeypatch):
     inst = random_instance(12, (1, 9), seed=2)
     params = GaParams(population_size=10)
-    members = random_population(inst, params, random.Random(4))
+    genes, lengths = random_population(inst, params, random.Random(4))
     outcomes = []
     for kernel in (ga_module._KERNEL, None):
         monkeypatch.setattr(ga_module, "_KERNEL", kernel)
@@ -674,12 +676,12 @@ def test_breed_raises_what_a_draw_past_the_last_rank_raises(monkeypatch):
         real, firsts = rng.random, [1.0]
         rng.random = lambda: firsts.pop() if firsts else real()
         with pytest.raises(IndexError, match="list index out of range"):
-            next_generation(members, inst, rng, params)
+            next_generation(genes, lengths, inst, rng, params)
         outcomes.append(rng.getstate())
     assert outcomes[0] == outcomes[1]
     monkeypatch.undo()
     # the kernel is still usable after an aborted call
-    assert len(next_generation(members, inst, random.Random(1), params)) == 10
+    assert len(next_generation(genes, lengths, inst, random.Random(1), params)[0]) == 10
 
 
 # -- random_tours: the initial population in one kernel call -------------------------
@@ -722,10 +724,10 @@ def test_random_population_runs_the_loop_where_the_kernel_cannot(case, monkeypat
     for kernel in (ga_module._KERNEL, None):
         monkeypatch.setattr(ga_module, "_KERNEL", kernel)
         rng = make_rng(5)
-        members = random_population(inst, params, rng)
-        outcomes.append(([(m.genes, m.length, type(m.length)) for m in members], rng.getstate()))
+        genes, lengths = random_population(inst, params, rng)
+        outcomes.append((genes, [(length, type(length)) for length in lengths], rng.getstate()))
     assert outcomes[0] == outcomes[1]
-    assert type(outcomes[0][0][0][1]) is (float if case == "float64" else int)
+    assert type(outcomes[0][1][0][0]) is (float if case == "float64" else int)
 
 
 @needs_kernel
@@ -742,7 +744,7 @@ def test_random_population_raises_what_getrandbits_raises(k, monkeypatch):
     assert outcomes[0] == outcomes[1]
     monkeypatch.undo()
     # the kernel is still usable after an aborted call
-    assert len(random_population(inst, params, random.Random(1))) == 30
+    assert len(random_population(inst, params, random.Random(1))[0]) == 30
 
 
 def test_random_population_of_one_city_raises_as_random_tour_does():
@@ -753,3 +755,56 @@ def test_random_population_of_one_city_raises_as_random_tour_does():
     with pytest.raises(ValueError, match="need at least 2 cities, got 1"):
         random_population(one, GaParams(), rng)
     assert rng.getstate() == state
+
+
+# -- refcounts: the kernel leaves its inputs as it found them -----------------------
+
+def outcome_of(fn, *args):
+    """"made", "none" or "raised": what fn(*args) did, its result dropped."""
+    try:
+        return "none" if fn(*args) is None else "made"
+    except LookupError:
+        return "raised"
+
+
+def refcounts(*objects):
+    """sys.getrefcount of each object, then of each tour in the first."""
+    return [sys.getrefcount(obj) for obj in objects] + [sys.getrefcount(t) for t in objects[0]]
+
+
+@needs_kernel
+def test_breed_leaves_refcounts_unchanged():
+    # a crossover_prob of 0.5 makes copies, which share their parents' tuples
+    inst = random_instance(20, (1, 5), seed=8)
+    params = GaParams(population_size=12, mutation_prob=0.5, crossover_prob=0.5)
+    genes, lengths = random_population(inst, params, random.Random(9))
+    declined = genes[:5] + [list(genes[5])] + genes[6:]
+    cases = [("made", genes, inst.distances, random.Random(1)),
+             ("none", declined, inst.distances, random.Random(1)),
+             ("none", genes, inst.distances.astype(np.float64), random.Random(1))]
+    cases += [("raised", genes, inst.distances, failing_at_call(name, k))
+              for name, ks in (("random", (1, 2, 17, 40)), ("getrandbits", (1, 2, 9, 20)))
+              for k in ks]
+    for expected, tours, distances, rng in cases:
+        ranking = Ranking(lengths)
+        inputs = (tours, lengths, ranking.order, ranking.cum, distances)
+        before = refcounts(*inputs)
+        assert outcome_of(ga_module._KERNEL.breed, *inputs, params.similarity_threshold,
+                          params.max_parent_retries, params.crossover_prob,
+                          params.mutation_prob, len(tours) - 1, rng.random,
+                          rng.getrandbits) == expected
+        assert refcounts(*inputs) == before, (expected, getattr(rng, "calls", None))
+
+
+@needs_kernel
+def test_random_tours_leave_refcounts_unchanged():
+    distances = weighted(20).distances
+    cases = [("made", distances, random.Random(1)),
+             ("none", distances.astype(np.float64), random.Random(1)),
+             ("none", distances.astype(np.int32), random.Random(1))]
+    cases += [("raised", distances, failing_at_call("getrandbits", k)) for k in (1, 2, 40, 200)]
+    for expected, weights, rng in cases:
+        getrandbits = rng.getrandbits
+        before = [sys.getrefcount(weights), sys.getrefcount(getrandbits)]
+        assert outcome_of(ga_module._KERNEL.random_tours, 12, weights, getrandbits) == expected
+        assert [sys.getrefcount(weights), sys.getrefcount(getrandbits)] == before, expected

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrtsp import ga
-from mrtsp.ga import (GaParams, Ranking, greedy_crossover, make_chromosome, mutate,
-                      random_tour, similarity, tour_length)
+from mrtsp.ga import (GaParams, Ranking, canonical, greedy_crossover, mutate, random_tour,
+                      similarity, successors, tour_length)
 from mrtsp.tsplib import Instance
 
 FEW_EXAMPLES = settings(max_examples=60, deadline=None)
@@ -41,10 +41,10 @@ def instance_and_tours(draw, count):
 @given(instance_and_tours(2), st.integers(0, 2**32))
 def test_crossover_child_is_a_permutation_with_its_length(case, seed):
     inst, (a, b) = case
-    pa, pb = make_chromosome(a, inst), make_chromosome(b, inst)
-    child, length = greedy_crossover(pa, pb, inst, random.Random(seed))
+    child, length = greedy_crossover(a[0], successors(a), successors(b), inst,
+                                     random.Random(seed))
     assert sorted(child) == list(range(inst.dimension))
-    assert child[0] == pa.genes[0]
+    assert child[0] == a[0]
     assert length == tour_length(child, inst)
 
 
@@ -52,8 +52,7 @@ def test_crossover_child_is_a_permutation_with_its_length(case, seed):
 @given(instance_and_tours(1))
 def test_successors_match_genes(case):
     inst, (genes,) = case
-    c = make_chromosome(genes, inst)
-    succ = c.successors()
+    succ = successors(genes)
     n = len(genes)
     assert [succ[genes[i]] for i in range(n)] == [genes[(i + 1) % n] for i in range(n)]
 
@@ -71,10 +70,12 @@ def test_mutate_returns_a_permutation(genes, prob, seed):
 @given(st.integers(2, 300).flatmap(
     lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
 def test_similarity_keys_match_position_counting(tours):
-    a, b = (ga.Chromosome(tuple(t), 0) for t in tours)
-    ca, cb = a.canonical(), b.canonical()
-    assert similarity(a, b) == sum(map(operator.eq, ca, cb)) / len(ca)
-    assert similarity(a, a) == 1.0
+    a, b = (tuple(t) for t in tours)
+    ca, cb = canonical(a), canonical(b)
+    assert ca[0] == cb[0] == 0
+    assert ca in [a[i:] + a[:i] for i in range(len(a))]
+    assert similarity(ca, cb) == sum(map(operator.eq, ca, cb)) / len(ca)
+    assert similarity(ca, ca) == 1.0
 
 
 @st.composite
@@ -89,13 +90,14 @@ def generation_cases(draw):
     inst = Instance("generation", n, matrix)
     rnd = random.Random(seed)
     tours = [tuple(random_tour(n, rnd)) for _ in range(draw(st.integers(1, 4)))]
-    members = [make_chromosome(rnd.choice(tours), inst) for _ in range(size)]
+    genes = [rnd.choice(tours) for _ in range(size)]
+    lengths = [tour_length(tour, inst) for tour in genes]
     params = GaParams(population_size=size, elite_count=draw(st.integers(1, size - 1)),
                       crossover_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
                       mutation_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
                       similarity_threshold=draw(st.sampled_from([0.0, 0.8, 1.0])),
                       max_parent_retries=draw(st.integers(1, 4)))
-    return inst, members, params
+    return inst, genes, lengths, params
 
 
 def on_rank_grid(rng, size):
@@ -112,24 +114,24 @@ def on_rank_grid(rng, size):
 @settings(max_examples=200, deadline=None)
 @given(generation_cases(), st.integers(0, 2**32), st.booleans())
 def test_breed_matches_the_python_loop(case, seed, grid):
-    inst, members, params = case
+    inst, genes, lengths, params = case
     kernel_rng, loop_rng = random.Random(seed), random.Random(seed)
     if grid:
-        kernel_rng, loop_rng = (on_rank_grid(rng, len(members)) for rng in (kernel_rng, loop_rng))
-    compiled = ga.next_generation(members, inst, kernel_rng, params)
+        kernel_rng, loop_rng = (on_rank_grid(rng, len(genes)) for rng in (kernel_rng, loop_rng))
+    compiled = ga.next_generation(genes, lengths, inst, kernel_rng, params)
     kernel, ga._KERNEL = ga._KERNEL, None
     try:
-        loop = ga.next_generation(members, inst, loop_rng, params)
+        loop = ga.next_generation(genes, lengths, inst, loop_rng, params)
     finally:
         ga._KERNEL = kernel
-    assert [m.genes for m in compiled] == [m.genes for m in loop]
-    assert [(m.length, type(m.length)) for m in compiled] == \
-        [(m.length, type(m.length)) for m in loop]
+    assert compiled[0] == loop[0]
+    assert [(length, type(length)) for length in compiled[1]] == \
+        [(length, type(length)) for length in loop[1]]
     assert kernel_rng.getstate() == loop_rng.getstate()
     # breed took the generation: it does not decline such a population
-    ranking = Ranking(members)
-    assert kernel.breed([m.genes for m in members], [m.length for m in members], ranking.order,
-                        ranking.cum, inst.distances, 0.0, 1, 0.0, 0.0, 0, None, None) == ([], [])
+    ranking = Ranking(lengths)
+    assert kernel.breed(genes, lengths, ranking.order, ranking.cum, inst.distances,
+                        0.0, 1, 0.0, 0.0, 0, None, None) == ([], [])
 
 
 @pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
@@ -144,8 +146,9 @@ def test_random_population_matches_the_python_loop(inst, size, seed):
         loop = ga.random_population(inst, params, loop_rng)
     finally:
         ga._KERNEL = kernel
-    assert [(m.genes, m.length, type(m.length)) for m in compiled] == \
-        [(m.genes, m.length, type(m.length)) for m in loop]
+    assert compiled[0] == loop[0]
+    assert [(length, type(length)) for length in compiled[1]] == \
+        [(length, type(length)) for length in loop[1]]
     assert kernel_rng.getstate() == loop_rng.getstate()
     # random_tours took the int instances: it declines only float weights
     taken = kernel.random_tours(0, inst.distances, None)

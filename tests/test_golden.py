@@ -125,7 +125,8 @@ def test_pga_file_store_migrating_every_generation_pinned(rnd064, tmp_path):
                           ga=GaParams(population_size=12),
                           max_total_generations=6, convergence_patience=None)
     store = FileStore(tmp_path)
-    report = run_pga(rnd064, params, master_seed=4, workers=1, store=store)
+    report = run_pga(rnd064, params, master_seed=4, workers=1, store=store,
+                     dump_path=tmp_path / "final-population.txt")
     rounds = [(r.round, r.island_bests, r.best_length, r.best_tour, r.generations)
               for r in report.rounds]
     h = hashlib.sha256(digest(report, store.snapshot()).encode())

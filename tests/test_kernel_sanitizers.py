@@ -1,9 +1,10 @@
 """The kernel built with AddressSanitizer and UBSan, run in a subprocess on
 the record faults decode_records must decline, the member faults
-encode_records must decline, valid records and members at their widest, and
+encode_records must decline, valid records and members at their widest,
 short sga and pga runs compared with the Python loops, which exercise breed
-and random_tours as well. Any report of either sanitizer aborts the
-subprocess."""
+and random_tours as well, and breed and random_tours runs whose rng raises at
+call k, compared with the Python loops' calls and rng state. Any report of
+either sanitizer aborts the subprocess."""
 
 import os
 import shutil
@@ -21,6 +22,7 @@ TESTS = Path(__file__).resolve().parent
 SCRIPT = """
 import importlib.machinery
 import importlib.util
+import random
 import sys
 
 import numpy as np
@@ -31,6 +33,7 @@ from mrtsp.ga import GaParams, run_sga
 from mrtsp.island import IslandParams, run_pga
 from mrtsp.tsplib import Instance, random_instance
 from test_codec import encode_faults, good_members, good_records, record_faults
+from test_ga import failing_at_call
 
 loader = importlib.machinery.ExtensionFileLoader("_xover", sys.argv[1])
 kernel = importlib.util.module_from_spec(importlib.util.spec_from_loader("_xover", loader))
@@ -69,6 +72,37 @@ runs(lambda: run_pga(random_instance(40, (1, 100), seed=3),
                      master_seed=4))
 wide = Instance("wide", 300, np.random.default_rng(5).integers(1, 10**12, (300, 300)))
 runs(lambda: run_sga(wide, GaParams(population_size=6, mutation_prob=0.3), 2, seed=6))
+
+
+def raises_alike(solve, name, k):
+    outcomes = []
+    for compiled in (kernel, None):
+        ga._KERNEL = compiled
+        rng = failing_at_call(name, k)
+        try:
+            solve(rng)
+        except LookupError as exc:
+            outcomes.append((str(exc), rng.calls, rng.getstate()))
+    assert len(outcomes) == 2 and outcomes[0] == outcomes[1], (name, k)
+
+
+tiny = random_instance(20, (1, 5), seed=8)
+small = GaParams(population_size=12, mutation_prob=0.5, crossover_prob=0.8)
+start = ga.random_population(tiny, small, random.Random(9))
+
+
+def generations(rng):
+    population = start
+    for _ in range(200):
+        population = ga.next_generation(*population, tiny, rng, small)
+
+
+for name in ("random", "getrandbits"):
+    for k in (1, 2, 17, 90, 400):
+        raises_alike(generations, name, k)
+for k in (1, 2, 40, 300):
+    raises_alike(lambda rng: ga.random_population(tiny, GaParams(population_size=30), rng),
+                 "getrandbits", k)
 print("clean")
 """
 
