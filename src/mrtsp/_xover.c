@@ -3,19 +3,22 @@
    breed runs ga.next_generation's per-child loop for a whole generation, in
    the loop's order: select_parents' retry loop, drawing through the rng's own
    random method and comparing canonical rows as ga.similarity does; the
-   crossover draw; ga.greedy_crossover step for step, its dead ends drawn from
-   getrandbits as random.Random._randbelow_with_getrandbits draws randrange's,
-   or a copy of the better parent; and mutate's draw and swap.
+   crossover draw; ga.greedy_crossover step for step, or a copy of the better
+   parent; and mutate's draw and swap. A crossover dead end draws k from
+   getrandbits as random.Random._randbelow_with_getrandbits draws randrange's
+   and takes the k-th open city in ascending order from a bitmap, as the loop
+   takes it from its sorted list. A crossover child's length is summed as it
+   is built; only a mutated child is summed again.
 
    random_tours makes ga.random_population's tours, each shuffled with the
    getrandbits calls random.shuffle makes, and sums their lengths.
 
    Both read the weights through the buffer protocol and return None, before
    any draw, unless they are a C-ordered n x n int64 matrix; breed also
-   declines members whose genes are not tuples permuting 0..n-1. Lengths are
-   summed in 128 bits, exact for non-negative weights. Float weights, rngs
-   that are not an exact random.Random and declined genes run ga's Python
-   loops.
+   declines a negative count and members whose genes are not tuples permuting
+   0..n-1. Lengths are summed in 128 bits, exact for non-negative weights.
+   Float weights, rngs that are not an exact random.Random and declined genes
+   run ga's Python loops.
 
    decode_records decodes all of one reduce key's codec records in one call.
    It returns None unless every record passes codec.decode_chromosome's checks
@@ -101,38 +104,59 @@ static PyObject *cities(const int *tour, Py_ssize_t n)
 static unsigned __int128 tour_length(const int *tour, const long long *dist, Py_ssize_t n)
 {
     unsigned __int128 length = 0;
-    for (Py_ssize_t i = 0; i < n; i++)
-        length += (unsigned long long)dist[(Py_ssize_t)tour[i] * n + tour[(i + 1) % n]];
-    return length;
+    for (Py_ssize_t i = 1; i < n; i++)
+        length += (unsigned long long)dist[(Py_ssize_t)tour[i - 1] * n + tour[i]];
+    return length + (unsigned long long)dist[(Py_ssize_t)tour[n - 1] * n + tour[0]];
+}
+
+/* Whether city c's bit is set in the bitmap open_cities. */
+static int is_open(const uint64_t *open_cities, int c)
+{
+    return (open_cities[c >> 6] >> (c & 63)) & 1;
 }
 
 /* Fills tour[] with the greedy crossover of the parents whose successor arrays
-   are sa and sb, from city first; 0 with an exception set when a dead-end draw
-   fails. */
+   are sa and sb, from city first, and *length with its length, summed as the
+   tour is built. open_cities is scratch for (n + 63) / 64 words, one set bit
+   per unvisited city. A dead end draws k below the open count as randrange
+   does and takes the k-th set bit in ascending order, skipping whole words by
+   their popcount. 0 with an exception set when a dead-end draw fails. */
 static int crossover(const int *sa, const int *sb, int first, const long long *dist,
-                     Py_ssize_t n, PyObject *getrandbits, int *tour)
+                     Py_ssize_t n, PyObject *getrandbits, uint64_t *open_cities, int *tour,
+                     unsigned __int128 *length)
 {
-    unsigned char visited[n];
-    memset(visited, 0, n);
+    Py_ssize_t words = (n + 63) / 64;
+    memset(open_cities, 0xff, words * sizeof *open_cities);
+    if (n % 64)
+        open_cities[words - 1] = (UINT64_C(1) << (n % 64)) - 1;
     int current = tour[0] = first;
-    visited[current] = 1;
+    open_cities[current >> 6] &= ~(UINT64_C(1) << (current & 63));
+    unsigned __int128 sum = 0;
     for (Py_ssize_t i = 1; i < n; i++) {
         const long long *row = dist + (Py_ssize_t)current * n;
         int ea = sa[current], eb = sb[current], nxt;
-        if (!visited[ea])
-            nxt = (!visited[eb] && row[eb] < row[ea]) ? eb : ea;
-        else if (!visited[eb])
+        if (is_open(open_cities, ea))
+            nxt = (is_open(open_cities, eb) && row[eb] < row[ea]) ? eb : ea;
+        else if (is_open(open_cities, eb))
             nxt = eb;
         else {
             long k = draw_below(getrandbits, n - i);
             if (k < 0)
                 return 0;
-            for (nxt = 0; visited[nxt] || k-- > 0; nxt++)
-                ;
+            /* k is below the open count: the walk stops on a word with more than k bits */
+            const uint64_t *word = open_cities;
+            for (; k >= __builtin_popcountll(*word); word++)
+                k -= __builtin_popcountll(*word);
+            uint64_t bits = *word;
+            for (; k > 0; k--)
+                bits &= bits - 1;
+            nxt = (int)((word - open_cities) * 64 + __builtin_ctzll(bits));
         }
-        visited[nxt] = 1;
+        open_cities[nxt >> 6] &= ~(UINT64_C(1) << (nxt & 63));
+        sum += (unsigned long long)row[nxt];
         current = tour[i] = nxt;
     }
+    *length = sum + (unsigned long long)dist[(Py_ssize_t)current * n + first];
     return 1;
 }
 
@@ -234,18 +258,21 @@ static PyObject *breed(PyObject *module, PyObject *const *args, Py_ssize_t nargs
     Py_ssize_t p = PyList_Check(genes) ? PyList_GET_SIZE(genes) : 0;
     int *succ = NULL, *rows = NULL, *tour = NULL;
     unsigned char *seen = NULL;
+    uint64_t *open_cities = NULL;
     double *cum = NULL;
     PyObject *children = NULL, *child_lengths = NULL, *result = Py_None;  /* borrowed until done */
-    if (n < 2 || p < 2 || retries < 1 || !PyList_Check(lengths) || !PyList_Check(order)
-        || !PyList_Check(cum_list) || PyList_GET_SIZE(lengths) != p || PyList_GET_SIZE(order) != p
-        || PyList_GET_SIZE(cum_list) != p)
+    if (n < 2 || p < 2 || retries < 1 || count < 0 || !PyList_Check(lengths)
+        || !PyList_Check(order) || !PyList_Check(cum_list) || PyList_GET_SIZE(lengths) != p
+        || PyList_GET_SIZE(order) != p || PyList_GET_SIZE(cum_list) != p)
         goto done;
     succ = PyMem_New(int, p * n);
     rows = PyMem_New(int, p * n);
     tour = PyMem_New(int, n);
     seen = PyMem_Malloc(n);
+    open_cities = PyMem_New(uint64_t, (n + 63) / 64);
     cum = PyMem_New(double, p);
-    if (succ == NULL || rows == NULL || tour == NULL || seen == NULL || cum == NULL) {
+    if (succ == NULL || rows == NULL || tour == NULL || seen == NULL || open_cities == NULL
+        || cum == NULL) {
         result = PyErr_NoMemory();
         goto done;
     }
@@ -263,12 +290,14 @@ static PyObject *breed(PyObject *module, PyObject *const *args, Py_ssize_t nargs
         goto done;
     for (Py_ssize_t k = 0; k < count; k++) {
         long ia, ib, copy = -1;
+        unsigned __int128 length = 0;
         if (!select_retry(random, cum, order, p, rows, n, threshold, retries, &ia, &ib)
             || !uniform(random, &x))
             goto done;
         if (x < cross_prob) {
             int first = (int)PyLong_AsLong(PyTuple_GET_ITEM(PyList_GET_ITEM(genes, ia), 0));
-            if (!crossover(succ + ia * n, succ + ib * n, first, view.buf, n, getrandbits, tour))
+            if (!crossover(succ + ia * n, succ + ib * n, first, view.buf, n, getrandbits,
+                           open_cities, tour, &length))
                 goto done;
         }
         else {
@@ -291,10 +320,11 @@ static PyObject *breed(PyObject *module, PyObject *const *args, Py_ssize_t nargs
             tour[i] = tour[j];
             tour[j] = city;
             copy = -1;
+            length = tour_length(tour, view.buf, n);
         }
         PyObject *child = copy >= 0 ? Py_NewRef(PyList_GET_ITEM(genes, copy)) : cities(tour, n);
         PyObject *size = copy >= 0 ? Py_NewRef(PyList_GET_ITEM(lengths, copy))
-                                   : length_to_int(tour_length(tour, view.buf, n));
+                                   : length_to_int(length);
         PyList_SET_ITEM(children, k, child);
         PyList_SET_ITEM(child_lengths, k, size);
         if (child == NULL || size == NULL)
@@ -305,6 +335,7 @@ done:
     Py_XDECREF(children);
     Py_XDECREF(child_lengths);
     PyMem_Free(cum);
+    PyMem_Free(open_cities);
     PyMem_Free(seen);
     PyMem_Free(tour);
     PyMem_Free(rows);

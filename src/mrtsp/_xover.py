@@ -76,11 +76,13 @@ def load(source: Path = SOURCE, cache: Path | None = None):
     crossover_prob, mutation_prob, count, random, getrandbits) -> (children,
     lengths) makes count children as next_generation's loop does, from the
     members' gene tuples and lengths, a Ranking's order and cum and the rng's
-    bound random and getrandbits, drawing crossover dead ends from
-    getrandbits as randrange would. A copy that does not mutate is the
-    parent's own tuple and length. It returns None, having drawn nothing,
-    unless distances is a C-ordered int64 matrix of n >= 2 cities and each of
-    the P >= 2 members' genes is a tuple permuting 0..n-1.
+    bound random and getrandbits. A crossover dead end draws k from
+    getrandbits as randrange would and takes the k-th open city in ascending
+    order, from a bitmap of the open cities; a crossover child's length is
+    summed as it is built. A copy that does not mutate is the parent's own
+    tuple and length. It returns None, having drawn nothing, for a negative
+    count and unless distances is a C-ordered int64 matrix of n >= 2 cities
+    and each of the P >= 2 members' genes is a tuple permuting 0..n-1.
 
     random_tours(count, distances, getrandbits) -> (tours, lengths) makes
     count gene tuples as random.shuffle shuffles list(range(n)), with the

@@ -463,6 +463,13 @@ def breed_args(genes, lengths, instance, params, rng):
             params.mutation_prob, len(genes) - params.elite_count, rng.random, rng.getrandbits)
 
 
+DECLINED = ["float64", "int32", "fortran", "list", "duplicate"]
+GENE_FAULTS = ["short", "long", "above_n", "last_above_n", "negative", "beyond_a_c_long",
+               "float_city", "none_city"]
+ODD_WEIGHTS = ["uint64", "big_endian", "strided", "non_square", "three_d", "one_city", "empty",
+               "nested_list"]
+
+
 def declined_case(bad):
     n = 8
     matrix = np.random.default_rng(n).integers(1, 10, (n, n))
@@ -477,7 +484,7 @@ def declined_case(bad):
 
 
 @needs_kernel
-@pytest.mark.parametrize("bad", ["float64", "int32", "fortran", "list", "duplicate"])
+@pytest.mark.parametrize("bad", DECLINED)
 def test_breed_declines_before_any_draw_and_the_loop_runs_as_before(bad, monkeypatch):
     inst, genes, lengths, params = declined_case(bad)
     rng = random.Random(1)
@@ -497,16 +504,20 @@ def test_breed_declines_before_any_draw_and_the_loop_runs_as_before(bad, monkeyp
     assert outcomes[0] == outcomes[1]
 
 
+def gene_fault(bad, tour, n):
+    """tour, a permutation of n cities, with the fault named bad."""
+    return {"short": tour[:-1], "long": (*tour, n),
+            "above_n": (n, *tour[1:]), "last_above_n": (*tour[:-1], n),
+            "negative": (-1, *tour[1:]), "beyond_a_c_long": (2**70, *tour[1:]),
+            "float_city": (float(tour[0]), *tour[1:]), "none_city": (None, *tour[1:])}[bad]
+
+
 @needs_kernel
-@pytest.mark.parametrize("bad", ["short", "long", "above_n", "last_above_n", "negative",
-                                 "beyond_a_c_long", "float_city", "none_city"])
+@pytest.mark.parametrize("bad", GENE_FAULTS)
 def test_breed_declines_genes_that_do_not_permute_the_cities(bad):
     inst, genes, lengths, params = declined_case("none")
-    n, tour = inst.dimension, genes[3]
-    genes[3] = {"short": tour[:-1], "long": (*tour, n),
-                "above_n": (n, *tour[1:]), "last_above_n": (*tour[:-1], n),
-                "negative": (-1, *tour[1:]), "beyond_a_c_long": (2**70, *tour[1:]),
-                "float_city": (float(tour[0]), *tour[1:]), "none_city": (None, *tour[1:])}[bad]
+    tour = genes[3]
+    genes[3] = gene_fault(bad, tour, inst.dimension)
     rng = random.Random(1)
     state = rng.getstate()
     # returning None with an exception still set would raise SystemError here
@@ -514,6 +525,18 @@ def test_breed_declines_genes_that_do_not_permute_the_cities(bad):
     assert rng.getstate() == state
     genes[3] = tour
     assert ga_module._KERNEL.breed(*breed_args(genes, lengths, inst, params, rng)) is not None
+
+
+@needs_kernel
+def test_breed_declines_a_negative_count_before_any_draw():
+    inst, genes, lengths, params = declined_case("none")
+    rng = random.Random(1)
+    state = rng.getstate()
+    args = breed_args(genes, lengths, inst, params, rng)
+    assert ga_module._KERNEL.breed(*args[:9], -1, *args[10:]) is None
+    assert rng.getstate() == state
+    assert ga_module._KERNEL.breed(*args[:9], 0, *args[10:]) == ([], [])
+    assert rng.getstate() == state
 
 
 def odd_weights(case, n=8):
@@ -531,8 +554,7 @@ def odd_weights(case, n=8):
 
 
 @needs_kernel
-@pytest.mark.parametrize("case", ["uint64", "big_endian", "strided", "non_square", "three_d",
-                                  "one_city", "empty", "nested_list"])
+@pytest.mark.parametrize("case", ODD_WEIGHTS)
 def test_kernel_declines_weights_that_are_not_a_c_ordered_int64_matrix(case):
     weights = odd_weights(case)
     _, genes, lengths, params = declined_case("none")
@@ -632,12 +654,16 @@ def kernel_and_loop_generation(genes, lengths, inst, params, seed, monkeypatch):
     return outcomes
 
 
+def huge_instance():
+    """9 cities whose weights lie near 2**61, so that every tour needs more than 64 bits."""
+    n, top = 9, 2**61
+    return Instance("huge", n, np.random.default_rng(1).integers(top - 2**40, top, (n, n),
+                                                                 endpoint=True))
+
+
 @needs_kernel
 def test_breed_sums_lengths_beyond_64_bits_exactly(monkeypatch):
-    # a tour of 9 weights near 2**61 needs more than 64 bits
-    n, top = 9, 2**61
-    inst = Instance("huge", n, np.random.default_rng(1).integers(top - 2**40, top, (n, n),
-                                                                 endpoint=True))
+    inst = huge_instance()
     params = GaParams(population_size=10, mutation_prob=0.5, crossover_prob=0.8)
     genes, lengths = random_population(inst, params, random.Random(2))
     assert ga_module._KERNEL.breed(*breed_args(genes, lengths, inst, params,
@@ -648,6 +674,41 @@ def test_breed_sums_lengths_beyond_64_bits_exactly(monkeypatch):
     assert all(type(length) is int for length in lengths)
     assert max(lengths) > 2**64
     assert lengths == [tour_length(tour, inst) for tour in genes]
+
+
+def recording_bits(rng):
+    """rng with an instance-level getrandbits that appends the bits of each
+    call to rng.bits; an exact random.Random still, so the kernel draws from it."""
+    real, rng.bits = rng.getrandbits, []
+
+    def getrandbits(k):
+        rng.bits.append(k)
+        return real(k)
+
+    rng.getrandbits = getrandbits
+    return rng
+
+
+@needs_kernel
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 171])
+def test_breed_picks_dead_ends_across_bitmap_words_as_the_loop_does(n, monkeypatch):
+    # a dead end takes the k-th open city from a bitmap of 64-city words
+    inst = weighted(n)
+    params = GaParams(population_size=16, crossover_prob=1.0, mutation_prob=0.5)
+    start = random_population(inst, params, random.Random(n))
+    outcomes = []
+    for kernel in (ga_module._KERNEL, None):
+        monkeypatch.setattr(ga_module, "_KERNEL", kernel)
+        rng, population = recording_bits(random.Random(n + 1)), start
+        for _ in range(3):
+            population = next_generation(*population, inst, rng, params)
+        genes, lengths = population
+        outcomes.append((genes, [(length, type(length)) for length in lengths], rng.bits,
+                         rng.getstate()))
+    assert outcomes[0] == outcomes[1]
+    # a mutation draws n.bit_length() and (n - 1).bit_length() bits; fewer
+    # come only from dead ends, drawn below the open count
+    assert sum(bits < (n - 1).bit_length() for bits in outcomes[0][2]) > 10
 
 
 @needs_kernel

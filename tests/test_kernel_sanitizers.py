@@ -1,8 +1,12 @@
 """The kernel built with AddressSanitizer and UBSan, run in a subprocess on
 the record faults decode_records must decline, the member faults
 encode_records must decline, valid records and members at their widest,
-short sga and pga runs compared with the Python loops, which exercise breed
-and random_tours as well, and breed and random_tours runs whose rng raises at
+the inputs breed and random_tours must decline before any draw (weights,
+genes and a negative count, as in test_ga.py), short sga and pga runs
+compared with the Python loops, which exercise breed and random_tours as
+well: breed at n = 65, 128 and 129, whose crossover bitmap of open cities
+ends in a partial or a full 64-bit word, and on weights whose tour lengths
+need more than 64 bits, and breed and random_tours runs whose rng raises at
 call k, compared with the Python loops' calls and rng state. Any report of
 either sanitizer aborts the subprocess."""
 
@@ -24,6 +28,7 @@ import importlib.machinery
 import importlib.util
 import random
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,7 +38,8 @@ from mrtsp.ga import GaParams, run_sga
 from mrtsp.island import IslandParams, run_pga
 from mrtsp.tsplib import Instance, random_instance
 from test_codec import encode_faults, good_members, good_records, record_faults
-from test_ga import failing_at_call
+from test_ga import (DECLINED, GENE_FAULTS, ODD_WEIGHTS, breed_args, declined_case,
+                     failing_at_call, gene_fault, huge_instance, odd_weights, weighted)
 
 loader = importlib.machinery.ExtensionFileLoader("_xover", sys.argv[1])
 kernel = importlib.util.module_from_spec(importlib.util.spec_from_loader("_xover", loader))
@@ -56,6 +62,31 @@ assert kernel.encode_records([(2**32 - 1, 0)], [2**64 - 1], 2**32 - 1) == \\
     [encode_chromosome((2**32 - 1, 0), 2**64 - 1, 2**32 - 1)]
 
 
+def declines(inst, genes, lengths, params, count=None):
+    # breed returns None, having drawn nothing; count, when given, replaces its count
+    rng = random.Random(1)
+    args = breed_args(genes, lengths, inst, params, rng)
+    if count is not None:
+        args = (*args[:9], count, *args[10:])
+    assert kernel.breed(*args) is None
+    assert rng.getstate() == random.Random(1).getstate()
+
+
+for bad in DECLINED:
+    declines(*declined_case(bad))
+inst, genes, lengths, params = declined_case("none")
+for bad in GENE_FAULTS:
+    declines(inst, genes[:3] + [gene_fault(bad, genes[3], inst.dimension)] + genes[4:], lengths,
+             params)
+for case in ODD_WEIGHTS:
+    odd = SimpleNamespace(distances=odd_weights(case))
+    declines(odd, genes, lengths, params)
+    rng = random.Random(1)
+    assert kernel.random_tours(9, odd.distances, rng.getrandbits) is None, case
+    assert rng.getstate() == random.Random(1).getstate()
+declines(inst, genes, lengths, params, count=-1)
+
+
 def runs(solve):
     ga._KERNEL = kernel
     compiled = solve()
@@ -72,6 +103,11 @@ runs(lambda: run_pga(random_instance(40, (1, 100), seed=3),
                      master_seed=4))
 wide = Instance("wide", 300, np.random.default_rng(5).integers(1, 10**12, (300, 300)))
 runs(lambda: run_sga(wide, GaParams(population_size=6, mutation_prob=0.3), 2, seed=6))
+for n in (65, 128, 129):
+    runs(lambda: run_sga(weighted(n), GaParams(population_size=12, crossover_prob=1.0,
+                                               mutation_prob=0.5), 3, seed=n))
+runs(lambda: run_sga(huge_instance(), GaParams(population_size=10, mutation_prob=0.5,
+                                               crossover_prob=0.8), 3, seed=2))
 
 
 def raises_alike(solve, name, k):
