@@ -1,24 +1,25 @@
 /* The compiled GA steps of mrtsp.ga, a CPython extension module.
 
-   breed runs ga.next_generation's per-child loop for a whole generation, in
-   the loop's order: select_parents' retry loop, drawing through the rng's own
-   random method and comparing canonical rows as ga.similarity does; the
-   crossover draw; ga.greedy_crossover step for step, or a copy of the better
-   parent; and mutate's draw and swap. A crossover dead end draws k from
-   getrandbits as random.Random._randbelow_with_getrandbits draws randrange's
-   and takes the k-th open city in ascending order from a bitmap, as the loop
-   takes it from its sorted list. A crossover child's length is summed as it
-   is built; only a mutated child is summed again.
+   evolve runs ga.evolve's generations in the loop's order: the elite pick and
+   the Ranking as stable sorts of the member indices by length;
+   select_parents' retry loop, comparing canonical rows as ga.similarity does;
+   the crossover draw; ga.greedy_crossover step for step, or a copy of the
+   better parent; and mutate's draw and swap. A crossover dead end takes the
+   k-th open city in ascending order from a bitmap, as the loop takes it from
+   its sorted list, and a child's length is summed as it is built. The
+   population stays in C arrays; gene tuples and length ints are built once,
+   at the end. random_tours makes ga.random_population's tours, shuffled as
+   random.shuffle shuffles them, and sums their lengths.
 
-   random_tours makes ga.random_population's tours, each shuffled with the
-   getrandbits calls random.shuffle makes, and sums their lengths.
-
-   Both read the weights through the buffer protocol and return None, before
-   any draw, unless they are a C-ordered n x n int64 matrix; breed also
-   declines a negative count and members whose genes are not tuples permuting
-   0..n-1. Lengths are summed in 128 bits, exact for non-negative weights.
-   Float weights, rngs that are not an exact random.Random and declined genes
-   run ga's Python loops.
+   Both draw from CPython's Mersenne Twister (Modules/_randommodule.c), read
+   from the rng with _random.Random.getstate once per call and written back
+   with setstate once; random() and getrandbits(k) use its words as CPython
+   does, so draws and the rng's state equal the Python loops', and nothing
+   calls back into Python in between. They read the weights through the
+   buffer protocol and return None, before they touch the rng, unless they
+   are a C-ordered n x n int64 matrix (n >= 2) and, for evolve, the rest of
+   its inputs are as its comment says; ga's Python loops run those. Lengths
+   are summed in 128 bits, exact for non-negative weights.
 
    decode_records decodes all of one reduce key's codec records in one call.
    It returns None unless every record passes codec.decode_chromosome's checks
@@ -30,49 +31,121 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-/* succ[c] = city after c on the closed tour; 0, with no exception set, unless
-   genes is a tuple holding a permutation of 0..n-1 (n >= 1). */
-static int successors(PyObject *genes, Py_ssize_t n, int *succ, unsigned char *seen)
+/* The next tempered word of an MT19937 state laid out as getstate gives it,
+   624 words and then the index of the next, twisting all 624 once they are
+   used, as genrand_uint32 in Modules/_randommodule.c does. */
+static uint32_t next_word(uint32_t *mt)
 {
-    if (!PyTuple_Check(genes) || PyTuple_GET_SIZE(genes) != n)
-        goto bad;
-    memset(seen, 0, n);
-    long prev = PyLong_AsLong(PyTuple_GET_ITEM(genes, n - 1));
-    if (prev < 0 || prev >= n)
-        goto bad;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        long city = PyLong_AsLong(PyTuple_GET_ITEM(genes, i));
-        if (city < 0 || city >= n || seen[city])
-            goto bad;
-        seen[city] = 1;
-        succ[prev] = (int)city;
-        prev = city;
+    uint32_t y;
+    if (mt[624] >= 624) {
+        for (int k = 0; k < 624; k++) {
+            y = (mt[k] & 0x80000000U) | (mt[k < 623 ? k + 1 : 0] & 0x7fffffffU);
+            mt[k] = mt[k < 227 ? k + 397 : k - 227] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
+        }
+        mt[624] = 0;
     }
-    return 1;
-bad:
-    PyErr_Clear();
-    return 0;
+    y = mt[mt[624]++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    return y ^ (y >> 18);
 }
 
-/* k uniform in [0, m) from getrandbits(m.bit_length()) redrawn until below m;
-   -1 with an exception set on failure. */
-static long draw_below(PyObject *getrandbits, Py_ssize_t m)
+/* random.Random.random(): 53 bits from two words. */
+static double random_float(uint32_t *mt)
 {
-    int bits = 0;
-    while (m >> bits)
-        bits++;
-    PyObject *arg = PyLong_FromLong(bits), *r;
-    long k = -1;
-    while (arg != NULL && (r = PyObject_CallOneArg(getrandbits, arg)) != NULL) {
-        k = PyLong_AsLong(r);
-        Py_DECREF(r);
-        if (k < m)
-            break;
+    uint32_t a = next_word(mt) >> 5, b = next_word(mt) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* k uniform in [0, m), 1 <= m < 2**32: getrandbits(m.bit_length()), one word
+   shifted right, redrawn until below m, as _randbelow_with_getrandbits does. */
+static long draw_below(uint32_t *mt, long m)
+{
+    long k;
+    do
+        k = next_word(mt) >> __builtin_clz((uint32_t)m);
+    while (k >= m);
+    return k;
+}
+
+static PyObject *random_type;  /* _random.Random, imported at the first handover */
+
+/* Reads rng's state into mt[625] through _random.Random.getstate; 0 with an
+   exception set when rng is not a _random.Random. */
+static int load_twister(PyObject *rng, uint32_t *mt)
+{
+    if (random_type == NULL) {
+        PyObject *module = PyImport_ImportModule("_random");
+        random_type = module ? PyObject_GetAttrString(module, "Random") : NULL;
+        Py_XDECREF(module);
     }
-    Py_XDECREF(arg);
-    if (k < 0 && !PyErr_Occurred())
-        PyErr_Format(PyExc_ValueError, "getrandbits(%d) gave %ld", bits, k);
-    return PyErr_Occurred() ? -1 : k;
+    PyObject *state = random_type ? PyObject_CallMethod(random_type, "getstate", "(O)", rng) : NULL;
+    for (Py_ssize_t i = 0; state != NULL && i < 625 && !PyErr_Occurred(); i++)
+        mt[i] = (uint32_t)PyLong_AsUnsignedLong(PyTuple_GET_ITEM(state, i));
+    Py_XDECREF(state);
+    return state != NULL && !PyErr_Occurred();
+}
+
+/* Writes mt[625] back into rng through _random.Random.setstate; 0 with an
+   exception set on failure. */
+static int store_twister(PyObject *rng, const uint32_t *mt)
+{
+    PyObject *state = PyTuple_New(625), *done = NULL;
+    for (Py_ssize_t i = 0; state != NULL && i < 625; i++) {
+        PyObject *word = PyLong_FromUnsignedLong(mt[i]);
+        if (word == NULL)
+            Py_CLEAR(state);
+        else
+            PyTuple_SET_ITEM(state, i, word);
+    }
+    if (state != NULL)
+        done = PyObject_CallMethod(random_type, "setstate", "OO", rng, state);
+    Py_XDECREF(state);
+    Py_XDECREF(done);
+    return done != NULL;
+}
+
+/* Copies genes into tour when it is a tuple of ints permuting 0..n-1 (n >= 1);
+   else 0, with no exception set. */
+static int read_tour(PyObject *genes, Py_ssize_t n, int *tour, unsigned char *seen)
+{
+    if (!PyTuple_Check(genes) || PyTuple_GET_SIZE(genes) != n)
+        return 0;
+    memset(seen, 0, n);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *item = PyTuple_GET_ITEM(genes, i);
+        long city = PyLong_CheckExact(item) ? PyLong_AsLong(item) : -1;
+        if (city < 0 || city >= n || seen[city]) {
+            PyErr_Clear();
+            return 0;
+        }
+        seen[city] = 1;
+        tour[i] = (int)city;
+    }
+    return 1;
+}
+
+/* 1, storing obj at *x, when obj is an int in [0, max]; else 0, with no
+   exception set. Beyond 64 bits it is read through int.to_bytes. */
+static int bounded(PyObject *obj, unsigned __int128 max, unsigned __int128 *x)
+{
+    if (!PyLong_CheckExact(obj))
+        return 0;
+    *x = PyLong_AsUnsignedLongLong(obj);
+    if (*x == (unsigned long long)-1 && PyErr_Occurred()) {
+        PyErr_Clear();
+        PyObject *bytes = PyObject_CallMethod(obj, "to_bytes", "is", 16, "little");
+        if (bytes == NULL) {  /* negative, or 2**128 or more */
+            PyErr_Clear();
+            return 0;
+        }
+        *x = 0;
+        for (int i = 15; i >= 0; i--)
+            *x = *x << 8 | (unsigned char)PyBytes_AS_STRING(bytes)[i];
+        Py_DECREF(bytes);
+    }
+    return *x <= max;
 }
 
 /* The length as a Python int, through hex digits when it needs more than 64 bits. */
@@ -86,18 +159,33 @@ static PyObject *length_to_int(unsigned __int128 length)
     return PyLong_FromString(hex, NULL, 16);
 }
 
-/* The cities as a tuple, or NULL with an exception set. */
-static PyObject *cities(const int *tour, Py_ssize_t n)
+/* The list of count tours of n cities, as tuples of ints, and the list of
+   their lengths, as a pair, or NULL with an exception set. */
+static PyObject *population(const int *tours, const unsigned __int128 *lengths, Py_ssize_t count,
+                            Py_ssize_t n)
 {
-    PyObject *genes = PyTuple_New(n);
-    for (Py_ssize_t i = 0; genes != NULL && i < n; i++) {
-        PyObject *city = PyLong_FromLong(tour[i]);
-        if (city == NULL)
-            Py_CLEAR(genes);
-        else
-            PyTuple_SET_ITEM(genes, i, city);
+    PyObject **ints = PyMem_Calloc(n, sizeof(PyObject *)), *result = NULL;
+    PyObject *genes = ints ? PyList_New(count) : PyErr_NoMemory();
+    PyObject *sizes = genes ? PyList_New(count) : NULL;
+    int ok = sizes != NULL;
+    for (Py_ssize_t i = 0; ok && i < n; i++)
+        ok = (ints[i] = PyLong_FromSsize_t(i)) != NULL;
+    for (Py_ssize_t k = 0; ok && k < count; k++) {
+        PyObject *tour = PyTuple_New(n), *length = tour ? length_to_int(lengths[k]) : NULL;
+        for (Py_ssize_t i = 0; tour != NULL && i < n; i++)
+            PyTuple_SET_ITEM(tour, i, Py_NewRef(ints[tours[k * n + i]]));
+        PyList_SET_ITEM(genes, k, tour);
+        PyList_SET_ITEM(sizes, k, length);
+        ok = tour != NULL && length != NULL;
     }
-    return genes;
+    if (ok)
+        result = PyTuple_Pack(2, genes, sizes);
+    for (Py_ssize_t i = 0; ints != NULL && i < n; i++)
+        Py_XDECREF(ints[i]);
+    PyMem_Free(ints);
+    Py_XDECREF(genes);
+    Py_XDECREF(sizes);
+    return result;
 }
 
 /* The directed length of the closed tour, summed in 128 bits. */
@@ -116,14 +204,13 @@ static int is_open(const uint64_t *open_cities, int c)
 }
 
 /* Fills tour[] with the greedy crossover of the parents whose successor arrays
-   are sa and sb, from city first, and *length with its length, summed as the
-   tour is built. open_cities is scratch for (n + 63) / 64 words, one set bit
-   per unvisited city. A dead end draws k below the open count as randrange
-   does and takes the k-th set bit in ascending order, skipping whole words by
-   their popcount. 0 with an exception set when a dead-end draw fails. */
-static int crossover(const int *sa, const int *sb, int first, const long long *dist,
-                     Py_ssize_t n, PyObject *getrandbits, uint64_t *open_cities, int *tour,
-                     unsigned __int128 *length)
+   are sa and sb, from city first, and returns its length, summed as the tour
+   is built. open_cities is scratch for (n + 63) / 64 words, one set bit per
+   unvisited city. A dead end draws k below the open count as randrange does
+   and takes the k-th set bit in ascending order, skipping whole words by
+   their popcount. */
+static unsigned __int128 crossover(const int *sa, const int *sb, int first, const long long *dist,
+                                   Py_ssize_t n, uint32_t *mt, uint64_t *open_cities, int *tour)
 {
     Py_ssize_t words = (n + 63) / 64;
     memset(open_cities, 0xff, words * sizeof *open_cities);
@@ -140,9 +227,7 @@ static int crossover(const int *sa, const int *sb, int first, const long long *d
         else if (is_open(open_cities, eb))
             nxt = eb;
         else {
-            long k = draw_below(getrandbits, n - i);
-            if (k < 0)
-                return 0;
+            long k = draw_below(mt, n - i);
             /* k is below the open count: the walk stops on a word with more than k bits */
             const uint64_t *word = open_cities;
             for (; k >= __builtin_popcountll(*word); word++)
@@ -156,8 +241,7 @@ static int crossover(const int *sa, const int *sb, int first, const long long *d
         sum += (unsigned long long)row[nxt];
         current = tour[i] = nxt;
     }
-    *length = sum + (unsigned long long)dist[(Py_ssize_t)current * n + first];
-    return 1;
+    return sum + (unsigned long long)dist[(Py_ssize_t)current * n + first];
 }
 
 /* n, holding view, when obj is a C-ordered n x n matrix (n >= 1) of native
@@ -177,22 +261,11 @@ static Py_ssize_t int64_matrix(PyObject *obj, Py_buffer *view)
     return 0;
 }
 
-/* *x = random(); 0 with an exception set when the call or its conversion fails. */
-static int uniform(PyObject *random, double *x)
+/* One Ranking.draw, order[bisect_right(cum, random())]; random() is below
+   1.0, which is cum[p - 1], so the bisect never passes the last rank. */
+static int draw(uint32_t *mt, const double *cum, const int *order, Py_ssize_t p)
 {
-    PyObject *r = PyObject_CallNoArgs(random);
-    *x = r ? PyFloat_AsDouble(r) : -1.0;
-    Py_XDECREF(r);
-    return !(*x == -1.0 && PyErr_Occurred());
-}
-
-/* One Ranking.draw, order[bisect_right(cum, random())], as a member index below
-   p; -1 with an exception set when random() fails or the draw is out of range. */
-static long draw(PyObject *random, const double *cum, PyObject *order, Py_ssize_t p)
-{
-    double x;
-    if (!uniform(random, &x))
-        return -1;
+    double x = random_float(mt);
     Py_ssize_t lo = 0, hi = p;
     while (lo < hi) {
         Py_ssize_t mid = (lo + hi) / 2;
@@ -201,154 +274,188 @@ static long draw(PyObject *random, const double *cum, PyObject *order, Py_ssize_
         else
             lo = mid + 1;
     }
-    if (lo >= PyList_GET_SIZE(order)) {
-        PyErr_SetString(PyExc_IndexError, "list index out of range");
-        return -1;
-    }
-    long index = PyLong_AsLong(PyList_GET_ITEM(order, lo));
-    if ((index < 0 || index >= p) && !PyErr_Occurred())
-        PyErr_Format(PyExc_ValueError, "order holds %ld, not a member index", index);
-    return PyErr_Occurred() ? -1 : index;
+    return order[lo];
 }
 
 /* ga.select_parents' retry loop over p canonical rows of n cities: up to retries
    tries of two draws, *ib redrawn while it equals *ia, ending at the first pair
    whose rows agree in at most threshold of their n places, else at the last
-   pair; 0 with an exception set when a draw fails. */
-static int select_retry(PyObject *random, const double *cum, PyObject *order, Py_ssize_t p,
-                        const int *rows, Py_ssize_t n, double threshold,
-                        Py_ssize_t retries, long *ia, long *ib)
+   pair. */
+static void select_retry(uint32_t *mt, const double *cum, const int *order, Py_ssize_t p,
+                         const int *rows, Py_ssize_t n, double threshold, Py_ssize_t retries,
+                         int *ia, int *ib)
 {
     for (Py_ssize_t t = 0; t < retries; t++) {
-        if ((*ia = draw(random, cum, order, p)) < 0)
-            return 0;
+        *ia = draw(mt, cum, order, p);
         do
-            *ib = draw(random, cum, order, p);
+            *ib = draw(mt, cum, order, p);
         while (*ib == *ia);
-        if (*ib < 0)
-            return 0;
-        const int *ra = rows + *ia * n, *rb = rows + *ib * n;
+        const int *ra = rows + (Py_ssize_t)*ia * n, *rb = rows + (Py_ssize_t)*ib * n;
         Py_ssize_t same = 0;
         for (Py_ssize_t j = 0; j < n; j++)
             same += ra[j] == rb[j];
         if ((double)same / (double)n <= threshold)
             break;
     }
-    return 1;
 }
 
-/* breed(genes, lengths, order, cum, distances, threshold, retries, crossover_prob,
-   mutation_prob, count, random, getrandbits) -> (children, lengths): count
-   children of ga.next_generation's loop, drawing as it does; None, before any
-   draw, unless distances is a C-ordered n x n int64 matrix with n >= 2 and the
-   P >= 2 members' genes are tuples permuting 0..n-1. */
-static PyObject *breed(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* A member's length and index; qsort by_length orders them as a stable sort
+   by length does. */
+typedef struct {
+    unsigned __int128 length;
+    Py_ssize_t index;
+} Ranked;
+
+static int by_length(const void *a, const void *b)
+{
+    const Ranked *x = a, *y = b;
+    return x->length != y->length ? (x->length > y->length) - (x->length < y->length)
+                                  : (x->index > y->index) - (x->index < y->index);
+}
+
+/* evolve(genes, lengths, distances, threshold, retries, crossover_prob,
+   mutation_prob, elite_count, generations, patience, target, rng) -> (genes,
+   lengths, bests): ga.evolve's loop, stopping after the first generation at
+   which stop_reason would fire. None, before rng is touched, unless distances
+   is a C-ordered n x n int64 matrix with n >= 2, genes a list of p >= 2
+   tuples permuting 0..n-1, lengths a list of p ints in [0, 2**128),
+   0 < elite_count < p, generations >= 0, retries >= 1, patience None or an
+   int, target None, an int or a float, and the numbers convert. */
+static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 12)
         return PyErr_Format(PyExc_TypeError, "expected 12 arguments, got %zd", nargs);
-    PyObject *genes = args[0], *lengths = args[1], *order = args[2], *cum_list = args[3];
-    PyObject *random = args[10], *getrandbits = args[11];
-    double threshold = PyFloat_AsDouble(args[5]), cross_prob = PyFloat_AsDouble(args[7]);
-    double mutation_prob = PyFloat_AsDouble(args[8]), x;
-    Py_ssize_t retries = PyLong_AsSsize_t(args[6]), count = PyLong_AsSsize_t(args[9]);
-    if (PyErr_Occurred())
-        return NULL;
+    PyObject *genes = args[0], *lengths = args[1], *target = args[10], *rng = args[11];
+    double threshold = PyFloat_AsDouble(args[3]), cross_prob = PyFloat_AsDouble(args[5]);
+    double mutation_prob = PyFloat_AsDouble(args[6]);
+    Py_ssize_t retries = PyLong_AsSsize_t(args[4]), elite = PyLong_AsSsize_t(args[7]);
+    Py_ssize_t generations = PyLong_AsSsize_t(args[8]);
+    Py_ssize_t patience = args[9] == Py_None ? 0 : PyLong_AsSsize_t(args[9]);
+    int declined = PyErr_Occurred() != NULL
+        || (target != Py_None && !PyLong_CheckExact(target) && !PyFloat_CheckExact(target));
+    PyErr_Clear();
     Py_buffer view;
-    Py_ssize_t n = int64_matrix(args[4], &view);
+    Py_ssize_t n = int64_matrix(args[2], &view);
     Py_ssize_t p = PyList_Check(genes) ? PyList_GET_SIZE(genes) : 0;
-    int *succ = NULL, *rows = NULL, *tour = NULL;
+    int *tours = NULL;  /* this generation's and the next's, then succ, rows and order */
     unsigned char *seen = NULL;
     uint64_t *open_cities = NULL;
     double *cum = NULL;
-    PyObject *children = NULL, *child_lengths = NULL, *result = Py_None;  /* borrowed until done */
-    if (n < 2 || p < 2 || retries < 1 || count < 0 || !PyList_Check(lengths)
-        || !PyList_Check(order) || !PyList_Check(cum_list) || PyList_GET_SIZE(lengths) != p
-        || PyList_GET_SIZE(order) != p || PyList_GET_SIZE(cum_list) != p)
+    Ranked *ranked = NULL;
+    unsigned __int128 *sizes = NULL;
+    PyObject *bests = NULL, *made = NULL, *result = Py_None;  /* borrowed until done */
+    if (declined || n < 2 || p < 2 || elite < 1 || elite >= p || generations < 0 || retries < 1
+        || !PyList_Check(lengths) || PyList_GET_SIZE(lengths) != p)
         goto done;
-    succ = PyMem_New(int, p * n);
-    rows = PyMem_New(int, p * n);
-    tour = PyMem_New(int, n);
+    tours = PyMem_New(int, 4 * p * n + p);
     seen = PyMem_Malloc(n);
     open_cities = PyMem_New(uint64_t, (n + 63) / 64);
     cum = PyMem_New(double, p);
-    if (succ == NULL || rows == NULL || tour == NULL || seen == NULL || open_cities == NULL
-        || cum == NULL) {
+    ranked = PyMem_New(Ranked, p);
+    sizes = PyMem_New(unsigned __int128, 2 * p);
+    if (tours == NULL || seen == NULL || open_cities == NULL || cum == NULL || ranked == NULL
+        || sizes == NULL) {
         result = PyErr_NoMemory();
         goto done;
     }
-    for (Py_ssize_t i = 0; i < p; i++) {
-        if (!successors(PyList_GET_ITEM(genes, i), n, succ + i * n, seen))
+    for (Py_ssize_t i = 0; i < p; i++)
+        if (!read_tour(PyList_GET_ITEM(genes, i), n, tours + i * n, seen)
+            || !bounded(PyList_GET_ITEM(lengths, i), ~(unsigned __int128)0, sizes + i))
             goto done;
-        for (int j = 0, city = 0; j < n; j++, city = succ[i * n + city])
-            rows[i * n + j] = city;
-    }
     result = NULL;
-    for (Py_ssize_t i = 0; i < p && !PyErr_Occurred(); i++)
-        cum[i] = PyFloat_AsDouble(PyList_GET_ITEM(cum_list, i));
-    if (PyErr_Occurred() || (children = PyList_New(count)) == NULL
-        || (child_lengths = PyList_New(count)) == NULL)
+    uint32_t mt[625];
+    if ((bests = PyList_New(0)) == NULL || !load_twister(rng, mt))
         goto done;
-    for (Py_ssize_t k = 0; k < count; k++) {
-        long ia, ib, copy = -1;
-        unsigned __int128 length = 0;
-        if (!select_retry(random, cum, order, p, rows, n, threshold, retries, &ia, &ib)
-            || !uniform(random, &x))
-            goto done;
-        if (x < cross_prob) {
-            int first = (int)PyLong_AsLong(PyTuple_GET_ITEM(PyList_GET_ITEM(genes, ia), 0));
-            if (!crossover(succ + ia * n, succ + ib * n, first, view.buf, n, getrandbits,
-                           open_cities, tour, &length))
-                goto done;
+    for (Py_ssize_t r = 1, total = p * (p + 1) / 2; r <= p; r++)
+        cum[r - 1] = (double)(r * (r + 1) / 2) / (double)total;
+    int *now = tours, *next = tours + p * n, *succ = next + p * n, *rows = succ + p * n;
+    int *order = rows + p * n;
+    unsigned __int128 *length = sizes, *next_length = sizes + p, best = 0;
+    for (Py_ssize_t i = 0; i < p; i++)
+        best = i == 0 || length[i] < best ? length[i] : best;
+    /* same: how many of the last history entries equal the last one; stop_reason's
+       tail of a negative patience is one entry or none, so it fires at once */
+    Py_ssize_t same = 1;
+    for (Py_ssize_t g = 1, stop = 0; !stop && g <= generations; g++) {
+        for (Py_ssize_t i = 0; i < p; i++) {
+            const int *tour = now + i * n;
+            int *s = succ + i * n;
+            for (Py_ssize_t j = 0, prev = tour[n - 1]; j < n; prev = tour[j++])
+                s[prev] = tour[j];
+            for (Py_ssize_t j = 0, city = 0; j < n; j++, city = s[city])
+                rows[i * n + j] = (int)city;
+            ranked[i] = (Ranked){length[i], i};
         }
-        else {
-            int le = PyObject_RichCompareBool(PyList_GET_ITEM(lengths, ia),
-                                              PyList_GET_ITEM(lengths, ib), Py_LE);
-            if (le < 0)
-                goto done;
-            copy = le ? ia : ib;
+        qsort(ranked, p, sizeof *ranked, by_length);
+        /* the Ranking's order: longest first, ties in member order */
+        for (Py_ssize_t end = p, k = 0, start; end > 0; end = start) {
+            for (start = end - 1; start > 0 && ranked[start - 1].length == ranked[end - 1].length;)
+                start--;
+            for (Py_ssize_t i = start; i < end; i++)
+                order[k++] = (int)ranked[i].index;
         }
-        if (mutation_prob > 0.0 && !uniform(random, &x))
-            goto done;
-        if (mutation_prob > 0.0 && x < mutation_prob) {
-            for (Py_ssize_t i = 0; copy >= 0 && i < n; i++)
-                tour[i] = (int)PyLong_AsLong(PyTuple_GET_ITEM(PyList_GET_ITEM(genes, copy), i));
-            long i = draw_below(getrandbits, n), j = i < 0 ? -1 : draw_below(getrandbits, n - 1);
-            if (j < 0)
-                goto done;
-            j += j >= i;
-            int city = tour[i];
-            tour[i] = tour[j];
-            tour[j] = city;
-            copy = -1;
-            length = tour_length(tour, view.buf, n);
+        for (Py_ssize_t k = 0; k < p; k++) {
+            int *child = next + k * n, ia = (int)ranked[k].index, ib;
+            if (k >= elite) {
+                select_retry(mt, cum, order, p, rows, n, threshold, retries, &ia, &ib);
+                if (random_float(mt) < cross_prob) {
+                    next_length[k] = crossover(succ + (Py_ssize_t)ia * n, succ + (Py_ssize_t)ib * n,
+                                               now[(Py_ssize_t)ia * n], view.buf, n, mt,
+                                               open_cities, child);
+                    ia = -1;
+                }
+                else if (length[ib] < length[ia])
+                    ia = ib;
+            }
+            if (ia >= 0) {
+                memcpy(child, now + (Py_ssize_t)ia * n, n * sizeof *child);
+                next_length[k] = length[ia];
+            }
+            if (k >= elite && mutation_prob > 0.0 && random_float(mt) < mutation_prob) {
+                long i = draw_below(mt, n), j = draw_below(mt, n - 1);
+                j += j >= i;
+                int city = child[i];
+                child[i] = child[j];
+                child[j] = city;
+                next_length[k] = tour_length(child, view.buf, n);
+            }
         }
-        PyObject *child = copy >= 0 ? Py_NewRef(PyList_GET_ITEM(genes, copy)) : cities(tour, n);
-        PyObject *size = copy >= 0 ? Py_NewRef(PyList_GET_ITEM(lengths, copy))
-                                   : length_to_int(length);
-        PyList_SET_ITEM(children, k, child);
-        PyList_SET_ITEM(child_lengths, k, size);
-        if (child == NULL || size == NULL)
-            goto done;
+        int *swap = now;
+        now = next;
+        next = swap;
+        unsigned __int128 *swap_length = length, last = best;
+        length = next_length;
+        next_length = swap_length;
+        for (Py_ssize_t i = 0; i < p; i++)
+            best = i == 0 || length[i] < best ? length[i] : best;
+        same = best == last ? same + 1 : 1;
+        PyObject *value = length_to_int(best);
+        stop = value == NULL || PyList_Append(bests, value) < 0
+               || (patience != 0 && same >= patience)
+               || (target != Py_None && PyObject_RichCompareBool(value, target, Py_LE) != 0);
+        Py_XDECREF(value);
     }
-    result = PyTuple_Pack(2, children, child_lengths);
+    if (PyErr_Occurred() || !store_twister(rng, mt) || (made = population(now, length, p, n)) == NULL)
+        goto done;
+    result = PyTuple_Pack(3, PyTuple_GET_ITEM(made, 0), PyTuple_GET_ITEM(made, 1), bests);
 done:
-    Py_XDECREF(children);
-    Py_XDECREF(child_lengths);
+    Py_XDECREF(made);
+    Py_XDECREF(bests);
+    PyMem_Free(sizes);
+    PyMem_Free(ranked);
     PyMem_Free(cum);
     PyMem_Free(open_cities);
     PyMem_Free(seen);
-    PyMem_Free(tour);
-    PyMem_Free(rows);
-    PyMem_Free(succ);
+    PyMem_Free(tours);
     if (n > 0)
         PyBuffer_Release(&view);
     return result == Py_None ? Py_NewRef(Py_None) : result;
 }
 
-/* random_tours(count, distances, getrandbits) -> (tours, lengths): count
-   tours, each list(range(n)) with i swapped for randbelow(i + 1) at
-   i = n-1 ... 1 as random.shuffle does, and their lengths; None, before any
-   draw, unless distances is a C-ordered n x n int64 matrix with n >= 2. */
+/* random_tours(count, distances, rng) -> (tours, lengths): count tours, each
+   list(range(n)) with i swapped for randbelow(i + 1) at i = n-1 ... 1 as
+   random.shuffle does, and their lengths; None, before rng is touched, unless
+   distances is a C-ordered n x n int64 matrix with n >= 2. */
 static PyObject *random_tours(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 3)
@@ -363,31 +470,30 @@ static PyObject *random_tours(PyObject *module, PyObject *const *args, Py_ssize_
             PyBuffer_Release(&view);
         Py_RETURN_NONE;
     }
-    int tour[n];
-    PyObject *tours = PyList_New(count), *lengths = tours ? PyList_New(count) : NULL;
+    int *tours = count <= PY_SSIZE_T_MAX / 16 / n ? PyMem_New(int, count * n) : NULL;
+    unsigned __int128 *lengths = PyMem_New(unsigned __int128, count);
     PyObject *result = NULL;
-    for (Py_ssize_t k = 0; lengths != NULL && k < count; k++) {
-        for (int i = 0; i < n; i++)
-            tour[i] = i;
-        for (Py_ssize_t i = n - 1; i > 0; i--) {
-            long j = draw_below(args[2], i + 1);
-            if (j < 0)
-                goto done;
-            int city = tour[i];
-            tour[i] = tour[j];
-            tour[j] = city;
+    uint32_t mt[625];
+    if (tours == NULL || lengths == NULL)
+        PyErr_NoMemory();
+    else if (load_twister(args[2], mt)) {
+        for (Py_ssize_t k = 0; k < count; k++) {
+            int *tour = tours + k * n;
+            for (int i = 0; i < n; i++)
+                tour[i] = i;
+            for (Py_ssize_t i = n - 1; i > 0; i--) {
+                long j = draw_below(mt, i + 1);
+                int city = tour[i];
+                tour[i] = tour[j];
+                tour[j] = city;
+            }
+            lengths[k] = tour_length(tour, view.buf, n);
         }
-        PyObject *genes = cities(tour, n), *length = length_to_int(tour_length(tour, view.buf, n));
-        PyList_SET_ITEM(tours, k, genes);
-        PyList_SET_ITEM(lengths, k, length);
-        if (genes == NULL || length == NULL)
-            goto done;
+        if (store_twister(args[2], mt))
+            result = population(tours, lengths, count, n);
     }
-    if (lengths != NULL)
-        result = PyTuple_Pack(2, tours, lengths);
-done:
-    Py_XDECREF(tours);
-    Py_XDECREF(lengths);
+    PyMem_Free(lengths);
+    PyMem_Free(tours);
     PyBuffer_Release(&view);
     return result;
 }
@@ -500,20 +606,6 @@ static void put_u32(unsigned char *p, unsigned long x)
     p[3] = (unsigned char)(x >> 24);
 }
 
-/* 1, storing obj at *x, when obj is an int in [0, max]; else 0, with no
-   exception set. */
-static int bounded(PyObject *obj, unsigned long long max, unsigned long long *x)
-{
-    if (!PyLong_CheckExact(obj))
-        return 0;
-    *x = PyLong_AsUnsignedLongLong(obj);
-    if (*x == (unsigned long long)-1 && PyErr_Occurred()) {
-        PyErr_Clear();
-        return 0;
-    }
-    return *x <= max;
-}
-
 /* encode_records(genes, lengths, key) -> list of bytes: the record that
    codec.encode_chromosome(genes[k], lengths[k], key) packs, for every k; None,
    with no exception set, unless genes and lengths are lists or tuples of one
@@ -523,7 +615,7 @@ static PyObject *encode_records(PyObject *module, PyObject *const *args, Py_ssiz
 {
     if (nargs != 3)
         return PyErr_Format(PyExc_TypeError, "expected 3 arguments, got %zd", nargs);
-    unsigned long long key, length, city;
+    unsigned __int128 key, length, city;
     if (!bounded(args[2], 0xFFFFFFFFULL, &key)
         || (!PyList_Check(args[0]) && !PyTuple_Check(args[0]))
         || (!PyList_Check(args[1]) && !PyTuple_Check(args[1])))
@@ -576,7 +668,7 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"breed", (PyCFunction)(void (*)(void))breed, METH_FASTCALL, NULL},
+    {"evolve", (PyCFunction)(void (*)(void))evolve, METH_FASTCALL, NULL},
     {"random_tours", (PyCFunction)(void (*)(void))random_tours, METH_FASTCALL, NULL},
     {"decode_records", (PyCFunction)(void (*)(void))decode_records, METH_FASTCALL, NULL},
     {"encode_records", (PyCFunction)(void (*)(void))encode_records, METH_FASTCALL, NULL},

@@ -1,10 +1,9 @@
 """Build and load the compiled GA kernel, the extension module `_xover.c`.
 
-The kernel runs a whole GA step per call: `breed` makes a generation's
-children and `random_tours` an initial population. `ga.next_generation` and
-`ga.random_population` call it, and run their Python loops instead for float
-weights, for an rng that is not an exact random.Random and, in
-next_generation, for genes that are not tuples permuting 0..n-1.
+`evolve` runs a reduce task's or an sga run's generations in one call, and
+`random_tours` an initial population, for `ga.evolve` and
+`ga.random_population`; they run their Python loops instead for float
+weights, an rng that is not `ga._plain`, and genes that are not tuples.
 `decode_records` decodes a reduce key's records for `island.decode_island`,
 which decodes record by record through `codec.decode_chromosome` instead
 when a record is faulty; `encode_records` encodes a reduce key's members for
@@ -72,25 +71,20 @@ def _remove_stale(target: Path, stem: str, suffix: str) -> None:
 def load(source: Path = SOURCE, cache: Path | None = None):
     """The kernel module, or None when it cannot be built or loaded.
 
-    breed(genes, lengths, order, cum, distances, threshold, retries,
-    crossover_prob, mutation_prob, count, random, getrandbits) -> (children,
-    lengths) makes count children as next_generation's loop does, from the
-    members' gene tuples and lengths, a Ranking's order and cum and the rng's
-    bound random and getrandbits. A crossover dead end draws k from
-    getrandbits as randrange would and takes the k-th open city in ascending
-    order, from a bitmap of the open cities; a crossover child's length is
-    summed as it is built. A copy that does not mutate is the parent's own
-    tuple and length. It returns None, having drawn nothing, for a negative
-    count and unless distances is a C-ordered int64 matrix of n >= 2 cities
-    and each of the P >= 2 members' genes is a tuple permuting 0..n-1.
-
-    random_tours(count, distances, getrandbits) -> (tours, lengths) makes
-    count gene tuples as random.shuffle shuffles list(range(n)), with the
-    same getrandbits calls, and their lengths. It returns None, having drawn
-    nothing, unless distances is a C-ordered int64 matrix of n >= 2 cities.
-
-    Lengths are summed in 128 bits, exact for any non-negative weights. An
-    exception raised by getrandbits or random reaches the caller.
+    evolve(genes, lengths, distances, threshold, retries, crossover_prob,
+    mutation_prob, elite_count, generations, patience, target, rng) ->
+    (genes, lengths, bests) is ga.evolve's loop, the population kept in C
+    arrays. It returns None, before it touches rng, unless distances is a
+    C-ordered int64 matrix of n >= 2 cities, genes a list of p >= 2 tuples
+    permuting 0..n-1, lengths p ints in [0, 2**128), 0 < elite_count < p,
+    generations >= 0, retries >= 1, patience None or an int and target
+    None, an int or a float. random_tours(count, distances, rng) -> (tours,
+    lengths) shuffles count tours as random.shuffle shuffles list(range(n))
+    and sums them; it returns None unless distances is such a matrix. Both
+    read rng's Mersenne Twister with _random.Random.getstate, draw from it
+    as random() and getrandbits() do, and write it back with setstate, so
+    that outputs and rng state equal the loops'. Lengths are summed in 128
+    bits, exact for any non-negative weights.
 
     decode_records(values, key) -> (genes, lengths) decodes a list or tuple
     of codec records into their gene tuples and tour lengths, in order. It

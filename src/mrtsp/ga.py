@@ -3,7 +3,8 @@
 A population is two parallel lists: genes, a tuple of cities per member, and
 lengths, each member's tour length. Tours are directed: on asymmetric
 instances the cost of a tour and of its reversal differ. All randomness flows
-through an explicit random.Random so fixed seeds reproduce runs exactly.
+through an explicit random.Random so fixed seeds reproduce runs exactly; the
+compiled kernel behind evolve draws from a copy of its Mersenne Twister.
 """
 
 from __future__ import annotations
@@ -19,11 +20,14 @@ from .reports import RunReport, accuracy_percent
 from .tsplib import Instance
 
 # The compiled `_xover` module, built at first import and loaded once, so forked
-# pool workers inherit it. next_generation and random_population run a whole
-# step through it, or their Python loops when it is None (it cannot be built) or
-# declines: float weights, an rng that is not an exact random.Random, or genes
-# that are not tuples.
+# pool workers inherit it; None when it cannot be built, and ga runs its loops.
 _KERNEL = _xover.load()
+
+
+def _plain(rng) -> bool:
+    """An exact random.Random with no instance override of a method: the kernel's
+    copy of its Mersenne Twister then draws what the rng's methods would."""
+    return type(rng) is random.Random and vars(rng).keys() <= {"gauss_next"}
 
 
 @dataclass(frozen=True)
@@ -112,12 +116,7 @@ class Ranking:
     def __init__(self, lengths):
         n = len(lengths)
         self.order = sorted(range(n), key=lengths.__getitem__, reverse=True)
-        total = n * (n + 1) // 2
-        cum, acc = [], 0
-        for r in range(1, n + 1):
-            acc += r
-            cum.append(acc / total)
-        self.cum = cum
+        self.cum = [r * (r + 1) / (n * (n + 1)) for r in range(1, n + 1)]
 
     def draw(self, rng: random.Random) -> int:
         """Member index of one rank-proportional draw."""
@@ -131,9 +130,8 @@ def select_parents(ranking: Ranking, rows, rng: random.Random,
     and after max_parent_retries failures the constraint is waived so
     converged populations cannot livelock.
 
-    Inside next_generation the kernel's breed runs this loop in C; this is
-    the reference, and the path for float weights, an rng that is not an
-    exact random.Random, and genes that are not tuples.
+    Inside evolve the kernel runs this loop in C; this is the reference, and
+    the path for the inputs and rngs the kernel declines.
     """
     draw = ranking.draw
     threshold = params.similarity_threshold
@@ -157,8 +155,8 @@ def greedy_crossover(first: int, succ_a: list[int], succ_b: list[int],
     that one; if both are visited pick uniformly among the unvisited cities
     in ascending city order via one rng.randrange draw.
     Returns (child, length), the length summed in the same order as
-    tour_length sums it. As with select_parents, breed runs these steps in C
-    inside next_generation, and this loop serves the inputs it declines.
+    tour_length sums it. As with select_parents, the kernel runs these steps
+    in C inside evolve, and this loop serves the inputs it declines.
     """
     n = len(succ_a)
     rows = instance.rows
@@ -217,24 +215,14 @@ def next_generation(genes: list, lengths: list, instance: Instance, rng: random.
     selection, greedy crossover (else a copy of the better parent) and
     mutation. Output size equals input size.
 
-    With the kernel loaded and an exact random.Random, breed makes all the
-    children in one call with the loop's draws in the loop's order. It
-    declines, and the loop below runs, unless the weights are a C-ordered
-    int64 matrix of at least 2 cities, genes and lengths are lists and each
-    member's genes a tuple permuting the cities."""
+    The reference loop: the kernel runs it in C inside evolve, and evolve
+    loops it for what the kernel declines."""
     size = len(genes)
     if size <= params.elite_count:
         raise ValueError("population smaller than elite_count + 1")
 
     new_genes, new_lengths = shortest(genes, lengths, params.elite_count)
     ranking = Ranking(lengths)
-    if _KERNEL is not None and type(rng) is random.Random:
-        bred = _KERNEL.breed(genes, lengths, ranking.order, ranking.cum, instance.distances,
-                             params.similarity_threshold, params.max_parent_retries,
-                             params.crossover_prob, params.mutation_prob,
-                             size - len(new_genes), rng.random, rng.getrandbits)
-        if bred is not None:
-            return new_genes + bred[0], new_lengths + bred[1]
     rows = list(map(canonical, genes))
     succs = list(map(successors, genes))
     while len(new_genes) < size:
@@ -256,12 +244,12 @@ def random_population(instance: Instance, params: GaParams,
                       rng: random.Random) -> tuple[list, list]:
     """(genes, lengths) of population_size tours made by random_tour.
 
-    With the kernel loaded and an exact random.Random, random_tours shuffles
-    and sums them all in one call, with random.shuffle's getrandbits calls in
-    its order. It declines, and the loop below runs, unless the weights are a
-    C-ordered int64 matrix of at least 2 cities."""
-    if _KERNEL is not None and type(rng) is random.Random:
-        made = _KERNEL.random_tours(params.population_size, instance.distances, rng.getrandbits)
+    With the kernel loaded and a _plain rng, random_tours shuffles and sums
+    them all in one call, drawing as random.shuffle does. It declines, and
+    the loop below runs, unless the weights are a C-ordered int64 matrix of
+    at least 2 cities."""
+    if _KERNEL is not None and _plain(rng):
+        made = _KERNEL.random_tours(params.population_size, instance.distances, rng)
         if made is not None:
             return made
     genes = [tuple(random_tour(instance.dimension, rng)) for _ in range(params.population_size)]
@@ -294,10 +282,35 @@ def stop_reason(best_history: list[float], generations_used: int, budget: int,
     return None
 
 
+def evolve(genes: list, lengths: list, instance: Instance, rng: random.Random, params: GaParams,
+           generations: int, patience=None, target=None) -> tuple[list, list, list]:
+    """(genes, lengths, bests): next_generation until `generations` or, after
+    each, stop_reason([min(lengths)] + bests, ...) ends it; bests holds each
+    generation's shortest length. With the kernel loaded and a _plain rng,
+    one kernel call runs them all, drawing as the loop does from the rng's
+    state, read and written back once. It declines, and the loop runs, for
+    weights that are not a C-ordered int64 matrix of 2 or more cities, genes
+    that are not a list of tuples permuting them, or lengths not ints below 2**128."""
+    if _KERNEL is not None and _plain(rng):
+        evolved = _KERNEL.evolve(genes, lengths, instance.distances, params.similarity_threshold,
+                                 params.max_parent_retries, params.crossover_prob,
+                                 params.mutation_prob, params.elite_count, generations,
+                                 patience, target, rng)
+        if evolved is not None:
+            return evolved
+    history = [min(lengths, default=None)]  # next_generation rejects an empty population
+    while len(history) <= generations:
+        genes, lengths = next_generation(genes, lengths, instance, rng, params)
+        history.append(min(lengths))
+        if stop_reason(history, len(history) - 1, generations, patience, target):
+            break
+    return genes, lengths, history[1:]
+
+
 def run_sga(instance: Instance, params: GaParams, max_generations: int,
             termination: TerminationPolicy | None = None, seed: int = 0) -> RunReport:
-    """Sequential GA: random initial population, then next_generation until
-    the budget or the termination policy ends the run."""
+    """Sequential GA: random initial population, then evolve until the
+    budget or the termination policy ends the run."""
     if max_generations < 1:
         raise ValueError(f"max_generations must be >= 1, got {max_generations}")
     term = termination or TerminationPolicy()
@@ -306,14 +319,10 @@ def run_sga(instance: Instance, params: GaParams, max_generations: int,
 
     genes, lengths = random_population(instance, params, rng)
     trajectory = [min(lengths)]
-    generations = 0
-    reason = None
-    while reason is None:
-        genes, lengths = next_generation(genes, lengths, instance, rng, params)
-        generations += 1
-        trajectory.append(min(lengths))
-        reason = stop_reason(trajectory, generations, max_generations,
-                             term.patience, term.target_length)
+    genes, lengths, bests = evolve(genes, lengths, instance, rng, params, max_generations,
+                                   term.patience, term.target_length)
+    trajectory += bests
+    reason = stop_reason(trajectory, len(bests), max_generations, term.patience, term.target_length)
 
     best = min(range(len(lengths)), key=lengths.__getitem__)
     snapshot = asdict(params)
@@ -327,7 +336,7 @@ def run_sga(instance: Instance, params: GaParams, max_generations: int,
         best_length=lengths[best],
         best_tour=genes[best],
         trajectory=trajectory,
-        generations=generations,
+        generations=len(bests),
         wall_seconds=time.perf_counter() - t0,
         stop_reason=reason,
         accuracy=accuracy_percent(instance.known_optimum, lengths[best]),

@@ -21,7 +21,7 @@ from .codec import (MAX_LENGTH, decode_chromosome, encode_chromosome, peek_lengt
                     with_pop_id)
 from .engine import (Engine, EngineError, JobSpec, MemoryStore, Record,
                      default_partition, identity_mapper)
-from .ga import GaParams, next_generation, random_population, shortest, stop_reason
+from .ga import GaParams, evolve, random_population, shortest, stop_reason
 from .reports import RunReport, accuracy_percent
 from .tsplib import Instance
 
@@ -164,8 +164,8 @@ class EvolveReducer:
         size = self.params.ga.population_size
         if len(genes) > size:
             genes, lengths = shortest(genes, lengths, size)
-        for _ in range(self.params.migration_interval):
-            genes, lengths = next_generation(genes, lengths, self.instance, rng, self.params.ga)
+        genes, lengths, _ = evolve(genes, lengths, self.instance, rng, self.params.ga,
+                                   self.params.migration_interval)
 
         values = encode_island(key, genes, lengths)
         out = [Record(key, value) for value in values]
@@ -289,7 +289,7 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     params = params if params is not None else IslandParams()
     start = time.perf_counter()
     store = store if store is not None else MemoryStore()
-    evolve = EvolveReducer(instance, params)  # one object, so the run forks one pool
+    reducer = EvolveReducer(instance, params)  # one object, so the run forks one pool
     budget_rounds = -(-params.max_total_generations // params.migration_interval)
     round_s = 0.0  # the last round's seconds: none is timed before round 1 ends
     with Engine(store, workers=1) as engine:
@@ -302,7 +302,7 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
             round_number = len(rounds) + 1
             _pool_if_it_pays(engine, workers, budget_rounds - len(rounds), round_s)
             round_start = time.perf_counter()
-            handle = engine.run_job(_island_job(params, round_number, handle, evolve,
+            handle = engine.run_job(_island_job(params, round_number, handle, reducer,
                                                 master_seed), parts)
             del parts  # hold one set's records at a time: the scan reads the next
             parts, island_bests, best_record = _scan_set(store, handle, params.num_islands)

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from mrtsp import _xover, ga as ga_module
-from mrtsp.ga import (GaParams, Ranking, TerminationPolicy, canonical, greedy_crossover,
-                      mutate, next_generation, random_population, random_tour, run_sga,
+from mrtsp.ga import (GaParams, Ranking, TerminationPolicy, canonical, evolve,
+                      greedy_crossover, mutate, next_generation, random_population,
+                      random_tour, run_sga,
                       select_parents, shortest, similarity, stop_reason, successors,
                       tour_length)
 from mrtsp.oracle import held_karp
@@ -454,20 +455,25 @@ def test_a_build_removes_the_libraries_of_earlier_sources(tmp_path):
     assert len(list(cache.glob(f"_xover-*{suffix}"))) == 1
 
 
-# -- breed: one kernel call per generation -------------------------------------------
+# -- evolve: a run's generations in one kernel call ---------------------------------
 
-def breed_args(genes, lengths, instance, params, rng):
-    ranking = Ranking(lengths)
-    return (genes, lengths, ranking.order, ranking.cum, instance.distances,
-            params.similarity_threshold, params.max_parent_retries, params.crossover_prob,
-            params.mutation_prob, len(genes) - params.elite_count, rng.random, rng.getrandbits)
+def evolve_args(genes, lengths, instance, params, rng, generations=1, patience=None,
+                target=None):
+    """The kernel's evolve arguments for ga.evolve's."""
+    return (genes, lengths, instance.distances, params.similarity_threshold,
+            params.max_parent_retries, params.crossover_prob, params.mutation_prob,
+            params.elite_count, generations, patience, target, rng)
 
 
 DECLINED = ["float64", "int32", "fortran", "list", "duplicate"]
 GENE_FAULTS = ["short", "long", "above_n", "last_above_n", "negative", "beyond_a_c_long",
-               "float_city", "none_city"]
+               "float_city", "none_city", "bool_city"]
 ODD_WEIGHTS = ["uint64", "big_endian", "strided", "non_square", "three_d", "one_city", "empty",
                "nested_list"]
+ARG_FAULTS = ["elite_count_p", "elite_count_0", "negative_generations", "no_retries",
+              "float_length", "bool_length", "negative_length", "length_2**128",
+              "lengths_short", "lengths_tuple", "genes_tuple", "one_member", "float_patience",
+              "str_target", "float_threshold_str"]
 
 
 def declined_case(bad):
@@ -483,21 +489,25 @@ def declined_case(bad):
     return inst, genes, lengths, params
 
 
+def declines(args):
+    """Whether the kernel's evolve(*args) returns None, its rng (args[-1])
+    untouched: a random.Random(1) at the call."""
+    declined = ga_module._KERNEL.evolve(*args) is None
+    return declined and args[-1].getstate() == random.Random(1).getstate()
+
+
 @needs_kernel
 @pytest.mark.parametrize("bad", DECLINED)
 def test_breed_declines_before_any_draw_and_the_loop_runs_as_before(bad, monkeypatch):
     inst, genes, lengths, params = declined_case(bad)
-    rng = random.Random(1)
-    state = rng.getstate()
-    assert ga_module._KERNEL.breed(*breed_args(genes, lengths, inst, params, rng)) is None
-    assert rng.getstate() == state
+    assert declines(evolve_args(genes, lengths, inst, params, random.Random(1), 3))
     outcomes = []
-    # the kernel as it is, then with breed declining everything: the per-child loop
-    for breed in (ga_module._KERNEL.breed, lambda *args: None):
-        monkeypatch.setattr(ga_module._KERNEL, "breed", breed)
+    # the kernel as it is, then with evolve declining everything: the generation loop
+    for entry in (ga_module._KERNEL.evolve, lambda *args: None):
+        monkeypatch.setattr(ga_module._KERNEL, "evolve", entry)
         rng = random.Random(2)
         try:
-            out = next_generation(genes, lengths, inst, rng, params)
+            out = evolve(genes, lengths, inst, rng, params, 3)
         except ValueError as exc:  # a parent that is not a permutation
             out = repr(exc)
         outcomes.append((out, rng.getstate()))
@@ -509,7 +519,8 @@ def gene_fault(bad, tour, n):
     return {"short": tour[:-1], "long": (*tour, n),
             "above_n": (n, *tour[1:]), "last_above_n": (*tour[:-1], n),
             "negative": (-1, *tour[1:]), "beyond_a_c_long": (2**70, *tour[1:]),
-            "float_city": (float(tour[0]), *tour[1:]), "none_city": (None, *tour[1:])}[bad]
+            "float_city": (float(tour[0]), *tour[1:]), "none_city": (None, *tour[1:]),
+            "bool_city": tuple(True if city == 1 else city for city in tour)}[bad]
 
 
 @needs_kernel
@@ -518,24 +529,47 @@ def test_breed_declines_genes_that_do_not_permute_the_cities(bad):
     inst, genes, lengths, params = declined_case("none")
     tour = genes[3]
     genes[3] = gene_fault(bad, tour, inst.dimension)
-    rng = random.Random(1)
-    state = rng.getstate()
     # returning None with an exception still set would raise SystemError here
-    assert ga_module._KERNEL.breed(*breed_args(genes, lengths, inst, params, rng)) is None
-    assert rng.getstate() == state
+    assert declines(evolve_args(genes, lengths, inst, params, random.Random(1)))
     genes[3] = tour
-    assert ga_module._KERNEL.breed(*breed_args(genes, lengths, inst, params, rng)) is not None
+    assert not declines(evolve_args(genes, lengths, inst, params, random.Random(1)))
+
+
+def arg_fault(bad, args):
+    """The kernel's evolve arguments args with the fault named bad."""
+    genes, lengths = list(args[0]), list(args[1])
+    index, value = {
+        "elite_count_p": (7, len(genes)), "elite_count_0": (7, 0),
+        "negative_generations": (8, -1), "no_retries": (4, 0),
+        "float_length": (1, [float(lengths[0]), *lengths[1:]]),
+        "bool_length": (1, [True, *lengths[1:]]),
+        "negative_length": (1, [-1, *lengths[1:]]),
+        "length_2**128": (1, [2**128, *lengths[1:]]),
+        "lengths_short": (1, lengths[:-1]), "lengths_tuple": (1, tuple(lengths)),
+        "genes_tuple": (0, tuple(genes)), "one_member": (0, genes[:1]),
+        "float_patience": (9, 2.0), "str_target": (10, "7"),
+        "float_threshold_str": (3, "0.8")}[bad]
+    if bad == "one_member":
+        return (genes[:1], lengths[:1], *args[2:7], 0, *args[8:])
+    return (*args[:index], value, *args[index + 1:])
+
+
+@needs_kernel
+@pytest.mark.parametrize("bad", ARG_FAULTS)
+def test_evolve_declines_other_arguments_before_any_draw(bad):
+    inst, genes, lengths, params = declined_case("none")
+    assert declines(arg_fault(bad, evolve_args(genes, lengths, inst, params, random.Random(1), 3)))
 
 
 @needs_kernel
 def test_breed_declines_a_negative_count_before_any_draw():
+    # the count is now evolve's generations; 0 of them is no draw and no change
     inst, genes, lengths, params = declined_case("none")
+    assert declines(evolve_args(genes, lengths, inst, params, random.Random(1), -1))
     rng = random.Random(1)
     state = rng.getstate()
-    args = breed_args(genes, lengths, inst, params, rng)
-    assert ga_module._KERNEL.breed(*args[:9], -1, *args[10:]) is None
-    assert rng.getstate() == state
-    assert ga_module._KERNEL.breed(*args[:9], 0, *args[10:]) == ([], [])
+    assert ga_module._KERNEL.evolve(*evolve_args(genes, lengths, inst, params, rng, 0)) == \
+        (genes, lengths, [])
     assert rng.getstate() == state
 
 
@@ -558,10 +592,9 @@ def odd_weights(case, n=8):
 def test_kernel_declines_weights_that_are_not_a_c_ordered_int64_matrix(case):
     weights = odd_weights(case)
     _, genes, lengths, params = declined_case("none")
-    # a PoisonRng is not callable, so a draw would raise
-    args = breed_args(genes, lengths, SimpleNamespace(distances=weights), params,
-                      random.Random(1))
-    assert ga_module._KERNEL.breed(*args[:-2], PoisonRng(), PoisonRng()) is None
+    # the kernel reads a PoisonRng's state only by raising, so a touch would raise
+    args = evolve_args(genes, lengths, SimpleNamespace(distances=weights), params, PoisonRng())
+    assert ga_module._KERNEL.evolve(*args) is None
     assert ga_module._KERNEL.random_tours(9, weights, PoisonRng()) is None
 
 
@@ -576,10 +609,9 @@ def test_kernel_takes_any_c_ordered_int64_buffer(case, tmp_path, monkeypatch):
     assert weights.flags.c_contiguous and (case != "row_offset" or weights.base is not None)
     inst = Instance("buffer", 8, weights)
     params = GaParams(population_size=10, mutation_prob=0.5, crossover_prob=0.8)
-    assert ga_module._KERNEL.random_tours(9, inst.distances, random.Random(1).getrandbits)
+    assert ga_module._KERNEL.random_tours(9, inst.distances, random.Random(1))
     genes, lengths = random_population(inst, params, random.Random(2))
-    assert ga_module._KERNEL.breed(*breed_args(genes, lengths, inst, params,
-                                               random.Random(3))) is not None
+    assert not declines(evolve_args(genes, lengths, inst, params, random.Random(1)))
     compiled, loop = kernel_and_loop_generation(genes, lengths, inst, params, 3, monkeypatch)
     assert compiled == loop
     populations = []
@@ -607,6 +639,16 @@ def failing_at_call(name, k):
     return rng
 
 
+def refuse_the_kernel(monkeypatch):
+    """Make the kernel's evolve and random_tours fail the test if called:
+    ga must take its loops for an rng whose instance overrides a method."""
+    def refuse(*args):
+        raise AssertionError("the kernel drew from an rng with an instance override")
+
+    for name in ("evolve", "random_tours"):
+        monkeypatch.setattr(ga_module._KERNEL, name, refuse)
+
+
 @needs_kernel
 @pytest.mark.parametrize("name", ["random", "getrandbits"])
 @pytest.mark.parametrize("k", [1, 2, 3, 17, 90, 400])
@@ -614,13 +656,14 @@ def test_breed_raises_what_the_loop_raises_after_as_many_calls(name, k, monkeypa
     inst = random_instance(20, (1, 5), seed=8)
     params = GaParams(population_size=12, mutation_prob=0.5, crossover_prob=0.8)
     start = random_population(inst, params, random.Random(9))
+    refuse_the_kernel(monkeypatch)
     outcomes = []
     for kernel in (ga_module._KERNEL, None):
         monkeypatch.setattr(ga_module, "_KERNEL", kernel)
         rng, population = failing_at_call(name, k), start
         with pytest.raises(LookupError, match=f"{name} failed at call {k}$"):
             for _ in range(200):
-                population = next_generation(*population, inst, rng, params)
+                population = evolve(*population, inst, rng, params, 1)[:2]
         outcomes.append((rng.calls, rng.getstate(), population))
     assert outcomes[0] == outcomes[1]
 
@@ -630,26 +673,25 @@ def test_breed_runs_only_for_an_exact_random(monkeypatch):
     class Subclass(random.Random):
         pass
 
-    def refuse(*args):
-        raise AssertionError("breed drew from a random.Random subclass")
-
     inst = random_instance(12, (1, 9), seed=2)
     params = GaParams(population_size=10, mutation_prob=0.5)
     genes, lengths = random_population(inst, params, random.Random(4))
-    monkeypatch.setattr(ga_module._KERNEL, "breed", refuse)
-    compiled = next_generation(genes, lengths, inst, Subclass(5), params)
+    refuse_the_kernel(monkeypatch)
+    compiled = evolve(genes, lengths, inst, Subclass(5), params, 3)
     monkeypatch.setattr(ga_module, "_KERNEL", None)
-    assert compiled == next_generation(genes, lengths, inst, Subclass(5), params)
+    assert compiled == evolve(genes, lengths, inst, Subclass(5), params, 3)
 
 
-def kernel_and_loop_generation(genes, lengths, inst, params, seed, monkeypatch):
-    """next_generation from random.Random(seed), with the kernel and then
-    without it: each run's genes, lengths and rng state afterwards."""
+def kernel_and_loop_generation(genes, lengths, inst, params, seed, monkeypatch, generations=3):
+    """ga.evolve from random.Random(seed), with the kernel and then without
+    it: each run's genes, lengths with their types, bests and rng state."""
     outcomes = []
     for kernel in (ga_module._KERNEL, None):
         monkeypatch.setattr(ga_module, "_KERNEL", kernel)
         rng = random.Random(seed)
-        outcomes.append((*next_generation(genes, lengths, inst, rng, params), rng.getstate()))
+        genes_out, lengths_out, bests = evolve(genes, lengths, inst, rng, params, generations)
+        outcomes.append((genes_out, [(length, type(length)) for length in lengths_out], bests,
+                         rng.getstate()))
     monkeypatch.undo()
     return outcomes
 
@@ -666,19 +708,28 @@ def test_breed_sums_lengths_beyond_64_bits_exactly(monkeypatch):
     inst = huge_instance()
     params = GaParams(population_size=10, mutation_prob=0.5, crossover_prob=0.8)
     genes, lengths = random_population(inst, params, random.Random(2))
-    assert ga_module._KERNEL.breed(*breed_args(genes, lengths, inst, params,
-                                               random.Random(3))) is not None
+    assert not declines(evolve_args(genes, lengths, inst, params, random.Random(1)))
     compiled, loop = kernel_and_loop_generation(genes, lengths, inst, params, 3, monkeypatch)
     assert compiled == loop
-    genes, lengths, _ = compiled
-    assert all(type(length) is int for length in lengths)
-    assert max(lengths) > 2**64
-    assert lengths == [tour_length(tour, inst) for tour in genes]
+    genes, lengths, _, _ = compiled
+    assert all(kind is int for _, kind in lengths)
+    assert max(length for length, _ in lengths) > 2**64
+    assert [length for length, _ in lengths] == [tour_length(tour, inst) for tour in genes]
+
+
+@needs_kernel
+def test_evolve_reads_member_lengths_up_to_128_bits(monkeypatch):
+    # lengths are read as given, not recomputed: the widest the kernel takes
+    inst, genes, lengths, params = declined_case("none")
+    lengths = [2**128 - 1, 2**64, 2**64 - 1, *lengths[3:]]
+    compiled, loop = kernel_and_loop_generation(genes, lengths, inst, params, 5, monkeypatch)
+    assert compiled == loop
+    assert not declines(evolve_args(genes, lengths, inst, params, random.Random(1)))
 
 
 def recording_bits(rng):
     """rng with an instance-level getrandbits that appends the bits of each
-    call to rng.bits; an exact random.Random still, so the kernel draws from it."""
+    call to rng.bits; an exact random.Random still, but ga's loops serve it."""
     real, rng.bits = rng.getrandbits, []
 
     def getrandbits(k):
@@ -692,23 +743,25 @@ def recording_bits(rng):
 @needs_kernel
 @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 171])
 def test_breed_picks_dead_ends_across_bitmap_words_as_the_loop_does(n, monkeypatch):
-    # a dead end takes the k-th open city from a bitmap of 64-city words
+    # a dead end takes the k-th open city from a bitmap of 64-city words; the
+    # recording rng proves the loop meets dead ends, and the kernel, run from a
+    # plain rng of the same seed, must match the loop's genes, lengths and state
     inst = weighted(n)
     params = GaParams(population_size=16, crossover_prob=1.0, mutation_prob=0.5)
     start = random_population(inst, params, random.Random(n))
-    outcomes = []
-    for kernel in (ga_module._KERNEL, None):
-        monkeypatch.setattr(ga_module, "_KERNEL", kernel)
-        rng, population = recording_bits(random.Random(n + 1)), start
-        for _ in range(3):
-            population = next_generation(*population, inst, rng, params)
-        genes, lengths = population
-        outcomes.append((genes, [(length, type(length)) for length in lengths], rng.bits,
-                         rng.getstate()))
-    assert outcomes[0] == outcomes[1]
+    kernel_evolve = ga_module._KERNEL.evolve
+    refuse_the_kernel(monkeypatch)
+    looped = recording_bits(random.Random(n + 1))
+    genes, lengths, bests = evolve(*start, inst, looped, params, 3)
+    plain = random.Random(n + 1)
+    compiled = kernel_evolve(*evolve_args(*start, inst, params, plain, 3))
+    assert compiled[0] == genes and compiled[2] == bests
+    assert [(length, type(length)) for length in compiled[1]] == \
+        [(length, type(length)) for length in lengths]
+    assert plain.getstate() == looped.getstate()
     # a mutation draws n.bit_length() and (n - 1).bit_length() bits; fewer
     # come only from dead ends, drawn below the open count
-    assert sum(bits < (n - 1).bit_length() for bits in outcomes[0][2]) > 10
+    assert sum(bits < (n - 1).bit_length() for bits in looped.bits) > 10
 
 
 @needs_kernel
@@ -717,8 +770,7 @@ def test_breed_takes_more_than_256_cities(monkeypatch):
     inst = Instance("wide", n, np.random.default_rng(n).integers(1, 10, (n, n)))
     params = GaParams(population_size=10, mutation_prob=0.5, crossover_prob=0.8)
     genes, lengths = random_population(inst, params, random.Random(n))
-    assert ga_module._KERNEL.breed(*breed_args(genes, lengths, inst, params,
-                                               random.Random(4))) is not None
+    assert not declines(evolve_args(genes, lengths, inst, params, random.Random(1)))
     compiled, loop = kernel_and_loop_generation(genes, lengths, inst, params, 4, monkeypatch)
     assert compiled == loop
 
@@ -728,21 +780,90 @@ def test_breed_raises_what_a_draw_past_the_last_rank_raises(monkeypatch):
     inst = random_instance(12, (1, 9), seed=2)
     params = GaParams(population_size=10)
     genes, lengths = random_population(inst, params, random.Random(4))
+    refuse_the_kernel(monkeypatch)
     outcomes = []
     for kernel in (ga_module._KERNEL, None):
         monkeypatch.setattr(ga_module, "_KERNEL", kernel)
         # an exact random.Random whose first random() is 1.0, a value no rank
-        # draw can take: it passes the last cumulative probability
+        # draw can take: it passes the last cumulative probability. random()
+        # itself never returns 1.0, so the kernel, which declines this rng,
+        # has no such branch
         rng = random.Random(5)
         real, firsts = rng.random, [1.0]
         rng.random = lambda: firsts.pop() if firsts else real()
         with pytest.raises(IndexError, match="list index out of range"):
-            next_generation(genes, lengths, inst, rng, params)
+            evolve(genes, lengths, inst, rng, params, 2)
         outcomes.append(rng.getstate())
     assert outcomes[0] == outcomes[1]
     monkeypatch.undo()
-    # the kernel is still usable after an aborted call
-    assert len(next_generation(genes, lengths, inst, random.Random(1), params)[0]) == 10
+    # the kernel runs as before for a plain rng
+    assert len(evolve(genes, lengths, inst, random.Random(1), params, 2)[0]) == 10
+
+
+def twisted(index, gauss_next=0.25):
+    """A random.Random set by setstate to the words of random.Random(index)
+    at word index `index`, with gauss_next a float."""
+    rng = random.Random()
+    words = random.Random(index).getstate()[1][:624]
+    rng.setstate((3, (*words, index), gauss_next))
+    return rng
+
+
+@needs_kernel
+@pytest.mark.parametrize("index", [0, 1, 623, 624])
+def test_kernel_draws_cross_the_twist_as_the_rng_does(index, monkeypatch):
+    # word index 623 or 624 twists at the first or second word drawn; every
+    # run below draws more than 624 words, so each crosses a twist
+    inst = weighted(40)
+    params = GaParams(population_size=20, mutation_prob=0.3, crossover_prob=0.9)
+    start = random_population(inst, params, random.Random(7))
+    outcomes = []
+    for kernel in (ga_module._KERNEL, None):
+        monkeypatch.setattr(ga_module, "_KERNEL", kernel)
+        rng = twisted(index)
+        made = random_population(inst, params, rng)
+        made_state = rng.getstate()
+        rng = twisted(index)
+        evolved = evolve(*start, inst, rng, params, 4)
+        outcomes.append((made, made_state, evolved, rng.getstate()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1][2] == outcomes[0][3][2] == 0.25  # gauss_next untouched
+    monkeypatch.undo()
+    assert not declines(evolve_args(*start, inst, params, random.Random(1)))
+
+
+def stop_target(case, inst, params, seed):
+    """target_length for case, from the loop's run without a target."""
+    first = min(random_population(inst, params, random.Random(seed))[1])
+    trajectory = run_sga(inst, params, 60, seed=seed).trajectory
+    falls = [(a, b) for a, b in zip(trajectory, trajectory[1:]) if b < a]
+    return {"none": None, "below_every_length": -1, "above_the_first_best": first + 0.5,
+            "float_between_lengths": (falls[-1][0] + falls[-1][1]) / 2,
+            "int": falls[len(falls) // 2][1]}[case]
+
+
+@needs_kernel
+@pytest.mark.parametrize("patience", [None, -1, 0, 1, 3, 20])
+@pytest.mark.parametrize("target", ["none", "below_every_length", "above_the_first_best",
+                                    "float_between_lengths", "int"])
+def test_run_sga_stops_where_the_loop_stops(patience, target, monkeypatch):
+    inst = random_instance(24, (1, 60), seed=11)
+    params = GaParams(population_size=14, mutation_prob=0.1)
+    with monkeypatch.context() as loop:
+        loop.setattr(ga_module, "_KERNEL", None)
+        goal = stop_target(target, inst, params, seed=12)
+        looped = run_sga(inst, params, 60, TerminationPolicy(goal, patience), seed=12)
+    compiled = run_sga(inst, params, 60, TerminationPolicy(goal, patience), seed=12)
+    fields = ("best_length", "best_tour", "trajectory", "generations", "stop_reason")
+    assert [getattr(compiled, f) for f in fields] == [getattr(looped, f) for f in fields]
+    if target == "above_the_first_best":
+        assert compiled.generations == 1
+        assert compiled.stop_reason == ("stagnation" if patience in (-1, 1) else "target")
+    if patience in (-1, 1):  # a tail of one entry, history[-1:] or history[1:], fires at once
+        assert (compiled.generations, compiled.stop_reason) == (1, "stagnation")
+    # the kernel took the run
+    start = random_population(inst, params, random.Random(12))
+    assert not declines(evolve_args(*start, inst, params, random.Random(1), 60, patience, goal))
 
 
 # -- random_tours: the initial population in one kernel call -------------------------
@@ -757,7 +878,7 @@ def test_random_tours_equal_random_tour_and_tour_length(n):
     inst = weighted(n)
     for seed in range(200):
         kernel_rng, loop_rng = random.Random(seed), random.Random(seed)
-        tours, lengths = ga_module._KERNEL.random_tours(7, inst.distances, kernel_rng.getrandbits)
+        tours, lengths = ga_module._KERNEL.random_tours(7, inst.distances, kernel_rng)
         loop = [random_tour(n, loop_rng) for _ in range(7)]
         assert tours == [tuple(genes) for genes in loop]
         assert lengths == [tour_length(genes, inst) for genes in loop]
@@ -779,7 +900,7 @@ def test_random_population_runs_the_loop_where_the_kernel_cannot(case, monkeypat
 
     if case == "subclass":
         monkeypatch.setattr(ga_module._KERNEL, "random_tours", refuse)
-    else:  # a PoisonRng is not callable, so a draw would raise
+    else:  # the kernel reads a PoisonRng's state only by raising
         assert ga_module._KERNEL.random_tours(9, inst.distances, PoisonRng()) is None
     outcomes = []
     for kernel in (ga_module._KERNEL, None):
@@ -795,6 +916,7 @@ def test_random_population_runs_the_loop_where_the_kernel_cannot(case, monkeypat
 @pytest.mark.parametrize("k", [1, 2, 40, 300])
 def test_random_population_raises_what_getrandbits_raises(k, monkeypatch):
     inst, params = weighted(20), GaParams(population_size=30)
+    refuse_the_kernel(monkeypatch)
     outcomes = []
     for kernel in (ga_module._KERNEL, None):
         monkeypatch.setattr(ga_module, "_KERNEL", kernel)
@@ -804,7 +926,7 @@ def test_random_population_raises_what_getrandbits_raises(k, monkeypatch):
         outcomes.append((rng.calls, rng.getstate()))
     assert outcomes[0] == outcomes[1]
     monkeypatch.undo()
-    # the kernel is still usable after an aborted call
+    # the kernel runs as before for a plain rng
     assert len(random_population(inst, params, random.Random(1))[0]) == 30
 
 
@@ -824,37 +946,35 @@ def outcome_of(fn, *args):
     """"made", "none" or "raised": what fn(*args) did, its result dropped."""
     try:
         return "none" if fn(*args) is None else "made"
-    except LookupError:
+    except TypeError:
         return "raised"
 
 
 def refcounts(*objects):
-    """sys.getrefcount of each object, then of each tour in the first."""
-    return [sys.getrefcount(obj) for obj in objects] + [sys.getrefcount(t) for t in objects[0]]
+    """sys.getrefcount of each object, then of each item of the first two."""
+    return [sys.getrefcount(obj) for obj in objects] + \
+        [sys.getrefcount(item) for items in objects[:2] for item in items]
 
 
 @needs_kernel
 def test_breed_leaves_refcounts_unchanged():
-    # a crossover_prob of 0.5 makes copies, which share their parents' tuples
+    # a crossover_prob of 0.5 makes copies; the 128-bit lengths are read through int.to_bytes
     inst = random_instance(20, (1, 5), seed=8)
     params = GaParams(population_size=12, mutation_prob=0.5, crossover_prob=0.5)
     genes, lengths = random_population(inst, params, random.Random(9))
     declined = genes[:5] + [list(genes[5])] + genes[6:]
-    cases = [("made", genes, inst.distances, random.Random(1)),
-             ("none", declined, inst.distances, random.Random(1)),
-             ("none", genes, inst.distances.astype(np.float64), random.Random(1))]
-    cases += [("raised", genes, inst.distances, failing_at_call(name, k))
-              for name, ks in (("random", (1, 2, 17, 40)), ("getrandbits", (1, 2, 9, 20)))
-              for k in ks]
-    for expected, tours, distances, rng in cases:
-        ranking = Ranking(lengths)
-        inputs = (tours, lengths, ranking.order, ranking.cum, distances)
-        before = refcounts(*inputs)
-        assert outcome_of(ga_module._KERNEL.breed, *inputs, params.similarity_threshold,
-                          params.max_parent_retries, params.crossover_prob,
-                          params.mutation_prob, len(tours) - 1, rng.random,
-                          rng.getrandbits) == expected
-        assert refcounts(*inputs) == before, (expected, getattr(rng, "calls", None))
+    wide = [2**100 + length for length in lengths]
+    cases = [("made", genes, lengths, inst.distances, random.Random(1)),
+             ("made", genes, wide, inst.distances, random.Random(1)),
+             ("none", declined, lengths, inst.distances, random.Random(1)),
+             ("none", genes, lengths[:-1] + [2**128], inst.distances, random.Random(1)),
+             ("none", genes, lengths, inst.distances.astype(np.float64), random.Random(1)),
+             ("raised", genes, lengths, inst.distances, object())]
+    for expected, tours, sizes, distances, rng in cases:
+        args = evolve_args(tours, sizes, SimpleNamespace(distances=distances), params, rng, 4)
+        before = refcounts(tours, sizes, distances, rng)
+        assert outcome_of(ga_module._KERNEL.evolve, *args) == expected
+        assert refcounts(tours, sizes, distances, rng) == before, expected
 
 
 @needs_kernel
@@ -862,10 +982,9 @@ def test_random_tours_leave_refcounts_unchanged():
     distances = weighted(20).distances
     cases = [("made", distances, random.Random(1)),
              ("none", distances.astype(np.float64), random.Random(1)),
-             ("none", distances.astype(np.int32), random.Random(1))]
-    cases += [("raised", distances, failing_at_call("getrandbits", k)) for k in (1, 2, 40, 200)]
+             ("none", distances.astype(np.int32), random.Random(1)),
+             ("raised", distances, object())]
     for expected, weights, rng in cases:
-        getrandbits = rng.getrandbits
-        before = [sys.getrefcount(weights), sys.getrefcount(getrandbits)]
-        assert outcome_of(ga_module._KERNEL.random_tours, 12, weights, getrandbits) == expected
-        assert [sys.getrefcount(weights), sys.getrefcount(getrandbits)] == before, expected
+        before = [sys.getrefcount(weights), sys.getrefcount(rng)]
+        assert outcome_of(ga_module._KERNEL.random_tours, 12, weights, rng) == expected
+        assert [sys.getrefcount(weights), sys.getrefcount(rng)] == before, expected

@@ -104,34 +104,85 @@ def on_rank_grid(rng, size):
     """rng, its random() now returning k / total, total being the rank weights'
     sum for a population of `size`: a Ranking's cumulative probabilities are
     such values, so draws land exactly on them, where bisect_right's tie rule
-    decides the rank. rng stays an exact random.Random."""
+    decides the rank. rng stays an exact random.Random, but its instance
+    override sends ga to its Python loops."""
     total, real = size * (size + 1) // 2, rng.random
     rng.random = lambda: int(real() * total) / total
     return rng
 
 
+def untemper(y):
+    """The Mersenne Twister state word that CPython's tempering turns into y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    t = y
+    for _ in range(5):
+        t = y ^ ((t << 7) & 0x9D2C5680)
+    t &= 0xFFFFFFFF
+    y = t
+    for _ in range(3):
+        t = y ^ (t >> 11)
+    return t
+
+
+def first_random(rng, x):
+    """rng, set to its own words at index 0 but for the first two, which are
+    untempered so that its first random() is exactly x, for x in [0.5, 1):
+    random() joins the top 27 and 26 bits of two words into x * 2**53, and
+    drops the low 5 and 6 bits, which keep the rng's own."""
+    m = int(x * 2**53)
+    assert m == x * 2**53 and 2**52 <= m < 2**53
+    words = list(rng.getstate()[1][:624])
+    words[0] = untemper((m >> 26) << 5 | words[0] & 31)
+    words[1] = untemper((m & (2**26 - 1)) << 6 | words[1] & 63)
+    rng.setstate((3, (*words, 0), None))
+    probe = random.Random()
+    probe.setstate(rng.getstate())
+    assert probe.random() == x
+    return rng
+
+
+class Refused:
+    """A stand-in kernel that fails the test if ga calls it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"ga called the kernel's {name}")
+
+
 @pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
 @settings(max_examples=200, deadline=None)
-@given(generation_cases(), st.integers(0, 2**32), st.booleans())
-def test_breed_matches_the_python_loop(case, seed, grid):
+@given(generation_cases(), st.integers(0, 2**32), st.integers(1, 3),
+       st.sampled_from(["plain", "first_on_a_cum", "first_below_a_cum", "on_rank_grid"]),
+       st.integers(0, 60))
+def test_breed_matches_the_python_loop(case, seed, generations, mode, pick):
+    # first_on_a_cum: both rngs' first random() is a Ranking.cum value of at
+    # least 0.5, so the kernel's bisect meets bisect_right's tie rule;
+    # first_below_a_cum: the double just below one, 2**-53 less;
+    # on_rank_grid: every draw is on the grid, and ga must take its loop
     inst, genes, lengths, params = case
     kernel_rng, loop_rng = random.Random(seed), random.Random(seed)
-    if grid:
+    kernel = ga._KERNEL
+    step = 2**-53 if mode == "first_below_a_cum" else 0.0
+    cums = [cum - step for cum in ga.Ranking(lengths).cum if 0.5 + step <= cum < 1.0]
+    if mode.startswith("first_") and cums:
+        kernel_rng, loop_rng = (first_random(rng, cums[pick % len(cums)])
+                                for rng in (kernel_rng, loop_rng))
+    if mode == "on_rank_grid":
         kernel_rng, loop_rng = (on_rank_grid(rng, len(genes)) for rng in (kernel_rng, loop_rng))
-    compiled = ga.next_generation(genes, lengths, inst, kernel_rng, params)
-    kernel, ga._KERNEL = ga._KERNEL, None
+        ga._KERNEL = Refused()
     try:
-        loop = ga.next_generation(genes, lengths, inst, loop_rng, params)
+        compiled = ga.evolve(genes, lengths, inst, kernel_rng, params, generations)
+        ga._KERNEL = None
+        loop = ga.evolve(genes, lengths, inst, loop_rng, params, generations)
     finally:
         ga._KERNEL = kernel
-    assert compiled[0] == loop[0]
+    assert compiled[0] == loop[0] and compiled[2] == loop[2]
     assert [(length, type(length)) for length in compiled[1]] == \
         [(length, type(length)) for length in loop[1]]
     assert kernel_rng.getstate() == loop_rng.getstate()
-    # breed took the generation: it does not decline such a population
-    ranking = Ranking(lengths)
-    assert kernel.breed(genes, lengths, ranking.order, ranking.cum, inst.distances,
-                        0.0, 1, 0.0, 0.0, 0, None, None) == ([], [])
+    # the kernel took the generations: it does not decline such a population
+    assert kernel.evolve(genes, lengths, inst.distances, 0.0, 1, 0.0, 0.0, params.elite_count,
+                         0, None, None, random.Random(0)) == (genes, lengths, [])
 
 
 @pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
@@ -151,5 +202,5 @@ def test_random_population_matches_the_python_loop(inst, size, seed):
         [(length, type(length)) for length in loop[1]]
     assert kernel_rng.getstate() == loop_rng.getstate()
     # random_tours took the int instances: it declines only float weights
-    taken = kernel.random_tours(0, inst.distances, None)
+    taken = kernel.random_tours(0, inst.distances, random.Random(0))
     assert taken == (None if inst.distances.dtype.kind == "f" else ([], []))

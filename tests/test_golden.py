@@ -101,12 +101,13 @@ def test_pga_rnd064_pinned(rnd064):
 
 @pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
 def test_breed_makes_every_child_of_the_int_weight_pins(rnd064, monkeypatch):
-    # the goldens hold even when breed declines, so make the per-child
-    # operators raise: these runs then pass only if breed made every child
+    # the goldens hold even when evolve declines, so make the generation loop
+    # and its per-child operators raise: these runs then pass only if the
+    # kernel's evolve made every generation
     def per_child(*args):
-        raise AssertionError("a child was bred outside the kernel's breed")
+        raise AssertionError("a generation was bred outside the kernel's evolve")
 
-    for name in ("select_parents", "greedy_crossover", "mutate"):
+    for name in ("next_generation", "select_parents", "greedy_crossover", "mutate"):
         monkeypatch.setattr(ga, name, per_child)
     assert digest(run_sga(rnd064, GaParams(population_size=50), 100, seed=0)) == SGA_GOLDEN[0]
     params = IslandParams(num_islands=4, migration_interval=5,

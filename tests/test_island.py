@@ -234,9 +234,10 @@ def test_reducer_and_dump_fault_alike_with_and_without_the_kernel(name, values, 
     # first bad record or member
     if name.startswith("evolves "):
         tour, length = UNENCODABLE[name.removeprefix("evolves ")]
-        monkeypatch.setattr(island_module, "next_generation",
+        monkeypatch.setattr(island_module, "evolve",
                             lambda genes, lengths, *args: (genes[:1] + [tour] + genes[2:],
-                                                           lengths[:1] + [length] + lengths[2:]))
+                                                           lengths[:1] + [length] + lengths[2:],
+                                                           []))
     reducer = EvolveReducer(INST10, SMALL)
     parts = [[], [Record(1, value) for value in values]]
     compiled = (outcome(reducer, 1, values, random.Random(0)),

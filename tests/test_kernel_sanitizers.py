@@ -1,14 +1,15 @@
 """The kernel built with AddressSanitizer and UBSan, run in a subprocess on
 the record faults decode_records must decline, the member faults
 encode_records must decline, valid records and members at their widest,
-the inputs breed and random_tours must decline before any draw (weights,
-genes and a negative count, as in test_ga.py), short sga and pga runs
-compared with the Python loops, which exercise breed and random_tours as
-well: breed at n = 65, 128 and 129, whose crossover bitmap of open cities
-ends in a partial or a full 64-bit word, and on weights whose tour lengths
-need more than 64 bits, and breed and random_tours runs whose rng raises at
-call k, compared with the Python loops' calls and rng state. Any report of
-either sanitizer aborts the subprocess."""
+the inputs evolve and random_tours must decline before they touch the rng
+(weights, genes, lengths, counts and stop rules, as in test_ga.py), short
+sga and pga runs compared with the Python loops, which exercise evolve and
+random_tours as well: evolve at n = 65, 128 and 129, whose crossover bitmap
+of open cities ends in a partial or a full 64-bit word, on weights whose
+tour lengths need more than 64 bits, on lengths read through int.to_bytes,
+from rng states whose draws cross the Mersenne Twister's twist, and with
+patience and a target that stop it early. Any report of either sanitizer
+aborts the subprocess."""
 
 import os
 import shutil
@@ -34,12 +35,12 @@ import numpy as np
 
 from mrtsp import ga
 from mrtsp.codec import decode_chromosome, encode_chromosome
-from mrtsp.ga import GaParams, run_sga
+from mrtsp.ga import GaParams, TerminationPolicy, run_sga
 from mrtsp.island import IslandParams, run_pga
 from mrtsp.tsplib import Instance, random_instance
 from test_codec import encode_faults, good_members, good_records, record_faults
-from test_ga import (DECLINED, GENE_FAULTS, ODD_WEIGHTS, breed_args, declined_case,
-                     failing_at_call, gene_fault, huge_instance, odd_weights, weighted)
+from test_ga import (ARG_FAULTS, DECLINED, GENE_FAULTS, ODD_WEIGHTS, arg_fault, declined_case,
+                     evolve_args, gene_fault, huge_instance, odd_weights, twisted, weighted)
 
 loader = importlib.machinery.ExtensionFileLoader("_xover", sys.argv[1])
 kernel = importlib.util.module_from_spec(importlib.util.spec_from_loader("_xover", loader))
@@ -62,29 +63,29 @@ assert kernel.encode_records([(2**32 - 1, 0)], [2**64 - 1], 2**32 - 1) == \\
     [encode_chromosome((2**32 - 1, 0), 2**64 - 1, 2**32 - 1)]
 
 
-def declines(inst, genes, lengths, params, count=None):
-    # breed returns None, having drawn nothing; count, when given, replaces its count
-    rng = random.Random(1)
-    args = breed_args(genes, lengths, inst, params, rng)
-    if count is not None:
-        args = (*args[:9], count, *args[10:])
-    assert kernel.breed(*args) is None
-    assert rng.getstate() == random.Random(1).getstate()
+def declines(args):
+    # evolve returns None, having left its rng, a random.Random(1), untouched
+    assert kernel.evolve(*args) is None
+    assert args[-1].getstate() == random.Random(1).getstate()
 
 
 for bad in DECLINED:
-    declines(*declined_case(bad))
+    inst, genes, lengths, params = declined_case(bad)
+    declines(evolve_args(genes, lengths, inst, params, random.Random(1), 3))
 inst, genes, lengths, params = declined_case("none")
 for bad in GENE_FAULTS:
-    declines(inst, genes[:3] + [gene_fault(bad, genes[3], inst.dimension)] + genes[4:], lengths,
-             params)
+    faulty = genes[:3] + [gene_fault(bad, genes[3], inst.dimension)] + genes[4:]
+    declines(evolve_args(faulty, lengths, inst, params, random.Random(1), 3))
+for bad in ARG_FAULTS:
+    declines(arg_fault(bad, evolve_args(genes, lengths, inst, params, random.Random(1), 3)))
 for case in ODD_WEIGHTS:
     odd = SimpleNamespace(distances=odd_weights(case))
-    declines(odd, genes, lengths, params)
+    declines(evolve_args(genes, lengths, odd, params, random.Random(1), 3))
     rng = random.Random(1)
-    assert kernel.random_tours(9, odd.distances, rng.getrandbits) is None, case
+    assert kernel.random_tours(9, odd.distances, rng) is None, case
     assert rng.getstate() == random.Random(1).getstate()
-declines(inst, genes, lengths, params, count=-1)
+wide = [2**128 - 1, 2**64, *lengths[2:]]
+assert kernel.evolve(*evolve_args(genes, wide, inst, params, random.Random(1), 3)) is not None
 
 
 def runs(solve):
@@ -92,8 +93,9 @@ def runs(solve):
     compiled = solve()
     ga._KERNEL = None
     looped = solve()
-    assert (compiled.best_length, compiled.best_tour, compiled.trajectory) == \\
-        (looped.best_length, looped.best_tour, looped.trajectory)
+    assert (compiled.best_length, compiled.best_tour, compiled.trajectory,
+            compiled.stop_reason) == \\
+        (looped.best_length, looped.best_tour, looped.trajectory, looped.stop_reason)
 
 
 runs(lambda: run_pga(random_instance(40, (1, 100), seed=3),
@@ -110,35 +112,26 @@ runs(lambda: run_sga(huge_instance(), GaParams(population_size=10, mutation_prob
                                                crossover_prob=0.8), 3, seed=2))
 
 
-def raises_alike(solve, name, k):
+small = random_instance(20, (1, 60), seed=11)
+for patience, target in ((3, None), (20, 300.5), (None, 353)):
+    runs(lambda: run_sga(small, GaParams(population_size=14, mutation_prob=0.1), 60,
+                         TerminationPolicy(target, patience), seed=12))
+
+
+def twists(index):
+    start = ga.random_population(weighted(40), GaParams(population_size=20), random.Random(7))
     outcomes = []
     for compiled in (kernel, None):
         ga._KERNEL = compiled
-        rng = failing_at_call(name, k)
-        try:
-            solve(rng)
-        except LookupError as exc:
-            outcomes.append((str(exc), rng.calls, rng.getstate()))
-    assert len(outcomes) == 2 and outcomes[0] == outcomes[1], (name, k)
+        rng = twisted(index)
+        made = ga.random_population(weighted(40), GaParams(population_size=20), rng)
+        evolved = ga.evolve(*start, weighted(40), rng, GaParams(population_size=20), 4)
+        outcomes.append((made, evolved, rng.getstate()))
+    assert outcomes[0] == outcomes[1], index
 
 
-tiny = random_instance(20, (1, 5), seed=8)
-small = GaParams(population_size=12, mutation_prob=0.5, crossover_prob=0.8)
-start = ga.random_population(tiny, small, random.Random(9))
-
-
-def generations(rng):
-    population = start
-    for _ in range(200):
-        population = ga.next_generation(*population, tiny, rng, small)
-
-
-for name in ("random", "getrandbits"):
-    for k in (1, 2, 17, 90, 400):
-        raises_alike(generations, name, k)
-for k in (1, 2, 40, 300):
-    raises_alike(lambda rng: ga.random_population(tiny, GaParams(population_size=30), rng),
-                 "getrandbits", k)
+for index in (0, 1, 623, 624):
+    twists(index)
 print("clean")
 """
 

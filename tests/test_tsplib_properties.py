@@ -1,8 +1,15 @@
-"""Property test for the TSPLIB parser: any text either parses into an
-Instance or raises ParseError, never another exception."""
+"""Property tests for the TSPLIB parser: any text either parses into an
+Instance or raises ParseError, never another exception; and every instance
+it accepts runs under sga and pga, or pga rejects it up front with a named
+error, alike with the compiled kernel and with the Python loops."""
+
+import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
+from mrtsp import ga
+from mrtsp.ga import GaParams, run_sga
+from mrtsp.island import IslandParams, NonIntegerWeightsError, TourLengthOverflowError, run_pga
 from mrtsp.tsplib import Instance, ParseError, parse_instance
 
 KEYWORDS = ["NAME", "TYPE", "COMMENT", "DIMENSION", "EDGE_WEIGHT_TYPE",
@@ -51,3 +58,39 @@ def test_parser_returns_an_instance_or_raises_parse_error(text):
         return
     assert isinstance(inst, Instance)
     assert inst.distances.shape == (inst.dimension, inst.dimension)
+
+
+def untimed(report):
+    """The report as a dict, less its timing fields."""
+    fields = dataclasses.asdict(report)
+    fields.pop("wall_seconds")
+    for summary in fields["rounds"]:
+        summary.pop("wall_seconds")
+        summary.pop("pooled")
+    return fields
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=documents(), population=st.integers(2, 4), generations=st.integers(1, 2),
+       seed=st.integers(0, 2**16))
+def test_every_parsed_instance_runs_or_is_rejected_by_name(text, population, generations, seed):
+    try:
+        inst = parse_instance(text)
+    except ParseError:
+        return
+    params = GaParams(population_size=population)
+    islands = IslandParams(num_islands=2, migration_interval=1, ga=params,
+                           max_total_generations=generations, convergence_patience=None)
+    kernel, outcomes = ga._KERNEL, []
+    try:
+        for compiled in (kernel, None):
+            ga._KERNEL = compiled
+            sga = untimed(run_sga(inst, params, generations, seed=seed))
+            try:
+                pga = untimed(run_pga(inst, islands, master_seed=seed))
+            except (NonIntegerWeightsError, TourLengthOverflowError) as exc:
+                pga = (type(exc), str(exc))
+            outcomes.append((sga, pga))
+    finally:
+        ga._KERNEL = kernel
+    assert outcomes[0] == outcomes[1]
