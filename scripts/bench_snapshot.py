@@ -7,10 +7,11 @@ Runs perfbench/run.py untraced (--trace 0) three times and traced (--trace 1)
 once for every workload, each in its own process, and writes the end-to-end
 metrics (every run's value and their median), each untraced run's median
 calibration-loop time, the per-layer metrics, the fingerprints, the machine
-and the `src/mrtsp` line count to the next free BENCH_<n>.json. Then prints
-every metric's ratio against the previous file, medians for end-to-end
-metrics, flagging those that got worse by more than their BENCHMARK.json
-bound, with each workload's old and new calibration time beside its ratios.
+and the `src/mrtsp` line counts, of all lines and of code lines, to the next
+free BENCH_<n>.json. Then prints both line totals, old and new, and every
+metric's ratio against the previous file, medians for end-to-end metrics,
+flagging those that got worse by more than their BENCHMARK.json bound, with
+each workload's old and new calibration time beside its ratios.
 A pga workload whose traced `engine.cpu_util` is below LOW_CPU_UTIL is
 flagged too, and then no file is written: the ratios still print, and the
 script names each flagged workload and exits with status 1. A regression
@@ -20,6 +21,7 @@ stays in the file.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import re
 import statistics
@@ -57,10 +59,27 @@ def run_perfbench(workload: str, seed: int, seconds: float, trace: int) -> tuple
     return metrics, provenance
 
 
-def line_counts() -> dict[str, int]:
+def code_lines(path: Path) -> int:
+    """Lines of code in a .py or .c file: in Python, those that are not blank,
+    not comment-only and not inside a docstring; in C, those left non-blank
+    once /* ... */ comments are removed."""
+    text = path.read_text()
+    if path.suffix == ".c":
+        return sum(1 for line in re.sub(r"/\*.*?\*/", "", text, flags=re.S).splitlines()
+                   if line.strip())
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(1 for number, line in enumerate(text.splitlines(), 1)
+               if number not in docstrings and line.strip() and not line.lstrip().startswith("#"))
+
+
+def line_counts(count=lambda path: len(path.read_text().splitlines())) -> dict[str, int]:
+    """count(file) for every .py and .c file in src/mrtsp, and their total."""
     src = ROOT / "src" / "mrtsp"
-    counts = {f.name: len(f.read_text().splitlines())
-              for f in sorted([*src.glob("*.py"), *src.glob("*.c")])}
+    counts = {f.name: count(f) for f in sorted([*src.glob("*.py"), *src.glob("*.c")])}
     return {**counts, "total": sum(counts.values())}
 
 
@@ -74,6 +93,9 @@ def low_cpu_util(snapshot: dict) -> dict[str, float]:
 
 def compare(new: dict, old: dict) -> None:
     bounds = {m["name"]: (m["bound"], m["better"]) for m in SPEC["end_to_end"]}
+    for key in ("src_mrtsp_lines", "src_mrtsp_code_lines"):
+        print(f"{key} total: {old.get(key, {}).get('total', 'not recorded')} -> "
+              f"{new[key]['total']}")
     low = low_cpu_util(new)
     for workload, cell in new["workloads"].items():
         before = old["workloads"].get(workload, {})
@@ -105,7 +127,8 @@ def main(argv=None) -> int:
     taken = [int(m.group(1)) for p in ROOT.glob("BENCH_*.json")
              if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
     snapshot = {"seed": args.seed, "seconds": args.seconds, "untraced_runs": UNTRACED_RUNS,
-                "notes": args.note, "workloads": {}, "src_mrtsp_lines": line_counts()}
+                "notes": args.note, "workloads": {}, "src_mrtsp_lines": line_counts(),
+                "src_mrtsp_code_lines": line_counts(code_lines)}
     for workload in (w["name"] for w in SPEC["workloads"]):
         runs = [run_perfbench(workload, args.seed, args.seconds, 0)
                 for _ in range(UNTRACED_RUNS)]

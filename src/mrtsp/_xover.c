@@ -19,15 +19,16 @@
    buffer protocol and return None, before they touch the rng, unless they
    are a C-ordered n x n int64 matrix (n >= 2) and, for evolve, the rest of
    its inputs are as its comment says; ga's Python loops run those. Lengths
-   are summed in 128 bits, exact for non-negative weights.
+   are summed in 64 bits, the record layout's width, so lengths below 2**64
+   are exact; a sum past 2**64 - 1 makes both return None too, the rng
+   untouched, since its Mersenne Twister is a local copy until written back.
 
-   decode_records decodes all of one reduce key's codec records in one call.
-   It returns None unless every record passes codec.decode_chromosome's checks
-   and carries the key as its pop_id and the N of the first, and island.py
-   then decodes record by record, so that the codec names the first fault.
-   encode_records packs a reduce key's members as codec.encode_chromosome
-   does; it returns None unless every member fits the layout, and island.py
-   then encodes record by record, so that the codec names the first fault. */
+   decode_records decodes a reduce key's codec records, and encode_records
+   packs its members, in one call each, as codec.decode_chromosome and
+   codec.encode_chromosome do. They return None unless every record passes the
+   codec's checks with the key as its pop_id and the N of the first, or every
+   member fits the layout; island.py then works record by record, so that the
+   codec names the first fault. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
@@ -126,42 +127,23 @@ static int read_tour(PyObject *genes, Py_ssize_t n, int *tour, unsigned char *se
     return 1;
 }
 
-/* 1, storing obj at *x, when obj is an int in [0, max]; else 0, with no
-   exception set. Beyond 64 bits it is read through int.to_bytes. */
-static int bounded(PyObject *obj, unsigned __int128 max, unsigned __int128 *x)
+/* 1, storing obj at *x, when obj is an int in [0, max], max below 2**64;
+   else 0, with no exception set. */
+static int bounded(PyObject *obj, uint64_t max, uint64_t *x)
 {
     if (!PyLong_CheckExact(obj))
         return 0;
     *x = PyLong_AsUnsignedLongLong(obj);
-    if (*x == (unsigned long long)-1 && PyErr_Occurred()) {
+    if (*x == (uint64_t)-1 && PyErr_Occurred()) {  /* negative, or 2**64 or more */
         PyErr_Clear();
-        PyObject *bytes = PyObject_CallMethod(obj, "to_bytes", "is", 16, "little");
-        if (bytes == NULL) {  /* negative, or 2**128 or more */
-            PyErr_Clear();
-            return 0;
-        }
-        *x = 0;
-        for (int i = 15; i >= 0; i--)
-            *x = *x << 8 | (unsigned char)PyBytes_AS_STRING(bytes)[i];
-        Py_DECREF(bytes);
+        return 0;
     }
     return *x <= max;
 }
 
-/* The length as a Python int, through hex digits when it needs more than 64 bits. */
-static PyObject *length_to_int(unsigned __int128 length)
-{
-    char hex[33];
-    if (length >> 64 == 0)
-        return PyLong_FromUnsignedLongLong((unsigned long long)length);
-    snprintf(hex, sizeof hex, "%llx%016llx", (unsigned long long)(length >> 64),
-             (unsigned long long)length);
-    return PyLong_FromString(hex, NULL, 16);
-}
-
 /* The list of count tours of n cities, as tuples of ints, and the list of
    their lengths, as a pair, or NULL with an exception set. */
-static PyObject *population(const int *tours, const unsigned __int128 *lengths, Py_ssize_t count,
+static PyObject *population(const int *tours, const uint64_t *lengths, Py_ssize_t count,
                             Py_ssize_t n)
 {
     PyObject **ints = PyMem_Calloc(n, sizeof(PyObject *)), *result = NULL;
@@ -171,7 +153,8 @@ static PyObject *population(const int *tours, const unsigned __int128 *lengths, 
     for (Py_ssize_t i = 0; ok && i < n; i++)
         ok = (ints[i] = PyLong_FromSsize_t(i)) != NULL;
     for (Py_ssize_t k = 0; ok && k < count; k++) {
-        PyObject *tour = PyTuple_New(n), *length = tour ? length_to_int(lengths[k]) : NULL;
+        PyObject *tour = PyTuple_New(n);
+        PyObject *length = tour ? PyLong_FromUnsignedLongLong(lengths[k]) : NULL;
         for (Py_ssize_t i = 0; tour != NULL && i < n; i++)
             PyTuple_SET_ITEM(tour, i, Py_NewRef(ints[tours[k * n + i]]));
         PyList_SET_ITEM(genes, k, tour);
@@ -188,13 +171,15 @@ static PyObject *population(const int *tours, const unsigned __int128 *lengths, 
     return result;
 }
 
-/* The directed length of the closed tour, summed in 128 bits. */
-static unsigned __int128 tour_length(const int *tour, const long long *dist, Py_ssize_t n)
+/* The directed length of the closed tour when it is below 2**64; else sets *overflow. */
+static uint64_t tour_length(const int *tour, const long long *dist, Py_ssize_t n, int *overflow)
 {
-    unsigned __int128 length = 0;
-    for (Py_ssize_t i = 1; i < n; i++)
-        length += (unsigned long long)dist[(Py_ssize_t)tour[i - 1] * n + tour[i]];
-    return length + (unsigned long long)dist[(Py_ssize_t)tour[n - 1] * n + tour[0]];
+    uint64_t length = 0;
+    int carry = 0;
+    for (Py_ssize_t i = 0, prev = tour[n - 1]; i < n; prev = tour[i++])
+        carry |= __builtin_add_overflow(length, dist[prev * n + tour[i]], &length);
+    *overflow |= carry;
+    return length;
 }
 
 /* Whether city c's bit is set in the bitmap open_cities. */
@@ -205,12 +190,14 @@ static int is_open(const uint64_t *open_cities, int c)
 
 /* Fills tour[] with the greedy crossover of the parents whose successor arrays
    are sa and sb, from city first, and returns its length, summed as the tour
-   is built. open_cities is scratch for (n + 63) / 64 words, one set bit per
-   unvisited city. A dead end draws k below the open count as randrange does
-   and takes the k-th set bit in ascending order, skipping whole words by
-   their popcount. */
-static unsigned __int128 crossover(const int *sa, const int *sb, int first, const long long *dist,
-                                   Py_ssize_t n, uint32_t *mt, uint64_t *open_cities, int *tour)
+   is built; sets *overflow if the sum passes 2**64 - 1, storing it only at
+   the end, as a store that may alias tour slows the loop. open_cities is
+   scratch for (n + 63) / 64 words, one set bit per unvisited city. A dead
+   end draws k below the open count as randrange does and takes the k-th set
+   bit in ascending order, skipping whole words by their popcount. */
+static uint64_t crossover(const int *sa, const int *sb, int first, const long long *dist,
+                          Py_ssize_t n, uint32_t *mt, uint64_t *open_cities, int *tour,
+                          int *overflow)
 {
     Py_ssize_t words = (n + 63) / 64;
     memset(open_cities, 0xff, words * sizeof *open_cities);
@@ -218,7 +205,8 @@ static unsigned __int128 crossover(const int *sa, const int *sb, int first, cons
         open_cities[words - 1] = (UINT64_C(1) << (n % 64)) - 1;
     int current = tour[0] = first;
     open_cities[current >> 6] &= ~(UINT64_C(1) << (current & 63));
-    unsigned __int128 sum = 0;
+    uint64_t sum = 0;
+    int carry = 0;
     for (Py_ssize_t i = 1; i < n; i++) {
         const long long *row = dist + (Py_ssize_t)current * n;
         int ea = sa[current], eb = sb[current], nxt;
@@ -238,10 +226,12 @@ static unsigned __int128 crossover(const int *sa, const int *sb, int first, cons
             nxt = (int)((word - open_cities) * 64 + __builtin_ctzll(bits));
         }
         open_cities[nxt >> 6] &= ~(UINT64_C(1) << (nxt & 63));
-        sum += (unsigned long long)row[nxt];
+        carry |= __builtin_add_overflow(sum, row[nxt], &sum);
         current = tour[i] = nxt;
     }
-    return sum + (unsigned long long)dist[(Py_ssize_t)current * n + first];
+    carry |= __builtin_add_overflow(sum, dist[(Py_ssize_t)current * n + first], &sum);
+    *overflow |= carry;
+    return sum;
 }
 
 /* n, holding view, when obj is a C-ordered n x n matrix (n >= 1) of native
@@ -302,7 +292,7 @@ static void select_retry(uint32_t *mt, const double *cum, const int *order, Py_s
 /* A member's length and index; qsort by_length orders them as a stable sort
    by length does. */
 typedef struct {
-    unsigned __int128 length;
+    uint64_t length;
     Py_ssize_t index;
 } Ranked;
 
@@ -318,9 +308,11 @@ static int by_length(const void *a, const void *b)
    lengths, bests): ga.evolve's loop, stopping after the first generation at
    which stop_reason would fire. None, before rng is touched, unless distances
    is a C-ordered n x n int64 matrix with n >= 2, genes a list of p >= 2
-   tuples permuting 0..n-1, lengths a list of p ints in [0, 2**128),
+   tuples permuting 0..n-1, lengths a list of p ints below 2**64,
    0 < elite_count < p, generations >= 0, retries >= 1, patience None or an
-   int, target None, an int or a float, and the numbers convert. */
+   int, target None, an int or a float, and the numbers convert. None as
+   well, rng untouched, at the first generation in which a length sum passes
+   2**64 - 1: it stops there and builds no tuples. */
 static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 12)
@@ -331,7 +323,7 @@ static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t narg
     Py_ssize_t retries = PyLong_AsSsize_t(args[4]), elite = PyLong_AsSsize_t(args[7]);
     Py_ssize_t generations = PyLong_AsSsize_t(args[8]);
     Py_ssize_t patience = args[9] == Py_None ? 0 : PyLong_AsSsize_t(args[9]);
-    int declined = PyErr_Occurred() != NULL
+    int overflow = 0, declined = PyErr_Occurred() != NULL
         || (target != Py_None && !PyLong_CheckExact(target) && !PyFloat_CheckExact(target));
     PyErr_Clear();
     Py_buffer view;
@@ -339,10 +331,9 @@ static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t narg
     Py_ssize_t p = PyList_Check(genes) ? PyList_GET_SIZE(genes) : 0;
     int *tours = NULL;  /* this generation's and the next's, then succ, rows and order */
     unsigned char *seen = NULL;
-    uint64_t *open_cities = NULL;
+    uint64_t *open_cities = NULL, *sizes = NULL;
     double *cum = NULL;
     Ranked *ranked = NULL;
-    unsigned __int128 *sizes = NULL;
     PyObject *bests = NULL, *made = NULL, *result = Py_None;  /* borrowed until done */
     if (declined || n < 2 || p < 2 || elite < 1 || elite >= p || generations < 0 || retries < 1
         || !PyList_Check(lengths) || PyList_GET_SIZE(lengths) != p)
@@ -352,7 +343,7 @@ static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t narg
     open_cities = PyMem_New(uint64_t, (n + 63) / 64);
     cum = PyMem_New(double, p);
     ranked = PyMem_New(Ranked, p);
-    sizes = PyMem_New(unsigned __int128, 2 * p);
+    sizes = PyMem_New(uint64_t, 2 * p);
     if (tours == NULL || seen == NULL || open_cities == NULL || cum == NULL || ranked == NULL
         || sizes == NULL) {
         result = PyErr_NoMemory();
@@ -360,7 +351,7 @@ static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t narg
     }
     for (Py_ssize_t i = 0; i < p; i++)
         if (!read_tour(PyList_GET_ITEM(genes, i), n, tours + i * n, seen)
-            || !bounded(PyList_GET_ITEM(lengths, i), ~(unsigned __int128)0, sizes + i))
+            || !bounded(PyList_GET_ITEM(lengths, i), UINT64_MAX, sizes + i))
             goto done;
     result = NULL;
     uint32_t mt[625];
@@ -370,7 +361,7 @@ static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t narg
         cum[r - 1] = (double)(r * (r + 1) / 2) / (double)total;
     int *now = tours, *next = tours + p * n, *succ = next + p * n, *rows = succ + p * n;
     int *order = rows + p * n;
-    unsigned __int128 *length = sizes, *next_length = sizes + p, best = 0;
+    uint64_t *length = sizes, *next_length = sizes + p, best = 0;
     for (Py_ssize_t i = 0; i < p; i++)
         best = i == 0 || length[i] < best ? length[i] : best;
     /* same: how many of the last history entries equal the last one; stop_reason's
@@ -401,7 +392,7 @@ static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t narg
                 if (random_float(mt) < cross_prob) {
                     next_length[k] = crossover(succ + (Py_ssize_t)ia * n, succ + (Py_ssize_t)ib * n,
                                                now[(Py_ssize_t)ia * n], view.buf, n, mt,
-                                               open_cities, child);
+                                               open_cities, child, &overflow);
                     ia = -1;
                 }
                 else if (length[ib] < length[ia])
@@ -417,27 +408,31 @@ static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t narg
                 int city = child[i];
                 child[i] = child[j];
                 child[j] = city;
-                next_length[k] = tour_length(child, view.buf, n);
+                next_length[k] = tour_length(child, view.buf, n, &overflow);
             }
         }
+        if (overflow)
+            break;
         int *swap = now;
         now = next;
         next = swap;
-        unsigned __int128 *swap_length = length, last = best;
+        uint64_t *swap_length = length, last = best;
         length = next_length;
         next_length = swap_length;
         for (Py_ssize_t i = 0; i < p; i++)
             best = i == 0 || length[i] < best ? length[i] : best;
         same = best == last ? same + 1 : 1;
-        PyObject *value = length_to_int(best);
+        PyObject *value = PyLong_FromUnsignedLongLong(best);
         stop = value == NULL || PyList_Append(bests, value) < 0
                || (patience != 0 && same >= patience)
                || (target != Py_None && PyObject_RichCompareBool(value, target, Py_LE) != 0);
         Py_XDECREF(value);
     }
-    if (PyErr_Occurred() || !store_twister(rng, mt) || (made = population(now, length, p, n)) == NULL)
-        goto done;
-    result = PyTuple_Pack(3, PyTuple_GET_ITEM(made, 0), PyTuple_GET_ITEM(made, 1), bests);
+    if (overflow)
+        result = Py_None;  /* mt is a copy: rng is untouched */
+    else if (!PyErr_Occurred() && store_twister(rng, mt)
+             && (made = population(now, length, p, n)) != NULL)
+        result = PyTuple_Pack(3, PyTuple_GET_ITEM(made, 0), PyTuple_GET_ITEM(made, 1), bests);
 done:
     Py_XDECREF(made);
     Py_XDECREF(bests);
@@ -454,8 +449,9 @@ done:
 
 /* random_tours(count, distances, rng) -> (tours, lengths): count tours, each
    list(range(n)) with i swapped for randbelow(i + 1) at i = n-1 ... 1 as
-   random.shuffle does, and their lengths; None, before rng is touched, unless
-   distances is a C-ordered n x n int64 matrix with n >= 2. */
+   random.shuffle does, and their lengths; None, with rng untouched, unless
+   distances is a C-ordered n x n int64 matrix with n >= 2 and every length
+   is below 2**64. */
 static PyObject *random_tours(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 3)
@@ -471,7 +467,8 @@ static PyObject *random_tours(PyObject *module, PyObject *const *args, Py_ssize_
         Py_RETURN_NONE;
     }
     int *tours = count <= PY_SSIZE_T_MAX / 16 / n ? PyMem_New(int, count * n) : NULL;
-    unsigned __int128 *lengths = PyMem_New(unsigned __int128, count);
+    uint64_t *lengths = PyMem_New(uint64_t, count);
+    int overflow = 0;
     PyObject *result = NULL;
     uint32_t mt[625];
     if (tours == NULL || lengths == NULL)
@@ -487,9 +484,11 @@ static PyObject *random_tours(PyObject *module, PyObject *const *args, Py_ssize_
                 tour[i] = tour[j];
                 tour[j] = city;
             }
-            lengths[k] = tour_length(tour, view.buf, n);
+            lengths[k] = tour_length(tour, view.buf, n, &overflow);
         }
-        if (store_twister(args[2], mt))
+        if (overflow)
+            result = Py_NewRef(Py_None);
+        else if (store_twister(args[2], mt))
             result = population(tours, lengths, count, n);
     }
     PyMem_Free(lengths);
@@ -520,35 +519,33 @@ static Py_ssize_t record_size(PyObject *value, unsigned long key, Py_ssize_t n)
 }
 
 /* decode_records(values, key) -> (genes, lengths): the gene tuples and tour
-   lengths of a list or tuple of codec records, in order; None, with no
-   exception set, unless there is at least one record and every record passes
-   codec.decode_chromosome's checks, carries pop_id == key and has the N of
-   the first. */
+   lengths, below 2**64 as the layout holds them, of a list or tuple of codec
+   records, copied into C arrays and built through population; None, with no
+   exception set, unless there is a record and every record passes
+   codec.decode_chromosome's checks, has pop_id == key and the first's N. */
 static PyObject *decode_records(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 2)
         return PyErr_Format(PyExc_TypeError, "expected 2 arguments, got %zd", nargs);
-    PyObject *values = args[0];
-    unsigned long key = PyLong_AsUnsignedLong(args[1]);
-    if (key == (unsigned long)-1 && PyErr_Occurred()) {
-        PyErr_Clear();
-        Py_RETURN_NONE;
-    }
-    if (!PyList_Check(values) && !PyTuple_Check(values))
+    uint64_t key;
+    if (!bounded(args[1], 0xFFFFFFFF, &key) || (!PyList_Check(args[0]) && !PyTuple_Check(args[0])))
         Py_RETURN_NONE;
     /* a tuple of the records, so that no code run by an allocation can free one */
-    PyObject *records = PySequence_Tuple(values);
+    PyObject *records = PySequence_Tuple(args[0]);
     if (records == NULL)
         return NULL;
     Py_ssize_t count = PyTuple_GET_SIZE(records), n = 0;
     PyObject **items = &PyTuple_GET_ITEM(records, 0);
     unsigned char *seen = NULL;
-    PyObject **ints = NULL, *genes = NULL, *lengths = NULL, *result = Py_None;  /* borrowed until done */
-    if (count == 0 || (n = record_size(items[0], key, 0)) == 0)
+    int *tours = NULL;
+    uint64_t *lengths = NULL;
+    PyObject *result = Py_None;
+    if (count == 0 || (n = record_size(items[0], key, 0)) == 0 || n > INT_MAX)
         goto done;
     seen = PyMem_Malloc(n);
-    ints = PyMem_Calloc(n, sizeof(PyObject *));
-    if (seen == NULL || ints == NULL) {
+    tours = PyMem_New(int, count * n);  /* no larger than the records themselves */
+    lengths = PyMem_New(uint64_t, count);
+    if (seen == NULL || tours == NULL || lengths == NULL) {
         result = PyErr_NoMemory();
         goto done;
     }
@@ -562,36 +559,14 @@ static PyObject *decode_records(PyObject *module, PyObject *const *args, Py_ssiz
             if (city >= (unsigned long)n || seen[city])
                 goto done;
             seen[city] = 1;
+            tours[k * n + i] = (int)city;
         }
+        lengths[k] = u32_at(gene) | (uint64_t)u32_at(gene + 4) << 32;
     }
-    result = NULL;
-    for (Py_ssize_t i = 0; i < n; i++)
-        if ((ints[i] = PyLong_FromSsize_t(i)) == NULL)
-            goto done;
-    if ((genes = PyList_New(count)) == NULL || (lengths = PyList_New(count)) == NULL)
-        goto done;
-    for (Py_ssize_t k = 0; k < count; k++) {
-        const unsigned char *data = (const unsigned char *)PyBytes_AS_STRING(items[k]);
-        PyObject *tour = PyTuple_New(n);
-        PyList_SET_ITEM(genes, k, tour);
-        if (tour == NULL)
-            goto done;
-        for (Py_ssize_t i = 0; i < n; i++)
-            PyTuple_SET_ITEM(tour, i, Py_NewRef(ints[u32_at(data + 8 + 4 * i)]));
-        const unsigned char *tail = data + 8 + 4 * n;
-        PyObject *length = PyLong_FromUnsignedLongLong(
-            u32_at(tail) | (unsigned long long)u32_at(tail + 4) << 32);
-        PyList_SET_ITEM(lengths, k, length);
-        if (length == NULL)
-            goto done;
-    }
-    result = PyTuple_Pack(2, genes, lengths);
+    result = population(tours, lengths, count, n);
 done:
-    Py_XDECREF(genes);
-    Py_XDECREF(lengths);
-    for (Py_ssize_t i = 0; ints != NULL && i < n; i++)
-        Py_XDECREF(ints[i]);
-    PyMem_Free(ints);
+    PyMem_Free(lengths);
+    PyMem_Free(tours);
     PyMem_Free(seen);
     Py_DECREF(records);
     return result == Py_None ? Py_NewRef(Py_None) : result;
@@ -615,8 +590,8 @@ static PyObject *encode_records(PyObject *module, PyObject *const *args, Py_ssiz
 {
     if (nargs != 3)
         return PyErr_Format(PyExc_TypeError, "expected 3 arguments, got %zd", nargs);
-    unsigned __int128 key, length, city;
-    if (!bounded(args[2], 0xFFFFFFFFULL, &key)
+    uint64_t key, length, city;
+    if (!bounded(args[2], 0xFFFFFFFF, &key)
         || (!PyList_Check(args[0]) && !PyTuple_Check(args[0]))
         || (!PyList_Check(args[1]) && !PyTuple_Check(args[1])))
         Py_RETURN_NONE;
@@ -639,7 +614,7 @@ static PyObject *encode_records(PyObject *module, PyObject *const *args, Py_ssiz
         PyObject *tour = PyTuple_GET_ITEM(genes, k);
         if (!PyTuple_Check(tour) || PyTuple_GET_SIZE(tour) == 0
             || PyTuple_GET_SIZE(tour) > 0xFFFFFFFFLL
-            || !bounded(PyTuple_GET_ITEM(lengths, k), 0xFFFFFFFFFFFFFFFFULL, &length))
+            || !bounded(PyTuple_GET_ITEM(lengths, k), UINT64_MAX, &length))
             goto done;
         Py_ssize_t n = PyTuple_GET_SIZE(tour);
         PyObject *value = PyBytes_FromStringAndSize(NULL, 16 + 4 * n);
@@ -652,11 +627,11 @@ static PyObject *encode_records(PyObject *module, PyObject *const *args, Py_ssiz
         put_u32(data, (unsigned long)key);
         put_u32(data + 4, (unsigned long)n);
         for (Py_ssize_t i = 0; i < n; i++) {
-            if (!bounded(PyTuple_GET_ITEM(tour, i), 0xFFFFFFFFULL, &city))
+            if (!bounded(PyTuple_GET_ITEM(tour, i), 0xFFFFFFFF, &city))
                 goto done;
             put_u32(data + 8 + 4 * i, (unsigned long)city);
         }
-        put_u32(data + 8 + 4 * n, (unsigned long)(length & 0xFFFFFFFFULL));
+        put_u32(data + 8 + 4 * n, (unsigned long)(length & 0xFFFFFFFF));
         put_u32(data + 12 + 4 * n, (unsigned long)(length >> 32));
     }
     result = Py_NewRef(records);

@@ -3,7 +3,8 @@
 `evolve` runs a reduce task's or an sga run's generations in one call, and
 `random_tours` an initial population, for `ga.evolve` and
 `ga.random_population`; they run their Python loops instead for float
-weights, an rng that is not `ga._plain`, and genes that are not tuples.
+weights, an rng that is not `ga._plain`, genes that are not tuples, and
+tour lengths of 2**64 or more.
 `decode_records` decodes a reduce key's records for `island.decode_island`,
 which decodes record by record through `codec.decode_chromosome` instead
 when a record is faulty; `encode_records` encodes a reduce key's members for
@@ -76,15 +77,16 @@ def load(source: Path = SOURCE, cache: Path | None = None):
     (genes, lengths, bests) is ga.evolve's loop, the population kept in C
     arrays. It returns None, before it touches rng, unless distances is a
     C-ordered int64 matrix of n >= 2 cities, genes a list of p >= 2 tuples
-    permuting 0..n-1, lengths p ints in [0, 2**128), 0 < elite_count < p,
+    permuting 0..n-1, lengths p ints below 2**64, 0 < elite_count < p,
     generations >= 0, retries >= 1, patience None or an int and target
     None, an int or a float. random_tours(count, distances, rng) -> (tours,
     lengths) shuffles count tours as random.shuffle shuffles list(range(n))
     and sums them; it returns None unless distances is such a matrix. Both
     read rng's Mersenne Twister with _random.Random.getstate, draw from it
     as random() and getrandbits() do, and write it back with setstate, so
-    that outputs and rng state equal the loops'. Lengths are summed in 128
-    bits, exact for any non-negative weights.
+    that outputs and rng state equal the loops'. Lengths are summed in 64
+    bits, the record layout's width: when a sum passes 2**64 - 1, either
+    returns None, its rng untouched, as when it declines its inputs.
 
     decode_records(values, key) -> (genes, lengths) decodes a list or tuple
     of codec records into their gene tuples and tour lengths, in order. It

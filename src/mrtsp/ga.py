@@ -247,7 +247,7 @@ def random_population(instance: Instance, params: GaParams,
     With the kernel loaded and a _plain rng, random_tours shuffles and sums
     them all in one call, drawing as random.shuffle does. It declines, and
     the loop below runs, unless the weights are a C-ordered int64 matrix of
-    at least 2 cities."""
+    at least 2 cities and every length is below 2**64."""
     if _KERNEL is not None and _plain(rng):
         made = _KERNEL.random_tours(params.population_size, instance.distances, rng)
         if made is not None:
@@ -262,6 +262,10 @@ class TerminationPolicy:
 
     target_length: float | None = None
     patience: int | None = None
+
+    def __post_init__(self):
+        if self.patience is not None and self.patience < 0:
+            raise ValueError("patience must be >= 0 or None")
 
 
 def stop_reason(best_history: list[float], generations_used: int, budget: int,
@@ -290,7 +294,9 @@ def evolve(genes: list, lengths: list, instance: Instance, rng: random.Random, p
     one kernel call runs them all, drawing as the loop does from the rng's
     state, read and written back once. It declines, and the loop runs, for
     weights that are not a C-ordered int64 matrix of 2 or more cities, genes
-    that are not a list of tuples permuting them, or lengths not ints below 2**128."""
+    that are not a list of tuples permuting them, or lengths not ints below
+    2**64; and, its rng untouched, once a generation makes a length of 2**64
+    or more, which the loop then sums exactly."""
     if _KERNEL is not None and _plain(rng):
         evolved = _KERNEL.evolve(genes, lengths, instance.distances, params.similarity_threshold,
                                  params.max_parent_retries, params.crossover_prob,

@@ -1,7 +1,8 @@
 """scripts/bench_snapshot.py refuses to write a snapshot taken while a pga
-workload could not use both cores."""
+workload could not use both cores, and counts code lines beside all lines."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,57 @@ def test_snapshot_with_low_cpu_util_is_not_written(script, tmp_path, monkeypatch
     assert "pga-n171-disk: calibration loop 9 ms -> 9 ms  LOW CPU UTIL" in out
     assert "BENCH_2.json not written: LOW CPU UTIL on pga-n171-disk " \
            "(traced engine.cpu_util 0.7)" in err
+
+
+PY_FILE = '''"""A module docstring
+over two lines."""
+
+# a comment
+import os
+
+
+def f(x):
+    """One line."""
+    text = """not a docstring,
+    so both lines count"""
+    return x  # trailing comment
+
+
+class C:
+    """Class docstring."""
+
+    y = 1
+'''
+
+C_FILE = '''/* A header comment
+   over two lines. */
+#include <Python.h>
+
+static int f(int x)  /* trailing comment */
+{
+    /* one line */
+    return x; /* a comment
+                 ending here */
+}
+'''
+
+
+def test_snapshot_counts_code_lines_beside_all_lines(script, tmp_path, monkeypatch, capsys):
+    src = tmp_path / "src" / "mrtsp"
+    src.mkdir(parents=True)
+    (src / "m.py").write_text(PY_FILE)
+    (src / "k.c").write_text(C_FILE)
+    assert script.line_counts() == {"k.c": 10, "m.py": 18, "total": 28}
+    # m.py: import, def, text = (2 lines), return, class, y; k.c: #include, the
+    # signature, both braces and the return
+    assert script.line_counts(script.code_lines) == {"k.c": 5, "m.py": 7, "total": 12}
+    monkeypatch.setattr(script, "run_perfbench", fake_perfbench({}))
+    assert script.main([]) == 0
+    (src / "k.c").write_text(C_FILE + "int g;\n")
+    assert script.main([]) == 0
+    snapshot = json.loads((tmp_path / "BENCH_2.json").read_text())
+    assert snapshot["src_mrtsp_code_lines"] == {"k.c": 6, "m.py": 7, "total": 13}
+    out = capsys.readouterr().out
+    assert "src_mrtsp_lines total: not recorded -> 28" in out
+    assert "src_mrtsp_lines total: 28 -> 29" in out
+    assert "src_mrtsp_code_lines total: 12 -> 13" in out

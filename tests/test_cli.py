@@ -104,6 +104,16 @@ def test_solve_zero_settings_reach_the_validators(inst_dir, tmp_path, capsys, al
     assert not (tmp_path / "reports.jsonl").exists()
 
 
+@pytest.mark.parametrize("algo", ["sga", "pga"])
+def test_solve_rejects_a_negative_patience(inst_dir, tmp_path, capsys, algo):
+    rc = main(["solve", "--algo", algo, "--instance", str(inst_dir / "eight.atsp"),
+               "--islands", "2", "--patience", "-2", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "patience must be >= 0 or None" in err
+    assert not (tmp_path / "reports.jsonl").exists()
+
+
 def test_solve_pga_rejects_non_integer_weights(tmp_path, capsys):
     weights = np.random.default_rng(0).uniform(1, 10, (8, 8))
     np.fill_diagonal(weights, 0.0)

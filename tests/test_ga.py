@@ -343,6 +343,15 @@ def test_stop_reason_patience_disabled():
     assert stop_reason(history + [4.0], 10, 1000, patience=100, target_length=None) is None
 
 
+@pytest.mark.parametrize("patience", [-1, -2])
+def test_termination_policy_rejects_a_negative_patience(patience):
+    # as IslandParams rejects a negative convergence_patience
+    with pytest.raises(ValueError, match="^patience must be >= 0 or None$"):
+        TerminationPolicy(patience=patience)
+    assert TerminationPolicy(patience=0).patience == 0
+    assert TerminationPolicy(target_length=-1).patience is None
+
+
 # -- the compiled kernel -------------------------------------------------------------
 
 needs_kernel = pytest.mark.skipif(ga_module._KERNEL is None,
@@ -682,14 +691,16 @@ def test_breed_runs_only_for_an_exact_random(monkeypatch):
     assert compiled == evolve(genes, lengths, inst, Subclass(5), params, 3)
 
 
-def kernel_and_loop_generation(genes, lengths, inst, params, seed, monkeypatch, generations=3):
+def kernel_and_loop_generation(genes, lengths, inst, params, seed, monkeypatch, generations=3,
+                               patience=None, target=None):
     """ga.evolve from random.Random(seed), with the kernel and then without
     it: each run's genes, lengths with their types, bests and rng state."""
     outcomes = []
     for kernel in (ga_module._KERNEL, None):
         monkeypatch.setattr(ga_module, "_KERNEL", kernel)
         rng = random.Random(seed)
-        genes_out, lengths_out, bests = evolve(genes, lengths, inst, rng, params, generations)
+        genes_out, lengths_out, bests = evolve(genes, lengths, inst, rng, params, generations,
+                                               patience, target)
         outcomes.append((genes_out, [(length, type(length)) for length in lengths_out], bests,
                          rng.getstate()))
     monkeypatch.undo()
@@ -705,26 +716,80 @@ def huge_instance():
 
 @needs_kernel
 def test_breed_sums_lengths_beyond_64_bits_exactly(monkeypatch):
+    # the kernel sums in 64 bits and declines these tours; ga's loops sum them exactly
     inst = huge_instance()
     params = GaParams(population_size=10, mutation_prob=0.5, crossover_prob=0.8)
+    rng = random.Random(2)
+    assert ga_module._KERNEL.random_tours(10, inst.distances, rng) is None
+    assert rng.getstate() == random.Random(2).getstate()
     genes, lengths = random_population(inst, params, random.Random(2))
-    assert not declines(evolve_args(genes, lengths, inst, params, random.Random(1)))
+    assert declines(evolve_args(genes, lengths, inst, params, random.Random(1)))
     compiled, loop = kernel_and_loop_generation(genes, lengths, inst, params, 3, monkeypatch)
     assert compiled == loop
     genes, lengths, _, _ = compiled
     assert all(kind is int for _, kind in lengths)
-    assert max(length for length, _ in lengths) > 2**64
+    assert min(length for length, _ in lengths) > 2**64
     assert [length for length, _ in lengths] == [tour_length(tour, inst) for tour in genes]
 
 
 @needs_kernel
-def test_evolve_reads_member_lengths_up_to_128_bits(monkeypatch):
-    # lengths are read as given, not recomputed: the widest the kernel takes
+def test_evolve_reads_member_lengths_up_to_64_bits(monkeypatch):
+    # lengths are read as given, not recomputed: 2**64 - 1 is the widest the kernel takes
     inst, genes, lengths, params = declined_case("none")
-    lengths = [2**128 - 1, 2**64, 2**64 - 1, *lengths[3:]]
-    compiled, loop = kernel_and_loop_generation(genes, lengths, inst, params, 5, monkeypatch)
+    widest = [2**64 - 1, *lengths[1:]]
+    compiled, loop = kernel_and_loop_generation(genes, widest, inst, params, 5, monkeypatch)
     assert compiled == loop
-    assert not declines(evolve_args(genes, lengths, inst, params, random.Random(1)))
+    assert not declines(evolve_args(genes, widest, inst, params, random.Random(1)))
+    kept = ga_module._KERNEL.evolve(*evolve_args(genes, widest, inst, params, random.Random(1), 0))
+    assert kept == (genes, widest, []) and type(kept[1][0]) is int
+    assert declines(evolve_args(genes, [2**64, *lengths[1:]], inst, params, random.Random(1)))
+
+
+def overflowing_instance():
+    """9 cities, about 2 in 5 of whose edges weigh 2**64 // 5 + 1, so that a
+    tour with 5 of them passes 2**64 - 1 and one with 4 does not."""
+    n = 9
+    heavy = np.random.default_rng(0).random((n, n)) < 0.4
+    light = np.random.default_rng(0).integers(1, 9, (n, n))
+    return Instance("overflowing", n, np.where(heavy, 2**64 // 5 + 1, light))
+
+
+# (params, seed): random_population(overflowing_instance(), params,
+# random.Random(seed)) stays below 2**64, and generation 5 of the loop from
+# there makes the first child past it, by crossover or by mutation
+OVERFLOWING = {"crossover": (GaParams(population_size=4, mutation_prob=0.0, crossover_prob=1.0), 7),
+               "mutation": (GaParams(population_size=4, mutation_prob=1.0, crossover_prob=0.0), 65)}
+
+
+@needs_kernel
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+def test_evolve_declines_at_the_first_generation_past_64_bits(case, monkeypatch):
+    inst, (params, seed) = overflowing_instance(), OVERFLOWING[case]
+    rng = random.Random(seed)
+    start = random_population(inst, params, rng)
+    assert start == ga_module._KERNEL.random_tours(4, inst.distances, random.Random(seed))
+    state = rng.getstate()
+    with monkeypatch.context() as loop:
+        loop.setattr(ga_module, "_KERNEL", None)
+        widest, population = [max(start[1])], start
+        for _ in range(5):
+            population = evolve(*population, inst, rng, params, 1)[:2]
+            widest.append(max(population[1]))
+    assert max(widest[:5]) < 2**64 <= widest[5]
+    rng.setstate(state)
+    (genes, lengths), distances = start, inst.distances
+    before = refcounts(genes, lengths, distances, rng)
+    # returning None with an exception still set would raise SystemError here
+    assert outcome_of(ga_module._KERNEL.evolve, *evolve_args(*start, inst, params, rng, 8)) == "none"
+    assert rng.getstate() == state
+    assert refcounts(genes, lengths, distances, rng) == before
+    reports = []
+    for kernel in (ga_module._KERNEL, None):
+        monkeypatch.setattr(ga_module, "_KERNEL", kernel)
+        report = run_sga(inst, params, 8, seed=seed)
+        reports.append((report.best_length, report.best_tour, report.trajectory,
+                        report.generations, report.stop_reason))
+    assert reports[0] == reports[1]
 
 
 def recording_bits(rng):
@@ -849,20 +914,33 @@ def stop_target(case, inst, params, seed):
 def test_run_sga_stops_where_the_loop_stops(patience, target, monkeypatch):
     inst = random_instance(24, (1, 60), seed=11)
     params = GaParams(population_size=14, mutation_prob=0.1)
+    start = random_population(inst, params, random.Random(12))
     with monkeypatch.context() as loop:
         loop.setattr(ga_module, "_KERNEL", None)
         goal = stop_target(target, inst, params, seed=12)
-        looped = run_sga(inst, params, 60, TerminationPolicy(goal, patience), seed=12)
-    compiled = run_sga(inst, params, 60, TerminationPolicy(goal, patience), seed=12)
-    fields = ("best_length", "best_tour", "trajectory", "generations", "stop_reason")
-    assert [getattr(compiled, f) for f in fields] == [getattr(looped, f) for f in fields]
+    if patience == -1:
+        # run_sga never gets a negative patience, but ga.evolve takes any int
+        with pytest.raises(ValueError, match="^patience must be >= 0 or None$"):
+            TerminationPolicy(goal, patience)
+        compiled, looped = kernel_and_loop_generation(*start, inst, params, 12, monkeypatch, 60,
+                                                      patience, goal)
+        assert compiled == looped
+        bests = compiled[2]
+        stopped = (len(bests), stop_reason([min(start[1]), *bests], len(bests), 60, patience, goal))
+    else:
+        with monkeypatch.context() as loop:
+            loop.setattr(ga_module, "_KERNEL", None)
+            looped = run_sga(inst, params, 60, TerminationPolicy(goal, patience), seed=12)
+        compiled = run_sga(inst, params, 60, TerminationPolicy(goal, patience), seed=12)
+        fields = ("best_length", "best_tour", "trajectory", "generations", "stop_reason")
+        assert [getattr(compiled, f) for f in fields] == [getattr(looped, f) for f in fields]
+        stopped = (compiled.generations, compiled.stop_reason)
     if target == "above_the_first_best":
-        assert compiled.generations == 1
-        assert compiled.stop_reason == ("stagnation" if patience in (-1, 1) else "target")
+        assert stopped[0] == 1
+        assert stopped[1] == ("stagnation" if patience in (-1, 1) else "target")
     if patience in (-1, 1):  # a tail of one entry, history[-1:] or history[1:], fires at once
-        assert (compiled.generations, compiled.stop_reason) == (1, "stagnation")
+        assert stopped == (1, "stagnation")
     # the kernel took the run
-    start = random_population(inst, params, random.Random(12))
     assert not declines(evolve_args(*start, inst, params, random.Random(1), 60, patience, goal))
 
 
@@ -958,14 +1036,14 @@ def refcounts(*objects):
 
 @needs_kernel
 def test_breed_leaves_refcounts_unchanged():
-    # a crossover_prob of 0.5 makes copies; the 128-bit lengths are read through int.to_bytes
+    # a crossover_prob of 0.5 makes copies; lengths of 2**64 and more are declined
     inst = random_instance(20, (1, 5), seed=8)
     params = GaParams(population_size=12, mutation_prob=0.5, crossover_prob=0.5)
     genes, lengths = random_population(inst, params, random.Random(9))
     declined = genes[:5] + [list(genes[5])] + genes[6:]
     wide = [2**100 + length for length in lengths]
     cases = [("made", genes, lengths, inst.distances, random.Random(1)),
-             ("made", genes, wide, inst.distances, random.Random(1)),
+             ("none", genes, wide, inst.distances, random.Random(1)),
              ("none", declined, lengths, inst.distances, random.Random(1)),
              ("none", genes, lengths[:-1] + [2**128], inst.distances, random.Random(1)),
              ("none", genes, lengths, inst.distances.astype(np.float64), random.Random(1)),

@@ -49,6 +49,25 @@ def documents(draw):
     return "\n".join(lines)
 
 
+@st.composite
+def clean_documents(draw):
+    """An unperturbed FULL_MATRIX or EUC_2D file of 2-5 cities whose tokens
+    are small ints or, in some examples, fractions such as 2.5: each parses,
+    and a fraction in a matrix makes float weights."""
+    n = draw(st.integers(2, 5))
+    token = st.integers(0, 100).map(str)
+    if draw(st.booleans()):
+        token = st.one_of(token, st.integers(0, 400).map(lambda quarters: str(quarters / 4)))
+    if draw(st.booleans()):
+        head = ["EDGE_WEIGHT_TYPE: EXPLICIT", "EDGE_WEIGHT_FORMAT: FULL_MATRIX",
+                "EDGE_WEIGHT_SECTION"]
+        body = [" ".join(draw(st.lists(token, min_size=n, max_size=n))) for _ in range(n)]
+    else:
+        head = ["EDGE_WEIGHT_TYPE: EUC_2D", "NODE_COORD_SECTION"]
+        body = [" ".join([str(i + 1), draw(token), draw(token)]) for i in range(n)]
+    return "\n".join([f"DIMENSION: {n}", *head, *body, "EOF"])
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=st.one_of(documents(), st.lists(noise, max_size=12).map("\n".join)))
 def test_parser_returns_an_instance_or_raises_parse_error(text):
@@ -71,8 +90,8 @@ def untimed(report):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=documents(), population=st.integers(2, 4), generations=st.integers(1, 2),
-       seed=st.integers(0, 2**16))
+@given(text=st.one_of(documents(), clean_documents()), population=st.integers(2, 4),
+       generations=st.integers(1, 2), seed=st.integers(0, 2**16))
 def test_every_parsed_instance_runs_or_is_rejected_by_name(text, population, generations, seed):
     try:
         inst = parse_instance(text)
