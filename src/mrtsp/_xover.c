@@ -8,20 +8,30 @@
    k-th open city in ascending order from a bitmap, as the loop takes it from
    its sorted list, and a child's length is summed as it is built. The
    population stays in C arrays; gene tuples and length ints are built once,
-   at the end. random_tours makes ga.random_population's tours, shuffled as
-   random.shuffle shuffles them, and sums their lengths.
+   at the end. evolve_island runs the same loop (run, below) as an island's
+   reduce task: it decodes the island's codec records into the C arrays as
+   decode_records does, keeps the population_size shortest as ga.shortest
+   does, and returns the records island.EvolveReducer emits, the residents
+   and then the best re-addressed to every other island, as encode_island and
+   codec.with_pop_id pack them, so no gene tuple is built. random_tours makes
+   ga.random_population's tours, shuffled as random.shuffle shuffles them,
+   and sums their lengths.
 
-   Both draw from CPython's Mersenne Twister (Modules/_randommodule.c), read
-   from the rng with _random.Random.getstate once per call and written back
-   with setstate once; random() and getrandbits(k) use its words as CPython
-   does, so draws and the rng's state equal the Python loops', and nothing
-   calls back into Python in between. They read the weights through the
-   buffer protocol and return None, before they touch the rng, unless they
-   are a C-ordered n x n int64 matrix (n >= 2) and, for evolve, the rest of
-   its inputs are as its comment says; ga's Python loops run those. Lengths
-   are summed in 64 bits, the record layout's width, so lengths below 2**64
-   are exact; a sum past 2**64 - 1 makes both return None too, the rng
-   untouched, since its Mersenne Twister is a local copy until written back.
+   All three draw from CPython's Mersenne Twister (Modules/_randommodule.c),
+   read from the rng with _random.Random.getstate once per call and written
+   back with setstate once; random() and getrandbits(k) use its words as
+   CPython does, so draws and the rng's state equal the Python loops', and
+   nothing calls back into Python in between. They read the weights through
+   the buffer protocol and return None, before they touch the rng, unless
+   they are a C-ordered n x n int64 matrix (n >= 2) and, for evolve and
+   evolve_island, the rest of their inputs are as their comments say; ga's
+   Python loops, or island.py's record-by-record path, run those.
+   evolve_island also declines records that decode_records would decline, or
+   whose N is not n, fewer than 2 members or no more than elite_count after
+   truncation, and an rng that ga._plain refuses. Lengths are summed in 64
+   bits, the record layout's width, so lengths below 2**64 are exact; a sum
+   past 2**64 - 1 makes each return None too, the rng untouched, since its
+   Mersenne Twister is a local copy until written back.
 
    decode_records decodes a reduce key's codec records, and encode_records
    packs its members, in one call each, as codec.decode_chromosome and
@@ -105,6 +115,27 @@ static int store_twister(PyObject *rng, const uint32_t *mt)
     Py_XDECREF(state);
     Py_XDECREF(done);
     return done != NULL;
+}
+
+static PyObject *plain_type;  /* random.Random, imported at the first check */
+
+/* Whether rng is what ga._plain accepts, an exact random.Random whose instance
+   dict holds at most gauss_next, so that its methods draw as the kernel's copy
+   of its Mersenne Twister does; 0, with no exception set, if not. */
+static int plain(PyObject *rng)
+{
+    if (plain_type == NULL) {
+        PyObject *module = PyImport_ImportModule("random");
+        plain_type = module ? PyObject_GetAttrString(module, "Random") : NULL;
+        Py_XDECREF(module);
+    }
+    PyObject *dict = plain_type != NULL && (PyObject *)Py_TYPE(rng) == plain_type
+                     ? PyObject_GenericGetDict(rng, NULL) : NULL;
+    int ok = dict != NULL && PyDict_GET_SIZE(dict) <= 1
+             && PyDict_GET_SIZE(dict) == (PyDict_GetItemString(dict, "gauss_next") != NULL);
+    Py_XDECREF(dict);
+    PyErr_Clear();
+    return ok;
 }
 
 /* Copies genes into tour when it is a tuple of ints permuting 0..n-1 (n >= 1);
@@ -303,71 +334,91 @@ static int by_length(const void *a, const void *b)
                                   : (x->index > y->index) - (x->index < y->index);
 }
 
-/* evolve(genes, lengths, distances, threshold, retries, crossover_prob,
-   mutation_prob, elite_count, generations, patience, target, rng) -> (genes,
-   lengths, bests): ga.evolve's loop, stopping after the first generation at
-   which stop_reason would fire. None, before rng is touched, unless distances
-   is a C-ordered n x n int64 matrix with n >= 2, genes a list of p >= 2
-   tuples permuting 0..n-1, lengths a list of p ints below 2**64,
-   0 < elite_count < p, generations >= 0, retries >= 1, patience None or an
-   int, target None, an int or a float, and the numbers convert. None as
-   well, rng untouched, at the first generation in which a length sum passes
-   2**64 - 1: it stops there and builds no tuples. */
-static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* A kernel call's GaParams and generations, and its population: p members of
+   n cities in one block of C arrays, with the scratch of their generations
+   and room to stage count >= p records. */
+typedef struct {
+    double threshold, cross_prob, mutation_prob;
+    Py_ssize_t retries, elite, generations, n, p;
+    uint64_t *sizes, *open_cities;  /* p + count lengths; (n + 63) / 64 words */
+    double *cum;
+    Ranked *ranked;                 /* count */
+    int *tours;                     /* 3p + count tours, then p ints (see run) */
+    unsigned char *seen;
+    int *now;                       /* the last generation, set by run */
+    uint64_t *length;
+} Population;
+
+/* n, holding view, when args are (distances, threshold, retries,
+   crossover_prob, mutation_prob, elite_count, generations) with distances a
+   C-ordered n x n int64 matrix, n >= 2, the numbers converting, retries >= 1,
+   elite_count >= 1 and generations >= 0, which it stores in pop; else 0,
+   holding nothing, with no exception set. */
+static Py_ssize_t read_ga(PyObject *const *args, Population *pop, Py_buffer *view)
 {
-    if (nargs != 12)
-        return PyErr_Format(PyExc_TypeError, "expected 12 arguments, got %zd", nargs);
-    PyObject *genes = args[0], *lengths = args[1], *target = args[10], *rng = args[11];
-    double threshold = PyFloat_AsDouble(args[3]), cross_prob = PyFloat_AsDouble(args[5]);
-    double mutation_prob = PyFloat_AsDouble(args[6]);
-    Py_ssize_t retries = PyLong_AsSsize_t(args[4]), elite = PyLong_AsSsize_t(args[7]);
-    Py_ssize_t generations = PyLong_AsSsize_t(args[8]);
-    Py_ssize_t patience = args[9] == Py_None ? 0 : PyLong_AsSsize_t(args[9]);
-    int overflow = 0, declined = PyErr_Occurred() != NULL
-        || (target != Py_None && !PyLong_CheckExact(target) && !PyFloat_CheckExact(target));
+    pop->threshold = PyFloat_AsDouble(args[1]);
+    pop->cross_prob = PyFloat_AsDouble(args[3]);
+    pop->mutation_prob = PyFloat_AsDouble(args[4]);
+    pop->retries = PyLong_AsSsize_t(args[2]);
+    pop->elite = PyLong_AsSsize_t(args[5]);
+    pop->generations = PyLong_AsSsize_t(args[6]);
+    Py_ssize_t n = PyErr_Occurred() || pop->retries < 1 || pop->elite < 1
+                   || pop->generations < 0 ? 0 : int64_matrix(args[0], view);
     PyErr_Clear();
-    Py_buffer view;
-    Py_ssize_t n = int64_matrix(args[2], &view);
-    Py_ssize_t p = PyList_Check(genes) ? PyList_GET_SIZE(genes) : 0;
-    int *tours = NULL;  /* this generation's and the next's, then succ, rows and order */
-    unsigned char *seen = NULL;
-    uint64_t *open_cities = NULL, *sizes = NULL;
-    double *cum = NULL;
-    Ranked *ranked = NULL;
-    PyObject *bests = NULL, *made = NULL, *result = Py_None;  /* borrowed until done */
-    if (declined || n < 2 || p < 2 || elite < 1 || elite >= p || generations < 0 || retries < 1
-        || !PyList_Check(lengths) || PyList_GET_SIZE(lengths) != p)
-        goto done;
-    tours = PyMem_New(int, 4 * p * n + p);
-    seen = PyMem_Malloc(n);
-    open_cities = PyMem_New(uint64_t, (n + 63) / 64);
-    cum = PyMem_New(double, p);
-    ranked = PyMem_New(Ranked, p);
-    sizes = PyMem_New(uint64_t, 2 * p);
-    if (tours == NULL || seen == NULL || open_cities == NULL || cum == NULL || ranked == NULL
-        || sizes == NULL) {
-        result = PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t i = 0; i < p; i++)
-        if (!read_tour(PyList_GET_ITEM(genes, i), n, tours + i * n, seen)
-            || !bounded(PyList_GET_ITEM(lengths, i), UINT64_MAX, sizes + i))
-            goto done;
-    result = NULL;
+    if (n == 1)
+        PyBuffer_Release(view);
+    return n >= 2 ? n : 0;
+}
+
+/* 1 when pop's block is allocated for p members of n cities and count >= p
+   records, PyMem_Free(pop->sizes) freeing it; else 0. */
+static int alloc_population(Population *pop, Py_ssize_t n, Py_ssize_t p, Py_ssize_t count)
+{
+    Py_ssize_t words = (n + 63) / 64, ints = (3 * p + count) * n + p;
+    /* the 8-byte arrays first, then the ints and the bytes */
+    pop->sizes = PyMem_Malloc(8 * (p + count + words + p) + sizeof(Ranked) * count
+                              + sizeof(int) * ints + n);
+    if (pop->sizes == NULL)
+        return 0;
+    pop->n = n;
+    pop->p = p;
+    pop->open_cities = pop->sizes + p + count;
+    pop->cum = (double *)(pop->open_cities + words);
+    pop->ranked = (Ranked *)(pop->cum + p);
+    pop->tours = (int *)(pop->ranked + count);
+    pop->seen = (unsigned char *)(pop->tours + ints);
+    return 1;
+}
+
+/* ga.evolve's loop over pop, its first p tours and lengths, with dist's
+   weights: up to pop->generations generations, stopping after the first at
+   which stop_reason would fire for patience (0: never) and target (None:
+   never), with each generation's shortest length appended to bests unless
+   bests is NULL (then patience and target are not read). Draws from rng's
+   Mersenne Twister, read once and written back once. 1 when done, pop->now
+   and pop->length then holding the last generation; 0, rng untouched, at the
+   first generation in which a length sum passes 2**64 - 1; -1 with an
+   exception set. */
+static int run(Population *pop, const long long *dist, PyObject *rng, Py_ssize_t patience,
+               PyObject *target, PyObject *bests)
+{
     uint32_t mt[625];
-    if ((bests = PyList_New(0)) == NULL || !load_twister(rng, mt))
-        goto done;
+    if (!load_twister(rng, mt))
+        return -1;
+    Py_ssize_t p = pop->p, n = pop->n;
+    int overflow = 0;
     for (Py_ssize_t r = 1, total = p * (p + 1) / 2; r <= p; r++)
-        cum[r - 1] = (double)(r * (r + 1) / 2) / (double)total;
-    int *now = tours, *next = tours + p * n, *succ = next + p * n, *rows = succ + p * n;
+        pop->cum[r - 1] = (double)(r * (r + 1) / 2) / (double)total;
+    int *now = pop->tours, *next = now + p * n, *succ = next + p * n, *rows = succ + p * n;
     int *order = rows + p * n;
-    uint64_t *length = sizes, *next_length = sizes + p, best = 0;
+    uint64_t *length = pop->sizes, *next_length = length + p, best = 0;
+    Ranked *ranked = pop->ranked;
     for (Py_ssize_t i = 0; i < p; i++)
         best = i == 0 || length[i] < best ? length[i] : best;
     /* same: how many of the last history entries equal the last one; stop_reason's
        tail of a negative patience is one entry or none, so it fires at once */
     Py_ssize_t same = 1;
-    for (Py_ssize_t g = 1, stop = 0; !stop && g <= generations; g++) {
+    for (Py_ssize_t g = 1, stop = 0; !stop && g <= pop->generations; g++) {
         for (Py_ssize_t i = 0; i < p; i++) {
             const int *tour = now + i * n;
             int *s = succ + i * n;
@@ -386,13 +437,14 @@ static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t narg
                 order[k++] = (int)ranked[i].index;
         }
         for (Py_ssize_t k = 0; k < p; k++) {
-            int *child = next + k * n, ia = (int)ranked[k].index, ib;
-            if (k >= elite) {
-                select_retry(mt, cum, order, p, rows, n, threshold, retries, &ia, &ib);
-                if (random_float(mt) < cross_prob) {
+            int *child = next + k * n, ia = (int)ranked[k].index, ib = ia;
+            if (k >= pop->elite) {
+                select_retry(mt, pop->cum, order, p, rows, n, pop->threshold, pop->retries, &ia,
+                             &ib);
+                if (random_float(mt) < pop->cross_prob) {
                     next_length[k] = crossover(succ + (Py_ssize_t)ia * n, succ + (Py_ssize_t)ib * n,
-                                               now[(Py_ssize_t)ia * n], view.buf, n, mt,
-                                               open_cities, child, &overflow);
+                                               now[(Py_ssize_t)ia * n], dist, n, mt,
+                                               pop->open_cities, child, &overflow);
                     ia = -1;
                 }
                 else if (length[ib] < length[ia])
@@ -402,17 +454,18 @@ static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t narg
                 memcpy(child, now + (Py_ssize_t)ia * n, n * sizeof *child);
                 next_length[k] = length[ia];
             }
-            if (k >= elite && mutation_prob > 0.0 && random_float(mt) < mutation_prob) {
+            if (k >= pop->elite && pop->mutation_prob > 0.0
+                && random_float(mt) < pop->mutation_prob) {
                 long i = draw_below(mt, n), j = draw_below(mt, n - 1);
                 j += j >= i;
                 int city = child[i];
                 child[i] = child[j];
                 child[j] = city;
-                next_length[k] = tour_length(child, view.buf, n, &overflow);
+                next_length[k] = tour_length(child, dist, n, &overflow);
             }
         }
         if (overflow)
-            break;
+            return 0;  /* mt is a copy: rng is untouched */
         int *swap = now;
         now = next;
         next = swap;
@@ -422,26 +475,63 @@ static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t narg
         for (Py_ssize_t i = 0; i < p; i++)
             best = i == 0 || length[i] < best ? length[i] : best;
         same = best == last ? same + 1 : 1;
-        PyObject *value = PyLong_FromUnsignedLongLong(best);
-        stop = value == NULL || PyList_Append(bests, value) < 0
-               || (patience != 0 && same >= patience)
-               || (target != Py_None && PyObject_RichCompareBool(value, target, Py_LE) != 0);
-        Py_XDECREF(value);
+        if (bests != NULL) {
+            PyObject *value = PyLong_FromUnsignedLongLong(best);
+            stop = value == NULL || PyList_Append(bests, value) < 0
+                   || (patience != 0 && same >= patience)
+                   || (target != Py_None && PyObject_RichCompareBool(value, target, Py_LE) != 0);
+            Py_XDECREF(value);
+        }
     }
-    if (overflow)
-        result = Py_None;  /* mt is a copy: rng is untouched */
-    else if (!PyErr_Occurred() && store_twister(rng, mt)
-             && (made = population(now, length, p, n)) != NULL)
+    pop->now = now;
+    pop->length = length;
+    return !PyErr_Occurred() && store_twister(rng, mt) ? 1 : -1;
+}
+
+/* evolve(genes, lengths, distances, threshold, retries, crossover_prob,
+   mutation_prob, elite_count, generations, patience, target, rng) -> (genes,
+   lengths, bests): run's loop over the population. None, before rng is
+   touched, unless distances is a C-ordered n x n int64 matrix with n >= 2,
+   genes a list of p >= 2 tuples permuting 0..n-1, lengths a list of p ints
+   below 2**64, 0 < elite_count < p, generations >= 0, retries >= 1, patience
+   None or an int, target None, an int or a float, and the numbers convert.
+   None as well, rng untouched, at the first generation in which a length sum
+   passes 2**64 - 1: it stops there and builds no tuples. */
+static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 12)
+        return PyErr_Format(PyExc_TypeError, "expected 12 arguments, got %zd", nargs);
+    PyObject *genes = args[0], *lengths = args[1], *target = args[10];
+    Py_ssize_t patience = args[9] == Py_None ? 0 : PyLong_AsSsize_t(args[9]);
+    int declined = PyErr_Occurred() != NULL
+        || (target != Py_None && !PyLong_CheckExact(target) && !PyFloat_CheckExact(target));
+    PyErr_Clear();
+    Population pop = {0};
+    Py_buffer view;
+    Py_ssize_t n = declined ? 0 : read_ga(args + 2, &pop, &view);
+    Py_ssize_t p = PyList_Check(genes) ? PyList_GET_SIZE(genes) : 0;
+    PyObject *bests = NULL, *made = NULL, *result = Py_None;  /* borrowed until done */
+    if (n == 0 || p < 2 || pop.elite >= p || !PyList_Check(lengths) || PyList_GET_SIZE(lengths) != p)
+        goto done;
+    if (!alloc_population(&pop, n, p, p)) {
+        result = PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < p; i++)
+        if (!read_tour(PyList_GET_ITEM(genes, i), n, pop.tours + i * n, pop.seen)
+            || !bounded(PyList_GET_ITEM(lengths, i), UINT64_MAX, pop.sizes + i))
+            goto done;
+    result = NULL;
+    int ran = (bests = PyList_New(0)) == NULL ? -1
+              : run(&pop, view.buf, args[11], patience, target, bests);
+    if (ran == 0)
+        result = Py_None;
+    else if (ran > 0 && (made = population(pop.now, pop.length, p, n)) != NULL)
         result = PyTuple_Pack(3, PyTuple_GET_ITEM(made, 0), PyTuple_GET_ITEM(made, 1), bests);
 done:
     Py_XDECREF(made);
     Py_XDECREF(bests);
-    PyMem_Free(sizes);
-    PyMem_Free(ranked);
-    PyMem_Free(cum);
-    PyMem_Free(open_cities);
-    PyMem_Free(seen);
-    PyMem_Free(tours);
+    PyMem_Free(pop.sizes);
     if (n > 0)
         PyBuffer_Release(&view);
     return result == Py_None ? Py_NewRef(Py_None) : result;
@@ -518,6 +608,29 @@ static Py_ssize_t record_size(PyObject *value, unsigned long key, Py_ssize_t n)
     return (Py_ssize_t)size;
 }
 
+/* 1 when each of the count records passes codec.decode_chromosome's checks
+   with pop_id == key and N == n, copying its genes into tours and its length
+   into lengths; else 0, with no exception set. seen is scratch for n bytes. */
+static int read_records(PyObject *const *items, Py_ssize_t count, unsigned long key,
+                        Py_ssize_t n, int *tours, uint64_t *lengths, unsigned char *seen)
+{
+    for (Py_ssize_t k = 0; k < count; k++) {
+        if (record_size(items[k], key, n) == 0)
+            return 0;
+        const unsigned char *gene = (const unsigned char *)PyBytes_AS_STRING(items[k]) + 8;
+        memset(seen, 0, n);
+        for (Py_ssize_t i = 0; i < n; i++, gene += 4) {
+            unsigned long city = u32_at(gene);
+            if (city >= (unsigned long)n || seen[city])
+                return 0;
+            seen[city] = 1;
+            tours[k * n + i] = (int)city;
+        }
+        lengths[k] = u32_at(gene) | (uint64_t)u32_at(gene + 4) << 32;
+    }
+    return 1;
+}
+
 /* decode_records(values, key) -> (genes, lengths): the gene tuples and tour
    lengths, below 2**64 as the layout holds them, of a list or tuple of codec
    records, copied into C arrays and built through population; None, with no
@@ -530,45 +643,19 @@ static PyObject *decode_records(PyObject *module, PyObject *const *args, Py_ssiz
     uint64_t key;
     if (!bounded(args[1], 0xFFFFFFFF, &key) || (!PyList_Check(args[0]) && !PyTuple_Check(args[0])))
         Py_RETURN_NONE;
-    /* a tuple of the records, so that no code run by an allocation can free one */
-    PyObject *records = PySequence_Tuple(args[0]);
-    if (records == NULL)
-        return NULL;
-    Py_ssize_t count = PyTuple_GET_SIZE(records), n = 0;
-    PyObject **items = &PyTuple_GET_ITEM(records, 0);
-    unsigned char *seen = NULL;
-    int *tours = NULL;
-    uint64_t *lengths = NULL;
+    /* the records are read before population, the first call that could run
+       Python code and change values */
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(args[0]), n = 0;
+    PyObject **items = PySequence_Fast_ITEMS(args[0]);
+    Population pop = {0};  /* of no members: count staged records, no larger than themselves */
     PyObject *result = Py_None;
     if (count == 0 || (n = record_size(items[0], key, 0)) == 0 || n > INT_MAX)
-        goto done;
-    seen = PyMem_Malloc(n);
-    tours = PyMem_New(int, count * n);  /* no larger than the records themselves */
-    lengths = PyMem_New(uint64_t, count);
-    if (seen == NULL || tours == NULL || lengths == NULL) {
+        Py_RETURN_NONE;
+    if (!alloc_population(&pop, n, 0, count))
         result = PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t k = 0; k < count; k++) {
-        if (record_size(items[k], key, n) == 0)
-            goto done;
-        const unsigned char *gene = (const unsigned char *)PyBytes_AS_STRING(items[k]) + 8;
-        memset(seen, 0, n);
-        for (Py_ssize_t i = 0; i < n; i++, gene += 4) {
-            unsigned long city = u32_at(gene);
-            if (city >= (unsigned long)n || seen[city])
-                goto done;
-            seen[city] = 1;
-            tours[k * n + i] = (int)city;
-        }
-        lengths[k] = u32_at(gene) | (uint64_t)u32_at(gene + 4) << 32;
-    }
-    result = population(tours, lengths, count, n);
-done:
-    PyMem_Free(lengths);
-    PyMem_Free(tours);
-    PyMem_Free(seen);
-    Py_DECREF(records);
+    else if (read_records(items, count, key, n, pop.tours, pop.sizes, pop.seen))
+        result = population(pop.tours, pop.sizes, count, n);
+    PyMem_Free(pop.sizes);
     return result == Py_None ? Py_NewRef(Py_None) : result;
 }
 
@@ -579,6 +666,15 @@ static void put_u32(unsigned char *p, unsigned long x)
     p[1] = (unsigned char)(x >> 8);
     p[2] = (unsigned char)(x >> 16);
     p[3] = (unsigned char)(x >> 24);
+}
+
+/* Stores a record's pop_id and N at data, and its length after the N genes. */
+static void put_frame(unsigned char *data, unsigned long key, Py_ssize_t n, uint64_t length)
+{
+    put_u32(data, key);
+    put_u32(data + 4, (unsigned long)n);
+    put_u32(data + 8 + 4 * n, (unsigned long)(length & 0xFFFFFFFF));
+    put_u32(data + 12 + 4 * n, (unsigned long)(length >> 32));
 }
 
 /* encode_records(genes, lengths, key) -> list of bytes: the record that
@@ -624,15 +720,12 @@ static PyObject *encode_records(PyObject *module, PyObject *const *args, Py_ssiz
         }
         PyList_SET_ITEM(records, k, value);
         unsigned char *data = (unsigned char *)PyBytes_AS_STRING(value);
-        put_u32(data, (unsigned long)key);
-        put_u32(data + 4, (unsigned long)n);
+        put_frame(data, (unsigned long)key, n, length);
         for (Py_ssize_t i = 0; i < n; i++) {
             if (!bounded(PyTuple_GET_ITEM(tour, i), 0xFFFFFFFF, &city))
                 goto done;
             put_u32(data + 8 + 4 * i, (unsigned long)city);
         }
-        put_u32(data + 8 + 4 * n, (unsigned long)(length & 0xFFFFFFFF));
-        put_u32(data + 12 + 4 * n, (unsigned long)(length >> 32));
     }
     result = Py_NewRef(records);
 done:
@@ -642,8 +735,100 @@ done:
     return result == Py_None ? Py_NewRef(Py_None) : result;
 }
 
+/* The records of pop's members keyed to key, then the first shortest one's
+   re-addressed to each island below islands but key, in ascending order, as
+   a list of bytes; NULL with an exception set. */
+static PyObject *island_records(const Population *pop, unsigned long key, unsigned long islands)
+{
+    Py_ssize_t p = pop->p, n = pop->n, best = 0, size = 16 + 4 * n;
+    for (Py_ssize_t k = 1; k < p; k++)
+        best = pop->length[k] < pop->length[best] ? k : best;
+    Py_ssize_t count = p + (Py_ssize_t)islands - (key < islands);
+    PyObject *records = PyList_New(count);
+    for (Py_ssize_t k = 0, other = 0; records != NULL && k < count; k++) {
+        PyObject *value = PyBytes_FromStringAndSize(NULL, size);
+        if (value == NULL) {
+            Py_CLEAR(records);
+            break;
+        }
+        PyList_SET_ITEM(records, k, value);
+        unsigned char *data = (unsigned char *)PyBytes_AS_STRING(value);
+        if (k < p) {
+            put_frame(data, key, n, pop->length[k]);
+            for (Py_ssize_t i = 0; i < n; i++)
+                put_u32(data + 8 + 4 * i, (unsigned long)pop->now[k * n + i]);
+            continue;
+        }
+        memcpy(data, PyBytes_AS_STRING(PyList_GET_ITEM(records, best)), size);
+        other += (unsigned long)other == key;
+        put_u32(data, (unsigned long)other++);
+    }
+    return records;
+}
+
+/* evolve_island(values, key, islands, size, distances, threshold, retries,
+   crossover_prob, mutation_prob, elite_count, generations, rng) -> list of
+   bytes: an island's reduce task. It decodes the records, as decode_records
+   does, keeps the size shortest when there are more (ga.shortest's order),
+   runs run's loop over them for generations generations and returns the
+   records of the p members kept, keyed to key, then the first shortest one's
+   re-addressed to every other island below islands, in ascending order. None,
+   before rng is touched, unless distances, the numbers and generations are
+   as evolve takes them, key and islands are ints below 2**32, values is a
+   list or tuple of records that all pass codec.decode_chromosome's checks
+   with pop_id == key and N == n, 0 < elite_count < p with p = min(len(values),
+   size), and rng is as ga._plain asks. None as well, rng untouched, at the
+   first generation in which a length sum passes 2**64 - 1. */
+static PyObject *evolve_island(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 12)
+        return PyErr_Format(PyExc_TypeError, "expected 12 arguments, got %zd", nargs);
+    Py_ssize_t size = PyLong_AsSsize_t(args[3]);
+    PyErr_Clear();
+    uint64_t key, islands;
+    Population pop = {0};
+    Py_buffer view;
+    Py_ssize_t n = read_ga(args + 4, &pop, &view);
+    PyObject *result = Py_None;
+    if (n == 0 || !bounded(args[1], 0xFFFFFFFF, &key) || !bounded(args[2], 0xFFFFFFFF, &islands)
+        || (!PyList_Check(args[0]) && !PyTuple_Check(args[0])) || !plain(args[11]))
+        goto done;
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(args[0]), p = count < size ? count : size;
+    if (p < 2 || pop.elite >= p)
+        goto done;
+    if (!alloc_population(&pop, n, p, count)) {
+        result = PyErr_NoMemory();
+        goto done;
+    }
+    /* more than p records are staged past the first p tours and lengths; they are
+       read before any call that could run Python code and change values */
+    int *tours = pop.tours + (count > p) * p * n;
+    uint64_t *lengths = pop.sizes + (count > p) * p;
+    if (!read_records(PySequence_Fast_ITEMS(args[0]), count, (unsigned long)key, n, tours, lengths,
+                      pop.seen))
+        goto done;
+    if (count > p) {
+        for (Py_ssize_t k = 0; k < count; k++)
+            pop.ranked[k] = (Ranked){lengths[k], k};
+        qsort(pop.ranked, count, sizeof *pop.ranked, by_length);
+        for (Py_ssize_t k = 0; k < p; k++) {
+            memcpy(pop.tours + k * n, tours + pop.ranked[k].index * n, n * sizeof *tours);
+            pop.sizes[k] = pop.ranked[k].length;
+        }
+    }
+    int ran = run(&pop, view.buf, args[11], 0, Py_None, NULL);
+    result = ran > 0 ? island_records(&pop, (unsigned long)key, (unsigned long)islands)
+                     : ran == 0 ? Py_None : NULL;
+done:
+    PyMem_Free(pop.sizes);
+    if (n > 0)
+        PyBuffer_Release(&view);
+    return result == Py_None ? Py_NewRef(Py_None) : result;
+}
+
 static PyMethodDef methods[] = {
     {"evolve", (PyCFunction)(void (*)(void))evolve, METH_FASTCALL, NULL},
+    {"evolve_island", (PyCFunction)(void (*)(void))evolve_island, METH_FASTCALL, NULL},
     {"random_tours", (PyCFunction)(void (*)(void))random_tours, METH_FASTCALL, NULL},
     {"decode_records", (PyCFunction)(void (*)(void))decode_records, METH_FASTCALL, NULL},
     {"encode_records", (PyCFunction)(void (*)(void))encode_records, METH_FASTCALL, NULL},

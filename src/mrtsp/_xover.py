@@ -1,10 +1,15 @@
 """Build and load the compiled GA kernel, the extension module `_xover.c`.
 
-`evolve` runs a reduce task's or an sga run's generations in one call, and
-`random_tours` an initial population, for `ga.evolve` and
-`ga.random_population`; they run their Python loops instead for float
-weights, an rng that is not `ga._plain`, genes that are not tuples, and
-tour lengths of 2**64 or more.
+`evolve` runs a run's generations in one call, and `random_tours` an
+initial population, for `ga.evolve` and `ga.random_population`; they run
+their Python loops instead for float weights, an rng that is not
+`ga._plain`, genes that are not tuples, and tour lengths of 2**64 or more.
+`evolve_island` runs an island's reduce task for `island.EvolveReducer`,
+from its record values to its output values; the reducer runs its
+reference path (decode, `ga.evolve`, encode) instead when it declines: for
+records `decode_records` declines or whose N is not the instance's, fewer
+than 2 members or no more than elite_count after truncation, an rng that
+is not `ga._plain`, float weights and tour lengths of 2**64 or more.
 `decode_records` decodes a reduce key's records for `island.decode_island`,
 which decodes record by record through `codec.decode_chromosome` instead
 when a record is faulty; `encode_records` encodes a reduce key's members for
@@ -87,6 +92,21 @@ def load(source: Path = SOURCE, cache: Path | None = None):
     that outputs and rng state equal the loops'. Lengths are summed in 64
     bits, the record layout's width: when a sum passes 2**64 - 1, either
     returns None, its rng untouched, as when it declines its inputs.
+
+    evolve_island(values, key, islands, size, distances, threshold, retries,
+    crossover_prob, mutation_prob, elite_count, generations, rng) -> list of
+    bytes is EvolveReducer's task: it decodes values as decode_records does,
+    keeps the size shortest records when there are more (ga.shortest's
+    order), runs evolve's loop over the p = min(len(values), size) members
+    for generations generations and returns their records keyed to key,
+    then the first shortest one re-addressed to each island below islands
+    but key, in ascending order, each value byte for byte what
+    encode_chromosome and with_pop_id pack. It returns None, before it
+    touches rng, unless distances and the numbers are as evolve takes them,
+    key and islands are ints below 2**32, every record passes
+    decode_records' checks with pop_id key and N equal to n, 0 < elite_count
+    < p, and rng is one ga._plain accepts; and, rng untouched, when a length
+    sum passes 2**64 - 1.
 
     decode_records(values, key) -> (genes, lengths) decodes a list or tuple
     of codec records into their gene tuples and tour lengths, in order. It

@@ -7,6 +7,11 @@ grouping delivers migrants together with the residents and the receiving
 task drops its worst members to make room. The driver loops jobs until the
 generation budget, a stagnation window or an optional target length stops
 the run.
+
+A reduce task's records go into the kernel's evolve_island and its output
+records come out of it, in one call, when it is loaded; decode_island,
+ga.evolve and encode_island are the reference path, which runs when the
+kernel is absent or declines and names any faulty record.
 """
 
 from __future__ import annotations
@@ -143,6 +148,13 @@ class EvolveReducer:
     batch form of each migrant replacing the current worst member. Migrant
     records carry the destination's pop_id, matching their new key.
 
+    With the kernel loaded, one evolve_island call does all of it, from the
+    record values to the output values; the keys are zipped on here. It
+    declines, and the reference path below runs, for any record decode_island
+    would reject, N other than the instance's, fewer than 2 members or no
+    more than elite_count after truncation, an rng that ga._plain refuses,
+    weights the kernel cannot read and a length sum past 2**64 - 1.
+
     Reducers of one instance object and equal params compare equal, so that
     an engine's pool serves every round that evolves the same run.
     """
@@ -160,6 +172,16 @@ class EvolveReducer:
         return hash((id(self.instance), self.params))
 
     def __call__(self, key, values, rng):
+        params, ga_params = self.params, self.params.ga
+        if ga._KERNEL is not None:
+            made = ga._KERNEL.evolve_island(
+                values, key, params.num_islands, ga_params.population_size,
+                self.instance.distances, ga_params.similarity_threshold,
+                ga_params.max_parent_retries, ga_params.crossover_prob,
+                ga_params.mutation_prob, ga_params.elite_count, params.migration_interval, rng)
+            if made is not None:
+                others = [other for other in range(params.num_islands) if other != key]
+                return list(map(Record, [key] * (len(made) - len(others)) + others, made))
         genes, lengths = decode_island(key, values)
         size = self.params.ga.population_size
         if len(genes) > size:

@@ -5,15 +5,18 @@ import os
 import pickle
 import random
 import re
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrtsp import engine as engine_module
 from mrtsp import ga
 from mrtsp import island as island_module
-from mrtsp.codec import MAX_LENGTH, CodecError, TruncatedBufferError, decode_chromosome
+from mrtsp.codec import (MAX_LENGTH, CodecError, TruncatedBufferError, decode_chromosome,
+                         encode_chromosome)
 from mrtsp.engine import Engine, EngineError, FileStore, MemoryStore, Record
 from mrtsp.ga import GaParams, run_sga, tour_length
 from mrtsp.island import (EvolveReducer, IslandParams, NonIntegerWeightsError,
@@ -24,6 +27,8 @@ from mrtsp.oracle import held_karp
 from mrtsp.tsplib import (Instance, format_instance, parse_instance,
                           random_instance)
 from test_codec import good_records, record_faults
+
+needs_kernel = pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
 
 INST10 = random_instance(10, (1, 100), seed=2)
 INST8 = random_instance(8, (1, 100), seed=5)
@@ -231,9 +236,12 @@ UNENCODABLE = {"gene 2**32": (tuple(range(9)) + (2**32,), 5), "empty tour": ((),
 def test_reducer_and_dump_fault_alike_with_and_without_the_kernel(name, values, monkeypatch):
     # the kernel declines every fault, and the record-by-record decode or
     # encode then raises what it raises without the kernel, naming the same
-    # first bad record or member
+    # first bad record or member; evolve_island cannot make an unencodable
+    # member, so those cases make it decline and reach the reference path
     if name.startswith("evolves "):
         tour, length = UNENCODABLE[name.removeprefix("evolves ")]
+        if ga._KERNEL is not None:
+            monkeypatch.setattr(ga._KERNEL, "evolve_island", lambda *args: None)
         monkeypatch.setattr(island_module, "evolve",
                             lambda genes, lengths, *args: (genes[:1] + [tour] + genes[2:],
                                                            lengths[:1] + [length] + lengths[2:],
@@ -252,6 +260,118 @@ def test_reducer_and_dump_fault_alike_with_and_without_the_kernel(name, values, 
         assert compiled[1][:2] == looped[1][:2] == ("raised", EngineError)
     if name.startswith("evolves "):
         assert looped[0][:2] == ("raised", CodecError)
+
+
+# -- evolve_island: an island's reduce task in one kernel call -----------------------
+
+def island_args(values, key, instance, params, rng):
+    """The kernel's evolve_island arguments for EvolveReducer(instance, params)(key, values, rng)."""
+    g = params.ga
+    return (values, key, params.num_islands, g.population_size, instance.distances,
+            g.similarity_threshold, g.max_parent_retries, g.crossover_prob, g.mutation_prob,
+            g.elite_count, params.migration_interval, rng)
+
+
+class SubclassRng(random.Random):
+    pass
+
+
+def overriding_rng(seed):
+    """A random.Random whose instance overrides random(), which ga._plain refuses."""
+    rng = random.Random(seed)
+    rng.random = lambda: 0.5
+    return rng
+
+
+def island_declines(key=1):
+    """(name, args): evolve_island arguments it must decline, its rng untouched."""
+    good, three = good_records(key), IslandParams(num_islands=4, ga=GaParams(elite_count=3))
+    cases = [(f"record {name}", values, key, INST10, SMALL, random.Random(1))
+             for name, values in record_faults(key)]
+    cases += [
+        ("N != n", good_records(key, n=9), key, INST10, SMALL, random.Random(1)),
+        ("p = 1", good[:1], key, INST10, SMALL, random.Random(1)),
+        ("elite_count = p", good, key, INST10, three, random.Random(1)),
+        ("rng subclass", good, key, INST10, SMALL, SubclassRng(1)),
+        ("rng override", good, key, INST10, SMALL, overriding_rng(1)),
+        ("key 2**32", good, 2**32, INST10, SMALL, random.Random(1)),
+        ("float weights", good, key, Instance("f", 10, INST10.distances * 1.0), SMALL,
+         random.Random(1)),
+    ]
+    return [(name, island_args(values, k, inst, params, rng))
+            for name, values, k, inst, params, rng in cases]
+
+
+@needs_kernel
+@pytest.mark.parametrize("name,args", island_declines())
+def test_evolve_island_declines_before_the_rng_moves(name, args):
+    rng = args[-1]
+    state = rng.getstate()
+    assert ga._KERNEL.evolve_island(*args) is None
+    assert rng.getstate() == state
+
+
+@needs_kernel
+def test_evolve_island_leaves_refcounts_unchanged():
+    key, other = 1000, 2**40  # ints outside the small-int cache
+    for values in [good_records(key), tuple(good_records(key))] + \
+            [values for _, values in record_faults(key)]:
+        for k in (key, other):  # evolved, then declined
+            args = island_args(values, k, INST10, SMALL, random.Random(1))
+            watched = [values, k, INST10.distances, args[-1], *values]
+            before = list(map(sys.getrefcount, watched))
+            ga._KERNEL.evolve_island(*args)
+            after = list(map(sys.getrefcount, watched))  # counted outside the assert's temporaries
+            assert before == after
+
+
+@st.composite
+def island_tasks(draw):
+    """(instance, params, key, values): one reduce task's input, with record
+    counts below, at and above population_size, lengths with ties, and the
+    migrants, like the residents, carrying pop_id == key."""
+    n = draw(st.integers(2, 200))
+    islands = draw(st.integers(2, 12))
+    size = draw(st.integers(2, 12))
+    params = IslandParams(
+        num_islands=islands, migration_interval=draw(st.integers(1, 3)),
+        ga=GaParams(population_size=size, elite_count=draw(st.integers(1, size - 1)),
+                    crossover_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                    mutation_prob=draw(st.sampled_from([0.0, 0.3, 1.0])),
+                    similarity_threshold=draw(st.sampled_from([0.0, 0.8, 1.0]))))
+    key = draw(st.integers(0, islands - 1))
+    count = draw(st.integers(1, size + islands))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lengths = draw(st.lists(st.integers(1000, 1003), min_size=count, max_size=count))
+    values = [encode_chromosome(rng.sample(range(n), n), length, key) for length in lengths]
+    top = draw(st.sampled_from([2, 100]))  # 2: ties among the weights too
+    matrix = np.random.default_rng(draw(st.integers(0, 99))).integers(1, top, (n, n),
+                                                                      endpoint=True)
+    np.fill_diagonal(matrix, 0)
+    return Instance("task", n, matrix), params, key, values
+
+
+@needs_kernel
+@settings(max_examples=80, deadline=None)
+@given(island_tasks(), st.integers(0, 2**32))
+def test_evolve_island_matches_the_reference_reducer(task, seed):
+    instance, params, key, values = task
+    reducer = EvolveReducer(instance, params)
+    kernel = ga._KERNEL
+    outcomes = []
+    try:
+        for compiled in (kernel, None):
+            ga._KERNEL = compiled
+            rng = random.Random(seed)
+            outcomes.append((outcome(reducer, key, values, rng), rng.getstate()))
+    finally:
+        ga._KERNEL = kernel
+    assert outcomes[0] == outcomes[1]
+    p = min(len(values), params.ga.population_size)
+    made = kernel.evolve_island(*island_args(values, key, instance, params, random.Random(seed)))
+    assert (made is None) == (p <= params.ga.elite_count)
+    if made is not None:
+        assert len(made) == p + params.num_islands - 1
 
 
 def test_check_convergence_continue():

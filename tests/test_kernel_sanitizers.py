@@ -1,6 +1,8 @@
 """The kernel built with AddressSanitizer and UBSan, run in a subprocess on
 the record faults decode_records must decline, the member faults
-encode_records must decline, valid records and members at their widest,
+encode_records must decline, valid records and members at their widest, the
+inputs evolve_island must decline before it touches the rng, an island's
+records at their widest and beyond population_size at n = 129,
 the inputs evolve and random_tours must decline before they touch the rng
 (weights, genes, lengths, counts and stop rules, as in test_ga.py), short
 sga and pga runs compared with the Python loops, which exercise evolve and
@@ -37,12 +39,13 @@ import numpy as np
 from mrtsp import ga
 from mrtsp.codec import decode_chromosome, encode_chromosome
 from mrtsp.ga import GaParams, TerminationPolicy, run_sga
-from mrtsp.island import IslandParams, run_pga
+from mrtsp.island import EvolveReducer, IslandParams, run_pga
 from mrtsp.tsplib import Instance, random_instance
 from test_codec import encode_faults, good_members, good_records, record_faults
 from test_ga import (ARG_FAULTS, DECLINED, GENE_FAULTS, ODD_WEIGHTS, OVERFLOWING, arg_fault,
                      declined_case, evolve_args, gene_fault, huge_instance, odd_weights,
                      overflowing_instance, twisted, weighted)
+from test_island import island_args, island_declines
 
 loader = importlib.machinery.ExtensionFileLoader("_xover", sys.argv[1])
 kernel = importlib.util.module_from_spec(importlib.util.spec_from_loader("_xover", loader))
@@ -63,6 +66,32 @@ for n in (1, 171, 300):
         [encode_chromosome(tour, length, 5) for tour, length in zip(genes, lengths)], n
 assert kernel.encode_records([(2**32 - 1, 0)], [2**64 - 1], 2**32 - 1) == \\
     [encode_chromosome((2**32 - 1, 0), 2**64 - 1, 2**32 - 1)]
+
+for name, args in island_declines():
+    state = args[-1].getstate()
+    assert kernel.evolve_island(*args) is None, name
+    assert args[-1].getstate() == state, name
+
+
+def reduced(reducer, key, values):
+    # evolve_island runs, and the reducer returns what it returns without the kernel
+    assert kernel.evolve_island(*island_args(values, key, reducer.instance, reducer.params,
+                                             random.Random(8))) is not None
+    outcomes = []
+    for compiled in (kernel, None):
+        ga._KERNEL = compiled
+        rng = random.Random(8)
+        outcomes.append((reducer(key, values, rng), rng.getstate()))
+    assert outcomes[0] == outcomes[1]
+
+
+# key 2**32 - 1 lies past the islands, so every island gets a migrant
+widest = [encode_chromosome(decode_chromosome(value).genes, 2**64 - 1 - k, 2**32 - 1)
+          for k, value in enumerate(good_records(2**32 - 1, n=129, count=6, seed=4))]
+island = IslandParams(num_islands=5, migration_interval=2,
+                      ga=GaParams(population_size=6, mutation_prob=0.5))
+reduced(EvolveReducer(weighted(129), island), 2**32 - 1, widest)
+reduced(EvolveReducer(weighted(129), island), 3, good_records(3, n=129, count=11, seed=5))
 
 
 def declines(args):
