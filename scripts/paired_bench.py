@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
 """Compare a base revision with the working tree in alternating perfbench pairs.
 
-    python3 scripts/paired_bench.py --workload pga-n171-disk --pairs 10 --seconds 20 \\
-        --seed 28001 --base HEAD
+    python3 scripts/paired_bench.py --workload pga-n171-disk --workload exact-n15 \\
+        --pairs 10 --seconds 20 --seed 28001 --base HEAD
 
 Exports the base revision's `src/`, `perfbench/` and `BENCHMARK.json` with
 `git archive` into a temporary directory and imports `mrtsp.ga` once in each
 tree, so that the kernel is compiled before any timed run and the compiler's
-RSS counts in neither. Then runs each tree's `perfbench/run.py --trace 0` for
-`--pairs` pairs in ABBA order: base first in even pairs, the working tree
-first in odd ones, pair k on seed `--seed` + k for both trees. Prints every
-pair's `run_s` and, for each end-to-end metric of BENCHMARK.json, the base and
-change medians, the base's quartiles, the ratio base / change and in how many
-pairs the change read lower. Exits 1, at once, when a run reports a failed
-check or the two trees' fingerprints differ on a seed.
+RSS counts in neither. Then, for each `--workload` in turn (the option
+repeats), runs each tree's `perfbench/run.py --trace 0` for `--pairs` pairs
+in ABBA order: base first in even pairs, the working tree first in odd ones,
+pair k on seed `--seed` + k for both trees. Prints, in one block per
+workload, every pair's `run_s` and, for each end-to-end metric of
+BENCHMARK.json, the base and change medians, the base's quartiles, the ratio
+base / change and in how many pairs the change read lower, flagging WORSE
+THAN BOUND where the change median is worse than the base median by more
+than the metric's bound, as a share of the base median. Exits 1 when any
+metric is flagged, and at once when a run reports a failed check or the two
+trees' fingerprints differ on a seed.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from typing import Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPORTED = ("src", "perfbench", "BENCHMARK.json")
+FLAG = "  WORSE THAN BOUND"
 
 
 class Run(NamedTuple):
@@ -90,8 +95,18 @@ def run_pairs(base: Path, change: Path, workload: str, seed: int, pairs: int, se
     return results
 
 
-def summary(results: list[tuple[Run, Run]], metrics: list[str]) -> list[str]:
-    """Per metric: medians, the base's quartiles, base / change and k of N lower."""
+def worse_than_bound(was: float, now: float, bound: float, better: str) -> bool:
+    """Whether now is worse than was by more than bound, as a share of was."""
+    if not was:
+        return False
+    return now / was > 1 + bound if better == "lower" else now / was < 1 - bound
+
+
+def summary(results: list[tuple[Run, Run]], metrics: list[str],
+            bounds: dict[str, tuple[float, str]] | None = None) -> list[str]:
+    """Per metric: medians, the base's quartiles, base / change and k of N
+    lower, ending in FLAG where bounds, name -> (bound, better), has the
+    metric and its change median is worse than its bound."""
     lines = []
     for name in metrics:
         before = [b.metrics[name] for b, _ in results]
@@ -100,31 +115,40 @@ def summary(results: list[tuple[Run, Run]], metrics: list[str]) -> list[str]:
         was, now = statistics.median(before), statistics.median(after)
         ratio = f"{was / now:.3f}x" if now else "n/a"
         lower = sum(c < b for b, c in zip(before, after))
+        worse = name in (bounds or {}) and worse_than_bound(was, now, *bounds[name])
         lines.append(f"{name}: base {was:.6g} [{low:.6g}, {high:.6g}] -> change {now:.6g}, "
-                     f"{ratio}, lower in {lower} of {len(results)}")
+                     f"{ratio}, lower in {lower} of {len(results)}{FLAG if worse else ''}")
     return lines
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a BENCHMARK.json workload (repeatable)")
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = [m["name"] for m in spec]
+    bounds = {m["name"]: (m["bound"], m["better"]) for m in spec}
+    flagged = False
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
         base = export(args.base, Path(tmp))
         for tree in (base, ROOT):
             warm(tree)
-        results = run_pairs(base, ROOT, args.workload, args.seed, args.pairs, args.seconds,
-                            perfbench)
-    if isinstance(results, str):
-        print(results, file=sys.stderr)
-        return 1
-    print("\n".join(summary(results, metrics)))
-    return 0
+        for workload in args.workload:
+            print(f"== {workload}", flush=True)
+            results = run_pairs(base, ROOT, workload, args.seed, args.pairs, args.seconds,
+                                perfbench)
+            if isinstance(results, str):
+                print(f"{workload}: {results}", file=sys.stderr)
+                return 1
+            lines = summary(results, metrics, bounds)
+            print("\n".join(lines), flush=True)
+            flagged |= any(line.endswith(FLAG) for line in lines)
+    return int(flagged)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-/* The compiled GA steps of mrtsp.ga, a CPython extension module.
+/* The compiled GA steps of mrtsp.ga and island.py, and the Held-Karp DP of
+   mrtsp.oracle, a CPython extension module.
 
    evolve runs ga.evolve's generations in the loop's order: the elite pick and
    the Ranking as stable sorts of the member indices by length;
@@ -33,12 +34,17 @@
    past 2**64 - 1 makes each return None too, the rng untouched, since its
    Mersenne Twister is a local copy until written back.
 
-   decode_records decodes a reduce key's codec records, and encode_records
-   packs its members, in one call each, as codec.decode_chromosome and
-   codec.encode_chromosome do. They return None unless every record passes the
-   codec's checks with the key as its pop_id and the N of the first, or every
-   member fits the layout; island.py then works record by record, so that the
-   codec names the first fault. */
+   decode_records decodes a reduce key's codec records in one call, as
+   codec.decode_chromosome does. It returns None unless every record passes
+   the codec's checks with the key as its pop_id and the N of the first;
+   island.py then works record by record, so that the codec names the first
+   fault.
+
+   held_karp runs oracle.held_karp's DP over float64 weights with the numpy
+   DP's tie rule, so their results are equal. It returns None, before it
+   allocates anything, unless the weights are a C-ordered n x n float64
+   matrix with 2 <= n <= 18 and no NaN or -inf entry; oracle.py runs the
+   numpy DP then. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
@@ -266,8 +272,10 @@ static uint64_t crossover(const int *sa, const int *sb, int first, const long lo
 }
 
 /* n, holding view, when obj is a C-ordered n x n matrix (n >= 1) of native
-   8-byte integers; else 0, holding nothing, with no exception set. */
-static Py_ssize_t int64_matrix(PyObject *obj, Py_buffer *view)
+   8-byte items whose struct format is one of the letters in formats ("lq"
+   for integers, "d" for doubles); else 0, holding nothing, with no exception
+   set. */
+static Py_ssize_t matrix(PyObject *obj, Py_buffer *view, const char *formats)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0) {
         PyErr_Clear();
@@ -275,8 +283,8 @@ static Py_ssize_t int64_matrix(PyObject *obj, Py_buffer *view)
     }
     const char *format = view->format ? view->format + (view->format[0] == '@') : "B";
     if (view->ndim == 2 && view->shape[0] == view->shape[1] && view->shape[0] > 0
-        && view->itemsize == 8 && (strcmp(format, "l") == 0 || strcmp(format, "q") == 0)
-        && PyBuffer_IsContiguous(view, 'C'))
+        && view->itemsize == 8 && format[0] != '\0' && format[1] == '\0'
+        && strchr(formats, format[0]) != NULL && PyBuffer_IsContiguous(view, 'C'))
         return view->shape[0];
     PyBuffer_Release(view);
     return 0;
@@ -363,7 +371,7 @@ static Py_ssize_t read_ga(PyObject *const *args, Population *pop, Py_buffer *vie
     pop->elite = PyLong_AsSsize_t(args[5]);
     pop->generations = PyLong_AsSsize_t(args[6]);
     Py_ssize_t n = PyErr_Occurred() || pop->retries < 1 || pop->elite < 1
-                   || pop->generations < 0 ? 0 : int64_matrix(args[0], view);
+                   || pop->generations < 0 ? 0 : matrix(args[0], view, "lq");
     PyErr_Clear();
     if (n == 1)
         PyBuffer_Release(view);
@@ -550,7 +558,7 @@ static PyObject *random_tours(PyObject *module, PyObject *const *args, Py_ssize_
     if (count == -1 && PyErr_Occurred())
         return NULL;
     Py_buffer view;
-    Py_ssize_t n = int64_matrix(args[1], &view);
+    Py_ssize_t n = matrix(args[1], &view, "lq");
     if (n < 2 || count < 0) {
         if (n > 0)
             PyBuffer_Release(&view);
@@ -677,64 +685,6 @@ static void put_frame(unsigned char *data, unsigned long key, Py_ssize_t n, uint
     put_u32(data + 12 + 4 * n, (unsigned long)(length >> 32));
 }
 
-/* encode_records(genes, lengths, key) -> list of bytes: the record that
-   codec.encode_chromosome(genes[k], lengths[k], key) packs, for every k; None,
-   with no exception set, unless genes and lengths are lists or tuples of one
-   size, key is an int below 2**32, every genes is a non-empty tuple of ints
-   below 2**32 and every length an int below 2**64. */
-static PyObject *encode_records(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError, "expected 3 arguments, got %zd", nargs);
-    uint64_t key, length, city;
-    if (!bounded(args[2], 0xFFFFFFFF, &key)
-        || (!PyList_Check(args[0]) && !PyTuple_Check(args[0]))
-        || (!PyList_Check(args[1]) && !PyTuple_Check(args[1])))
-        Py_RETURN_NONE;
-    /* tuples of the inputs, so that no code run by an allocation can free one */
-    PyObject *genes = PySequence_Tuple(args[0]);
-    PyObject *lengths = genes ? PySequence_Tuple(args[1]) : NULL;
-    PyObject *records = NULL, *result = Py_None;  /* borrowed until done */
-    if (lengths == NULL) {
-        result = NULL;
-        goto done;
-    }
-    Py_ssize_t count = PyTuple_GET_SIZE(genes);
-    if (PyTuple_GET_SIZE(lengths) != count)
-        goto done;
-    if ((records = PyList_New(count)) == NULL) {
-        result = NULL;
-        goto done;
-    }
-    for (Py_ssize_t k = 0; k < count; k++) {
-        PyObject *tour = PyTuple_GET_ITEM(genes, k);
-        if (!PyTuple_Check(tour) || PyTuple_GET_SIZE(tour) == 0
-            || PyTuple_GET_SIZE(tour) > 0xFFFFFFFFLL
-            || !bounded(PyTuple_GET_ITEM(lengths, k), UINT64_MAX, &length))
-            goto done;
-        Py_ssize_t n = PyTuple_GET_SIZE(tour);
-        PyObject *value = PyBytes_FromStringAndSize(NULL, 16 + 4 * n);
-        if (value == NULL) {
-            result = NULL;
-            goto done;
-        }
-        PyList_SET_ITEM(records, k, value);
-        unsigned char *data = (unsigned char *)PyBytes_AS_STRING(value);
-        put_frame(data, (unsigned long)key, n, length);
-        for (Py_ssize_t i = 0; i < n; i++) {
-            if (!bounded(PyTuple_GET_ITEM(tour, i), 0xFFFFFFFF, &city))
-                goto done;
-            put_u32(data + 8 + 4 * i, (unsigned long)city);
-        }
-    }
-    result = Py_NewRef(records);
-done:
-    Py_XDECREF(records);
-    Py_XDECREF(lengths);
-    Py_XDECREF(genes);
-    return result == Py_None ? Py_NewRef(Py_None) : result;
-}
-
 /* The records of pop's members keyed to key, then the first shortest one's
    re-addressed to each island below islands but key, in ascending order, as
    a list of bytes; NULL with an exception set. */
@@ -826,12 +776,93 @@ done:
     return result == Py_None ? Py_NewRef(Py_None) : result;
 }
 
+/* held_karp(distances) -> (length, tour): oracle.held_karp's DP over (visited
+   set, last city), giving the optimum directed tour's length as a float and
+   the tour as a tuple of ints from city 0, equal to the numpy DP's. Masks are
+   visited in ascending order; dp[mask][j], the shortest path from 0 through
+   the cities of mask to j, is the first minimum, in ascending i over the
+   cities of mask ^ 1 << j, of dp[mask ^ 1 << j][i] + d[i][j], which is what
+   numpy's argmin over all n cities picks, since dp is +inf outside a mask and
+   city 0 is in every one. Every mask holds city 0, so the tables are indexed
+   by mask >> 1 and take 9 * 2**(n-1) * n bytes. None, before anything is
+   allocated, unless distances is a C-ordered n x n float64 matrix with
+   2 <= n <= 18 and no NaN or -inf entry, whose sums outside a mask argmin
+   would pick; MemoryError if the tables cannot be allocated. */
+static PyObject *held_karp(PyObject *module, PyObject *distances)
+{
+    Py_buffer view;
+    Py_ssize_t n = matrix(distances, &view, "d");
+    const double *d = n > 0 ? view.buf : NULL;
+    int ok = n >= 2 && n <= 18;
+    for (Py_ssize_t k = 0; ok && k < n * n; k++)
+        ok = d[k] > -INFINITY;
+    if (!ok) {
+        if (n > 0)
+            PyBuffer_Release(&view);
+        Py_RETURN_NONE;
+    }
+    Py_ssize_t rows = (Py_ssize_t)1 << (n - 1);  /* row = mask >> 1; city c >= 1 is bit c - 1 */
+    double *dp = PyMem_Malloc(rows * n * (sizeof *dp + 1));
+    if (dp == NULL) {
+        PyBuffer_Release(&view);
+        return PyErr_NoMemory();
+    }
+    signed char *parent = (signed char *)(dp + rows * n);
+    for (Py_ssize_t row = 0; row < rows; row++)
+        dp[row * n] = row == 0 ? 0.0 : INFINITY;  /* only the empty path ends at city 0 */
+    for (Py_ssize_t row = 1; row < rows; row++)
+        for (Py_ssize_t js = row; js; js &= js - 1) {
+            int j = __builtin_ctzl(js) + 1, arg = 0;
+            Py_ssize_t prev = row ^ (js & -js);
+            const double *from = dp + prev * n;
+            double best = from[0] + d[j];
+            for (Py_ssize_t is = prev; is; is &= is - 1) {
+                int i = __builtin_ctzl(is) + 1;
+                double sum = from[i] + d[i * n + j];
+                if (sum < best) {
+                    best = sum;
+                    arg = i;
+                }
+            }
+            dp[row * n + j] = best;
+            parent[row * n + j] = (signed char)arg;
+        }
+    /* the closing edge; dp[full][0] is +inf, so city 0 wins only when all are */
+    const double *full = dp + (rows - 1) * n;
+    double length = full[0] + d[0];
+    int last = 0, cities[18], count = 0;
+    for (int i = 1; i < n; i++) {
+        double sum = full[i] + d[i * n];
+        if (sum < length) {
+            length = sum;
+            last = i;
+        }
+    }
+    for (Py_ssize_t row = rows - 1, j = last; j;) {
+        cities[count++] = (int)j;
+        Py_ssize_t i = parent[row * n + j];
+        row ^= (Py_ssize_t)1 << (j - 1);
+        j = i;
+    }
+    PyMem_Free(dp);
+    PyBuffer_Release(&view);
+    PyObject *tour = PyTuple_New(count + 1);
+    for (int t = 0; tour != NULL && t <= count; t++) {
+        PyObject *city = PyLong_FromLong(t == 0 ? 0 : cities[count - t]);
+        if (city == NULL)
+            Py_CLEAR(tour);
+        else
+            PyTuple_SET_ITEM(tour, t, city);
+    }
+    return tour == NULL ? NULL : Py_BuildValue("(dN)", length, tour);
+}
+
 static PyMethodDef methods[] = {
     {"evolve", (PyCFunction)(void (*)(void))evolve, METH_FASTCALL, NULL},
     {"evolve_island", (PyCFunction)(void (*)(void))evolve_island, METH_FASTCALL, NULL},
     {"random_tours", (PyCFunction)(void (*)(void))random_tours, METH_FASTCALL, NULL},
     {"decode_records", (PyCFunction)(void (*)(void))decode_records, METH_FASTCALL, NULL},
-    {"encode_records", (PyCFunction)(void (*)(void))encode_records, METH_FASTCALL, NULL},
+    {"held_karp", held_karp, METH_O, NULL},
     {NULL, NULL, 0, NULL},
 };
 

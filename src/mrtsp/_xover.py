@@ -1,4 +1,4 @@
-"""Build and load the compiled GA kernel, the extension module `_xover.c`.
+"""Build and load the compiled kernel, the extension module `_xover.c`.
 
 `evolve` runs a run's generations in one call, and `random_tours` an
 initial population, for `ga.evolve` and `ga.random_population`; they run
@@ -12,9 +12,8 @@ than 2 members or no more than elite_count after truncation, an rng that
 is not `ga._plain`, float weights and tour lengths of 2**64 or more.
 `decode_records` decodes a reduce key's records for `island.decode_island`,
 which decodes record by record through `codec.decode_chromosome` instead
-when a record is faulty; `encode_records` encodes a reduce key's members for
-`island.encode_island`, which encodes them one by one through
-`codec.encode_chromosome` instead when one does not fit the record layout.
+when a record is faulty. `held_karp` runs `oracle.held_karp`'s DP, which
+runs its numpy DP instead when the kernel declines the weights.
 
 The module is compiled once with `cc -O2 -shared -fPIC` against the
 interpreter's headers into the package's `__pycache__`, under a name that
@@ -114,12 +113,13 @@ def load(source: Path = SOURCE, cache: Path | None = None):
     and each is a bytes that codec.decode_chromosome accepts, with pop_id
     equal to key and the same N as the first.
 
-    encode_records(genes, lengths, key) -> list of bytes packs each gene
-    tuple and tour length as codec.encode_chromosome(genes, length, key)
-    does, in order. It returns None, with no exception set, unless genes and
-    lengths are lists or tuples of one size, key is an int below 2**32, each
-    genes is a non-empty tuple of ints below 2**32 and each length an int
-    below 2**64.
+    held_karp(distances) -> (length, tour) runs oracle.held_karp's DP with
+    the numpy DP's tie rule: the optimum directed tour's length as a float,
+    and the tour from city 0 as a tuple of ints, equal to the numpy DP's. Its
+    tables are indexed by the visited set without city 0, 9 * 2**(n-1) * n
+    bytes. It returns None, before it allocates anything, unless distances
+    is a C-ordered n x n float64 matrix with 2 <= n <= 18 and no NaN or -inf
+    entry, and raises MemoryError when the tables cannot be allocated.
     """
     cache = cache if cache is not None else source.parent / "__pycache__"
     try:

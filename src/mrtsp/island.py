@@ -10,8 +10,9 @@ the run.
 
 A reduce task's records go into the kernel's evolve_island and its output
 records come out of it, in one call, when it is loaded; decode_island,
-ga.evolve and encode_island are the reference path, which runs when the
-kernel is absent or declines and names any faulty record.
+ga.evolve and encode_island, which encodes record by record, are the
+reference path, which runs when the kernel is absent or declines and names
+any faulty record.
 """
 
 from __future__ import annotations
@@ -114,16 +115,11 @@ def decode_island(key: int, values: list[bytes]) -> tuple[list[tuple[int, ...]],
 
 
 def encode_island(key: int, genes: list[tuple[int, ...]], lengths: list[int]) -> list[bytes]:
-    """The records of an island's members, keyed to it, in order.
-
-    The kernel's encode_records encodes them all in one call. When it is
-    absent or declines (a member that does not fit the record layout, or a
-    length that is not an int), encode_chromosome encodes them one by one,
-    so that the first such member raises its CodecError."""
-    if ga._KERNEL is not None:
-        encoded = ga._KERNEL.encode_records(genes, lengths, key)
-        if encoded is not None:
-            return encoded
+    """The records of an island's members, keyed to it, in order, encoded one
+    by one through encode_chromosome, so that the first member that does not
+    fit the record layout raises its CodecError. It serves EvolveReducer's
+    reference path; with the kernel loaded, evolve_island encodes every
+    output record itself."""
     return [encode_chromosome(tour, length, key) for tour, length in zip(genes, lengths)]
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ga
 from .tsplib import Instance
 
 BRUTE_FORCE_MAX = 11
@@ -53,13 +54,23 @@ def brute_force(instance: Instance) -> ExactResult:
 def held_karp(instance: Instance) -> ExactResult:
     """Dynamic program over (visited set, last city); O(2^N * N^2), N <= 18.
 
-    One vectorized step per (popcount layer, last city): br17 takes about
-    0.2 s, and the tables take 9 * 2^N * N bytes (42 MB at N=18).
+    With the kernel loaded, its held_karp runs the DP in one call, over
+    tables indexed by the visited set without city 0, which is in every one:
+    9 * 2^(N-1) * N bytes, 21 MB at N=18, and br17 takes about 8 ms. The
+    numpy DP below is the reference, which runs when the kernel is absent or
+    declines: one vectorized step per (popcount layer, last city), br17 in
+    about 0.14 s, over tables of 9 * 2^N * N bytes (42 MB at N=18). Both take
+    the first minimum in ascending city order at every step, so they return
+    equal results.
     """
     n = instance.dimension
     if n > HELD_KARP_MAX:
         raise ValueError(f"held_karp handles N <= {HELD_KARP_MAX}, got {n}")
     d = np.asarray(instance.distances, dtype=np.float64)
+    if ga._KERNEL is not None:
+        solved = ga._KERNEL.held_karp(d)
+        if solved is not None:
+            return ExactResult(optimum_length=_scalar(solved[0], d), optimum_tour=solved[1])
     size = 1 << n
     # dp[mask, j] = cheapest path 0 -> ... -> j visiting exactly the cities in mask
     dp = np.full((size, n), np.inf)

@@ -183,74 +183,3 @@ def test_decode_records_leaves_refcounts_unchanged():
             ga._KERNEL.decode_records(values, k)
             assert before == (sys.getrefcount(values), sys.getrefcount(k),
                               [sys.getrefcount(value) for value in values])
-
-
-# -- encode_records: a reduce key's members in one kernel call --------------------------
-
-def good_members(n, count=4, seed=0):
-    """(genes, lengths): count gene tuples of n cities and lengths up to 2**64 - 1."""
-    rng = random.Random(seed)
-    return ([tuple(rng.sample(range(n), n)) for _ in range(count)],
-            [rng.randrange(2**64) for _ in range(count)])
-
-
-def encode_faults(key=1000):
-    """(name, genes, lengths, key): one island's members holding one input
-    encode_records must decline, after a valid member unless the fault is in
-    the key or a container."""
-    tour, length = tuple(range(10)), 12345
-
-    def after_valid(genes=tour, size=length):
-        return [tour, genes], [length, size], key
-
-    return [
-        ("gene -1", *after_valid((-1,) + tour[1:])),
-        ("gene 2**32", *after_valid(tour[:-1] + (2**32,))),
-        ("float gene", *after_valid((0.0,) + tour[1:])),
-        ("bool gene", *after_valid((True,) + tour[1:])),
-        ("list in place of a tuple", *after_valid(list(tour))),
-        ("empty tuple", *after_valid(())),
-        ("None in place of a tuple", *after_valid(None)),
-        ("length -1", *after_valid(size=-1)),
-        ("length 2**64", *after_valid(size=2**64)),
-        ("float length", *after_valid(size=12345.0)),
-        ("key 2**32", [tour], [length], 2**32),
-        ("key -1", [tour], [length], -1),
-        ("float key", [tour], [length], float(key)),
-        ("fewer lengths than genes", [tour, tour], [length], key),
-        ("an iterator of genes", iter([tour]), [length], key),
-    ]
-
-
-@needs_kernel
-@pytest.mark.parametrize("name,genes,lengths,key", encode_faults())
-def test_encode_records_declines_every_fault(name, genes, lengths, key):
-    assert ga._KERNEL.encode_records(genes, lengths, key) is None
-
-
-@needs_kernel
-def test_encode_records_matches_encode_chromosome():
-    for n in (1, 171, 300):
-        genes, lengths = good_members(n, seed=n)
-        expected = [encode_chromosome(tour, length, 7) for tour, length in zip(genes, lengths)]
-        for batch in ((genes, lengths), (tuple(genes), tuple(lengths))):
-            assert ga._KERNEL.encode_records(*batch, 7) == expected
-    assert ga._KERNEL.encode_records([(2**32 - 1, 0)], [2**64 - 1], 2**32 - 1) == \
-        [encode_chromosome((2**32 - 1, 0), 2**64 - 1, 2**32 - 1)]
-    assert ga._KERNEL.encode_records([], [], 7) == []
-
-
-@needs_kernel
-def test_encode_records_leaves_refcounts_unchanged():
-    def counts(genes, lengths, key):
-        return (sys.getrefcount(genes), sys.getrefcount(lengths), sys.getrefcount(key),
-                [sys.getrefcount(tour) for tour in genes], [sys.getrefcount(n) for n in lengths])
-
-    genes, lengths = good_members(300)
-    cases = [(genes, lengths, 1000), (tuple(genes), tuple(lengths), 1000)]
-    # an iterator of genes is left out: counting its tours would consume it
-    for genes, lengths, key in cases + [case[1:] for case in encode_faults()
-                                       if case[0] != "an iterator of genes"]:
-        before = counts(genes, lengths, key)
-        ga._KERNEL.encode_records(genes, lengths, key)
-        assert before == counts(genes, lengths, key)

@@ -1,7 +1,6 @@
 """Property tests for the chromosome codec: a corrupted encoding either fails
 to decode with CodecError or decodes to a value that encodes back to it, the
-kernel's batch decoder agrees with decode_chromosome on valid records, and
-its batch encoder agrees with encode_chromosome wherever it does not decline."""
+kernel's batch decoder agrees with decode_chromosome on valid records."""
 
 import struct
 
@@ -61,28 +60,3 @@ def test_batch_decode_matches_decode_chromosome(records):
     genes, lengths = ga._KERNEL.decode_records(values, key)
     assert [(key, tour, length) for tour, length in zip(genes, lengths)] == \
         [tuple(decode_chromosome(value)) for value in values]
-
-
-@st.composite
-def island_members(draw):
-    """(genes, lengths, key): up to 4 tours of 1 to 300 cities, with genes,
-    lengths and the key drawn from one past each end of their fields, so
-    that some inputs do not fit the record layout."""
-    key = draw(st.integers(-1, 2**32))
-    genes = draw(st.lists(st.lists(st.integers(-1, 2**32), min_size=1, max_size=300)
-                          .map(tuple), max_size=4))
-    lengths = draw(st.lists(st.integers(-1, 2**64), min_size=len(genes), max_size=len(genes)))
-    return genes, lengths, key
-
-
-@pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
-@settings(max_examples=300, deadline=None)
-@given(island_members())
-@example(([(2**32 - 1,)], [2**64 - 1], 2**32 - 1))
-def test_batch_encode_matches_encode_chromosome(members):
-    genes, lengths, key = members
-    fits = 0 <= key < 2**32 and all(0 <= length <= MAX_LENGTH for length in lengths) and \
-        all(0 <= gene < 2**32 for tour in genes for gene in tour)
-    expected = [encode_chromosome(tour, length, key)
-                for tour, length in zip(genes, lengths)] if fits else None
-    assert ga._KERNEL.encode_records(genes, lengths, key) == expected

@@ -1,9 +1,10 @@
 """The kernel built with AddressSanitizer and UBSan, run in a subprocess on
-the record faults decode_records must decline, the member faults
-encode_records must decline, valid records and members at their widest, the
-inputs evolve_island must decline before it touches the rng, an island's
-records at their widest and beyond population_size at n = 129,
-the inputs evolve and random_tours must decline before they touch the rng
+the record faults decode_records must decline, valid records at their
+widest, the matrices held_karp must decline and valid ones from 2 to 16
+cities, tie-heavy and with sums overflowing to inf, compared with the numpy
+DP, the inputs evolve_island must decline before it touches the rng, an
+island's records at their widest and beyond population_size at n = 129, the
+inputs evolve and random_tours must decline before they touch the rng
 (weights, genes, lengths, counts and stop rules, as in test_ga.py), short
 sga and pga runs compared with the Python loops, which exercise evolve and
 random_tours as well: evolve at n = 65, 128 and 129, whose crossover bitmap
@@ -40,12 +41,14 @@ from mrtsp import ga
 from mrtsp.codec import decode_chromosome, encode_chromosome
 from mrtsp.ga import GaParams, TerminationPolicy, run_sga
 from mrtsp.island import EvolveReducer, IslandParams, run_pga
+from mrtsp.oracle import held_karp
 from mrtsp.tsplib import Instance, random_instance
-from test_codec import encode_faults, good_members, good_records, record_faults
+from test_codec import good_records, record_faults
 from test_ga import (ARG_FAULTS, DECLINED, GENE_FAULTS, ODD_WEIGHTS, OVERFLOWING, arg_fault,
                      declined_case, evolve_args, gene_fault, huge_instance, odd_weights,
                      overflowing_instance, twisted, weighted)
 from test_island import island_args, island_declines
+from test_oracle_golden import held_karp_declines, held_karp_solvable
 
 loader = importlib.machinery.ExtensionFileLoader("_xover", sys.argv[1])
 kernel = importlib.util.module_from_spec(importlib.util.spec_from_loader("_xover", loader))
@@ -58,14 +61,17 @@ for n in (1, 10, 300):
     decoded = [decode_chromosome(value) for value in values]
     assert kernel.decode_records(values, 5) == \\
         ([d.genes for d in decoded], [d.length for d in decoded]), n
-for name, genes, lengths, key in encode_faults():
-    assert kernel.encode_records(genes, lengths, key) is None, name
-for n in (1, 171, 300):
-    genes, lengths = good_members(n, seed=n)
-    assert kernel.encode_records(genes, lengths, 5) == \\
-        [encode_chromosome(tour, length, 5) for tour, length in zip(genes, lengths)], n
-assert kernel.encode_records([(2**32 - 1, 0)], [2**64 - 1], 2**32 - 1) == \\
-    [encode_chromosome((2**32 - 1, 0), 2**64 - 1, 2**32 - 1)]
+
+for name, distances in held_karp_declines():
+    assert kernel.held_karp(distances) is None, name
+for name, distances in held_karp_solvable():
+    assert kernel.held_karp(distances) is not None, name
+    outcomes = []
+    for compiled in (kernel, None):
+        ga._KERNEL = compiled
+        with np.errstate(over="ignore"):
+            outcomes.append(repr(held_karp(Instance(name, len(distances), distances))))
+    assert outcomes[0] == outcomes[1], name
 
 for name, args in island_declines():
     state = args[-1].getstate()

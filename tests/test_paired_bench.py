@@ -1,5 +1,6 @@
 """scripts/paired_bench.py alternates base and change runs in ABBA order,
-reports medians, ratios and wins, and stops at a failed check or at
+reports medians, ratios and wins in one block per workload, flags a median
+worse than its BENCHMARK.json bound, and stops at a failed check or at
 fingerprints that differ between the trees."""
 
 import importlib.util
@@ -87,3 +88,52 @@ def test_main_exits_nonzero_on_a_mismatch(script, monkeypatch, tmp_path, capsys,
         assert "fingerprints differ" in err and "run_s:" not in out
     else:
         assert [line.split(":")[0] for line in out.splitlines()[-len(METRICS):]] == METRICS
+
+
+def test_main_runs_every_workload_in_its_own_block(script, monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def run(tree, workload, seed, seconds):
+        calls.append((workload, tree, seed))
+        return script.Run(dict.fromkeys(METRICS, 0.04), f"print-{workload}-{seed}", True)
+
+    monkeypatch.setattr(script, "export", lambda revision, into: tmp_path)
+    monkeypatch.setattr(script, "warm", lambda tree: None)
+    monkeypatch.setattr(script, "perfbench", run)
+    assert script.main(["--workload", "a", "--workload", "b", "--pairs", "2", "--seed", "3"]) == 0
+    assert calls == [(w, tree, seed) for w in "ab"
+                     for tree, seed in ((tmp_path, 3), (script.ROOT, 3),
+                                        (script.ROOT, 4), (tmp_path, 4))]
+    lines = capsys.readouterr().out.splitlines()
+    blocks = [lines.index("== a"), lines.index("== b")]
+    for start in blocks:  # two pair lines, then one summary line per metric
+        names = [line.split(":")[0] for line in lines[start + 3:start + 3 + len(METRICS)]]
+        assert names == METRICS
+    assert blocks[1] == blocks[0] + 3 + len(METRICS)
+
+
+@pytest.mark.parametrize("better,bound,was,now,worse", [
+    ("lower", 0.25, 0.040, 0.0499, False),
+    ("lower", 0.25, 0.040, 0.0501, True),
+    ("lower", 0.1, 40.0, 30.0, False),
+    ("higher", 0.25, 100.0, 76.0, False),
+    ("higher", 0.25, 100.0, 74.0, True),
+    ("lower", 0.25, 0.0, 1.0, False),
+])
+def test_worse_than_bound_is_a_share_of_the_base_median(script, better, bound, was, now, worse):
+    assert script.worse_than_bound(was, now, bound, better) is worse
+
+
+@pytest.mark.parametrize("change,flagged", [(0.049, False), (0.051, True)])
+def test_main_flags_a_median_worse_than_its_bound_and_exits_1(script, monkeypatch, tmp_path,
+                                                              capsys, change, flagged):
+    # run_s's bound is 0.25: a change median past 1.25 x the base's 0.04 s is flagged
+    times = {tmp_path: dict.fromkeys(range(3), 0.04), script.ROOT: dict.fromkeys(range(3), change)}
+    monkeypatch.setattr(script, "export", lambda revision, into: tmp_path)
+    monkeypatch.setattr(script, "warm", lambda tree: None)
+    monkeypatch.setattr(script, "perfbench", stub(script, times, []))
+    assert script.main(["--workload", "w", "--pairs", "3", "--seed", "0"]) == int(flagged)
+    run_s = next(line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("run_s:"))
+    assert run_s.endswith("WORSE THAN BOUND") is flagged
+    assert run_s.startswith(f"run_s: base 0.04 [0.04, 0.04] -> change {change:g}")
