@@ -3,8 +3,10 @@
 
     python3 scripts/bench_snapshot.py --seed 7 --seconds 10
 
-Runs perfbench/run.py untraced (--trace 0) three times and traced (--trace 1)
-once for every workload, each in its own process, and writes the end-to-end
+Builds the kernel first, so that no timed run compiles it and counts the C
+compiler in its peak_rss_mb. Then runs perfbench/run.py untraced (--trace 0)
+three times and traced (--trace 1) once for every workload, each in its own
+process, and writes the end-to-end
 metrics (every run's value and their median), each untraced run's median
 calibration-loop time, the per-layer metrics, the fingerprints, the machine
 and the `src/mrtsp` line counts, of all lines and of code lines, to the next
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -40,6 +43,13 @@ UNTRACED_RUNS = 3  # one run's spread can exceed a real change (pga-n171-disk)
 # unflagged.
 LOW_CPU_UTIL = 0.9
 CALIBRATION = re.compile(r"calibration loop, which took ([0-9.eE+-]+) ms \(median\)")
+
+
+def build_kernel() -> None:
+    """Build the tree's kernel in a process of its own, outside any timed run:
+    peak_rss_mb reads the larger of a run's and its children's peak memory."""
+    subprocess.run([sys.executable, "-c", "import mrtsp.ga"], check=True, timeout=300,
+                   env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
 
 
 def run_perfbench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -129,6 +139,7 @@ def main(argv=None) -> int:
     snapshot = {"seed": args.seed, "seconds": args.seconds, "untraced_runs": UNTRACED_RUNS,
                 "notes": args.note, "workloads": {}, "src_mrtsp_lines": line_counts(),
                 "src_mrtsp_code_lines": line_counts(code_lines)}
+    build_kernel()
     for workload in (w["name"] for w in SPEC["workloads"]):
         runs = [run_perfbench(workload, args.seed, args.seconds, 0)
                 for _ in range(UNTRACED_RUNS)]

@@ -10,35 +10,30 @@
    its sorted list, and a child's length is summed as it is built. The
    population stays in C arrays; gene tuples and length ints are built once,
    at the end. evolve_island runs the same loop (run, below) as an island's
-   reduce task: it decodes the island's codec records into the C arrays as
-   decode_records does, keeps the population_size shortest as ga.shortest
-   does, and returns the records island.EvolveReducer emits, the residents
-   and then the best re-addressed to every other island, as encode_island and
-   codec.with_pop_id pack them, so no gene tuple is built. random_tours makes
-   ga.random_population's tours, shuffled as random.shuffle shuffles them,
-   and sums their lengths.
+   reduce task: it checks and decodes the island's codec records into the C
+   arrays as codec.decode_chromosome does, keeps the population_size shortest
+   as ga.shortest does, and returns the records island.EvolveReducer emits,
+   the residents and then the best re-addressed to every other island, as
+   codec.encode_chromosome and codec.with_pop_id pack them, so no gene tuple
+   is built. random_tours makes ga.random_population's tours, shuffled as
+   random.shuffle shuffles them, and sums their lengths.
 
    All three draw from CPython's Mersenne Twister (Modules/_randommodule.c),
    read from the rng with _random.Random.getstate once per call and written
    back with setstate once; random() and getrandbits(k) use its words as
    CPython does, so draws and the rng's state equal the Python loops', and
-   nothing calls back into Python in between. They read the weights through
-   the buffer protocol and return None, before they touch the rng, unless
-   they are a C-ordered n x n int64 matrix (n >= 2) and, for evolve and
-   evolve_island, the rest of their inputs are as their comments say; ga's
-   Python loops, or island.py's record-by-record path, run those.
-   evolve_island also declines records that decode_records would decline, or
-   whose N is not n, fewer than 2 members or no more than elite_count after
-   truncation, and an rng that ga._plain refuses. Lengths are summed in 64
-   bits, the record layout's width, so lengths below 2**64 are exact; a sum
-   past 2**64 - 1 makes each return None too, the rng untouched, since its
-   Mersenne Twister is a local copy until written back.
-
-   decode_records decodes a reduce key's codec records in one call, as
-   codec.decode_chromosome does. It returns None unless every record passes
-   the codec's checks with the key as its pop_id and the N of the first;
-   island.py then works record by record, so that the codec names the first
-   fault.
+   nothing calls back into Python in between; their callers pass only an
+   exact random.Random with no instance override of a method. They read the
+   weights through the buffer protocol and return None, before they touch
+   the rng, unless they are a C-ordered n x n int64 matrix (n >= 2) and, for
+   evolve and evolve_island, the rest of their inputs are as their comments
+   say; ga's Python loops, or island.py's record-by-record path, run those.
+   evolve_island also declines records that codec.decode_chromosome would
+   reject, or whose pop_id is not the key or whose N is not n, and fewer
+   than 2 members or no more than elite_count after truncation. Lengths are
+   summed in 64 bits, the record layout's width, so lengths below 2**64 are
+   exact; a sum past 2**64 - 1 makes each return None too, the rng
+   untouched, since its Mersenne Twister is a local copy until written back.
 
    held_karp runs oracle.held_karp's DP over float64 weights with the numpy
    DP's tie rule, so their results are equal. It returns None, before it
@@ -121,27 +116,6 @@ static int store_twister(PyObject *rng, const uint32_t *mt)
     Py_XDECREF(state);
     Py_XDECREF(done);
     return done != NULL;
-}
-
-static PyObject *plain_type;  /* random.Random, imported at the first check */
-
-/* Whether rng is what ga._plain accepts, an exact random.Random whose instance
-   dict holds at most gauss_next, so that its methods draw as the kernel's copy
-   of its Mersenne Twister does; 0, with no exception set, if not. */
-static int plain(PyObject *rng)
-{
-    if (plain_type == NULL) {
-        PyObject *module = PyImport_ImportModule("random");
-        plain_type = module ? PyObject_GetAttrString(module, "Random") : NULL;
-        Py_XDECREF(module);
-    }
-    PyObject *dict = plain_type != NULL && (PyObject *)Py_TYPE(rng) == plain_type
-                     ? PyObject_GenericGetDict(rng, NULL) : NULL;
-    int ok = dict != NULL && PyDict_GET_SIZE(dict) <= 1
-             && PyDict_GET_SIZE(dict) == (PyDict_GetItemString(dict, "gauss_next") != NULL);
-    Py_XDECREF(dict);
-    PyErr_Clear();
-    return ok;
 }
 
 /* Copies genes into tour when it is a tuple of ints permuting 0..n-1 (n >= 1);
@@ -601,31 +575,20 @@ static unsigned long u32_at(const unsigned char *p)
     return p[0] | (unsigned long)p[1] << 8 | (unsigned long)p[2] << 16 | (unsigned long)p[3] << 24;
 }
 
-/* N of the record at value when it is a bytes of exactly 16 + 4N bytes, with
-   pop_id == key and 1 <= N and, when n > 0, N == n; else 0. */
-static Py_ssize_t record_size(PyObject *value, unsigned long key, Py_ssize_t n)
-{
-    if (!PyBytes_Check(value) || PyBytes_GET_SIZE(value) < 8)
-        return 0;
-    const unsigned char *data = (const unsigned char *)PyBytes_AS_STRING(value);
-    unsigned long size = u32_at(data + 4);
-    if (size == 0 || size > (unsigned long)((PY_SSIZE_T_MAX - 16) / 4)
-        || PyBytes_GET_SIZE(value) != 16 + 4 * (Py_ssize_t)size || u32_at(data) != key
-        || (n > 0 && (Py_ssize_t)size != n))
-        return 0;
-    return (Py_ssize_t)size;
-}
-
-/* 1 when each of the count records passes codec.decode_chromosome's checks
-   with pop_id == key and N == n, copying its genes into tours and its length
-   into lengths; else 0, with no exception set. seen is scratch for n bytes. */
+/* 1 when each of the count records is a bytes of 16 + 4n bytes that passes
+   codec.decode_chromosome's checks with pop_id == key and N == n, copying its
+   genes into tours and its length into lengths; else 0, with no exception
+   set. seen is scratch for n bytes. */
 static int read_records(PyObject *const *items, Py_ssize_t count, unsigned long key,
                         Py_ssize_t n, int *tours, uint64_t *lengths, unsigned char *seen)
 {
     for (Py_ssize_t k = 0; k < count; k++) {
-        if (record_size(items[k], key, n) == 0)
+        if (!PyBytes_Check(items[k]) || PyBytes_GET_SIZE(items[k]) != 16 + 4 * n)
             return 0;
-        const unsigned char *gene = (const unsigned char *)PyBytes_AS_STRING(items[k]) + 8;
+        const unsigned char *data = (const unsigned char *)PyBytes_AS_STRING(items[k]);
+        if (u32_at(data) != key || u32_at(data + 4) != (unsigned long)n)
+            return 0;
+        const unsigned char *gene = data + 8;
         memset(seen, 0, n);
         for (Py_ssize_t i = 0; i < n; i++, gene += 4) {
             unsigned long city = u32_at(gene);
@@ -637,34 +600,6 @@ static int read_records(PyObject *const *items, Py_ssize_t count, unsigned long 
         lengths[k] = u32_at(gene) | (uint64_t)u32_at(gene + 4) << 32;
     }
     return 1;
-}
-
-/* decode_records(values, key) -> (genes, lengths): the gene tuples and tour
-   lengths, below 2**64 as the layout holds them, of a list or tuple of codec
-   records, copied into C arrays and built through population; None, with no
-   exception set, unless there is a record and every record passes
-   codec.decode_chromosome's checks, has pop_id == key and the first's N. */
-static PyObject *decode_records(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2)
-        return PyErr_Format(PyExc_TypeError, "expected 2 arguments, got %zd", nargs);
-    uint64_t key;
-    if (!bounded(args[1], 0xFFFFFFFF, &key) || (!PyList_Check(args[0]) && !PyTuple_Check(args[0])))
-        Py_RETURN_NONE;
-    /* the records are read before population, the first call that could run
-       Python code and change values */
-    Py_ssize_t count = PySequence_Fast_GET_SIZE(args[0]), n = 0;
-    PyObject **items = PySequence_Fast_ITEMS(args[0]);
-    Population pop = {0};  /* of no members: count staged records, no larger than themselves */
-    PyObject *result = Py_None;
-    if (count == 0 || (n = record_size(items[0], key, 0)) == 0 || n > INT_MAX)
-        Py_RETURN_NONE;
-    if (!alloc_population(&pop, n, 0, count))
-        result = PyErr_NoMemory();
-    else if (read_records(items, count, key, n, pop.tours, pop.sizes, pop.seen))
-        result = population(pop.tours, pop.sizes, count, n);
-    PyMem_Free(pop.sizes);
-    return result == Py_None ? Py_NewRef(Py_None) : result;
 }
 
 /* Stores the low 32 bits of x at p, little-endian. */
@@ -718,17 +653,17 @@ static PyObject *island_records(const Population *pop, unsigned long key, unsign
 
 /* evolve_island(values, key, islands, size, distances, threshold, retries,
    crossover_prob, mutation_prob, elite_count, generations, rng) -> list of
-   bytes: an island's reduce task. It decodes the records, as decode_records
-   does, keeps the size shortest when there are more (ga.shortest's order),
+   bytes: an island's reduce task. It decodes the records, as
+   codec.decode_chromosome does, keeps the size shortest when there are more (ga.shortest's order),
    runs run's loop over them for generations generations and returns the
    records of the p members kept, keyed to key, then the first shortest one's
    re-addressed to every other island below islands, in ascending order. None,
    before rng is touched, unless distances, the numbers and generations are
    as evolve takes them, key and islands are ints below 2**32, values is a
    list or tuple of records that all pass codec.decode_chromosome's checks
-   with pop_id == key and N == n, 0 < elite_count < p with p = min(len(values),
-   size), and rng is as ga._plain asks. None as well, rng untouched, at the
-   first generation in which a length sum passes 2**64 - 1. */
+   with pop_id == key and N == n, and 0 < elite_count < p with p =
+   min(len(values), size). None as well, rng untouched, at the first
+   generation in which a length sum passes 2**64 - 1. */
 static PyObject *evolve_island(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 12)
@@ -741,7 +676,7 @@ static PyObject *evolve_island(PyObject *module, PyObject *const *args, Py_ssize
     Py_ssize_t n = read_ga(args + 4, &pop, &view);
     PyObject *result = Py_None;
     if (n == 0 || !bounded(args[1], 0xFFFFFFFF, &key) || !bounded(args[2], 0xFFFFFFFF, &islands)
-        || (!PyList_Check(args[0]) && !PyTuple_Check(args[0])) || !plain(args[11]))
+        || (!PyList_Check(args[0]) && !PyTuple_Check(args[0])))
         goto done;
     Py_ssize_t count = PySequence_Fast_GET_SIZE(args[0]), p = count < size ? count : size;
     if (p < 2 || pop.elite >= p)
@@ -861,7 +796,6 @@ static PyMethodDef methods[] = {
     {"evolve", (PyCFunction)(void (*)(void))evolve, METH_FASTCALL, NULL},
     {"evolve_island", (PyCFunction)(void (*)(void))evolve_island, METH_FASTCALL, NULL},
     {"random_tours", (PyCFunction)(void (*)(void))random_tours, METH_FASTCALL, NULL},
-    {"decode_records", (PyCFunction)(void (*)(void))decode_records, METH_FASTCALL, NULL},
     {"held_karp", held_karp, METH_O, NULL},
     {NULL, NULL, 0, NULL},
 };

@@ -5,15 +5,13 @@ initial population, for `ga.evolve` and `ga.random_population`; they run
 their Python loops instead for float weights, an rng that is not
 `ga._plain`, genes that are not tuples, and tour lengths of 2**64 or more.
 `evolve_island` runs an island's reduce task for `island.EvolveReducer`,
-from its record values to its output values; the reducer runs its
-reference path (decode, `ga.evolve`, encode) instead when it declines: for
-records `decode_records` declines or whose N is not the instance's, fewer
-than 2 members or no more than elite_count after truncation, an rng that
-is not `ga._plain`, float weights and tour lengths of 2**64 or more.
-`decode_records` decodes a reduce key's records for `island.decode_island`,
-which decodes record by record through `codec.decode_chromosome` instead
-when a record is faulty. `held_karp` runs `oracle.held_karp`'s DP, which
-runs its numpy DP instead when the kernel declines the weights.
+from its record values to its output values, when the rng is `ga._plain`;
+the reducer runs its reference path (decode, `ga.evolve`, encode) instead
+when it declines: for records `codec.decode_chromosome` rejects, whose
+pop_id is not the key or whose N is not the instance's, fewer than 2
+members or no more than elite_count after truncation, float weights and
+tour lengths of 2**64 or more. `held_karp` runs `oracle.held_karp`'s DP,
+which runs its numpy DP instead when the kernel declines the weights.
 
 The module is compiled once with `cc -O2 -shared -fPIC` against the
 interpreter's headers into the package's `__pycache__`, under a name that
@@ -94,24 +92,19 @@ def load(source: Path = SOURCE, cache: Path | None = None):
 
     evolve_island(values, key, islands, size, distances, threshold, retries,
     crossover_prob, mutation_prob, elite_count, generations, rng) -> list of
-    bytes is EvolveReducer's task: it decodes values as decode_records does,
-    keeps the size shortest records when there are more (ga.shortest's
+    bytes is EvolveReducer's task: it decodes values as decode_chromosome
+    does, keeps the size shortest records when there are more (ga.shortest's
     order), runs evolve's loop over the p = min(len(values), size) members
     for generations generations and returns their records keyed to key,
     then the first shortest one re-addressed to each island below islands
     but key, in ascending order, each value byte for byte what
     encode_chromosome and with_pop_id pack. It returns None, before it
     touches rng, unless distances and the numbers are as evolve takes them,
-    key and islands are ints below 2**32, every record passes
-    decode_records' checks with pop_id key and N equal to n, 0 < elite_count
-    < p, and rng is one ga._plain accepts; and, rng untouched, when a length
-    sum passes 2**64 - 1.
-
-    decode_records(values, key) -> (genes, lengths) decodes a list or tuple
-    of codec records into their gene tuples and tour lengths, in order. It
-    returns None, with no exception set, unless there is at least one record
-    and each is a bytes that codec.decode_chromosome accepts, with pop_id
-    equal to key and the same N as the first.
+    key and islands are ints below 2**32, values is a list or tuple of bytes
+    that decode_chromosome accepts, each with pop_id key and N equal to n,
+    and 0 < elite_count < p; and, rng untouched, when a length sum passes
+    2**64 - 1. Like evolve and random_tours, it takes rng to be one that
+    ga._plain accepts: its callers check.
 
     held_karp(distances) -> (length, tour) runs oracle.held_karp's DP with
     the numpy DP's tie rule: the optimum directed tour's length as a float,

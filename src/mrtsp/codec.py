@@ -11,10 +11,10 @@ Decoding is strict: short buffers, trailing bytes, a city count of zero,
 out-of-range genes and duplicate genes are each rejected with a distinct
 error so a corrupted record never turns into a silently wrong tour.
 
-decode_chromosome is the reference for the kernel's batch decoder,
-`_xover.decode_records`, and its fallback: island.decode_island decodes
-record by record here whenever the batch decoder is absent or declines, so
-these errors name the first faulty record either way.
+decode_chromosome is the reference for the kernel's evolve_island, which
+checks and decodes an island's records in C and declines a faulty one:
+island.decode_island then decodes record by record here, so these errors
+name the first faulty record either way.
 """
 
 from __future__ import annotations

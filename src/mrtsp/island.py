@@ -10,9 +10,9 @@ the run.
 
 A reduce task's records go into the kernel's evolve_island and its output
 records come out of it, in one call, when it is loaded; decode_island,
-ga.evolve and encode_island, which encodes record by record, are the
-reference path, which runs when the kernel is absent or declines and names
-any faulty record.
+ga.evolve and encode_chromosome, record by record, are the reference path,
+which runs when the kernel is absent or declines and names any faulty
+record.
 """
 
 from __future__ import annotations
@@ -93,17 +93,10 @@ class RoundSummary:
 
 
 def decode_island(key: int, values: list[bytes]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """(genes, lengths) of an island's records, in order.
-
-    The kernel's decode_records decodes them all in one call. When it is
-    absent or declines (a faulty record, a pop_id other than key, mixed N or
-    no records), decode_chromosome decodes them one by one, so that the first
-    faulty record raises its CodecError, or a pop_id other than key an
-    EngineError."""
-    if ga._KERNEL is not None:
-        decoded = ga._KERNEL.decode_records(values, key)
-        if decoded is not None:
-            return decoded
+    """(genes, lengths) of an island's records, in order, decoded one by one
+    through decode_chromosome, so that the first faulty record raises its
+    CodecError, or a pop_id other than key an EngineError. It serves the
+    population dump and EvolveReducer's reference path."""
     genes, lengths = [], []
     for value in values:
         decoded = decode_chromosome(value)
@@ -112,15 +105,6 @@ def decode_island(key: int, values: list[bytes]) -> tuple[list[tuple[int, ...]],
         genes.append(decoded.genes)
         lengths.append(decoded.length)
     return genes, lengths
-
-
-def encode_island(key: int, genes: list[tuple[int, ...]], lengths: list[int]) -> list[bytes]:
-    """The records of an island's members, keyed to it, in order, encoded one
-    by one through encode_chromosome, so that the first member that does not
-    fit the record layout raises its CodecError. It serves EvolveReducer's
-    reference path; with the kernel loaded, evolve_island encodes every
-    output record itself."""
-    return [encode_chromosome(tour, length, key) for tour, length in zip(genes, lengths)]
 
 
 class InitReducer:
@@ -144,12 +128,12 @@ class EvolveReducer:
     batch form of each migrant replacing the current worst member. Migrant
     records carry the destination's pop_id, matching their new key.
 
-    With the kernel loaded, one evolve_island call does all of it, from the
-    record values to the output values; the keys are zipped on here. It
-    declines, and the reference path below runs, for any record decode_island
-    would reject, N other than the instance's, fewer than 2 members or no
-    more than elite_count after truncation, an rng that ga._plain refuses,
-    weights the kernel cannot read and a length sum past 2**64 - 1.
+    With the kernel loaded and an rng that ga._plain accepts, one
+    evolve_island call does all of it, from the record values to the output
+    values; the keys are zipped on here. It declines, and the reference path
+    below runs, for any record decode_island would reject, N other than the
+    instance's, fewer than 2 members or no more than elite_count after
+    truncation, weights the kernel cannot read and a length sum past 2**64 - 1.
 
     Reducers of one instance object and equal params compare equal, so that
     an engine's pool serves every round that evolves the same run.
@@ -169,7 +153,7 @@ class EvolveReducer:
 
     def __call__(self, key, values, rng):
         params, ga_params = self.params, self.params.ga
-        if ga._KERNEL is not None:
+        if ga._KERNEL is not None and ga._plain(rng):
             made = ga._KERNEL.evolve_island(
                 values, key, params.num_islands, ga_params.population_size,
                 self.instance.distances, ga_params.similarity_threshold,
@@ -185,7 +169,9 @@ class EvolveReducer:
         genes, lengths, _ = evolve(genes, lengths, self.instance, rng, self.params.ga,
                                    self.params.migration_interval)
 
-        values = encode_island(key, genes, lengths)
+        # one by one, so that the first member that does not fit the record
+        # layout raises its CodecError
+        values = [encode_chromosome(tour, length, key) for tour, length in zip(genes, lengths)]
         out = [Record(key, value) for value in values]
         best = values[min(range(len(lengths)), key=lengths.__getitem__)]
         for other in range(self.params.num_islands):

@@ -7,6 +7,7 @@ and fix city 0 as the starting point, which is lossless for cyclic tours.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,10 @@ from .tsplib import Instance
 
 BRUTE_FORCE_MAX = 11
 HELD_KARP_MAX = 18
+
+
+class NonFiniteOptimumError(ValueError):
+    """held_karp's optimum is not finite: every tour's length overflows to inf."""
 
 
 @dataclass(frozen=True)
@@ -61,16 +66,24 @@ def held_karp(instance: Instance) -> ExactResult:
     declines: one vectorized step per (popcount layer, last city), br17 in
     about 0.14 s, over tables of 9 * 2^N * N bytes (42 MB at N=18). Both take
     the first minimum in ascending city order at every step, so they return
-    equal results.
+    equal results, and either raises NonFiniteOptimumError when the optimum
+    is not finite, since its "tour" is then no tour.
     """
     n = instance.dimension
     if n > HELD_KARP_MAX:
         raise ValueError(f"held_karp handles N <= {HELD_KARP_MAX}, got {n}")
     d = np.asarray(instance.distances, dtype=np.float64)
-    if ga._KERNEL is not None:
-        solved = ga._KERNEL.held_karp(d)
-        if solved is not None:
-            return ExactResult(optimum_length=_scalar(solved[0], d), optimum_tour=solved[1])
+    solved = ga._KERNEL.held_karp(d) if ga._KERNEL is not None else None
+    length, tour = solved if solved is not None else _numpy_held_karp(d)
+    if not math.isfinite(length):
+        raise NonFiniteOptimumError(f"{instance.name}: the optimum is not finite ({length}), "
+                                    "so held_karp has no tour to return")
+    return ExactResult(optimum_length=_scalar(length, d), optimum_tour=tour)
+
+
+def _numpy_held_karp(d: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """held_karp's reference DP over the float64 matrix d: (length, tour)."""
+    n = len(d)
     size = 1 << n
     # dp[mask, j] = cheapest path 0 -> ... -> j visiting exactly the cities in mask
     dp = np.full((size, n), np.inf)
@@ -98,8 +111,7 @@ def held_karp(instance: Instance) -> ExactResult:
     while j:
         tour.append(j)
         mask, j = mask ^ (1 << j), int(parent[mask, j])
-    return ExactResult(optimum_length=_scalar(totals[last], d),
-                       optimum_tour=(0, *reversed(tour)))
+    return totals[last], (0, *reversed(tour))
 
 
 def _scalar(value: float, matrix: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """scripts/bench_snapshot.py refuses to write a snapshot taken while a pga
-workload could not use both cores, and counts code lines beside all lines."""
+workload could not use both cores, counts code lines beside all lines, and
+builds the kernel before its first timed run."""
 
 import importlib.util
 import json
@@ -14,11 +15,12 @@ PROVENANCE = {"fingerprint": "f", "nproc": 2, "affinity": 2, "cpu_model": "cpu",
 
 @pytest.fixture
 def script(monkeypatch, tmp_path):
-    """The script, writing its BENCH files to tmp_path."""
+    """The script, writing its BENCH files to tmp_path, with no kernel to build."""
     spec = importlib.util.spec_from_file_location("bench_snapshot", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "ROOT", tmp_path)
+    monkeypatch.setattr(module, "build_kernel", lambda: None)
     return module
 
 
@@ -99,3 +101,17 @@ def test_snapshot_counts_code_lines_beside_all_lines(script, tmp_path, monkeypat
     assert "src_mrtsp_lines total: not recorded -> 28" in out
     assert "src_mrtsp_lines total: 28 -> 29" in out
     assert "src_mrtsp_code_lines total: 12 -> 13" in out
+
+
+def test_snapshot_builds_the_kernel_before_the_first_timed_run(script, monkeypatch, capsys):
+    # a fresh tree's first run would compile the kernel, and its peak_rss_mb
+    # would count the compiler
+    calls = []
+    monkeypatch.setattr(script, "build_kernel", lambda: calls.append("build"))
+    run = fake_perfbench({})
+    monkeypatch.setattr(script, "run_perfbench",
+                        lambda *args: calls.append(("run", *args)) or run(*args))
+    assert script.main([]) == 0
+    capsys.readouterr()
+    assert calls[0] == "build" and calls.count("build") == 1
+    assert len(calls) == 1 + (script.UNTRACED_RUNS + 1) * len(script.SPEC["workloads"])

@@ -341,6 +341,20 @@ def test_exact_auto_cap(tmp_path, capsys):
     assert "18" in capsys.readouterr().err
 
 
+def test_exact_reports_an_optimum_that_is_not_finite(tmp_path, capsys, monkeypatch):
+    # the parser keeps weights below 2**53; a hand-built instance stands in
+    # for a matrix whose every tour overflows to inf
+    monkeypatch.setattr(cli, "load_instance",
+                        lambda path: Instance("huge6", 6, np.full((6, 6), 1e308)))
+    with np.errstate(over="ignore"):
+        rc = main(["exact", "--instance", "huge6.atsp", "--write-registry",
+                   "--registry", str(tmp_path / "optima.txt")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: huge6: the optimum is not finite (inf)")
+    assert captured.out == "" and not (tmp_path / "optima.txt").exists()
+
+
 def test_shipped_suite_configs_parse():
     bench_dir = Path(__file__).resolve().parent.parent / "bench"
     for name in ("quick.conf", "full.conf"):

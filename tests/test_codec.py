@@ -1,15 +1,13 @@
 import random
 import struct
-import sys
 
 import pytest
 
-from mrtsp import ga
 from mrtsp.codec import (CodecError, DuplicateGeneError, GeneRangeError,
                          TruncatedBufferError, decode_chromosome,
                          encode_chromosome, peek_length, with_pop_id)
-
-needs_kernel = pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
+from mrtsp.engine import EngineError
+from mrtsp.island import decode_island
 
 GOLDEN = bytes.fromhex(
     "00000000"          # pop_id 0
@@ -117,7 +115,7 @@ def test_with_pop_id_matches_a_fresh_encode():
             with_pop_id(GOLDEN, pop_id)
 
 
-# -- decode_records: a reduce key's records in one kernel call -------------------------
+# -- an island's records, valid and faulty; decode_island, their decoder outside the kernel
 
 def good_records(key, n=10, count=3, seed=0):
     rng = random.Random(seed)
@@ -126,8 +124,9 @@ def good_records(key, n=10, count=3, seed=0):
 
 
 def record_faults(key=1):
-    """(name, values): one island's records holding one input decode_records
-    must decline, after a valid record unless the fault is in the first."""
+    """(name, values): one island's records holding one input the kernel's
+    evolve_island must decline, after a valid record unless the fault is in
+    the first."""
     good = good_records(key)
     first, record = good[0], good[1]
     cases = [(f"cut at {cut}", [record[:cut], first]) for cut in range(len(record))]
@@ -153,33 +152,40 @@ def record_faults(key=1):
     ]
 
 
-@needs_kernel
+# what decode_island raises for each record_faults case that lies in one record;
+# the rest (mixed N, an empty list, a bytearray value) are faults only to the
+# kernel, and decode here record by record
+DECODE_ISLAND_RAISES = {
+    "one trailing byte": CodecError,
+    "N=0": CodecError,
+    "gene >= N": GeneRangeError,
+    "duplicate gene": DuplicateGeneError,
+    "first of two faults": DuplicateGeneError,
+    "pop_id != key": EngineError,
+    "N=2**32-1 on a short buffer": TruncatedBufferError,
+    "None value": TypeError,
+}
+
+
 @pytest.mark.parametrize("name,values", record_faults())
 def test_decode_records_declines_every_fault(name, values):
-    assert ga._KERNEL.decode_records(values, 1) is None
+    raises = TruncatedBufferError if name.startswith("cut at") else DECODE_ISLAND_RAISES.get(name)
+    if raises is None:
+        decoded = [decode_chromosome(value) for value in values]
+        assert decode_island(1, values) == ([d.genes for d in decoded],
+                                             [d.length for d in decoded])
+    else:
+        with pytest.raises(raises):
+            decode_island(1, values)
 
 
-@needs_kernel
 def test_decode_records_matches_decode_chromosome():
     values = good_records(7, n=300, count=5)
     decoded = [decode_chromosome(value) for value in values]
-    for batch in (values, tuple(values)):
-        genes, lengths = ga._KERNEL.decode_records(batch, 7)
+    for batch in (values, tuple(values), iter(values)):
+        genes, lengths = decode_island(7, batch)
         assert genes == [d.genes for d in decoded] and lengths == [d.length for d in decoded]
         assert all(type(tour) is tuple for tour in genes)
-    for key in (-1, 2**64, 6, "7", 7.0):
-        assert ga._KERNEL.decode_records(values, key) is None
-    assert ga._KERNEL.decode_records(iter(values), 7) is None  # only a list or a tuple
-
-
-@needs_kernel
-def test_decode_records_leaves_refcounts_unchanged():
-    key, other = 1000, 2**40  # ints outside the small-int cache
-    for values in [good_records(key), tuple(good_records(key))] + \
-            [values for _, values in record_faults(key)]:
-        for k in (key, other):  # decoded, then declined
-            before = (sys.getrefcount(values), sys.getrefcount(k),
-                      [sys.getrefcount(value) for value in values])
-            ga._KERNEL.decode_records(values, k)
-            assert before == (sys.getrefcount(values), sys.getrefcount(k),
-                              [sys.getrefcount(value) for value in values])
+    for key in (-1, 2**64, 6, "7"):
+        with pytest.raises(EngineError, match="pop_id 7"):
+            decode_island(key, values)

@@ -277,14 +277,18 @@ class SubclassRng(random.Random):
 
 
 def overriding_rng(seed):
-    """A random.Random whose instance overrides random(), which ga._plain refuses."""
+    """A random.Random whose instance overrides random(), which ga._plain
+    refuses; the override draws what random() draws."""
     rng = random.Random(seed)
-    rng.random = lambda: 0.5
+    real = rng.random
+    rng.random = lambda: real()
     return rng
 
 
 def island_declines(key=1):
-    """(name, args): evolve_island arguments it must decline, its rng untouched."""
+    """(name, args): evolve_island arguments it must decline, its rng
+    untouched. The rng is always an exact random.Random: EvolveReducer does
+    not call evolve_island for any other."""
     good, three = good_records(key), IslandParams(num_islands=4, ga=GaParams(elite_count=3))
     cases = [(f"record {name}", values, key, INST10, SMALL, random.Random(1))
              for name, values in record_faults(key)]
@@ -292,8 +296,9 @@ def island_declines(key=1):
         ("N != n", good_records(key, n=9), key, INST10, SMALL, random.Random(1)),
         ("p = 1", good[:1], key, INST10, SMALL, random.Random(1)),
         ("elite_count = p", good, key, INST10, three, random.Random(1)),
-        ("rng subclass", good, key, INST10, SMALL, SubclassRng(1)),
-        ("rng override", good, key, INST10, SMALL, overriding_rng(1)),
+        ("values not a list or tuple", iter(good), key, INST10, SMALL, random.Random(1)),
+        ("islands 2**32", good, key, INST10, dataclasses.replace(SMALL, num_islands=2**32),
+         random.Random(1)),
         ("key 2**32", good, 2**32, INST10, SMALL, random.Random(1)),
         ("float weights", good, key, Instance("f", 10, INST10.distances * 1.0), SMALL,
          random.Random(1)),
@@ -309,6 +314,26 @@ def test_evolve_island_declines_before_the_rng_moves(name, args):
     state = rng.getstate()
     assert ga._KERNEL.evolve_island(*args) is None
     assert rng.getstate() == state
+
+
+@needs_kernel
+@pytest.mark.parametrize("make_rng", [SubclassRng, overriding_rng],
+                         ids=["rng_subclass", "rng_override"])
+def test_reducer_runs_the_kernel_only_for_an_exact_random(make_rng, monkeypatch):
+    # ga._plain is the one check of which rng the kernel may draw from: the
+    # reducer must not hand evolve_island, or ga.evolve the kernel's evolve,
+    # an rng it refuses, and returns what it returns without the kernel
+    def refuse(*args):
+        raise AssertionError("the kernel was handed an rng that ga._plain refuses")
+
+    reducer, values = EvolveReducer(INST10, SMALL), good_records(1, count=25)
+    for entry in ("evolve_island", "evolve"):
+        monkeypatch.setattr(ga._KERNEL, entry, refuse)
+    rng = make_rng(1)
+    compiled = (reducer(1, values, rng), rng.getstate())
+    monkeypatch.setattr(ga, "_KERNEL", None)
+    rng = make_rng(1)
+    assert compiled == (reducer(1, values, rng), rng.getstate())
 
 
 @needs_kernel

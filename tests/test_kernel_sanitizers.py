@@ -1,9 +1,9 @@
 """The kernel built with AddressSanitizer and UBSan, run in a subprocess on
-the record faults decode_records must decline, valid records at their
-widest, the matrices held_karp must decline and valid ones from 2 to 16
-cities, tie-heavy and with sums overflowing to inf, compared with the numpy
-DP, the inputs evolve_island must decline before it touches the rng, an
-island's records at their widest and beyond population_size at n = 129, the
+the matrices held_karp must decline and valid ones from 2 to 16 cities,
+tie-heavy and with sums overflowing to inf, compared with the numpy DP, the
+inputs evolve_island must decline before it touches the rng (every record
+fault among them), an island's records at their widest and beyond
+population_size at n = 129, the
 inputs evolve and random_tours must decline before they touch the rng
 (weights, genes, lengths, counts and stop rules, as in test_ga.py), short
 sga and pga runs compared with the Python loops, which exercise evolve and
@@ -41,26 +41,17 @@ from mrtsp import ga
 from mrtsp.codec import decode_chromosome, encode_chromosome
 from mrtsp.ga import GaParams, TerminationPolicy, run_sga
 from mrtsp.island import EvolveReducer, IslandParams, run_pga
-from mrtsp.oracle import held_karp
 from mrtsp.tsplib import Instance, random_instance
-from test_codec import good_records, record_faults
+from test_codec import good_records
 from test_ga import (ARG_FAULTS, DECLINED, GENE_FAULTS, ODD_WEIGHTS, OVERFLOWING, arg_fault,
                      declined_case, evolve_args, gene_fault, huge_instance, odd_weights,
                      overflowing_instance, twisted, weighted)
 from test_island import island_args, island_declines
-from test_oracle_golden import held_karp_declines, held_karp_solvable
+from test_oracle_golden import held_karp_declines, held_karp_outcome, held_karp_solvable
 
 loader = importlib.machinery.ExtensionFileLoader("_xover", sys.argv[1])
 kernel = importlib.util.module_from_spec(importlib.util.spec_from_loader("_xover", loader))
 loader.exec_module(kernel)
-
-for name, values in record_faults(key=1):
-    assert kernel.decode_records(values, 1) is None, name
-for n in (1, 10, 300):
-    values = good_records(5, n=n, count=4, seed=n)
-    decoded = [decode_chromosome(value) for value in values]
-    assert kernel.decode_records(values, 5) == \\
-        ([d.genes for d in decoded], [d.length for d in decoded]), n
 
 for name, distances in held_karp_declines():
     assert kernel.held_karp(distances) is None, name
@@ -69,8 +60,7 @@ for name, distances in held_karp_solvable():
     outcomes = []
     for compiled in (kernel, None):
         ga._KERNEL = compiled
-        with np.errstate(over="ignore"):
-            outcomes.append(repr(held_karp(Instance(name, len(distances), distances))))
+        outcomes.append(repr(held_karp_outcome(Instance(name, len(distances), distances))))
     assert outcomes[0] == outcomes[1], name
 
 for name, args in island_declines():

@@ -8,7 +8,8 @@ br17, so a change to the DP's tie-break or summation shows here, not only a
 change to the optimum. The hashes were recorded on the per-state DP loop,
 before the DP took one vectorized step per popcount layer. The kernel's DP
 is compared with the numpy DP on tie-heavy, signed-zero and overflowing
-weights, and checked to decline every matrix it cannot read.
+weights, and checked to decline every matrix it cannot read; when every
+tour overflows, both raise the same NonFiniteOptimumError.
 """
 
 import hashlib
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from mrtsp import ga
 from mrtsp.ga import tour_length
-from mrtsp.oracle import brute_force, held_karp
+from mrtsp.oracle import ExactResult, NonFiniteOptimumError, brute_force, held_karp
 from mrtsp.tsplib import Instance, random_instance
 
 TIE_HEAVY_GOLDEN = "5dbe2ee173d23ada91b9b1b7c261895f5d6d60b50cd86850ff2dd20a3ff92a51"
@@ -115,29 +116,50 @@ def oracle_instances(draw, max_n=12):
     return Instance(family, n, np.array(values, dtype=dtype).reshape(n, n))
 
 
+def held_karp_outcome(inst):
+    """held_karp's result, or the type and message of the NonFiniteOptimumError it raises."""
+    try:
+        with np.errstate(over="ignore"):  # sums near 1e308 overflow to inf, as intended
+            return held_karp(inst)
+    except NonFiniteOptimumError as exc:
+        return type(exc), str(exc)
+
+
 def solved_both_ways(inst):
-    """held_karp's result with the kernel loaded and with the numpy DP."""
+    """held_karp's outcome with the kernel loaded and with the numpy DP."""
     kernel = ga._KERNEL
     try:
         ga._KERNEL = None
-        with np.errstate(over="ignore"):  # sums near 1e308 overflow to inf, as intended
-            looped = held_karp(inst)
+        looped = held_karp_outcome(inst)
     finally:
         ga._KERNEL = kernel
-    return held_karp(inst), looped
+    return held_karp_outcome(inst), looped
 
 
-def assert_identical(compiled, looped):
-    # repr tells an int from an equal float, and inf apart
+def assert_identical(inst, compiled, looped):
+    # repr tells an int from an equal float, and names the same error
     assert repr(compiled) == repr(looped)
-    assert type(compiled.optimum_length) is type(looped.optimum_length)
+    if isinstance(looped, ExactResult):
+        assert type(compiled.optimum_length) is type(looped.optimum_length)
+        assert sorted(looped.optimum_tour) == list(range(inst.dimension))
 
 
 @needs_kernel
 @settings(max_examples=300, deadline=None)
 @given(oracle_instances())
 def test_kernel_held_karp_matches_the_numpy_dp(inst):
-    assert_identical(*solved_both_ways(inst))
+    assert_identical(inst, *solved_both_ways(inst))
+
+
+def test_held_karp_raises_when_no_tour_is_finite(monkeypatch):
+    # every tour of 1e308 weights overflows to inf, and the DP's parent walk
+    # from the closing edge's city 0 would make the one-city "tour" (0,)
+    inst = Instance("overflow", 6, np.full((6, 6), 1e308))
+    for kernel in (ga._KERNEL, None):
+        monkeypatch.setattr(ga, "_KERNEL", kernel)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteOptimumError, match="^overflow: the optimum is not finite"):
+            held_karp(inst)
 
 
 @needs_kernel
@@ -145,7 +167,7 @@ def test_kernel_held_karp_matches_the_numpy_dp(inst):
 def test_kernel_held_karp_matches_the_numpy_dp_up_to_18_cities(n):
     inst = random_instance(n, (0, 3), seed=n)
     assert ga._KERNEL.held_karp(np.asarray(inst.distances, dtype=np.float64)) is not None
-    assert_identical(*solved_both_ways(inst))
+    assert_identical(inst, *solved_both_ways(inst))
 
 
 def held_karp_declines():
