@@ -8,9 +8,10 @@ compiler in its peak_rss_mb. Then runs perfbench/run.py untraced (--trace 0)
 three times and traced (--trace 1) once for every workload, each in its own
 process, and writes the end-to-end
 metrics (every run's value and their median), each untraced run's median
-calibration-loop time, the per-layer metrics, the fingerprints, the machine
-and the `src/mrtsp` line counts, of all lines and of code lines, to the next
-free BENCH_<n>.json. Then prints both line totals, old and new, and every
+calibration-loop time, the per-layer metrics, the fingerprints, the machine,
+the commit with `git status --porcelain -- src` beside it (so a snapshot of
+uncommitted sources says so) and the `src/mrtsp` line counts, of all lines
+and of code lines, to the next free BENCH_<n>.json. Then prints both line totals, old and new, and every
 metric's ratio against the previous file, medians for end-to-end metrics,
 flagging those that got worse by more than their BENCHMARK.json bound, with
 each workload's old and new calibration time beside its ratios.
@@ -50,6 +51,17 @@ def build_kernel() -> None:
     peak_rss_mb reads the larger of a run's and its children's peak memory."""
     subprocess.run([sys.executable, "-c", "import mrtsp.ga"], check=True, timeout=300,
                    env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+
+
+def source_status() -> list[str] | None:
+    """`git status --porcelain -- src` of the checkout, a line per changed or
+    untracked path under src; None where git cannot say."""
+    try:
+        status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                                capture_output=True, text=True, timeout=60)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return status.stdout.splitlines() if status.returncode == 0 else None
 
 
 def run_perfbench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -138,7 +150,7 @@ def main(argv=None) -> int:
              if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
     snapshot = {"seed": args.seed, "seconds": args.seconds, "untraced_runs": UNTRACED_RUNS,
                 "notes": args.note, "workloads": {}, "src_mrtsp_lines": line_counts(),
-                "src_mrtsp_code_lines": line_counts(code_lines)}
+                "src_mrtsp_code_lines": line_counts(code_lines), "src_status": source_status()}
     build_kernel()
     for workload in (w["name"] for w in SPEC["workloads"]):
         runs = [run_perfbench(workload, args.seed, args.seconds, 0)

@@ -22,24 +22,15 @@
    read from the rng with _random.Random.getstate once per call and written
    back with setstate once; random() and getrandbits(k) use its words as
    CPython does, so draws and the rng's state equal the Python loops', and
-   nothing calls back into Python in between; their callers pass only an
-   exact random.Random with no instance override of a method. They read the
-   weights through the buffer protocol and return None, before they touch
-   the rng, unless they are a C-ordered n x n int64 matrix (n >= 2) and, for
-   evolve and evolve_island, the rest of their inputs are as their comments
-   say; ga's Python loops, or island.py's record-by-record path, run those.
-   evolve_island also declines records that codec.decode_chromosome would
-   reject, or whose pop_id is not the key or whose N is not n, and fewer
-   than 2 members or no more than elite_count after truncation. Lengths are
-   summed in 64 bits, the record layout's width, so lengths below 2**64 are
-   exact; a sum past 2**64 - 1 makes each return None too, the rng
-   untouched, since its Mersenne Twister is a local copy until written back.
+   nothing calls back into Python in between. They sum lengths in 64 bits,
+   the record layout's width.
 
    held_karp runs oracle.held_karp's DP over float64 weights with the numpy
-   DP's tie rule, so their results are equal. It returns None, before it
-   allocates anything, unless the weights are a C-ordered n x n float64
-   matrix with 2 <= n <= 18 and no NaN or -inf entry; oracle.py runs the
-   numpy DP then. */
+   DP's tie rule, so their results are equal.
+
+   Each entry's comment states its contract: the inputs it declines, by
+   returning None before it touches the rng or allocates anything, and what
+   its callers check. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
@@ -182,14 +173,12 @@ static PyObject *population(const int *tours, const uint64_t *lengths, Py_ssize_
     return result;
 }
 
-/* The directed length of the closed tour when it is below 2**64; else sets *overflow. */
-static uint64_t tour_length(const int *tour, const long long *dist, Py_ssize_t n, int *overflow)
+/* The directed length of the closed tour. */
+static uint64_t tour_length(const int *tour, const long long *dist, Py_ssize_t n)
 {
     uint64_t length = 0;
-    int carry = 0;
     for (Py_ssize_t i = 0, prev = tour[n - 1]; i < n; prev = tour[i++])
-        carry |= __builtin_add_overflow(length, dist[prev * n + tour[i]], &length);
-    *overflow |= carry;
+        length += dist[prev * n + tour[i]];
     return length;
 }
 
@@ -201,14 +190,12 @@ static int is_open(const uint64_t *open_cities, int c)
 
 /* Fills tour[] with the greedy crossover of the parents whose successor arrays
    are sa and sb, from city first, and returns its length, summed as the tour
-   is built; sets *overflow if the sum passes 2**64 - 1, storing it only at
-   the end, as a store that may alias tour slows the loop. open_cities is
-   scratch for (n + 63) / 64 words, one set bit per unvisited city. A dead
-   end draws k below the open count as randrange does and takes the k-th set
-   bit in ascending order, skipping whole words by their popcount. */
+   is built. open_cities is scratch for (n + 63) / 64 words, one set bit per
+   unvisited city. A dead end draws k below the open count as randrange does
+   and takes the k-th set bit in ascending order, skipping whole words by
+   their popcount. */
 static uint64_t crossover(const int *sa, const int *sb, int first, const long long *dist,
-                          Py_ssize_t n, uint32_t *mt, uint64_t *open_cities, int *tour,
-                          int *overflow)
+                          Py_ssize_t n, uint32_t *mt, uint64_t *open_cities, int *tour)
 {
     Py_ssize_t words = (n + 63) / 64;
     memset(open_cities, 0xff, words * sizeof *open_cities);
@@ -217,7 +204,6 @@ static uint64_t crossover(const int *sa, const int *sb, int first, const long lo
     int current = tour[0] = first;
     open_cities[current >> 6] &= ~(UINT64_C(1) << (current & 63));
     uint64_t sum = 0;
-    int carry = 0;
     for (Py_ssize_t i = 1; i < n; i++) {
         const long long *row = dist + (Py_ssize_t)current * n;
         int ea = sa[current], eb = sb[current], nxt;
@@ -237,12 +223,10 @@ static uint64_t crossover(const int *sa, const int *sb, int first, const long lo
             nxt = (int)((word - open_cities) * 64 + __builtin_ctzll(bits));
         }
         open_cities[nxt >> 6] &= ~(UINT64_C(1) << (nxt & 63));
-        carry |= __builtin_add_overflow(sum, row[nxt], &sum);
+        sum += row[nxt];
         current = tour[i] = nxt;
     }
-    carry |= __builtin_add_overflow(sum, dist[(Py_ssize_t)current * n + first], &sum);
-    *overflow |= carry;
-    return sum;
+    return sum + dist[(Py_ssize_t)current * n + first];
 }
 
 /* n, holding view, when obj is a C-ordered n x n matrix (n >= 1) of native
@@ -378,17 +362,15 @@ static int alloc_population(Population *pop, Py_ssize_t n, Py_ssize_t p, Py_ssiz
    never), with each generation's shortest length appended to bests unless
    bests is NULL (then patience and target are not read). Draws from rng's
    Mersenne Twister, read once and written back once. 1 when done, pop->now
-   and pop->length then holding the last generation; 0, rng untouched, at the
-   first generation in which a length sum passes 2**64 - 1; -1 with an
-   exception set. */
+   and pop->length then holding the last generation; 0 with an exception
+   set. */
 static int run(Population *pop, const long long *dist, PyObject *rng, Py_ssize_t patience,
                PyObject *target, PyObject *bests)
 {
     uint32_t mt[625];
     if (!load_twister(rng, mt))
-        return -1;
+        return 0;
     Py_ssize_t p = pop->p, n = pop->n;
-    int overflow = 0;
     for (Py_ssize_t r = 1, total = p * (p + 1) / 2; r <= p; r++)
         pop->cum[r - 1] = (double)(r * (r + 1) / 2) / (double)total;
     int *now = pop->tours, *next = now + p * n, *succ = next + p * n, *rows = succ + p * n;
@@ -426,7 +408,7 @@ static int run(Population *pop, const long long *dist, PyObject *rng, Py_ssize_t
                 if (random_float(mt) < pop->cross_prob) {
                     next_length[k] = crossover(succ + (Py_ssize_t)ia * n, succ + (Py_ssize_t)ib * n,
                                                now[(Py_ssize_t)ia * n], dist, n, mt,
-                                               pop->open_cities, child, &overflow);
+                                               pop->open_cities, child);
                     ia = -1;
                 }
                 else if (length[ib] < length[ia])
@@ -443,11 +425,9 @@ static int run(Population *pop, const long long *dist, PyObject *rng, Py_ssize_t
                 int city = child[i];
                 child[i] = child[j];
                 child[j] = city;
-                next_length[k] = tour_length(child, dist, n, &overflow);
+                next_length[k] = tour_length(child, dist, n);
             }
         }
-        if (overflow)
-            return 0;  /* mt is a copy: rng is untouched */
         int *swap = now;
         now = next;
         next = swap;
@@ -467,7 +447,7 @@ static int run(Population *pop, const long long *dist, PyObject *rng, Py_ssize_t
     }
     pop->now = now;
     pop->length = length;
-    return !PyErr_Occurred() && store_twister(rng, mt) ? 1 : -1;
+    return !PyErr_Occurred() && store_twister(rng, mt);
 }
 
 /* evolve(genes, lengths, distances, threshold, retries, crossover_prob,
@@ -477,8 +457,8 @@ static int run(Population *pop, const long long *dist, PyObject *rng, Py_ssize_t
    genes a list of p >= 2 tuples permuting 0..n-1, lengths a list of p ints
    below 2**64, 0 < elite_count < p, generations >= 0, retries >= 1, patience
    None or an int, target None, an int or a float, and the numbers convert.
-   None as well, rng untouched, at the first generation in which a length sum
-   passes 2**64 - 1: it stops there and builds no tuples. */
+   Its callers check that rng is an exact random.Random with no instance
+   override of a method and that no tour weighs more than 2**64 - 1. */
 static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 12)
@@ -504,11 +484,8 @@ static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t narg
             || !bounded(PyList_GET_ITEM(lengths, i), UINT64_MAX, pop.sizes + i))
             goto done;
     result = NULL;
-    int ran = (bests = PyList_New(0)) == NULL ? -1
-              : run(&pop, view.buf, args[11], patience, target, bests);
-    if (ran == 0)
-        result = Py_None;
-    else if (ran > 0 && (made = population(pop.now, pop.length, p, n)) != NULL)
+    if ((bests = PyList_New(0)) != NULL && run(&pop, view.buf, args[11], patience, target, bests)
+        && (made = population(pop.now, pop.length, p, n)) != NULL)
         result = PyTuple_Pack(3, PyTuple_GET_ITEM(made, 0), PyTuple_GET_ITEM(made, 1), bests);
 done:
     Py_XDECREF(made);
@@ -521,9 +498,9 @@ done:
 
 /* random_tours(count, distances, rng) -> (tours, lengths): count tours, each
    list(range(n)) with i swapped for randbelow(i + 1) at i = n-1 ... 1 as
-   random.shuffle does, and their lengths; None, with rng untouched, unless
-   distances is a C-ordered n x n int64 matrix with n >= 2 and every length
-   is below 2**64. */
+   random.shuffle does, and their lengths. None, before rng is touched, unless
+   count >= 0 and distances is a C-ordered n x n int64 matrix with n >= 2.
+   Its callers check rng and the tour lengths as evolve's do. */
 static PyObject *random_tours(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 3)
@@ -540,7 +517,6 @@ static PyObject *random_tours(PyObject *module, PyObject *const *args, Py_ssize_
     }
     int *tours = count <= PY_SSIZE_T_MAX / 16 / n ? PyMem_New(int, count * n) : NULL;
     uint64_t *lengths = PyMem_New(uint64_t, count);
-    int overflow = 0;
     PyObject *result = NULL;
     uint32_t mt[625];
     if (tours == NULL || lengths == NULL)
@@ -556,11 +532,9 @@ static PyObject *random_tours(PyObject *module, PyObject *const *args, Py_ssize_
                 tour[i] = tour[j];
                 tour[j] = city;
             }
-            lengths[k] = tour_length(tour, view.buf, n, &overflow);
+            lengths[k] = tour_length(tour, view.buf, n);
         }
-        if (overflow)
-            result = Py_NewRef(Py_None);
-        else if (store_twister(args[2], mt))
+        if (store_twister(args[2], mt))
             result = population(tours, lengths, count, n);
     }
     PyMem_Free(lengths);
@@ -662,8 +636,8 @@ static PyObject *island_records(const Population *pop, unsigned long key, unsign
    as evolve takes them, key and islands are ints below 2**32, values is a
    list or tuple of records that all pass codec.decode_chromosome's checks
    with pop_id == key and N == n, and 0 < elite_count < p with p =
-   min(len(values), size). None as well, rng untouched, at the first
-   generation in which a length sum passes 2**64 - 1. */
+   min(len(values), size). Its callers check rng and the tour lengths as
+   evolve's do. */
 static PyObject *evolve_island(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 12)
@@ -701,9 +675,8 @@ static PyObject *evolve_island(PyObject *module, PyObject *const *args, Py_ssize
             pop.sizes[k] = pop.ranked[k].length;
         }
     }
-    int ran = run(&pop, view.buf, args[11], 0, Py_None, NULL);
-    result = ran > 0 ? island_records(&pop, (unsigned long)key, (unsigned long)islands)
-                     : ran == 0 ? Py_None : NULL;
+    result = run(&pop, view.buf, args[11], 0, Py_None, NULL)
+             ? island_records(&pop, (unsigned long)key, (unsigned long)islands) : NULL;
 done:
     PyMem_Free(pop.sizes);
     if (n > 0)

@@ -16,6 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, asdict
 
 from . import _xover
+from .codec import MAX_LENGTH
 from .reports import RunReport, accuracy_percent
 from .tsplib import Instance
 
@@ -24,10 +25,14 @@ from .tsplib import Instance
 _KERNEL = _xover.load()
 
 
-def _plain(rng) -> bool:
-    """An exact random.Random with no instance override of a method: the kernel's
-    copy of its Mersenne Twister then draws what the rng's methods would."""
-    return type(rng) is random.Random and vars(rng).keys() <= {"gauss_next"}
+def _kernel_may_run(instance: Instance, rng) -> bool:
+    """The one rule for every GA kernel call: the kernel is loaded; rng is an
+    exact random.Random with no instance override of a method, so the
+    kernel's copy of its Mersenne Twister draws what its methods would; and
+    no tour of instance weighs more than the 64 bits in which the kernel
+    sums lengths (Instance.max_tour_length)."""
+    return (_KERNEL is not None and type(rng) is random.Random
+            and vars(rng).keys() <= {"gauss_next"} and instance.max_tour_length <= MAX_LENGTH)
 
 
 @dataclass(frozen=True)
@@ -242,13 +247,10 @@ def next_generation(genes: list, lengths: list, instance: Instance, rng: random.
 
 def random_population(instance: Instance, params: GaParams,
                       rng: random.Random) -> tuple[list, list]:
-    """(genes, lengths) of population_size tours made by random_tour.
-
-    With the kernel loaded and a _plain rng, random_tours shuffles and sums
-    them all in one call, drawing as random.shuffle does. It declines, and
-    the loop below runs, unless the weights are a C-ordered int64 matrix of
-    at least 2 cities and every length is below 2**64."""
-    if _KERNEL is not None and _plain(rng):
+    """(genes, lengths) of population_size tours made by random_tour; where
+    _kernel_may_run, the kernel's random_tours shuffles and sums them all in
+    one call, or declines its inputs and the loop below runs."""
+    if _kernel_may_run(instance, rng):
         made = _KERNEL.random_tours(params.population_size, instance.distances, rng)
         if made is not None:
             return made
@@ -290,14 +292,10 @@ def evolve(genes: list, lengths: list, instance: Instance, rng: random.Random, p
            generations: int, patience=None, target=None) -> tuple[list, list, list]:
     """(genes, lengths, bests): next_generation until `generations` or, after
     each, stop_reason([min(lengths)] + bests, ...) ends it; bests holds each
-    generation's shortest length. With the kernel loaded and a _plain rng,
-    one kernel call runs them all, drawing as the loop does from the rng's
-    state, read and written back once. It declines, and the loop runs, for
-    weights that are not a C-ordered int64 matrix of 2 or more cities, genes
-    that are not a list of tuples permuting them, or lengths not ints below
-    2**64; and, its rng untouched, once a generation makes a length of 2**64
-    or more, which the loop then sums exactly."""
-    if _KERNEL is not None and _plain(rng):
+    generation's shortest length. Where _kernel_may_run, one call of the
+    kernel's evolve runs them all, drawing as the loop does, or declines its
+    inputs and the loop runs."""
+    if _kernel_may_run(instance, rng):
         evolved = _KERNEL.evolve(genes, lengths, instance.distances, params.similarity_threshold,
                                  params.max_parent_retries, params.crossover_prob,
                                  params.mutation_prob, params.elite_count, generations,

@@ -128,12 +128,10 @@ class EvolveReducer:
     batch form of each migrant replacing the current worst member. Migrant
     records carry the destination's pop_id, matching their new key.
 
-    With the kernel loaded and an rng that ga._plain accepts, one
-    evolve_island call does all of it, from the record values to the output
-    values; the keys are zipped on here. It declines, and the reference path
-    below runs, for any record decode_island would reject, N other than the
-    instance's, fewer than 2 members or no more than elite_count after
-    truncation, weights the kernel cannot read and a length sum past 2**64 - 1.
+    Where ga._kernel_may_run, one call of the kernel's evolve_island does
+    all of it, from the record values to the output values, and the keys are
+    zipped on here; when it declines its inputs, the reference path below
+    runs.
 
     Reducers of one instance object and equal params compare equal, so that
     an engine's pool serves every round that evolves the same run.
@@ -153,7 +151,7 @@ class EvolveReducer:
 
     def __call__(self, key, values, rng):
         params, ga_params = self.params, self.params.ga
-        if ga._KERNEL is not None and ga._plain(rng):
+        if ga._kernel_may_run(self.instance, rng):
             made = ga._KERNEL.evolve_island(
                 values, key, params.num_islands, ga_params.population_size,
                 self.instance.distances, ga_params.similarity_threshold,
@@ -286,10 +284,10 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
         raise NonIntegerWeightsError(
             f"{instance.name}: pga needs integer edge weights (the record layout "
             "stores integer tour lengths); run sga for non-integer weights")
-    if instance.dimension * int(instance.distances.max()) > MAX_LENGTH:
+    if instance.max_tour_length > MAX_LENGTH:
         raise TourLengthOverflowError(
-            f"{instance.name}: {instance.dimension} edges of weight up to "
-            f"{instance.distances.max()} can exceed the record's 64-bit tour length field")
+            f"{instance.name}: a tour can weigh up to {instance.max_tour_length}, past "
+            "the record's 64-bit tour length field")
     params = params if params is not None else IslandParams()
     start = time.perf_counter()
     store = store if store is not None else MemoryStore()

@@ -87,6 +87,15 @@ class Instance:
         Python GA loops read it, where numpy scalar indexing is slow."""
         return self.distances.tolist()
 
+    @functools.cached_property
+    def max_tour_length(self):
+        """An upper bound on any tour's length, computed on first use: a tour
+        takes dimension edges and no diagonal entry, so dimension times the
+        largest off-diagonal weight, as an exact Python number."""
+        n = self.dimension
+        # the flat matrix past entry 0, as n - 1 rows of n + 1, has the diagonal in its last column
+        return n * self.distances.ravel()[1:].reshape(n - 1, n + 1)[:, :n].max().item()
+
     def with_known_optimum(self, value: float | None) -> "Instance":
         return Instance(self.name, self.dimension, np.array(self.distances), value)
 

@@ -1,9 +1,12 @@
 """scripts/bench_snapshot.py refuses to write a snapshot taken while a pga
-workload could not use both cores, counts code lines beside all lines, and
-builds the kernel before its first timed run."""
+workload could not use both cores, counts code lines beside all lines,
+builds the kernel before its first timed run, and records which sources
+differ from the commit."""
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -115,3 +118,30 @@ def test_snapshot_builds_the_kernel_before_the_first_timed_run(script, monkeypat
     capsys.readouterr()
     assert calls[0] == "build" and calls.count("build") == 1
     assert len(calls) == 1 + (script.UNTRACED_RUNS + 1) * len(script.SPEC["workloads"])
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="no git")
+def test_snapshot_records_uncommitted_sources(script, tmp_path, monkeypatch, capsys):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    monkeypatch.setattr(script, "run_perfbench", fake_perfbench({}))
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    src = tmp_path / "src" / "mrtsp"
+    src.mkdir(parents=True)
+    (src / "k.c").write_text(C_FILE)
+    assert script.main([]) == 0  # not a git checkout: git cannot say
+    git("init", "-q")
+    git("add", "src")
+    git("commit", "-qm", "sources")
+    (src / "k.c").write_text(C_FILE + "int g;\n")
+    (src / "new.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text("outside src\n")
+    assert script.main([]) == 0
+    git("commit", "-qam", "k.c")
+    assert script.main([]) == 0
+    capsys.readouterr()
+    statuses = [json.loads((tmp_path / f"BENCH_{n}.json").read_text())["src_status"]
+                for n in (1, 2, 3)]
+    assert statuses == [None, [" M src/mrtsp/k.c", "?? src/mrtsp/new.py"], ["?? src/mrtsp/new.py"]]

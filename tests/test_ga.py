@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mrtsp import _xover, ga as ga_module
+from mrtsp.codec import MAX_LENGTH
 from mrtsp.ga import (GaParams, Ranking, TerminationPolicy, canonical, evolve,
                       greedy_crossover, mutate, next_generation, random_population,
                       random_tour, run_sga,
@@ -650,9 +651,9 @@ def failing_at_call(name, k):
 
 def refuse_the_kernel(monkeypatch):
     """Make the kernel's evolve and random_tours fail the test if called:
-    ga must take its loops for an rng whose instance overrides a method."""
+    ga must take its loops where ga._kernel_may_run does not hold."""
     def refuse(*args):
-        raise AssertionError("the kernel drew from an rng with an instance override")
+        raise AssertionError("the kernel ran where ga._kernel_may_run does not hold")
 
     for name in ("evolve", "random_tours"):
         monkeypatch.setattr(ga_module._KERNEL, name, refuse)
@@ -716,14 +717,15 @@ def huge_instance():
 
 @needs_kernel
 def test_breed_sums_lengths_beyond_64_bits_exactly(monkeypatch):
-    # the kernel sums in 64 bits and declines these tours; ga's loops sum them exactly
+    # no tour here fits 64 bits, so ga keeps every call from the kernel and
+    # its loops sum each length exactly
     inst = huge_instance()
+    assert inst.max_tour_length > MAX_LENGTH
     params = GaParams(population_size=10, mutation_prob=0.5, crossover_prob=0.8)
-    rng = random.Random(2)
-    assert ga_module._KERNEL.random_tours(10, inst.distances, rng) is None
-    assert rng.getstate() == random.Random(2).getstate()
+    refuse_the_kernel(monkeypatch)
     genes, lengths = random_population(inst, params, random.Random(2))
-    assert declines(evolve_args(genes, lengths, inst, params, random.Random(1)))
+    assert all(type(length) is int and length > 2**64 for length in lengths)
+    assert lengths == [tour_length(tour, inst) for tour in genes]
     compiled, loop = kernel_and_loop_generation(genes, lengths, inst, params, 3, monkeypatch)
     assert compiled == loop
     genes, lengths, _, _ = compiled
@@ -764,32 +766,24 @@ OVERFLOWING = {"crossover": (GaParams(population_size=4, mutation_prob=0.0, cros
 @needs_kernel
 @pytest.mark.parametrize("case", sorted(OVERFLOWING))
 def test_evolve_declines_at_the_first_generation_past_64_bits(case, monkeypatch):
+    # the bound is the instance's, not the population's: ga declines the
+    # kernel from the first population on, before any length passes 2**64
     inst, (params, seed) = overflowing_instance(), OVERFLOWING[case]
-    rng = random.Random(seed)
-    start = random_population(inst, params, rng)
-    assert start == ga_module._KERNEL.random_tours(4, inst.distances, random.Random(seed))
-    state = rng.getstate()
-    with monkeypatch.context() as loop:
-        loop.setattr(ga_module, "_KERNEL", None)
-        widest, population = [max(start[1])], start
-        for _ in range(5):
-            population = evolve(*population, inst, rng, params, 1)[:2]
-            widest.append(max(population[1]))
-    assert max(widest[:5]) < 2**64 <= widest[5]
-    rng.setstate(state)
-    (genes, lengths), distances = start, inst.distances
-    before = refcounts(genes, lengths, distances, rng)
-    # returning None with an exception still set would raise SystemError here
-    assert outcome_of(ga_module._KERNEL.evolve, *evolve_args(*start, inst, params, rng, 8)) == "none"
-    assert rng.getstate() == state
-    assert refcounts(genes, lengths, distances, rng) == before
-    reports = []
+    assert inst.max_tour_length > MAX_LENGTH
+    refuse_the_kernel(monkeypatch)
+    runs = []
     for kernel in (ga_module._KERNEL, None):
         monkeypatch.setattr(ga_module, "_KERNEL", kernel)
-        report = run_sga(inst, params, 8, seed=seed)
-        reports.append((report.best_length, report.best_tour, report.trajectory,
-                        report.generations, report.stop_reason))
-    assert reports[0] == reports[1]
+        rng = random.Random(seed)
+        population = random_population(inst, params, rng)
+        generations = [population]
+        for _ in range(5):
+            population = evolve(*population, inst, rng, params, 1)[:2]
+            generations.append(population)
+        runs.append((generations, rng.getstate()))
+    assert runs[0] == runs[1]
+    widest = [max(lengths) for _, lengths in runs[0][0]]
+    assert max(widest[:5]) < 2**64 <= widest[5]
 
 
 def recording_bits(rng):
@@ -1010,7 +1004,8 @@ def test_random_population_raises_what_getrandbits_raises(k, monkeypatch):
 
 def test_random_population_of_one_city_raises_as_random_tour_does():
     # Instance itself rejects one city, so this stands in for one
-    one = SimpleNamespace(dimension=1, distances=np.zeros((1, 1), np.int64), rows=[[0]])
+    one = SimpleNamespace(dimension=1, distances=np.zeros((1, 1), np.int64), rows=[[0]],
+                          max_tour_length=0)
     rng = random.Random(0)
     state = rng.getstate()
     with pytest.raises(ValueError, match="need at least 2 cities, got 1"):

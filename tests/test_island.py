@@ -19,7 +19,7 @@ from mrtsp.codec import (MAX_LENGTH, CodecError, TruncatedBufferError, decode_ch
                          encode_chromosome)
 from mrtsp.engine import Engine, EngineError, FileStore, MemoryStore, Record
 from mrtsp.ga import GaParams, run_sga, tour_length
-from mrtsp.island import (EvolveReducer, IslandParams, NonIntegerWeightsError,
+from mrtsp.island import (EvolveReducer, InitReducer, IslandParams, NonIntegerWeightsError,
                           RoundSummary, TourLengthOverflowError,
                           check_convergence, evolve_job,
                           format_population_dump, init_job, run_pga)
@@ -27,6 +27,7 @@ from mrtsp.oracle import held_karp
 from mrtsp.tsplib import (Instance, format_instance, parse_instance,
                           random_instance)
 from test_codec import good_records, record_faults
+from test_ga import huge_instance, overflowing_instance
 
 needs_kernel = pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
 
@@ -277,7 +278,7 @@ class SubclassRng(random.Random):
 
 
 def overriding_rng(seed):
-    """A random.Random whose instance overrides random(), which ga._plain
+    """A random.Random whose instance overrides random(), which ga._kernel_may_run
     refuses; the override draws what random() draws."""
     rng = random.Random(seed)
     real = rng.random
@@ -320,11 +321,11 @@ def test_evolve_island_declines_before_the_rng_moves(name, args):
 @pytest.mark.parametrize("make_rng", [SubclassRng, overriding_rng],
                          ids=["rng_subclass", "rng_override"])
 def test_reducer_runs_the_kernel_only_for_an_exact_random(make_rng, monkeypatch):
-    # ga._plain is the one check of which rng the kernel may draw from: the
+    # ga._kernel_may_run is the one check of which rng the kernel may draw from: the
     # reducer must not hand evolve_island, or ga.evolve the kernel's evolve,
     # an rng it refuses, and returns what it returns without the kernel
     def refuse(*args):
-        raise AssertionError("the kernel was handed an rng that ga._plain refuses")
+        raise AssertionError("the kernel was handed an rng that ga._kernel_may_run refuses")
 
     reducer, values = EvolveReducer(INST10, SMALL), good_records(1, count=25)
     for entry in ("evolve_island", "evolve"):
@@ -701,6 +702,69 @@ def test_run_pga_rejects_overflowing_tour_lengths_up_front():
     with pytest.raises(TourLengthOverflowError, match="64-bit tour length"):
         run_pga(heavy, SMALL, store=store)
     assert store.names() == []  # no job ran, not even the seed was written
+
+
+def test_run_pga_bound_ignores_the_diagonal(monkeypatch):
+    # a tour of n >= 2 cities takes no diagonal entry: every tour here weighs 3
+    weights = np.ones((3, 3), dtype=np.int64)
+    np.fill_diagonal(weights, 2**62)
+    inst = Instance("diagonal", 3, weights)
+    assert inst.max_tour_length == 3
+    params = IslandParams(num_islands=2, migration_interval=1, ga=GaParams(population_size=4),
+                          max_total_generations=2, convergence_patience=None)
+    runs = []
+    for kernel in (ga._KERNEL, None):
+        monkeypatch.setattr(ga, "_KERNEL", kernel)
+        store = MemoryStore()
+        runs.append((run_pga(inst, params, store=store), store.snapshot()))
+    (report, snapshot), (looped, looped_snapshot) = runs
+    assert report.best_length == 3
+    same_output(report, looped)
+    assert snapshot == looped_snapshot
+
+
+@needs_kernel
+def test_every_kernel_entry_is_skipped_past_the_tour_length_bound(monkeypatch):
+    # no tour of these instances fits 64 bits, so ga._kernel_may_run keeps every
+    # call from the kernel, and each run is the Python loops' from the start
+    def refuse(*args):
+        raise AssertionError("the kernel ran for an instance past the tour length bound")
+
+    def sga(inst, params, generations, seed):
+        report = run_sga(inst, params, generations, seed=seed)
+        return (report.best_length, report.best_tour, report.trajectory, report.generations,
+                report.stop_reason)
+
+    def reduce(reducer, values):
+        rng = random.Random(8)
+        return outcome(reducer, 1, values, rng), rng.getstate()
+
+    heavy = uniform_instance(10, 2**61)
+    solves = {
+        "sga huge": lambda: sga(huge_instance(), GaParams(population_size=10, mutation_prob=0.5,
+                                                          crossover_prob=0.8), 3, 2),
+        # the first population stays below 2**64 and generation 5 passes it, by
+        # crossover or by mutation
+        "sga crossover": lambda: sga(overflowing_instance(), GaParams(
+            population_size=4, mutation_prob=0.0, crossover_prob=1.0), 8, 7),
+        "sga mutation": lambda: sga(overflowing_instance(), GaParams(
+            population_size=4, mutation_prob=1.0, crossover_prob=0.0), 8, 65),
+        "init": lambda: reduce(InitReducer(heavy, GaParams(population_size=10)), [b""]),
+        "evolve": lambda: reduce(EvolveReducer(heavy, SMALL), good_records(1, count=25)),
+    }
+    compiled = {}
+    with monkeypatch.context() as refused:
+        for entry in ("evolve", "random_tours", "evolve_island"):
+            refused.setattr(ga._KERNEL, entry, refuse)
+        for name, solve in solves.items():
+            compiled[name] = solve()
+    monkeypatch.setattr(ga, "_KERNEL", None)
+    assert compiled == {name: solve() for name, solve in solves.items()}
+    assert compiled["sga huge"][0] > 2**64
+    for name in ("init", "evolve"):  # each sums a length past 2**64, which no record holds
+        (_, kind, message), _ = compiled[name]
+        assert kind is CodecError and message.endswith("does not fit an unsigned 64-bit field")
+        assert int(message.split()[2]) == 10 * 2**61
 
 
 def test_run_pga_accepts_tour_lengths_that_just_fit():
