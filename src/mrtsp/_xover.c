@@ -3,17 +3,19 @@
 
    evolve runs ga.evolve's generations in the loop's order: the elite pick and
    the Ranking as stable sorts of the member indices by length;
-   select_parents' retry loop, comparing canonical rows as ga.similarity does;
-   the crossover draw; ga.greedy_crossover step for step, or a copy of the
-   better parent; and mutate's draw and swap. A crossover dead end takes the
-   k-th open city in ascending order from a bitmap, as the loop takes it from
-   its sorted list, and a child's length is summed as it is built. The
-   population stays in C arrays; gene tuples and length ints are built once,
-   at the end. evolve_island runs the same loop (run, below) as an island's
-   reduce task: it checks and decodes the island's codec records into the C
-   arrays as codec.decode_chromosome does, keeps the population_size shortest
-   as ga.shortest does, and returns the records island.EvolveReducer emits,
-   the residents and then the best re-addressed to every other island, as
+   select_parents' retry loop, comparing canonical rows as ga.similarity does,
+   its rank draws started from a guide table and pairs of identical members
+   judged by their duplicate class with no row scan; the crossover draw;
+   ga.greedy_crossover step for step, or a copy of the better parent; and
+   mutate's draw and swap. A crossover dead end takes the k-th open city in
+   ascending order from a bitmap, as the loop takes it from its sorted list,
+   and a child's length is summed as it is built. The population stays in C
+   arrays; gene tuples and length ints are built once, at the end.
+   evolve_island runs the same loop (run, below) as an island's reduce task:
+   it checks and decodes the island's codec records into the C arrays as
+   codec.decode_chromosome does, keeps the population_size shortest as
+   ga.shortest does, and returns the records island.EvolveReducer emits, the
+   residents and then the best re-addressed to every other island, as
    codec.encode_chromosome and codec.with_pop_id pack them, so no gene tuple
    is built. random_tours makes ga.random_population's tours, shuffled as
    random.shuffle shuffles them, and sums their lengths.
@@ -248,44 +250,6 @@ static Py_ssize_t matrix(PyObject *obj, Py_buffer *view, const char *formats)
     return 0;
 }
 
-/* One Ranking.draw, order[bisect_right(cum, random())]; random() is below
-   1.0, which is cum[p - 1], so the bisect never passes the last rank. */
-static int draw(uint32_t *mt, const double *cum, const int *order, Py_ssize_t p)
-{
-    double x = random_float(mt);
-    Py_ssize_t lo = 0, hi = p;
-    while (lo < hi) {
-        Py_ssize_t mid = (lo + hi) / 2;
-        if (x < cum[mid])
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    return order[lo];
-}
-
-/* ga.select_parents' retry loop over p canonical rows of n cities: up to retries
-   tries of two draws, *ib redrawn while it equals *ia, ending at the first pair
-   whose rows agree in at most threshold of their n places, else at the last
-   pair. */
-static void select_retry(uint32_t *mt, const double *cum, const int *order, Py_ssize_t p,
-                         const int *rows, Py_ssize_t n, double threshold, Py_ssize_t retries,
-                         int *ia, int *ib)
-{
-    for (Py_ssize_t t = 0; t < retries; t++) {
-        *ia = draw(mt, cum, order, p);
-        do
-            *ib = draw(mt, cum, order, p);
-        while (*ib == *ia);
-        const int *ra = rows + (Py_ssize_t)*ia * n, *rb = rows + (Py_ssize_t)*ib * n;
-        Py_ssize_t same = 0;
-        for (Py_ssize_t j = 0; j < n; j++)
-            same += ra[j] == rb[j];
-        if ((double)same / (double)n <= threshold)
-            break;
-    }
-}
-
 /* A member's length and index; qsort by_length orders them as a stable sort
    by length does. */
 typedef struct {
@@ -309,11 +273,79 @@ typedef struct {
     uint64_t *sizes, *open_cities;  /* p + count lengths; (n + 63) / 64 words */
     double *cum;
     Ranked *ranked;                 /* count */
-    int *tours;                     /* 3p + count tours, then p ints (see run) */
+    int *tours;                     /* 3p + count tours, then 4p ints (see run) */
     unsigned char *seen;
     int *now;                       /* the last generation, set by run */
     uint64_t *length;
+    int *guide, *class_of, *first_of;  /* p each, set by run; see draw and select_retry */
+    Py_ssize_t classes;             /* -1 until the generation's first rejected try */
 } Population;
+
+/* One Ranking.draw, order[bisect_right(cum, random())], from a guide table
+   (Chen & Asau 1974; Devroye 1986, III.2.4): guide[b] is the first rank whose
+   cum exceeds b / p. The walk starts at x's bucket, steps back while x is
+   below the rank before and forward while it is not below its own, so it
+   ends on bisect_right's rank whatever the rounding of x * p; random() is
+   below 1.0, which is cum[p - 1], so it never passes the last rank. */
+static int draw(uint32_t *mt, const Population *pop, const int *order)
+{
+    double x = random_float(mt);
+    Py_ssize_t b = (Py_ssize_t)(x * (double)pop->p);
+    Py_ssize_t lo = pop->guide[b < pop->p ? b : pop->p - 1];
+    while (lo > 0 && x < pop->cum[lo - 1])
+        lo--;
+    while (x >= pop->cum[lo])
+        lo++;
+    return order[lo];
+}
+
+/* Member i's duplicate class in this generation: that of the first
+   classified member whose canonical row equals i's, or a new one. */
+static int duplicate_class(Population *pop, const int *rows, int i)
+{
+    if (pop->class_of[i] < 0) {
+        Py_ssize_t n = pop->n, c = 0;
+        while (c < pop->classes
+               && memcmp(rows + (Py_ssize_t)pop->first_of[c] * n, rows + (Py_ssize_t)i * n,
+                         n * sizeof *rows) != 0)
+            c++;
+        if (c == pop->classes)
+            pop->first_of[pop->classes++] = i;
+        pop->class_of[i] = (int)c;
+    }
+    return pop->class_of[i];
+}
+
+/* ga.select_parents' retry loop over pop's p canonical rows of n cities: up
+   to retries tries of two draws, *ib redrawn while it equals *ia, ending at
+   the first pair whose rows agree in at most threshold of their n places,
+   else at the last pair. From the generation's first rejected try on, each
+   member is put in a duplicate class at its first try, and a pair of one
+   class agrees in all n places with no scan; a generation with no rejected
+   try, as on a diverse population, classifies nothing. */
+static void select_retry(Population *pop, uint32_t *mt, const int *order, const int *rows,
+                         int *ia, int *ib)
+{
+    Py_ssize_t n = pop->n;
+    for (Py_ssize_t t = 0; t < pop->retries; t++) {
+        *ia = draw(mt, pop, order);
+        do
+            *ib = draw(mt, pop, order);
+        while (*ib == *ia);
+        Py_ssize_t same = 0;
+        if (pop->classes >= 0
+            && duplicate_class(pop, rows, *ia) == duplicate_class(pop, rows, *ib))
+            same = n;
+        else {
+            const int *ra = rows + (Py_ssize_t)*ia * n, *rb = rows + (Py_ssize_t)*ib * n;
+            for (Py_ssize_t j = 0; j < n; j++)
+                same += ra[j] == rb[j];
+        }
+        if ((double)same / (double)n <= pop->threshold)
+            break;
+        pop->classes += pop->classes < 0;  /* the first rejected try starts the classes */
+    }
+}
 
 /* n, holding view, when args are (distances, threshold, retries,
    crossover_prob, mutation_prob, elite_count, generations) with distances a
@@ -340,7 +372,7 @@ static Py_ssize_t read_ga(PyObject *const *args, Population *pop, Py_buffer *vie
    records, PyMem_Free(pop->sizes) freeing it; else 0. */
 static int alloc_population(Population *pop, Py_ssize_t n, Py_ssize_t p, Py_ssize_t count)
 {
-    Py_ssize_t words = (n + 63) / 64, ints = (3 * p + count) * n + p;
+    Py_ssize_t words = (n + 63) / 64, ints = (3 * p + count) * n + 4 * p;
     /* the 8-byte arrays first, then the ints and the bytes */
     pop->sizes = PyMem_Malloc(8 * (p + count + words + p) + sizeof(Ranked) * count
                               + sizeof(int) * ints + n);
@@ -375,6 +407,13 @@ static int run(Population *pop, const long long *dist, PyObject *rng, Py_ssize_t
         pop->cum[r - 1] = (double)(r * (r + 1) / 2) / (double)total;
     int *now = pop->tours, *next = now + p * n, *succ = next + p * n, *rows = succ + p * n;
     int *order = rows + p * n;
+    pop->guide = order + p;
+    pop->class_of = pop->guide + p;
+    pop->first_of = pop->class_of + p;
+    /* guide[b]: the first rank whose cum exceeds b / p (see draw) */
+    for (Py_ssize_t b = 0, r = 0; b < p; pop->guide[b++] = (int)r)
+        while (pop->cum[r] <= (double)b / (double)p)
+            r++;
     uint64_t *length = pop->sizes, *next_length = length + p, best = 0;
     Ranked *ranked = pop->ranked;
     for (Py_ssize_t i = 0; i < p; i++)
@@ -391,7 +430,9 @@ static int run(Population *pop, const long long *dist, PyObject *rng, Py_ssize_t
             for (Py_ssize_t j = 0, city = 0; j < n; j++, city = s[city])
                 rows[i * n + j] = (int)city;
             ranked[i] = (Ranked){length[i], i};
+            pop->class_of[i] = -1;
         }
+        pop->classes = -1;
         qsort(ranked, p, sizeof *ranked, by_length);
         /* the Ranking's order: longest first, ties in member order */
         for (Py_ssize_t end = p, k = 0, start; end > 0; end = start) {
@@ -403,8 +444,7 @@ static int run(Population *pop, const long long *dist, PyObject *rng, Py_ssize_t
         for (Py_ssize_t k = 0; k < p; k++) {
             int *child = next + k * n, ia = (int)ranked[k].index, ib = ia;
             if (k >= pop->elite) {
-                select_retry(mt, pop->cum, order, p, rows, n, pop->threshold, pop->retries, &ia,
-                             &ib);
+                select_retry(pop, mt, order, rows, &ia, &ib);
                 if (random_float(mt) < pop->cross_prob) {
                     next_length[k] = crossover(succ + (Py_ssize_t)ia * n, succ + (Py_ssize_t)ib * n,
                                                now[(Py_ssize_t)ia * n], dist, n, mt,

@@ -268,6 +268,14 @@ class TerminationPolicy:
     def __post_init__(self):
         if self.patience is not None and self.patience < 0:
             raise ValueError("patience must be >= 0 or None")
+        check_target(self.target_length)
+
+
+def check_target(target_length) -> None:
+    """Raise ValueError for a NaN target_length: no best is <= NaN, so such
+    a target would never stop a run."""
+    if target_length is not None and target_length != target_length:
+        raise ValueError(f"target_length must be a number, got {target_length}")
 
 
 def stop_reason(best_history: list[float], generations_used: int, budget: int,

@@ -27,7 +27,7 @@ from .codec import (MAX_LENGTH, decode_chromosome, encode_chromosome, peek_lengt
                     with_pop_id)
 from .engine import (Engine, EngineError, JobSpec, MemoryStore, Record,
                      default_partition, identity_mapper)
-from .ga import GaParams, evolve, random_population, shortest, stop_reason
+from .ga import GaParams, check_target, evolve, random_population, shortest, stop_reason
 from .reports import RunReport, accuracy_percent
 from .tsplib import Instance
 
@@ -75,6 +75,7 @@ class IslandParams:
                              f"({self.max_total_generations} < {self.migration_interval})")
         if self.convergence_patience is not None and self.convergence_patience < 0:
             raise ValueError("convergence_patience must be >= 0 or None")
+        check_target(self.target_length)
 
 
 @dataclass(frozen=True)

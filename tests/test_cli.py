@@ -114,6 +114,16 @@ def test_solve_rejects_a_negative_patience(inst_dir, tmp_path, capsys, algo):
     assert not (tmp_path / "reports.jsonl").exists()
 
 
+@pytest.mark.parametrize("algo", ["sga", "pga"])
+def test_solve_rejects_a_nan_target(inst_dir, tmp_path, capsys, algo):
+    # such a target never stops a run, which would spend its budget and exit 0
+    rc = main(["solve", "--algo", algo, "--instance", str(inst_dir / "eight.atsp"),
+               "--islands", "2", "--target-length", "nan", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: target_length must be a number, got nan\n"
+    assert not (tmp_path / "reports.jsonl").exists()
+
+
 def test_solve_pga_rejects_non_integer_weights(tmp_path, capsys):
     weights = np.random.default_rng(0).uniform(1, 10, (8, 8))
     np.fill_diagonal(weights, 0.0)

@@ -353,6 +353,14 @@ def test_termination_policy_rejects_a_negative_patience(patience):
     assert TerminationPolicy(target_length=-1).patience is None
 
 
+def test_termination_policy_rejects_a_nan_target():
+    # no best is <= NaN, so such a target would never stop a run
+    with pytest.raises(ValueError, match="^target_length must be a number, got nan$"):
+        TerminationPolicy(target_length=float("nan"))
+    for target in (None, 0, -1.5, float("inf"), float("-inf"), 2**70):
+        assert TerminationPolicy(target_length=target).target_length == target
+
+
 # -- the compiled kernel -------------------------------------------------------------
 
 needs_kernel = pytest.mark.skipif(ga_module._KERNEL is None,
@@ -857,6 +865,35 @@ def test_breed_raises_what_a_draw_past_the_last_rank_raises(monkeypatch):
     monkeypatch.undo()
     # the kernel runs as before for a plain rng
     assert len(evolve(genes, lengths, inst, random.Random(1), params, 2)[0]) == 10
+
+
+@needs_kernel
+@pytest.mark.parametrize("threshold", [0.8, 1.0])
+@pytest.mark.parametrize("classes", [1, 2, 50])
+def test_evolve_on_converged_populations_matches_the_loop(classes, threshold, monkeypatch):
+    # sga-n64's shape from a population of one, two or 50 distinct tours: from
+    # a generation's first rejected try the kernel puts members in duplicate
+    # classes, and a pair of one class must fare as the loop's similarity of
+    # 1.0 does, rejected at 0.8 and accepted at 1.0
+    inst = weighted(64)
+    params = GaParams(population_size=50, similarity_threshold=threshold,
+                      max_parent_retries=32)
+    rng = random.Random(3)
+    tours = [tuple(random_tour(64, rng)) for _ in range(classes)]
+    genes = [tours[i % classes] for i in range(50)]
+    lengths = [tour_length(tour, inst) for tour in genes]
+    tries, real = [], ga_module.similarity
+    monkeypatch.setattr(ga_module, "similarity", lambda a, b: tries.append(real(a, b)) or tries[-1])
+    compiled, looped = kernel_and_loop_generation(genes, lengths, inst, params, 33, monkeypatch,
+                                                  100)
+    assert compiled == looped
+    picks = 49 * 100
+    if threshold == 1.0:
+        assert len(tries) == picks  # every pick's first try is taken
+    elif classes == 1:
+        assert tries[:49 * 32] == [1.0] * (49 * 32)  # the first generation waives every pick
+    assert classes == 50 or 1.0 in tries[:picks]
+    assert not declines(evolve_args(genes, lengths, inst, params, random.Random(1), 100))
 
 
 def twisted(index, gauss_next=0.25):

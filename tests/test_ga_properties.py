@@ -1,7 +1,9 @@
 """Property tests for the GA operators on random instances and tours."""
 
+import math
 import operator
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -81,10 +83,11 @@ def test_similarity_keys_match_position_counting(tours):
 @st.composite
 def generation_cases(draw):
     """An int instance of 2 to 300 cities with weights 0 to 3, a population of
-    2 to 60 members copied from 1 to 4 distinct tours, so that equal tours,
-    tied lengths and waived thresholds all occur, and GaParams for it."""
+    2 to 200 members copied from 1 to 4 distinct tours, so that equal tours,
+    tied lengths and waived thresholds all occur and the kernel's low guide
+    buckets span many ranks, and GaParams for it."""
     n = draw(st.integers(2, 300))
-    size = draw(st.integers(2, 60))
+    size = draw(st.integers(2, 200))
     seed = draw(st.integers(0, 2**32))
     matrix = np.random.default_rng(seed).integers(0, draw(st.integers(0, 3)) + 1, (n, n))
     inst = Instance("generation", n, matrix)
@@ -152,20 +155,27 @@ class Refused:
 @pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
 @settings(max_examples=200, deadline=None)
 @given(generation_cases(), st.integers(0, 2**32), st.integers(1, 3),
-       st.sampled_from(["plain", "first_on_a_cum", "first_below_a_cum", "on_rank_grid"]),
-       st.integers(0, 60))
+       st.sampled_from(["plain", "first_on_a_cum", "first_below_a_cum",
+                        "first_on_a_bucket_edge", "first_below_a_bucket_edge",
+                        "on_rank_grid"]),
+       st.integers(0, 200))
 def test_breed_matches_the_python_loop(case, seed, generations, mode, pick):
     # first_on_a_cum: both rngs' first random() is a Ranking.cum value of at
-    # least 0.5, so the kernel's bisect meets bisect_right's tie rule;
-    # first_below_a_cum: the double just below one, 2**-53 less;
-    # on_rank_grid: every draw is on the grid, and ga must take its loop
+    # least 0.5, so the kernel's walk from its guide table meets bisect_right's
+    # tie rule; first_on_a_bucket_edge: the double nearest b / p, p members,
+    # for some b >= p / 2, where x * p lands on a guide bucket's edge and the
+    # walk's step back decides the rank; first_below_*: the double just below
+    # either, 2**-53 less; on_rank_grid: every draw is on the grid, and ga
+    # must take its loop
     inst, genes, lengths, params = case
     kernel_rng, loop_rng = random.Random(seed), random.Random(seed)
     kernel = ga._KERNEL
-    step = 2**-53 if mode == "first_below_a_cum" else 0.0
-    cums = [cum - step for cum in ga.Ranking(lengths).cum if 0.5 + step <= cum < 1.0]
-    if mode.startswith("first_") and cums:
-        kernel_rng, loop_rng = (first_random(rng, cums[pick % len(cums)])
+    step = 2**-53 if mode.startswith("first_below") else 0.0
+    edges = (ga.Ranking(lengths).cum if mode.endswith("_cum")
+             else [b / len(genes) for b in range(len(genes))])
+    firsts = [edge - step for edge in edges if 0.5 + step <= edge < 1.0]
+    if mode.startswith("first_") and firsts:
+        kernel_rng, loop_rng = (first_random(rng, firsts[pick % len(firsts)])
                                 for rng in (kernel_rng, loop_rng))
     if mode == "on_rank_grid":
         kernel_rng, loop_rng = (on_rank_grid(rng, len(genes)) for rng in (kernel_rng, loop_rng))
@@ -183,6 +193,32 @@ def test_breed_matches_the_python_loop(case, seed, generations, mode, pick):
     # the kernel took the generations: it does not decline such a population
     assert kernel.evolve(genes, lengths, inst.distances, 0.0, 1, 0.0, 0.0, params.elite_count,
                          0, None, None, random.Random(0)) == (genes, lengths, [])
+
+
+@pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
+@pytest.mark.parametrize("size, b", [(109, 90), (123, 69), (170, 136), (185, 130)])
+def test_a_draw_below_a_bucket_edge_steps_back_to_the_rank_of_bisect_right(size, b):
+    # x, the double just below b / size, has x * size round up to b, and a
+    # rank's cum equals b / size, so the kernel's guide bucket b starts one
+    # rank past bisect_right's and only its step back finds the loop's rank;
+    # for populations up to 200 and draws of at least 0.5, first_random's
+    # range, these are the only such draws
+    x = math.nextafter(b / size, 0.0)
+    cum = ga.Ranking(range(size)).cum
+    assert x * size == b and b / size in cum and bisect_right(cum, x) == cum.index(b / size)
+    inst = Instance("edge", 9, np.random.default_rng(size).integers(1, 50, (9, 9)))
+    genes, lengths = ga.random_population(inst, GaParams(population_size=size),
+                                          random.Random(b))
+    params = GaParams(population_size=size, crossover_prob=0.5)
+    outcomes = []
+    for kernel in (ga._KERNEL, None):
+        saved, ga._KERNEL = ga._KERNEL, kernel
+        try:
+            rng = first_random(random.Random(size), x)
+            outcomes.append((ga.evolve(genes, lengths, inst, rng, params, 1), rng.getstate()))
+        finally:
+            ga._KERNEL = saved
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")

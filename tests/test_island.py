@@ -65,6 +65,13 @@ def test_params_validation(kwargs):
         IslandParams(**kwargs)
 
 
+def test_params_reject_a_nan_target():
+    # as TerminationPolicy does: no best is <= NaN, so the run would never stop
+    with pytest.raises(ValueError, match="^target_length must be a number, got nan$"):
+        IslandParams(target_length=float("nan"))
+    assert IslandParams(target_length=float("inf")).target_length == float("inf")
+
+
 def test_params_defaults():
     p = IslandParams()
     assert (p.num_islands, p.migration_interval) == (10, 50)

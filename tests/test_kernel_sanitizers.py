@@ -10,8 +10,10 @@ sga and pga runs compared with the Python loops, which exercise evolve and
 random_tours as well: evolve at n = 65, 128 and 129, whose crossover bitmap
 of open cities ends in a partial or a full 64-bit word, on member lengths
 of 2**64 - 1 and 2**64, from rng states whose draws cross the Mersenne
-Twister's twist, and with patience and a target that stop it early. Any report of either sanitizer aborts the
-subprocess."""
+Twister's twist, with patience and a target that stop it early, and from
+converged populations, one class of 200 members at n = 65 and two classes
+of 3 members, whose duplicate classes compare rows. Any report of either
+sanitizer aborts the subprocess."""
 
 import os
 import shutil
@@ -155,6 +157,27 @@ def twists(index):
 
 for index in (0, 1, 623, 624):
     twists(index)
+
+
+def converged(classes, size, n, generations):
+    # size members copied from classes distinct tours: selection's rows are
+    # compared with memcmp once a try is rejected
+    inst, rng = weighted(n), random.Random(classes)
+    tours = [tuple(ga.random_tour(n, rng)) for _ in range(classes)]
+    genes = [tours[i % classes] for i in range(size)]
+    lengths = [ga.tour_length(tour, inst) for tour in genes]
+    params = GaParams(population_size=size, mutation_prob=0.3)
+    outcomes = []
+    for compiled in (kernel, None):
+        ga._KERNEL = compiled
+        rng = random.Random(size)
+        outcomes.append((ga.evolve(genes, lengths, inst, rng, params, generations),
+                         rng.getstate()))
+    assert outcomes[0] == outcomes[1], (classes, size)
+
+
+converged(1, 200, 65, 3)
+converged(2, 3, 20, 30)
 print("clean")
 """
 
