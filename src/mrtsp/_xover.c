@@ -20,11 +20,13 @@
    is built. random_tours makes ga.random_population's tours, shuffled as
    random.shuffle shuffles them, and sums their lengths.
 
-   All three draw from CPython's Mersenne Twister (Modules/_randommodule.c),
-   read from the rng with _random.Random.getstate once per call and written
-   back with setstate once; random() and getrandbits(k) use its words as
-   CPython does, so draws and the rng's state equal the Python loops', and
-   nothing calls back into Python in between. They sum lengths in 64 bits,
+   All three draw from CPython's Mersenne Twister (Modules/_randommodule.c) in
+   place: twister hands them the rng's own state, through a mirror of
+   _random.Random's struct whose layout the first such call checks against
+   getstate, and every entry that takes an rng declines if it differs.
+   random() and getrandbits(k) use its words as CPython does, so draws and
+   the rng's state equal the Python loops', and nothing calls back into
+   Python between the first draw and the last. They sum lengths in 64 bits,
    the record layout's width.
 
    held_karp runs oracle.held_karp's DP over float64 weights with the numpy
@@ -36,20 +38,27 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-/* The next tempered word of an MT19937 state laid out as getstate gives it,
-   624 words and then the index of the next, twisting all 624 once they are
-   used, as genrand_uint32 in Modules/_randommodule.c does. */
-static uint32_t next_word(uint32_t *mt)
+/* An MT19937 state as CPython's RandomObject (Modules/_randommodule.c) holds
+   it: index, the place of the next word, then the 624 words. getstate()
+   returns the words and then index. */
+typedef struct {
+    int index;
+    uint32_t state[624];
+} Twister;
+
+/* The next tempered word of mt, twisting all 624 once they are used, as
+   genrand_uint32 in Modules/_randommodule.c does. */
+static uint32_t next_word(Twister *mt)
 {
-    uint32_t y;
-    if (mt[624] >= 624) {
+    uint32_t y, *s = mt->state;
+    if (mt->index >= 624) {
         for (int k = 0; k < 624; k++) {
-            y = (mt[k] & 0x80000000U) | (mt[k < 623 ? k + 1 : 0] & 0x7fffffffU);
-            mt[k] = mt[k < 227 ? k + 397 : k - 227] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
+            y = (s[k] & 0x80000000U) | (s[k < 623 ? k + 1 : 0] & 0x7fffffffU);
+            s[k] = s[k < 227 ? k + 397 : k - 227] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
         }
-        mt[624] = 0;
+        mt->index = 0;
     }
-    y = mt[mt[624]++];
+    y = s[mt->index++];
     y ^= y >> 11;
     y ^= (y << 7) & 0x9d2c5680U;
     y ^= (y << 15) & 0xefc60000U;
@@ -57,7 +66,7 @@ static uint32_t next_word(uint32_t *mt)
 }
 
 /* random.Random.random(): 53 bits from two words. */
-static double random_float(uint32_t *mt)
+static double random_float(Twister *mt)
 {
     uint32_t a = next_word(mt) >> 5, b = next_word(mt) >> 6;
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
@@ -65,7 +74,7 @@ static double random_float(uint32_t *mt)
 
 /* k uniform in [0, m), 1 <= m < 2**32: getrandbits(m.bit_length()), one word
    shifted right, redrawn until below m, as _randbelow_with_getrandbits does. */
-static long draw_below(uint32_t *mt, long m)
+static long draw_below(Twister *mt, long m)
 {
     long k;
     do
@@ -74,41 +83,44 @@ static long draw_below(uint32_t *mt, long m)
     return k;
 }
 
-static PyObject *random_type;  /* _random.Random, imported at the first handover */
+/* A _random.Random's layout, RandomObject in Modules/_randommodule.c. */
+typedef struct {
+    PyObject_HEAD
+    Twister mt;
+} RandomObject;
 
-/* Reads rng's state into mt[625] through _random.Random.getstate; 0 with an
-   exception set when rng is not a _random.Random. */
-static int load_twister(PyObject *rng, uint32_t *mt)
+static PyTypeObject *random_type;  /* _random.Random, imported at the first handover */
+static int same_layout = -1;       /* whether RandomObject is its layout; -1 until checked */
+
+/* rng's Twister, for the kernel to draw from in place; NULL with TypeError
+   set when rng is not a _random.Random, and NULL with no exception set, to
+   decline, when RandomObject is not its layout. The first call imports
+   _random.Random and checks the layout: the type's basic size holds the
+   struct, and a seeded instance, drawn from once so that index is 2 and not
+   the 624 that seeding leaves, has the fields its getstate() returns. */
+static Twister *twister(PyObject *rng)
 {
-    if (random_type == NULL) {
+    if (same_layout < 0) {
         PyObject *module = PyImport_ImportModule("_random");
-        random_type = module ? PyObject_GetAttrString(module, "Random") : NULL;
+        PyObject *fresh = module ? PyObject_CallMethod(module, "Random", "i", 1) : NULL;
+        random_type = fresh ? (PyTypeObject *)Py_NewRef(Py_TYPE(fresh)) : NULL;
+        Py_XDECREF(fresh ? PyObject_CallMethod(fresh, "random", NULL) : NULL);
+        PyObject *state = PyErr_Occurred() ? NULL : PyObject_CallMethod(fresh, "getstate", NULL);
+        const Twister *mt = fresh ? &((RandomObject *)fresh)->mt : NULL;
+        same_layout = state != NULL && PyTuple_Check(state) && PyTuple_GET_SIZE(state) == 625
+                      && random_type->tp_basicsize >= (Py_ssize_t)sizeof(RandomObject);
+        for (Py_ssize_t i = 0; same_layout && i < 625; i++)
+            same_layout = PyLong_AsUnsignedLong(PyTuple_GET_ITEM(state, i))
+                          == (i < 624 ? mt->state[i] : (unsigned long)mt->index);
+        PyErr_Clear();
         Py_XDECREF(module);
+        Py_XDECREF(fresh);
+        Py_XDECREF(state);
     }
-    PyObject *state = random_type ? PyObject_CallMethod(random_type, "getstate", "(O)", rng) : NULL;
-    for (Py_ssize_t i = 0; state != NULL && i < 625 && !PyErr_Occurred(); i++)
-        mt[i] = (uint32_t)PyLong_AsUnsignedLong(PyTuple_GET_ITEM(state, i));
-    Py_XDECREF(state);
-    return state != NULL && !PyErr_Occurred();
-}
-
-/* Writes mt[625] back into rng through _random.Random.setstate; 0 with an
-   exception set on failure. */
-static int store_twister(PyObject *rng, const uint32_t *mt)
-{
-    PyObject *state = PyTuple_New(625), *done = NULL;
-    for (Py_ssize_t i = 0; state != NULL && i < 625; i++) {
-        PyObject *word = PyLong_FromUnsignedLong(mt[i]);
-        if (word == NULL)
-            Py_CLEAR(state);
-        else
-            PyTuple_SET_ITEM(state, i, word);
-    }
-    if (state != NULL)
-        done = PyObject_CallMethod(random_type, "setstate", "OO", rng, state);
-    Py_XDECREF(state);
-    Py_XDECREF(done);
-    return done != NULL;
+    if (same_layout && !PyObject_TypeCheck(rng, random_type))
+        return (Twister *)PyErr_Format(PyExc_TypeError, "rng must be a _random.Random, not %.200s",
+                                       Py_TYPE(rng)->tp_name);
+    return same_layout ? &((RandomObject *)rng)->mt : NULL;
 }
 
 /* Copies genes into tour when it is a tuple of ints permuting 0..n-1 (n >= 1);
@@ -197,7 +209,7 @@ static int is_open(const uint64_t *open_cities, int c)
    and takes the k-th set bit in ascending order, skipping whole words by
    their popcount. */
 static uint64_t crossover(const int *sa, const int *sb, int first, const long long *dist,
-                          Py_ssize_t n, uint32_t *mt, uint64_t *open_cities, int *tour)
+                          Py_ssize_t n, Twister *mt, uint64_t *open_cities, int *tour)
 {
     Py_ssize_t words = (n + 63) / 64;
     memset(open_cities, 0xff, words * sizeof *open_cities);
@@ -287,7 +299,7 @@ typedef struct {
    below the rank before and forward while it is not below its own, so it
    ends on bisect_right's rank whatever the rounding of x * p; random() is
    below 1.0, which is cum[p - 1], so it never passes the last rank. */
-static int draw(uint32_t *mt, const Population *pop, const int *order)
+static int draw(Twister *mt, const Population *pop, const int *order)
 {
     double x = random_float(mt);
     Py_ssize_t b = (Py_ssize_t)(x * (double)pop->p);
@@ -323,7 +335,7 @@ static int duplicate_class(Population *pop, const int *rows, int i)
    member is put in a duplicate class at its first try, and a pair of one
    class agrees in all n places with no scan; a generation with no rejected
    try, as on a diverse population, classifies nothing. */
-static void select_retry(Population *pop, uint32_t *mt, const int *order, const int *rows,
+static void select_retry(Population *pop, Twister *mt, const int *order, const int *rows,
                          int *ia, int *ib)
 {
     Py_ssize_t n = pop->n;
@@ -392,16 +404,12 @@ static int alloc_population(Population *pop, Py_ssize_t n, Py_ssize_t p, Py_ssiz
    weights: up to pop->generations generations, stopping after the first at
    which stop_reason would fire for patience (0: never) and target (None:
    never), with each generation's shortest length appended to bests unless
-   bests is NULL (then patience and target are not read). Draws from rng's
-   Mersenne Twister, read once and written back once. 1 when done, pop->now
-   and pop->length then holding the last generation; 0 with an exception
-   set. */
-static int run(Population *pop, const long long *dist, PyObject *rng, Py_ssize_t patience,
+   bests is NULL (then patience and target are not read). Draws from mt. 1
+   when done, pop->now and pop->length then holding the last generation; 0
+   with an exception set. */
+static int run(Population *pop, const long long *dist, Twister *mt, Py_ssize_t patience,
                PyObject *target, PyObject *bests)
 {
-    uint32_t mt[625];
-    if (!load_twister(rng, mt))
-        return 0;
     Py_ssize_t p = pop->p, n = pop->n;
     for (Py_ssize_t r = 1, total = p * (p + 1) / 2; r <= p; r++)
         pop->cum[r - 1] = (double)(r * (r + 1) / 2) / (double)total;
@@ -487,7 +495,7 @@ static int run(Population *pop, const long long *dist, PyObject *rng, Py_ssize_t
     }
     pop->now = now;
     pop->length = length;
-    return !PyErr_Occurred() && store_twister(rng, mt);
+    return !PyErr_Occurred();
 }
 
 /* evolve(genes, lengths, distances, threshold, retries, crossover_prob,
@@ -496,7 +504,8 @@ static int run(Population *pop, const long long *dist, PyObject *rng, Py_ssize_t
    touched, unless distances is a C-ordered n x n int64 matrix with n >= 2,
    genes a list of p >= 2 tuples permuting 0..n-1, lengths a list of p ints
    below 2**64, 0 < elite_count < p, generations >= 0, retries >= 1, patience
-   None or an int, target None, an int or a float, and the numbers convert.
+   None or an int, target None, an int or a float, and the numbers convert,
+   or when twister declines; TypeError when rng is not a _random.Random.
    Its callers check that rng is an exact random.Random with no instance
    override of a method and that no tour weighs more than 2**64 - 1. */
 static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -523,8 +532,10 @@ static PyObject *evolve(PyObject *module, PyObject *const *args, Py_ssize_t narg
         if (!read_tour(PyList_GET_ITEM(genes, i), n, pop.tours + i * n, pop.seen)
             || !bounded(PyList_GET_ITEM(lengths, i), UINT64_MAX, pop.sizes + i))
             goto done;
-    result = NULL;
-    if ((bests = PyList_New(0)) != NULL && run(&pop, view.buf, args[11], patience, target, bests)
+    Twister *mt = twister(args[11]);
+    result = mt == NULL && !PyErr_Occurred() ? Py_None : NULL;
+    if (mt != NULL && (bests = PyList_New(0)) != NULL
+        && run(&pop, view.buf, mt, patience, target, bests)
         && (made = population(pop.now, pop.length, p, n)) != NULL)
         result = PyTuple_Pack(3, PyTuple_GET_ITEM(made, 0), PyTuple_GET_ITEM(made, 1), bests);
 done:
@@ -539,7 +550,8 @@ done:
 /* random_tours(count, distances, rng) -> (tours, lengths): count tours, each
    list(range(n)) with i swapped for randbelow(i + 1) at i = n-1 ... 1 as
    random.shuffle does, and their lengths. None, before rng is touched, unless
-   count >= 0 and distances is a C-ordered n x n int64 matrix with n >= 2.
+   count >= 0 and distances is a C-ordered n x n int64 matrix with n >= 2,
+   or when twister declines; TypeError when rng is not a _random.Random.
    Its callers check rng and the tour lengths as evolve's do. */
 static PyObject *random_tours(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -550,18 +562,18 @@ static PyObject *random_tours(PyObject *module, PyObject *const *args, Py_ssize_
         return NULL;
     Py_buffer view;
     Py_ssize_t n = matrix(args[1], &view, "lq");
-    if (n < 2 || count < 0) {
+    Twister *mt = n >= 2 && count >= 0 ? twister(args[2]) : NULL;
+    if (mt == NULL) {
         if (n > 0)
             PyBuffer_Release(&view);
-        Py_RETURN_NONE;
+        return PyErr_Occurred() ? NULL : Py_NewRef(Py_None);
     }
     int *tours = count <= PY_SSIZE_T_MAX / 16 / n ? PyMem_New(int, count * n) : NULL;
     uint64_t *lengths = PyMem_New(uint64_t, count);
     PyObject *result = NULL;
-    uint32_t mt[625];
     if (tours == NULL || lengths == NULL)
         PyErr_NoMemory();
-    else if (load_twister(args[2], mt)) {
+    else {
         for (Py_ssize_t k = 0; k < count; k++) {
             int *tour = tours + k * n;
             for (int i = 0; i < n; i++)
@@ -574,8 +586,7 @@ static PyObject *random_tours(PyObject *module, PyObject *const *args, Py_ssize_
             }
             lengths[k] = tour_length(tour, view.buf, n);
         }
-        if (store_twister(args[2], mt))
-            result = population(tours, lengths, count, n);
+        result = population(tours, lengths, count, n);
     }
     PyMem_Free(lengths);
     PyMem_Free(tours);
@@ -625,15 +636,6 @@ static void put_u32(unsigned char *p, unsigned long x)
     p[3] = (unsigned char)(x >> 24);
 }
 
-/* Stores a record's pop_id and N at data, and its length after the N genes. */
-static void put_frame(unsigned char *data, unsigned long key, Py_ssize_t n, uint64_t length)
-{
-    put_u32(data, key);
-    put_u32(data + 4, (unsigned long)n);
-    put_u32(data + 8 + 4 * n, (unsigned long)(length & 0xFFFFFFFF));
-    put_u32(data + 12 + 4 * n, (unsigned long)(length >> 32));
-}
-
 /* The records of pop's members keyed to key, then the first shortest one's
    re-addressed to each island below islands but key, in ascending order, as
    a list of bytes; NULL with an exception set. */
@@ -652,10 +654,13 @@ static PyObject *island_records(const Population *pop, unsigned long key, unsign
         }
         PyList_SET_ITEM(records, k, value);
         unsigned char *data = (unsigned char *)PyBytes_AS_STRING(value);
-        if (k < p) {
-            put_frame(data, key, n, pop->length[k]);
+        if (k < p) {  /* pop_id, N, the N genes, and the length's low and high words */
+            put_u32(data, key);
+            put_u32(data + 4, (unsigned long)n);
             for (Py_ssize_t i = 0; i < n; i++)
                 put_u32(data + 8 + 4 * i, (unsigned long)pop->now[k * n + i]);
+            put_u32(data + 8 + 4 * n, (unsigned long)(pop->length[k] & 0xFFFFFFFF));
+            put_u32(data + 12 + 4 * n, (unsigned long)(pop->length[k] >> 32));
             continue;
         }
         memcpy(data, PyBytes_AS_STRING(PyList_GET_ITEM(records, best)), size);
@@ -676,8 +681,9 @@ static PyObject *island_records(const Population *pop, unsigned long key, unsign
    as evolve takes them, key and islands are ints below 2**32, values is a
    list or tuple of records that all pass codec.decode_chromosome's checks
    with pop_id == key and N == n, and 0 < elite_count < p with p =
-   min(len(values), size). Its callers check rng and the tour lengths as
-   evolve's do. */
+   min(len(values), size), or when twister declines; TypeError when rng is not
+   a _random.Random. Its callers check rng and the tour lengths as evolve's
+   do. */
 static PyObject *evolve_island(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 12)
@@ -715,8 +721,10 @@ static PyObject *evolve_island(PyObject *module, PyObject *const *args, Py_ssize
             pop.sizes[k] = pop.ranked[k].length;
         }
     }
-    result = run(&pop, view.buf, args[11], 0, Py_None, NULL)
-             ? island_records(&pop, (unsigned long)key, (unsigned long)islands) : NULL;
+    Twister *mt = twister(args[11]);
+    result = mt == NULL && !PyErr_Occurred() ? Py_None : NULL;
+    if (mt != NULL && run(&pop, view.buf, mt, 0, Py_None, NULL))
+        result = island_records(&pop, (unsigned long)key, (unsigned long)islands);
 done:
     PyMem_Free(pop.sizes);
     if (n > 0)

@@ -4,7 +4,7 @@ A population is two parallel lists: genes, a tuple of cities per member, and
 lengths, each member's tour length. Tours are directed: on asymmetric
 instances the cost of a tour and of its reversal differ. All randomness flows
 through an explicit random.Random so fixed seeds reproduce runs exactly; the
-compiled kernel behind evolve draws from a copy of its Mersenne Twister.
+compiled kernel behind evolve draws from its Mersenne Twister in place.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ _KERNEL = _xover.load()
 def _kernel_may_run(instance: Instance, rng) -> bool:
     """The one rule for every GA kernel call: the kernel is loaded; rng is an
     exact random.Random with no instance override of a method, so the
-    kernel's copy of its Mersenne Twister draws what its methods would; and
-    no tour of instance weighs more than the 64 bits in which the kernel
-    sums lengths (Instance.max_tour_length)."""
+    kernel, drawing from its Mersenne Twister in place, draws what its
+    methods would; and no tour of instance weighs more than the 64 bits in
+    which the kernel sums lengths (Instance.max_tour_length)."""
     return (_KERNEL is not None and type(rng) is random.Random
             and vars(rng).keys() <= {"gauss_next"} and instance.max_tour_length <= MAX_LENGTH)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mrtsp import _xover
 from mrtsp import engine as engine_module
 from mrtsp import ga
 from mrtsp import island as island_module
@@ -27,7 +28,7 @@ from mrtsp.oracle import held_karp
 from mrtsp.tsplib import (Instance, format_instance, parse_instance,
                           random_instance)
 from test_codec import good_records, record_faults
-from test_ga import huge_instance, overflowing_instance
+from test_ga import evolve_args, huge_instance, outcome_of, overflowing_instance
 
 needs_kernel = pytest.mark.skipif(ga._KERNEL is None, reason="the kernel cannot be built here")
 
@@ -347,15 +348,52 @@ def test_reducer_runs_the_kernel_only_for_an_exact_random(make_rng, monkeypatch)
 @needs_kernel
 def test_evolve_island_leaves_refcounts_unchanged():
     key, other = 1000, 2**40  # ints outside the small-int cache
-    for values in [good_records(key), tuple(good_records(key))] + \
-            [values for _, values in record_faults(key)]:
-        for k in (key, other):  # evolved, then declined
-            args = island_args(values, k, INST10, SMALL, random.Random(1))
-            watched = [values, k, INST10.distances, args[-1], *values]
-            before = list(map(sys.getrefcount, watched))
-            ga._KERNEL.evolve_island(*args)
-            after = list(map(sys.getrefcount, watched))  # counted outside the assert's temporaries
-            assert before == after
+    good = [good_records(key), tuple(good_records(key))]
+    cases = [("made", values, key, random.Random(1)) for values in good]
+    cases += [("none", values, other, random.Random(1)) for values in good]
+    cases += [("none", values, k, random.Random(1))
+              for _, values in record_faults(key) for k in (key, other)]
+    # an rng that is not a _random.Random raises before any of its fields is read
+    cases += [("raised", values, key, object()) for values in good]
+    for expected, values, k, rng in cases:
+        args = island_args(values, k, INST10, SMALL, rng)
+        watched = [values, k, INST10.distances, rng, *values]
+        before = list(map(sys.getrefcount, watched))
+        outcome = outcome_of(ga._KERNEL.evolve_island, *args)
+        after = list(map(sys.getrefcount, watched))  # counted outside the assert's temporaries
+        assert (outcome, before) == (expected, after)
+
+
+@needs_kernel
+@pytest.mark.parametrize("old,new", [("    int index;\n", "    int pad;\n    int index;\n"),
+                                     ("state[624];", "state[700];")],
+                         ids=["field_before_index", "struct_past_basicsize"])
+def test_a_layout_mismatch_declines_every_rng_entry(old, new, tmp_path):
+    # a kernel whose mirror of _random.Random's struct is off: with a field
+    # before index, getstate() disagrees with the fields; with a longer state,
+    # the struct outgrows the type's basic size
+    text = _xover.SOURCE.read_text()
+    assert text.count(old) == 1
+    source = tmp_path / "_xover.c"
+    source.write_text(text.replace(old, new))
+    mismatched = _xover.load(source=source, cache=tmp_path / "cache")
+    assert mismatched is not None
+    params = GaParams(population_size=12, mutation_prob=0.3)
+    genes, lengths = ga.random_population(INST10, params, random.Random(3))
+    values = good_records(1, count=12)
+    calls = {
+        "evolve": lambda kernel, rng: kernel.evolve(
+            *evolve_args(genes, lengths, INST10, params, rng, 3)),
+        "random_tours": lambda kernel, rng: kernel.random_tours(9, INST10.distances, rng),
+        "evolve_island": lambda kernel, rng: kernel.evolve_island(
+            *island_args(values, 1, INST10, SMALL, rng)),
+    }
+    for name, call in calls.items():
+        assert call(ga._KERNEL, random.Random(5)) is not None, name
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert call(mismatched, rng) is None, name
+        assert rng.getstate() == state, name
 
 
 @st.composite

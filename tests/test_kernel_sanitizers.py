@@ -12,8 +12,14 @@ of open cities ends in a partial or a full 64-bit word, on member lengths
 of 2**64 - 1 and 2**64, from rng states whose draws cross the Mersenne
 Twister's twist, with patience and a target that stop it early, and from
 converged populations, one class of 200 members at n = 65 and two classes
-of 3 members, whose duplicate classes compare rows. Any report of either
-sanitizer aborts the subprocess."""
+of 3 members, whose duplicate classes compare rows. The GA entries read
+and write the rng's Mersenne Twister in place, through the kernel's mirror
+of _random.Random's struct, and the first of them checks that struct
+against a fresh instance's getstate(); the twists corpus, rngs at word
+index 0, 1, 623 and 624, drives that handover through evolve and
+random_tours, and with PYTHONMALLOC=malloc a read past the type's basic
+size lands where ASan watches it. Any report of either sanitizer aborts
+the subprocess."""
 
 import os
 import shutil
