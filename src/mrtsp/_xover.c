@@ -13,11 +13,11 @@
    arrays; gene tuples and length ints are built once, at the end.
    evolve_island runs the same loop (run, below) as an island's reduce task:
    it checks and decodes the island's codec records into the C arrays as
-   codec.decode_chromosome does, keeps the population_size shortest as
-   ga.shortest does, and returns the records island.EvolveReducer emits, the
-   residents and then the best re-addressed to every other island, as
-   codec.encode_chromosome and codec.with_pop_id pack them, so no gene tuple
-   is built. random_tours makes ga.random_population's tours, shuffled as
+   island.decode_island does, city count included, keeps the population_size
+   shortest as ga.shortest does, and returns the records island.EvolveReducer
+   emits, the residents and then the best re-addressed to every other
+   island, as codec.encode_chromosome packs them, so no gene tuple is built.
+   random_tours makes ga.random_population's tours, shuffled as
    random.shuffle shuffles them, and sums their lengths.
 
    All three draw from CPython's Mersenne Twister (Modules/_randommodule.c) in
@@ -243,10 +243,10 @@ static uint64_t crossover(const int *sa, const int *sb, int first, const long lo
     return sum + dist[(Py_ssize_t)current * n + first];
 }
 
-/* n, holding view, when obj is a C-ordered n x n matrix (n >= 1) of native
-   8-byte items whose struct format is one of the letters in formats ("lq"
-   for integers, "d" for doubles); else 0, holding nothing, with no exception
-   set. */
+/* n, holding view, when obj is a C-ordered n x n matrix with n >= 2 of
+   native 8-byte items whose struct format is one of the letters in formats
+   ("lq" for integers, "d" for doubles); else 0, holding nothing, with no
+   exception set. It is every entry's one check of n >= 2. */
 static Py_ssize_t matrix(PyObject *obj, Py_buffer *view, const char *formats)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0) {
@@ -254,7 +254,7 @@ static Py_ssize_t matrix(PyObject *obj, Py_buffer *view, const char *formats)
         return 0;
     }
     const char *format = view->format ? view->format + (view->format[0] == '@') : "B";
-    if (view->ndim == 2 && view->shape[0] == view->shape[1] && view->shape[0] > 0
+    if (view->ndim == 2 && view->shape[0] == view->shape[1] && view->shape[0] >= 2
         && view->itemsize == 8 && format[0] != '\0' && format[1] == '\0'
         && strchr(formats, format[0]) != NULL && PyBuffer_IsContiguous(view, 'C'))
         return view->shape[0];
@@ -375,9 +375,7 @@ static Py_ssize_t read_ga(PyObject *const *args, Population *pop, Py_buffer *vie
     Py_ssize_t n = PyErr_Occurred() || pop->retries < 1 || pop->elite < 1
                    || pop->generations < 0 ? 0 : matrix(args[0], view, "lq");
     PyErr_Clear();
-    if (n == 1)
-        PyBuffer_Release(view);
-    return n >= 2 ? n : 0;
+    return n;
 }
 
 /* 1 when pop's block is allocated for p members of n cities and count >= p
@@ -562,7 +560,7 @@ static PyObject *random_tours(PyObject *module, PyObject *const *args, Py_ssize_
         return NULL;
     Py_buffer view;
     Py_ssize_t n = matrix(args[1], &view, "lq");
-    Twister *mt = n >= 2 && count >= 0 ? twister(args[2]) : NULL;
+    Twister *mt = n > 0 && count >= 0 ? twister(args[2]) : NULL;
     if (mt == NULL) {
         if (n > 0)
             PyBuffer_Release(&view);
@@ -673,10 +671,12 @@ static PyObject *island_records(const Population *pop, unsigned long key, unsign
 /* evolve_island(values, key, islands, size, distances, threshold, retries,
    crossover_prob, mutation_prob, elite_count, generations, rng) -> list of
    bytes: an island's reduce task. It decodes the records, as
-   codec.decode_chromosome does, keeps the size shortest when there are more (ga.shortest's order),
-   runs run's loop over them for generations generations and returns the
-   records of the p members kept, keyed to key, then the first shortest one's
-   re-addressed to every other island below islands, in ascending order. None,
+   island.decode_island does with n the instance's city count, keeps the size
+   shortest when there are more (ga.shortest's order), runs run's loop over
+   them for generations generations and returns the records of the p members
+   kept, keyed to key, then the first shortest one's re-addressed to every
+   other island below islands, in ascending order, as island.EvolveReducer's
+   reference path encodes them with codec.encode_chromosome. None,
    before rng is touched, unless distances, the numbers and generations are
    as evolve takes them, key and islands are ints below 2**32, values is a
    list or tuple of records that all pass codec.decode_chromosome's checks
@@ -749,7 +749,7 @@ static PyObject *held_karp(PyObject *module, PyObject *distances)
     Py_buffer view;
     Py_ssize_t n = matrix(distances, &view, "d");
     const double *d = n > 0 ? view.buf : NULL;
-    int ok = n >= 2 && n <= 18;
+    int ok = n > 0 && n <= 18;
     for (Py_ssize_t k = 0; ok && k < n * n; k++)
         ok = d[k] > -INFINITY;
     if (!ok) {

@@ -11,10 +11,11 @@ Decoding is strict: short buffers, trailing bytes, a city count of zero,
 out-of-range genes and duplicate genes are each rejected with a distinct
 error so a corrupted record never turns into a silently wrong tour.
 
+In Python, island records are made only by encode_chromosome and read
+only through island.decode_island, which decodes them here one by one.
 decode_chromosome is the reference for the kernel's evolve_island, which
 checks and decodes an island's records in C and declines a faulty one:
-island.decode_island then decodes record by record here, so these errors
-name the first faulty record either way.
+decode_island then names the first faulty record.
 """
 
 from __future__ import annotations
@@ -78,13 +79,6 @@ def encode_chromosome(genes: Sequence[int], length: int, pop_id: int) -> bytes:
         raise
 
 
-def with_pop_id(data: bytes, pop_id: int) -> bytes:
-    """An encoded chromosome re-addressed to pop_id: only the leading u32 changes."""
-    if not 0 <= pop_id < 2**32:
-        raise CodecError(f"pop_id {pop_id} does not fit an unsigned 32-bit field")
-    return pop_id.to_bytes(4, "little") + data[4:]
-
-
 def peek_length(data: bytes) -> int:
     """Tour length from the fixed tail field, skipping gene validation.
 
@@ -103,14 +97,9 @@ def peek_length(data: bytes) -> int:
 
 
 def decode_chromosome(data: bytes) -> DecodedChromosome:
-    if len(data) < _HEADER.size:
-        raise TruncatedBufferError(f"buffer of {len(data)} bytes is shorter than the header")
+    length = peek_length(data)  # checks the header and that the buffer is not short
     pop_id, n = _HEADER.unpack_from(data, 0)
     expected = _HEADER.size + 4 * n + _LENGTH.size
-    if len(data) < expected:
-        raise TruncatedBufferError(
-            f"buffer of {len(data)} bytes is shorter than the {expected} "
-            f"bytes implied by N={n}")
     if len(data) > expected:
         raise CodecError(f"buffer of {len(data)} bytes has trailing data beyond "
                          f"the {expected} bytes implied by N={n}")
@@ -126,5 +115,4 @@ def decode_chromosome(data: bytes) -> DecodedChromosome:
             if seen[gene]:
                 raise DuplicateGeneError(f"gene {gene} appears more than once")
             seen[gene] = 1
-    (length,) = _LENGTH.unpack_from(data, expected - _LENGTH.size)
     return DecodedChromosome(pop_id, genes, length)

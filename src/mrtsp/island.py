@@ -12,7 +12,9 @@ A reduce task's records go into the kernel's evolve_island and its output
 records come out of it, in one call, when it is loaded; decode_island,
 ga.evolve and encode_chromosome, record by record, are the reference path,
 which runs when the kernel is absent or declines and names any faulty
-record.
+record. Outside the kernel, island records are made only by
+encode_chromosome and read only through decode_island, which also checks
+that each holds the instance's city count, as the kernel does.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import ga
-from .codec import (MAX_LENGTH, decode_chromosome, encode_chromosome, peek_length,
-                    with_pop_id)
+from .codec import MAX_LENGTH, decode_chromosome, encode_chromosome, peek_length
 from .engine import (Engine, EngineError, JobSpec, MemoryStore, Record,
                      default_partition, identity_mapper)
 from .ga import GaParams, check_target, evolve, random_population, shortest, stop_reason
@@ -93,16 +94,21 @@ class RoundSummary:
     pooled: bool = False
 
 
-def decode_island(key: int, values: list[bytes]) -> tuple[list[tuple[int, ...]], list[int]]:
+def decode_island(key: int, values: list[bytes],
+                  n: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """(genes, lengths) of an island's records, in order, decoded one by one
     through decode_chromosome, so that the first faulty record raises its
-    CodecError, or a pop_id other than key an EngineError. It serves the
-    population dump and EvolveReducer's reference path."""
+    CodecError, or a pop_id other than key or a tour of other than n cities
+    an EngineError. It serves EvolveReducer's reference path, run_pga's best
+    tour and the population dump."""
     genes, lengths = [], []
     for value in values:
         decoded = decode_chromosome(value)
         if decoded.pop_id != key:
             raise EngineError(f"record keyed {key} decodes to pop_id {decoded.pop_id}")
+        if len(decoded.genes) != n:
+            raise EngineError(f"record keyed {key} holds a tour of {len(decoded.genes)} "
+                              f"cities for an instance of {n}")
         genes.append(decoded.genes)
         lengths.append(decoded.length)
     return genes, lengths
@@ -152,31 +158,26 @@ class EvolveReducer:
 
     def __call__(self, key, values, rng):
         params, ga_params = self.params, self.params.ga
+        others = [other for other in range(params.num_islands) if other != key]
+        made = None
         if ga._kernel_may_run(self.instance, rng):
             made = ga._KERNEL.evolve_island(
                 values, key, params.num_islands, ga_params.population_size,
                 self.instance.distances, ga_params.similarity_threshold,
                 ga_params.max_parent_retries, ga_params.crossover_prob,
                 ga_params.mutation_prob, ga_params.elite_count, params.migration_interval, rng)
-            if made is not None:
-                others = [other for other in range(params.num_islands) if other != key]
-                return list(map(Record, [key] * (len(made) - len(others)) + others, made))
-        genes, lengths = decode_island(key, values)
-        size = self.params.ga.population_size
-        if len(genes) > size:
-            genes, lengths = shortest(genes, lengths, size)
-        genes, lengths, _ = evolve(genes, lengths, self.instance, rng, self.params.ga,
-                                   self.params.migration_interval)
-
-        # one by one, so that the first member that does not fit the record
-        # layout raises its CodecError
-        values = [encode_chromosome(tour, length, key) for tour, length in zip(genes, lengths)]
-        out = [Record(key, value) for value in values]
-        best = values[min(range(len(lengths)), key=lengths.__getitem__)]
-        for other in range(self.params.num_islands):
-            if other != key:
-                out.append(Record(other, with_pop_id(best, other)))
-        return out
+        if made is None:
+            genes, lengths = decode_island(key, values, self.instance.dimension)
+            if len(genes) > ga_params.population_size:
+                genes, lengths = shortest(genes, lengths, ga_params.population_size)
+            genes, lengths, _ = evolve(genes, lengths, self.instance, rng, ga_params,
+                                       params.migration_interval)
+            # one by one, so that the first member that does not fit the record
+            # layout raises its CodecError
+            made = [encode_chromosome(tour, length, key) for tour, length in zip(genes, lengths)]
+            best = min(range(len(lengths)), key=lengths.__getitem__)
+            made += [encode_chromosome(genes[best], lengths[best], other) for other in others]
+        return list(map(Record, [key] * (len(made) - len(others)) + others, made))
 
 
 def _island_job(params: IslandParams, job_id: int, input_handle: str, reducer,
@@ -195,13 +196,17 @@ def init_job(engine: Engine, instance: Instance, params: IslandParams,
 
 
 def evolve_job(engine: Engine, input_handle: str, instance: Instance,
-               params: IslandParams, round_number: int, master_seed: int) -> str:
+               params: IslandParams, round_number: int, master_seed: int,
+               parts: list[list[Record]] | None = None) -> str:
     """One migration round; job id doubles as the round number. The input set
-    is taken as checked: run_pga scans every set before the next job reads it.
-    Each call builds a fresh EvolveReducer, equal to the last call's for the
-    same instance and params, so on a pooled engine such calls share a pool."""
+    is taken as checked: run_pga scans every set before the next job reads it,
+    and hands the scanned parts over as `parts`, which the job then maps
+    instead of reading the set again. Each call builds a fresh EvolveReducer,
+    equal to the last call's for the same instance and params, so on a pooled
+    engine such calls share a pool."""
     reducer = EvolveReducer(instance, params)
-    return engine.run_job(_island_job(params, round_number, input_handle, reducer, master_seed))
+    return engine.run_job(_island_job(params, round_number, input_handle, reducer, master_seed),
+                          parts)
 
 
 def check_convergence(history: Sequence[RoundSummary], params: IslandParams) -> str | None:
@@ -246,17 +251,14 @@ def _pool_if_it_pays(engine: Engine, workers: int, rounds_left: int, round_s: fl
         engine.workers = workers
 
 
-def format_population_dump(parts: list[list[Record]]) -> str:
-    """One resident per line: pop_id, tour length, then the city sequence."""
+def format_population_dump(parts: list[list[Record]], n: int) -> str:
+    """One resident per line: pop_id, tour length, then the city sequence.
+    Every resident must hold a tour of n cities."""
     lines = []
-    names: list[str] = []  # str(c) for every city c; decoding checks genes < N
     for island, part in enumerate(parts):
         residents = [rec.value for rec in part if rec.key == island]
-        for genes, length in zip(*decode_island(island, residents)):
-            if len(names) < len(genes):
-                names = list(map(str, range(len(genes))))
-            cities = " ".join(map(names.__getitem__, genes))
-            lines.append(f"{island} {length} {cities}")
+        for genes, length in zip(*decode_island(island, residents, n)):
+            lines.append(f"{island} {length} {' '.join(map(str, genes))}")
     return "\n".join(lines) + "\n"
 
 
@@ -270,16 +272,18 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     before each later round, until the run pools, (rounds left in the
     budget) x (last round's seconds) >= POOL_BREAK_EVEN_S raises the engine
     to `workers`: the rest of the run's reduce tasks then run on one pool of
-    worker processes, forked with the EvolveReducer that every round shares
-    and joined when the run ends, so no instance is pickled to them. Each
-    RoundSummary says whether its round pooled; outputs are the same either
-    way. Reported generations are per-island cumulative (rounds times
-    migration_interval). When dump_path is given, the final populations are
-    also written there as a readable text dump. Non-integer weights, and
-    weights whose tours can overflow the record's 64-bit length, are rejected
-    before anything is written. _scan_set reads and checks each sealed set
-    once, and the next job maps the parts it read; the dump reuses the final
-    scan's.
+    worker processes, forked with the first pooled round's EvolveReducer,
+    which every later round's equals, and joined when the run ends, so no
+    instance is pickled to them. Each RoundSummary says whether its round
+    pooled; outputs are the same either way. Reported generations are
+    per-island cumulative (rounds times migration_interval). When dump_path
+    is given, the final populations are also written there as a readable
+    text dump. Non-integer weights, and weights whose tours can overflow the
+    record's 64-bit length, are rejected before anything is written.
+    _scan_set reads and checks each sealed set once, and the next
+    evolve_job maps the parts it read; the dump reuses the final scan's.
+    Each round's best tour is decoded through decode_island, which checks
+    its city count.
     """
     if instance.distances.dtype.kind == "f":
         raise NonIntegerWeightsError(
@@ -292,7 +296,6 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     params = params if params is not None else IslandParams()
     start = time.perf_counter()
     store = store if store is not None else MemoryStore()
-    reducer = EvolveReducer(instance, params)  # one object, so the run forks one pool
     budget_rounds = -(-params.max_total_generations // params.migration_interval)
     round_s = 0.0  # the last round's seconds: none is timed before round 1 ends
     with Engine(store, workers=1) as engine:
@@ -305,16 +308,17 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
             round_number = len(rounds) + 1
             _pool_if_it_pays(engine, workers, budget_rounds - len(rounds), round_s)
             round_start = time.perf_counter()
-            handle = engine.run_job(_island_job(params, round_number, handle, reducer,
-                                                master_seed), parts)
+            handle = evolve_job(engine, handle, instance, params, round_number, master_seed,
+                                parts)
             del parts  # hold one set's records at a time: the scan reads the next
-            parts, island_bests, best_record = _scan_set(store, handle, params.num_islands)
+            parts, island_bests, best = _scan_set(store, handle, params.num_islands)
             round_s = time.perf_counter() - round_start
+            (best_tour,), _ = decode_island(best.key, [best.value], instance.dimension)
             rounds.append(RoundSummary(
                 round=round_number,
                 island_bests=tuple(island_bests),
                 best_length=min(island_bests),
-                best_tour=decode_chromosome(best_record.value).genes,
+                best_tour=best_tour,
                 generations=round_number * params.migration_interval,
                 wall_seconds=time.perf_counter() - start,
                 pooled=engine.workers > 1,
@@ -323,7 +327,7 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
             reason = check_convergence(rounds, params)
 
     if dump_path is not None:
-        Path(dump_path).write_text(format_population_dump(parts))
+        Path(dump_path).write_text(format_population_dump(parts, instance.dimension))
 
     final = rounds[-1]
     return RunReport(

@@ -5,7 +5,7 @@ import pytest
 
 from mrtsp.codec import (CodecError, DuplicateGeneError, GeneRangeError,
                          TruncatedBufferError, decode_chromosome,
-                         encode_chromosome, peek_length, with_pop_id)
+                         encode_chromosome, peek_length)
 from mrtsp.engine import EngineError
 from mrtsp.island import decode_island
 
@@ -100,21 +100,6 @@ def test_peek_length_matches_decode():
         peek_length(b"\x01\x02")
 
 
-def test_with_pop_id_matches_a_fresh_encode():
-    rng = random.Random(13)
-    for _ in range(50):
-        n = rng.randint(1, 20)
-        genes = list(range(n))
-        rng.shuffle(genes)
-        length = rng.randrange(2**64)
-        buf = encode_chromosome(genes, length, rng.randrange(2**32))
-        for pop_id in (0, rng.randrange(2**32), 2**32 - 1):
-            assert with_pop_id(buf, pop_id) == encode_chromosome(genes, length, pop_id)
-    for pop_id in (-1, 2**32):
-        with pytest.raises(CodecError, match="pop_id"):
-            with_pop_id(GOLDEN, pop_id)
-
-
 # -- an island's records, valid and faulty; decode_island, their decoder outside the kernel
 
 def good_records(key, n=10, count=3, seed=0):
@@ -143,7 +128,7 @@ def record_faults(key=1):
         ("gene >= N", [first, with_genes(out_of_range)]),
         ("duplicate gene", [first, with_genes(duplicate)]),
         ("first of two faults", [first, with_genes(duplicate), with_genes(out_of_range)]),
-        ("pop_id != key", [first, with_pop_id(record, key + 1)]),
+        ("pop_id != key", [first, encode_chromosome(genes, peek_length(record), key + 1)]),
         ("mixed N", [first, encode_chromosome(range(9), 7, key)]),
         ("N=2**32-1 on a short buffer", [first, struct.pack("<IIQ", key, 2**32 - 1, 5)]),
         ("bytearray value", [first, bytearray(record)]),
@@ -152,9 +137,9 @@ def record_faults(key=1):
     ]
 
 
-# what decode_island raises for each record_faults case that lies in one record;
-# the rest (mixed N, an empty list, a bytearray value) are faults only to the
-# kernel, and decode here record by record
+# what decode_island raises, for the records' n = 10, for each record_faults
+# case that lies in one record; the rest (an empty list, a bytearray value) are
+# faults only to the kernel, and decode here record by record
 DECODE_ISLAND_RAISES = {
     "one trailing byte": CodecError,
     "N=0": CodecError,
@@ -162,6 +147,7 @@ DECODE_ISLAND_RAISES = {
     "duplicate gene": DuplicateGeneError,
     "first of two faults": DuplicateGeneError,
     "pop_id != key": EngineError,
+    "mixed N": EngineError,
     "N=2**32-1 on a short buffer": TruncatedBufferError,
     "None value": TypeError,
 }
@@ -172,20 +158,27 @@ def test_decode_records_declines_every_fault(name, values):
     raises = TruncatedBufferError if name.startswith("cut at") else DECODE_ISLAND_RAISES.get(name)
     if raises is None:
         decoded = [decode_chromosome(value) for value in values]
-        assert decode_island(1, values) == ([d.genes for d in decoded],
-                                             [d.length for d in decoded])
+        assert decode_island(1, values, 10) == ([d.genes for d in decoded],
+                                                 [d.length for d in decoded])
     else:
         with pytest.raises(raises):
-            decode_island(1, values)
+            decode_island(1, values, 10)
 
 
 def test_decode_records_matches_decode_chromosome():
     values = good_records(7, n=300, count=5)
     decoded = [decode_chromosome(value) for value in values]
     for batch in (values, tuple(values), iter(values)):
-        genes, lengths = decode_island(7, batch)
+        genes, lengths = decode_island(7, batch, 300)
         assert genes == [d.genes for d in decoded] and lengths == [d.length for d in decoded]
         assert all(type(tour) is tuple for tour in genes)
     for key in (-1, 2**64, 6, "7"):
         with pytest.raises(EngineError, match="pop_id 7"):
-            decode_island(key, values)
+            decode_island(key, values, 300)
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_decode_island_names_a_tour_of_another_city_count(n):
+    with pytest.raises(EngineError, match=f"^record keyed 1 holds a tour of {n} cities "
+                                          "for an instance of 10$"):
+        decode_island(1, good_records(1, n=n), 10)

@@ -197,6 +197,27 @@ def test_run_pga_rejects_a_set_with_fewer_parts_than_islands():
     assert "job1" in store.names() and "job2" not in store.names()
 
 
+def test_run_pga_rejects_a_best_resident_of_another_city_count():
+    # a 9-city resident of length 1 is round 1's best: decoding it fails the run
+    store = TamperingStore(
+        lambda parts: [parts[0] + [Record(0, encode_chromosome(range(9), 1, 0))]] + parts[1:])
+    with pytest.raises(EngineError, match="tour of 9 cities for an instance of 10"):
+        run_pga(INST10, SCAN_PARAMS, master_seed=0, store=store)
+    assert "job1" in store.names() and "job2" not in store.names()
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_reducer_fails_at_once_on_records_of_another_city_count(n):
+    # the kernel declines them, and the reference path names the first, which
+    # _attempt does not retry
+    reducer = EvolveReducer(INST10, SMALL)
+    args = (1, good_records(1, n=n, count=6), random.Random(0))
+    result, events, error = engine_module._attempt(reducer, args, 2)
+    assert result is None and [event for _, event, _ in events] == ["start", "fail"]
+    assert isinstance(error, EngineError)
+    assert str(error) == f"record keyed 1 holds a tour of {n} cities for an instance of 10"
+
+
 class CountingStore(MemoryStore):
     """Counts read_parts calls per set; read() goes through read_parts."""
 
@@ -258,15 +279,16 @@ def test_reducer_and_dump_fault_alike_with_and_without_the_kernel(name, values, 
     reducer = EvolveReducer(INST10, SMALL)
     parts = [[], [Record(1, value) for value in values]]
     compiled = (outcome(reducer, 1, values, random.Random(0)),
-                outcome(format_population_dump, parts))
+                outcome(format_population_dump, parts, INST10.dimension))
     monkeypatch.setattr(ga, "_KERNEL", None)
     looped = (outcome(reducer, 1, values, random.Random(0)),
-              outcome(format_population_dump, parts))
+              outcome(format_population_dump, parts, INST10.dimension))
     assert compiled == looped
     if name.startswith("cut at"):
         assert looped[0][:2] == ("raised", TruncatedBufferError)
-    if name == "pop_id != key":
-        assert compiled[1][:2] == looped[1][:2] == ("raised", EngineError)
+    if name in ("pop_id != key", "mixed N"):
+        for made in compiled + looped:
+            assert made[:2] == ("raised", EngineError)
     if name.startswith("evolves "):
         assert looped[0][:2] == ("raised", CodecError)
 
@@ -703,7 +725,7 @@ def test_dump_formatting_skips_migrants():
     handle = evolve_job(engine, handle, INST10, SMALL, 1, master_seed=3)
     parts = store.read_parts(handle)
     total = sum(len(p) for p in parts)
-    lines = format_population_dump(parts).splitlines()
+    lines = format_population_dump(parts, INST10.dimension).splitlines()
     assert total == 4 * 20 + 4 * 3          # residents plus migrants in the parts
     assert len(lines) == 4 * 20             # but only residents are dumped
 

@@ -19,7 +19,7 @@ against a fresh instance's getstate(); the twists corpus, rngs at word
 index 0, 1, 623 and 624, drives that handover through evolve and
 random_tours, and with PYTHONMALLOC=malloc a read past the type's basic
 size lands where ASan watches it. Any report of either sanitizer aborts
-the subprocess."""
+the subprocess. The kernel must also build clean with -Wall -Werror."""
 
 import os
 import shutil
@@ -188,10 +188,23 @@ print("clean")
 """
 
 
-def test_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
+def compiler_include() -> Path:
+    """The interpreter's include directory; skips the test without cc or Python.h."""
     include = Path(sysconfig.get_paths()["include"])
     if shutil.which("cc") is None or not (include / "Python.h").exists():
         pytest.skip("no cc or no Python.h")
+    return include
+
+
+def test_kernel_builds_clean_with_all_warnings_as_errors(tmp_path):
+    build = subprocess.run(["cc", "-O2", "-Wall", "-Werror", "-shared", "-fPIC", "-I",
+                            str(compiler_include()), "-o", str(tmp_path / "_xover.so"),
+                            str(_xover.SOURCE)], capture_output=True, text=True, timeout=120)
+    assert build.returncode == 0, build.stderr
+
+
+def test_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
+    include = compiler_include()
     libasan = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
                              text=True).stdout.strip()
     if not os.path.isabs(libasan) or not os.path.exists(libasan):
