@@ -6,7 +6,7 @@
 Builds the kernel first, so that no timed run compiles it and counts the C
 compiler in its peak_rss_mb. Then runs perfbench/run.py untraced (--trace 0)
 three times and traced (--trace 1) once for every workload, each in its own
-process, and writes the end-to-end
+process and through paired_bench.py's launcher, and writes the end-to-end
 metrics (every run's value and their median), each untraced run's median
 calibration-loop time, the per-layer metrics, the fingerprints, the machine,
 the commit with `git status --porcelain -- src` beside it (so a snapshot of
@@ -26,12 +26,13 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import os
 import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from paired_bench import perfbench, warm, worse_than_bound
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -43,14 +44,6 @@ UNTRACED_RUNS = 3  # one run's spread can exceed a real change (pga-n171-disk)
 # suspect. A pga workload that pools reads higher, and could lose a core
 # unflagged.
 LOW_CPU_UTIL = 0.9
-CALIBRATION = re.compile(r"calibration loop, which took ([0-9.eE+-]+) ms \(median\)")
-
-
-def build_kernel() -> None:
-    """Build the tree's kernel in a process of its own, outside any timed run:
-    peak_rss_mb reads the larger of a run's and its children's peak memory."""
-    subprocess.run([sys.executable, "-c", "import mrtsp.ga"], check=True, timeout=300,
-                   env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
 
 
 def source_status() -> list[str] | None:
@@ -62,23 +55,6 @@ def source_status() -> list[str] | None:
     except (OSError, subprocess.SubprocessError):
         return None
     return status.stdout.splitlines() if status.returncode == 0 else None
-
-
-def run_perfbench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
-    """(metric values, provenance) of one perfbench process; an untraced run's
-    values include `calibration_ms`, the median time of its calibration loop."""
-    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=900).stdout
-    lines = out.strip().splitlines()
-    provenance = next(json.loads(line.split(" ", 1)[1]) for line in lines
-                      if line.startswith("provenance "))
-    result = json.loads(lines[-1])
-    metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    metrics["failed_ratio"] = result["failed"] / max(result["attempted"], 1)
-    if not trace:
-        metrics["calibration_ms"] = float(CALIBRATION.search(out).group(1))
-    return metrics, provenance
 
 
 def code_lines(path: Path) -> int:
@@ -131,12 +107,9 @@ def compare(new: dict, old: dict) -> None:
                 base = before.get(kind, {}).get(name)
                 if not base or not isinstance(value, (int, float)):
                     continue
-                ratio = value / base
-                bound, better = bounds.get(name, (None, None))
-                worse = bound is not None and (ratio > 1 + bound if better == "lower"
-                                               else ratio < 1 - bound)
+                worse = name in bounds and worse_than_bound(base, value, *bounds[name])
                 flag = "  WORSE THAN BOUND" if worse else ""
-                print(f"{workload:<14} {name:<40} {base:>12.6g} -> {value:<12.6g} x{ratio:.3f}{flag}")
+                print(f"{workload:<14} {name:<40} {base:>12.6g} -> {value:<12.6g} x{value / base:.3f}{flag}")
 
 
 def main(argv=None) -> int:
@@ -151,21 +124,22 @@ def main(argv=None) -> int:
     snapshot = {"seed": args.seed, "seconds": args.seconds, "untraced_runs": UNTRACED_RUNS,
                 "notes": args.note, "workloads": {}, "src_mrtsp_lines": line_counts(),
                 "src_mrtsp_code_lines": line_counts(code_lines), "src_status": source_status()}
-    build_kernel()
+    warm(ROOT)
     for workload in (w["name"] for w in SPEC["workloads"]):
-        runs = [run_perfbench(workload, args.seed, args.seconds, 0)
+        runs = [perfbench(ROOT, workload, args.seed, args.seconds)
                 for _ in range(UNTRACED_RUNS)]
-        provenance = runs[0][1]
-        if any(p["fingerprint"] != provenance["fingerprint"] for _, p in runs):
+        provenance = runs[0].provenance
+        if any(run.fingerprint != provenance["fingerprint"] for run in runs):
             raise SystemExit(f"{workload}: untraced runs disagree on the fingerprint")
-        end_to_end = {name: statistics.median(m[name] for m, _ in runs) for name in runs[0][0]}
-        per_layer, traced = run_perfbench(workload, args.seed, args.seconds, 1)
+        end_to_end = {name: statistics.median(run.metrics[name] for run in runs)
+                      for name in runs[0].metrics}
+        traced = perfbench(ROOT, workload, args.seed, args.seconds, 1)
         snapshot["workloads"][workload] = {
             "end_to_end": end_to_end,
-            "end_to_end_runs": {name: [m[name] for m, _ in runs] for name in runs[0][0]},
-            "per_layer": per_layer,
+            "end_to_end_runs": {name: [run.metrics[name] for run in runs] for name in end_to_end},
+            "per_layer": traced.metrics,
             "fingerprint": provenance["fingerprint"],
-            "traced_fingerprint": traced["fingerprint"]}
+            "traced_fingerprint": traced.fingerprint}
         snapshot["machine"] = {key: provenance[key] for key in
                                ("nproc", "affinity", "cpu_model", "python", "numpy")}
         snapshot["commit"] = provenance["commit"]

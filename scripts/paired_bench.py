@@ -26,6 +26,7 @@ import argparse
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -37,25 +38,34 @@ from typing import Callable, NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 EXPORTED = ("src", "perfbench", "BENCHMARK.json")
 FLAG = "  WORSE THAN BOUND"
+CALIBRATION = re.compile(r"calibration loop, which took ([0-9.eE+-]+) ms \(median\)")
 
 
 class Run(NamedTuple):
     metrics: dict[str, float]
-    fingerprint: str
+    provenance: dict
     correct: bool
 
+    @property
+    def fingerprint(self) -> str:
+        return self.provenance["fingerprint"]
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> Run:
-    """One untraced perfbench process of the tree."""
+
+def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> Run:
+    """One perfbench process of the tree. Its metrics include `failed_ratio`
+    and, untraced, `calibration_ms`, the median time of its calibration loop."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    lines = subprocess.run(cmd, capture_output=True, text=True, check=True,
-                           timeout=900).stdout.strip().splitlines()
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=900).stdout
+    lines = out.strip().splitlines()
     provenance = next(json.loads(line.split(" ", 1)[1]) for line in lines
                       if line.startswith("provenance "))
     result = json.loads(lines[-1])
-    return Run({name: m["value"] for name, m in result["metrics"].items()},
-               provenance["fingerprint"], result["correct"] and result["failed"] == 0)
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    metrics["failed_ratio"] = result["failed"] / max(result["attempted"], 1)
+    if not trace:
+        metrics["calibration_ms"] = float(CALIBRATION.search(out).group(1))
+    return Run(metrics, provenance, result["correct"] and result["failed"] == 0)
 
 
 def export(revision: str, into: Path) -> Path:
@@ -68,7 +78,8 @@ def export(revision: str, into: Path) -> Path:
 
 
 def warm(tree: Path) -> None:
-    """Build the tree's kernel outside any timed run."""
+    """Build the tree's kernel in a process of its own, outside any timed run:
+    peak_rss_mb reads the larger of a run's and its children's peak memory."""
     subprocess.run([sys.executable, "-c", "import mrtsp.ga"], cwd=tree, check=True,
                    env={**os.environ, "PYTHONPATH": str(tree / "src")}, timeout=300)
 

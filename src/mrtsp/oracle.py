@@ -2,6 +2,9 @@
 
 Both solvers treat tours as directed (asymmetric instances are the norm here)
 and fix city 0 as the starting point, which is lossless for cyclic tours.
+Both sum in float64, so an integer instance whose tours may weigh 2**53 or
+more, where float64 stops holding every integer, raises InexactSumError up
+front.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ga
-from .tsplib import Instance
+from .tsplib import EXACT_LIMIT, Instance
 
 BRUTE_FORCE_MAX = 11
 HELD_KARP_MAX = 18
@@ -21,6 +24,11 @@ HELD_KARP_MAX = 18
 
 class NonFiniteOptimumError(ValueError):
     """held_karp's optimum is not finite: every tour's length overflows to inf."""
+
+
+class InexactSumError(ValueError):
+    """An integer instance whose tours may weigh 2**53 or more, where the
+    solvers' float64 sums can round a length."""
 
 
 @dataclass(frozen=True)
@@ -38,7 +46,7 @@ def brute_force(instance: Instance) -> ExactResult:
     n = instance.dimension
     if n > BRUTE_FORCE_MAX:
         raise ValueError(f"brute_force handles N <= {BRUTE_FORCE_MAX}, got {n}")
-    d = np.asarray(instance.distances, dtype=np.float64)
+    d = _float_matrix(instance)
     if n == 2:
         return ExactResult(_scalar(d[0, 1] + d[1, 0], d), (0, 1))
     best, tour = None, ()
@@ -72,7 +80,7 @@ def held_karp(instance: Instance) -> ExactResult:
     n = instance.dimension
     if n > HELD_KARP_MAX:
         raise ValueError(f"held_karp handles N <= {HELD_KARP_MAX}, got {n}")
-    d = np.asarray(instance.distances, dtype=np.float64)
+    d = _float_matrix(instance)
     solved = ga._KERNEL.held_karp(d) if ga._KERNEL is not None else None
     length, tour = solved if solved is not None else _numpy_held_karp(d)
     if not math.isfinite(length):
@@ -112,6 +120,17 @@ def _numpy_held_karp(d: np.ndarray) -> tuple[float, tuple[int, ...]]:
         tour.append(j)
         mask, j = mask ^ (1 << j), int(parent[mask, j])
     return totals[last], (0, *reversed(tour))
+
+
+def _float_matrix(instance: Instance) -> np.ndarray:
+    """The weights as float64, which both solvers sum in, once an integer
+    instance has shown that no tour can weigh EXACT_LIMIT or more."""
+    if np.issubdtype(instance.distances.dtype, np.integer) \
+            and instance.max_tour_length >= EXACT_LIMIT:
+        raise InexactSumError(f"{instance.name}: a tour may weigh up to "
+                              f"{instance.max_tour_length}, not below 2**53, and float64 sums "
+                              "can round such a length")
+    return np.asarray(instance.distances, dtype=np.float64)
 
 
 def _scalar(value: float, matrix: np.ndarray) -> float:

@@ -1,9 +1,13 @@
 """TSPLIB instance loading.
 
 Supports EXPLICIT/FULL_MATRIX (the asymmetric instances this project targets)
-and EUC_2D coordinate files. Headers are parsed leniently (unknown keys such
-as COMMENT are skipped), sections strictly: the weight section must contain
-exactly N*N numeric tokens and nothing numeric may trail it before EOF.
+and EUC_2D coordinate files. The text is read in one pass. A section's data
+are the lines that start with a number; the first line that does not ends
+the section and is read as a keyword line, and nothing after EOF is read.
+Headers are parsed leniently (unknown keys such as COMMENT are skipped),
+sections strictly: the weight section must contain exactly N*N numeric
+tokens, for the DIMENSION in force at its keyword, a coordinate section ends
+at its N-th node, and no numeric line may stand outside a section.
 Numbers are read as float64, so weights, coordinates, node indexes and
 DIMENSION must be finite, and weights and EUC_2D distances below 2**53,
 where every integer is exact. Every rejection is a ParseError.
@@ -14,9 +18,9 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
@@ -96,9 +100,6 @@ class Instance:
         # the flat matrix past entry 0, as n - 1 rows of n + 1, has the diagonal in its last column
         return n * self.distances.ravel()[1:].reshape(n - 1, n + 1)[:, :n].max().item()
 
-    def with_known_optimum(self, value: float | None) -> "Instance":
-        return Instance(self.name, self.dimension, np.array(self.distances), value)
-
 
 # float64 holds every integer below this exactly; a weight at or above it may
 # already have been rounded on reading
@@ -124,16 +125,8 @@ def _numeric(token: str) -> float | None:
         return None
 
 
-def _iter_lines(source: str | IO[str]) -> Iterator[tuple[int, str]]:
-    text = source if isinstance(source, str) else source.read()
-    for idx, line in enumerate(text.splitlines(), start=1):
-        yield idx, line
-
-
-_HEADER_KEYS = {
-    "NAME", "TYPE", "COMMENT", "DIMENSION", "EDGE_WEIGHT_TYPE", "EDGE_WEIGHT_FORMAT",
-    "DISPLAY_DATA_TYPE", "NODE_COORD_TYPE", "CAPACITY",
-}
+# the section keywords, each with the EDGE_WEIGHT_TYPE it requires
+_SECTION_TYPES = {"EDGE_WEIGHT_SECTION": "EXPLICIT", "NODE_COORD_SECTION": "EUC_2D"}
 
 
 def parse_instance(source: str | IO[str]) -> Instance:
@@ -149,12 +142,31 @@ def parse_instance(source: str | IO[str]) -> Instance:
     ew_format: str | None = None
     matrix: np.ndarray | None = None
     coords: list[tuple[float, float]] | None = None
-
-    lines = _iter_lines(source)
-    for lineno, raw in lines:
-        stripped = raw.strip()
-        if not stripped:
+    section: str | None = None  # the keyword of the section whose data lines may follow
+    text = source if isinstance(source, str) else source.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts:
             continue
+        if section is not None:
+            nums = _leading_numbers(parts)
+            if nums and section == "EDGE_WEIGHT_SECTION":
+                if len(nums) < len(parts):
+                    raise TokenValueError(f"non-numeric token {parts[len(nums)]!r} in {section}",
+                                          line=lineno, keyword=section)
+                weights += nums
+                if len(weights) > n * n:
+                    raise TokenCountError(f"{section} holds more than {n * n} tokens",
+                                          line=lineno, keyword=section)
+                continue
+            if nums:
+                _add_node(nodes, nums, parts, raw, n, lineno)
+                if len(nodes) == n:
+                    section, coords = None, [nodes[i] for i in range(n)]
+                continue
+            # not data: the section ends, and this line is read as a keyword line
+            matrix, section = _end_section(section, weights, nodes, n, lineno), None
+        stripped = raw.strip()
         key, _, value = stripped.partition(":")
         key = key.strip().upper()
         value = value.strip()
@@ -173,35 +185,27 @@ def parse_instance(source: str | IO[str]) -> Instance:
             ew_type = value.upper()
         elif key == "EDGE_WEIGHT_FORMAT":
             ew_format = value.upper()
-        elif key == "EDGE_WEIGHT_SECTION":
+        elif key in _SECTION_TYPES:
             if dimension is None:
-                raise MissingKeywordError("DIMENSION must appear before EDGE_WEIGHT_SECTION",
+                raise MissingKeywordError(f"DIMENSION must appear before {key}",
                                           line=lineno, keyword="DIMENSION")
-            if ew_type != "EXPLICIT":
+            if ew_type != _SECTION_TYPES[key]:
                 raise UnsupportedFormatError(
-                    f"EDGE_WEIGHT_SECTION requires EDGE_WEIGHT_TYPE EXPLICIT, got {ew_type!r}",
+                    f"{key} requires EDGE_WEIGHT_TYPE {_SECTION_TYPES[key]}, got {ew_type!r}",
                     line=lineno, keyword="EDGE_WEIGHT_TYPE")
-            if ew_format not in (None, "FULL_MATRIX"):
+            if key == "EDGE_WEIGHT_SECTION" and ew_format not in (None, "FULL_MATRIX"):
                 raise UnsupportedFormatError(
                     f"unsupported EDGE_WEIGHT_FORMAT {ew_format!r}; only FULL_MATRIX is supported",
                     line=lineno, keyword="EDGE_WEIGHT_FORMAT")
-            matrix = _read_full_matrix(lines, dimension)
-        elif key == "NODE_COORD_SECTION":
-            if dimension is None:
-                raise MissingKeywordError("DIMENSION must appear before NODE_COORD_SECTION",
-                                          line=lineno, keyword="DIMENSION")
-            if ew_type != "EUC_2D":
-                raise UnsupportedFormatError(
-                    f"NODE_COORD_SECTION requires EDGE_WEIGHT_TYPE EUC_2D, got {ew_type!r}",
-                    line=lineno, keyword="EDGE_WEIGHT_TYPE")
-            coords = _read_coords(lines, dimension)
-        elif key in _HEADER_KEYS:
-            continue
-        else:
+            # the data take the DIMENSION in force here; coordinates fill a dict
+            # as lines arrive, so DIMENSION alone never sizes an allocation
+            section, n, opened, weights, nodes = key, dimension, lineno, [], {}
+        elif _numeric(key.split()[0] if key else "") is not None:
             # numeric junk outside any section is a structural error
-            if _numeric(key.split()[0] if key else "") is not None:
-                raise TokenCountError(f"unexpected numeric data outside a section: {stripped!r}",
-                                      line=lineno, keyword="EDGE_WEIGHT_SECTION")
+            raise TokenCountError(f"unexpected numeric data outside a section: {stripped!r}",
+                                  line=lineno, keyword="EDGE_WEIGHT_SECTION")
+    if section is not None:  # the text ended inside a section
+        matrix = _end_section(section, weights, nodes, n, lineno if lineno > opened else None)
 
     if dimension is None:
         raise MissingKeywordError("missing DIMENSION", keyword="DIMENSION")
@@ -223,72 +227,47 @@ def parse_instance(source: str | IO[str]) -> Instance:
         raise ParseError(str(exc)) from exc
 
 
-def _read_full_matrix(lines: Iterator[tuple[int, str]], n: int) -> np.ndarray:
-    """Consume exactly n*n numeric tokens, row-major, then require EOF/keyword."""
-    need = n * n
-    values: list[float] = []
-    last_line = None
-    for lineno, raw in lines:
-        last_line = lineno
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        first = stripped.split()[0]
-        if _numeric(first) is None:
-            # hit the next keyword (EOF etc.) before enough tokens
-            if len(values) < need:
-                raise TokenCountError(
-                    f"EDGE_WEIGHT_SECTION ended after {len(values)} tokens, expected {need}",
-                    line=lineno, keyword="EDGE_WEIGHT_SECTION")
+def _leading_numbers(parts: list[str]) -> list[float]:
+    """The tokens of parts, as floats, up to the first that is not a number."""
+    nums = []
+    for token in parts:
+        try:
+            nums.append(float(token))
+        except ValueError:
             break
-        for token in stripped.split():
-            num = _numeric(token)
-            if num is None:
-                raise TokenValueError(f"non-numeric token {token!r} in EDGE_WEIGHT_SECTION",
-                                      line=lineno, keyword="EDGE_WEIGHT_SECTION")
-            values.append(num)
-        if len(values) > need:
-            raise TokenCountError(
-                f"EDGE_WEIGHT_SECTION holds more than {need} tokens",
-                line=lineno, keyword="EDGE_WEIGHT_SECTION")
-    if len(values) < need:
-        raise TokenCountError(
-            f"EDGE_WEIGHT_SECTION ended after {len(values)} tokens, expected {need}",
-            line=last_line, keyword="EDGE_WEIGHT_SECTION")
-    return _as_matrix(values, n)
+    return nums
 
 
-def _read_coords(lines: Iterator[tuple[int, str]], n: int) -> list[tuple[float, float]]:
-    # filled as lines arrive: DIMENSION alone must not size an allocation
-    coords: dict[int, tuple[float, float]] = {}
-    for lineno, raw in lines:
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if _numeric(parts[0]) is None:
-            break
-        if len(parts) != 3:
-            raise TokenValueError(f"NODE_COORD_SECTION line needs 'index x y', got {stripped!r}",
-                                  line=lineno, keyword="NODE_COORD_SECTION")
-        idx_f, x, y = (_numeric(p) for p in parts)
-        if idx_f is None or x is None or y is None:
-            raise TokenValueError(f"non-numeric token in NODE_COORD_SECTION: {stripped!r}",
-                                  line=lineno, keyword="NODE_COORD_SECTION")
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise TokenValueError(f"non-finite coordinate in NODE_COORD_SECTION: {stripped!r}",
-                                  line=lineno, keyword="NODE_COORD_SECTION")
-        idx = int(idx_f) - 1 if idx_f.is_integer() else -1
-        if idx < 0 or idx >= n or idx in coords:
-            raise TokenValueError(f"bad node index {parts[0]} in NODE_COORD_SECTION",
-                                  line=lineno, keyword="NODE_COORD_SECTION")
-        coords[idx] = (x, y)
-        if len(coords) == n:
-            break
-    if len(coords) < n:
-        raise TokenCountError(f"NODE_COORD_SECTION has {len(coords)} nodes, expected {n}",
-                              keyword="NODE_COORD_SECTION")
-    return [coords[i] for i in range(n)]
+def _add_node(nodes: dict[int, tuple[float, float]], nums: list[float], parts: list[str],
+              raw: str, n: int, lineno: int) -> None:
+    """Store the NODE_COORD_SECTION line raw, 'index x y', split into parts
+    whose leading numbers are nums, in nodes by 0-based index."""
+    if len(parts) != 3:
+        problem = f"NODE_COORD_SECTION line needs 'index x y', got {raw.strip()!r}"
+    elif len(nums) < 3:
+        problem = f"non-numeric token in NODE_COORD_SECTION: {raw.strip()!r}"
+    elif not (math.isfinite(nums[1]) and math.isfinite(nums[2])):
+        problem = f"non-finite coordinate in NODE_COORD_SECTION: {raw.strip()!r}"
+    else:
+        idx = int(nums[0]) - 1 if nums[0].is_integer() else -1
+        if 0 <= idx < n and idx not in nodes:
+            nodes[idx] = (nums[1], nums[2])
+            return
+        problem = f"bad node index {parts[0]} in NODE_COORD_SECTION"
+    raise TokenValueError(problem, line=lineno, keyword="NODE_COORD_SECTION")
+
+
+def _end_section(section: str, weights: list[float], nodes: dict, n: int,
+                 line: int | None) -> np.ndarray:
+    """The weight matrix of a section whose data end before line; a coordinate
+    section that gets here is short, since its n-th node ends it."""
+    if section == "NODE_COORD_SECTION":
+        raise TokenCountError(f"NODE_COORD_SECTION has {len(nodes)} nodes, expected {n}",
+                              keyword=section)
+    if len(weights) < n * n:
+        raise TokenCountError(f"{section} ended after {len(weights)} tokens, expected {n * n}",
+                              line=line, keyword=section)
+    return _as_matrix(weights, n)
 
 
 def _euclidean_matrix(coords: list[tuple[float, float]]) -> np.ndarray:
@@ -364,15 +343,10 @@ def load_instance(path: Path | str, registry_path: Path | str | None = None) -> 
     used if present.
     """
     path = Path(path)
-    with path.open() as fh:
-        instance = parse_instance(fh)
-    if not instance.name:
-        instance = Instance(path.stem, instance.dimension, np.array(instance.distances))
+    instance = parse_instance(path.read_text())
     if registry_path is None:
         candidate = path.parent / "optima.txt"
         registry_path = candidate if candidate.exists() else None
-    if registry_path is not None:
-        registry = load_registry(registry_path)
-        if instance.name in registry:
-            instance = instance.with_known_optimum(registry[instance.name])
-    return instance
+    registry = load_registry(registry_path) if registry_path is not None else {}
+    name = instance.name or path.stem
+    return replace(instance, name=name, known_optimum=registry.get(name))

@@ -18,31 +18,35 @@ PROVENANCE = {"fingerprint": "f", "nproc": 2, "affinity": 2, "cpu_model": "cpu",
 
 @pytest.fixture
 def script(monkeypatch, tmp_path):
-    """The script, writing its BENCH files to tmp_path, with no kernel to build."""
+    """The script, writing its BENCH files to tmp_path, with no kernel to build;
+    it imports paired_bench from its own directory, as when run."""
+    monkeypatch.syspath_prepend(str(SCRIPT.parent))
     spec = importlib.util.spec_from_file_location("bench_snapshot", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "ROOT", tmp_path)
-    monkeypatch.setattr(module, "build_kernel", lambda: None)
+    monkeypatch.setattr(module, "warm", lambda tree: None)
     return module
 
 
 def fake_perfbench(utils):
-    """run_perfbench stand-in: traced engine.cpu_util per workload from utils."""
-    def run(workload, seed, seconds, trace):
+    """perfbench stand-in: traced engine.cpu_util per workload from utils."""
+    from paired_bench import Run
+
+    def run(tree, workload, seed, seconds, trace=0):
         if trace:
-            return {"engine.cpu_util": utils.get(workload, 1.0)}, PROVENANCE
-        return {"run_s": 0.1, "calibration_ms": 9.0}, PROVENANCE
+            return Run({"engine.cpu_util": utils.get(workload, 1.0)}, PROVENANCE, True)
+        return Run({"run_s": 0.1, "calibration_ms": 9.0}, PROVENANCE, True)
     return run
 
 
 def test_snapshot_with_low_cpu_util_is_not_written(script, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(script, "run_perfbench", fake_perfbench({}))
+    monkeypatch.setattr(script, "perfbench", fake_perfbench({}))
     assert script.main([]) == 0
     assert [p.name for p in tmp_path.glob("BENCH_*.json")] == ["BENCH_1.json"]
     capsys.readouterr()
 
-    monkeypatch.setattr(script, "run_perfbench", fake_perfbench({"pga-n171-disk": 0.7}))
+    monkeypatch.setattr(script, "perfbench", fake_perfbench({"pga-n171-disk": 0.7}))
     assert script.main([]) == 1
     assert [p.name for p in tmp_path.glob("BENCH_*.json")] == ["BENCH_1.json"]
     out, err = capsys.readouterr()
@@ -94,7 +98,7 @@ def test_snapshot_counts_code_lines_beside_all_lines(script, tmp_path, monkeypat
     # m.py: import, def, text = (2 lines), return, class, y; k.c: #include, the
     # signature, both braces and the return
     assert script.line_counts(script.code_lines) == {"k.c": 5, "m.py": 7, "total": 12}
-    monkeypatch.setattr(script, "run_perfbench", fake_perfbench({}))
+    monkeypatch.setattr(script, "perfbench", fake_perfbench({}))
     assert script.main([]) == 0
     (src / "k.c").write_text(C_FILE + "int g;\n")
     assert script.main([]) == 0
@@ -110,9 +114,9 @@ def test_snapshot_builds_the_kernel_before_the_first_timed_run(script, monkeypat
     # a fresh tree's first run would compile the kernel, and its peak_rss_mb
     # would count the compiler
     calls = []
-    monkeypatch.setattr(script, "build_kernel", lambda: calls.append("build"))
+    monkeypatch.setattr(script, "warm", lambda tree: calls.append("build"))
     run = fake_perfbench({})
-    monkeypatch.setattr(script, "run_perfbench",
+    monkeypatch.setattr(script, "perfbench",
                         lambda *args: calls.append(("run", *args)) or run(*args))
     assert script.main([]) == 0
     capsys.readouterr()
@@ -126,7 +130,7 @@ def test_snapshot_records_uncommitted_sources(script, tmp_path, monkeypatch, cap
         subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
                        cwd=tmp_path, check=True, capture_output=True)
 
-    monkeypatch.setattr(script, "run_perfbench", fake_perfbench({}))
+    monkeypatch.setattr(script, "perfbench", fake_perfbench({}))
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
     src = tmp_path / "src" / "mrtsp"
     src.mkdir(parents=True)

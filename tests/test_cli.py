@@ -365,6 +365,16 @@ def test_exact_reports_an_optimum_that_is_not_finite(tmp_path, capsys, monkeypat
     assert captured.out == "" and not (tmp_path / "optima.txt").exists()
 
 
+def test_exact_rejects_integer_tours_that_may_reach_two_to_the_53(tmp_path, capsys):
+    w = 2**52 + 1  # each weight parses; a tour's float64 sum need not be exact
+    weights = np.array([[0, w, w + 2], [w + 2, 0, w], [w, w + 2, 0]])
+    (tmp_path / "big3.atsp").write_text(format_instance(Instance("big3", 3, weights)))
+    assert main(["exact", "--instance", str(tmp_path / "big3.atsp")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: big3: a tour may weigh up to 13510798882111497,")
+    assert captured.out == ""
+
+
 def test_shipped_suite_configs_parse():
     bench_dir = Path(__file__).resolve().parent.parent / "bench"
     for name in ("quick.conf", "full.conf"):

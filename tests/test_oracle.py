@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mrtsp.ga import tour_length
-from mrtsp.oracle import (BRUTE_FORCE_MAX, HELD_KARP_MAX, brute_force,
-                          held_karp)
+from mrtsp.oracle import (BRUTE_FORCE_MAX, HELD_KARP_MAX, ExactResult,
+                          InexactSumError, brute_force, held_karp)
 from mrtsp.tsplib import Instance, parse_instance, random_instance
 
 THREE_CITY = Instance("toy3", 3, np.array([[0, 1, 2], [2, 0, 3], [4, 5, 0]]))
@@ -91,3 +91,19 @@ def test_float_matrix_supported():
     inst = Instance("floaty", 3, mat)
     assert brute_force(inst).optimum_length == pytest.approx(9.5)
     assert held_karp(inst).optimum_length == pytest.approx(9.5)
+
+
+@pytest.mark.parametrize("solver", [held_karp, brute_force])
+def test_integer_tours_that_may_reach_two_to_the_53_are_rejected(solver):
+    # every weight is below 2**53 and parses, but float64 sums made the optimum
+    # 13510798882111492 for the tour (0, 1, 2), which weighs 13510798882111491
+    w = 2**52 + 1
+    weights = np.array([[0, w, w + 2], [w + 2, 0, w], [w, w + 2, 0]])
+    with pytest.raises(InexactSumError, match="^big3: a tour may weigh up to 13510798882111497,"):
+        solver(Instance("big3", 3, weights))
+    with pytest.raises(InexactSumError, match="up to 9007199254740992,"):
+        solver(Instance("at", 2, np.array([[0, 2**52], [2**52, 0]])))
+    below = Instance("below", 2, np.array([[0, 2**52 - 1], [2**52 - 1, 0]]))
+    assert solver(below) == ExactResult(2**53 - 2, (0, 1))
+    # float weights are summed as before
+    assert solver(Instance("floats", 3, weights.astype(np.float64))).optimum_length > 0

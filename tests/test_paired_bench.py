@@ -5,6 +5,7 @@ fingerprints that differ between the trees."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ def stub(script, times, calls, fingerprints=None, failing=()):
         calls.append((tree, seed))
         fingerprint = (fingerprints or {}).get((tree, seed), f"print-{seed}")
         metrics = {**dict.fromkeys(METRICS, 100.0), "run_s": times[tree][seed]}
-        return script.Run(metrics, fingerprint, (tree, seed) not in failing)
+        return script.Run(metrics, {"fingerprint": fingerprint}, (tree, seed) not in failing)
     return run
 
 
@@ -95,7 +96,8 @@ def test_main_runs_every_workload_in_its_own_block(script, monkeypatch, tmp_path
 
     def run(tree, workload, seed, seconds):
         calls.append((workload, tree, seed))
-        return script.Run(dict.fromkeys(METRICS, 0.04), f"print-{workload}-{seed}", True)
+        return script.Run(dict.fromkeys(METRICS, 0.04), {"fingerprint": f"print-{workload}-{seed}"},
+                          True)
 
     monkeypatch.setattr(script, "export", lambda revision, into: tmp_path)
     monkeypatch.setattr(script, "warm", lambda tree: None)
@@ -137,3 +139,22 @@ def test_main_flags_a_median_worse_than_its_bound_and_exits_1(script, monkeypatc
                  if line.startswith("run_s:"))
     assert run_s.endswith("WORSE THAN BOUND") is flagged
     assert run_s.startswith(f"run_s: base 0.04 [0.04, 0.04] -> change {change:g}")
+
+
+def test_perfbench_reads_metrics_provenance_and_calibration(script, monkeypatch, tmp_path):
+    # both scripts launch perfbench through this one function
+    out = ("w seed 1: 3 timed solves over 20 instances; times are scaled to a 10 ms "
+           "calibration loop, which took 9.5 ms (median)\n"
+           'provenance {"fingerprint": "abc", "commit": "c"}\n'
+           '{"correct": true, "attempted": 4, "failed": 1, '
+           '"metrics": {"run_s": {"value": 0.02, "unit": "s"}}}\n')
+    commands = []
+    monkeypatch.setattr(script.subprocess, "run", lambda cmd, **kwargs: commands.append(cmd)
+                        or subprocess.CompletedProcess(cmd, 0, out, ""))
+    run = script.perfbench(tmp_path, "w", 1, 2.0)
+    assert run.metrics == {"run_s": 0.02, "failed_ratio": 0.25, "calibration_ms": 9.5}
+    assert (run.provenance, run.fingerprint, run.correct) == \
+        ({"fingerprint": "abc", "commit": "c"}, "abc", False)
+    traced = script.perfbench(tmp_path, "w", 1, 2.0, 1)
+    assert traced.metrics == {"run_s": 0.02, "failed_ratio": 0.25}
+    assert [cmd[-2:] for cmd in commands] == [["--trace", "0"], ["--trace", "1"]]

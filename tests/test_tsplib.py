@@ -303,3 +303,28 @@ def test_load_instance_name_falls_back_to_stem(tmp_path):
     path = tmp_path / "nameless.atsp"
     path.write_text(text)
     assert load_instance(path).name == "nameless"
+
+
+@pytest.mark.parametrize("text, rows", [
+    (explicit(2, "0 7\n9 0"), [[0, 7], [9, 0]]),
+    (euc_2d(2, "1 0 0", "2 0 8"), [[0, 8], [8, 0]]),
+], ids=["FULL_MATRIX", "EUC_2D"])
+@pytest.mark.parametrize("trailer", ["1 2 3", "DIMENSION: 5", "NAME: renamed"])
+def test_nothing_after_eof_is_read(text, rows, trailer):
+    inst = parse_instance(f"{text}{trailer}\n")
+    assert (inst.name, inst.rows) == ("", rows)
+
+
+def test_a_keyword_right_after_the_weight_section_takes_effect():
+    weights = "DIMENSION: 2\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_SECTION\n0 7\n9 0\n"
+    assert parse_instance(f"{weights}NAME: renamed\nEOF\n").name == "renamed"
+    # the matrix keeps the DIMENSION in force at its keyword, so a later one
+    # fails Instance's shape check, with or without a line between
+    for between in ("", "COMMENT: x\n"):
+        with pytest.raises(ParseError, match="must be 3x3"):
+            parse_instance(f"{weights}{between}DIMENSION: 3\nEOF\n")
+
+
+def test_a_numeric_line_after_the_last_node_is_a_count_error():
+    with pytest.raises(TokenCountError, match="unexpected numeric data outside a section"):
+        parse_instance(euc_2d(2, "1 0 0", "2 3 4", "3 6 8"))
