@@ -57,19 +57,33 @@ def _add_shared_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--out-dir", default=".", help="directory for report files (default .)")
 
 
-def _ga_params(settings: dict) -> GaParams:
-    """GaParams defaults overridden by every GA setting that is not None;
-    takes `vars(args)` from the command line or a suite config."""
-    overrides = {"population_size": settings["pop_size"]}
-    for name in ("crossover_prob", "mutation_prob", "similarity_threshold"):
-        overrides[name] = settings[name]
-    return replace(GaParams(), **{k: v for k, v in overrides.items() if v is not None})
-
-
-# command-line flag -> IslandParams field, for the flags `solve --algo pga` passes on
+# command-line flag -> GaParams field
+_GA_FIELDS = {"pop_size": "population_size", "crossover_prob": "crossover_prob",
+              "mutation_prob": "mutation_prob", "similarity_threshold": "similarity_threshold"}
+# command-line flag -> IslandParams field
 _PGA_FIELDS = {"islands": "num_islands", "migration_interval": "migration_interval",
                "max_generations": "max_total_generations",
                "patience": "convergence_patience", "target_length": "target_length"}
+
+
+def _given(settings: dict, fields: dict) -> dict:
+    """The settings named by fields' flags that are not None, keyed by field."""
+    return {field: settings[flag] for flag, field in fields.items() if settings[flag] is not None}
+
+
+def _run(instance: Instance, algo: str, settings: dict, seed: int, workers: int = 1,
+         dump_path: Path | None = None) -> RunReport:
+    """Run algo on instance once. settings are keyed as `solve`'s flags, and
+    each that is None takes its default; workers and dump_path apply to pga."""
+    ga = replace(GaParams(), **_given(settings, _GA_FIELDS))
+    if algo == "sga":
+        budget = settings["max_generations"]
+        termination = TerminationPolicy(target_length=settings["target_length"],
+                                        patience=settings["patience"])
+        return run_sga(instance, ga, SGA_DEFAULT_GENERATIONS if budget is None else budget,
+                       termination, seed=seed)
+    params = replace(IslandParams(ga=ga), **_given(settings, _PGA_FIELDS))
+    return run_pga(instance, params, master_seed=seed, workers=workers, dump_path=dump_path)
 
 
 def _append_report(out_dir: Path, report: RunReport):
@@ -80,25 +94,12 @@ def _append_report(out_dir: Path, report: RunReport):
 
 def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    ga = _ga_params(vars(args))
     out_dir = Path(args.out_dir)
-    if args.algo == "sga":
-        termination = TerminationPolicy(target_length=args.target_length,
-                                        patience=args.patience)
-        budget = args.max_generations
-        report = run_sga(instance, ga, SGA_DEFAULT_GENERATIONS if budget is None else budget,
-                         termination, seed=args.seed)
-    else:
-        settings = vars(args)
-        params = replace(IslandParams(ga=ga), **{
-            field: settings[flag] for flag, field in _PGA_FIELDS.items()
-            if settings[flag] is not None})
-        dump = None
-        if args.dump_tours:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            dump = out_dir / "final-population.txt"
-        report = run_pga(instance, params, master_seed=args.seed,
-                         workers=args.workers, dump_path=dump)
+    dump = None
+    if args.dump_tours and args.algo == "pga":
+        out_dir.mkdir(parents=True, exist_ok=True)
+        dump = out_dir / "final-population.txt"
+    report = _run(instance, args.algo, vars(args), args.seed, args.workers, dump)
     _append_report(out_dir, report)
     print(report.summary_line())
     return 0
@@ -114,7 +115,7 @@ SUITE_DEFAULTS = {
     "islands": 10,
     "migration_interval": 50,
     "sga_generations": SGA_DEFAULT_GENERATIONS,
-    "pga_generations": None,       # None = sga_generations // islands (equal evaluations)
+    "pga_generations": None,       # None = max(migration_interval, sga_generations // islands)
     "crossover_prob": None,
     "mutation_prob": None,
     "similarity_threshold": None,
@@ -124,16 +125,21 @@ SUITE_DEFAULTS = {
     "out_dir": None,
 }
 
-_INT_KEYS = {"repeats", "seed", "pop_size", "islands", "migration_interval",
-             "sga_generations", "pga_generations", "patience", "sga_patience"}
-_FLOAT_KEYS = {"crossover_prob", "mutation_prob", "similarity_threshold"}
-_BOOL_KEYS = {"stop_at_known_optimum"}
+# numeric suite key -> (type, what its value must be)
+_NUMBER_KEYS = {
+    **dict.fromkeys(("repeats", "seed", "pop_size", "islands", "migration_interval",
+                     "sga_generations", "pga_generations", "patience", "sga_patience"),
+                    (int, "an integer")),
+    **dict.fromkeys(("crossover_prob", "mutation_prob", "similarity_threshold"),
+                    (float, "a number")),
+}
 
 
 def parse_suite_config(text: str, base_dir: Path) -> dict:
     """Plain key-value lines plus repeated `instance <path>` lines.
 
-    Keys use hyphens in the file (`pop-size 50`); `#` starts a comment.
+    Keys use hyphens in the file (`pop-size 50`) and are separated from
+    their values by whitespace; `#` starts a comment.
     Instance paths are resolved relative to the config file.
     """
     cfg = dict(SUITE_DEFAULTS)
@@ -142,8 +148,7 @@ def parse_suite_config(text: str, base_dir: Path) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        name, _, rest = line.partition(" ")
-        rest = rest.strip()
+        name, rest = (line.split(maxsplit=1) + [""])[:2]
         key = name.replace("-", "_")
         if not rest:
             raise ValueError(f"suite config line {lineno}: {name!r} has no value")
@@ -157,11 +162,14 @@ def parse_suite_config(text: str, base_dir: Path) -> dict:
             cfg["algos"] = algos
         elif key == "out_dir":
             cfg["out_dir"] = base_dir / rest
-        elif key in _INT_KEYS:
-            cfg[key] = int(rest)
-        elif key in _FLOAT_KEYS:
-            cfg[key] = float(rest)
-        elif key in _BOOL_KEYS:
+        elif key in _NUMBER_KEYS:
+            kind, what = _NUMBER_KEYS[key]
+            try:
+                cfg[key] = kind(rest)
+            except ValueError:
+                raise ValueError(f"suite config line {lineno}: {name} needs {what}, "
+                                 f"got {rest!r}") from None
+        elif key == "stop_at_known_optimum":
             if rest not in ("on", "off"):
                 raise ValueError(f"suite config line {lineno}: {name} must be on or off")
             cfg[key] = rest == "on"
@@ -173,24 +181,14 @@ def parse_suite_config(text: str, base_dir: Path) -> dict:
 
 
 def _run_cell(instance: Instance, algo: str, seed: int, cfg: dict) -> RunReport:
-    ga = _ga_params(cfg)
-    target = instance.known_optimum if cfg["stop_at_known_optimum"] else None
-    if algo == "sga":
-        termination = TerminationPolicy(target_length=target, patience=cfg["sga_patience"])
-        return run_sga(instance, ga, cfg["sga_generations"], termination, seed=seed)
-    pga_budget = cfg["pga_generations"]
-    if pga_budget is None:
+    budget = cfg[f"{algo}_generations"]
+    if budget is None:
         # same number of offspring evaluations as the sga budget, split across islands
-        pga_budget = max(cfg["migration_interval"], cfg["sga_generations"] // cfg["islands"])
-    params = IslandParams(
-        num_islands=cfg["islands"],
-        migration_interval=cfg["migration_interval"],
-        ga=ga,
-        max_total_generations=pga_budget,
-        convergence_patience=cfg["patience"],
-        target_length=target,
-    )
-    return run_pga(instance, params, master_seed=seed)
+        budget = max(cfg["migration_interval"], cfg["sga_generations"] // cfg["islands"])
+    target = instance.known_optimum if cfg["stop_at_known_optimum"] else None
+    return _run(instance, algo, {**cfg, "max_generations": budget, "target_length": target,
+                                 "patience": cfg["sga_patience" if algo == "sga" else "patience"]},
+                seed)
 
 
 RESULT_COLUMNS = ["instance", "N", "algo", "seed", "best", "accuracy",
@@ -199,49 +197,33 @@ SUMMARY_COLUMNS = ["instance", "N", "algo", "runs", "mean_best", "min_best",
                    "mean_accuracy", "mean_seconds"]
 
 
-def _fmt(value, spec: str = "") -> str:
-    if value is None:
-        return ""
-    return format(value, spec) if spec else str(value)
+def _fixed(value: float | None) -> str | None:
+    """value to 4 decimal places; None stays None, a blank cell."""
+    return None if value is None else f"{value:.4f}"
 
 
-def _write_results(path: Path, rows: list[dict]):
+def _write_csv(path: Path, columns: list[str], rows: list[list]):
+    """A header of columns, then rows; a None cell is written blank."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(columns)
         writer.writerows(rows)
 
 
-def _write_summary(path: Path, rows: list[dict]) -> list[dict]:
-    cells: dict[tuple[str, str], list[dict]] = {}
-    order = []
-    for row in rows:
-        cell = (row["instance"], row["algo"])
-        if cell not in cells:
-            cells[cell] = []
-            order.append(cell)
-        if not row["error"]:
-            cells[cell].append(row)
-    out = []
-    for instance_name, algo in order:
-        good = cells[(instance_name, algo)]
-        entry = {"instance": instance_name, "algo": algo, "runs": len(good)}
-        if good:
-            entry["N"] = good[0]["N"]
-            entry["mean_best"] = _fmt(statistics.fmean(float(r["best"]) for r in good), ".4f")
-            entry["min_best"] = _fmt(min(float(r["best"]) for r in good), "g")
-            accuracies = [float(r["accuracy"]) for r in good if r["accuracy"] != ""]
-            entry["mean_accuracy"] = _fmt(statistics.fmean(accuracies), ".4f") if accuracies else ""
-            entry["mean_seconds"] = _fmt(statistics.fmean(float(r["seconds"]) for r in good), ".4f")
-        else:
-            entry.update({"N": "", "mean_best": "", "min_best": "",
-                          "mean_accuracy": "", "mean_seconds": ""})
-        out.append(entry)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
-        writer.writeheader()
-        writer.writerows(out)
-    return out
+def _summary(cells: dict[tuple[str, int, str], list[RunReport]]) -> list[list]:
+    """One SUMMARY_COLUMNS row per (instance, N, algo) cell, from its
+    successful runs' reports; a cell with none has only its names and 0 runs."""
+    rows = []
+    for (name, n, algo), reports in cells.items():
+        if not reports:
+            rows.append([name, None, algo, 0, None, None, None, None])
+            continue
+        bests = [r.best_length for r in reports]
+        accuracies = [r.accuracy for r in reports if r.accuracy is not None]
+        rows.append([name, n, algo, len(reports), _fixed(statistics.fmean(bests)), min(bests),
+                     _fixed(statistics.fmean(accuracies) if accuracies else None),
+                     _fixed(statistics.fmean(r.wall_seconds for r in reports))])
+    return rows
 
 
 # copied next to every bench's CSVs; found in a source checkout only
@@ -258,27 +240,25 @@ def cmd_bench(args) -> int:
 
     instances = [load_instance(path) for path in cfg["instances"]]
     rows = []
-    failures = 0
+    cells: dict[tuple[str, int, str], list[RunReport]] = {}
     for inst, algo, repeat in itertools.product(instances, cfg["algos"],
                                                 range(cfg["repeats"])):
         seed = cfg["seed"] + repeat
-        row = {"instance": inst.name, "N": inst.dimension, "algo": algo, "seed": seed,
-               "best": "", "accuracy": "", "seconds": "", "generations": "", "error": ""}
+        cell = (inst.name, inst.dimension, algo)
+        reports = cells.setdefault(cell, [])
         try:
-            outcome = _run_cell(inst, algo, seed, cfg)
+            report = _run_cell(inst, algo, seed, cfg)
         except Exception as exc:  # per-row failure, suite continues
-            failures += 1
-            row["error"] = f"{type(exc).__name__}: {exc}"
+            rows.append([*cell, seed, None, None, None, None, f"{type(exc).__name__}: {exc}"])
         else:
-            _append_report(out_dir, outcome)
-            row.update(best=_fmt(outcome.best_length, "g"),
-                       accuracy=_fmt(outcome.accuracy, ".4f") if outcome.accuracy is not None else "",
-                       seconds=_fmt(outcome.wall_seconds, ".4f"),
-                       generations=outcome.generations)
-        rows.append(row)
+            _append_report(out_dir, report)
+            reports.append(report)
+            rows.append([*cell, seed, report.best_length, _fixed(report.accuracy),
+                         _fixed(report.wall_seconds), report.generations, None])
 
-    _write_results(out_dir / "results.csv", rows)
-    _write_summary(out_dir / "summary.csv", rows)
+    _write_csv(out_dir / "results.csv", RESULT_COLUMNS, rows)
+    _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, _summary(cells))
+    failures = len(rows) - sum(map(len, cells.values()))
     if PLOT_SCRIPT.exists():
         shutil.copyfile(PLOT_SCRIPT, out_dir / "plot_results.py")
     print(f"{len(rows)} runs ({failures} failed) -> {out_dir / 'results.csv'}")

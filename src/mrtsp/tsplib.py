@@ -203,7 +203,7 @@ def parse_instance(source: str | IO[str]) -> Instance:
         elif _numeric(key.split()[0] if key else "") is not None:
             # numeric junk outside any section is a structural error
             raise TokenCountError(f"unexpected numeric data outside a section: {stripped!r}",
-                                  line=lineno, keyword="EDGE_WEIGHT_SECTION")
+                                  line=lineno)
     if section is not None:  # the text ended inside a section
         matrix = _end_section(section, weights, nodes, n, lineno if lineno > opened else None)
 

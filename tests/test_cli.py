@@ -1,5 +1,6 @@
 import csv
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -236,6 +237,56 @@ def test_bench_rows_match_direct_api_runs(inst_dir, tmp_path, capsys):
     assert int(pga_row["generations"]) == direct.generations
 
 
+def test_bench_csvs_hold_exact_bests(tmp_path, capsys):
+    # tours of over a million: six significant digits would round them
+    (tmp_path / "heavy.atsp").write_text(
+        format_instance(random_instance(12, (100000, 300000), seed=3)))
+    config = tmp_path / "heavy.conf"
+    config.write_text("instance heavy.atsp\nalgos sga pga\nrepeats 2\npop-size 10\n"
+                      "islands 2\nmigration-interval 5\nsga-generations 30\n"
+                      "stop-at-known-optimum off\n")
+    out_dir = tmp_path / "out"
+    assert main(["bench", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    reports = [json.loads(line) for line in (out_dir / "reports.jsonl").read_text().splitlines()]
+    rows = read_rows(out_dir / "results.csv")
+    assert [(r["algo"], int(r["seed"])) for r in rows] == [(r["algo"], r["seed"]) for r in reports]
+    assert [int(r["best"]) for r in rows] == [r["best_length"] for r in reports]
+    assert min(r["best_length"] for r in reports) >= 10**6
+    summary = {r["algo"]: r for r in read_rows(out_dir / "summary.csv")}
+    for algo in ("sga", "pga"):
+        bests = [r["best_length"] for r in reports if r["algo"] == algo]
+        assert summary[algo]["min_best"] == str(min(bests))
+        assert summary[algo]["mean_best"] == f"{statistics.fmean(bests):.4f}"
+
+
+@pytest.mark.parametrize("algo", ["sga", "pga"])
+def test_solve_and_bench_share_the_run_path(inst_dir, tmp_path, capsys, algo):
+    solve_dir, bench_dir = tmp_path / "solve", tmp_path / "bench"
+    assert main(["solve", "--algo", algo, "--instance", str(inst_dir / "eight.atsp"),
+                 "--pop-size", "10", "--islands", "2", "--migration-interval", "5",
+                 "--max-generations", "15", "--patience", "0", "--seed", "3",
+                 "--out-dir", str(solve_dir)]) == 0
+    config = inst_dir / f"one-{algo}.conf"
+    config.write_text(f"instance eight.atsp\nalgos {algo}\nrepeats 1\nseed 3\npop-size 10\n"
+                      "islands 2\nmigration-interval 5\nsga-generations 15\n"
+                      "pga-generations 15\npatience 0\nsga-patience 0\n"
+                      "stop-at-known-optimum off\n")
+    assert main(["bench", "--config", str(config), "--out-dir", str(bench_dir)]) == 0
+    capsys.readouterr()
+
+    def untimed(out_dir):
+        report = json.loads((out_dir / "reports.jsonl").read_text())
+        del report["wall_seconds"]
+        for summary in report["rounds"]:
+            del summary["wall_seconds"]
+        return report
+
+    solved = untimed(solve_dir)
+    assert solved == untimed(bench_dir)
+    assert solved["generations"] == 15 and len(solved["rounds"]) == (3 if algo == "pga" else 0)
+
+
 def test_bench_seed_override(inst_dir, tmp_path, capsys):
     config = inst_dir / "mini.conf"
     config.write_text("instance eight.atsp\nalgos sga\nrepeats 2\npop-size 10\n"
@@ -289,6 +340,14 @@ def test_parse_suite_config_errors():
         parse_suite_config("instance a.atsp\nalgos sga annealing\n", Path("."))
     with pytest.raises(ValueError, match="on or off"):
         parse_suite_config("instance a.atsp\nstop-at-known-optimum yes\n", Path("."))
+    with pytest.raises(ValueError) as err:
+        parse_suite_config("instance a.atsp\nrepeats many\n", Path("."))
+    assert str(err.value) == "suite config line 2: repeats needs an integer, got 'many'"
+    with pytest.raises(ValueError) as err:
+        parse_suite_config("# probabilities\ninstance a.atsp\ncrossover-prob high\n", Path("."))
+    assert str(err.value) == "suite config line 3: crossover-prob needs a number, got 'high'"
+    with pytest.raises(ValueError, match="line 2: pga-generations needs an integer, got '1.5'"):
+        parse_suite_config("instance a.atsp\npga-generations 1.5\n", Path("."))
 
 
 def test_parse_suite_config_values():
@@ -299,7 +358,9 @@ def test_parse_suite_config_values():
             "repeats 3\n"
             "pop-size 25\n"
             "stop-at-known-optimum off\n"
-            "out-dir results\n")
+            "out-dir results\n"
+            "seed\t4\n"
+            "mutation-prob \t 0.05\n")
     cfg = parse_suite_config(text, Path("/base"))
     assert cfg["instances"] == [Path("/base/sub/a.atsp"), Path("/base/b.atsp")]
     assert cfg["algos"] == ["pga"]
@@ -307,6 +368,8 @@ def test_parse_suite_config_values():
     assert cfg["pop_size"] == 25
     assert cfg["stop_at_known_optimum"] is False
     assert cfg["out_dir"] == Path("/base/results")
+    assert cfg["seed"] == 4  # key and value split on any whitespace
+    assert cfg["mutation_prob"] == 0.05
     assert cfg["patience"] == 20  # untouched defaults survive
 
 

@@ -326,5 +326,14 @@ def test_a_keyword_right_after_the_weight_section_takes_effect():
 
 
 def test_a_numeric_line_after_the_last_node_is_a_count_error():
-    with pytest.raises(TokenCountError, match="unexpected numeric data outside a section"):
+    with pytest.raises(TokenCountError, match="unexpected numeric data outside a section") as err:
         parse_instance(euc_2d(2, "1 0 0", "2 3 4", "3 6 8"))
+    # the line is outside every section, so the error names none
+    assert err.value.keyword is None and err.value.line == 6
+
+
+def test_a_numeric_line_before_any_section_is_a_count_error():
+    with pytest.raises(TokenCountError, match="outside a section: '1 2 3'") as err:
+        parse_instance("NAME: stray\n1 2 3\n" + euc_2d(2, "1 0 0", "2 3 4"))
+    assert err.value.keyword is None and err.value.line == 2
+    assert str(err.value).endswith("(line 2)")
