@@ -10,8 +10,9 @@ process and through paired_bench.py's launcher, and writes the end-to-end
 metrics (every run's value and their median), each untraced run's median
 calibration-loop time, the per-layer metrics, the fingerprints, the machine,
 the commit with `git status --porcelain -- src` beside it (so a snapshot of
-uncommitted sources says so) and the `src/mrtsp` line counts, of all lines
-and of code lines, to the next free BENCH_<n>.json. Then prints both line totals, old and new, and every
+uncommitted sources says so), the `src/mrtsp` line counts, of all lines
+and of code lines, and the `scripts` code line counts to the next free
+BENCH_<n>.json. Then prints the three line totals, old and new, and every
 metric's ratio against the previous file, medians for end-to-end metrics,
 flagging those that got worse by more than their BENCHMARK.json bound, with
 each workload's old and new calibration time beside its ratios.
@@ -74,9 +75,10 @@ def code_lines(path: Path) -> int:
                if number not in docstrings and line.strip() and not line.lstrip().startswith("#"))
 
 
-def line_counts(count=lambda path: len(path.read_text().splitlines())) -> dict[str, int]:
-    """count(file) for every .py and .c file in src/mrtsp, and their total."""
-    src = ROOT / "src" / "mrtsp"
+def line_counts(count=lambda path: len(path.read_text().splitlines()),
+                directory: str = "src/mrtsp") -> dict[str, int]:
+    """count(file) for every .py and .c file in directory, and their total."""
+    src = ROOT / directory
     counts = {f.name: count(f) for f in sorted([*src.glob("*.py"), *src.glob("*.c")])}
     return {**counts, "total": sum(counts.values())}
 
@@ -91,7 +93,7 @@ def low_cpu_util(snapshot: dict) -> dict[str, float]:
 
 def compare(new: dict, old: dict) -> None:
     bounds = {m["name"]: (m["bound"], m["better"]) for m in SPEC["end_to_end"]}
-    for key in ("src_mrtsp_lines", "src_mrtsp_code_lines"):
+    for key in ("src_mrtsp_lines", "src_mrtsp_code_lines", "scripts_code_lines"):
         print(f"{key} total: {old.get(key, {}).get('total', 'not recorded')} -> "
               f"{new[key]['total']}")
     low = low_cpu_util(new)
@@ -123,7 +125,9 @@ def main(argv=None) -> int:
              if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
     snapshot = {"seed": args.seed, "seconds": args.seconds, "untraced_runs": UNTRACED_RUNS,
                 "notes": args.note, "workloads": {}, "src_mrtsp_lines": line_counts(),
-                "src_mrtsp_code_lines": line_counts(code_lines), "src_status": source_status()}
+                "src_mrtsp_code_lines": line_counts(code_lines),
+                "scripts_code_lines": line_counts(code_lines, "scripts"),
+                "src_status": source_status()}
     warm(ROOT)
     for workload in (w["name"] for w in SPEC["workloads"]):
         runs = [perfbench(ROOT, workload, args.seed, args.seconds)

@@ -7,11 +7,9 @@ SGA-vs-PGA benchmarks, 171 exists for larger CLI demos. Running this script
 again reproduces the files byte-for-byte.
 """
 
-import random
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -27,16 +25,7 @@ SPECS = [  # (name, n, seed)
 
 
 def build(name: str, n: int, seed: int) -> Instance:
-    if n <= 64:
-        base = random_instance(n, (1, 100), seed)
-        return Instance(name, n, np.array(base.distances))
-    rng = random.Random(seed)
-    mat = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                mat[i, j] = rng.randint(1, 100)
-    return Instance(name, n, mat)
+    return replace(random_instance(n, (1, 100), seed), name=name)
 
 
 def main():

@@ -3,9 +3,9 @@ query the exact solvers.
 
 `solve` runs the sequential or the island GA once and appends a JSON-lines
 report. `bench` runs an (instance x algorithm x seed) grid from a suite
-config, writing results.csv, summary.csv and a plot script that mirrors the
-accuracy and time comparisons the benchmarks exist for. `exact` prints an
-optimal tour and can pin it into the optima registry.
+config, writing reports.jsonl, results.csv, summary.csv and a plot script
+that mirrors the accuracy and time comparisons the benchmarks exist for.
+`exact` prints an optimal tour and can pin it into the optima registry.
 """
 
 from __future__ import annotations
@@ -111,9 +111,9 @@ SUITE_DEFAULTS = {
     "algos": ["sga", "pga"],
     "repeats": 10,
     "seed": 0,
-    "pop_size": 100,
-    "islands": 10,
-    "migration_interval": 50,
+    "pop_size": GaParams.population_size,
+    "islands": IslandParams.num_islands,
+    "migration_interval": IslandParams.migration_interval,
     "sga_generations": SGA_DEFAULT_GENERATIONS,
     "pga_generations": None,       # None = max(migration_interval, sga_generations // islands)
     "crossover_prob": None,
@@ -236,9 +236,17 @@ def cmd_bench(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     out_dir = Path(args.out_dir) if args.out_dir else Path(cfg["out_dir"] or "bench-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     instances = [load_instance(path) for path in cfg["instances"]]
+    # rows and cells are keyed by NAME, so two instances of one NAME would merge
+    named = {}
+    for path, inst in zip(cfg["instances"], instances):
+        if inst.name in named:
+            raise ValueError(f"instances {named[inst.name]} and {path} "
+                             f"are both named {inst.name!r}")
+        named[inst.name] = path
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "reports.jsonl").write_text("", encoding="utf-8")  # this bench's reports only
+
     rows = []
     cells: dict[tuple[str, int, str], list[RunReport]] = {}
     for inst, algo, repeat in itertools.product(instances, cfg["algos"],

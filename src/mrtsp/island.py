@@ -114,18 +114,19 @@ def decode_island(key: int, values: list[bytes],
     return genes, lengths
 
 
+@dataclass(frozen=True)
 class InitReducer:
     """Reduce task i emits a random_population keyed to island i."""
 
-    def __init__(self, instance: Instance, params: GaParams):
-        self.instance = instance
-        self.params = params
+    instance: Instance
+    params: GaParams
 
     def __call__(self, key, values, rng):
         return [Record(key, encode_chromosome(genes, length, key))
                 for genes, length in zip(*random_population(self.instance, self.params, rng))]
 
 
+@dataclass(frozen=True)
 class EvolveReducer:
     """Reduce task i: absorb migrants, evolve, emit residents plus its best
     re-keyed to every other island.
@@ -140,21 +141,13 @@ class EvolveReducer:
     zipped on here; when it declines its inputs, the reference path below
     runs.
 
-    Reducers of one instance object and equal params compare equal, so that
-    an engine's pool serves every round that evolves the same run.
+    Reducers of one instance object and equal params compare equal (Instance
+    compares by identity), so that an engine's pool serves every round that
+    evolves the same run.
     """
 
-    def __init__(self, instance: Instance, params: IslandParams):
-        self.instance = instance
-        self.params = params
-
-    def __eq__(self, other):
-        if not isinstance(other, EvolveReducer):
-            return NotImplemented
-        return self.instance is other.instance and self.params == other.params
-
-    def __hash__(self):
-        return hash((id(self.instance), self.params))
+    instance: Instance
+    params: IslandParams
 
     def __call__(self, key, values, rng):
         params, ga_params = self.params, self.params.ga

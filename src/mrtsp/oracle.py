@@ -48,7 +48,7 @@ def brute_force(instance: Instance) -> ExactResult:
         raise ValueError(f"brute_force handles N <= {BRUTE_FORCE_MAX}, got {n}")
     d = _float_matrix(instance)
     if n == 2:
-        return ExactResult(_scalar(d[0, 1] + d[1, 0], d), (0, 1))
+        return ExactResult(_scalar(d[0, 1] + d[1, 0]), (0, 1))
     best, tour = None, ()
     for first in range(1, n):  # blocks in lexicographic order; a tie keeps the earlier
         rest = [c for c in range(1, n) if c != first]
@@ -61,7 +61,7 @@ def brute_force(instance: Instance) -> ExactResult:
         i = int(np.argmin(cost))  # argmin takes the first minimum; perms are lexicographic
         if not tour or cost[i] < best:
             best, tour = cost[i], (0, first, *map(int, perms[i]))
-    return ExactResult(optimum_length=_scalar(best, d), optimum_tour=tour)
+    return ExactResult(optimum_length=_scalar(best), optimum_tour=tour)
 
 
 def held_karp(instance: Instance) -> ExactResult:
@@ -86,7 +86,7 @@ def held_karp(instance: Instance) -> ExactResult:
     if not math.isfinite(length):
         raise NonFiniteOptimumError(f"{instance.name}: the optimum is not finite ({length}), "
                                     "so held_karp has no tour to return")
-    return ExactResult(optimum_length=_scalar(length, d), optimum_tour=tour)
+    return ExactResult(optimum_length=_scalar(length), optimum_tour=tour)
 
 
 def _numpy_held_karp(d: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -133,8 +133,6 @@ def _float_matrix(instance: Instance) -> np.ndarray:
     return np.asarray(instance.distances, dtype=np.float64)
 
 
-def _scalar(value: float, matrix: np.ndarray) -> float:
-    # keep integer-weighted results as exact ints
-    if np.issubdtype(np.asarray(matrix).dtype, np.integer) or float(value).is_integer():
-        return int(value)
-    return float(value)
+def _scalar(value: float) -> float:
+    # keep integral results, as every integer-weighted one is, as exact ints
+    return int(value) if float(value).is_integer() else float(value)

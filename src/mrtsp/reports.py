@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -30,23 +30,10 @@ class RunReport:
                 f"stop={self.stop_reason} wall={self.wall_seconds:.2f}s")
 
     def to_json_line(self) -> str:
-        obj = {
-            "algo": self.algo,
-            "instance": self.instance_name,
-            "seed": self.seed,
-            "params": self.params,
-            "best_length": self.best_length,
-            "best_tour": list(self.best_tour),
-            "trajectory": self.trajectory,
-            "generations": self.generations,
-            "wall_seconds": self.wall_seconds,
-            "stop_reason": self.stop_reason,
-            "accuracy": self.accuracy,
-            "rounds": [{"round": r.round, "best_length": r.best_length,
-                        "island_bests": r.island_bests, "generations": r.generations,
-                        "wall_seconds": r.wall_seconds, "pooled": r.pooled}
-                       for r in self.rounds],
-        }
+        obj = asdict(self)
+        obj["instance"] = obj.pop("instance_name")
+        for summary in obj["rounds"]:
+            del summary["best_tour"]  # the run's best_tour is above
         return json.dumps(obj, sort_keys=True)
 
 

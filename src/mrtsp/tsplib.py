@@ -294,15 +294,13 @@ def format_instance(instance: Instance) -> str:
         "EDGE_WEIGHT_SECTION",
     ]
     for row in instance.distances:
-        out.append(" ".join(repr(v) if isinstance(v, float) else str(v) for v in row.tolist()))
+        out.append(" ".join(map(str, row.tolist())))
     out.append("EOF")
     return "\n".join(out) + "\n"
 
 
 def random_instance(n: int, weight_range: tuple[int, int], seed: int) -> Instance:
     """Seeded random asymmetric instance; off-diagonal weights drawn uniformly."""
-    if not 2 <= n <= 64:
-        raise ValueError(f"n must be in [2, 64], got {n}")
     lo, hi = weight_range
     if lo < 0 or hi < lo:
         raise ValueError(f"weight range must be a non-empty range of non-negative ints, got {weight_range}")
@@ -336,17 +334,11 @@ def save_registry(registry: dict[str, float], path: Path | str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_instance(path: Path | str, registry_path: Path | str | None = None) -> Instance:
-    """Parse an instance file; fill known_optimum from a registry when available.
-
-    With no explicit registry path, an optima.txt next to the instance file is
-    used if present.
-    """
+def load_instance(path: Path | str) -> Instance:
+    """Parse an instance file; fill known_optimum from an optima.txt beside it, if present."""
     path = Path(path)
     instance = parse_instance(path.read_text())
-    if registry_path is None:
-        candidate = path.parent / "optima.txt"
-        registry_path = candidate if candidate.exists() else None
-    registry = load_registry(registry_path) if registry_path is not None else {}
+    registry_path = path.parent / "optima.txt"
+    registry = load_registry(registry_path) if registry_path.exists() else {}
     name = instance.name or path.stem
     return replace(instance, name=name, known_optimum=registry.get(name))

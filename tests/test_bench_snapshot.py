@@ -1,7 +1,7 @@
 """scripts/bench_snapshot.py refuses to write a snapshot taken while a pga
-workload could not use both cores, counts code lines beside all lines,
-builds the kernel before its first timed run, and records which sources
-differ from the commit."""
+workload could not use both cores, counts code lines beside all lines and
+the scripts' code lines, builds the kernel before its first timed run, and
+records which sources differ from the commit."""
 
 import importlib.util
 import json
@@ -94,6 +94,8 @@ def test_snapshot_counts_code_lines_beside_all_lines(script, tmp_path, monkeypat
     src.mkdir(parents=True)
     (src / "m.py").write_text(PY_FILE)
     (src / "k.c").write_text(C_FILE)
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "s.py").write_text(PY_FILE)
     assert script.line_counts() == {"k.c": 10, "m.py": 18, "total": 28}
     # m.py: import, def, text = (2 lines), return, class, y; k.c: #include, the
     # signature, both braces and the return
@@ -101,13 +103,17 @@ def test_snapshot_counts_code_lines_beside_all_lines(script, tmp_path, monkeypat
     monkeypatch.setattr(script, "perfbench", fake_perfbench({}))
     assert script.main([]) == 0
     (src / "k.c").write_text(C_FILE + "int g;\n")
+    (tmp_path / "scripts" / "s.py").write_text(PY_FILE + "z = 2\n")
     assert script.main([]) == 0
     snapshot = json.loads((tmp_path / "BENCH_2.json").read_text())
     assert snapshot["src_mrtsp_code_lines"] == {"k.c": 6, "m.py": 7, "total": 13}
+    assert snapshot["scripts_code_lines"] == {"s.py": 8, "total": 8}
     out = capsys.readouterr().out
     assert "src_mrtsp_lines total: not recorded -> 28" in out
     assert "src_mrtsp_lines total: 28 -> 29" in out
     assert "src_mrtsp_code_lines total: 12 -> 13" in out
+    assert "scripts_code_lines total: not recorded -> 7" in out
+    assert "scripts_code_lines total: 7 -> 8" in out
 
 
 def test_snapshot_builds_the_kernel_before_the_first_timed_run(script, monkeypatch, capsys):

@@ -3,6 +3,7 @@ import json
 import statistics
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,47 @@ def test_bench_failed_cells_are_rows_not_crashes(inst_dir, tmp_path, capsys):
     assert summary[("rand8s5", "sga")]["runs"] == "2"
     assert summary[("rand8s5", "pga")]["runs"] == "0"
     assert summary[("rand8s5", "pga")]["mean_best"] == ""
+
+
+def test_a_second_bench_into_one_dir_keeps_only_its_own_reports(inst_dir, tmp_path, capsys):
+    first, second = inst_dir / "first.conf", inst_dir / "second.conf"
+    first.write_text("instance ten.atsp\nalgos sga\nrepeats 3\npop-size 10\n"
+                     "sga-generations 5\nstop-at-known-optimum off\n")
+    # every pga cell fails: its budget is below the migration interval
+    second.write_text("instance eight.atsp\nalgos sga pga\nrepeats 2\npop-size 10\n"
+                      "sga-generations 5\npga-generations 3\nmigration-interval 5\n"
+                      "stop-at-known-optimum off\n")
+    out_dir = tmp_path / "out"
+    assert main(["bench", "--config", str(first), "--out-dir", str(out_dir)]) == 0
+    assert main(["bench", "--config", str(second), "--out-dir", str(out_dir),
+                 "--seed", "100"]) == 1
+    capsys.readouterr()
+    reports = [json.loads(line) for line in (out_dir / "reports.jsonl").read_text().splitlines()]
+    done = [r for r in read_rows(out_dir / "results.csv") if r["error"] == ""]
+    assert len(done) == 2
+    assert [(r["instance"], r["algo"], r["seed"], r["best"]) for r in done] == \
+        [(r["instance"], r["algo"], str(r["seed"]), str(r["best_length"])) for r in reports]
+
+
+def test_bench_rejects_two_instances_of_one_name(tmp_path, capsys):
+    for stem, seed in (("one", 1), ("two", 2)):
+        (tmp_path / f"{stem}.atsp").write_text(format_instance(
+            replace(random_instance(8, (1, 100), seed=seed), name="same")))
+    config = tmp_path / "twins.conf"
+    config.write_text("instance one.atsp\ninstance two.atsp\nalgos sga\nrepeats 2\n"
+                      "pop-size 10\nsga-generations 5\n")
+    out_dir = tmp_path / "out"
+    assert main(["bench", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(tmp_path / "one.atsp") in captured.err and str(tmp_path / "two.atsp") in captured.err
+    assert "'same'" in captured.err
+    assert not out_dir.exists()
+    # one file listed twice would merge its rows the same way
+    config.write_text("instance one.atsp\ninstance one.atsp\nalgos sga\n")
+    assert main(["bench", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+    assert "are both named 'same'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_bench_rejects_bad_config(inst_dir, tmp_path, capsys):

@@ -624,6 +624,11 @@ def test_evolve_reducers_compare_equal_by_instance_object_and_params():
     assert reducer != EvolveReducer(pickle.loads(pickle.dumps(INST10)), SMALL)
     assert reducer != EvolveReducer(INST10, dataclasses.replace(SMALL, num_islands=5))
     assert reducer != island_module.InitReducer(INST10, SMALL.ga)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        reducer.params = dataclasses.replace(SMALL, num_islands=5)
+    init = island_module.InitReducer(INST10, SMALL.ga)
+    assert init == island_module.InitReducer(INST10, dataclasses.replace(SMALL.ga))
+    assert hash(init) == hash(island_module.InitReducer(INST10, dataclasses.replace(SMALL.ga)))
 
 
 def test_evolve_job_rounds_share_one_pool(pools):

@@ -2,6 +2,7 @@ import io
 import math
 import pickle
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -234,10 +235,18 @@ def test_random_instance_determinism():
     assert not np.array_equal(a.distances, c.distances)
 
 
-@pytest.mark.parametrize("n", [1, 65])
+@pytest.mark.parametrize("n", [1])
 def test_random_instance_bounds(n):
     with pytest.raises(ValueError):
         random_instance(n, (1, 10), seed=0)
+
+
+@pytest.mark.parametrize("n", [53, 64, 171])
+def test_shipped_rnd_instances_are_random_instance_output(n):
+    # scripts/make_instances.py draws every shipped rnd file this way
+    name = f"rnd{n:03d}"
+    built = replace(random_instance(n, (1, 100), n), name=name)
+    assert format_instance(built) == (INSTANCE_DIR / f"{name}.atsp").read_text()
 
 
 def test_random_instance_bad_range():
