@@ -20,13 +20,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .codec import CodecError
 from .engine import EngineError, StoreError
 from .ga import GaParams, TerminationPolicy, run_sga
 from .island import IslandParams, run_pga
 from .oracle import held_karp
 from .reports import RunReport
-from .tsplib import Instance, ParseError, load_instance, load_registry, save_registry
+from .tsplib import Instance, load_instance, load_registry, save_registry
 
 SGA_DEFAULT_GENERATIONS = 10_000
 
@@ -279,8 +278,7 @@ def cmd_exact(args) -> int:
     print(f"{instance.name}: optimum {result.optimum_length}")
     print("tour: " + " ".join(str(c) for c in result.optimum_tour))
     if args.write_registry:
-        registry_path = (Path(args.registry) if args.registry
-                         else Path(args.instance).with_name("optima.txt"))
+        registry_path = Path(args.instance).with_name("optima.txt")
         registry = load_registry(registry_path) if registry_path.exists() else {}
         registry[instance.name] = result.optimum_length
         save_registry(registry, registry_path)
@@ -311,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     exact.add_argument("--instance", required=True)
     exact.add_argument("--write-registry", action="store_true",
                        help="record the optimum in the instance's optima registry")
-    exact.add_argument("--registry", help="registry path (default optima.txt beside the instance)")
     exact.set_defaults(func=cmd_exact)
     return parser
 
@@ -320,7 +317,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, CodecError, EngineError, StoreError, ValueError, OSError) as exc:
+    except (EngineError, StoreError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -338,7 +338,7 @@ class ForkPool:
 
     def __init__(self, workers: int, reducer: Reducer):
         context = multiprocessing.get_context("fork")
-        self.reducer = reducer  # held: no later object can take its address
+        self.reducer = reducer  # a later job's reducer is compared to it for reuse
         self._workers = []
         try:
             for _ in range(workers):

@@ -237,13 +237,6 @@ def _scan_set(store, name: str, islands: int) -> tuple[list[list[Record]], list[
     return parts, [length for length, _ in bests], min(bests, key=lambda b: b[0])[1]
 
 
-def _pool_if_it_pays(engine: Engine, workers: int, rounds_left: int, round_s: float):
-    """Raise an unpooled engine to `workers` when rounds_left rounds of round_s
-    seconds each reach POOL_BREAK_EVEN_S. A pooled engine stays pooled."""
-    if engine.workers < workers and rounds_left * round_s >= POOL_BREAK_EVEN_S:
-        engine.workers = workers
-
-
 def format_population_dump(parts: list[list[Record]], n: int) -> str:
     """One resident per line: pop_id, tour length, then the city sequence.
     Every resident must hold a tour of n cities."""
@@ -299,7 +292,9 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
         reason = None
         while reason is None:
             round_number = len(rounds) + 1
-            _pool_if_it_pays(engine, workers, budget_rounds - len(rounds), round_s)
+            rounds_left = budget_rounds - len(rounds)
+            if engine.workers < workers and rounds_left * round_s >= POOL_BREAK_EVEN_S:
+                engine.workers = workers  # a pooled engine stays pooled
             round_start = time.perf_counter()
             handle = evolve_job(engine, handle, instance, params, round_number, master_seed,
                                 parts)

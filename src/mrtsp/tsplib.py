@@ -20,7 +20,6 @@ import math
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO
 
 import numpy as np
 
@@ -129,7 +128,7 @@ def _numeric(token: str) -> float | None:
 _SECTION_TYPES = {"EDGE_WEIGHT_SECTION": "EXPLICIT", "NODE_COORD_SECTION": "EUC_2D"}
 
 
-def parse_instance(source: str | IO[str]) -> Instance:
+def parse_instance(text: str) -> Instance:
     """Parse TSPLIB text into an Instance.
 
     Accepts EDGE_WEIGHT_TYPE EXPLICIT (EDGE_WEIGHT_FORMAT FULL_MATRIX, tokens
@@ -143,7 +142,6 @@ def parse_instance(source: str | IO[str]) -> Instance:
     matrix: np.ndarray | None = None
     coords: list[tuple[float, float]] | None = None
     section: str | None = None  # the keyword of the section whose data lines may follow
-    text = source if isinstance(source, str) else source.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
@@ -212,10 +210,9 @@ def parse_instance(source: str | IO[str]) -> Instance:
     if ew_type is None:
         raise MissingKeywordError("missing EDGE_WEIGHT_TYPE", keyword="EDGE_WEIGHT_TYPE")
     if matrix is None and coords is None:
-        if ew_type == "EXPLICIT":
-            raise MissingKeywordError("missing EDGE_WEIGHT_SECTION", keyword="EDGE_WEIGHT_SECTION")
-        if ew_type == "EUC_2D":
-            raise MissingKeywordError("missing NODE_COORD_SECTION", keyword="NODE_COORD_SECTION")
+        for key, required in _SECTION_TYPES.items():
+            if ew_type == required:
+                raise MissingKeywordError(f"missing {key}", keyword=key)
         raise UnsupportedFormatError(f"unsupported EDGE_WEIGHT_TYPE {ew_type!r}",
                                      keyword="EDGE_WEIGHT_TYPE")
     if coords is not None:

@@ -423,10 +423,11 @@ def test_exact_three_city(inst_dir, capsys):
     assert "tour: 0 1 2" in out
 
 
-def test_exact_write_registry_idempotent(inst_dir, capsys):
-    registry = inst_dir / "toy3-optima.txt"
-    argv = ["exact", "--instance", str(inst_dir / "toy3.atsp"),
-            "--write-registry", "--registry", str(registry)]
+def test_exact_write_registry_idempotent(tmp_path, capsys):
+    # a copy of its own: the module's inst_dir must not gain an optima.txt
+    (tmp_path / "toy3.atsp").write_text(THREE_CITY_TEXT)
+    registry = tmp_path / "optima.txt"
+    argv = ["exact", "--instance", str(tmp_path / "toy3.atsp"), "--write-registry"]
     assert main(argv) == 0
     first = registry.read_text()
     assert main(argv) == 0
@@ -462,8 +463,7 @@ def test_exact_reports_an_optimum_that_is_not_finite(tmp_path, capsys, monkeypat
     monkeypatch.setattr(cli, "load_instance",
                         lambda path: Instance("huge6", 6, np.full((6, 6), 1e308)))
     with np.errstate(over="ignore"):
-        rc = main(["exact", "--instance", "huge6.atsp", "--write-registry",
-                   "--registry", str(tmp_path / "optima.txt")])
+        rc = main(["exact", "--instance", str(tmp_path / "huge6.atsp"), "--write-registry"])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: huge6: the optimum is not finite (inf)")

@@ -298,6 +298,20 @@ def test_dead_worker_fails_the_job_and_leaves_no_process():
     assert multiprocessing.active_children() == []
 
 
+def test_a_worker_that_died_between_phases_fails_the_next_send():
+    with deadline(30):
+        pool = ForkPool(1, passthrough_reducer)
+        try:
+            _, proc = pool._workers[0]
+            proc.kill()
+            proc.join()
+            with pytest.raises(EngineError, match="^job 7 reduce phase: worker 0 is gone: "):
+                pool.run([(0, [b""])], 0, "job 7 reduce phase")
+        finally:
+            pool.shutdown()
+    assert multiprocessing.active_children() == []
+
+
 def test_pool_forks_again_for_another_reducer_object(monkeypatch):
     pickled, pools = [], []
 
@@ -609,6 +623,13 @@ def test_write_packed_seals_framed_parts_as_given():
     assert twin.read_parts("x") == parts
     with pytest.raises(StoreError, match="sealed"):
         twin.write_packed("x", [b""])
+
+
+def test_a_part_shorter_than_a_record_header_is_a_store_error():
+    store = MemoryStore()
+    store.write_packed("x", [b"\0\0\0"])
+    with pytest.raises(StoreError, match="^truncated record header$"):
+        store.read_parts("x")
 
 
 def test_partitioner_out_of_range_rejected():

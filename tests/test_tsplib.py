@@ -1,4 +1,3 @@
-import io
 import math
 import pickle
 import random
@@ -34,11 +33,6 @@ def test_parse_three_city_full_matrix():
     assert inst.dimension == 3
     assert inst.rows == [[0, 1, 2], [2, 0, 3], [4, 5, 0]]
     assert inst.distances.dtype == np.int64
-
-
-def test_parse_accepts_stream():
-    inst = parse_instance(io.StringIO(THREE_CITY))
-    assert inst.dimension == 3
 
 
 def test_parse_euc_2d_three_four_five():
@@ -176,6 +170,8 @@ def euc_2d(dimension, *nodes):
     (euc_2d(2, "1 0 0", "2 1e30 0"), TokenValueError, "EUC_2D distance"),
     (euc_2d(2, "1 -1e308 0", "2 1e308 0"), TokenValueError, "EUC_2D distance inf"),
     (euc_2d(2, "1 0 0", "2 inf 0"), TokenValueError, "non-finite coordinate"),
+    (euc_2d(2, "1 0 x", "2 3 4"), TokenValueError,
+     "non-numeric token in NODE_COORD_SECTION: '1 0 x' \\(keyword NODE_COORD_SECTION, line 4\\)$"),
     (euc_2d(2, "nan 0 0", "2 1 0"), TokenValueError, "bad node index"),
     (euc_2d(2, "1 0 0", "inf 1 0"), TokenValueError, "bad node index"),
 ])
@@ -346,3 +342,34 @@ def test_a_numeric_line_before_any_section_is_a_count_error():
         parse_instance("NAME: stray\n1 2 3\n" + euc_2d(2, "1 0 0", "2 3 4"))
     assert err.value.keyword is None and err.value.line == 2
     assert str(err.value).endswith("(line 2)")
+
+
+def test_a_weight_section_may_end_the_file_without_eof():
+    weights = "DIMENSION: 2\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_SECTION\n0 7\n"
+    assert parse_instance(f"{weights}9 0\n").rows == [[0, 7], [9, 0]]
+    with pytest.raises(TokenCountError) as err:
+        parse_instance(f"{weights}9\n")
+    # the error names the file's last line, where the short section ended
+    assert str(err.value) == ("EDGE_WEIGHT_SECTION ended after 3 tokens, expected 4 "
+                              "(keyword EDGE_WEIGHT_SECTION, line 5)")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("DIMENSION: 2\nEOF\n", MissingKeywordError,
+     "missing EDGE_WEIGHT_TYPE (keyword EDGE_WEIGHT_TYPE)"),
+    ("DIMENSION: 2\nEDGE_WEIGHT_TYPE: EXPLICIT\nEOF\n", MissingKeywordError,
+     "missing EDGE_WEIGHT_SECTION (keyword EDGE_WEIGHT_SECTION)"),
+    ("DIMENSION: 2\nEDGE_WEIGHT_TYPE: EUC_2D\nEOF\n", MissingKeywordError,
+     "missing NODE_COORD_SECTION (keyword NODE_COORD_SECTION)"),
+    ("DIMENSION: 2\nEDGE_WEIGHT_TYPE: GEO\nEOF\n", UnsupportedFormatError,
+     "unsupported EDGE_WEIGHT_TYPE 'GEO' (keyword EDGE_WEIGHT_TYPE)"),
+], ids=["no-type", "no-weight-section", "no-coord-section", "geo"])
+def test_a_missing_section_or_type_is_named(text, error, message):
+    with pytest.raises(error) as err:
+        parse_instance(text)
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_instance_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="non-finite"):
+        Instance("bad", 2, np.array([[0, math.inf], [1, 0]]))
