@@ -4,20 +4,22 @@
     python3 scripts/paired_bench.py --workload pga-n171-disk --workload exact-n15 \\
         --pairs 10 --seconds 20 --seed 28001 --base HEAD
 
-Exports the base revision's `src/`, `perfbench/` and `BENCHMARK.json` with
-`git archive` into a temporary directory and imports `mrtsp.ga` once in each
-tree, so that the kernel is compiled before any timed run and the compiler's
-RSS counts in neither. Then, for each `--workload` in turn (the option
-repeats), runs each tree's `perfbench/run.py --trace 0` for `--pairs` pairs
-in ABBA order: base first in even pairs, the working tree first in odd ones,
-pair k on seed `--seed` + k for both trees. Prints, in one block per
-workload, every pair's `run_s` and, for each end-to-end metric of
-BENCHMARK.json, the base and change medians, the base's quartiles, the ratio
-base / change and in how many pairs the change read lower, flagging WORSE
-THAN BOUND where the change median is worse than the base median by more
-than the metric's bound, as a share of the base median. Exits 1 when any
-metric is flagged, and at once when a run reports a failed check or the two
-trees' fingerprints differ on a seed.
+Copies the working tree's `src/`, `perfbench/` and `BENCHMARK.json`, less
+`__pycache__` and `.perfbench-tmp`, into one directory under a temporary
+directory and exports the base revision's with `git archive` into another,
+so that both sides run from fresh copies in the same place and the working
+tree itself never runs. Imports `mrtsp.ga` once in each copy, so that the
+kernel is compiled before any timed run and the compiler's RSS counts in
+neither. Then, for each `--workload` in turn (the option repeats), runs each
+copy's `perfbench/run.py --trace 0` for `--pairs` pairs in ABBA order: base
+first in even pairs, the change first in odd ones, pair k on seed `--seed` +
+k for both. Prints, in one block per workload, every pair's `run_s` and, for
+each end-to-end metric of BENCHMARK.json, the base and change medians, the
+base's quartiles, the ratio base / change and in how many pairs the change
+read lower, flagging WORSE THAN BOUND where the change median is worse than
+the base median by more than the metric's bound, as a share of the base
+median. Exits 1 when any metric is flagged, and at once when a run reports a
+failed check or the two trees' fingerprints differ on a seed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import io
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -74,6 +77,19 @@ def export(revision: str, into: Path) -> Path:
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
+    return into
+
+
+def snapshot(into: Path) -> Path:
+    """The working tree's EXPORTED paths, copied under into without the
+    caches and scratch files that running them leaves."""
+    skip = shutil.ignore_patterns("__pycache__", ".perfbench-tmp")
+    into.mkdir(parents=True)
+    for name in EXPORTED:
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, into / name, ignore=skip)
+        else:
+            shutil.copy2(ROOT / name, into / name)
     return into
 
 
@@ -146,12 +162,12 @@ def main(argv=None) -> int:
     bounds = {m["name"]: (m["bound"], m["better"]) for m in spec}
     flagged = False
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
-        base = export(args.base, Path(tmp))
-        for tree in (base, ROOT):
+        base, change = export(args.base, Path(tmp) / "base"), snapshot(Path(tmp) / "change")
+        for tree in (base, change):
             warm(tree)
         for workload in args.workload:
             print(f"== {workload}", flush=True)
-            results = run_pairs(base, ROOT, workload, args.seed, args.pairs, args.seconds,
+            results = run_pairs(base, change, workload, args.seed, args.pairs, args.seconds,
                                 perfbench)
             if isinstance(results, str):
                 print(f"{workload}: {results}", file=sys.stderr)

@@ -21,13 +21,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .engine import EngineError, StoreError
-from .ga import GaParams, TerminationPolicy, run_sga
+from .ga import SGA_DEFAULT_GENERATIONS, GaParams, run_sga
 from .island import IslandParams, run_pga
 from .oracle import held_karp
 from .reports import RunReport
 from .tsplib import Instance, load_instance, load_registry, save_registry
-
-SGA_DEFAULT_GENERATIONS = 10_000
 
 
 def _add_shared_flags(sub: argparse.ArgumentParser):
@@ -59,6 +57,8 @@ def _add_shared_flags(sub: argparse.ArgumentParser):
 # command-line flag -> GaParams field
 _GA_FIELDS = {"pop_size": "population_size", "crossover_prob": "crossover_prob",
               "mutation_prob": "mutation_prob", "similarity_threshold": "similarity_threshold"}
+# command-line flag -> run_sga keyword
+_SGA_FIELDS = {flag: flag for flag in ("max_generations", "patience", "target_length")}
 # command-line flag -> IslandParams field
 _PGA_FIELDS = {"islands": "num_islands", "migration_interval": "migration_interval",
                "max_generations": "max_total_generations",
@@ -76,11 +76,7 @@ def _run(instance: Instance, algo: str, settings: dict, seed: int, workers: int 
     each that is None takes its default; workers and dump_path apply to pga."""
     ga = replace(GaParams(), **_given(settings, _GA_FIELDS))
     if algo == "sga":
-        budget = settings["max_generations"]
-        termination = TerminationPolicy(target_length=settings["target_length"],
-                                        patience=settings["patience"])
-        return run_sga(instance, ga, SGA_DEFAULT_GENERATIONS if budget is None else budget,
-                       termination, seed=seed)
+        return run_sga(instance, ga, seed=seed, **_given(settings, _SGA_FIELDS))
     params = replace(IslandParams(ga=ga), **_given(settings, _PGA_FIELDS))
     return run_pga(instance, params, master_seed=seed, workers=workers, dump_path=dump_path)
 

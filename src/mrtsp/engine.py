@@ -412,8 +412,10 @@ class Engine(AbstractContextManager):
 
     def __init__(self, store, workers: int = 1, max_task_retries: int = 2,
                  task_observer: Callable[[dict], None] | None = None):
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.store = store
-        self.workers = max(1, workers)
+        self.workers = workers
         self.max_task_retries = max(0, max_task_retries)
         self.task_observer = task_observer
         self._pool: ForkPool | None = None

@@ -258,22 +258,11 @@ def random_population(instance: Instance, params: GaParams,
     return genes, [tour_length(tour, instance) for tour in genes]
 
 
-@dataclass(frozen=True)
-class TerminationPolicy:
-    """Optional early-stop rules shared by the sequential and island GAs."""
-
-    target_length: float | None = None
-    patience: int | None = None
-
-    def __post_init__(self):
-        if self.patience is not None and self.patience < 0:
-            raise ValueError("patience must be >= 0 or None")
-        check_target(self.target_length)
-
-
-def check_target(target_length) -> None:
-    """Raise ValueError for a NaN target_length: no best is <= NaN, so such
-    a target would never stop a run."""
+def check_stops(patience, target_length, patience_name="patience") -> None:
+    """Raise ValueError for a negative patience, or for a NaN target_length:
+    no best is <= NaN, so such a target would never stop a run."""
+    if patience is not None and patience < 0:
+        raise ValueError(f"{patience_name} must be >= 0 or None")
     if target_length is not None and target_length != target_length:
         raise ValueError(f"target_length must be a number, got {target_length}")
 
@@ -319,27 +308,34 @@ def evolve(genes: list, lengths: list, instance: Instance, rng: random.Random, p
     return genes, lengths, history[1:]
 
 
-def run_sga(instance: Instance, params: GaParams, max_generations: int,
-            termination: TerminationPolicy | None = None, seed: int = 0) -> RunReport:
-    """Sequential GA: random initial population, then evolve until the
-    budget or the termination policy ends the run."""
+# run_sga's generation budget when none is given; IslandParams holds pga's
+SGA_DEFAULT_GENERATIONS = 10_000
+
+
+def run_sga(instance: Instance, params: GaParams,
+            max_generations: int = SGA_DEFAULT_GENERATIONS, seed: int = 0, *,
+            patience: int | None = None, target_length: float | None = None) -> RunReport:
+    """Sequential GA: random initial population, then evolve until
+    stop_reason ends the run: the max_generations budget is spent, the last
+    `patience` recorded bests are equal (None or 0 disables this), or the
+    best is at or below target_length."""
+    check_stops(patience, target_length)
     if max_generations < 1:
         raise ValueError(f"max_generations must be >= 1, got {max_generations}")
-    term = termination or TerminationPolicy()
     rng = random.Random(seed)
     t0 = time.perf_counter()
 
     genes, lengths = random_population(instance, params, rng)
     trajectory = [min(lengths)]
     genes, lengths, bests = evolve(genes, lengths, instance, rng, params, max_generations,
-                                   term.patience, term.target_length)
+                                   patience, target_length)
     trajectory += bests
-    reason = stop_reason(trajectory, len(bests), max_generations, term.patience, term.target_length)
+    reason = stop_reason(trajectory, len(bests), max_generations, patience, target_length)
 
     best = min(range(len(lengths)), key=lengths.__getitem__)
     snapshot = asdict(params)
-    snapshot.update(max_generations=max_generations,
-                    target_length=term.target_length, patience=term.patience)
+    snapshot.update(max_generations=max_generations, target_length=target_length,
+                    patience=patience)
     return RunReport(
         algo="sga",
         instance_name=instance.name,

@@ -22,13 +22,12 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 from . import ga
 from .codec import MAX_LENGTH, decode_chromosome, encode_chromosome, peek_length
 from .engine import (Engine, EngineError, JobSpec, MemoryStore, Record,
                      default_partition, identity_mapper)
-from .ga import GaParams, check_target, evolve, random_population, shortest, stop_reason
+from .ga import GaParams, check_stops, evolve, random_population, shortest, stop_reason
 from .reports import RunReport, accuracy_percent
 from .tsplib import Instance
 
@@ -74,9 +73,7 @@ class IslandParams:
         if self.max_total_generations < self.migration_interval:
             raise ValueError("max_total_generations must cover at least one round "
                              f"({self.max_total_generations} < {self.migration_interval})")
-        if self.convergence_patience is not None and self.convergence_patience < 0:
-            raise ValueError("convergence_patience must be >= 0 or None")
-        check_target(self.target_length)
+        check_stops(self.convergence_patience, self.target_length, "convergence_patience")
 
 
 @dataclass(frozen=True)
@@ -202,17 +199,6 @@ def evolve_job(engine: Engine, input_handle: str, instance: Instance,
                           parts)
 
 
-def check_convergence(history: Sequence[RoundSummary], params: IslandParams) -> str | None:
-    """Stop reason after the latest round ("budget", "stagnation", "target"),
-    or None to continue. Stagnation means the global best was identical over
-    the last convergence_patience rounds; patience None or 0 disables it."""
-    if not history:
-        raise ValueError("history must not be empty")
-    bests = [summary.best_length for summary in history]
-    return stop_reason(bests, history[-1].generations, params.max_total_generations,
-                       params.convergence_patience, params.target_length)
-
-
 def _scan_set(store, name: str, islands: int) -> tuple[list[list[Record]], list[int], Record]:
     """Read and check an island record set: one part per island, every key
     an island, and a resident (a record keyed to its own part) on every
@@ -279,6 +265,8 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
         raise TourLengthOverflowError(
             f"{instance.name}: a tour can weigh up to {instance.max_tour_length}, past "
             "the record's 64-bit tour length field")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     params = params if params is not None else IslandParams()
     start = time.perf_counter()
     store = store if store is not None else MemoryStore()
@@ -312,7 +300,9 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
                 pooled=engine.workers > 1,
             ))
             trajectory.append(rounds[-1].best_length)
-            reason = check_convergence(rounds, params)
+            reason = stop_reason(trajectory[1:], rounds[-1].generations,
+                                 params.max_total_generations, params.convergence_patience,
+                                 params.target_length)
 
     if dump_path is not None:
         Path(dump_path).write_text(format_population_dump(parts, instance.dimension))
@@ -322,7 +312,7 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
         algo="pga",
         instance_name=instance.name,
         seed=master_seed,
-        params={**asdict(params), "workers": max(1, workers)},
+        params={**asdict(params), "workers": workers},
         best_length=final.best_length,
         best_tour=final.best_tour,
         trajectory=trajectory,

@@ -19,8 +19,7 @@ import pytest
 from mrtsp.codec import (CodecError, DuplicateGeneError, GeneRangeError,
                          decode_chromosome, encode_chromosome)
 from mrtsp.engine import Engine, JobSpec, MemoryStore, Record, default_partition, identity_mapper
-from mrtsp.ga import (GaParams, Ranking, TerminationPolicy, mutate, run_sga,
-                      tour_length)
+from mrtsp.ga import GaParams, Ranking, mutate, run_sga, tour_length
 from mrtsp.island import IslandParams, evolve_job, init_job, run_pga
 from mrtsp.oracle import brute_force, held_karp
 from mrtsp.tsplib import load_instance, parse_instance, random_instance
@@ -59,8 +58,8 @@ def test_criterion_02_sga_small_instance_optimality():
     for seed in range(10):
         inst = random_instance(8, (1, 100), seed=seed)
         optimum = held_karp(inst).optimum_length
-        report = run_sga(inst, GaParams(population_size=100), 500,
-                         TerminationPolicy(target_length=optimum), seed=seed)
+        report = run_sga(inst, GaParams(population_size=100), 500, seed=seed,
+                         target_length=optimum)
         hits += report.best_length == optimum
         TRAJECTORIES.append((f"c2-sga-seed{seed}", report.trajectory))
     elapsed = time.perf_counter() - t0

@@ -52,6 +52,16 @@ def test_solve_sga_happy_path(inst_dir, tmp_path, capsys):
     assert report["rounds"] == []
 
 
+def test_solve_sga_takes_the_default_budget(inst_dir, tmp_path, capsys):
+    rc = main(["solve", "--algo", "sga", "--instance", str(inst_dir / "toy3.atsp"),
+               "--pop-size", "4", "--patience", "1", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "reports.jsonl").read_text())
+    assert report["params"]["max_generations"] == 10_000
+    assert (report["generations"], report["stop_reason"]) == (1, "stagnation")
+
+
 def test_solve_is_deterministic_and_appends(inst_dir, tmp_path, capsys):
     argv = ["solve", "--algo", "sga", "--instance", str(inst_dir / "ten.atsp"),
             "--pop-size", "15", "--max-generations", "20", "--seed", "7",
@@ -96,6 +106,7 @@ def test_solve_rejects_single_island(inst_dir, tmp_path, capsys):
     ("sga", "--max-generations", "max_generations must be >= 1, got 0"),
     ("pga", "--max-generations", "max_total_generations must cover at least one round"),
     ("pga", "--migration-interval", "migration_interval must be >= 1, got 0"),
+    ("pga", "--workers", "workers must be >= 1, got 0"),
 ])
 def test_solve_zero_settings_reach_the_validators(inst_dir, tmp_path, capsys, algo, flag,
                                                    message):

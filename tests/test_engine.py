@@ -397,6 +397,12 @@ def test_retries_exhausted_fail_with_task_identity():
     assert attempts[0] == 1  # a negative retry count still makes one attempt
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_engine_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
+        Engine(MemoryStore(), workers=workers)
+
+
 def test_failed_attempts_emit_events():
     store = MemoryStore()
     store.put("in", [Record(0, b"")])

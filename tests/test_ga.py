@@ -13,7 +13,7 @@ import pytest
 
 from mrtsp import _xover, ga as ga_module
 from mrtsp.codec import MAX_LENGTH
-from mrtsp.ga import (GaParams, Ranking, TerminationPolicy, canonical, evolve,
+from mrtsp.ga import (GaParams, Ranking, canonical, evolve,
                       greedy_crossover, mutate, next_generation, random_population,
                       random_tour, run_sga,
                       select_parents, shortest, similarity, stop_reason, successors,
@@ -291,8 +291,7 @@ def test_next_generation_finds_small_optimum():
     optimum = held_karp(inst).optimum_length
     hits = 0
     for seed in range(5):
-        report = run_sga(inst, GaParams(), 300,
-                         TerminationPolicy(target_length=optimum), seed=seed)
+        report = run_sga(inst, GaParams(), 300, seed=seed, target_length=optimum)
         hits += report.best_length == optimum
     assert hits >= 4
 
@@ -315,8 +314,7 @@ def test_run_sga_deterministic():
 
 
 def test_run_sga_hits_target_on_br17(br17):
-    report = run_sga(br17, GaParams(), 2000,
-                     TerminationPolicy(target_length=40), seed=0)
+    report = run_sga(br17, GaParams(), 2000, seed=0, target_length=40)
     assert report.best_length <= 40
     assert report.stop_reason == "target"
 
@@ -344,21 +342,25 @@ def test_stop_reason_patience_disabled():
     assert stop_reason(history + [4.0], 10, 1000, patience=100, target_length=None) is None
 
 
+def tiny_sga(**stops):
+    return run_sga(THREE_CITY, GaParams(population_size=4), 1, **stops)
+
+
 @pytest.mark.parametrize("patience", [-1, -2])
-def test_termination_policy_rejects_a_negative_patience(patience):
+def test_run_sga_rejects_a_negative_patience(patience):
     # as IslandParams rejects a negative convergence_patience
     with pytest.raises(ValueError, match="^patience must be >= 0 or None$"):
-        TerminationPolicy(patience=patience)
-    assert TerminationPolicy(patience=0).patience == 0
-    assert TerminationPolicy(target_length=-1).patience is None
+        tiny_sga(patience=patience)
+    assert tiny_sga(patience=0).params["patience"] == 0
+    assert tiny_sga(target_length=-1).params["patience"] is None
 
 
-def test_termination_policy_rejects_a_nan_target():
+def test_run_sga_rejects_a_nan_target():
     # no best is <= NaN, so such a target would never stop a run
     with pytest.raises(ValueError, match="^target_length must be a number, got nan$"):
-        TerminationPolicy(target_length=float("nan"))
+        tiny_sga(target_length=float("nan"))
     for target in (None, 0, -1.5, float("inf"), float("-inf"), 2**70):
-        assert TerminationPolicy(target_length=target).target_length == target
+        assert tiny_sga(target_length=target).params["target_length"] == target
 
 
 # -- the compiled kernel -------------------------------------------------------------
@@ -952,7 +954,7 @@ def test_run_sga_stops_where_the_loop_stops(patience, target, monkeypatch):
     if patience == -1:
         # run_sga never gets a negative patience, but ga.evolve takes any int
         with pytest.raises(ValueError, match="^patience must be >= 0 or None$"):
-            TerminationPolicy(goal, patience)
+            run_sga(inst, params, 60, seed=12, patience=patience, target_length=goal)
         compiled, looped = kernel_and_loop_generation(*start, inst, params, 12, monkeypatch, 60,
                                                       patience, goal)
         assert compiled == looped
@@ -961,8 +963,8 @@ def test_run_sga_stops_where_the_loop_stops(patience, target, monkeypatch):
     else:
         with monkeypatch.context() as loop:
             loop.setattr(ga_module, "_KERNEL", None)
-            looped = run_sga(inst, params, 60, TerminationPolicy(goal, patience), seed=12)
-        compiled = run_sga(inst, params, 60, TerminationPolicy(goal, patience), seed=12)
+            looped = run_sga(inst, params, 60, seed=12, patience=patience, target_length=goal)
+        compiled = run_sga(inst, params, 60, seed=12, patience=patience, target_length=goal)
         fields = ("best_length", "best_tour", "trajectory", "generations", "stop_reason")
         assert [getattr(compiled, f) for f in fields] == [getattr(looped, f) for f in fields]
         stopped = (compiled.generations, compiled.stop_reason)

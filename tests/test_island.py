@@ -19,10 +19,9 @@ from mrtsp import island as island_module
 from mrtsp.codec import (MAX_LENGTH, CodecError, TruncatedBufferError, decode_chromosome,
                          encode_chromosome)
 from mrtsp.engine import Engine, EngineError, FileStore, MemoryStore, Record
-from mrtsp.ga import GaParams, run_sga, tour_length
+from mrtsp.ga import GaParams, run_sga, stop_reason, tour_length
 from mrtsp.island import (EvolveReducer, InitReducer, IslandParams, NonIntegerWeightsError,
-                          RoundSummary, TourLengthOverflowError,
-                          check_convergence, evolve_job,
+                          TourLengthOverflowError, evolve_job,
                           format_population_dump, init_job, run_pga)
 from mrtsp.oracle import held_karp
 from mrtsp.tsplib import (Instance, format_instance, parse_instance,
@@ -40,10 +39,11 @@ SMALL = IslandParams(num_islands=4, migration_interval=2,
                      max_total_generations=8, convergence_patience=None)
 
 
-def summaries(bests, generations):
-    return [RoundSummary(round=i + 1, island_bests=(b,), best_length=b,
-                         best_tour=(0, 1), generations=g, wall_seconds=0.0)
-            for i, (b, g) in enumerate(zip(bests, generations))]
+def pga_stop(bests, generations, params=IslandParams()):
+    """stop_reason as run_pga asks it once rounds with these global bests
+    have run `generations` generations per island."""
+    return stop_reason(bests, generations, params.max_total_generations,
+                       params.convergence_patience, params.target_length)
 
 
 def island_best_lengths(parts):
@@ -67,7 +67,7 @@ def test_params_validation(kwargs):
 
 
 def test_params_reject_a_nan_target():
-    # as TerminationPolicy does: no best is <= NaN, so the run would never stop
+    # as run_sga does: no best is <= NaN, so the run would never stop
     with pytest.raises(ValueError, match="^target_length must be a number, got nan$"):
         IslandParams(target_length=float("nan"))
     assert IslandParams(target_length=float("inf")).target_length == float("inf")
@@ -468,32 +468,39 @@ def test_evolve_island_matches_the_reference_reducer(task, seed):
 
 
 def test_check_convergence_continue():
-    history = summaries([50.0], [50])
-    assert check_convergence(history, IslandParams()) is None
+    assert pga_stop([50.0], 50) is None
 
 
 def test_check_convergence_stagnation():
-    history = summaries([50.0] * 20, [50 * (i + 1) for i in range(20)])
-    assert check_convergence(history, IslandParams()) == "stagnation"
-    fresh = summaries([50.0] * 19 + [49.0], [50 * (i + 1) for i in range(20)])
-    assert check_convergence(fresh, IslandParams()) is None
+    assert pga_stop([50.0] * 20, 20 * 50) == "stagnation"
+    assert pga_stop([50.0] * 19 + [49.0], 20 * 50) is None
 
 
 def test_check_convergence_target_and_budget():
     params = IslandParams(target_length=40.0)
-    assert check_convergence(summaries([39.0], [50]), params) == "target"
+    assert pga_stop([39.0], 50, params) == "target"
     # budget wins even when target and stagnation both hold
-    exhausted = summaries([39.0] * 20, [2500 * (i + 1) for i in range(20)])
-    assert check_convergence(exhausted, params) == "budget"
-    with pytest.raises(ValueError):
-        check_convergence([], params)
+    assert pga_stop([39.0] * 20, 20 * 2500, params) == "budget"
 
 
 def test_check_convergence_patience_disabled():
     for patience in (None, 0):
-        params = IslandParams(convergence_patience=patience)
-        history = summaries([50.0] * 40, [50 * (i + 1) for i in range(40)])
-        assert check_convergence(history, params) is None
+        assert pga_stop([50.0] * 40, 40 * 50, IslandParams(convergence_patience=patience)) is None
+
+
+@pytest.mark.parametrize("stops,reason", [
+    (dict(convergence_patience=2), "stagnation"),
+    (dict(convergence_patience=0, target_length=400), "target"),
+    (dict(convergence_patience=0), "budget"),
+    (dict(convergence_patience=None), "budget"),
+])
+def test_run_pga_stops_at_the_first_round_stop_reason_names(stops, reason):
+    params = dataclasses.replace(SMALL, max_total_generations=40, **stops)
+    report = run_pga(random_instance(30, (1, 100), seed=4), params)
+    bests = report.trajectory[1:]
+    assert len(bests) > 2 and report.stop_reason == reason
+    assert [pga_stop(bests[:k], k * params.migration_interval, params)
+            for k in range(1, len(bests) + 1)] == [None] * (len(bests) - 1) + [reason]
 
 
 def test_run_pga_accounting():
@@ -758,6 +765,14 @@ def test_run_pga_rejects_non_integer_weights_up_front():
     store = MemoryStore()
     with pytest.raises(NonIntegerWeightsError, match="integer edge weights"):
         run_pga(instance, SMALL, store=store)
+    assert store.names() == []  # no job ran
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_pga_rejects_fewer_than_one_worker_up_front(workers):
+    store = MemoryStore()
+    with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
+        run_pga(INST10, SMALL, workers=workers, store=store)
     assert store.names() == []  # no job ran
 
 

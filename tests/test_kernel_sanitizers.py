@@ -45,7 +45,7 @@ import numpy as np
 
 from mrtsp import ga
 from mrtsp.codec import decode_chromosome, encode_chromosome
-from mrtsp.ga import GaParams, TerminationPolicy, run_sga
+from mrtsp.ga import GaParams, run_sga
 from mrtsp.island import EvolveReducer, IslandParams, run_pga
 from mrtsp.tsplib import Instance, random_instance
 from test_codec import good_records
@@ -146,7 +146,7 @@ for n in (65, 128, 129):
 small = random_instance(20, (1, 60), seed=11)
 for patience, target in ((3, None), (20, 300.5), (None, 353)):
     runs(lambda: run_sga(small, GaParams(population_size=14, mutation_prob=0.1), 60,
-                         TerminationPolicy(target, patience), seed=12))
+                         seed=12, patience=patience, target_length=target))
 
 
 def twists(index):

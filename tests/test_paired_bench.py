@@ -34,6 +34,14 @@ def stub(script, times, calls, fingerprints=None, failing=()):
     return run
 
 
+def copies(script, monkeypatch, tmp_path):
+    """(base, change): the trees main runs, with export and snapshot stubbed."""
+    base, change = tmp_path / "base", tmp_path / "change"
+    monkeypatch.setattr(script, "export", lambda revision, into: base)
+    monkeypatch.setattr(script, "snapshot", lambda into: change)
+    return base, change
+
+
 def test_runs_alternate_in_abba_order_on_one_seed_per_pair(script, capsys):
     calls = []
     times = {tree: {seed: 0.04 for seed in range(5, 9)} for tree in (BASE, CHANGE)}
@@ -77,13 +85,13 @@ def test_a_failed_check_stops_the_pairs(script):
 @pytest.mark.parametrize("mismatch", [False, True])
 def test_main_exits_nonzero_on_a_mismatch(script, monkeypatch, tmp_path, capsys, mismatch):
     calls = []
-    times = {tree: {seed: 0.04 for seed in range(2)} for tree in (tmp_path, script.ROOT)}
-    fingerprints = {(script.ROOT, 1): "other"} if mismatch else {}
-    monkeypatch.setattr(script, "export", lambda revision, into: tmp_path)
+    base, change = copies(script, monkeypatch, tmp_path)
+    times = {tree: {seed: 0.04 for seed in range(2)} for tree in (base, change)}
+    fingerprints = {(change, 1): "other"} if mismatch else {}
     monkeypatch.setattr(script, "warm", lambda tree: calls.append(("warm", tree)))
     monkeypatch.setattr(script, "perfbench", stub(script, times, calls, fingerprints))
     assert script.main(["--workload", "w", "--pairs", "2", "--seed", "0"]) == int(mismatch)
-    assert calls[:2] == [("warm", tmp_path), ("warm", script.ROOT)]
+    assert calls[:2] == [("warm", base), ("warm", change)]
     out, err = capsys.readouterr()
     if mismatch:
         assert "fingerprints differ" in err and "run_s:" not in out
@@ -99,19 +107,39 @@ def test_main_runs_every_workload_in_its_own_block(script, monkeypatch, tmp_path
         return script.Run(dict.fromkeys(METRICS, 0.04), {"fingerprint": f"print-{workload}-{seed}"},
                           True)
 
-    monkeypatch.setattr(script, "export", lambda revision, into: tmp_path)
+    base, change = copies(script, monkeypatch, tmp_path)
     monkeypatch.setattr(script, "warm", lambda tree: None)
     monkeypatch.setattr(script, "perfbench", run)
     assert script.main(["--workload", "a", "--workload", "b", "--pairs", "2", "--seed", "3"]) == 0
     assert calls == [(w, tree, seed) for w in "ab"
-                     for tree, seed in ((tmp_path, 3), (script.ROOT, 3),
-                                        (script.ROOT, 4), (tmp_path, 4))]
+                     for tree, seed in ((base, 3), (change, 3), (change, 4), (base, 4))]
     lines = capsys.readouterr().out.splitlines()
     blocks = [lines.index("== a"), lines.index("== b")]
     for start in blocks:  # two pair lines, then one summary line per metric
         names = [line.split(":")[0] for line in lines[start + 3:start + 3 + len(METRICS)]]
         assert names == METRICS
     assert blocks[1] == blocks[0] + 3 + len(METRICS)
+
+
+def test_main_runs_a_copy_of_the_working_tree_and_never_the_tree_itself(script, monkeypatch):
+    trees = []
+
+    def run(tree, workload, seed, seconds):
+        trees.append(tree)
+        if tree.name == "change":  # the working tree's files, less its caches
+            for name in ("src/mrtsp/ga.py", "perfbench/run.py", "BENCHMARK.json"):
+                assert (tree / name).read_bytes() == (script.ROOT / name).read_bytes()
+            assert not any(tree.rglob("__pycache__"))
+        return script.Run(dict.fromkeys(METRICS, 0.04), {"fingerprint": "print"}, True)
+
+    monkeypatch.setattr(script, "export", lambda revision, into: into)
+    monkeypatch.setattr(script, "warm", trees.append)
+    monkeypatch.setattr(script, "perfbench", run)
+    assert script.main(["--workload", "w", "--pairs", "2"]) == 0
+    base, change = trees[:2]
+    assert trees == [base, change, base, change, change, base]
+    assert (base.name, change.name) == ("base", "change")
+    assert not any(tree.is_relative_to(script.ROOT) for tree in trees)
 
 
 @pytest.mark.parametrize("better,bound,was,now,worse", [
@@ -130,8 +158,8 @@ def test_worse_than_bound_is_a_share_of_the_base_median(script, better, bound, w
 def test_main_flags_a_median_worse_than_its_bound_and_exits_1(script, monkeypatch, tmp_path,
                                                               capsys, change, flagged):
     # run_s's bound is 0.25: a change median past 1.25 x the base's 0.04 s is flagged
-    times = {tmp_path: dict.fromkeys(range(3), 0.04), script.ROOT: dict.fromkeys(range(3), change)}
-    monkeypatch.setattr(script, "export", lambda revision, into: tmp_path)
+    base, changed = copies(script, monkeypatch, tmp_path)
+    times = {base: dict.fromkeys(range(3), 0.04), changed: dict.fromkeys(range(3), change)}
     monkeypatch.setattr(script, "warm", lambda tree: None)
     monkeypatch.setattr(script, "perfbench", stub(script, times, []))
     assert script.main(["--workload", "w", "--pairs", "3", "--seed", "0"]) == int(flagged)
