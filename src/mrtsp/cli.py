@@ -3,8 +3,7 @@ query the exact solvers.
 
 `solve` runs the sequential or the island GA once and appends a JSON-lines
 report. `bench` runs an (instance x algorithm x seed) grid from a suite
-config, writing reports.jsonl, results.csv, summary.csv and a plot script
-that mirrors the accuracy and time comparisons the benchmarks exist for.
+config, writing reports.jsonl, results.csv and summary.csv.
 `exact` prints an optimal tour and can pin it into the optima registry.
 """
 
@@ -14,7 +13,6 @@ import argparse
 import csv
 import itertools
 import json
-import shutil
 import statistics
 import sys
 from dataclasses import replace
@@ -63,6 +61,8 @@ _SGA_FIELDS = {flag: flag for flag in ("max_generations", "patience", "target_le
 _PGA_FIELDS = {"islands": "num_islands", "migration_interval": "migration_interval",
                "max_generations": "max_total_generations",
                "patience": "convergence_patience", "target_length": "target_length"}
+# solve flag that only pga reads -> its value when not given
+_PGA_ONLY = {"islands": None, "migration_interval": None, "workers": 1, "dump_tours": False}
 
 
 def _given(settings: dict, fields: dict) -> dict:
@@ -88,10 +88,15 @@ def _append_report(out_dir: Path, report: RunReport):
 
 
 def cmd_solve(args) -> int:
+    if args.algo == "sga":
+        given = [flag for flag, unset in _PGA_ONLY.items() if getattr(args, flag) != unset]
+        if given:
+            names = ", ".join("--" + flag.replace("_", "-") for flag in given)
+            raise ValueError(f"pga-only flags given with --algo sga: {names}")
     instance = load_instance(args.instance)
     out_dir = Path(args.out_dir)
     dump = None
-    if args.dump_tours and args.algo == "pga":
+    if args.dump_tours:
         out_dir.mkdir(parents=True, exist_ok=True)
         dump = out_dir / "final-population.txt"
     report = _run(instance, args.algo, vars(args), args.seed, args.workers, dump)
@@ -164,6 +169,9 @@ def parse_suite_config(text: str, base_dir: Path) -> dict:
             except ValueError:
                 raise ValueError(f"suite config line {lineno}: {name} needs {what}, "
                                  f"got {rest!r}") from None
+            if key == "repeats" and cfg[key] < 1:
+                raise ValueError(f"suite config line {lineno}: repeats must be >= 1, "
+                                 f"got {cfg[key]}")
         elif key == "stop_at_known_optimum":
             if rest not in ("on", "off"):
                 raise ValueError(f"suite config line {lineno}: {name} must be on or off")
@@ -221,10 +229,6 @@ def _summary(cells: dict[tuple[str, int, str], list[RunReport]]) -> list[list]:
     return rows
 
 
-# copied next to every bench's CSVs; found in a source checkout only
-PLOT_SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "plot_results.py"
-
-
 def cmd_bench(args) -> int:
     config_path = Path(args.config)
     cfg = parse_suite_config(config_path.read_text(encoding="utf-8"), config_path.parent)
@@ -262,8 +266,6 @@ def cmd_bench(args) -> int:
     _write_csv(out_dir / "results.csv", RESULT_COLUMNS, rows)
     _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, _summary(cells))
     failures = len(rows) - sum(map(len, cells.values()))
-    if PLOT_SCRIPT.exists():
-        shutil.copyfile(PLOT_SCRIPT, out_dir / "plot_results.py")
     print(f"{len(rows)} runs ({failures} failed) -> {out_dir / 'results.csv'}")
     return 1 if failures else 0
 

@@ -1,14 +1,14 @@
 """A minimal iterative map/shuffle/reduce engine over keyed byte records.
 
-One job = map every input record, route intermediates through a partitioner,
-group them per reduce task with keys ascending and values in production
-order, then reduce. Map tasks run in the driver, on the input set's records
-or on the parts a caller has already read and checked. Reduce tasks run
-in-process or, with workers > 1, on that many processes forked with the
-job's reducer, each fed one contiguous chunk of tasks per phase over its own
-pipe; a job whose reducer is not equal to the pool's forks a new pool. Each
-reduce task frames its checked output itself and replies with its part's
-bytes, which the store seals as given. Reduce tasks get their own
+One job = map every input record, route each intermediate key to reduce task
+key mod R, group them per reduce task with keys ascending and values in
+production order, then reduce. Map tasks run in the driver, on the input
+set's records or on the parts a caller has already read and checked. Reduce
+tasks run in-process or, with workers > 1, on that many processes forked
+with the job's reducer, each fed one contiguous chunk of tasks per phase
+over its own pipe; a job whose reducer is not equal to the pool's forks a
+new pool. Each reduce task frames its checked output itself and replies with
+its part's bytes, which the store seals as given. Reduce tasks get their own
 deterministically seeded rng, so job outputs are byte-identical for a fixed
 master seed no matter how many workers run or how the scheduler interleaves
 them.
@@ -203,23 +203,16 @@ class FileStore(_RecordStore):
         return sorted(p.name for p in self.root.iterdir() if (p / "_SUCCESS").exists())
 
 
-def default_partition(key: int, num_reduce_tasks: int) -> int:
-    """key mod tasks; the identity routing when one task exists per key."""
-    if num_reduce_tasks < 1:
-        raise ValueError(f"num_reduce_tasks must be >= 1, got {num_reduce_tasks}")
-    if key < 0:
-        raise ValueError(f"record keys must be non-negative, got {key}")
-    return key % num_reduce_tasks
+TASK_RETRIES = 2  # reruns of a task that failed with a transient error
 
 
-def task_rng(master_seed: int, job_id: int, task_kind: str, task_index: int) -> random.Random:
-    """Independent, reproducible rng stream per (seed, job, kind, index)."""
-    digest = hashlib.sha256(f"{master_seed}|{job_id}|{task_kind}|{task_index}".encode()).digest()
+def task_rng(master_seed: int, job_id: int, task_index: int) -> random.Random:
+    """Independent, reproducible rng stream per (seed, job, reduce task)."""
+    digest = hashlib.sha256(f"{master_seed}|{job_id}|reduce|{task_index}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "little"))
 
 
 Mapper = Callable[[Record], Iterable[Record]]
-Partitioner = Callable[[int, int], int]
 Reducer = Callable[[int, list[bytes], random.Random], Iterable[Record]]
 
 
@@ -230,7 +223,6 @@ class JobSpec:
     num_map_tasks: int
     num_reduce_tasks: int
     mapper: Mapper
-    partitioner: Partitioner
     reducer: Reducer
     master_seed: int = 0
 
@@ -263,7 +255,7 @@ def _reduce_task(reducer: Reducer, grouped: list[tuple[int, list[bytes]]],
                  master_seed: int, job_id: int, index: int) -> bytes:
     """Task `index`'s part as pack_records frames it, each record checked as
     it is framed: a malformed one, or a key outside u32, fails the job at once."""
-    rng = task_rng(master_seed, job_id, "reduce", index)
+    rng = task_rng(master_seed, job_id, index)
     chunks = []
     header = _RECORD_HEADER.pack
     for key, values in grouped:
@@ -276,8 +268,8 @@ def _reduce_task(reducer: Reducer, grouped: list[tuple[int, list[bytes]]],
     return b"".join(chunks)
 
 
-def _attempt(fn, args: tuple, retries: int):
-    """Run fn(*args), retrying a failed attempt up to `retries` times.
+def _attempt(fn, args: tuple):
+    """Run fn(*args), retrying a failed attempt up to TASK_RETRIES times.
 
     Malformed task output (EngineError) and bad records (CodecError) fail
     on the first attempt: a rerun on the same inputs would only repeat them.
@@ -286,7 +278,7 @@ def _attempt(fn, args: tuple, retries: int):
     the task failed, else None."""
     events = []
     error = None
-    for attempt in range(retries + 1):
+    for attempt in range(TASK_RETRIES + 1):
         events.append((attempt, "start", time.monotonic()))
         try:
             result = fn(*args)
@@ -308,9 +300,9 @@ def _chunk(items: list, pieces: int) -> list[list]:
 
 
 def _serve(conn, reducer: Reducer, inherited: list):
-    """Worker loop: reply to each (chunk of task args, retries) message with
-    _attempt(_reduce_task, (reducer, *args), retries) for each task, until
-    the driver closes the pipe."""
+    """Worker loop: reply to each chunk of task args with
+    _attempt(_reduce_task, (reducer, *args)) for each task, until the driver
+    closes the pipe."""
     gc.freeze()  # collections would walk, and so copy, every object fork shared
     for end in inherited:
         # the driver's ends of this and every earlier worker's pipe, copied by
@@ -318,10 +310,10 @@ def _serve(conn, reducer: Reducer, inherited: list):
         end.close()
     while True:
         try:
-            chunk, retries = conn.recv()
+            chunk = conn.recv()
         except EOFError:
             return
-        outcomes = [_attempt(_reduce_task, (reducer, *args), retries) for args in chunk]
+        outcomes = [_attempt(_reduce_task, (reducer, *args)) for args in chunk]
         try:
             conn.send(outcomes)
         except Exception as exc:  # pickling fails before a byte is written
@@ -352,15 +344,15 @@ class ForkPool:
             self.shutdown(kill=True)
             raise
 
-    def run(self, tasks: list[tuple], retries: int, label: str) -> list[tuple]:
-        """_attempt(_reduce_task, (reducer, *args), retries) for every task's
-        args, in task order: each worker gets one contiguous chunk and replies
-        once. After a failure, shut down: workers may still be mid-chunk or
-        hold unread replies."""
+    def run(self, tasks: list[tuple], label: str) -> list[tuple]:
+        """_attempt(_reduce_task, (reducer, *args)) for every task's args, in
+        task order: each worker gets one contiguous chunk and replies once.
+        After a failure, shut down: workers may still be mid-chunk or hold
+        unread replies."""
         chunks = _chunk(tasks, len(self._workers))
         for index, ((conn, _), chunk) in enumerate(zip(self._workers, chunks)):
             try:
-                conn.send((chunk, retries))
+                conn.send(chunk)
             except OSError as exc:
                 raise EngineError(f"{label}: worker {index} is gone: {exc!r}") from exc
         outcomes = []
@@ -404,19 +396,19 @@ class Engine(AbstractContextManager):
     but a change made to it in the driver after that does not reach them. A
     worker that dies, or a reply that does not pickle, fails the job with an
     EngineError and shuts the pool down. Malformed output and bad records
-    fail at once, other errors are retried. The task_observer callback
-    receives a dict per task start/end/fail, timestamped where the task ran
-    and delivered in task order once each phase has finished; tests use it
-    to verify the map->reduce barrier and retry behaviour.
+    fail at once, other errors are retried up to TASK_RETRIES times. The
+    task_observer callback receives a dict per task start/end/fail,
+    timestamped where the task ran and delivered in task order once each
+    phase has finished; tests use it to verify the map->reduce barrier and
+    retry behaviour.
     """
 
-    def __init__(self, store, workers: int = 1, max_task_retries: int = 2,
+    def __init__(self, store, workers: int = 1,
                  task_observer: Callable[[dict], None] | None = None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.store = store
         self.workers = workers
-        self.max_task_retries = max(0, max_task_retries)
         self.task_observer = task_observer
         self._pool: ForkPool | None = None
 
@@ -433,16 +425,15 @@ class Engine(AbstractContextManager):
         # fn(head, *args) for each task's args in payloads. Pooled, fn is
         # _reduce_task and head the job's reducer, which the pool's workers
         # inherit: a reducer not equal to the pool's needs a pool forked with it
-        retries = self.max_task_retries
         if not pooled:
-            outcomes = [_attempt(fn, (head, *args), retries) for args in payloads]
+            outcomes = [_attempt(fn, (head, *args)) for args in payloads]
         else:
             if self._pool is not None and self._pool.reducer != head:
                 self.close()
             if self._pool is None:
                 self._pool = ForkPool(self.workers, head)
             try:
-                outcomes = self._pool.run(payloads, retries, f"job {job_id} {kind} phase")
+                outcomes = self._pool.run(payloads, f"job {job_id} {kind} phase")
             except BaseException:
                 self._pool.shutdown(kill=True)
                 self._pool = None
@@ -468,20 +459,19 @@ class Engine(AbstractContextManager):
         chunks = _chunk([rec for part in parts for rec in part], spec.num_map_tasks)
         map_outputs = self._run_phase(spec.job_id, "map", _map_task, spec.mapper,
                                       [(chunk,) for chunk in chunks])
-        # shuffle: values grouped by key in production order, then the
-        # partitioner, a function of the key, routes each key in key order
+        # shuffle: values grouped by key in production order, then each key,
+        # in key order, goes to reduce task key mod R
         groups: dict[int, list[bytes]] = {}
         for out in map_outputs:
             for key, value in out:
                 groups.setdefault(key, []).append(value)
+        keys = sorted(groups)
+        if keys and keys[0] < 0:
+            raise ValueError(f"record keys must be non-negative, got {keys[0]}")
         tasks = spec.num_reduce_tasks
         grouped: list[list] = [[] for _ in range(tasks)]
-        for key in sorted(groups):
-            task = spec.partitioner(key, tasks)
-            if not isinstance(task, int) or not 0 <= task < tasks:
-                raise EngineError(f"partitioner returned {task!r} for key {key}, "
-                                  f"outside [0, {tasks})")
-            grouped[task].append((key, groups[key]))
+        for key in keys:
+            grouped[key % tasks].append((key, groups[key]))
         payloads = [(grouped[t], spec.master_seed, spec.job_id, t) for t in range(tasks)]
         framed = self._run_phase(spec.job_id, "reduce", _reduce_task, spec.reducer,
                                  payloads, pooled=self.workers > 1)

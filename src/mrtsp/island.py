@@ -25,8 +25,7 @@ from pathlib import Path
 
 from . import ga
 from .codec import MAX_LENGTH, decode_chromosome, encode_chromosome, peek_length
-from .engine import (Engine, EngineError, JobSpec, MemoryStore, Record,
-                     default_partition, identity_mapper)
+from .engine import Engine, EngineError, JobSpec, MemoryStore, Record, identity_mapper
 from .ga import GaParams, check_stops, evolve, random_population, shortest, stop_reason
 from .reports import RunReport, accuracy_percent
 from .tsplib import Instance
@@ -174,7 +173,7 @@ def _island_job(params: IslandParams, job_id: int, input_handle: str, reducer,
                 master_seed: int) -> JobSpec:
     """Identity map, then one reduce task per island, keyed by island."""
     return JobSpec(job_id, input_handle, params.num_islands, params.num_islands,
-                   identity_mapper, default_partition, reducer, master_seed)
+                   identity_mapper, reducer, master_seed)
 
 
 def init_job(engine: Engine, instance: Instance, params: IslandParams,

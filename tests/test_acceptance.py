@@ -18,7 +18,7 @@ import pytest
 
 from mrtsp.codec import (CodecError, DuplicateGeneError, GeneRangeError,
                          decode_chromosome, encode_chromosome)
-from mrtsp.engine import Engine, JobSpec, MemoryStore, Record, default_partition, identity_mapper
+from mrtsp.engine import Engine, JobSpec, MemoryStore, Record, identity_mapper
 from mrtsp.ga import GaParams, Ranking, mutate, run_sga, tour_length
 from mrtsp.island import IslandParams, evolve_job, init_job, run_pga
 from mrtsp.oracle import brute_force, held_karp
@@ -167,8 +167,7 @@ def test_criterion_06_engine_contract(tmp_path):
     with Engine(store, workers=4) as engine:
         engine.run_job(JobSpec(
             job_id=0, input="in", num_map_tasks=5, num_reduce_tasks=3,
-            mapper=_AppendingMapper(calls_file), partitioner=default_partition,
-            reducer=_passthrough, master_seed=0))
+            mapper=_AppendingMapper(calls_file), reducer=_passthrough, master_seed=0))
     calls = len(calls_file.read_bytes())
     if calls != 37:
         failures.append(f"exactly-once: {calls} calls for 37 records")
@@ -187,8 +186,7 @@ def test_criterion_06_engine_contract(tmp_path):
     with Engine(store2, workers=4, task_observer=events.append) as engine:
         engine.run_job(JobSpec(
             job_id=0, input="in", num_map_tasks=8, num_reduce_tasks=4,
-            mapper=_slow_mapper, partitioner=default_partition,
-            reducer=_drop_all, master_seed=0))
+            mapper=_slow_mapper, reducer=_drop_all, master_seed=0))
     map_ends = [e["time"] for e in events if e["kind"] == "map" and e["event"] == "end"]
     reduce_starts = [e["time"] for e in events if e["kind"] == "reduce" and e["event"] == "start"]
     if max(map_ends) > min(reduce_starts):
@@ -211,8 +209,7 @@ def test_criterion_06_engine_contract(tmp_path):
         s.put("in", [Record(k, bytes([k])) for k in range(4)])
         Engine(s, workers=1).run_job(JobSpec(
             job_id=0, input="in", num_map_tasks=2, num_reduce_tasks=4,
-            mapper=identity_mapper, partitioner=default_partition,
-            reducer=Flaky(fail_once), master_seed=9))
+            mapper=identity_mapper, reducer=Flaky(fail_once), master_seed=9))
         return s.snapshot()
 
     if run_flaky(True) != run_flaky(False):
@@ -225,8 +222,7 @@ def test_criterion_06_engine_contract(tmp_path):
         with Engine(s, workers=workers) as engine:
             engine.run_job(JobSpec(
                 job_id=0, input="in", num_map_tasks=4, num_reduce_tasks=5,
-                mapper=identity_mapper, partitioner=default_partition,
-                reducer=_draw_per_value, master_seed=13))
+                mapper=identity_mapper, reducer=_draw_per_value, master_seed=13))
         return s.snapshot()
 
     snapshots = {w: run_sized(w) for w in (1, 4, 8)}

@@ -31,15 +31,20 @@ def inst_dir(tmp_path_factory):
     return d
 
 
+# solve flags giving pga two islands; sga rejects pga-only flags
+PGA_TWO_ISLANDS = {"sga": [], "pga": ["--islands", "2"]}
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
 
 
 def test_solve_sga_happy_path(inst_dir, tmp_path, capsys):
+    # --workers 1 is the default, so sga accepts it
     rc = main(["solve", "--algo", "sga", "--instance", str(inst_dir / "eight.atsp"),
                "--pop-size", "20", "--max-generations", "30", "--seed", "1",
-               "--out-dir", str(tmp_path)])
+               "--workers", "1", "--out-dir", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "sga rand8s5 seed=1" in out
@@ -117,10 +122,26 @@ def test_solve_zero_settings_reach_the_validators(inst_dir, tmp_path, capsys, al
     assert not (tmp_path / "reports.jsonl").exists()
 
 
+@pytest.mark.parametrize("flags, names", [
+    (["--islands", "3"], "--islands"),
+    (["--migration-interval", "7"], "--migration-interval"),
+    (["--workers", "4"], "--workers"),
+    (["--dump-tours"], "--dump-tours"),
+    (["--islands", "3", "--migration-interval", "7", "--workers", "4", "--dump-tours"],
+     "--islands, --migration-interval, --workers, --dump-tours"),
+])
+def test_solve_sga_rejects_pga_only_flags(inst_dir, tmp_path, capsys, flags, names):
+    rc = main(["solve", "--algo", "sga", "--instance", str(inst_dir / "eight.atsp"),
+               "--max-generations", "3", *flags, "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: pga-only flags given with --algo sga: {names}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("algo", ["sga", "pga"])
 def test_solve_rejects_a_negative_patience(inst_dir, tmp_path, capsys, algo):
     rc = main(["solve", "--algo", algo, "--instance", str(inst_dir / "eight.atsp"),
-               "--islands", "2", "--patience", "-2", "--out-dir", str(tmp_path)])
+               *PGA_TWO_ISLANDS[algo], "--patience", "-2", "--out-dir", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "patience must be >= 0 or None" in err
@@ -131,7 +152,7 @@ def test_solve_rejects_a_negative_patience(inst_dir, tmp_path, capsys, algo):
 def test_solve_rejects_a_nan_target(inst_dir, tmp_path, capsys, algo):
     # such a target never stops a run, which would spend its budget and exit 0
     rc = main(["solve", "--algo", algo, "--instance", str(inst_dir / "eight.atsp"),
-               "--islands", "2", "--target-length", "nan", "--out-dir", str(tmp_path)])
+               *PGA_TWO_ISLANDS[algo], "--target-length", "nan", "--out-dir", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err == "error: target_length must be a number, got nan\n"
     assert not (tmp_path / "reports.jsonl").exists()
@@ -220,7 +241,8 @@ def test_bench_suite(inst_dir, tmp_path, capsys):
         assert row["runs"] == "10"
         assert float(row["mean_best"]) >= float(row["min_best"])
 
-    assert (out_dir / "plot_results.py").exists()
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "reports.jsonl", "results.csv", "summary.csv"]
     assert len((out_dir / "reports.jsonl").read_text().splitlines()) == 40
 
 
@@ -276,7 +298,8 @@ def test_bench_csvs_hold_exact_bests(tmp_path, capsys):
 def test_solve_and_bench_share_the_run_path(inst_dir, tmp_path, capsys, algo):
     solve_dir, bench_dir = tmp_path / "solve", tmp_path / "bench"
     assert main(["solve", "--algo", algo, "--instance", str(inst_dir / "eight.atsp"),
-                 "--pop-size", "10", "--islands", "2", "--migration-interval", "5",
+                 "--pop-size", "10", *PGA_TWO_ISLANDS[algo],
+                 *(["--migration-interval", "5"] if algo == "pga" else []),
                  "--max-generations", "15", "--patience", "0", "--seed", "3",
                  "--out-dir", str(solve_dir)]) == 0
     config = inst_dir / f"one-{algo}.conf"
@@ -401,6 +424,10 @@ def test_parse_suite_config_errors():
     assert str(err.value) == "suite config line 3: crossover-prob needs a number, got 'high'"
     with pytest.raises(ValueError, match="line 2: pga-generations needs an integer, got '1.5'"):
         parse_suite_config("instance a.atsp\npga-generations 1.5\n", Path("."))
+    for repeats in (0, -2):
+        with pytest.raises(ValueError) as err:
+            parse_suite_config(f"instance a.atsp\nrepeats {repeats}\n", Path("."))
+        assert str(err.value) == f"suite config line 2: repeats must be >= 1, got {repeats}"
 
 
 def test_parse_suite_config_values():

@@ -212,7 +212,7 @@ def test_reducer_fails_at_once_on_records_of_another_city_count(n):
     # _attempt does not retry
     reducer = EvolveReducer(INST10, SMALL)
     args = (1, good_records(1, n=n, count=6), random.Random(0))
-    result, events, error = engine_module._attempt(reducer, args, 2)
+    result, events, error = engine_module._attempt(reducer, args)
     assert result is None and [event for _, event, _ in events] == ["start", "fail"]
     assert isinstance(error, EngineError)
     assert str(error) == f"record keyed 1 holds a tour of {n} cities for an instance of 10"
