@@ -37,7 +37,8 @@ def _add_shared_flags(sub: argparse.ArgumentParser):
                      help="generations each island evolves between migrations (pga)")
     sub.add_argument("--max-generations", type=int,
                      help=f"generation budget (default {SGA_DEFAULT_GENERATIONS} sga, "
-                          f"{IslandParams.max_total_generations} per-island pga)")
+                          f"{IslandParams.max_total_generations} per-island pga, which "
+                          "runs whole rounds within it)")
     sub.add_argument("--patience", type=int, metavar="N",
                      help="stop once the last N recorded bests are equal: the initial "
                           "population's and each generation's (sga), each round's (pga); "

@@ -2,16 +2,15 @@
 
 One job = map every input record, route each intermediate key to reduce task
 key mod R, group them per reduce task with keys ascending and values in
-production order, then reduce. Map tasks run in the driver, on the input
-set's records or on the parts a caller has already read and checked. Reduce
-tasks run in-process or, with workers > 1, on that many processes forked
-with the job's reducer, each fed one contiguous chunk of tasks per phase
-over its own pipe; a job whose reducer is not equal to the pool's forks a
-new pool. Each reduce task frames its checked output itself and replies with
-its part's bytes, which the store seals as given. Reduce tasks get their own
-deterministically seeded rng, so job outputs are byte-identical for a fixed
-master seed no matter how many workers run or how the scheduler interleaves
-them.
+production order, then reduce. Map tasks run in the driver, one per part of
+the input the caller hands the job. Reduce tasks run in-process or, with
+workers > 1, on that many processes forked with the job's reducer, each fed
+one contiguous chunk of tasks per phase over its own pipe; a job whose
+reducer is not equal to the pool's forks a new pool. Each reduce task frames
+its checked output itself and replies with its part's bytes, which the store
+seals as given. Reduce tasks get their own deterministically seeded rng, so
+job outputs are byte-identical for a fixed master seed no matter how many
+workers run or how the scheduler interleaves them.
 
 The record store stands in for a distributed file system: sets of records
 are named, written once by a completed job, and immutable afterwards. Both
@@ -219,8 +218,6 @@ Reducer = Callable[[int, list[bytes], random.Random], Iterable[Record]]
 @dataclass(frozen=True)
 class JobSpec:
     job_id: int
-    input: str
-    num_map_tasks: int
     num_reduce_tasks: int
     mapper: Mapper
     reducer: Reducer
@@ -229,8 +226,8 @@ class JobSpec:
     def __post_init__(self):
         if self.job_id < 0:
             raise ValueError(f"job_id must be >= 0, got {self.job_id}")
-        if self.num_map_tasks < 1 or self.num_reduce_tasks < 1:
-            raise ValueError("num_map_tasks and num_reduce_tasks must be >= 1")
+        if self.num_reduce_tasks < 1:
+            raise ValueError("num_reduce_tasks must be >= 1")
 
 
 def identity_mapper(record: Record) -> list[Record]:
@@ -247,7 +244,7 @@ def _checked(rec, origin: str) -> Record:
 
 def _map_task(mapper: Mapper, records: list[Record]) -> list[Record]:
     if mapper is identity_mapper:
-        return records  # store reads build only well-formed records
+        return records  # parts come as a store's read_parts builds them, well-formed
     return [_checked(out, "mapper") for rec in records for out in mapper(rec)]
 
 
@@ -450,15 +447,12 @@ class Engine(AbstractContextManager):
             results.append(result)
         return results
 
-    def run_job(self, spec: JobSpec, parts: list[list[Record]] | None = None) -> str:
-        """Execute one job; returns the sealed output record-set handle. The
-        job maps `parts` when given, spec.input's records as the caller has
-        read and checked them, else reads spec.input."""
-        if parts is None:
-            parts = self.store.read_parts(spec.input)
-        chunks = _chunk([rec for part in parts for rec in part], spec.num_map_tasks)
+    def run_job(self, spec: JobSpec, parts: list[list[Record]]) -> str:
+        """Execute one job, one map task per part of `parts`, the input records
+        as the caller has read and checked them; returns the sealed output
+        record-set handle."""
         map_outputs = self._run_phase(spec.job_id, "map", _map_task, spec.mapper,
-                                      [(chunk,) for chunk in chunks])
+                                      [(part,) for part in parts])
         # shuffle: values grouped by key in production order, then each key,
         # in key order, goes to reduce task key mod R
         groups: dict[int, list[bytes]] = {}

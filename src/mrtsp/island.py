@@ -169,11 +169,9 @@ class EvolveReducer:
         return list(map(Record, [key] * (len(made) - len(others)) + others, made))
 
 
-def _island_job(params: IslandParams, job_id: int, input_handle: str, reducer,
-                master_seed: int) -> JobSpec:
+def _island_job(params: IslandParams, job_id: int, reducer, master_seed: int) -> JobSpec:
     """Identity map, then one reduce task per island, keyed by island."""
-    return JobSpec(job_id, input_handle, params.num_islands, params.num_islands,
-                   identity_mapper, reducer, master_seed)
+    return JobSpec(job_id, params.num_islands, identity_mapper, reducer, master_seed)
 
 
 def init_job(engine: Engine, instance: Instance, params: IslandParams,
@@ -181,21 +179,19 @@ def init_job(engine: Engine, instance: Instance, params: IslandParams,
     """Job 0: build every island's starting population in its own task."""
     engine.store.put("seed", [Record(i, b"") for i in range(params.num_islands)])
     reducer = InitReducer(instance, params.ga)
-    return engine.run_job(_island_job(params, 0, "seed", reducer, master_seed))
+    return engine.run_job(_island_job(params, 0, reducer, master_seed),
+                          engine.store.read_parts("seed"))
 
 
-def evolve_job(engine: Engine, input_handle: str, instance: Instance,
-               params: IslandParams, round_number: int, master_seed: int,
-               parts: list[list[Record]] | None = None) -> str:
-    """One migration round; job id doubles as the round number. The input set
-    is taken as checked: run_pga scans every set before the next job reads it,
-    and hands the scanned parts over as `parts`, which the job then maps
-    instead of reading the set again. Each call builds a fresh EvolveReducer,
-    equal to the last call's for the same instance and params, so on a pooled
-    engine such calls share a pool."""
+def evolve_job(engine: Engine, parts: list[list[Record]], instance: Instance,
+               params: IslandParams, round_number: int, master_seed: int) -> str:
+    """One migration round on the parts of the last round's set, one map task
+    per part; job id doubles as the round number. The parts are taken as
+    checked: run_pga scans every set and hands over the parts it read. Each
+    call builds a fresh EvolveReducer, equal to the last call's for the same
+    instance and params, so on a pooled engine such calls share a pool."""
     reducer = EvolveReducer(instance, params)
-    return engine.run_job(_island_job(params, round_number, input_handle, reducer, master_seed),
-                          parts)
+    return engine.run_job(_island_job(params, round_number, reducer, master_seed), parts)
 
 
 def _scan_set(store, name: str, islands: int) -> tuple[list[list[Record]], list[int], Record]:
@@ -247,12 +243,13 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     which every later round's equals, and joined when the run ends, so no
     instance is pickled to them. Each RoundSummary says whether its round
     pooled; outputs are the same either way. Reported generations are
-    per-island cumulative (rounds times migration_interval). When dump_path
+    per-island cumulative (rounds times migration_interval), and a run goes
+    only whole rounds within max_total_generations. When dump_path
     is given, the final populations are also written there as a readable
     text dump. Non-integer weights, and weights whose tours can overflow the
     record's 64-bit length, are rejected before anything is written.
     _scan_set reads and checks each sealed set once, and the next
-    evolve_job maps the parts it read; the dump reuses the final scan's.
+    evolve_job is handed the parts it read; the dump reuses the final scan's.
     Each round's best tour is decoded through decode_island, which checks
     its city count.
     """
@@ -269,7 +266,7 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
     params = params if params is not None else IslandParams()
     start = time.perf_counter()
     store = store if store is not None else MemoryStore()
-    budget_rounds = -(-params.max_total_generations // params.migration_interval)
+    budget_rounds = params.max_total_generations // params.migration_interval
     round_s = 0.0  # the last round's seconds: none is timed before round 1 ends
     with Engine(store, workers=1) as engine:
         handle = init_job(engine, instance, params, master_seed)
@@ -283,8 +280,7 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
             if engine.workers < workers and rounds_left * round_s >= POOL_BREAK_EVEN_S:
                 engine.workers = workers  # a pooled engine stays pooled
             round_start = time.perf_counter()
-            handle = evolve_job(engine, handle, instance, params, round_number, master_seed,
-                                parts)
+            handle = evolve_job(engine, parts, instance, params, round_number, master_seed)
             del parts  # hold one set's records at a time: the scan reads the next
             parts, island_bests, best = _scan_set(store, handle, params.num_islands)
             round_s = time.perf_counter() - round_start
@@ -300,8 +296,8 @@ def run_pga(instance: Instance, params: IslandParams | None = None,
             ))
             trajectory.append(rounds[-1].best_length)
             reason = stop_reason(trajectory[1:], rounds[-1].generations,
-                                 params.max_total_generations, params.convergence_patience,
-                                 params.target_length)
+                                 budget_rounds * params.migration_interval,
+                                 params.convergence_patience, params.target_length)
 
     if dump_path is not None:
         Path(dump_path).write_text(format_population_dump(parts, instance.dimension))

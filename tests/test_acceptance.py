@@ -18,7 +18,7 @@ import pytest
 
 from mrtsp.codec import (CodecError, DuplicateGeneError, GeneRangeError,
                          decode_chromosome, encode_chromosome)
-from mrtsp.engine import Engine, JobSpec, MemoryStore, Record, identity_mapper
+from mrtsp.engine import Engine, JobSpec, MemoryStore, Record, _chunk, identity_mapper
 from mrtsp.ga import GaParams, Ranking, mutate, run_sga, tour_length
 from mrtsp.island import IslandParams, evolve_job, init_job, run_pga
 from mrtsp.oracle import brute_force, held_karp
@@ -162,12 +162,13 @@ def test_criterion_06_engine_contract(tmp_path):
 
     # exactly-once mapping, counted across worker processes
     store = MemoryStore()
-    store.put("in", [Record(i, bytes([i])) for i in range(37)])
+    store.write_parts("in", _chunk([Record(i, bytes([i])) for i in range(37)], 5))
     calls_file = tmp_path / "mapper-calls"
     with Engine(store, workers=4) as engine:
         engine.run_job(JobSpec(
-            job_id=0, input="in", num_map_tasks=5, num_reduce_tasks=3,
-            mapper=_AppendingMapper(calls_file), reducer=_passthrough, master_seed=0))
+            job_id=0, num_reduce_tasks=3,
+            mapper=_AppendingMapper(calls_file), reducer=_passthrough, master_seed=0),
+            store.read_parts("in"))
     calls = len(calls_file.read_bytes())
     if calls != 37:
         failures.append(f"exactly-once: {calls} calls for 37 records")
@@ -181,12 +182,13 @@ def test_criterion_06_engine_contract(tmp_path):
     # phase barrier
     events = []
     store2 = MemoryStore()
-    store2.put("in", [Record(i, b"") for i in range(8)])
+    store2.write_parts("in", _chunk([Record(i, b"") for i in range(8)], 8))
 
     with Engine(store2, workers=4, task_observer=events.append) as engine:
         engine.run_job(JobSpec(
-            job_id=0, input="in", num_map_tasks=8, num_reduce_tasks=4,
-            mapper=_slow_mapper, reducer=_drop_all, master_seed=0))
+            job_id=0, num_reduce_tasks=4,
+            mapper=_slow_mapper, reducer=_drop_all, master_seed=0),
+            store2.read_parts("in"))
     map_ends = [e["time"] for e in events if e["kind"] == "map" and e["event"] == "end"]
     reduce_starts = [e["time"] for e in events if e["kind"] == "reduce" and e["event"] == "start"]
     if max(map_ends) > min(reduce_starts):
@@ -206,10 +208,11 @@ def test_criterion_06_engine_contract(tmp_path):
 
     def run_flaky(fail_once):
         s = MemoryStore()
-        s.put("in", [Record(k, bytes([k])) for k in range(4)])
+        s.write_parts("in", _chunk([Record(k, bytes([k])) for k in range(4)], 2))
         Engine(s, workers=1).run_job(JobSpec(
-            job_id=0, input="in", num_map_tasks=2, num_reduce_tasks=4,
-            mapper=identity_mapper, reducer=Flaky(fail_once), master_seed=9))
+            job_id=0, num_reduce_tasks=4,
+            mapper=identity_mapper, reducer=Flaky(fail_once), master_seed=9),
+            s.read_parts("in"))
         return s.snapshot()
 
     if run_flaky(True) != run_flaky(False):
@@ -218,11 +221,12 @@ def test_criterion_06_engine_contract(tmp_path):
     # byte-determinism across worker-pool sizes, diffing complete stores
     def run_sized(workers):
         s = MemoryStore()
-        s.put("in", [Record(i % 5, bytes([i])) for i in range(23)])
+        s.write_parts("in", _chunk([Record(i % 5, bytes([i])) for i in range(23)], 4))
         with Engine(s, workers=workers) as engine:
             engine.run_job(JobSpec(
-                job_id=0, input="in", num_map_tasks=4, num_reduce_tasks=5,
-                mapper=identity_mapper, reducer=_draw_per_value, master_seed=13))
+                job_id=0, num_reduce_tasks=5,
+                mapper=identity_mapper, reducer=_draw_per_value, master_seed=13),
+                s.read_parts("in"))
         return s.snapshot()
 
     snapshots = {w: run_sized(w) for w in (1, 4, 8)}
@@ -247,7 +251,8 @@ def test_criterion_07_record_count_law():
     emitted_per_round = []
     retained_ok = True
     for round_number in (1, 2):
-        handle = evolve_job(engine, handle, inst, params, round_number, master_seed=0)
+        handle = evolve_job(engine, store.read_parts(handle), inst, params, round_number,
+                            master_seed=0)
         parts = store.read_parts(handle)
         emitted_per_round.append(sum(len(p) for p in parts))
         for island, part in enumerate(parts):

@@ -16,8 +16,8 @@ from mrtsp import engine as engine_module
 from mrtsp.codec import decode_chromosome
 from mrtsp.engine import (Engine, EngineError, FileStore, ForkPool,
                           JobFailedError, JobSpec, MemoryStore, Record,
-                          StoreError, identity_mapper, pack_records, task_rng,
-                          unpack_records)
+                          StoreError, _chunk, identity_mapper, pack_records,
+                          task_rng, unpack_records)
 
 
 def passthrough_reducer(key, values, rng):
@@ -116,33 +116,38 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def spec_for(input_name, *, job_id=0, maps=2, reduces=2, mapper=identity_mapper,
-             reducer=passthrough_reducer, seed=0):
-    return JobSpec(job_id=job_id, input=input_name, num_map_tasks=maps,
-                   num_reduce_tasks=reduces, mapper=mapper, reducer=reducer,
+def spec_for(*, job_id=0, reduces=2, mapper=identity_mapper, reducer=passthrough_reducer,
+             seed=0):
+    return JobSpec(job_id=job_id, num_reduce_tasks=reduces, mapper=mapper, reducer=reducer,
                    master_seed=seed)
+
+
+def run_on(engine, name, **spec_args):
+    """Run spec_for(**spec_args) on the sealed set `name`, handed in as a
+    reader of the set gets its parts: one map task per part."""
+    return engine.run_job(spec_for(**spec_args), engine.store.read_parts(name))
 
 
 def test_identity_pipeline_preserves_multiset():
     store = MemoryStore()
     records = [Record(i % 3, bytes([i])) for i in range(10)]
-    store.put("in", records)
+    store.write_parts("in", _chunk(records, 3))
     with Engine(store, workers=2) as engine:
-        out = engine.run_job(spec_for("in", maps=3, reduces=3))
+        out = run_on(engine, "in", reduces=3)
     assert sorted(store.read(out)) == sorted(records)
 
 
 def test_grouping_contract():
     store = MemoryStore()
     keys = [0, 0, 1, 2, 2, 2]
-    store.put("in", [Record(k, bytes([i])) for i, k in enumerate(keys)])
+    store.write_parts("in", _chunk([Record(k, bytes([i])) for i, k in enumerate(keys)], 2))
     seen = {}
 
     def reducer(key, values, rng):
         seen[key] = list(values)
         return [Record(key, b"".join(values))]
 
-    Engine(store, workers=1).run_job(spec_for("in", maps=2, reduces=3, reducer=reducer))
+    run_on(Engine(store, workers=1), "in", reduces=3, reducer=reducer)
     assert seen[2] == [bytes([3]), bytes([4]), bytes([5])]  # all 3 values, input order
     assert seen[0] == [bytes([0]), bytes([1])]
     assert seen[1] == [bytes([2])]
@@ -158,36 +163,40 @@ def test_keys_ascending_within_reduce_task():
         calls.append(key)
         return []
 
-    Engine(store, workers=1).run_job(spec_for("in", reduces=3, reducer=reducer))
+    run_on(Engine(store, workers=1), "in", reduces=3, reducer=reducer)
     assert calls == [0, 3, 6]
 
 
 def test_values_keep_input_sequence_order():
     payload = [Record(1, bytes([i])) for i in range(20)]
-    # order must survive any map-task split; the passthrough reducer
-    # emits the values in the order it received them
+    # order must survive any split into parts, and so map tasks; the
+    # passthrough reducer emits the values in the order it received them
+    sealed = []
     with Engine(MemoryStore(), workers=4) as engine:
-        for maps in (1, 3, 7, 20):
-            engine.store.put(f"in{maps}", payload)
-            out = engine.run_job(spec_for(f"in{maps}", job_id=maps, maps=maps))
+        for pieces in (1, 3, 7, 20):
+            engine.store.write_parts(f"in{pieces}", _chunk(payload, pieces))
+            out = run_on(engine, f"in{pieces}", job_id=pieces)
             assert engine.store.read_parts(out)[1] == payload
+            sealed.append(engine.store.snapshot()[out])
+    assert sealed == [sealed[0]] * 4
 
 
 def test_exactly_once_mapping(tmp_path):
     store = MemoryStore()
     records = [Record(i, bytes([i])) for i in range(37)]
-    store.put("in", records)
+    store.write_parts("in", _chunk(records, 5))
     calls = tmp_path / "calls"
     with Engine(store, workers=4) as engine:
-        engine.run_job(spec_for("in", maps=5, mapper=AppendingMapper(calls)))
+        run_on(engine, "in", mapper=AppendingMapper(calls))
     assert calls.read_bytes() == b"x" * len(records)
 
 
 def test_key_co_location():
     store = MemoryStore()
-    store.put("in", [Record(k, bytes([k, i])) for i in range(4) for k in range(6)])
+    records = [Record(k, bytes([k, i])) for i in range(4) for k in range(6)]
+    store.write_parts("in", _chunk(records, 3))
     with Engine(store, workers=4) as engine:
-        out = engine.run_job(spec_for("in", maps=3, reduces=3))
+        out = run_on(engine, "in", reduces=3)
     parts = store.read_parts(out)
     homes = {}
     for task, part in enumerate(parts):
@@ -199,10 +208,10 @@ def test_key_co_location():
 
 def test_phase_barrier_under_concurrency():
     store = MemoryStore()
-    store.put("in", [Record(i, b"") for i in range(8)])
+    store.write_parts("in", _chunk([Record(i, b"") for i in range(8)], 8))
     events = []
     with Engine(store, workers=4, task_observer=events.append) as engine:
-        engine.run_job(spec_for("in", maps=8, reduces=4, mapper=slow_mapper))
+        run_on(engine, "in", reduces=4, mapper=slow_mapper)
     map_ends = [e["time"] for e in events if e["kind"] == "map" and e["event"] == "end"]
     reduce_starts = [e["time"] for e in events
                      if e["kind"] == "reduce" and e["event"] == "start"]
@@ -232,7 +241,7 @@ def test_retry_transparency():
         store = MemoryStore()
         store.put("in", [Record(k, bytes([k])) for k in range(4)])
         with Engine(store, **engine_args) as engine:
-            out = engine.run_job(spec_for("in", reduces=4, reducer=reducer))
+            out = run_on(engine, "in", reduces=4, reducer=reducer)
         return store.snapshot()[out]
 
     flaky = FlakyReducer()
@@ -258,7 +267,7 @@ def test_closure_reducer_runs_in_a_pool():
         store = MemoryStore()
         store.put("in", [Record(k, b"") for k in range(8)])
         with deadline(30), Engine(store, workers=workers) as engine:
-            engine.run_job(spec_for("in", reduces=4, reducer=salted_reducer))
+            run_on(engine, "in", reduces=4, reducer=salted_reducer)
         return store.snapshot()
 
     assert run(2) == run(1)
@@ -267,7 +276,7 @@ def test_closure_reducer_runs_in_a_pool():
 
 def test_map_runs_in_the_driver_and_reduce_on_workers():
     store = MemoryStore()
-    store.put("in", [Record(k, b"") for k in range(4)])
+    store.write_parts("in", _chunk([Record(k, b"") for k in range(4)], 2))
     seen = []
 
     def recording_mapper(record):  # a closure: map tasks are never pickled
@@ -275,8 +284,8 @@ def test_map_runs_in_the_driver_and_reduce_on_workers():
         return [record]
 
     with deadline(30), Engine(store, workers=2) as engine:
-        outputs = [engine.run_job(spec_for("in", job_id=job, maps=2, reduces=4,
-                                           mapper=recording_mapper, reducer=pid_reducer))
+        outputs = [run_on(engine, "in", job_id=job, reduces=4, mapper=recording_mapper,
+                          reducer=pid_reducer)
                    for job in (0, 1)]
     assert len(seen) == 8
     # the second job's map phase runs while the pool is up: still no thread
@@ -291,10 +300,10 @@ def test_dead_worker_fails_the_job_and_leaves_no_process():
     store.put("in", [Record(k, b"") for k in range(4)])
     with deadline(30), Engine(store, workers=2) as engine:
         with pytest.raises(EngineError, match="job 3 reduce phase: worker 0 exited with code 1"):
-            engine.run_job(spec_for("in", job_id=3, reducer=ExitInWorker(os.getpid())))
+            run_on(engine, "in", job_id=3, reducer=ExitInWorker(os.getpid()))
         assert multiprocessing.active_children() == []
         # the next job starts a fresh pool and reads no stale reply
-        out = engine.run_job(spec_for("in", job_id=4, reduces=4, reducer=pid_reducer))
+        out = run_on(engine, "in", job_id=4, reduces=4, reducer=pid_reducer)
         assert len(store.read(out)) == 4
     assert multiprocessing.active_children() == []
 
@@ -332,7 +341,7 @@ def test_pool_forks_again_for_another_reducer_object(monkeypatch):
     first, second = TagReducer(b"1"), TagReducer(b"2")
     with deadline(30), Engine(store, workers=2) as engine:
         def run(job_id, reducer):
-            out = engine.run_job(spec_for("in", job_id=job_id, reduces=4, reducer=reducer))
+            out = run_on(engine, "in", job_id=job_id, reduces=4, reducer=reducer)
             assert {rec.value for rec in store.read(out)} == {reducer.tag}
 
         for job_id, reducer in enumerate([first, first, second, first]):
@@ -371,7 +380,7 @@ def test_unsendable_task_reply_fails_the_phase(reducer, message):
     store.put("in", [Record(k, b"") for k in range(4)])
     with deadline(30), Engine(store, workers=2) as engine:
         with pytest.raises(EngineError, match=message):
-            engine.run_job(spec_for("in", reducer=reducer))
+            run_on(engine, "in", reducer=reducer)
         assert multiprocessing.active_children() == []
 
 
@@ -386,7 +395,7 @@ def test_retries_exhausted_fail_with_task_identity():
 
     engine = Engine(store, workers=1)
     with pytest.raises(JobFailedError) as err:
-        engine.run_job(spec_for("in", job_id=9, maps=1, mapper=bad_mapper))
+        run_on(engine, "in", job_id=9, mapper=bad_mapper)
     assert err.value.job_id == 9
     assert err.value.task_kind == "map"
     assert err.value.task_index == 0
@@ -409,7 +418,7 @@ def test_failed_attempts_emit_events():
 
     engine = Engine(store, workers=1, task_observer=events.append)
     with pytest.raises(JobFailedError):
-        engine.run_job(spec_for("in", maps=1, mapper=bad_mapper))
+        run_on(engine, "in", mapper=bad_mapper)
     fails = [e for e in events if e["event"] == "fail"]
     assert [e["attempt"] for e in fails] == [0, 1, 2]
 
@@ -452,7 +461,7 @@ def test_deterministic_errors_fail_on_first_attempt(mapper, reducer, kind):
     events = []
     engine = Engine(store, workers=1, task_observer=events.append)
     with pytest.raises(JobFailedError) as err:
-        engine.run_job(spec_for("in", maps=1, reduces=1, mapper=mapper, reducer=reducer))
+        run_on(engine, "in", reduces=1, mapper=mapper, reducer=reducer)
     assert err.value.task_kind == kind
     assert [(e["kind"], e["attempt"], e["event"]) for e in events if e["kind"] == kind] == [
         (kind, 0, "start"), (kind, 0, "fail")]
@@ -466,8 +475,7 @@ def test_a_bare_tuple_is_not_a_record():
         return [(0, b"x")]
 
     with pytest.raises(JobFailedError, match="expected a Record") as err:
-        Engine(store, workers=1).run_job(spec_for("in", maps=1, reduces=1,
-                                                  reducer=tuple_reducer))
+        run_on(Engine(store, workers=1), "in", reduces=1, reducer=tuple_reducer)
     assert err.value.task_kind == "reduce"
     assert isinstance(err.value.__cause__, EngineError)
     assert "(0, b'x')" in str(err.value.__cause__)
@@ -479,13 +487,13 @@ def test_store_immutability():
     with pytest.raises(StoreError):
         store.put("in", [Record(0, b"b")])
     engine = Engine(store, workers=1)
-    out = engine.run_job(spec_for("in", maps=1, reduces=1))
+    out = run_on(engine, "in", reduces=1)
     before = store.snapshot()[out]
     with pytest.raises(StoreError):
         store.write_parts(out, [[Record(0, b"overwrite")]])
     # later jobs leave sealed sets untouched
     store.put("in2", [Record(0, b"c")])
-    engine.run_job(spec_for("in2", job_id=1, maps=1, reduces=1))
+    run_on(engine, "in2", job_id=1, reduces=1)
     assert store.snapshot()[out] == before
 
 
@@ -497,10 +505,9 @@ def test_read_missing_set():
 def test_determinism_same_seed_same_bytes():
     def run(workers):
         store = MemoryStore()
-        store.put("in", [Record(i % 5, bytes([i])) for i in range(23)])
+        store.write_parts("in", _chunk([Record(i % 5, bytes([i])) for i in range(23)], 4))
         with Engine(store, workers=workers) as engine:
-            out = engine.run_job(spec_for("in", maps=4, reduces=5, reducer=draw_reducer,
-                                          seed=77))
+            out = run_on(engine, "in", reduces=5, reducer=draw_reducer, seed=77)
         return store.snapshot()[out]
 
     baseline = run(1)
@@ -516,8 +523,7 @@ def test_different_master_seed_changes_bytes():
     def run(seed):
         store = MemoryStore()
         store.put("in", [Record(0, b"")])
-        out = Engine(store, workers=1).run_job(
-            spec_for("in", maps=1, reduces=1, reducer=reducer, seed=seed))
+        out = run_on(Engine(store, workers=1), "in", reduces=1, reducer=reducer, seed=seed)
         return store.snapshot()[out]
 
     assert run(1) != run(2)
@@ -536,24 +542,26 @@ def total(key, values, rng):
 
 def test_word_count_fixture():
     store = MemoryStore()
-    store.put("docs", [
-        Record(0, b"the cat sat"),
-        Record(1, b"the cat"),
-        Record(2, b"the mat"),
+    store.write_parts("docs", [
+        [Record(0, b"the cat sat")],
+        [Record(1, b"the cat"), Record(2, b"the mat")],
     ])
     with Engine(store, workers=2) as engine:
-        out = engine.run_job(spec_for("docs", maps=2, reduces=2, mapper=tokenize,
-                                      reducer=total))
+        out = run_on(engine, "docs", reduces=2, mapper=tokenize, reducer=total)
     counts = {rec.key: int(rec.value) for rec in store.read(out)}
     assert counts == {WORDS["the"]: 3, WORDS["cat"]: 2, WORDS["sat"]: 1, WORDS["mat"]: 1}
 
 
 def test_more_map_tasks_than_records():
+    # six parts, five of them empty: an empty part is a map task that maps nothing
     store = MemoryStore()
-    store.put("in", [Record(0, b"x")])
-    with Engine(store, workers=2) as engine:
-        out = engine.run_job(spec_for("in", maps=6, reduces=1))
+    store.write_parts("in", [[], [], [], [], [], [Record(0, b"x")]])
+    events = []
+    with Engine(store, workers=2, task_observer=events.append) as engine:
+        out = run_on(engine, "in", reduces=1)
     assert store.read(out) == [Record(0, b"x")]
+    assert [e["index"] for e in events if e["kind"] == "map" and e["event"] == "end"] == \
+        list(range(6))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -563,7 +571,7 @@ def test_reducer_key_past_u32_fails_the_job_at_once(workers):
     events = []
     with deadline(30), Engine(store, workers=workers, task_observer=events.append) as engine:
         with pytest.raises(JobFailedError, match="reduce task 0") as err:
-            engine.run_job(spec_for("in", reducer=wide_key_reducer))
+            run_on(engine, "in", reducer=wide_key_reducer)
     assert isinstance(err.value.__cause__, EngineError)
     assert "4294967296" in str(err.value.__cause__)
     assert [e["event"] for e in events if e["kind"] == "reduce" and e["index"] == 0] == \
@@ -579,14 +587,14 @@ def test_a_negative_mapper_key_fails_before_anything_is_sealed():
         return [Record(-record.key, record.value)]
 
     with pytest.raises(ValueError, match="record keys must be non-negative, got -1"):
-        Engine(store, workers=1).run_job(spec_for("in", maps=1, mapper=negative))
+        run_on(Engine(store, workers=1), "in", mapper=negative)
     assert "job0" not in store.names()
 
 
 def test_each_key_goes_to_task_key_mod_tasks_in_key_order():
     store = MemoryStore()
     store.put("in", [Record(k % 3, bytes([k])) for k in (5, 1, 3, 4, 0, 2)])
-    Engine(store, workers=1).run_job(spec_for("in"))
+    run_on(Engine(store, workers=1), "in")
     # keys ascending within each task, values in production order
     assert store.read_parts("job0") == [
         [Record(0, b"\x03"), Record(0, b"\x00"), Record(2, b"\x05"), Record(2, b"\x02")],
@@ -600,9 +608,9 @@ def test_run_job_maps_the_parts_it_is_given_without_reading_the_store():
     twin = MemoryStore()
     twin.write_parts("in", parts)
     twin.read_parts = None  # a read would fail
-    for target, given in ((store, None), (twin, parts)):
-        Engine(target, workers=1).run_job(spec_for("in", reduces=3, reducer=draw_reducer,
-                                                   seed=4), given)
+    for target in (store, twin):
+        Engine(target, workers=1).run_job(spec_for(reduces=3, reducer=draw_reducer, seed=4),
+                                          parts)
     assert store.snapshot() == twin.snapshot()
 
 
@@ -632,16 +640,14 @@ def test_malformed_mapper_output_fails_job():
         return ["not a record"]
 
     with pytest.raises(JobFailedError):
-        Engine(store, workers=1).run_job(spec_for("in", maps=1, mapper=bad))
+        run_on(Engine(store, workers=1), "in", mapper=bad)
 
 
 def test_jobspec_validation():
-    with pytest.raises(ValueError):
-        spec_for("in", job_id=-1)
-    with pytest.raises(ValueError):
-        spec_for("in", maps=0)
-    with pytest.raises(ValueError):
-        spec_for("in", reduces=0)
+    with pytest.raises(ValueError, match="^job_id must be >= 0, got -1$"):
+        spec_for(job_id=-1)
+    with pytest.raises(ValueError, match="^num_reduce_tasks must be >= 1$"):
+        spec_for(reduces=0)
 
 
 def test_task_rng_streams():
@@ -671,7 +677,7 @@ def test_file_store_layout_and_framing(tmp_path):
     store = FileStore(tmp_path)
     store.put("in", [Record(1, b"ab")])
     engine = Engine(store, workers=1)
-    out = engine.run_job(spec_for("in", job_id=3, maps=1, reduces=2))
+    out = run_on(engine, "in", job_id=3, reduces=2)
     assert out == "job3"
     assert sorted(p.name for p in (tmp_path / "job3").iterdir()) == ["_SUCCESS", "data"]
     golden = struct.pack("<II", 1, 2) + b"ab"  # part-0 is empty, part-1 holds the record
@@ -783,10 +789,9 @@ def test_file_store_flipped_byte_is_store_error(tmp_path):
 
 def test_file_and_memory_stores_agree(tmp_path):
     def run(store):
-        store.put("in", [Record(i % 3, bytes([i])) for i in range(9)])
+        store.write_parts("in", _chunk([Record(i % 3, bytes([i])) for i in range(9)], 2))
         with Engine(store, workers=2) as engine:
-            engine.run_job(spec_for("in", maps=2, reduces=3, reducer=text_draw_reducer,
-                                    seed=5))
+            run_on(engine, "in", reduces=3, reducer=text_draw_reducer, seed=5)
         return store.snapshot()
 
     assert run(MemoryStore()) == run(FileStore(tmp_path))

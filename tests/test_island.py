@@ -112,12 +112,12 @@ def test_evolve_record_counts():
     store = MemoryStore()
     engine = Engine(store, workers=1)
     handle = init_job(engine, INST10, params, master_seed=1)
-    out1 = evolve_job(engine, handle, INST10, params, 1, master_seed=1)
+    out1 = evolve_job(engine, store.read_parts(handle), INST10, params, 1, master_seed=1)
     parts = store.read_parts(out1)
     assert [len(p) for p in parts] == [109] * 10
     assert sum(len(p) for p in parts) == 1090
     # next round absorbs the 9 inbound migrants and trims back to 100
-    out2 = evolve_job(engine, out1, INST10, params, 2, master_seed=1)
+    out2 = evolve_job(engine, store.read_parts(out1), INST10, params, 2, master_seed=1)
     parts = store.read_parts(out2)
     for island, part in enumerate(parts):
         assert sum(r.key == island for r in part) == 100
@@ -132,7 +132,8 @@ def test_migration_spreads_the_global_best():
     handle = init_job(engine, INST10, SMALL, master_seed=7)
     prev = island_best_lengths(store.read_parts(handle))
     for round_number in (1, 2, 3):
-        handle = evolve_job(engine, handle, INST10, SMALL, round_number, master_seed=7)
+        handle = evolve_job(engine, store.read_parts(handle), INST10, SMALL, round_number,
+                            master_seed=7)
         bests = island_best_lengths(store.read_parts(handle))
         if round_number == 1:
             # no migrants yet: each island can only improve on itself
@@ -146,7 +147,7 @@ def test_migrants_carry_each_islands_best():
     store = MemoryStore()
     engine = Engine(store, workers=1)
     handle = init_job(engine, INST10, SMALL, master_seed=11)
-    handle = evolve_job(engine, handle, INST10, SMALL, 1, master_seed=11)
+    handle = evolve_job(engine, store.read_parts(handle), INST10, SMALL, 1, master_seed=11)
     parts = store.read_parts(handle)
     bests = island_best_lengths(parts)
     for island, part in enumerate(parts):
@@ -521,6 +522,18 @@ def test_run_pga_accounting():
     assert report.params["ga"]["population_size"] == 20
 
 
+@pytest.mark.parametrize("budget", [3, 9])
+def test_run_pga_runs_whole_rounds_within_the_budget(budget):
+    # interval 2 does not divide the budget: the run stops at the last whole
+    # round that fits, not at the first one past it
+    params = dataclasses.replace(SMALL, max_total_generations=budget)
+    report = run_pga(INST10, params)
+    assert report.stop_reason == "budget"
+    assert [r.generations for r in report.rounds] == list(range(2, budget + 1, 2))
+    assert report.generations == budget - 1
+    assert report.params["max_total_generations"] == budget
+
+
 def test_run_pga_finds_small_optimum():
     optimum = held_karp(INST8).optimum_length
     params = IslandParams(num_islands=4, migration_interval=10,
@@ -645,7 +658,8 @@ def test_evolve_job_rounds_share_one_pool(pools):
             handle = init_job(engine, INST10, SMALL, master_seed=9)
             engine.workers = workers
             for round_number in range(1, 6):
-                handle = evolve_job(engine, handle, INST10, SMALL, round_number, master_seed=9)
+                handle = evolve_job(engine, store.read_parts(handle), INST10, SMALL,
+                                    round_number, master_seed=9)
         return store.snapshot()
 
     assert run(2) == run(1)
@@ -659,7 +673,8 @@ def test_fresh_evolve_reducer_every_round_in_a_pool_matches_in_process():
         with Engine(store, workers=workers) as engine:
             handle = init_job(engine, INST10, SMALL, master_seed=9)
             for round_number in (1, 2, 3):
-                handle = evolve_job(engine, handle, INST10, SMALL, round_number, master_seed=9)
+                handle = evolve_job(engine, store.read_parts(handle), INST10, SMALL,
+                                    round_number, master_seed=9)
         return store.snapshot()
 
     assert run(2) == run(1)
@@ -734,7 +749,7 @@ def test_dump_formatting_skips_migrants():
     store = MemoryStore()
     engine = Engine(store, workers=1)
     handle = init_job(engine, INST10, SMALL, master_seed=3)
-    handle = evolve_job(engine, handle, INST10, SMALL, 1, master_seed=3)
+    handle = evolve_job(engine, store.read_parts(handle), INST10, SMALL, 1, master_seed=3)
     parts = store.read_parts(handle)
     total = sum(len(p) for p in parts)
     lines = format_population_dump(parts, INST10.dimension).splitlines()
